@@ -32,8 +32,10 @@ CI failure report prints the numbers, not just the comparison):
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from pathlib import Path
 from typing import Callable, List, Tuple
 
 from _artifacts import update_artifact
@@ -42,6 +44,9 @@ from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import triples_from_tuples
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _oracle import backtrack  # noqa: E402
 
 NUM_PRODUCTS = 6000
 NUM_BRANDS = 16
@@ -130,10 +135,12 @@ def test_id_space_executor_vs_backtracking():
             if strategy == "batched-id":
                 def workload(engine=engine):
                     return engine.execute_many(queries)
+            elif strategy == "id":
+                def workload(engine=engine):
+                    return [engine.execute(query) for query in queries]
             else:
-                def workload(engine=engine, strategy=strategy):
-                    return [engine.execute(query, strategy=strategy)
-                            for query in queries]
+                def workload(store=store):
+                    return [backtrack(store, query) for query in queries]
             results = workload()
             elapsed = _best_of(REPEATS, workload)
             timings[(backend_name, strategy)] = elapsed

@@ -47,6 +47,7 @@ from repro.kg.protocol import (
     BinaryResponseDecoder,
     DecodedBlock,
     decode_json_body,
+    decode_triple_rows,
     encode_frame,
     encode_wire_triples,
     encode_tagged_json,
@@ -131,12 +132,6 @@ def _wire_query(query: PatternQuery) -> dict:
     if query.limit is not None:
         message["limit"] = query.limit
     return message
-
-
-def _triples(rows) -> List[Triple]:
-    if isinstance(rows, DecodedBlock):
-        return rows.to_triples()
-    return [Triple(head=row[0], relation=row[1], tail=row[2]) for row in rows]
 
 
 def _bindings(result) -> List[Binding]:
@@ -403,33 +398,20 @@ class RemoteCursor:
     def fetch(self, max_rows: Optional[int] = None) -> List:
         """Fetch the next page (at most ``max_rows``, defaulting to the
         cursor's page size; an empty page means exhausted)."""
-        if self._closed:
-            raise CursorError("cursor is closed")
-        if max_rows is None:
-            max_rows = self.page_size
-        elif not isinstance(max_rows, int) or isinstance(max_rows, bool) \
-                or max_rows < 1:
-            raise CursorError(
-                f"fetch page size must be a positive integer, got {max_rows!r}")
-        if self._exhausted:
-            return []
-        result = self._client.call("fetch", cursor=self.cursor_id,
-                                   max_rows=max_rows)
-        self._exhausted = bool(result["exhausted"])
-        rows = result["rows"]
+        rows = self.fetch_block(max_rows)
         if isinstance(rows, DecodedBlock):
             return rows.to_rows()
-        return _triples(rows) if self._as_triples else rows
+        return decode_triple_rows(rows) if self._as_triples else rows
 
     def fetch_block(self, max_rows: Optional[int] = None):
         """The zero-copy form of :meth:`fetch` on a binary connection:
         the next page as a :class:`~repro.kg.protocol.DecodedBlock`
         (int64 id rows + the connection's symbol caches), for bulk
         consumers that feed arrays onward instead of materializing
-        per-row objects.  On a JSON connection — or when the server
-        fell back to a materialized cursor — the page comes back as the
-        plain row list :meth:`fetch` would return.  Pagination state is
-        shared with :meth:`fetch`.
+        per-row objects.  On a JSON connection — or for a list-backed
+        server cursor — the page comes back as the plain wire rows
+        (``[head, relation, tail]`` arrays for a match cursor).
+        Pagination state is shared with :meth:`fetch`.
         """
         if self._closed:
             raise CursorError("cursor is closed")
@@ -569,8 +551,8 @@ class RemoteStore:
               relation: Optional[str] = None, tail: Optional[str] = None,
               sort: bool = False) -> List[Triple]:
         """Remote :meth:`TripleStore.match` (one round-trip)."""
-        triples = _triples(self.client.call("match",
-                                            pattern=[head, relation, tail]))
+        triples = decode_triple_rows(self.client.call(
+            "match", pattern=[head, relation, tail]))
         return sorted(triples) if sort else triples
 
     def match_many(self, patterns: Sequence[Pattern],
@@ -578,7 +560,7 @@ class RemoteStore:
         """Remote :meth:`TripleStore.match_many` (one round-trip)."""
         results = self.client.call(
             "match_many", patterns=[list(pattern) for pattern in patterns])
-        decoded = [_triples(rows) for rows in results]
+        decoded = [decode_triple_rows(rows) for rows in results]
         return [sorted(rows) for rows in decoded] if sort else decoded
 
     def match_many_blocks(self, patterns: Sequence[Pattern]) -> List:

@@ -8,7 +8,7 @@ remote :class:`~repro.kg.server.KGServer` processes.  Routing is the
 exact code the in-process backend uses — the pure functions of
 :mod:`repro.kg.routing` — so a triple's owner shard is a property of its
 head id and the shard count, never of which side of a socket the
-decision is made on.  ``plan_query`` / ``execute_plans`` /
+decision is made on.  ``plan_query`` / ``execute_plans_cursors`` /
 ``QueryService`` run unchanged on top: a coordinator process is just
 ``KGServer(TripleStore(backend=ClusterBackend(...)))``.
 
@@ -84,7 +84,8 @@ from repro.kg.mmap_backend import (
     RELATION_BLOB_FILE,
     RELATION_OFFSETS_FILE,
 )
-from repro.kg.protocol import DecodedBlock
+from repro.kg.protocol import (DecodedBlock, decode_triple_rows,
+                               encode_wire_triples)
 from repro.kg.routing import (
     BROADCAST as _BROADCAST,
     concat_id_blocks,
@@ -580,14 +581,6 @@ class _ShardSession:
             self._drop(endpoint)
 
 
-def _decode_triples(rows) -> List[Triple]:
-    """One wire ``match`` result to triples (either codec)."""
-    if isinstance(rows, DecodedBlock):
-        return rows.to_triples()
-    return [Triple.unchecked(head, relation, tail)
-            for head, relation, tail in rows]
-
-
 def _decode_id_rows(item) -> np.ndarray:
     """One wire ``match_ids_many`` result to a ``(k, 3)`` int64 block."""
     if isinstance(item, DecodedBlock):
@@ -770,13 +763,13 @@ class ClusterBackend(_BatchedQueriesMixin):
         rows = np.fromiter(id_components(),
                            dtype=np.int64).reshape(-1, 3)
         owners = shard_of_ids(rows[:, 0], self.n_shards)
-        grouped: Dict[int, List[List[str]]] = {}
+        grouped: Dict[int, List[Triple]] = {}
         for triple, owner in zip(items, owners.tolist()):
-            grouped.setdefault(owner, []).append(
-                [triple.head, triple.relation, triple.tail])
+            grouped.setdefault(owner, []).append(triple)
         results = self._run([
             (lambda index=index, group=group:
-             self._sessions[index].write_call("add_many", triples=group))
+             self._sessions[index].write_call(
+                 "add_many", triples=encode_wire_triples(group)))
             for index, group in sorted(grouped.items())
         ])
         return sum(result["added"] for result in results)
@@ -787,20 +780,19 @@ class ClusterBackend(_BatchedQueriesMixin):
 
     def discard_many(self, triples: Iterable[Triple]) -> int:
         lookup = self.entity_interner.lookup
-        grouped: Dict[int, List[List[str]]] = {}
+        grouped: Dict[int, List[Triple]] = {}
         for triple in triples:
             head_id = lookup(triple.head)
             if head_id is None:
                 continue
             grouped.setdefault(shard_of_id(head_id, self.n_shards),
-                               []).append(
-                [triple.head, triple.relation, triple.tail])
+                               []).append(triple)
         if not grouped:
             return 0
         results = self._run([
             (lambda index=index, group=group:
-             self._sessions[index].write_call("remove_many",
-                                              triples=group))
+             self._sessions[index].write_call(
+                 "remove_many", triples=encode_wire_triples(group)))
             for index, group in sorted(grouped.items())
         ])
         return sum(result["removed"] for result in results)
@@ -833,7 +825,7 @@ class ClusterBackend(_BatchedQueriesMixin):
         def shard_call(index: int, group: List[Pattern]) -> List[List[Triple]]:
             results = self._sessions[index].read_call(
                 "match_many", patterns=[list(p) for p in group])
-            decoded = [_decode_triples(rows) for rows in results]
+            decoded = [decode_triple_rows(rows) for rows in results]
             return [sorted(rows) for rows in decoded] if sort else decoded
 
         def broadcast_call(index: int,
@@ -841,7 +833,7 @@ class ClusterBackend(_BatchedQueriesMixin):
             # Per-shard sorting would be thrown away by the merge.
             results = self._sessions[index].read_call(
                 "match_many", patterns=[list(p) for p in group])
-            return [_decode_triples(rows) for rows in results]
+            return [decode_triple_rows(rows) for rows in results]
 
         return self._scatter(
             patterns,
@@ -909,7 +901,7 @@ class ClusterBackend(_BatchedQueriesMixin):
         """Every shard's full content, one wire call per shard."""
         return self._run([
             (lambda session=session:
-             _decode_triples(session.read_call(
+             decode_triple_rows(session.read_call(
                  "match", pattern=[None, None, None])))
             for session in self._sessions])
 

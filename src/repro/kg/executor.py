@@ -3,18 +3,19 @@
 The counterpart of :mod:`repro.kg.planner`.  Two executors evaluate a
 :class:`~repro.kg.planner.QueryPlan`:
 
-* :func:`execute_plan` / :func:`execute_plans` — the **ID-space
-  executor**.  Each pattern's constants are interned once; the pattern
-  is fetched as one ``(k, 3)`` int64 block from the backend's CSR
-  indexes (:meth:`match_ids` / the batched :meth:`match_ids_many`); the
-  binding frontier is a set of parallel numpy id columns (one per
-  variable) that each step extends with a vectorized hash join —
-  factorize the shared-variable key columns, sort one side,
-  ``searchsorted`` the other, expand matches with ``repeat``/``cumsum``
-  arithmetic.  Strings appear exactly once, at projection.
-  ``execute_plans`` runs a batch of plans in lockstep so every round's
-  pattern fetches collapse into a single ``match_ids_many`` call (which
-  the sharded backend routes per shard).
+* :func:`execute_plans_cursors` — the **ID-space executor**.  Each
+  pattern's constants are interned once; the pattern is fetched as one
+  ``(k, 3)`` int64 block from the backend's CSR indexes
+  (:meth:`match_ids` / the batched :meth:`match_ids_many`); the binding
+  frontier is a set of parallel numpy id columns (one per variable)
+  that each step extends with a vectorized hash join — factorize the
+  shared-variable key columns, sort one side, ``searchsorted`` the
+  other, expand matches with ``repeat``/``cumsum`` arithmetic.  A batch
+  of plans runs in lockstep so every round's pattern fetches collapse
+  into a single ``match_ids_many`` call (which the sharded backend
+  routes per shard).  The result is an :class:`IdBlock`; strings appear
+  exactly once, in :meth:`IdBlock.materialize`, on the thread that
+  encodes or consumes the rows.
 
 * :func:`execute_backtracking` — the original symbol-level evaluator
   (one ``iter_match`` round-trip per binding per pattern), kept both as
@@ -29,12 +30,12 @@ executor-defined (deterministic for a deterministic store either way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CursorError, QueryError
+from repro.errors import CursorError
 from repro.kg.backend import IdPattern, supports_id_queries
 from repro.kg.planner import (
     ENTITY,
@@ -43,6 +44,7 @@ from repro.kg.planner import (
     is_variable,
 )
 from repro.kg.store import TripleStore
+from repro.kg.triple import Triple
 
 Binding = Dict[str, str]
 
@@ -286,59 +288,82 @@ def _unique_rows(stacked: np.ndarray) -> np.ndarray:
     return stacked[keep]
 
 
-def _stringify_rows(backend, kinds: Sequence[str], names: Sequence[str],
-                    rows: np.ndarray) -> List[Binding]:
-    """Materialize id rows as string bindings — the only string step."""
-    tables = [backend.entity_interner.symbol_table() if kind == "e"
-              else backend.relation_interner.symbol_table()
-              for kind in kinds]
-    return [{name: table[identifier]
-             for name, table, identifier in zip(names, tables, row)}
-            for row in rows.tolist()]
-
-
-def _stringify_triples(backend, rows: np.ndarray) -> List["Triple"]:
-    """Materialize (head, relation, tail) id rows as :class:`Triple`\\ s."""
-    from repro.kg.triple import Triple
-    entities = backend.entity_interner.symbol_table()
-    relations = backend.relation_interner.symbol_table()
-    unchecked = Triple.unchecked
-    return [unchecked(entities[h], relations[r], entities[t])
-            for h, r, t in rows.tolist()]
-
-
 @dataclass(frozen=True)
 class IdBlock:
-    """One page of results in id space — the binary wire codec's unit.
+    """Read results in id space — the one representation the read path
+    carries from the backend to whoever encodes or consumes them.
 
     ``rows`` is a ``(n, k)`` int64 block; ``kinds`` says which interner
     space each column's ids live in (``"e"`` entities, ``"r"``
     relations).  Bindings blocks carry the variable ``names``; triples
     blocks (``triples=True``) are always ``(head, relation, tail)`` and
     ship no names.  The server-side
-    :class:`~repro.kg.protocol.BinaryResponseEncoder` consumes these
-    attributes directly, so the binary path never stringifies a row.
+    :class:`~repro.kg.protocol.BinaryResponseEncoder` packs these
+    attributes directly; everyone else calls :meth:`materialize` — the
+    only place ids become strings.
+
+    ``entities`` / ``relations`` are the producing backend's live,
+    append-only id → symbol tables, so a block outlives a
+    ``QueryService.swap_store``: it stringifies against the store that
+    produced it.
     """
 
     names: Tuple[str, ...]
     kinds: Tuple[str, ...]
     rows: np.ndarray
     triples: bool = False
+    entities: Sequence[str] = ()
+    relations: Sequence[str] = ()
+
+    @classmethod
+    def over(cls, backend, names: Sequence[str], kinds: Sequence[str],
+             rows: np.ndarray, *, triples: bool = False) -> "IdBlock":
+        """A block of ``rows`` produced against ``backend``'s interners."""
+        return cls(tuple(names), tuple(kinds), rows, triples,
+                   backend.entity_interner.symbol_table(),
+                   backend.relation_interner.symbol_table())
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __getitem__(self, rows: slice) -> "IdBlock":
+        """The same columns over a zero-copy slice of the rows (a page,
+        a ``limit`` prefix)."""
+        return replace(self, rows=self.rows[rows])
+
+    def materialize(self) -> List:
+        """The rows as strings: one binding dict per row, or one
+        :class:`~repro.kg.triple.Triple` per row of a triples block."""
+        entities, relations = self.entities, self.relations
+        if self.triples:
+            unchecked = Triple.unchecked
+            return [unchecked(entities[h], relations[r], entities[t])
+                    for h, r, t in self.rows.tolist()]
+        tables = [entities if kind == "e" else relations
+                  for kind in self.kinds]
+        names = self.names
+        return [{name: table[identifier]
+                 for name, table, identifier in zip(names, tables, row)}
+                for row in self.rows.tolist()]
+
+
+def materialize(result) -> List:
+    """A read result as strings: blocks materialize, the executor's own
+    list-backed results (no-variable queries, the backtracking
+    fallback) already are."""
+    return result.materialize() if isinstance(result, IdBlock) else result
 
 
 class ResultCursor:
     """Pages over one query's results without re-running the query.
 
     The ID-space executor hands a cursor the **deduplicated id-row
-    projection** — a compact ``(n, k)`` int64 block plus the plan it
-    came from — and each :meth:`fetch` stringifies only the rows of the
-    page it returns, so a huge result set never materializes all its
-    binding dicts at once.  Results from the backtracking fallback (and
-    degenerate no-variable results) page over an already-built list via
-    :meth:`from_list`; either way the paging surface is identical.
+    projection** as one :class:`IdBlock`, and each :meth:`fetch`
+    stringifies only the rows of the page it returns, so a huge result
+    set never materializes all its binding dicts at once.  Results from
+    the backtracking fallback (and degenerate no-variable results) page
+    over an already-built list; either way the paging surface is
+    identical.
 
     Cursors are single-consumer and not thread-safe;
     :class:`~repro.kg.service.QueryService` serializes access for its
@@ -346,34 +371,17 @@ class ResultCursor:
     creation, so paging happens *within* the cap.
     """
 
-    __slots__ = ("_backend", "_kinds", "_names", "_rows", "_triples",
-                 "_position", "_closed")
+    __slots__ = ("_result", "_position", "_closed")
 
-    def __init__(self, backend, names: Sequence[str],
-                 kinds: Sequence[str], rows, *,
-                 triples: bool = False) -> None:
-        self._backend = backend
-        self._names = tuple(names)
-        self._kinds = tuple(kinds)           # 'e' / 'r' per column
-        self._rows = rows                    # (n, k) int64 block or list
-        self._triples = triples
+    def __init__(self, result) -> None:
+        self._result = result                # IdBlock, or a list
         self._position = 0
         self._closed = False
-
-    @classmethod
-    def from_list(cls, items: Sequence) -> "ResultCursor":
-        """Wrap pre-materialized results (bindings, triples, rows...)."""
-        return cls(None, (), (), list(items))
-
-    @classmethod
-    def from_triple_ids(cls, backend, rows: np.ndarray) -> "ResultCursor":
-        """Page over a ``(n, 3)`` (head, relation, tail) id block."""
-        return cls(backend, (), ("e", "r", "e"), rows, triples=True)
 
     @property
     def total_rows(self) -> int:
         """How many result rows the cursor covers (limit already applied)."""
-        return len(self._rows) if self._rows is not None else 0
+        return len(self._result)
 
     @property
     def position(self) -> int:
@@ -385,45 +393,6 @@ class ResultCursor:
         """True once every row has been fetched (or the cursor closed)."""
         return self._closed or self._position >= self.total_rows
 
-    def fetch(self, max_rows: int) -> List:
-        """Return the next page of at most ``max_rows`` results.
-
-        An empty page means the cursor is exhausted.  ``max_rows`` must
-        be positive — a zero/negative page is always a caller bug and
-        raises :class:`~repro.errors.CursorError` instead of silently
-        spinning forever.
-        """
-        if self._closed:
-            raise CursorError("cursor is closed")
-        if not isinstance(max_rows, int) or isinstance(max_rows, bool) \
-                or max_rows < 1:
-            raise CursorError(
-                f"fetch page size must be a positive integer, got {max_rows!r}")
-        chunk = self._rows[self._position:self._position + max_rows]
-        self._position += len(chunk)
-        return self._materialize(chunk)
-
-    def fetch_all(self) -> List:
-        """Drain every remaining row in one page (the non-paged path)."""
-        if self._closed:
-            raise CursorError("cursor is closed")
-        chunk = self._rows[self._position:]
-        self._position = self.total_rows
-        return self._materialize(chunk)
-
-    def _materialize(self, chunk) -> List:
-        if not isinstance(chunk, np.ndarray):
-            return list(chunk)
-        if self._triples:
-            return _stringify_triples(self._backend, chunk)
-        return _stringify_rows(self._backend, self._kinds, self._names,
-                               chunk)
-
-    @property
-    def id_backed(self) -> bool:
-        """True when pages are available as :class:`IdBlock`\\ s."""
-        return isinstance(self._rows, np.ndarray)
-
     @property
     def block(self) -> Optional[IdBlock]:
         """The cursor's *entire* id-row block, independent of paging state.
@@ -433,46 +402,48 @@ class ResultCursor:
         full deduplicated block of a limit-stripped execution, from
         which every per-request limited view is a zero-copy slice.
         """
-        if self._closed or not isinstance(self._rows, np.ndarray):
-            return None
-        return IdBlock(self._names, self._kinds, self._rows,
-                       triples=self._triples)
+        result = self._result
+        return result if isinstance(result, IdBlock) else None
 
-    def fetch_block(self, max_rows: int):
-        """The id-space form of :meth:`fetch`: the next page as an
-        :class:`IdBlock` when the cursor is id-backed, the materialized
-        list otherwise (backtracking fallback / pre-built results).
-        Pagination state is shared with :meth:`fetch` — a caller picks
-        one form per page, not per cursor.
-        """
+    def _page(self, stop: int):
+        """The one pager: rows ``[position, stop)`` in the cursor's own
+        representation (an :class:`IdBlock` view, or a list slice)."""
         if self._closed:
             raise CursorError("cursor is closed")
+        page = self._result[self._position:stop]
+        self._position += len(page)
+        return page
+
+    def fetch_block(self, max_rows: int):
+        """The next page of at most ``max_rows`` results, unmaterialized.
+
+        An empty page means the cursor is exhausted.  ``max_rows`` must
+        be positive — a zero/negative page is always a caller bug and
+        raises :class:`~repro.errors.CursorError` instead of silently
+        spinning forever.
+        """
         if not isinstance(max_rows, int) or isinstance(max_rows, bool) \
                 or max_rows < 1:
             raise CursorError(
                 f"fetch page size must be a positive integer, got {max_rows!r}")
-        chunk = self._rows[self._position:self._position + max_rows]
-        self._position += len(chunk)
-        if not isinstance(chunk, np.ndarray):
-            return list(chunk)
-        return IdBlock(self._names, self._kinds, chunk,
-                       triples=self._triples)
+        return self._page(self._position + max_rows)
 
     def fetch_all_block(self):
-        """Drain the remaining rows as one :class:`IdBlock` (or list)."""
-        if self._closed:
-            raise CursorError("cursor is closed")
-        chunk = self._rows[self._position:]
-        self._position = self.total_rows
-        if not isinstance(chunk, np.ndarray):
-            return list(chunk)
-        return IdBlock(self._names, self._kinds, chunk,
-                       triples=self._triples)
+        """Every remaining row in one page (the non-paged path)."""
+        return self._page(self.total_rows)
+
+    def fetch(self, max_rows: int) -> List:
+        """:meth:`fetch_block`, materialized as strings."""
+        return materialize(self.fetch_block(max_rows))
+
+    def fetch_all(self) -> List:
+        """:meth:`fetch_all_block`, materialized as strings."""
+        return materialize(self.fetch_all_block())
 
     def close(self) -> None:
         """Release the row block.  Idempotent; later fetches raise."""
         self._closed = True
-        self._rows = []
+        self._result = []
 
     def __enter__(self) -> "ResultCursor":
         return self
@@ -488,7 +459,7 @@ def _project_cursor(backend, plan: QueryPlan,
     limit = plan.query.limit
     if not names:
         rows = [{}] if frontier.num_rows else []
-        return ResultCursor.from_list(rows if limit is None else rows[:limit])
+        return ResultCursor(rows if limit is None else rows[:limit])
     stacked = np.stack([frontier.columns[name] for name in names], axis=1)
     if plan.select:
         stacked = _unique_rows(stacked)
@@ -496,7 +467,7 @@ def _project_cursor(backend, plan: QueryPlan,
         stacked = stacked[:limit]
     kinds = ["e" if plan.var_kinds.get(name) == ENTITY else "r"
              for name in names]
-    return ResultCursor(backend, names, kinds, stacked)
+    return ResultCursor(IdBlock.over(backend, names, kinds, stacked))
 
 
 def execute_plans_cursors(store: TripleStore,
@@ -521,11 +492,11 @@ def execute_plans_cursors(store: TripleStore,
             rows = execute_backtracking(store, plan)
             if plan.query.limit is not None:
                 rows = rows[:plan.query.limit]
-            results[index] = ResultCursor.from_list(rows)
+            results[index] = ResultCursor(rows)
             continue
         resolved = _resolve_constants(backend, plan)
         if resolved is None:
-            results[index] = ResultCursor.from_list([])
+            results[index] = ResultCursor([])
             continue
         states.append((index, _PlanState(plan=plan, resolved=resolved,
                                          frontier=_Frontier())))
@@ -542,35 +513,6 @@ def execute_plans_cursors(store: TripleStore,
             _advance(state, by_pattern[request])
         live = [entry for entry in live if not entry[1].done()]
     for index, state in states:
-        results[index] = ResultCursor.from_list([]) if state.failed \
+        results[index] = ResultCursor([]) if state.failed \
             else _project_cursor(backend, state.plan, state.frontier)
     return results
-
-
-def execute_plans(store: TripleStore,
-                  plans: Sequence[QueryPlan]) -> List[List[Binding]]:
-    """Evaluate a batch of plans, multiplexing pattern fetches.
-
-    The materializing form of :func:`execute_plans_cursors`: every
-    plan's cursor is drained in one page.
-    """
-    return [cursor.fetch_all()
-            for cursor in execute_plans_cursors(store, plans)]
-
-
-def execute_plan(store: TripleStore, plan: QueryPlan) -> List[Binding]:
-    """Evaluate one plan with the ID-space executor (see :func:`execute_plans`)."""
-    return execute_plans(store, [plan])[0]
-
-
-def require_id_space(store: TripleStore, plan: QueryPlan) -> None:
-    """Raise :class:`QueryError` when the ID-space executor cannot run ``plan``."""
-    if not supports_id_queries(store.backend):
-        raise QueryError(
-            f"backend {type(store.backend).__name__} has no id-level query "
-            f"surface; use strategy='auto' or 'backtracking'")
-    if not plan.id_space:
-        raise QueryError(
-            "query binds a variable in both entity and relation positions; "
-            "the ID-space executor cannot join across id spaces — use "
-            "strategy='auto' or 'backtracking'")

@@ -22,7 +22,7 @@ the query text plus one batched ``count_many`` round-trip to the store:
   deduplicated id-row block; ``limit`` applies at projection).
 
 Plans are inert data; handing one to
-:func:`repro.kg.executor.execute_plan` produces bindings.
+:func:`repro.kg.executor.execute_plans_cursors` produces result cursors.
 """
 
 from __future__ import annotations

@@ -448,6 +448,15 @@ class DecodedBlock:
                 for h, r, t in zip(heads, relations, tails)]
 
 
+def decode_triple_rows(rows) -> List[Triple]:
+    """One triples-valued *result* to :class:`Triple`\\ s, either codec:
+    a :class:`DecodedBlock` resolves through its connection's symbol
+    cache, a JSON result is ``[head, relation, tail]`` arrays."""
+    if isinstance(rows, DecodedBlock):
+        return rows.to_triples()
+    return [Triple(head, relation, tail) for head, relation, tail in rows]
+
+
 def _delta_bytes(ids: "np.ndarray", symbols: List[str]) -> bytes:
     """One interner delta: count, ids, byte lengths, utf-8 blob."""
     encoded = [s.encode("utf-8") for s in symbols]

@@ -28,14 +28,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import QueryError
 from repro.kg.executor import (
     Binding,
     ResultCursor,
-    execute_backtracking,
-    execute_plans,
     execute_plans_cursors,
-    require_id_space,
 )
 from repro.kg.planner import (
     PatternQuery,
@@ -55,9 +51,6 @@ __all__ = [
     "is_variable",
 ]
 
-#: Execution strategies accepted by :meth:`QueryEngine.execute`.
-STRATEGIES = ("auto", "id", "backtracking")
-
 
 class QueryEngine:
     """Evaluates :class:`PatternQuery` objects against a :class:`TripleStore`."""
@@ -74,18 +67,16 @@ class QueryEngine:
         return plan_query(self.store, query, reorder=reorder)
 
     def execute(self, query: PatternQuery, reorder: bool = True,
-                strategy: str = "auto",
                 limit: Optional[int] = None) -> List[Binding]:
         """Return all variable bindings satisfying every pattern.
 
         With ``reorder`` (the default) patterns are evaluated in batched
         ``count_many`` selectivity order — fewest matching triples first
         — which is what keeps conjunctive queries fast on skewed stores;
-        the binding *set* is unaffected by ordering.  ``strategy`` picks
-        the executor: ``"auto"`` (ID-space when the backend and query
-        allow it, else backtracking), ``"id"`` (ID-space or raise
-        :class:`~repro.errors.QueryError`), or ``"backtracking"`` (the
-        legacy symbol-level evaluator, kept as the parity oracle).
+        the binding *set* is unaffected by ordering.  The executor is
+        picked from what the store and the plan allow: ID-space when the
+        backend has an id surface and no variable mixes entity and
+        relation positions, else the backtracking reference.
         ``limit`` caps the materialized rows (overriding any cap on the
         query itself); ``limit=0`` raises — see
         :func:`repro.kg.planner.validate_limit`.
@@ -94,35 +85,21 @@ class QueryEngine:
         :class:`~repro.errors.QueryError` instead of silently dropping
         the column from result rows.
         """
-        return self.execute_many([query], reorder=reorder, strategy=strategy,
-                                 limit=limit)[0]
+        return self.execute_many([query], reorder=reorder, limit=limit)[0]
 
     def execute_many(self, queries: Sequence[PatternQuery], reorder: bool = True,
-                     strategy: str = "auto",
                      limit: Optional[int] = None) -> List[List[Binding]]:
         """Execute a batch of queries with batched planning and fetching.
 
         Planning issues one ``count_many`` over every pattern of every
         query; execution advances all ID-space-executable plans in
         lockstep so each round's pattern fetches collapse into a single
-        ``match_ids_many`` backend call.  This is the entry point
-        :class:`~repro.kg.service.QueryService` multiplexes concurrent
-        clients onto.  ``limit`` (when given) caps every query in the
-        batch.
+        ``match_ids_many`` backend call.  ``limit`` (when given) caps
+        every query in the batch.
         """
-        queries = self._capped(queries, limit)
-        if strategy not in STRATEGIES:
-            raise QueryError(
-                f"unknown execution strategy {strategy!r} (known: "
-                f"{', '.join(STRATEGIES)})")
-        plans = plan_queries(self.store, queries, reorder=reorder)
-        if strategy == "backtracking":
-            return [self._capped_rows(execute_backtracking(self.store, plan),
-                                      plan.query.limit) for plan in plans]
-        if strategy == "id":
-            for plan in plans:
-                require_id_space(self.store, plan)
-        return execute_plans(self.store, plans)
+        return [cursor.fetch_all()
+                for cursor in self.cursor_many(queries, reorder=reorder,
+                                               limit=limit)]
 
     def cursor(self, query: PatternQuery, reorder: bool = True,
                limit: Optional[int] = None) -> ResultCursor:
@@ -140,20 +117,10 @@ class QueryEngine:
                     reorder: bool = True,
                     limit: Optional[int] = None) -> List[ResultCursor]:
         """Batched :meth:`cursor` — one lockstep execution, one cursor each."""
-        queries = self._capped(queries, limit)
+        if limit is not None:
+            queries = [replace(query, limit=limit) for query in queries]
         plans = plan_queries(self.store, queries, reorder=reorder)
         return execute_plans_cursors(self.store, plans)
-
-    @staticmethod
-    def _capped(queries: Sequence[PatternQuery],
-                limit: Optional[int]) -> Sequence[PatternQuery]:
-        if limit is None:
-            return queries
-        return [replace(query, limit=limit) for query in queries]
-
-    @staticmethod
-    def _capped_rows(rows: List[Binding], limit: Optional[int]) -> List[Binding]:
-        return rows if limit is None else rows[:limit]
 
     # ------------------------------------------------------------------ #
     # convenience helpers used by the applications layer

@@ -27,10 +27,12 @@ Codecs: every connection starts as JSON (old clients never notice any
 of this).  A client may send one ``{"op": "hello", "codecs":
 ["binary"]}`` exchange; if the server grants it, the connection
 switches to the binary codec of :mod:`repro.kg.protocol` — responses
-carry dense int64 id blocks plus interner deltas, and the
-:class:`QueryService` is asked for ``raw`` id-space results so the
-server never stringifies a row on that path.  ``codec="json"`` pins a
-server to JSON (negotiation requests are declined, not errored).
+carry dense int64 id blocks plus interner deltas.  Either way the
+:class:`QueryService` hands back the same
+:class:`~repro.kg.executor.IdBlock` results; the codec only decides how
+the worker thread encodes them (packed as ids, or materialized to
+strings for JSON).  ``codec="json"`` pins a server to JSON (negotiation
+requests are declined, not errored).
 
 Abuse tolerance: a malformed, truncated, oversized or garbage frame
 gets a ``ProtocolError`` response when the frame boundary is still
@@ -60,10 +62,9 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Deque, List, Optional, Sequence, Tuple, Union
+from typing import Deque, List, Optional, Tuple, Union
 
 from repro.errors import ProtocolError
-from repro.kg.backend import supports_id_queries
 from repro.kg.executor import IdBlock
 from repro.kg.planner import PatternQuery
 from repro.kg.protocol import (
@@ -85,6 +86,7 @@ from repro.kg.protocol import (
     encode_frame,
     encode_snapshot_chunk,
     encode_tagged_json,
+    encode_wire_triples,
     error_to_wire,
 )
 from repro.kg.routing import interner_fingerprint
@@ -176,8 +178,29 @@ def _wire_query(value: object) -> PatternQuery:
         raise ProtocolError(str(exc)) from exc
 
 
-def _wire_triples(triples: Sequence[Triple]) -> List[List[str]]:
-    return [[triple.head, triple.relation, triple.tail] for triple in triples]
+def _wire_reorder(message: dict) -> bool:
+    """The optional ``reorder`` flag: a boolean, defaulting to true."""
+    reorder = message.get("reorder", True)
+    if not isinstance(reorder, bool):
+        raise ProtocolError(
+            f"field 'reorder' must be a boolean, got {reorder!r}")
+    return reorder
+
+
+def _json_result(result):
+    """A read result as the JSON codec ships it — the counterpart of
+    :meth:`KGServer._encode_binary_response`, over the same three shapes
+    (block, list of blocks, cursor page): every block materialized,
+    triples as ``[head, relation, tail]`` arrays."""
+    if isinstance(result, IdBlock):
+        rows = result.materialize()
+        return encode_wire_triples(rows) if result.triples else rows
+    if isinstance(result, list):
+        return [_json_result(item) if isinstance(item, IdBlock) else item
+                for item in result]
+    if isinstance(result, dict) and isinstance(result.get("rows"), IdBlock):
+        return {**result, "rows": _json_result(result["rows"])}
+    return result
 
 
 def _field(message: dict, name: str, kinds, kind_label: str):
@@ -367,9 +390,8 @@ class KGServer:
     max_frame_bytes:
         Per-frame payload cap, both directions.
     codec:
-        ``"auto"`` (default) grants binary negotiation when the backend
-        has an id surface; ``"json"`` declines it, pinning every
-        connection to the JSON codec.
+        ``"auto"`` (default) grants binary negotiation; ``"json"``
+        declines it, pinning every connection to the JSON codec.
     workers:
         Size of the pool running blocking service calls.
 
@@ -874,9 +896,9 @@ class KGServer:
         return self._encode_json_response(conn, response), False
 
     def _serve_hello(self, conn: _Connection, message: dict) -> bytes:
-        """Codec negotiation.  Grant binary only when policy and backend
-        allow; the reply itself always uses the connection's *current*
-        codec, so the client flips exactly after reading the ack."""
+        """Codec negotiation.  Grant binary when the policy allows; the
+        reply itself always uses the connection's *current* codec, so
+        the client flips exactly after reading the ack."""
         request_id = message.get("id")
         codecs = message.get("codecs", [])
         if not (isinstance(codecs, list)
@@ -887,15 +909,14 @@ class KGServer:
             return self._encode_json_response(
                 conn, {"id": request_id, "ok": False,
                        "error": error_to_wire(exc)})
-        backend = self.service.store.backend
-        grant = (CODEC_BINARY in codecs and self.codec == "auto"
-                 and supports_id_queries(backend))
+        grant = CODEC_BINARY in codecs and self.codec == "auto"
         granted = CODEC_BINARY if grant else CODEC_JSON
         frame = self._encode_json_response(
             conn, {"id": request_id, "ok": True,
                    "result": {"codec": granted,
                               "protocol": BINARY_PROTOCOL_VERSION}})
         if grant and conn.codec != CODEC_BINARY:
+            backend = self.service.store.backend
             conn.encoder = BinaryResponseEncoder(
                 backend.entity_interner, backend.relation_interner,
                 self.max_frame_bytes)
@@ -953,10 +974,10 @@ class KGServer:
         missing/garbage fields, a query-layer error — comes back as a
         typed error response on the same connection; nothing propagates
         to the connection loop.  With ``raw=True`` (binary-codec
-        connections) row results come back as
+        connections) row results stay
         :class:`~repro.kg.executor.IdBlock` values for the binary
-        encoder; the id must then be a wire-safe integer or the request
-        is served materialized instead.
+        encoder; the id must then be a wire-safe integer or the result
+        is materialized like a JSON connection's.
         """
         request_id = message.get("id")
         raw = raw and isinstance(request_id, int) \
@@ -964,6 +985,8 @@ class KGServer:
             and -(1 << 63) <= request_id < (1 << 63)
         try:
             result = self._dispatch(message, raw=raw)
+            if not raw:       # strings are made here, on the worker thread
+                result = _json_result(result)
         except Exception as exc:
             return {"id": request_id, "ok": False, "error": error_to_wire(exc)}
         return {"id": request_id, "ok": True, "result": result}
@@ -1006,46 +1029,34 @@ class KGServer:
         if op == "execute":
             query = _wire_query(_field(message, "query", dict, "an object"))
             return self.service.submit(
-                query, reorder=bool(message.get("reorder", True)),
-                raw=raw).result()
+                query, reorder=_wire_reorder(message)).result()
         if op == "execute_many":
             # Decode the whole batch BEFORE submitting anything: a
             # malformed query mid-list must not leave already-submitted
             # futures executing with nobody waiting on them.
             queries = [_wire_query(query) for query in
                        _field(message, "queries", list, "an array")]
-            futures = [self.service.submit(
-                query, reorder=bool(message.get("reorder", True)), raw=raw)
-                for query in queries]
+            reorder = _wire_reorder(message)
+            futures = [self.service.submit(query, reorder=reorder)
+                       for query in queries]
             return [future.result() for future in futures]
         if op == "match":
             pattern = _wire_pattern(_field(message, "pattern", list,
                                            "an array"))
-            if raw:
-                result = self.service.submit_lookup(pattern,
-                                                    raw=True).result()
-                return result if isinstance(result, IdBlock) \
-                    else _wire_triples(result)
-            return _wire_triples(self.service.lookup_many([pattern])[0])
+            return self.service.submit_lookup(pattern).result()
         if op == "match_many":
             patterns = [_wire_pattern(pattern) for pattern in
                         _field(message, "patterns", list, "an array")]
-            if raw:
-                futures = [self.service.submit_lookup(pattern, raw=True)
-                           for pattern in patterns]
-                return [result if isinstance(result, IdBlock)
-                        else _wire_triples(result)
-                        for result in (future.result()
-                                       for future in futures)]
-            return [_wire_triples(triples)
-                    for triples in self.service.lookup_many(patterns)]
+            futures = [self.service.submit_lookup(pattern)
+                       for pattern in patterns]
+            return [future.result() for future in futures]
         if op == "match_ids_many":
             patterns = [_wire_id_pattern(pattern) for pattern in
                         _field(message, "patterns", list, "an array")]
             blocks = self.service.match_ids_many(patterns)
-            if raw:
-                return blocks
-            return [block.rows.tolist() for block in blocks]
+            # The one op whose JSON form is the ids themselves.
+            return blocks if raw else [block.rows.tolist()
+                                       for block in blocks]
         if op == "count":
             pattern = _wire_pattern(_field(message, "pattern", list,
                                            "an array"))
@@ -1057,7 +1068,7 @@ class KGServer:
         if op == "open_cursor":
             query = _wire_query(_field(message, "query", dict, "an object"))
             return self.service.open_cursor(
-                query, reorder=bool(message.get("reorder", True)))
+                query, reorder=_wire_reorder(message))
         if op == "open_match_cursor":
             pattern = _wire_pattern(_field(message, "pattern", list,
                                            "an array"))
@@ -1065,11 +1076,7 @@ class KGServer:
         if op == "fetch":
             cursor_id = _field(message, "cursor", str, "a string")
             max_rows = _field(message, "max_rows", int, "an integer")
-            page, exhausted = self.service.fetch_cursor(cursor_id, max_rows,
-                                                        raw=raw)
-            if not isinstance(page, IdBlock) and page \
-                    and isinstance(page[0], Triple):
-                page = _wire_triples(page)
+            page, exhausted = self.service.fetch_cursor(cursor_id, max_rows)
             return {"rows": page, "exhausted": exhausted}
         if op == "close_cursor":
             self.service.close_cursor(_field(message, "cursor", str,
@@ -1097,11 +1104,11 @@ class KGServer:
     def _role_info(self) -> dict:
         """The ``role`` handshake: who this server is in a cluster.
 
-        The ``fingerprint`` field (id-capable backends only) digests
-        both interner tables; a coordinator whose own interners carry
-        the same fingerprint knows the server's id space is identical
-        to its own and may ship raw id-space queries
-        (``match_ids_many``) instead of strings.
+        The ``fingerprint`` field digests both interner tables; a
+        coordinator whose own interners carry the same fingerprint
+        knows the server's id space is identical to its own and may
+        ship raw id-space queries (``match_ids_many``) instead of
+        strings.
         """
         store = self.service.store
         backend = store.backend
@@ -1111,10 +1118,9 @@ class KGServer:
                 "writable": store.writable,
                 "generation": store.live_generation,
                 "triples": len(store),
-                "backend": store.backend_name}
-        if supports_id_queries(backend):
-            info["fingerprint"] = interner_fingerprint(
-                backend.entity_interner, backend.relation_interner)
+                "backend": store.backend_name,
+                "fingerprint": interner_fingerprint(
+                    backend.entity_interner, backend.relation_interner)}
         if self.role == "replica":
             info["replication"] = self._replication_snapshot()
         return info

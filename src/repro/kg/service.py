@@ -16,8 +16,13 @@ round-trip per request.
   plans every pattern query in the batch with ONE batched
   ``count_many`` call, advances all their plans in lockstep through
   shared ``match_ids_many`` fetches
-  (:func:`repro.kg.executor.execute_plans`), and answers point lookups
-  with one ``match_many`` call — then resolves each request's future;
+  (:func:`repro.kg.executor.execute_plans_cursors`), and answers point
+  lookups with one more ``match_ids_many`` call — then resolves each
+  request's future to an :class:`~repro.kg.executor.IdBlock`.  Ids
+  become strings only in ``IdBlock.materialize()``, never on the
+  dispatcher: the blocking facades call it in the caller's thread,
+  :class:`~repro.kg.server.KGServer` where it encodes the response.
+  The served store must therefore have an id-capable backend;
 * because only the dispatcher touches the backend, the service is safe
   over backends whose lazy attach/consolidate steps are not thread-safe,
   while the sharded backend still parallelizes *inside* each batched
@@ -85,15 +90,15 @@ import numpy as np
 from repro.errors import CursorError, QueryError, StorageError
 from repro.kg.backend import Pattern, supports_id_queries
 from repro.kg.executor import (Binding, IdBlock, ResultCursor,
-                               execute_plans_cursors)
+                               execute_plans_cursors, materialize)
 from repro.kg.planner import (PatternQuery, cache_key as plan_cache_key,
                               plan_queries, validate_limit)
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
 
 #: Kinds of requests the service multiplexes.
-_QUERY = "query"                 # pattern query -> List[Binding]
-_LOOKUP = "lookup"               # point lookup  -> List[Triple]
+_QUERY = "query"                 # pattern query -> bindings IdBlock
+_LOOKUP = "lookup"               # point lookup  -> triples IdBlock
 _ID_LOOKUP = "id-lookup"         # raw id pattern -> triples IdBlock
 _COUNT = "count"                 # point pattern -> int
 _CURSOR_QUERY = "cursor-query"   # pattern query -> cursor id
@@ -135,23 +140,61 @@ def _resolve(future: "Future", result=None, exception: Optional[BaseException] =
         future.set_result(result)
 
 
+def _id_backend(store: TripleStore):
+    """``store``'s backend, which must expose the id-level query surface."""
+    backend = store.backend
+    if not supports_id_queries(backend):
+        raise QueryError(
+            f"QueryService serves id-capable backends only: "
+            f"{type(backend).__name__} (backend {store.backend_name!r}) has "
+            f"no id-level query surface — query it in-process through "
+            f"QueryEngine, or load it into a columnar/mmap/sharded store")
+    return backend
+
+
+def _interned_patterns(backend):
+    """Resolver for string point patterns: constants interned to ids;
+    ``None`` for a pattern naming a symbol the store never interned."""
+    entity_lookup = backend.entity_interner.lookup
+    relation_lookup = backend.relation_interner.lookup
+
+    def resolve(pattern: Pattern) -> Optional[Tuple]:
+        head, relation, tail = pattern
+        ids = (None if head is None else entity_lookup(head),
+               None if relation is None else relation_lookup(relation),
+               None if tail is None else entity_lookup(tail))
+        unknown = any(term is not None and identifier is None
+                      for term, identifier in zip(pattern, ids))
+        return None if unknown else ids
+
+    return resolve
+
+
+def _ranged_patterns(backend):
+    """Resolver for raw id patterns: passed through; ``None`` for a
+    pattern holding an id beyond the interner tables."""
+    n_entities = len(backend.entity_interner)
+    n_relations = len(backend.relation_interner)
+
+    def resolve(ids: Tuple) -> Optional[Tuple]:
+        for identifier, limit in zip(ids, (n_entities, n_relations,
+                                           n_entities)):
+            if identifier is not None and not 0 <= identifier < limit:
+                return None
+        return ids
+
+    return resolve
+
+
 class _Request:
-    """One queued client request: payload plus the future to resolve.
+    """One queued client request: payload plus the future to resolve."""
 
-    ``raw`` requests resolve to id-space results
-    (:class:`~repro.kg.executor.IdBlock`) instead of materialized
-    strings — the handoff the binary wire codec serves from, falling
-    back to materialized lists when the backend has no id surface.
-    """
+    __slots__ = ("kind", "payload", "reorder", "future", "cache_key")
 
-    __slots__ = ("kind", "payload", "reorder", "raw", "future", "cache_key")
-
-    def __init__(self, kind: str, payload, reorder: bool,
-                 raw: bool = False) -> None:
+    def __init__(self, kind: str, payload, reorder: bool) -> None:
         self.kind = kind
         self.payload = payload
         self.reorder = reorder
-        self.raw = raw
         self.future: "Future" = Future()
         # Set by the dispatcher for cacheable pattern queries: the plan
         # cache key a missing result should be inserted under.
@@ -230,7 +273,8 @@ class QueryService:
     Parameters
     ----------
     store:
-        The (already built or opened) store to serve.  Not mutated.
+        The (already built or opened) store to serve; its backend must
+        be id-capable (:class:`~repro.errors.QueryError` otherwise).
     max_batch:
         Upper bound on how many requests one dispatch round coalesces.
         Larger batches amortize planning and fetch round-trips better;
@@ -282,13 +326,12 @@ class QueryService:
         # Monotonically increasing write clock: +1 per acked write batch.
         self.mutation_epoch = 0
         self.write_batches = 0
-        # The result cache only understands id-space results; a backend
-        # without the id surface (or a zero budget) runs uncached.
         self._cache: Optional[_ResultCache] = (
-            _ResultCache(cache_bytes)
-            if cache_bytes > 0 and supports_id_queries(store.backend)
-            else None)
-        self._warm_up()
+            _ResultCache(cache_bytes) if cache_bytes > 0 else None)
+        # Force lazy attach/consolidation before concurrent dispatch
+        # starts.  ``count_ids()`` touches the consolidated id surface
+        # without copying any column data.
+        _id_backend(store).count_ids()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="kg-query-service", daemon=True)
         self._dispatcher.start()
@@ -341,55 +384,34 @@ class QueryService:
                 "cache_invalidations": cache.invalidations if cache else 0,
             }
 
-    def _warm_up(self) -> None:
-        """Force lazy attach/consolidation before concurrent dispatch starts.
-
-        ``count_ids()`` touches the consolidated id surface without
-        copying any column data (a wildcard ``match_ids`` would
-        materialize the whole store once just to throw it away).
-        """
-        backend = self.store.backend
-        if supports_id_queries(backend):
-            backend.count_ids()
-        else:
-            self.store.count()
-
     def _apply_swap(self, new_store: TripleStore) -> TripleStore:
         """Dispatcher-side half of :meth:`swap_store`."""
-        backend = new_store.backend
-        if supports_id_queries(backend):
-            backend.count_ids()
-        else:
-            new_store.count()
+        new_store.backend.count_ids()
         old_store, self.store = self.store, new_store
         return old_store
 
     # ------------------------------------------------------------------ #
     # client surface (thread-safe)
     # ------------------------------------------------------------------ #
-    def submit(self, query: PatternQuery, reorder: bool = True,
-               raw: bool = False) -> "Future":
-        """Enqueue one query; returns a future yielding ``List[Binding]``.
-
-        With ``raw=True`` the future yields the id-space
-        :class:`~repro.kg.executor.IdBlock` projection instead (or the
-        materialized list when the plan fell back to backtracking) —
-        the binary wire path, which never stringifies a row.
+    def submit(self, query: PatternQuery, reorder: bool = True) -> "Future":
+        """Enqueue one query; returns a future yielding its bindings as
+        an :class:`~repro.kg.executor.IdBlock` (a list only for the
+        executor's own list-backed results: a no-variable query, the
+        backtracking fallback of a mixed-kind variable).
         """
-        return self._enqueue(_Request(_QUERY, query, reorder, raw=raw))
+        return self._enqueue(_Request(_QUERY, query, reorder))
 
-    def submit_lookup(self, pattern: Pattern, raw: bool = False) -> "Future":
-        """Enqueue one point lookup; future yields ``List[Triple]``.
+    def submit_lookup(self, pattern: Pattern) -> "Future":
+        """Enqueue one point lookup; future yields a triples
+        :class:`~repro.kg.executor.IdBlock`.
 
         Point lookups take constants and ``None`` wildcards only — a
         ``?variable`` here is almost certainly a pattern query routed to
         the wrong entry point, and would otherwise silently match
-        nothing; use :meth:`submit` for variables.  ``raw=True`` yields
-        a triples :class:`~repro.kg.executor.IdBlock` when the backend
-        has an id surface (a ``List[Triple]`` otherwise).
+        nothing; use :meth:`submit` for variables.
         """
         return self._enqueue(_Request(_LOOKUP, self._checked_pattern(pattern),
-                                      True, raw=raw))
+                                      True))
 
     @staticmethod
     def _checked_pattern(pattern: Pattern) -> Pattern:
@@ -403,19 +425,20 @@ class QueryService:
         return pattern
 
     def execute(self, query: PatternQuery, reorder: bool = True) -> List[Binding]:
-        """Run one query, blocking until its batch is dispatched."""
-        return self.submit(query, reorder=reorder).result()
+        """Run one query, blocking until its batch is dispatched; the
+        bindings materialize here, in the caller's thread."""
+        return materialize(self.submit(query, reorder=reorder).result())
 
     def execute_batch(self, queries: Sequence[PatternQuery],
                       reorder: bool = True) -> List[List[Binding]]:
         """Run a client-side batch; one future per query, awaited together."""
         futures = [self.submit(query, reorder=reorder) for query in queries]
-        return [future.result() for future in futures]
+        return [materialize(future.result()) for future in futures]
 
     def lookup_many(self, patterns: Sequence[Pattern]) -> List[List[Triple]]:
         """Batched point lookups ((head, relation, tail), ``None`` wildcards)."""
         futures = [self.submit_lookup(pattern) for pattern in patterns]
-        return [future.result() for future in futures]
+        return [future.result().materialize() for future in futures]
 
     def submit_id_lookup(self, id_pattern) -> "Future":
         """Enqueue one **raw id-space** lookup; future yields a triples
@@ -427,13 +450,8 @@ class QueryService:
         :class:`~repro.kg.cluster.ClusterBackend` whose interner tables
         match this store's fingerprint ships executor id patterns
         straight through and splices the returned blocks into its own
-        join rounds.  Requires an id-capable backend
-        (:class:`~repro.errors.QueryError` otherwise).
+        join rounds.
         """
-        if not supports_id_queries(self.store.backend):
-            raise QueryError(
-                "backend has no id-query surface; use submit_lookup for "
-                "string patterns")
         checked = []
         for term in tuple(id_pattern):
             if term is None:
@@ -448,8 +466,7 @@ class QueryService:
         if len(checked) != 3:
             raise QueryError(
                 f"id patterns have exactly 3 terms, got {len(checked)}")
-        return self._enqueue(_Request(_ID_LOOKUP, tuple(checked), True,
-                                      raw=True))
+        return self._enqueue(_Request(_ID_LOOKUP, tuple(checked), True))
 
     def match_ids_many(self, id_patterns: Sequence) -> List[IdBlock]:
         """Batched raw id-space lookups (one backend call per round)."""
@@ -536,9 +553,13 @@ class QueryService:
         ever observes half-old, half-new state; the result cache is
         dropped (the new store interns from scratch, so cached id blocks
         are meaningless against it).  Closing the returned old store is
-        the caller's job — open cursors may still page out of its
-        backend, which stays valid until garbage-collected.
+        the caller's job — blocks and open cursors resolved before the
+        swap carry the old store's symbol tables and keep stringifying
+        against them.  The new store must be id-capable too
+        (:class:`~repro.errors.QueryError`, raised here, before anything
+        is enqueued).
         """
+        _id_backend(new_store)
         return self._enqueue(_Request(_SWAP, new_store, True)).result()
 
     # ------------------------------------------------------------------ #
@@ -560,18 +581,17 @@ class QueryService:
         return self._enqueue(_Request(
             _CURSOR_MATCH, self._checked_pattern(pattern), True)).result()
 
-    def fetch_cursor(self, cursor_id: str, max_rows: int,
-                     raw: bool = False) -> Tuple[List, bool]:
+    def fetch_cursor(self, cursor_id: str, max_rows: int) -> Tuple:
         """Return ``(next page, exhausted)`` and refresh the cursor's TTL.
 
-        Raises :class:`~repro.errors.CursorError` for an unknown, closed
-        or expired cursor, and for a non-positive ``max_rows`` — never a
-        silently partial result.  ``raw=True`` pages
-        :class:`~repro.kg.executor.IdBlock`\\ s out of id-backed cursors
-        (list-backed cursors still return their materialized items).
+        The page is an :class:`~repro.kg.executor.IdBlock` (a list for
+        a list-backed cursor) — :func:`~repro.kg.executor.materialize`
+        it for strings.  Raises :class:`~repro.errors.CursorError` for
+        an unknown, closed or expired cursor, and for a non-positive
+        ``max_rows`` — never a silently partial result.
         """
         return self._enqueue(_Request(
-            _CURSOR_FETCH, (cursor_id, max_rows), True, raw=raw)).result()
+            _CURSOR_FETCH, (cursor_id, max_rows), True)).result()
 
     def close_cursor(self, cursor_id: str) -> None:
         """Release a cursor.  Closing one twice (or an unknown/expired id)
@@ -650,10 +670,10 @@ class QueryService:
         if queries:
             self._serve_queries(queries)
         if lookups:
-            self._serve_lookups(lookups)
+            self._serve_id_lookups(lookups, _interned_patterns)
         id_lookups = by_kind.get(_ID_LOOKUP, [])
         if id_lookups:
-            self._serve_raw_id_lookups(id_lookups)
+            self._serve_id_lookups(id_lookups, _ranged_patterns)
         counts = by_kind.get(_COUNT, [])
         if counts:
             self._serve_counts(counts)
@@ -753,10 +773,8 @@ class QueryService:
     def _resolve_query(self, request: _Request, cursor: ResultCursor) -> None:
         if request.kind == _CURSOR_QUERY:
             _resolve(request.future, self._register_cursor(cursor))
-        elif request.raw:
-            _resolve(request.future, cursor.fetch_all_block())
         else:
-            _resolve(request.future, cursor.fetch_all())
+            _resolve(request.future, cursor.fetch_all_block())
 
     @staticmethod
     def _plannable_query(request: _Request) -> PatternQuery:
@@ -801,10 +819,9 @@ class QueryService:
             block = self._cache.get(key)
         if block is None:
             return False
-        rows = block.rows if query.limit is None else block.rows[:query.limit]
-        cursor = ResultCursor(self.store.backend, block.names, block.kinds,
-                              rows)
-        self._resolve_query(request, cursor)
+        if query.limit is not None:
+            block = block[:query.limit]
+        self._resolve_query(request, ResultCursor(block))
         return True
 
     def _maybe_cache_result(self, request: _Request,
@@ -827,112 +844,41 @@ class QueryService:
             self._cache.put(key, block)
         limit = request.payload.limit
         if limit is not None and len(block.rows) > limit:
-            return ResultCursor(self.store.backend, block.names, block.kinds,
-                                block.rows[:limit])
+            return ResultCursor(block[:limit])
         return cursor
 
-    def _serve_lookups(self, requests: List[_Request]) -> None:
-        # Two batched backend calls at most: raw lookups and match
-        # cursors stay in id space (the binary wire path and the paging
-        # path both want the compact block), everything else takes the
-        # legacy string surface.
-        id_capable = supports_id_queries(self.store.backend)
-        id_requests, string_requests = [], []
-        for request in requests:
-            if id_capable and (request.raw or request.kind == _CURSOR_MATCH):
-                id_requests.append(request)
-            else:
-                string_requests.append(request)
-        if id_requests:
-            self._serve_id_lookups(id_requests)
-        if not string_requests:
-            return
-        try:
-            results = self.store.match_many([request.payload
-                                             for request in string_requests])
-        except Exception as exc:
-            for request in string_requests:
-                _resolve(request.future, exception=exc)
-            return
-        for request, result in zip(string_requests, results):
-            if request.kind == _CURSOR_MATCH:
-                _resolve(request.future,
-                         self._register_cursor(ResultCursor.from_list(result)))
-            else:
-                _resolve(request.future, result)
+    def _serve_id_lookups(self, requests: List[_Request], resolver) -> None:
+        """Batched point lookups answered as triples blocks: ONE
+        ``match_ids_many`` call.
 
-    def _serve_id_lookups(self, requests: List[_Request]) -> None:
-        """Batched point lookups answered as (n, 3) id blocks."""
-        backend = self.store.backend
-        entity_lookup = backend.entity_interner.lookup
-        relation_lookup = backend.relation_interner.lookup
-        empty = np.zeros((0, 3), dtype=np.int64)
-        resolved: List[Optional[Tuple]] = []
-        for request in requests:
-            head, relation, tail = request.payload
-            ids = (None if head is None else entity_lookup(head),
-                   None if relation is None else relation_lookup(relation),
-                   None if tail is None else entity_lookup(tail))
-            # An un-interned constant matches nothing; no backend call.
-            unknown = any(term is not None and identifier is None
-                          for term, identifier in
-                          zip(request.payload, ids))
-            resolved.append(None if unknown else ids)
-        fetchable = [ids for ids in resolved if ids is not None]
-        try:
-            blocks = iter(backend.match_ids_many(fetchable)
-                          if fetchable else [])
-            rows_per_request = [empty if ids is None else next(blocks)
-                                for ids in resolved]
-        except Exception as exc:
-            for request in requests:
-                _resolve(request.future, exception=exc)
-            return
-        for request, rows in zip(requests, rows_per_request):
-            if request.kind == _CURSOR_MATCH:
-                _resolve(request.future, self._register_cursor(
-                    ResultCursor.from_triple_ids(backend, rows)))
-            else:
-                _resolve(request.future, IdBlock(
-                    (), ("e", "r", "e"), rows, triples=True))
-
-    def _serve_raw_id_lookups(self, requests: List[_Request]) -> None:
-        """Batched raw id-pattern lookups: one ``match_ids_many`` call.
-
-        Ids beyond the interner tables match nothing by definition —
-        they are answered as empty blocks without a backend call, the
-        id-space analogue of an un-interned string constant.
+        ``resolver(backend)`` builds the payload → id-pattern function
+        (:func:`_interned_patterns` for string terms,
+        :func:`_ranged_patterns` for raw ids).  A pattern it resolves to
+        ``None`` matches nothing by definition and is answered as an
+        empty block without a backend call.
         """
         backend = self.store.backend
-        n_entities = len(backend.entity_interner)
-        n_relations = len(backend.relation_interner)
+        resolve = resolver(backend)
         empty = np.zeros((0, 3), dtype=np.int64)
-
-        def in_range(ids: Tuple) -> bool:
-            head_id, relation_id, tail_id = ids
-            for identifier, limit in ((head_id, n_entities),
-                                      (relation_id, n_relations),
-                                      (tail_id, n_entities)):
-                if identifier is not None \
-                        and not 0 <= identifier < limit:
-                    return False
-            return True
-
-        resolved = [request.payload if in_range(request.payload) else None
-                    for request in requests]
+        resolved = [resolve(request.payload) for request in requests]
         fetchable = [ids for ids in resolved if ids is not None]
         try:
             blocks = iter(backend.match_ids_many(fetchable)
                           if fetchable else [])
             rows_per_request = [empty if ids is None else next(blocks)
                                 for ids in resolved]
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             for request in requests:
                 _resolve(request.future, exception=exc)
             return
         for request, rows in zip(requests, rows_per_request):
-            _resolve(request.future, IdBlock(
-                (), ("e", "r", "e"), rows, triples=True))
+            block = IdBlock.over(backend, (), ("e", "r", "e"), rows,
+                                 triples=True)
+            if request.kind == _CURSOR_MATCH:
+                _resolve(request.future,
+                         self._register_cursor(ResultCursor(block)))
+            else:
+                _resolve(request.future, block)
 
     def _serve_counts(self, requests: List[_Request]) -> None:
         try:
@@ -987,8 +933,7 @@ class QueryService:
         cursor_id, max_rows = request.payload
         try:
             cursor = self._lookup_cursor(cursor_id)
-            page = cursor.fetch_block(max_rows) if request.raw \
-                else cursor.fetch(max_rows)
+            page = cursor.fetch_block(max_rows)
         except Exception as exc:
             _resolve(request.future, exception=exc)
             return
@@ -1000,7 +945,7 @@ class QueryService:
             # explicit close).  The id stays valid — later fetches see
             # an empty exhausted cursor, close_cursor still works.
             cursor.close()
-            cursor = ResultCursor.from_list([])
+            cursor = ResultCursor([])
         self._cursors[cursor_id] = (cursor, time.monotonic() + self.cursor_ttl)
         _resolve(request.future, (page, exhausted))
 

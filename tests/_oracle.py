@@ -1,0 +1,17 @@
+"""The query oracle the parity tests and benches compare against."""
+
+from __future__ import annotations
+
+from typing import Dict, List
+
+from repro.kg.executor import execute_backtracking
+from repro.kg.planner import PatternQuery, plan_query
+from repro.kg.store import TripleStore
+
+
+def backtrack(store: TripleStore, query: PatternQuery,
+              reorder: bool = True) -> List[Dict[str, str]]:
+    """``query`` answered by the symbol-level reference executor."""
+    rows = execute_backtracking(store, plan_query(store, query,
+                                                  reorder=reorder))
+    return rows if query.limit is None else rows[:query.limit]

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import backtrack
 from repro.errors import QueryError
 from repro.kg.backend import supports_id_queries
+from repro.kg.executor import execute_plans_cursors
 from repro.kg.planner import plan_queries, plan_query
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.sharded_backend import ShardedBackend
@@ -63,42 +65,55 @@ def test_id_executor_matches_backtracking_on_samples(backend):
     for query in SAMPLE_QUERIES:
         for reorder in (True, False):
             auto = engine.execute(query, reorder=reorder)
-            legacy = engine.execute(query, reorder=reorder,
-                                    strategy="backtracking")
+            legacy = backtrack(engine.store, query, reorder=reorder)
             assert _binding_set(auto) == _binding_set(legacy), query
 
 
 @pytest.mark.parametrize("backend", ("columnar", "mmap", "sharded"))
 def test_id_strategy_explicitly(backend):
-    engine = QueryEngine(_store(SAMPLE_ROWS, backend))
+    """An id-capable backend and an id-space plan run on the ID-space
+    executor — the cursor is block-backed — and match the oracle."""
+    store = _store(SAMPLE_ROWS, backend)
     query = SAMPLE_QUERIES[2]
-    assert _binding_set(engine.execute(query, strategy="id")) == \
-        _binding_set(engine.execute(query, strategy="backtracking"))
+    (cursor,) = execute_plans_cursors(store, [plan_query(store, query)])
+    assert cursor.block is not None
+    assert _binding_set(cursor.fetch_all()) == \
+        _binding_set(backtrack(store, query))
 
 
 def test_id_strategy_rejected_on_set_backend():
-    engine = QueryEngine(_store(SAMPLE_ROWS, "set"))
-    with pytest.raises(QueryError, match="id-level"):
-        engine.execute(SAMPLE_QUERIES[0], strategy="id")
+    """No id surface: the executor itself picks the backtracking
+    reference (a list-backed cursor), and the engine still answers."""
+    store = _store(SAMPLE_ROWS, "set")
+    query = SAMPLE_QUERIES[0]
+    (cursor,) = execute_plans_cursors(store, [plan_query(store, query)])
+    assert cursor.block is None
+    assert cursor.fetch_all() == backtrack(store, query)
+    assert QueryEngine(store).execute(query) == backtrack(store, query)
 
 
 def test_id_strategy_rejected_on_mixed_kind_variable():
-    engine = QueryEngine(_store(SAMPLE_ROWS + [("brandIs", "r", "x")], "columnar"))
+    store = _store(SAMPLE_ROWS + [("brandIs", "r", "x")], "columnar")
+    engine = QueryEngine(store)
     # ?m binds a relation in the first pattern and an entity in the second.
     query = PatternQuery.from_patterns([("?p", "?m", "apple"), ("?m", "r", "?t")])
-    with pytest.raises(QueryError, match="entity and relation"):
-        engine.execute(query, strategy="id")
-    # auto falls back to backtracking and still answers.
+    plan = plan_query(store, query)
+    assert not plan.id_space
+    (cursor,) = execute_plans_cursors(store, [plan])
+    assert cursor.block is None     # fell back: ids of two spaces don't join
     auto = engine.execute(query)
-    legacy = engine.execute(query, strategy="backtracking")
+    legacy = backtrack(store, query)
     assert _binding_set(auto) == _binding_set(legacy)
     assert auto  # (?p=brandIs is not a real binding; ?m=brandIs joins both)
 
 
 def test_unknown_strategy_raises():
+    """The executor is chosen from the store and the plan; ``strategy``
+    is not a parameter of the engine."""
     engine = QueryEngine(_store(SAMPLE_ROWS, "columnar"))
-    with pytest.raises(QueryError, match="unknown execution strategy"):
-        engine.execute(SAMPLE_QUERIES[0], strategy="vectorized")
+    for call in (engine.execute, engine.execute_many):
+        with pytest.raises(TypeError, match="strategy"):
+            call(SAMPLE_QUERIES[0], strategy="backtracking")
 
 
 def test_repeated_variable_within_pattern():
@@ -107,7 +122,7 @@ def test_repeated_variable_within_pattern():
         engine = QueryEngine(_store(rows, backend))
         query = PatternQuery.from_patterns([("?x", "r", "?x")])
         assert engine.execute(query) == [{"?x": "loop"}]
-        assert engine.execute(query, strategy="backtracking") == [{"?x": "loop"}]
+        assert backtrack(engine.store, query) == [{"?x": "loop"}]
 
 
 def test_cartesian_product_between_disjoint_patterns():
@@ -116,20 +131,23 @@ def test_cartesian_product_between_disjoint_patterns():
         query = PatternQuery.from_patterns([("?p", "brandIs", "apple"),
                                             ("?b", "headquartersIn", "?c")])
         auto = engine.execute(query)
-        legacy = engine.execute(query, strategy="backtracking")
+        legacy = backtrack(engine.store, query)
         assert _binding_set(auto) == _binding_set(legacy)
         assert len(auto) == 4  # 2 apple products x 2 headquarters
 
 # --------------------------------------------------------------------------- #
 # select validation (the silently-dropped-variable bugfix)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("strategy", ("auto", "backtracking"))
-def test_select_unknown_variable_raises_naming_it(strategy):
-    engine = QueryEngine(_store(SAMPLE_ROWS, "columnar"))
+@pytest.mark.parametrize("executor", ("auto", "backtracking"))
+def test_select_unknown_variable_raises_naming_it(executor):
+    store = _store(SAMPLE_ROWS, "columnar")
     query = PatternQuery.from_patterns([("?p", "brandIs", "apple")],
                                        select=["?p", "?brand"])
     with pytest.raises(QueryError, match=r"\?brand"):
-        engine.execute(query, strategy=strategy)
+        if executor == "auto":
+            QueryEngine(store).execute(query)
+        else:
+            backtrack(store, query)
 
 
 def test_select_non_variable_raises():
@@ -195,13 +213,10 @@ def test_executor_parity_on_reopened_store(tmp_path, backend):
     store.save(tmp_path / backend)
     reopened = TripleStore.open(tmp_path / backend)
     engine = QueryEngine(reopened)
-    memory_engine = QueryEngine(store)
     for query in SAMPLE_QUERIES:
-        expected = _binding_set(memory_engine.execute(query,
-                                                      strategy="backtracking"))
+        expected = _binding_set(backtrack(store, query))
         assert _binding_set(engine.execute(query)) == expected
-        assert _binding_set(engine.execute(query,
-                                           strategy="backtracking")) == expected
+        assert _binding_set(backtrack(reopened, query)) == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -233,7 +248,7 @@ def test_property_id_executor_bit_identical_binding_sets(rows, patterns,
 
     Random small stores and random conjunctive queries (including
     relation variables, repeated variables and variables that mix
-    entity/relation positions — the auto strategy must fall back
+    entity/relation positions — the executor must fall back
     correctly), across all four backends.  ``select`` projects a random
     subset of the bound variables.
     """
@@ -244,7 +259,7 @@ def test_property_id_executor_bit_identical_binding_sets(rows, patterns,
     reference = None
     for backend in BACKENDS:
         engine = QueryEngine(_store(rows, backend))
-        legacy = _binding_set(engine.execute(query, strategy="backtracking"))
+        legacy = _binding_set(backtrack(engine.store, query))
         auto = _binding_set(engine.execute(query))
         assert auto == legacy
         if reference is None:

@@ -39,6 +39,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CursorError, ProtocolError, QueryError, StorageError
+from repro.kg.executor import IdBlock
 from repro.kg.client import (
     RemoteClient,
     RemoteCursor,
@@ -381,6 +382,14 @@ def test_missing_and_malformed_fields_are_typed_errors(server):
         {"op": "fetch", "id": 8},                            # no cursor
         {"op": "fetch", "id": 9, "cursor": "x", "max_rows": True},
         {"op": None, "id": 10},                              # no op at all
+        # 'reorder' is a boolean or absent: a truthy string/array must
+        # not silently mean True.
+        {"op": "execute", "id": 11, "reorder": "false",
+         "query": {"patterns": [["?p", "brandIs", "?b"]]}},
+        {"op": "execute_many", "id": 12, "reorder": "no",
+         "queries": [{"patterns": [["?p", "brandIs", "?b"]]}]},
+        {"op": "open_cursor", "id": 13, "reorder": [0],
+         "query": {"patterns": [["?p", "brandIs", "?b"]]}},
     ]
     with _raw_connection(server) as sock:
         for message in cases:
@@ -871,6 +880,91 @@ def test_match_many_blocks_parity(server, server_codec, store):
             assert blocks == [
                 [[t.head, t.relation, t.tail] for t in rows]
                 for rows in local]
+
+
+# --------------------------------------------------------------------------- #
+# one result representation: id blocks to the edge, two encoders
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", ("columnar", "sharded"))
+def test_json_binary_and_in_process_rows_are_identical(backend):
+    """The two codecs encode ONE result: JSON rows == binary rows ==
+    in-process ``QueryEngine`` rows, same order, on every read op —
+    including the executor's list-backed results (a no-variable query,
+    a mixed-kind variable) and an un-interned constant."""
+    rows = _rows() + [("brandIs", "rdf:type", "relation:meta")]
+    store = TripleStore(triples_from_tuples(rows), backend=(
+        ShardedBackend(n_shards=2) if backend == "sharded" else backend))
+    queries = [
+        PatternQuery.from_patterns([("?p", "brandIs", "?b"),
+                                    ("?b", "headquartersIn", "?c")],
+                                   select=["?p", "?c"]),
+        PatternQuery.from_patterns([("?p", "?r", "brand:1")], limit=5),
+        PatternQuery.from_patterns([("?p", "brandIs", "ghost")]),
+        PatternQuery.from_patterns([("product:0001", "brandIs", "brand:1")]),
+        # ?m binds a relation, then an entity: the backtracking fallback.
+        PatternQuery.from_patterns([("?p", "?m", "brand:1"),
+                                    ("?m", "rdf:type", "?t")]),
+    ]
+    patterns = [(None, "headquartersIn", None), ("product:0001", None, None),
+                ("ghost", None, None)]
+    engine = QueryEngine(store)
+    with KGServer(store, port=0, codec="auto").start() as running:
+        for codec in ("json", "binary"):
+            with RemoteClient(running.url, codec=codec) as client:
+                assert client.codec == codec
+                remote, remote_store = (RemoteQueryEngine(client),
+                                        RemoteStore(client))
+                for reorder in (True, False):
+                    local = engine.execute_many(queries, reorder=reorder)
+                    assert local[3] == [{}] and local[4]
+                    assert remote.execute_many(
+                        queries, reorder=reorder) == local
+                    for query, expected in zip(queries, local):
+                        assert remote.execute(
+                            query, reorder=reorder) == expected
+                        paged = _drain(remote.cursor(
+                            query, reorder=reorder, page_size=2))
+                        assert paged == expected
+                assert remote_store.match_many(patterns) == \
+                    store.match_many(patterns)
+                for pattern in patterns:
+                    assert remote_store.match(*pattern) == \
+                        store.match(*pattern)
+                    assert list(remote_store.iter_match(
+                        *pattern, page_size=2)) == store.match(*pattern)
+
+
+def test_json_connection_materializes_on_a_worker_thread(store, monkeypatch):
+    """Ids become strings where the response is encoded — a
+    ``kg-server-worker`` thread — never on the one dispatcher thread
+    every client shares."""
+    threads = []
+    original = IdBlock.materialize
+
+    def recording(block):
+        threads.append(threading.current_thread().name)
+        return original(block)
+
+    monkeypatch.setattr(IdBlock, "materialize", recording)
+    query = {"patterns": [["?p", "brandIs", "?b"]]}
+    with KGServer(store, port=0).start() as running:
+        dispatcher = running.service._dispatcher.name
+        with RemoteClient(running.url, codec="json") as client:
+            for op, fields in (
+                    ("execute", {"query": query}),
+                    ("match", {"pattern": [None, "headquartersIn", None]})):
+                threads.clear()
+                assert client.call(op, **fields)
+                assert threads, op
+                assert all(name.startswith("kg-server-worker")
+                           for name in threads), (op, threads)
+            cursor_id = client.call("open_cursor", query=query)
+            threads.clear()
+            assert client.call("fetch", cursor=cursor_id,
+                               max_rows=5)["rows"]
+            assert threads and dispatcher not in threads
+            assert all(name.startswith("kg-server-worker")
+                       for name in threads), threads
 
 
 # --------------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.errors import CursorError, QueryError
+from repro.kg.executor import IdBlock, materialize
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
@@ -116,8 +117,10 @@ def test_service_mixed_queries_and_lookups(store):
     with QueryService(store) as service:
         query_future = service.submit(query)
         lookup_future = service.submit_lookup((None, "headquartersIn", None))
-        assert query_future.result() == QueryEngine(store).execute(query)
-        assert lookup_future.result() == store.match(relation="headquartersIn")
+        assert query_future.result().materialize() == \
+            QueryEngine(store).execute(query)
+        assert lookup_future.result().materialize() == \
+            store.match(relation="headquartersIn")
 
 
 def test_service_bad_query_fails_only_that_future(store):
@@ -125,10 +128,12 @@ def test_service_bad_query_fails_only_that_future(store):
     bad = PatternQuery.from_patterns([("?p", "brandIs", "?b")], select=["?oops"])
     with QueryService(store) as service:
         futures = [service.submit(good), service.submit(bad), service.submit(good)]
-        assert futures[0].result() == QueryEngine(store).execute(good)
+        assert futures[0].result().materialize() == \
+            QueryEngine(store).execute(good)
         with pytest.raises(QueryError, match=r"\?oops"):
             futures[1].result()
-        assert futures[2].result() == futures[0].result()
+        assert futures[2].result().materialize() == \
+            futures[0].result().materialize()
 
 
 def test_service_over_reopened_store_dir(tmp_path, store):
@@ -180,7 +185,7 @@ def test_service_drains_in_flight_requests_on_close(store):
             assert "closed" in str(exc)
             outcomes["failed"] += 1
         else:
-            assert isinstance(result, list)
+            assert isinstance(result, IdBlock)
             outcomes["served"] += 1
     assert sum(outcomes.values()) == len(futures)
 
@@ -195,17 +200,19 @@ def test_service_dispatcher_survives_base_exception(store):
         pass
 
     service = QueryService(store)
-    original = store.match_many
-    store.match_many = lambda patterns: (_ for _ in ()).throw(Hostile("boom"))
+    backend = store.backend
+    backend.match_ids_many = \
+        lambda patterns: (_ for _ in ()).throw(Hostile("boom"))
     try:
         future = service.submit_lookup(("product:0001", None, None))
         with pytest.raises(QueryError, match="dispatch failed"):
             future.result(timeout=10)
+        del backend.match_ids_many      # the class's own method again
         # The dispatcher survived: queries still serve, close() drains.
         assert service.execute(_queries()[0]) == \
             QueryEngine(store).execute(_queries()[0])
     finally:
-        store.match_many = original
+        backend.__dict__.pop("match_ids_many", None)
         service.close()
 
 
@@ -226,7 +233,7 @@ def test_service_cursor_pages_match_execute(store):
         rows, exhausted = [], False
         while not exhausted:
             page, exhausted = service.fetch_cursor(cursor_id, 3)
-            rows.extend(page)
+            rows.extend(materialize(page))
         assert rows == expected
         service.close_cursor(cursor_id)
         with pytest.raises(CursorError):
@@ -238,7 +245,7 @@ def test_service_match_cursor_pages_triples(store):
     with QueryService(store) as service:
         cursor_id = service.open_match_cursor(pattern)
         page, exhausted = service.fetch_cursor(cursor_id, 1000)
-        assert page == store.match(*pattern) and exhausted
+        assert page.materialize() == store.match(*pattern) and exhausted
         with pytest.raises(QueryError, match=r"\?h"):
             service.open_match_cursor(("?h", None, None))
 
@@ -269,12 +276,45 @@ def test_service_invalid_cursor_ttl(store):
         QueryService(store, cursor_ttl=0)
 
 
-def test_service_works_on_set_backend_via_fallback():
-    store = TripleStore(triples_from_tuples(_rows()[:60]), backend="set")
+def test_service_requires_an_id_capable_backend(store):
+    """Results are id blocks from backend to encoder, so a store without
+    the id surface is refused — typed, at construction and at swap —
+    while the in-process engine still answers it through the fallback."""
+    set_store = TripleStore(triples_from_tuples(_rows()[:60]), backend="set")
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
+    with pytest.raises(QueryError, match="SetBackend.*id-level"):
+        QueryService(set_store)
     with QueryService(store) as service:
-        assert _canonical([service.execute(query)]) == \
-            _canonical([QueryEngine(store).execute(query)])
+        with pytest.raises(QueryError, match="SetBackend.*id-level"):
+            service.swap_store(set_store)
+        assert service.store is store       # the refused swap changed nothing
+        assert service.execute(query) == QueryEngine(store).execute(query)
+    columnar = TripleStore(triples_from_tuples(_rows()[:60]))
+    assert _canonical([QueryEngine(set_store).execute(query)]) == \
+        _canonical([QueryEngine(columnar).execute(query)])
+
+
+def test_block_resolved_before_swap_materializes_against_old_store(store):
+    """A block carries the symbol tables it was produced against: one
+    resolved (or a cursor opened) before ``swap_store`` still stringifies
+    against the old store, whose ids mean other symbols in the new one."""
+    query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
+    pattern = (None, "headquartersIn", None)
+    expected = QueryEngine(store).execute(query)
+    renamed = TripleStore(triples_from_tuples(
+        [(f"other:{h}", r, f"other:{t}") for h, r, t in reversed(_rows())]))
+    with QueryService(store, cache_bytes=0) as service:
+        block = service.submit(query).result()
+        triples = service.submit_lookup(pattern).result()
+        cursor_id = service.open_cursor(query)
+        assert service.swap_store(renamed) is store
+        assert block.materialize() == expected
+        assert triples.materialize() == store.match(*pattern)
+        page, exhausted = service.fetch_cursor(cursor_id, len(expected))
+        assert page.materialize() == expected and exhausted
+        after = service.execute(query)
+        assert after == QueryEngine(renamed).execute(query)
+        assert all(row["?p"].startswith("other:") for row in after)
 
 
 def test_service_invalid_max_batch(store):
@@ -291,7 +331,7 @@ def test_service_releases_exhausted_cursor_rows_but_keeps_id_valid(store):
     with QueryService(store) as service:
         cursor_id = service.open_cursor(query)
         page, exhausted = service.fetch_cursor(cursor_id, len(expected) + 1)
-        assert page == expected and exhausted
+        assert page.materialize() == expected and exhausted
         assert service.fetch_cursor(cursor_id, 5) == ([], True)
         service.close_cursor(cursor_id)
         with pytest.raises(CursorError):

@@ -210,7 +210,7 @@ def test_cursor_keeps_snapshot_while_post_write_queries_miss():
         full = service.execute(query)                 # miss → fills
         cursor_id = service.open_cursor(query)        # hit → view cursor
         assert service.stats["cache_hits"] == 1
-        first_page, _exhausted = service.fetch_cursor(cursor_id, 2)
+        first_page = service.fetch_cursor(cursor_id, 2)[0].materialize()
         service.add_many([Triple("extra:new", "brandIs", "brand:0")])
         after = service.execute(query)                # post-write: a miss
         stats = service.stats
@@ -223,7 +223,7 @@ def test_cursor_keeps_snapshot_while_post_write_queries_miss():
         rest = []
         while True:
             page, exhausted = service.fetch_cursor(cursor_id, 2)
-            rest.extend(page)
+            rest.extend(page.materialize())
             if exhausted:
                 break
         assert first_page + rest == full
