@@ -74,6 +74,32 @@ MODEL_REGISTRY = {
 }
 
 
+def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every ``KGServer`` front end takes (``serve`` over one
+    store, ``cluster`` over the coordinator's scatter/gather backend)."""
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="address to bind (default 127.0.0.1)")
+    parser.add_argument("--port", type=int, default=None,
+                        help="TCP port to bind (default 7468; 0 picks an "
+                             "ephemeral port, printed on startup)")
+    parser.add_argument("--max-batch", type=int, default=256,
+                        help="max requests one service dispatch round "
+                             "coalesces (default 256)")
+    parser.add_argument("--cursor-ttl", type=float, default=300.0,
+                        help="seconds an idle server-side cursor survives "
+                             "before eviction (default 300)")
+    parser.add_argument("--cache-mb", type=float, default=64.0,
+                        help="byte budget of the hot-query result cache in "
+                             "MiB (default 64; 0 disables it; entries are "
+                             "invalidated on every write and LRU-evicted "
+                             "under the budget)")
+    parser.add_argument("--codec", choices=("auto", "json"), default="auto",
+                        help="wire codec policy: auto grants per-connection "
+                             "binary negotiation (id blocks + interner "
+                             "deltas); json pins every connection to the "
+                             "JSON codec (default auto)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the CLI."""
     parser = argparse.ArgumentParser(prog="repro",
@@ -122,30 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store directory written by build --store-dir or "
                             "TripleStore.save (mmap or sharded layout; "
                             "auto-detected)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="address to bind (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=None,
-                       help="TCP port to bind (default 7468; 0 picks an "
-                            "ephemeral port, printed on startup)")
-    serve.add_argument("--max-batch", type=int, default=256,
-                       help="max requests one service dispatch round "
-                            "coalesces (default 256)")
-    serve.add_argument("--cursor-ttl", type=float, default=300.0,
-                       help="seconds an idle server-side cursor survives "
-                            "before eviction (default 300)")
-    serve.add_argument("--cache-mb", type=float, default=64.0,
-                       help="byte budget of the hot-query result cache in "
-                            "MiB (default 64; entries are invalidated on "
-                            "every write and LRU-evicted under the budget)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the result cache entirely (every "
-                            "query re-executes)")
-    serve.add_argument("--codec", choices=("auto", "json"), default="auto",
-                       help="wire codec policy: auto grants per-connection "
-                            "binary negotiation (id blocks + interner "
-                            "deltas) when the backend supports it; json "
-                            "pins every connection to the JSON codec "
-                            "(default auto)")
+    _add_serving_flags(serve)
     serve.add_argument("--shard-of", default=None, metavar="K/N",
                        help="label this server shard K of an N-shard "
                             "cluster (advertised through the role op and "
@@ -196,26 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="register a replica for shard K (repeat "
                               "for more; reads round-robin over leader "
                               "and replicas with failover)")
-    cluster.add_argument("--host", default="127.0.0.1",
-                         help="address to bind (default 127.0.0.1)")
-    cluster.add_argument("--port", type=int, default=None,
-                         help="TCP port to bind (default 7468; 0 picks "
-                              "an ephemeral port, printed on startup)")
-    cluster.add_argument("--max-batch", type=int, default=256,
-                         help="max requests one service dispatch round "
-                              "coalesces (default 256)")
-    cluster.add_argument("--cursor-ttl", type=float, default=300.0,
-                         help="seconds an idle server-side cursor "
-                              "survives before eviction (default 300)")
-    cluster.add_argument("--cache-mb", type=float, default=64.0,
-                         help="byte budget of the coordinator's hot-query "
-                              "result cache in MiB (default 64)")
-    cluster.add_argument("--no-cache", action="store_true",
-                         help="disable the coordinator's result cache")
-    cluster.add_argument("--codec", choices=("auto", "json"),
-                         default="auto",
-                         help="wire codec policy towards clients "
-                              "(default auto)")
+    _add_serving_flags(cluster)
 
     compact = subparsers.add_parser(
         "compact",
@@ -344,9 +328,7 @@ def _parse_shard_of(value: Optional[str]):
 
 
 def _cache_bytes(args) -> int:
-    """``--cache-mb`` / ``--no-cache`` -> the service's byte budget."""
-    if args.no_cache:
-        return 0
+    """``--cache-mb`` -> the service's byte budget."""
     if not math.isfinite(args.cache_mb) or args.cache_mb < 0:
         raise ValueError(
             f"--cache-mb must be a finite number >= 0, got {args.cache_mb}")

@@ -42,6 +42,7 @@ from repro.kg.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
     MAX_FRAME_BYTES,
+    OPS,
     TAG_BINARY,
     TAG_JSON,
     BinaryResponseDecoder,
@@ -49,8 +50,10 @@ from repro.kg.protocol import (
     decode_json_body,
     decode_triple_rows,
     encode_frame,
-    encode_wire_triples,
     encode_tagged_json,
+    encode_wire_patterns,
+    encode_wire_query,
+    encode_wire_triples,
     error_from_wire,
     read_frame_bytes,
 )
@@ -58,27 +61,6 @@ from repro.kg.triple import Triple
 
 #: Page size RemoteCursor / iter_match use when the caller does not say.
 DEFAULT_PAGE_SIZE = 512
-
-#: Ops a client may silently re-issue on a fresh connection after a
-#: transport failure: pure reads whose answer does not depend on how
-#: many times the server saw the request.  Writes (``add_many``,
-#: ``remove_many``, ``compact``) are NEVER here — a lost response does
-#: not mean a lost write, and double-applying is worse than surfacing
-#: the error.  ``fetch`` is excluded too: the server advances the
-#: cursor per fetch, so a retried fetch could silently skip a page.
-#: ``open_cursor``/``open_match_cursor`` are safe — the worst case is
-#: an orphaned server-side cursor, which the TTL sweep reaps.
-#: ``promote`` is excluded like the writes: it bumps the store
-#: generation, and a retried promotion must stay an explicit decision
-#: of the routing layer, never a silent transport-level replay.
-IDEMPOTENT_OPS = frozenset({
-    "ping", "stats", "len", "role", "wal_tail",
-    "replication_status", "snapshot_ship",
-    "execute", "execute_many",
-    "match", "match_many", "match_ids_many",
-    "count", "count_many",
-    "open_cursor", "open_match_cursor",
-})
 
 #: Default extra connection attempts per idempotent call (0 disables
 #: reconnection entirely — the pre-reconnect behaviour).
@@ -125,20 +107,6 @@ def parse_address(url: str) -> Tuple[str, int]:
     return host, port
 
 
-def _wire_query(query: PatternQuery) -> dict:
-    message = {"patterns": [list(pattern) for pattern in query.patterns]}
-    if query.select:
-        message["select"] = list(query.select)
-    if query.limit is not None:
-        message["limit"] = query.limit
-    return message
-
-
-def _bindings(result) -> List[Binding]:
-    return result.to_bindings() if isinstance(result, DecodedBlock) \
-        else result
-
-
 class RemoteClient:
     """One connection to a KGServer: framed, serialized request/response.
 
@@ -171,14 +139,8 @@ class RemoteClient:
         self._lock = threading.Lock()
         self._next_id = 0
         self._user_closed = False
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._closed = False
-        self._codec = CODEC_JSON
-        self._decoder: Optional[BinaryResponseDecoder] = None
-        if codec != CODEC_JSON:
-            with self._lock:
-                self._negotiate(required=(codec == CODEC_BINARY))
+        with self._lock:
+            self._connect()
 
     @property
     def codec(self) -> str:
@@ -211,28 +173,31 @@ class RemoteClient:
                 f"server declined the binary codec (granted {codec!r}); "
                 f"use codec='auto' to fall back to JSON")
 
+    def _connect(self) -> None:
+        """Open a fresh negotiated connection (caller holds the lock);
+        ``OSError`` when the server is unreachable."""
+        sock = socket.create_connection(self._address, timeout=self._timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self._closed = False
+        # A connection starts on JSON with an empty symbol cache;
+        # negotiation then gives it the codec (and a fresh decoder
+        # state) the caller asked for.
+        self._codec = CODEC_JSON
+        self._decoder: Optional[BinaryResponseDecoder] = None
+        if self._requested_codec != CODEC_JSON:
+            self._negotiate(
+                required=(self._requested_codec == CODEC_BINARY))
+
     def _reconnect(self) -> None:
-        """Replace a dead socket with a fresh negotiated connection
-        (caller holds the lock).  Raises ProtocolError when the server
-        is unreachable."""
+        """Replace a dead socket (caller holds the lock).  Raises
+        ProtocolError when the server is unreachable."""
         try:
-            sock = socket.create_connection(self._address,
-                                            timeout=self._timeout)
+            self._connect()
         except OSError as exc:
             raise ProtocolError(
                 f"reconnect to {self._address[0]}:{self._address[1]} "
                 f"failed: {exc}") from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        self._closed = False
-        # The new connection starts on JSON with an empty symbol cache;
-        # re-run negotiation so the codec (and a fresh decoder state)
-        # match what the caller originally asked for.
-        self._codec = CODEC_JSON
-        self._decoder = None
-        if self._requested_codec != CODEC_JSON:
-            self._negotiate(
-                required=(self._requested_codec == CODEC_BINARY))
 
     def call(self, op: str, **fields):
         """One request/response round-trip; returns the ``result`` field.
@@ -242,16 +207,17 @@ class RemoteClient:
         or read failure/timeout, response id mismatch) raises
         :class:`~repro.errors.ProtocolError` **and marks the connection
         broken** — after a transport failure the stream may hold a
-        stale half-response, so it is never reused.  For ops in
-        :data:`IDEMPOTENT_OPS` the client then silently retries on a
-        **fresh** connection (with backoff, at most
+        stale half-response, so it is never reused.  For ops the table
+        declares :attr:`~repro.kg.protocol.Op.retry_safe` the client
+        then silently retries on a **fresh** connection (with backoff, at most
         ``reconnect_attempts`` extra connections per call); writes are
         never retried — a transport failure on a write surfaces
         immediately, because a lost response does not mean a lost
         write.
         """
         message = {"op": op, **fields}
-        retryable = op in IDEMPOTENT_OPS and self._reconnect_attempts > 0
+        retryable = op in OPS and OPS[op].retry_safe \
+            and self._reconnect_attempts > 0
         with self._lock:
             budget = self._reconnect_attempts if retryable else 0
             delay = RECONNECT_BACKOFF_SECONDS
@@ -344,13 +310,8 @@ class RemoteClient:
         """Close the connection (idempotent; disables reconnection)."""
         with self._lock:
             self._user_closed = True
-            if self._closed:
-                return
-            self._closed = True
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close never fails on Linux
-                pass
+            if not self._closed:
+                self._invalidate()
 
     def __enter__(self) -> "RemoteClient":
         return self
@@ -468,25 +429,33 @@ class RemoteCursor:
             self.close()
 
 
-def _shared_client(address_or_client,
-                   codec: str = "auto") -> Tuple[RemoteClient, bool]:
-    if isinstance(address_or_client, RemoteClient):
-        return address_or_client, False
-    return RemoteClient(address_or_client, codec=codec), True
-
-
-class RemoteQueryEngine:
-    """The :class:`~repro.kg.query.QueryEngine` API over the wire.
-
-    Construct from a ``host:port`` string (owns the connection) or an
-    existing :class:`RemoteClient` (shared; caller closes it).  The
-    wire codec is invisible here: bindings come back identical (and in
-    the same order) whether the connection negotiated binary or JSON.
-    """
+class _RemoteSurface:
+    """A local API mirrored over one :class:`RemoteClient`: construct
+    from a ``host:port`` string (owns the connection) or an existing
+    client (shared; caller closes it)."""
 
     def __init__(self, address_or_client, codec: str = "auto") -> None:
-        self.client, self._owns_client = _shared_client(address_or_client,
-                                                        codec)
+        self._owns_client = not isinstance(address_or_client, RemoteClient)
+        self.client = RemoteClient(address_or_client, codec=codec) \
+            if self._owns_client else address_or_client
+
+    def close(self) -> None:
+        if self._owns_client:
+            self.client.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+
+class RemoteQueryEngine(_RemoteSurface):
+    """The :class:`~repro.kg.query.QueryEngine` API over the wire.
+
+    The wire codec is invisible here: bindings come back identical (and
+    in the same order) whether the connection negotiated binary or JSON.
+    """
 
     def execute(self, query: PatternQuery, reorder: bool = True,
                 limit: Optional[int] = None) -> List[Binding]:
@@ -499,12 +468,13 @@ class RemoteQueryEngine:
         """Remote :meth:`QueryEngine.execute_many` (one round-trip; the
         server still coalesces the whole batch into batched planning and
         lockstep execution)."""
-        encoded = [_wire_query(query if limit is None
+        encoded = [encode_wire_query(query if limit is None
                                else replace(query, limit=limit))
                    for query in queries]
         results = self.client.call("execute_many", queries=encoded,
                                    reorder=reorder)
-        return [_bindings(result) for result in results]
+        return [result.to_bindings() if isinstance(result, DecodedBlock)
+                else result for result in results]
 
     def cursor(self, query: PatternQuery, reorder: bool = True,
                limit: Optional[int] = None,
@@ -512,22 +482,12 @@ class RemoteQueryEngine:
         """Stream a query's bindings through a server-side cursor."""
         if limit is not None:
             query = replace(query, limit=limit)
-        cursor_id = self.client.call("open_cursor", query=_wire_query(query),
-                                     reorder=reorder)
+        cursor_id = self.client.call(
+            "open_cursor", query=encode_wire_query(query), reorder=reorder)
         return RemoteCursor(self.client, cursor_id, page_size=page_size)
 
-    def close(self) -> None:
-        if self._owns_client:
-            self.client.close()
 
-    def __enter__(self) -> "RemoteQueryEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
-class RemoteStore:
+class RemoteStore(_RemoteSurface):
     """The :class:`~repro.kg.store.TripleStore` query surface over the wire.
 
     Point lookups only (constants + ``None`` wildcards) — exactly the
@@ -543,10 +503,6 @@ class RemoteStore:
     :class:`~repro.errors.StorageError` here, not a generic wire error.
     """
 
-    def __init__(self, address_or_client, codec: str = "auto") -> None:
-        self.client, self._owns_client = _shared_client(address_or_client,
-                                                        codec)
-
     def match(self, head: Optional[str] = None,
               relation: Optional[str] = None, tail: Optional[str] = None,
               sort: bool = False) -> List[Triple]:
@@ -558,9 +514,8 @@ class RemoteStore:
     def match_many(self, patterns: Sequence[Pattern],
                    sort: bool = False) -> List[List[Triple]]:
         """Remote :meth:`TripleStore.match_many` (one round-trip)."""
-        results = self.client.call(
-            "match_many", patterns=[list(pattern) for pattern in patterns])
-        decoded = [decode_triple_rows(rows) for rows in results]
+        decoded = [decode_triple_rows(rows)
+                   for rows in self.match_many_blocks(patterns)]
         return [sorted(rows) for rows in decoded] if sort else decoded
 
     def match_many_blocks(self, patterns: Sequence[Pattern]) -> List:
@@ -573,7 +528,7 @@ class RemoteStore:
         result is the raw ``[head, relation, tail]`` row list.
         """
         return self.client.call(
-            "match_many", patterns=[list(pattern) for pattern in patterns])
+            "match_many", patterns=encode_wire_patterns(patterns))
 
     def iter_match(self, head: Optional[str] = None,
                    relation: Optional[str] = None,
@@ -617,17 +572,7 @@ class RemoteStore:
     def count_many(self, patterns: Sequence[Pattern]) -> List[int]:
         """Remote :meth:`TripleStore.count_many` (one round-trip)."""
         return self.client.call(
-            "count_many", patterns=[list(pattern) for pattern in patterns])
+            "count_many", patterns=encode_wire_patterns(patterns))
 
     def __len__(self) -> int:
         return self.client.call("len")
-
-    def close(self) -> None:
-        if self._owns_client:
-            self.client.close()
-
-    def __enter__(self) -> "RemoteStore":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()

@@ -85,7 +85,7 @@ from repro.kg.mmap_backend import (
     RELATION_OFFSETS_FILE,
 )
 from repro.kg.protocol import (DecodedBlock, decode_triple_rows,
-                               encode_wire_triples)
+                               encode_wire_patterns, encode_wire_triples)
 from repro.kg.routing import (
     BROADCAST as _BROADCAST,
     concat_id_blocks,
@@ -822,18 +822,16 @@ class ClusterBackend(_BatchedQueriesMixin):
 
     def match_many(self, patterns: Sequence[Pattern],
                    sort: bool = False) -> List[List[Triple]]:
-        def shard_call(index: int, group: List[Pattern]) -> List[List[Triple]]:
-            results = self._sessions[index].read_call(
-                "match_many", patterns=[list(p) for p in group])
-            decoded = [decode_triple_rows(rows) for rows in results]
-            return [sorted(rows) for rows in decoded] if sort else decoded
-
         def broadcast_call(index: int,
                            group: List[Pattern]) -> List[List[Triple]]:
             # Per-shard sorting would be thrown away by the merge.
             results = self._sessions[index].read_call(
-                "match_many", patterns=[list(p) for p in group])
+                "match_many", patterns=encode_wire_patterns(group))
             return [decode_triple_rows(rows) for rows in results]
+
+        def shard_call(index: int, group: List[Pattern]) -> List[List[Triple]]:
+            decoded = broadcast_call(index, group)
+            return [sorted(rows) for rows in decoded] if sort else decoded
 
         return self._scatter(
             patterns,
@@ -862,7 +860,7 @@ class ClusterBackend(_BatchedQueriesMixin):
             classify=lambda pattern: self._classify_head(pattern[0]),
             empty=lambda: 0,
             shard_call=lambda index, group: self._sessions[index].read_call(
-                "count_many", patterns=[list(p) for p in group]),
+                "count_many", patterns=encode_wire_patterns(group)),
             merge=sum)
 
     def count(self, head: Optional[str] = None,

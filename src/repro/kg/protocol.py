@@ -68,7 +68,8 @@ import json
 import socket
 import struct
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Type)
 
 import numpy as np
 
@@ -82,6 +83,7 @@ from repro.errors import (
     StorageError,
     ValidationError,
 )
+from repro.kg.planner import PatternQuery
 from repro.kg.triple import Triple
 
 #: Struct layout of the length prefix: 4-byte big-endian unsigned.
@@ -105,19 +107,93 @@ WIRE_ERRORS: Dict[str, Type[ReproError]] = {
 }
 
 
-def encode_frame(payload: dict, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialize one message to its on-wire bytes (length prefix + JSON)."""
+def _json_bytes(payload: object) -> bytes:
     try:
-        body = json.dumps(payload, ensure_ascii=False,
+        return json.dumps(payload, ensure_ascii=False,
                           separators=(",", ":")).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"unencodable message payload: {exc}") from exc
+
+
+def _framed(body: bytes, max_bytes: int) -> bytes:
+    """``body`` behind its length prefix, refused beyond the frame cap."""
     if len(body) > max_bytes:
         raise ProtocolError(
             f"frame payload of {len(body)} bytes exceeds the "
             f"{max_bytes}-byte frame cap; page large results through a "
             f"cursor instead")
     return _LENGTH.pack(len(body)) + body
+
+
+def encode_frame(payload: dict, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Serialize one message to its on-wire bytes (length prefix + JSON)."""
+    return _framed(_json_bytes(payload), max_bytes)
+
+
+# --------------------------------------------------------------------------
+# Request shapes: each wire form written once, encoder beside decoder.
+# A decoder is ``(value, field_name) -> decoded`` and raises ProtocolError.
+# --------------------------------------------------------------------------
+
+def _wire_scalar(kind: type, wanted: str, minimum: Optional[int] = None):
+    """A decoder for a field of one JSON type — a boolean is never an
+    integer here — and, for an integer, no smaller than ``minimum``."""
+    def decode(value: object, field: str):
+        if not isinstance(value, kind) \
+                or (isinstance(value, bool) and kind is not bool) \
+                or (minimum is not None and value < minimum):
+            raise ProtocolError(
+                f"field {field!r} must be {wanted}, got {value!r}")
+        return value
+    return decode
+
+
+_INT = _wire_scalar(int, "an integer")
+_COUNT = _wire_scalar(int, "an integer >= 0", minimum=0)
+_STR = _wire_scalar(str, "a string")
+_BOOL = _wire_scalar(bool, "a boolean")
+
+
+def _wire_list(decode_item):
+    """A decoder for an array whose every item ``decode_item`` accepts.
+    The whole array decodes before the caller sees any of it, so a
+    batch op never runs (or WAL-logs) half of a malformed request."""
+    def decode(value: object, field: str) -> list:
+        if not isinstance(value, list):
+            raise ProtocolError(
+                f"field {field!r} must be an array, got {value!r}")
+        try:
+            return [decode_item(item, field) for item in value]
+        except ProtocolError:   # again, this time naming the bad item
+            return [decode_item(item, f"{field}[{index}]")
+                    for index, item in enumerate(value)]
+    return decode
+
+
+def encode_wire_patterns(patterns: Sequence[Sequence]) -> List[list]:
+    """Patterns as their wire form: 3-element arrays, ``null`` wildcards."""
+    return [list(pattern) for pattern in patterns]
+
+
+def _wire_pattern(kind: type = str, wildcards: bool = True):
+    """A decoder for a 3-item pattern array: every item a ``kind``
+    (``str`` symbols, or ``int`` ids for the id-space ops; never a
+    boolean) or, with ``wildcards``, ``null``."""
+    def decode(value: object, field: str) -> tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != 3:
+            raise ProtocolError(
+                f"{field} must be a 3-element array, got {value!r}")
+        for item in value:
+            if type(item) is not kind and (item is not None or not wildcards):
+                raise ProtocolError(
+                    f"{field} terms must be {kind.__name__}"
+                    f"{' or null' if wildcards else ''}, got {item!r}")
+        return tuple(value)
+    return decode
+
+
+decode_wire_pattern = _wire_pattern()
+_decode_terms = _wire_pattern(wildcards=False)
 
 
 def encode_wire_triples(triples: Sequence[Triple]) -> List[List[str]]:
@@ -131,33 +207,171 @@ def encode_wire_triples(triples: Sequence[Triple]) -> List[List[str]]:
             for triple in triples]
 
 
-def decode_wire_triples(value: object, *,
-                        field: str = "triples") -> List[Triple]:
-    """Decode and validate a wire triples array into :class:`Triple`\\ s.
+def _decode_wire_triple(value: object, field: str) -> Triple:
+    try:    # Triple itself refuses empty terms
+        return Triple(*_decode_terms(value, field))
+    except ValueError as exc:
+        raise ProtocolError(f"{field}: {exc}") from None
 
-    Hostile input gets a :class:`~repro.errors.ProtocolError` naming the
-    offending element — never a half-decoded batch: a write op is
-    validated in full before anything is enqueued or WAL-logged.
-    """
-    if not isinstance(value, list):
+
+#: Decode and validate a wire triples array ``(value, field)`` into
+#: :class:`Triple`\ s.  Hostile input gets a ProtocolError naming the
+#: offending element — never a half-decoded batch.
+decode_wire_triples = _wire_list(_decode_wire_triple)
+
+#: ``Field.default`` of a field the object must carry.
+REQUIRED = object()
+
+
+class Field(NamedTuple):
+    """One declared field of a wire object: its decoder and what an
+    absent field decodes to."""
+
+    decode: Callable[[object, str], object]
+    default: object = REQUIRED
+
+
+def decode_fields(fields: Dict[str, Field], value: object, what: str,
+                  envelope: Tuple[str, ...] = ()) -> dict:
+    """Decode the wire object ``value`` against its declared ``fields``:
+    every field decoded or defaulted, a missing required one refused —
+    and an undeclared one too, never ignored: a typo'd ``"limt"`` must
+    not silently serve the default answer."""
+    if not isinstance(value, dict):
+        raise ProtocolError(f"{what} must be an object, got {value!r}")
+    decoded = {}
+    undeclared = len(value)
+    for name, (decode, default) in fields.items():
+        if name in value:
+            undeclared -= 1
+            decoded[name] = decode(value[name], name)
+        elif default is REQUIRED:
+            raise ProtocolError(f"{what} is missing required field {name!r}")
+        else:
+            decoded[name] = default
+    for name in envelope:
+        undeclared -= name in value
+    if undeclared:
+        unknown = min(value.keys() - fields.keys() - set(envelope))
         raise ProtocolError(
-            f"field {field!r} must be an array of [head, relation, tail] "
-            f"arrays, got {value!r}")
-    triples: List[Triple] = []
-    for index, row in enumerate(value):
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ProtocolError(
-                f"{field}[{index}] must be a 3-element array, got {row!r}")
-        head, relation, tail = row
-        for term in row:
-            if not isinstance(term, str) or isinstance(term, bool):
-                raise ProtocolError(
-                    f"{field}[{index}] terms must be strings, got {term!r}")
-        try:
-            triples.append(Triple(head, relation, tail))
-        except ValueError as exc:
-            raise ProtocolError(f"{field}[{index}]: {exc}") from None
-    return triples
+            f"{what} takes no field {unknown!r} (allowed: "
+            f"{', '.join((*envelope, *fields))})")
+    return decoded
+
+
+_QUERY_FIELDS = {
+    "patterns": Field(_wire_list(_decode_terms)),    # '?name' = variable
+    "select": Field(_wire_list(_STR), ()),
+    "limit": Field(lambda value, field:
+                   None if value is None else _INT(value, field), None),
+}
+
+
+def encode_wire_query(query: PatternQuery) -> dict:
+    """A :class:`PatternQuery` as its wire object (defaults omitted)."""
+    message = {"patterns": encode_wire_patterns(query.patterns)}
+    if query.select:
+        message["select"] = list(query.select)
+    if query.limit is not None:
+        message["limit"] = query.limit
+    return message
+
+
+def decode_wire_query(value: object, field: str = "query") -> PatternQuery:
+    """Decode a wire query object into a :class:`PatternQuery`."""
+    decoded = decode_fields(_QUERY_FIELDS, value, field)
+    return PatternQuery(tuple(decoded["patterns"]), tuple(decoded["select"]),
+                        decoded["limit"])    # shapes checked: no re-normalizing
+
+
+# --------------------------------------------------------------------------
+# The op table
+# --------------------------------------------------------------------------
+
+class Op(NamedTuple):
+    """One request op, declared once: server dispatch and validation,
+    the replica write-gate, the client's retry policy, the documented
+    op list and the malformed-request test matrix all read this table.
+    Adding an op is one entry plus one ``KGServer._HANDLERS`` entry.
+
+    ``write``: the op mutates the store; a ``--follow`` replica refuses
+    it before looking at its fields.
+
+    ``retry_safe``: a client may silently re-issue the op on a fresh
+    connection after a transport failure — a pure read whose answer
+    does not depend on how many times the server saw the request.
+    Writes are NEVER retry-safe: a lost response does not mean a lost
+    write, and double-applying is worse than surfacing the error.
+    Neither is ``fetch``: the server advances the cursor per fetch, so a
+    retried fetch could silently skip a page.  ``open_cursor`` /
+    ``open_match_cursor`` are safe — the worst case is an orphaned
+    server-side cursor, which the TTL sweep reaps.  ``promote`` is
+    excluded like the writes: it bumps the store generation, and a
+    retried promotion must stay an explicit decision of the routing
+    layer, never a silent transport-level replay.
+
+    ``json_ids``: the op answers in id space on both codecs — a JSON
+    connection gets its blocks as integer rows, not symbols.
+    """
+
+    fields: Dict[str, Field] = {}
+    write: bool = False
+    retry_safe: bool = False
+    json_ids: bool = False
+
+    def decode(self, message: dict) -> dict:
+        """The handler's keyword arguments out of a request message."""
+        return decode_fields(self.fields, message, message["op"],
+                             ("id", "op"))
+
+
+_PATTERN = {"pattern": Field(decode_wire_pattern)}
+_PATTERNS = {"patterns": Field(_wire_list(decode_wire_pattern))}
+_ID_PATTERNS = {"patterns": Field(_wire_list(_wire_pattern(int)))}
+_REORDER = Field(_BOOL, True)
+_QUERY = {"query": Field(decode_wire_query), "reorder": _REORDER}
+_QUERIES = {"queries": Field(_wire_list(decode_wire_query)),
+            "reorder": _REORDER}
+_CURSOR = Field(_STR)
+_TRIPLES = {"triples": Field(decode_wire_triples)}
+
+#: Every request op but ``hello``, which the server answers at the frame
+#: level: it changes the connection's codec, not what the store answers.
+OPS: Dict[str, Op] = {
+    "ping": Op(retry_safe=True),
+    "stats": Op(retry_safe=True),
+    "len": Op(retry_safe=True),
+    "role": Op(retry_safe=True),
+    "replication_status": Op(retry_safe=True),
+    "wal_tail": Op({"after_seq": Field(_COUNT),
+                    "max_batches": Field(_wire_scalar(
+                        int, "an integer >= 1", minimum=1), 256)},
+                   retry_safe=True),
+    # No ``path`` asks for the manifest; with one it is a chunk request
+    # and ``generation`` must be the manifest's.
+    "snapshot_ship": Op({"path": Field(_STR, None),
+                         "offset": Field(_COUNT, 0),
+                         "generation": Field(_INT, None)},
+                        retry_safe=True),
+    "promote": Op(),
+    "execute": Op(_QUERY, retry_safe=True),
+    "execute_many": Op(_QUERIES, retry_safe=True),
+    "match": Op(_PATTERN, retry_safe=True),
+    "match_many": Op(_PATTERNS, retry_safe=True),
+    "match_ids_many": Op(_ID_PATTERNS, retry_safe=True, json_ids=True),
+    "count": Op(_PATTERN, retry_safe=True),
+    "count_many": Op(_PATTERNS, retry_safe=True),
+    "open_cursor": Op(_QUERY, retry_safe=True),
+    "open_match_cursor": Op(_PATTERN, retry_safe=True),
+    "fetch": Op({"cursor": _CURSOR, "max_rows": Field(_INT)}),
+    "close_cursor": Op({"cursor": _CURSOR}),
+    "add_many": Op(_TRIPLES, write=True),
+    "remove_many": Op(_TRIPLES, write=True),
+    "compact": Op(write=True),
+}
+
+#: The codec negotiation — the one exchange outside :data:`OPS`.
+HELLO = Op({"codecs": Field(_wire_list(_STR), ())})
 
 
 def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
@@ -182,6 +396,16 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
+def check_frame_length(length: int, max_bytes: int) -> None:
+    """Refuse a declared frame length before anything is allocated for it."""
+    if length == 0:
+        raise ProtocolError("zero-length frame")
+    if length > max_bytes:
+        raise ProtocolError(
+            f"declared frame length {length} exceeds the {max_bytes}-byte "
+            f"cap (hostile or corrupt length prefix)")
+
+
 def read_frame_bytes(sock: socket.socket,
                      max_bytes: int = MAX_FRAME_BYTES) -> Optional[bytes]:
     """Read one frame's raw body bytes; ``None`` on clean EOF at a
@@ -195,12 +419,7 @@ def read_frame_bytes(sock: socket.socket,
     if prefix is None:
         return None
     (length,) = _LENGTH.unpack(prefix)
-    if length == 0:
-        raise ProtocolError("zero-length frame")
-    if length > max_bytes:
-        raise ProtocolError(
-            f"declared frame length {length} exceeds the {max_bytes}-byte "
-            f"cap (hostile or corrupt length prefix)")
+    check_frame_length(length, max_bytes)
     body = _recv_exact(sock, length)
     if body is None:  # pragma: no cover - _recv_exact raises instead
         raise ProtocolError("connection closed before frame body")
@@ -246,6 +465,25 @@ def send_frame(sock: socket.socket, payload: dict,
 SNAPSHOT_CHUNK_BYTES = 8 * 1024 * 1024
 
 
+_MANIFEST = {
+    "generation": Field(_COUNT),
+    "base_seq": Field(_COUNT, 0),
+    "chunk_bytes": Field(_COUNT, SNAPSHOT_CHUNK_BYTES),
+    "files": Field(_wire_list(lambda value, field: decode_fields(
+        {"path": Field(_STR), "size": Field(_COUNT)}, value, field))),
+}
+_CHUNK = {"data": Field(_STR), "crc32": Field(_INT), "path": Field(_STR),
+          "generation": Field(_COUNT), "size": Field(_COUNT),
+          "eof": Field(_BOOL)}
+
+
+def decode_snapshot_manifest(manifest: object) -> dict:
+    """Type-check a ``snapshot_ship`` manifest response: the leader's
+    ``generation``, the ``base_seq`` its snapshot corresponds to, and
+    the ``path`` + ``size`` of every member file."""
+    return decode_fields(_MANIFEST, manifest, "snapshot manifest")
+
+
 def encode_snapshot_chunk(data: bytes) -> dict:
     """The payload fields one ``snapshot_ship`` chunk response carries."""
     return {"data": base64.b64encode(data).decode("ascii"),
@@ -260,20 +498,13 @@ def decode_snapshot_chunk(chunk: object) -> bytes:
     mismatch or malformed field raises :class:`~repro.errors.ProtocolError`
     (the fetcher restarts the transfer, it never installs damaged bytes).
     """
-    if not isinstance(chunk, dict):
-        raise ProtocolError(
-            f"snapshot chunk must be an object, got {type(chunk).__name__}")
-    encoded = chunk.get("data")
-    checksum = chunk.get("crc32")
-    if not isinstance(encoded, str) or not isinstance(checksum, int) \
-            or isinstance(checksum, bool):
-        raise ProtocolError("snapshot chunk is missing data/crc32 fields")
+    chunk = decode_fields(_CHUNK, chunk, "snapshot chunk")
     try:
-        data = base64.b64decode(encoded.encode("ascii"), validate=True)
+        data = base64.b64decode(chunk["data"].encode("ascii"), validate=True)
     except (ValueError, UnicodeEncodeError) as exc:
         raise ProtocolError(
             f"snapshot chunk carries invalid base64: {exc}") from exc
-    if zlib.crc32(data) != checksum:
+    if zlib.crc32(data) != chunk["crc32"]:
         raise ProtocolError(
             "snapshot chunk failed its CRC32 check (corrupted in transit); "
             "restart the fetch")
@@ -347,17 +578,7 @@ def encode_tagged_json(payload: dict,
                        max_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Serialize one message for a binary connection: length prefix,
     :data:`TAG_JSON`, then the UTF-8 JSON body."""
-    try:
-        body = json.dumps(payload, ensure_ascii=False,
-                          separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"unencodable message payload: {exc}") from exc
-    if len(body) + 1 > max_bytes:
-        raise ProtocolError(
-            f"frame payload of {len(body) + 1} bytes exceeds the "
-            f"{max_bytes}-byte frame cap; page large results through a "
-            f"cursor instead")
-    return _LENGTH.pack(len(body) + 1) + bytes((TAG_JSON,)) + body
+    return _framed(bytes((TAG_JSON,)) + _json_bytes(payload), max_bytes)
 
 
 class DecodedBlock:
@@ -526,12 +747,7 @@ class BinaryResponseEncoder:
         encoded_items = []
         for item in items:
             if item[0] == "json":
-                try:
-                    body = json.dumps(item[1], ensure_ascii=False,
-                                      separators=(",", ":")).encode("utf-8")
-                except (TypeError, ValueError) as exc:
-                    raise ProtocolError(
-                        f"unencodable message payload: {exc}") from exc
+                body = _json_bytes(item[1])
                 encoded_items.append(
                     bytes((ITEM_JSON,)) + _U32.pack(len(body)) + body)
                 continue
@@ -563,17 +779,13 @@ class BinaryResponseEncoder:
             _delta_bytes(new_r, symbols_r),
             _U32.pack(len(encoded_items)),
             *encoded_items))
-        if len(body) > cap:
-            raise ProtocolError(
-                f"frame payload of {len(body)} bytes exceeds the "
-                f"{cap}-byte frame cap; page large results through a "
-                f"cursor instead")
+        frame = _framed(body, cap)
         # Size check passed: only now commit the delta to the masks.
         if len(new_e):
             self._sent["e"][new_e] = True
         if len(new_r):
             self._sent["r"][new_r] = True
-        return _LENGTH.pack(len(body)) + body
+        return frame
 
 
 class BinaryResponseDecoder:

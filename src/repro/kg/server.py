@@ -62,17 +62,18 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Deque, List, Optional, Tuple, Union
+from typing import Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.kg.executor import IdBlock
-from repro.kg.planner import PatternQuery
 from repro.kg.protocol import (
     BINARY_PROTOCOL_VERSION,
     CODEC_BINARY,
     CODEC_JSON,
     FLAG_EXHAUSTED,
     MAX_FRAME_BYTES,
+    HELLO,
+    OPS,
     SHAPE_LIST,
     SHAPE_PAGE,
     SHAPE_SINGLE,
@@ -80,9 +81,10 @@ from repro.kg.protocol import (
     TAG_BINARY,
     TAG_JSON,
     BinaryResponseEncoder,
+    check_frame_length,
     decode_json_body,
     decode_snapshot_chunk,
-    decode_wire_triples,
+    decode_snapshot_manifest,
     encode_frame,
     encode_snapshot_chunk,
     encode_tagged_json,
@@ -119,99 +121,41 @@ _WAL_TAIL_TRIPLE_BUDGET = 50_000
 _WAL_TAIL_MAX_BATCHES = 4096
 
 
-def _wire_pattern(value: object) -> Tuple[Optional[str], Optional[str],
-                                          Optional[str]]:
-    """Decode a wire pattern: 3 items, each a string or ``null``."""
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ProtocolError(
-            f"pattern must be a 3-element array, got {value!r}")
-    decoded = []
-    for term in value:
-        if term is not None and not isinstance(term, str):
-            raise ProtocolError(
-                f"pattern terms must be strings or null, got {term!r}")
-        decoded.append(term)
-    return (decoded[0], decoded[1], decoded[2])
-
-
-def _wire_id_pattern(value: object) -> Tuple[Optional[int], Optional[int],
-                                             Optional[int]]:
-    """Decode a raw id-space pattern: 3 items, each an int or ``null``."""
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ProtocolError(
-            f"id pattern must be a 3-element array, got {value!r}")
-    decoded = []
-    for term in value:
-        if term is not None and (not isinstance(term, int)
-                                 or isinstance(term, bool)):
-            raise ProtocolError(
-                f"id pattern terms must be integers or null, got {term!r}")
-        decoded.append(term)
-    return (decoded[0], decoded[1], decoded[2])
-
-
-def _wire_query(value: object) -> PatternQuery:
-    """Decode a wire query object into a :class:`PatternQuery`."""
-    if not isinstance(value, dict):
-        raise ProtocolError(f"query must be an object, got {value!r}")
-    patterns = value.get("patterns")
-    if not isinstance(patterns, list):
-        raise ProtocolError("query needs a 'patterns' array")
-    for pattern in patterns:
-        if not (isinstance(pattern, list) and len(pattern) == 3
-                and all(isinstance(term, str) for term in pattern)):
-            raise ProtocolError(
-                f"query patterns must be [head, relation, tail] string "
-                f"arrays, got {pattern!r}")
-    select = value.get("select", [])
-    if not (isinstance(select, list)
-            and all(isinstance(name, str) for name in select)):
-        raise ProtocolError(f"query 'select' must be a string array, "
-                            f"got {select!r}")
-    limit = value.get("limit")
-    if limit is not None and not isinstance(limit, int):
-        raise ProtocolError(f"query 'limit' must be an integer or null, "
-                            f"got {limit!r}")
-    try:
-        return PatternQuery.from_patterns(patterns, select=select, limit=limit)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
-
-
-def _wire_reorder(message: dict) -> bool:
-    """The optional ``reorder`` flag: a boolean, defaulting to true."""
-    reorder = message.get("reorder", True)
-    if not isinstance(reorder, bool):
-        raise ProtocolError(
-            f"field 'reorder' must be a boolean, got {reorder!r}")
-    return reorder
-
-
-def _json_result(result):
-    """A read result as the JSON codec ships it — the counterpart of
-    :meth:`KGServer._encode_binary_response`, over the same three shapes
-    (block, list of blocks, cursor page): every block materialized,
-    triples as ``[head, relation, tail]`` arrays."""
+def _result_blocks(result) -> Tuple[Optional[int], Sequence]:
+    """Classify a read result for either encoder: its binary ``shape``
+    and the items that carries (a block, a list holding blocks, a cursor
+    page) — ``(None, ())`` when no id block is in it (plain JSON)."""
     if isinstance(result, IdBlock):
-        rows = result.materialize()
-        return encode_wire_triples(rows) if result.triples else rows
-    if isinstance(result, list):
-        return [_json_result(item) if isinstance(item, IdBlock) else item
-                for item in result]
+        return SHAPE_SINGLE, (result,)
+    if isinstance(result, list) and any(isinstance(item, IdBlock)
+                                        for item in result):
+        return SHAPE_LIST, result
     if isinstance(result, dict) and isinstance(result.get("rows"), IdBlock):
-        return {**result, "rows": _json_result(result["rows"])}
-    return result
+        return SHAPE_PAGE, (result["rows"],)
+    return None, ()
 
 
-def _field(message: dict, name: str, kinds, kind_label: str):
-    """A required, type-checked message field (ProtocolError otherwise)."""
-    if name not in message:
-        raise ProtocolError(f"message is missing required field {name!r}")
-    value = message[name]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ProtocolError(
-            f"field {name!r} must be {kind_label}, got {value!r}")
-    return value
+def _json_rows(item, ids: bool):
+    if not isinstance(item, IdBlock):
+        return item
+    if ids:
+        return item.rows.tolist()
+    rows = item.materialize()
+    return encode_wire_triples(rows) if item.triples else rows
+
+
+def _json_result(result, ids: bool = False):
+    """A read result as the JSON codec ships it — the counterpart of
+    :meth:`KGServer._encode_binary_response` over the same shapes: every
+    block materialized, triples as ``[head, relation, tail]`` arrays; for
+    an :attr:`~repro.kg.protocol.Op.json_ids` op, the id rows themselves."""
+    shape, items = _result_blocks(result)
+    if shape is None:
+        return result
+    rows = [_json_rows(item, ids) for item in items]
+    if shape == SHAPE_LIST:
+        return rows
+    return rows[0] if shape == SHAPE_SINGLE else {**result, "rows": rows[0]}
 
 
 def _resolve_snapshot_member(snapshot: Path, member: str) -> Path:
@@ -221,27 +165,6 @@ def _resolve_snapshot_member(snapshot: Path, member: str) -> Path:
             or any(part in ("..", ".", "") for part in parts)):
         raise ProtocolError(f"invalid snapshot member path {member!r}")
     return snapshot.joinpath(*parts)
-
-
-def _manifest_files(manifest: dict) -> List[Tuple[str, int]]:
-    """Type-check a ``snapshot_ship`` manifest's file list."""
-    files = manifest.get("files")
-    if not isinstance(files, list):
-        raise ProtocolError(f"snapshot manifest 'files' must be an array, "
-                            f"got {files!r}")
-    checked: List[Tuple[str, int]] = []
-    for entry in files:
-        if not isinstance(entry, dict):
-            raise ProtocolError(f"snapshot manifest entry {entry!r} is not "
-                                f"an object")
-        path, size = entry.get("path"), entry.get("size")
-        if not isinstance(path, str) or not isinstance(size, int) \
-                or isinstance(size, bool) or size < 0:
-            raise ProtocolError(
-                f"snapshot manifest entry needs a string 'path' and a "
-                f"non-negative integer 'size', got {entry!r}")
-        checked.append((path, size))
-    return checked
 
 
 def fetch_snapshot(client, directory: Union[str, Path], *,
@@ -265,22 +188,15 @@ def fetch_snapshot(client, directory: Union[str, Path], *,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = client.call("snapshot_ship")
-    if not isinstance(manifest, dict):
-        raise ProtocolError(f"snapshot manifest must be an object, got "
-                            f"{type(manifest).__name__}")
-    generation = manifest.get("generation")
-    if not isinstance(generation, int) or isinstance(generation, bool) \
-            or generation < 0:
-        raise ProtocolError(f"snapshot manifest carries invalid generation "
-                            f"{generation!r}")
-    files = _manifest_files(manifest)
+    manifest = decode_snapshot_manifest(client.call("snapshot_ship"))
+    generation = manifest["generation"]
     snapshot = directory / snapshot_dir_name(generation)
     partial = directory / (snapshot_dir_name(generation) + ".partial")
     if partial.exists():
         shutil.rmtree(partial)
     partial.mkdir(parents=True)
-    for member, size in files:
+    for member, size in ((entry["path"], entry["size"])
+                         for entry in manifest["files"]):
         target = _resolve_snapshot_member(partial, member)
         target.parent.mkdir(parents=True, exist_ok=True)
         with open(target, "wb") as handle:
@@ -332,7 +248,7 @@ def bootstrap_replica(directory: Union[str, Path], leader: str, *,
 
     with RemoteClient(leader, codec=CODEC_JSON, timeout=timeout) as client:
         manifest = fetch_snapshot(client, directory, fsync=fsync)
-    return int(manifest["generation"])
+    return manifest["generation"]
 
 
 class _Connection:
@@ -736,15 +652,9 @@ class KGServer:
             if len(buffer) < 4:
                 break
             length = int.from_bytes(buffer[:4], "big")
-            violation = None
-            if length == 0:
-                violation = ProtocolError("zero-length frame")
-            elif length > self.max_frame_bytes:
-                violation = ProtocolError(
-                    f"declared frame length {length} exceeds the "
-                    f"{self.max_frame_bytes}-byte cap (hostile or corrupt "
-                    f"length prefix)")
-            if violation is not None:
+            try:
+                check_frame_length(length, self.max_frame_bytes)
+            except ProtocolError as violation:
                 # Queue the violation behind the valid frames so their
                 # responses still go out first, then stop reading.
                 conn.input_broken = True
@@ -826,9 +736,7 @@ class KGServer:
             frame, close = self._serve_frame(conn, entry)
         except BaseException as exc:  # pragma: no cover - last resort
             try:
-                response = {"id": None, "ok": False,
-                            "error": error_to_wire(exc)}
-                frame, close = self._encode_json_response(conn, response), True
+                frame, close = self._error_frame(conn, exc), True
             except BaseException:
                 frame, close = None, True
         self._schedule_write(conn, frame, close=close)
@@ -858,8 +766,7 @@ class KGServer:
         if isinstance(entry, ProtocolError):
             # Framing violation queued by the I/O thread: the boundary
             # is no longer trustworthy — report best-effort and hang up.
-            response = {"id": None, "ok": False, "error": error_to_wire(entry)}
-            return self._encode_json_response(conn, response), True
+            return self._error_frame(conn, entry), True
         binary = conn.codec == CODEC_BINARY
         payload = entry
         if binary:
@@ -867,27 +774,20 @@ class KGServer:
             if tag == TAG_BINARY:
                 # The framing is intact (the length prefix parsed); the
                 # client is just confused — typed error, stay alive.
-                exc = ProtocolError(
+                return self._error_frame(conn, ProtocolError(
                     "binary frames flow server-to-client only; requests "
-                    "are JSON frames tagged 'J'")
-                response = {"id": None, "ok": False,
-                            "error": error_to_wire(exc)}
-                return self._encode_json_response(conn, response), False
+                    "are JSON frames tagged 'J'")), False
             if tag != TAG_JSON:
-                exc = ProtocolError(
+                return self._error_frame(conn, ProtocolError(
                     f"unknown frame tag {tag:#04x} on a binary-codec "
-                    f"connection")
-                response = {"id": None, "ok": False,
-                            "error": error_to_wire(exc)}
-                return self._encode_json_response(conn, response), True
+                    f"connection")), True
             payload = entry[1:]
         try:
             message = decode_json_body(payload)
         except ProtocolError as exc:
             # Not JSON: the stream may be garbage — report and hang up
             # (same contract as the pre-codec server).
-            response = {"id": None, "ok": False, "error": error_to_wire(exc)}
-            return self._encode_json_response(conn, response), True
+            return self._error_frame(conn, exc), True
         if message.get("op") == "hello":
             return self._serve_hello(conn, message), False
         response = self.handle_message(message, raw=binary)
@@ -900,15 +800,10 @@ class KGServer:
         reply itself always uses the connection's *current* codec, so
         the client flips exactly after reading the ack."""
         request_id = message.get("id")
-        codecs = message.get("codecs", [])
-        if not (isinstance(codecs, list)
-                and all(isinstance(name, str) for name in codecs)):
-            exc = ProtocolError(
-                f"hello 'codecs' must be an array of codec names, got "
-                f"{codecs!r}")
-            return self._encode_json_response(
-                conn, {"id": request_id, "ok": False,
-                       "error": error_to_wire(exc)})
+        try:
+            codecs = HELLO.decode(message)["codecs"]
+        except ProtocolError as exc:
+            return self._error_frame(conn, exc, request_id)
         grant = CODEC_BINARY in codecs and self.codec == "auto"
         granted = CODEC_BINARY if grant else CODEC_JSON
         frame = self._encode_json_response(
@@ -923,6 +818,14 @@ class KGServer:
             conn.codec = CODEC_BINARY
         return frame
 
+    def _error_frame(self, conn: _Connection, exc: BaseException,
+                     request_id=None) -> bytes:
+        """The failure response for ``exc``, in the connection's codec."""
+        encode = encode_tagged_json if conn.codec == CODEC_BINARY \
+            else encode_frame
+        return encode({"id": request_id, "ok": False,
+                       "error": error_to_wire(exc)}, self.max_frame_bytes)
+
     def _encode_json_response(self, conn: _Connection,
                               response: dict) -> bytes:
         encode = encode_tagged_json if conn.codec == CODEC_BINARY \
@@ -933,36 +836,23 @@ class KGServer:
             # The *response* did not fit the frame cap.  The stream is
             # still intact, so report and keep serving — the client
             # should page through a cursor instead.
-            return encode({"id": response.get("id"), "ok": False,
-                           "error": error_to_wire(exc)},
-                          self.max_frame_bytes)
+            return self._error_frame(conn, exc, response.get("id"))
 
     def _encode_binary_response(self, conn: _Connection,
                                 response: dict) -> bytes:
         """Pack id-block results; anything else rides as tagged JSON."""
-        if response.get("ok"):
-            request_id = response.get("id")
-            result = response.get("result")
-            try:
-                if isinstance(result, IdBlock):
-                    return conn.encoder.encode(
-                        request_id, SHAPE_SINGLE, [("block", result, 0)])
-                if isinstance(result, list) and any(
-                        isinstance(item, IdBlock) for item in result):
-                    items = [("block", item, 0) if isinstance(item, IdBlock)
-                             else ("json", item) for item in result]
-                    return conn.encoder.encode(request_id, SHAPE_LIST, items)
-                if isinstance(result, dict) and isinstance(
-                        result.get("rows"), IdBlock):
-                    flags = FLAG_EXHAUSTED if result.get("exhausted") else 0
-                    return conn.encoder.encode(
-                        request_id, SHAPE_PAGE,
-                        [("block", result["rows"], flags)])
-            except ProtocolError as exc:
-                return encode_tagged_json(
-                    {"id": request_id, "ok": False,
-                     "error": error_to_wire(exc)}, self.max_frame_bytes)
-        return self._encode_json_response(conn, response)
+        result = response.get("result")      # absent on a failure
+        shape, blocks = _result_blocks(result)
+        if shape is None:
+            return self._encode_json_response(conn, response)
+        flags = FLAG_EXHAUSTED if shape == SHAPE_PAGE \
+            and result.get("exhausted") else 0
+        try:
+            return conn.encoder.encode(response.get("id"), shape, [
+                ("block", item, flags) if isinstance(item, IdBlock)
+                else ("json", item) for item in blocks])
+        except ProtocolError as exc:
+            return self._error_frame(conn, exc, response.get("id"))
 
     # ------------------------------------------------------------------ #
     # request dispatch (called from worker threads)
@@ -984,124 +874,59 @@ class KGServer:
             and not isinstance(request_id, bool) \
             and -(1 << 63) <= request_id < (1 << 63)
         try:
-            result = self._dispatch(message, raw=raw)
+            op = message.get("op")
+            spec = OPS.get(op) if isinstance(op, str) else None
+            if spec is None:
+                raise ProtocolError(f"unknown op {op!r}")
+            if spec.write and self.role == "replica":
+                raise ProtocolError(
+                    f"this server is a read-only replica following "
+                    f"{self._follow}; send writes to the leader")
+            # The whole request decodes BEFORE the handler submits
+            # anything: a malformed query mid-batch must not leave
+            # already-submitted futures executing with nobody waiting.
+            result = self._HANDLERS[op](self, **spec.decode(message))
             if not raw:       # strings are made here, on the worker thread
-                result = _json_result(result)
+                result = _json_result(result, spec.json_ids)
         except Exception as exc:
             return {"id": request_id, "ok": False, "error": error_to_wire(exc)}
         return {"id": request_id, "ok": True, "result": result}
 
-    def _dispatch(self, message: dict, raw: bool = False):
-        op = message.get("op")
-        if op == "ping":
-            return "pong"
-        if op == "stats":
-            server_info = {"connections": self.connection_count,
-                           "workers": self._pool._max_workers,
-                           "codec_policy": self.codec,
-                           "role": self.role}
-            if self.shard_index is not None:
-                server_info["shard_index"] = self.shard_index
-                server_info["n_shards"] = self.n_shards
-            stats = {"service": self.service.stats,
-                     "store": {"triples": len(self.service.store),
-                               "backend": self.service.store.backend_name},
-                     "server": server_info}
-            if self.role == "replica":
-                stats["replication"] = self._replication_snapshot()
-            cluster_stats = getattr(self.service.store.backend,
-                                    "cluster_stats", None)
-            if callable(cluster_stats):
-                stats["cluster"] = cluster_stats()
-            return stats
-        if op == "role":
-            return self._role_info()
-        if op == "replication_status":
-            return self._replication_status()
-        if op == "wal_tail":
-            return self._serve_wal_tail(message)
-        if op == "snapshot_ship":
-            return self._serve_snapshot_ship(message)
-        if op == "promote":
-            return self._serve_promote()
-        if op == "len":
-            return len(self.service.store)
-        if op == "execute":
-            query = _wire_query(_field(message, "query", dict, "an object"))
-            return self.service.submit(
-                query, reorder=_wire_reorder(message)).result()
-        if op == "execute_many":
-            # Decode the whole batch BEFORE submitting anything: a
-            # malformed query mid-list must not leave already-submitted
-            # futures executing with nobody waiting on them.
-            queries = [_wire_query(query) for query in
-                       _field(message, "queries", list, "an array")]
-            reorder = _wire_reorder(message)
-            futures = [self.service.submit(query, reorder=reorder)
-                       for query in queries]
-            return [future.result() for future in futures]
-        if op == "match":
-            pattern = _wire_pattern(_field(message, "pattern", list,
-                                           "an array"))
-            return self.service.submit_lookup(pattern).result()
-        if op == "match_many":
-            patterns = [_wire_pattern(pattern) for pattern in
-                        _field(message, "patterns", list, "an array")]
-            futures = [self.service.submit_lookup(pattern)
-                       for pattern in patterns]
-            return [future.result() for future in futures]
-        if op == "match_ids_many":
-            patterns = [_wire_id_pattern(pattern) for pattern in
-                        _field(message, "patterns", list, "an array")]
-            blocks = self.service.match_ids_many(patterns)
-            # The one op whose JSON form is the ids themselves.
-            return blocks if raw else [block.rows.tolist()
-                                       for block in blocks]
-        if op == "count":
-            pattern = _wire_pattern(_field(message, "pattern", list,
-                                           "an array"))
-            return self.service.count_many([pattern])[0]
-        if op == "count_many":
-            patterns = [_wire_pattern(pattern) for pattern in
-                        _field(message, "patterns", list, "an array")]
-            return self.service.count_many(patterns)
-        if op == "open_cursor":
-            query = _wire_query(_field(message, "query", dict, "an object"))
-            return self.service.open_cursor(
-                query, reorder=_wire_reorder(message))
-        if op == "open_match_cursor":
-            pattern = _wire_pattern(_field(message, "pattern", list,
-                                           "an array"))
-            return self.service.open_match_cursor(pattern)
-        if op == "fetch":
-            cursor_id = _field(message, "cursor", str, "a string")
-            max_rows = _field(message, "max_rows", int, "an integer")
-            page, exhausted = self.service.fetch_cursor(cursor_id, max_rows)
-            return {"rows": page, "exhausted": exhausted}
-        if op == "close_cursor":
-            self.service.close_cursor(_field(message, "cursor", str,
-                                             "a string"))
-            return None
-        if op in ("add_many", "remove_many", "compact") \
-                and self.role == "replica":
-            raise ProtocolError(
-                f"this server is a read-only replica following "
-                f"{self._follow}; send writes to the leader")
-        if op == "add_many":
-            triples = decode_wire_triples(
-                _field(message, "triples", list, "an array"))
-            added = self.service.add_many(triples)
-            return {"added": added, "epoch": self.service.mutation_epoch}
-        if op == "remove_many":
-            triples = decode_wire_triples(
-                _field(message, "triples", list, "an array"))
-            removed = self.service.remove_many(triples)
-            return {"removed": removed, "epoch": self.service.mutation_epoch}
-        if op == "compact":
-            return {"generation": self.service.compact()}
-        raise ProtocolError(f"unknown op {op!r}")
+    def _op_stats(self) -> dict:
+        server_info = {"connections": self.connection_count,
+                       "workers": self._pool._max_workers,
+                       "codec_policy": self.codec,
+                       "role": self.role}
+        if self.shard_index is not None:
+            server_info["shard_index"] = self.shard_index
+            server_info["n_shards"] = self.n_shards
+        stats = {"service": self.service.stats,
+                 "store": {"triples": len(self.service.store),
+                           "backend": self.service.store.backend_name},
+                 "server": server_info}
+        if self.role == "replica":
+            stats["replication"] = self._replication_snapshot()
+        cluster_stats = getattr(self.service.store.backend,
+                                "cluster_stats", None)
+        if callable(cluster_stats):
+            stats["cluster"] = cluster_stats()
+        return stats
 
-    def _role_info(self) -> dict:
+    def _op_execute_many(self, queries, reorder) -> list:
+        futures = [self.service.submit(query, reorder=reorder)
+                   for query in queries]
+        return [future.result() for future in futures]
+
+    def _op_match_many(self, patterns) -> list:
+        futures = [self.service.submit_lookup(pattern)
+                   for pattern in patterns]
+        return [future.result() for future in futures]
+
+    def _op_fetch(self, cursor, max_rows) -> dict:
+        page, exhausted = self.service.fetch_cursor(cursor, max_rows)
+        return {"rows": page, "exhausted": exhausted}
+
+    def _op_role(self) -> dict:
         """The ``role`` handshake: who this server is in a cluster.
 
         The ``fingerprint`` field digests both interner tables; a
@@ -1130,7 +955,7 @@ class KGServer:
         with self._stats_lock:
             return dict(self._replication)
 
-    def _replication_status(self) -> dict:
+    def _op_replication_status(self) -> dict:
         """The ``replication_status`` op: how caught-up this server is.
 
         The promotion protocol's ballot: a coordinator facing a dead
@@ -1146,7 +971,7 @@ class KGServer:
         info["writable"] = store.writable
         return info
 
-    def _serve_wal_tail(self, message: dict) -> dict:
+    def _op_wal_tail(self, after_seq: int, max_batches: int) -> dict:
         """Ship WAL batches past ``after_seq`` to a polling follower.
 
         Re-scans the WAL file per poll: the scanner recovers the
@@ -1161,15 +986,6 @@ class KGServer:
             raise ProtocolError(
                 "wal_tail requires a live store (this server was opened "
                 "from a plain snapshot or in-memory data)")
-        after_seq = _field(message, "after_seq", int, "an integer")
-        if after_seq < 0:
-            raise ProtocolError(f"after_seq must be >= 0, got {after_seq}")
-        max_batches = message.get("max_batches", 256)
-        if not isinstance(max_batches, int) or isinstance(max_batches, bool) \
-                or max_batches < 1:
-            raise ProtocolError(
-                f"max_batches must be a positive integer, got "
-                f"{max_batches!r}")
         scan = scan_wal(wal.path)
         batches: List[list] = []
         budget = _WAL_TAIL_TRIPLE_BUDGET
@@ -1186,7 +1002,8 @@ class KGServer:
         return {"generation": scan.generation, "next_seq": wal.next_seq,
                 "batches": batches}
 
-    def _serve_snapshot_ship(self, message: dict) -> dict:
+    def _op_snapshot_ship(self, path: Optional[str], offset: int,
+                          generation: Optional[int]) -> dict:
         """Stream the current snapshot generation to a bootstrapping peer.
 
         Two request shapes share the op.  Without a ``path`` field it
@@ -1204,28 +1021,24 @@ class KGServer:
         """
         store = self.service.store
         directory = store.live_directory
-        generation = store.live_generation
-        if directory is None or generation is None:
+        current = store.live_generation
+        if directory is None or current is None:
             raise ProtocolError(
                 "snapshot_ship requires a live store (this server was "
                 "opened from a plain snapshot or in-memory data)")
-        snapshot = directory / snapshot_dir_name(generation)
-        if "path" not in message:
+        snapshot = directory / snapshot_dir_name(current)
+        if path is None:
             files = [{"path": member, "size": size}
                      for member, size in list_snapshot_files(snapshot)]
-            return {"generation": generation, "base_seq": 0,
+            return {"generation": current, "base_seq": 0,
                     "chunk_bytes": SNAPSHOT_CHUNK_BYTES, "files": files}
-        member = _field(message, "path", str, "a string")
-        offset = _field(message, "offset", int, "an integer")
-        wanted = _field(message, "generation", int, "an integer")
-        if offset < 0:
-            raise ProtocolError(f"offset must be >= 0, got {offset}")
-        if wanted != generation:
+        if generation != current:      # a chunk request must name one
             raise ProtocolError(
                 f"snapshot generation changed under the transfer (chunk "
-                f"asked for generation {wanted}, this server now serves "
-                f"{generation}) — restart the fetch from a fresh manifest")
-        target = _resolve_snapshot_member(snapshot, member)
+                f"asked for generation {generation}, this server now "
+                f"serves {current}) — restart the fetch from a fresh "
+                f"manifest")
+        target = _resolve_snapshot_member(snapshot, path)
         try:
             with open(target, "rb") as handle:
                 handle.seek(offset)
@@ -1233,15 +1046,15 @@ class KGServer:
                 size = os.fstat(handle.fileno()).st_size
         except OSError as exc:
             raise ProtocolError(
-                f"cannot read snapshot member {member!r}: {exc} (a "
+                f"cannot read snapshot member {path!r}: {exc} (a "
                 f"compaction may have swept it — restart the fetch)"
             ) from exc
         chunk = encode_snapshot_chunk(data)
-        chunk.update({"generation": generation, "path": member,
+        chunk.update({"generation": current, "path": path,
                       "size": size, "eof": offset + len(data) >= size})
         return chunk
 
-    def _serve_promote(self) -> dict:
+    def _op_promote(self) -> dict:
         """The ``promote`` op: turn this replica into the shard's leader.
 
         Commit order: stop the replication loop first (no leader batch
@@ -1282,6 +1095,42 @@ class KGServer:
             self._follow = None
             return {"promoted": True, "role": "leader",
                     "generation": generation}
+
+    #: One handler per ``protocol.OPS`` entry (the test suite holds the
+    #: two key sets equal), called as ``handler(self, **decoded_fields)``.
+    _HANDLERS = {
+        "ping": lambda self: "pong",
+        "stats": _op_stats,
+        "len": lambda self: len(self.service.store),
+        "role": _op_role,
+        "replication_status": _op_replication_status,
+        "wal_tail": _op_wal_tail,
+        "snapshot_ship": _op_snapshot_ship,
+        "promote": _op_promote,
+        "execute": lambda self, query, reorder:
+            self.service.submit(query, reorder=reorder).result(),
+        "execute_many": _op_execute_many,
+        "match": lambda self, pattern:
+            self.service.submit_lookup(pattern).result(),
+        "match_many": _op_match_many,
+        "match_ids_many": lambda self, patterns:
+            self.service.match_ids_many(patterns),
+        "count": lambda self, pattern: self.service.count_many([pattern])[0],
+        "count_many": lambda self, patterns: self.service.count_many(patterns),
+        "open_cursor": lambda self, query, reorder:
+            self.service.open_cursor(query, reorder=reorder),
+        "open_match_cursor": lambda self, pattern:
+            self.service.open_match_cursor(pattern),
+        "fetch": _op_fetch,
+        "close_cursor": lambda self, cursor: self.service.close_cursor(cursor),
+        "add_many": lambda self, triples: {
+            "added": self.service.add_many(triples),
+            "epoch": self.service.mutation_epoch},
+        "remove_many": lambda self, triples: {
+            "removed": self.service.remove_many(triples),
+            "epoch": self.service.mutation_epoch},
+        "compact": lambda self: {"generation": self.service.compact()},
+    }
 
     # ------------------------------------------------------------------ #
     # replication (follower mode)
@@ -1438,12 +1287,6 @@ class KGServer:
         wal_fsync = store.wal.fsync if store.wal is not None else True
         manifest = fetch_snapshot(client, directory, fsync=wal_fsync,
                                   should_abort=self._stop_replication.is_set)
-        generation = int(manifest["generation"])
-        base_seq = manifest.get("base_seq", 0)
-        if not isinstance(base_seq, int) or isinstance(base_seq, bool) \
-                or base_seq < 0:
-            raise ProtocolError(
-                f"snapshot manifest carries invalid base_seq {base_seq!r}")
         new_store = TripleStore.open(directory, wal_fsync=wal_fsync)
         old_store = self.service.swap_store(new_store)
         try:
@@ -1452,8 +1295,9 @@ class KGServer:
             pass
         new_store.sweep_stale_generations()
         with self._stats_lock:
-            self._replication["generation"] = generation
-            self._replication["applied_seq"] = base_seq
+            self._replication["generation"] = manifest["generation"]
+            self._replication["applied_seq"] = manifest["base_seq"]
             self._replication["rebootstraps"] += 1
             self._replication["last_error"] = None
         self._reset_connections()
+

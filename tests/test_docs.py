@@ -87,3 +87,27 @@ def test_smoke_import_reports_failures():
     ok, stderr = check_docs.smoke_import(["import no_such_module_xyz"])
     assert not ok
     assert "no_such_module_xyz" in stderr
+
+
+def test_documented_op_table_matches_the_protocol():
+    """docs/architecture.md lists every wire op with its fields and its
+    write / retry-safe class; a drift from ``protocol.OPS`` fails here."""
+    from repro.kg.protocol import HELLO, OPS, REQUIRED
+
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text()
+    table = text.split("<!-- ops-table -->")[1].split("<!-- /ops-table -->")[0]
+    documented = {}
+    for line in table.strip().splitlines()[2:]:       # skip header + rule
+        name, fields, write, retry = (
+            cell.strip() for cell in line.strip("|").split("|"))
+        documented[name.strip("`")] = (
+            [] if fields == "—" else fields.replace("`", "").split(", "),
+            write == "yes", retry.startswith("yes"))
+
+    def declared(op):
+        return ([name if field.default is REQUIRED else name + "?"
+                 for name, field in op.fields.items()],
+                op.write, op.retry_safe)
+
+    assert documented == {"hello": declared(HELLO),
+                          **{name: declared(op) for name, op in OPS.items()}}

@@ -27,7 +27,9 @@ Four suites, mirroring what a network boundary must survive:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import json
 import os
 import socket
 import struct
@@ -49,12 +51,16 @@ from repro.kg.client import (
 )
 from repro.kg.protocol import (
     MAX_FRAME_BYTES,
+    OPS,
+    REQUIRED,
     TAG_BINARY,
     TAG_JSON,
     DecodedBlock,
     decode_json_body,
+    decode_wire_query,
     encode_frame,
     encode_tagged_json,
+    encode_wire_query,
     read_frame,
     read_frame_bytes,
     send_frame,
@@ -368,20 +374,161 @@ def test_unknown_op_keeps_connection_alive(server):
     _assert_serviceable(server)
 
 
+#: One value of every JSON type: the wrong-type inputs of the generated
+#: malformed-request matrix below.
+_PALETTE = (None, True, 1, 1.5, "x", [], {})
+
+#: One well-formed value per request field name, so a case can break
+#: exactly one field of an otherwise valid request.
+_WELL_FORMED = {
+    "pattern": [None, "brandIs", None],
+    "patterns": [],
+    "query": {"patterns": [["?p", "brandIs", "?b"]]},
+    "queries": [],
+    "reorder": True,
+    "cursor": "x",
+    "max_rows": 1,
+    "after_seq": 0,
+    "max_batches": 1,
+    "path": "x",
+    "offset": 0,
+    "generation": 0,
+    "triples": [],
+}
+
+
+def _exchange(sock: socket.socket, message: dict, binary: bool) -> dict:
+    """One raw request/response on a JSON or negotiated-binary stream."""
+    if not binary:
+        send_frame(sock, message)
+        return read_frame(sock)
+    sock.sendall(encode_tagged_json(message, MAX_FRAME_BYTES))
+    return _read_tagged(sock)
+
+
+def _rejects(field, value) -> bool:
+    try:
+        field.decode(value, "probe")
+    except ProtocolError:
+        return True
+    return False
+
+
+def test_op_table_pins_the_retry_and_write_classes():
+    """The classes the table replaced, pinned as literals: the 16 names
+    ``client.IDEMPOTENT_OPS`` held and the replica gate's write tuple."""
+    assert {name for name, op in OPS.items() if op.retry_safe} == {
+        "ping", "stats", "len", "role", "wal_tail",
+        "replication_status", "snapshot_ship",
+        "execute", "execute_many",
+        "match", "match_many", "match_ids_many",
+        "count", "count_many",
+        "open_cursor", "open_match_cursor"}
+    assert {name for name, op in OPS.items() if op.write} \
+        == {"add_many", "remove_many", "compact"}
+    assert "hello" not in OPS       # frame-level, see _serve_frame
+
+
+def test_every_op_has_exactly_one_handler():
+    assert KGServer._HANDLERS.keys() == OPS.keys()
+
+
+def test_every_declared_field_rejects_missing_and_wrong_types(server,
+                                                              server_codec):
+    """The malformed-request matrix, generated from ``protocol.OPS``:
+    every op x every declared field, once missing (when required) and
+    once per palette value its decoder refuses — each a ProtocolError
+    naming the field and echoing the id, on a connection that then
+    still answers ``ping``."""
+    binary = server_codec == "auto"
+    cases = []
+    for name, op in OPS.items():
+        well_formed = {field: _WELL_FORMED[field] for field in op.fields}
+        for field, spec in op.fields.items():
+            assert not _rejects(spec, well_formed[field]), (name, field)
+            refused = [value for value in _PALETTE if _rejects(spec, value)]
+            # No decoder waves a whole palette through: each is one JSON
+            # type, so at most one palette value is well-formed.
+            assert len(refused) >= len(_PALETTE) - 1, (name, field)
+            for value in refused:
+                cases.append((field, {"op": name, **well_formed,
+                                      field: value}))
+            if spec.default is REQUIRED:
+                broken = dict(well_formed)
+                del broken[field]
+                cases.append((field, {"op": name, **broken}))
+    assert len(cases) > 150
+    with _raw_connection(server) as sock:
+        if binary:
+            assert _hello(sock, ["binary"])["result"]["codec"] == "binary"
+        for request_id, (field, message) in enumerate(cases):
+            response = _exchange(sock, {**message, "id": request_id}, binary)
+            assert response["ok"] is False, message
+            assert response["id"] == request_id
+            assert response["error"]["type"] == "ProtocolError", message
+            assert field in response["error"]["message"], message
+            pong = _exchange(sock, {"op": "ping", "id": "p"}, binary)
+            assert pong == {"id": "p", "ok": True, "result": "pong"}
+    _assert_serviceable(server)
+
+
+def test_every_write_op_is_refused_on_a_replica(server, server_codec):
+    """The replica gate reads ``Op.write`` — and runs before field
+    decoding, so even a field-less write gets the redirect."""
+    binary = server_codec == "auto"
+    writes = [name for name, op in OPS.items() if op.write]
+    follower = TripleStore(triples_from_tuples(_rows()[:3]))
+    with KGServer(follower, port=0, codec=server_codec,
+                  follow=server.url).start() as replica:
+        with _raw_connection(replica) as sock:
+            if binary:
+                assert _hello(sock, ["binary"])["result"]["codec"] == "binary"
+            for request_id, name in enumerate(writes):
+                response = _exchange(sock, {"op": name, "id": request_id},
+                                     binary)
+                assert response["ok"] is False and response["id"] == request_id
+                assert response["error"]["type"] == "ProtocolError"
+                assert "read-only replica" in response["error"]["message"]
+            assert _exchange(sock, {"op": "len", "id": 9},
+                             binary)["result"] == 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(query=query_strategy(),
+       limit=st.one_of(st.none(), st.integers(1, 1000)))
+def test_wire_query_round_trips(query, limit):
+    query = dataclasses.replace(query, limit=limit)
+    assert decode_wire_query(encode_wire_query(query)) == query
+    assert decode_wire_query(
+        json.loads(json.dumps(encode_wire_query(query)))) == query
+
+
 def test_missing_and_malformed_fields_are_typed_errors(server):
+    """The hand-written cases the generated matrix cannot reach: shapes
+    nested inside a field, truthy wrong types, and undeclared fields."""
+    good_query = {"patterns": [["?p", "brandIs", "?b"]]}
     cases = [
-        {"op": "execute", "id": 1},                          # no query
-        {"op": "execute", "id": 2, "query": "nope"},         # query not object
-        {"op": "execute", "id": 3, "query": {}},             # no patterns
         {"op": "execute", "id": 4,
          "query": {"patterns": [["a", "b"]]}},               # 2-term pattern
         {"op": "execute", "id": 5,
          "query": {"patterns": [["a", "b", "c"]], "limit": "many"}},
         {"op": "match", "id": 6, "pattern": [1, 2, 3]},      # non-string terms
         {"op": "match", "id": 7, "pattern": ["a", "b"]},     # 2-term pattern
-        {"op": "fetch", "id": 8},                            # no cursor
-        {"op": "fetch", "id": 9, "cursor": "x", "max_rows": True},
         {"op": None, "id": 10},                              # no op at all
+        {"op": ["ping"], "id": 14},                          # unhashable op
+        # Undeclared fields are refused, never served with defaults: a
+        # typo must not silently change the answer.
+        {"op": "match", "id": 15, "pattern": [None, None, None],
+         "extra": 1},
+        {"op": "execute", "id": 16, "reoder": False, "query": good_query},
+        {"op": "execute", "id": 17, "query": {**good_query, "limt": 5}},
+        {"op": "ping", "id": 18, "payload": "x"},
+        # One integer rule everywhere: a boolean is not a limit.
+        {"op": "execute", "id": 19, "query": {**good_query, "limit": True}},
+        {"op": "execute_many", "id": 20,
+         "queries": [good_query, {**good_query, "select": "?p"}]},
+        {"op": "match_ids_many", "id": 21, "patterns": [[0, "brandIs", 1]]},
+        {"op": "match_ids_many", "id": 22, "patterns": [[True, None, None]]},
         # 'reorder' is a boolean or absent: a truthy string/array must
         # not silently mean True.
         {"op": "execute", "id": 11, "reorder": "false",
