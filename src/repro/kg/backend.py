@@ -27,10 +27,11 @@ mutation burst.
 Backends answer the same string-level query surface, and the columnar
 backend additionally exposes an integer-id surface (``id_triples``,
 ``match_ids``, the interners) that the sampling and embedding layers use
-to stay in ID-array land end-to-end.  The id surface describes one flat,
-fully indexed column block, so touching it first folds any pending
-overlay back into the base (a single consolidation, amortized across the
-read-heavy phases that use it).
+to stay in ID-array land end-to-end.  Queries — string *and* id — merge
+the overlay and never consolidate below ``delta_threshold``; only the
+flat surface (``id_triples``, ``match_id_rows``, the sort ranks,
+``save``) describes one consolidated column block and folds a pending
+overlay back into the base first.
 
 :class:`~repro.kg.mmap_backend.MmapBackend` (``repro.kg.mmap_backend``)
 extends the columnar design with an on-disk, memory-mapped base block
@@ -486,21 +487,8 @@ class ColumnarBackend(_BatchedQueriesMixin):
             # binary searches and fall back to the dirty flag (O(1) adds,
             # the bulk-load fast path).
             self._dirty = True
-            self._delta_add.clear()
-            self._delta_block = None
-            self._deleted_mask = None
-            self._num_deleted = 0
             return True
-        base_row = self._find_base_row(key)
-        if base_row is not None and self._deleted_mask is not None \
-                and self._deleted_mask[base_row]:
-            # Re-adding a base row that was overlay-deleted: resurrect it
-            # in place instead of growing the delta.
-            self._deleted_mask[base_row] = False
-            self._num_deleted -= 1
-        else:
-            self._delta_add[key] = None
-            self._delta_block = None
+        self._overlay_add(key)
         return True
 
     def discard(self, head: str, relation: str, tail: str) -> bool:
@@ -508,20 +496,8 @@ class ColumnarBackend(_BatchedQueriesMixin):
         if key is None or key not in self._rows:
             return False
         del self._rows[key]
-        if self._dirty:
-            return True
-        if key in self._delta_add:
-            del self._delta_add[key]
-            self._delta_block = None
-            return True
-        base_row = self._find_base_row(key)
-        if base_row is None:  # pragma: no cover - _rows and base agree
-            self._dirty = True
-            return True
-        if self._deleted_mask is None:
-            self._deleted_mask = np.zeros(len(self._cols), dtype=bool)
-        self._deleted_mask[base_row] = True
-        self._num_deleted += 1
+        if not self._dirty and not self._overlay_discard(key):
+            self._dirty = True  # pragma: no cover - _rows and base agree
         return True
 
     def _key_of(self, head: str, relation: str,
@@ -607,6 +583,40 @@ class ColumnarBackend(_BatchedQueriesMixin):
         rows = self._subrange(rows, 2, tail_id)
         return int(rows[0]) if len(rows) else None
 
+    def _overlay_add(self, key: Tuple[int, int, int]) -> bool:
+        """Make id row ``key`` live through the overlay; False if it already is."""
+        if key in self._delta_add:
+            return False
+        base_row = self._find_base_row(key)
+        if base_row is None:
+            self._delta_add[key] = None
+            self._delta_block = None
+            return True
+        if self._deleted_mask is None or not self._deleted_mask[base_row]:
+            return False
+        # Re-adding an overlay-deleted base row: resurrect it in place
+        # instead of growing the delta.
+        self._deleted_mask[base_row] = False
+        self._num_deleted -= 1
+        return True
+
+    def _overlay_discard(self, key: Tuple[int, int, int]) -> bool:
+        """Remove id row ``key`` through the overlay; False if it is not live."""
+        if key in self._delta_add:
+            del self._delta_add[key]
+            self._delta_block = None
+            return True
+        base_row = self._find_base_row(key)
+        if base_row is None:
+            return False
+        if self._deleted_mask is None:
+            self._deleted_mask = np.zeros(len(self._cols), dtype=bool)
+        elif self._deleted_mask[base_row]:
+            return False
+        self._deleted_mask[base_row] = True
+        self._num_deleted += 1
+        return True
+
     def _delta_cols(self) -> np.ndarray:
         """The overlay's added rows as a (d, 3) block sorted by (h, r, t)."""
         if self._delta_block is None:
@@ -621,47 +631,44 @@ class ColumnarBackend(_BatchedQueriesMixin):
             self._delta_block = block
         return self._delta_block
 
-    def _live_base_rows(self, head_id: Optional[int], relation_id: Optional[int],
-                        tail_id: Optional[int]) -> np.ndarray:
-        """Base rows matching an id pattern, minus overlay-deleted rows."""
-        rows = self._base_match_rows(head_id, relation_id, tail_id)
-        if self._num_deleted:
-            rows = rows[~self._deleted_mask[rows]]
-        return rows
-
     def _delta_match(self, head_id: Optional[int], relation_id: Optional[int],
                      tail_id: Optional[int]) -> np.ndarray:
         """Overlay-added rows matching an id pattern (vectorized scan)."""
         delta = self._delta_cols()
-        if not len(delta):
-            return delta
-        mask = np.ones(len(delta), dtype=bool)
-        if head_id is not None:
-            mask &= delta[:, 0] == head_id
-        if relation_id is not None:
-            mask &= delta[:, 1] == relation_id
-        if tail_id is not None:
-            mask &= delta[:, 2] == tail_id
-        return delta[mask]
+        for column, value in enumerate((head_id, relation_id, tail_id)):
+            if value is not None and len(delta):
+                delta = delta[delta[:, column] == value]
+        return delta
 
     def _merged_ids(self, head_id: Optional[int] = None,
                     relation_id: Optional[int] = None,
                     tail_id: Optional[int] = None) -> np.ndarray:
         """The (k, 3) id triples matching a pattern, overlay included."""
         self._ensure_base()
-        base = self._cols[self._live_base_rows(head_id, relation_id, tail_id)]
+        return self._merged_block(head_id, relation_id, tail_id)
+
+    def _merged_block(self, head_id: Optional[int], relation_id: Optional[int],
+                      tail_id: Optional[int]) -> np.ndarray:
+        """:meth:`_merged_ids` once the caller has run :meth:`_ensure_base`."""
+        rows = self._base_match_rows(head_id, relation_id, tail_id)
+        if self._num_deleted:
+            rows = rows[~self._deleted_mask[rows]]
+        base = self._cols[rows]
+        if not self._delta_add:
+            return base
         delta = self._delta_match(head_id, relation_id, tail_id)
         if not len(delta):
             return base
-        if not len(base):
-            return delta
-        return np.concatenate((base, delta))
+        return np.concatenate((base, delta)) if len(base) else delta
 
     def _merged_count(self, head_id: Optional[int], relation_id: Optional[int],
                       tail_id: Optional[int]) -> int:
         self._ensure_base()
-        return int(len(self._live_base_rows(head_id, relation_id, tail_id))
-                   + len(self._delta_match(head_id, relation_id, tail_id)))
+        rows = self._base_match_rows(head_id, relation_id, tail_id)
+        count = len(rows) - (self._deleted_mask[rows].sum() if self._num_deleted else 0)
+        if self._delta_add:
+            count += len(self._delta_match(head_id, relation_id, tail_id))
+        return int(count)
 
     # ------------------------------------------------------------------ #
     # id-level query surface
@@ -721,9 +728,8 @@ class ColumnarBackend(_BatchedQueriesMixin):
     def match_ids(self, head_id: Optional[int] = None,
                   relation_id: Optional[int] = None,
                   tail_id: Optional[int] = None) -> np.ndarray:
-        """The (k, 3) id triples matching an id pattern."""
-        self._ensure_index()
-        return self._cols[self.match_id_rows(head_id, relation_id, tail_id)]
+        """The (k, 3) id triples matching an id pattern, overlay included."""
+        return self._merged_ids(head_id, relation_id, tail_id)
 
     def match_ids_many(self, patterns: Sequence[IdPattern]) -> List[np.ndarray]:
         """One (k, 3) id block per id pattern.
@@ -732,16 +738,15 @@ class ColumnarBackend(_BatchedQueriesMixin):
         sharded backend overrides it to route head-bound patterns to
         their owner shard and fan the rest out across shards.
         """
-        self._ensure_index()
-        return [self._cols[self._base_match_rows(head_id, relation_id, tail_id)]
-                for head_id, relation_id, tail_id in patterns]
+        self._ensure_base()
+        merged = self._merged_block
+        return [merged(*pattern) for pattern in patterns]
 
     def count_ids(self, head_id: Optional[int] = None,
                   relation_id: Optional[int] = None,
                   tail_id: Optional[int] = None) -> int:
         """Number of triples matching an id pattern (no materialization)."""
-        self._ensure_index()
-        return int(len(self._base_match_rows(head_id, relation_id, tail_id)))
+        return self._merged_count(head_id, relation_id, tail_id)
 
     def entity_sort_rank(self) -> np.ndarray:
         """Rank of each entity id in lexicographic symbol order.

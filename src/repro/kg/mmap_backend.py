@@ -28,8 +28,9 @@ a read-only memmap instead of in-heap arrays, membership tests are
 binary searches on the ``spo`` permutation instead of a Python dict, and
 mutations land in the same in-memory delta overlay the columnar backend
 uses (so an opened store stays fully mutable).  When the overlay
-outgrows ``delta_threshold`` — or a caller touches the flat id surface —
-the live base rows and the overlay are consolidated into in-heap arrays;
+outgrows ``delta_threshold`` — or a caller touches the flat surface
+(``id_triples``, ``match_id_rows``, the sort ranks, ``save``) — the
+live base rows and the overlay are consolidated into in-heap arrays;
 :meth:`save` writes that consolidated state back to disk.
 
 ``MmapBackend()`` without a directory starts empty (an overlay over a
@@ -430,38 +431,14 @@ class MmapBackend(ColumnarBackend):
                self.relation_interner.intern(relation),
                self.entity_interner.intern(tail))
         self._ensure_attached()
-        if key in self._delta_add:
-            return False
-        base_row = self._find_base_row(key)
-        if base_row is not None:
-            if self._deleted_mask is not None and self._deleted_mask[base_row]:
-                self._deleted_mask[base_row] = False
-                self._num_deleted -= 1
-                return True
-            return False
-        self._delta_add[key] = None
-        self._delta_block = None
-        return True
+        return self._overlay_add(key)
 
     def discard(self, head: str, relation: str, tail: str) -> bool:
         key = self._key_of(head, relation, tail)
         if key is None:
             return False
         self._ensure_attached()
-        if key in self._delta_add:
-            del self._delta_add[key]
-            self._delta_block = None
-            return True
-        base_row = self._find_base_row(key)
-        if base_row is None:
-            return False
-        if self._deleted_mask is None:
-            self._deleted_mask = np.zeros(len(self._cols), dtype=bool)
-        if self._deleted_mask[base_row]:
-            return False
-        self._deleted_mask[base_row] = True
-        self._num_deleted += 1
-        return True
+        return self._overlay_discard(key)
 
     def contains(self, head: str, relation: str, tail: str) -> bool:
         key = self._key_of(head, relation, tail)
@@ -503,24 +480,35 @@ class MmapBackend(ColumnarBackend):
     def bulk_load_ids(self, rows: np.ndarray) -> int:
         """Merge a (k, 3) int64 block of already-interned id triples.
 
-        One consolidation replaces k individual ``add`` calls: the live
-        base rows, any overlay adds and the new block are concatenated,
-        sorted and deduplicated with pure numpy (all of which release the
-        GIL — this is the per-shard unit of work the sharded backend fans
-        out over a thread pool), then installed as the new base.  Returns
-        the number of rows that were actually new.  Ids must come from
-        this backend's interners; callers (``ShardedBackend.add_many``)
-        intern before partitioning.
+        A block that fits under ``delta_threshold`` together with the
+        current overlay (:meth:`fits_overlay`) goes row by row through
+        the overlay, O(k · log n).  Any other block — and every block
+        onto an empty base: initial build, ``shard_split`` — is one
+        consolidation: the live base rows, any overlay adds and the new
+        block are concatenated, sorted and deduplicated with pure numpy
+        (all of which release the GIL — this is the per-shard unit of
+        work the sharded backend fans out over a thread pool), then
+        installed as the new base.  Returns the number of rows that were
+        actually new.  Ids must come from this backend's interners;
+        callers (``ShardedBackend.add_many``) intern before partitioning.
         """
         rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 3)
         if not len(rows):
             return 0
+        if self.fits_overlay(len(rows)):
+            return sum(map(self._overlay_add, map(tuple, rows.tolist())))
         before = len(self)
-        self._ensure_attached()
         existing = self._rebuild_source()
         combined = np.concatenate((existing, rows)) if len(existing) else rows
         self._install_cols(_unique_rows(combined))
         return len(self) - before
+
+    def fits_overlay(self, num_rows: int) -> bool:
+        """Whether :meth:`bulk_load_ids` takes ``num_rows`` without consolidating."""
+        self._ensure_attached()
+        return not num_rows or (
+            len(self._cols) > 0
+            and self._overlay_size() + num_rows <= self.delta_threshold)
 
     # ------------------------------------------------------------------ #
     # persistence

@@ -37,8 +37,9 @@ Bulk operations — :meth:`ShardedBackend.add_many`, :meth:`save`,
 a ``concurrent.futures`` thread pool.  The per-shard units are dominated
 by numpy sorting/searching and file I/O, which release the GIL, so
 threads scale with cores without any pickling.  Single-pattern queries
-stay serial: thread dispatch would cost more than the array slice it
-hides.
+and small ``add_many`` batches (applied through the shards' overlays,
+GIL-bound Python) stay serial: thread dispatch would cost more than the
+work it hides.
 
 Persistence layout
 ------------------
@@ -274,13 +275,15 @@ class ShardedBackend(_BatchedQueriesMixin):
         return self._shards[self._shard_index(head_id)].add(head, relation, tail)
 
     def add_many(self, triples: Iterable[Triple]) -> int:
-        """Bulk load: intern once, partition by head id, load shards in parallel.
+        """Bulk load: intern once, partition by head id, load every shard.
 
         The serial prefix (string interning — dict lookups assigning ids
         in first-appearance order, exactly like an ``add`` loop) is
-        unavoidable Python; the per-shard merge + sort + index build is
-        numpy and runs threaded.  Returns the number of triples that
-        were actually new.
+        unavoidable Python.  Per shard, a block that fits the overlay is
+        applied inline in O(block · log n); any other block is a numpy
+        merge + sort + index build and runs threaded (see
+        :meth:`MmapBackend.bulk_load_ids`).  Returns the number of
+        triples that were actually new.
         """
         intern_entity = self.entity_interner.intern
         intern_relation = self.relation_interner.intern
@@ -300,12 +303,14 @@ class ShardedBackend(_BatchedQueriesMixin):
         if not len(rows):
             return 0
         shard_ids = shard_of_ids(rows[:, 0], self.n_shards)
-        thunks = [
-            (lambda shard=shard, block=rows[shard_ids == index]:
-             shard.bulk_load_ids(block))
-            for index, shard in enumerate(self._shards)
-        ]
-        return sum(self._parallel(thunks))
+        blocks = [rows[shard_ids == index] for index in range(self.n_shards)]
+        thunks = [(lambda shard=shard, block=block: shard.bulk_load_ids(block))
+                  for shard, block in zip(self._shards, blocks)]
+        # Overlay applies are GIL-bound Python: the pool only pays off for
+        # blocks that take the numpy merge + sort.
+        return sum(self._parallel(thunks, parallel=not all(
+            shard.fits_overlay(len(block))
+            for shard, block in zip(self._shards, blocks))))
 
     def discard(self, head: str, relation: str, tail: str) -> bool:
         shard = self._route(head)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.kg.backend import ColumnarBackend, Interner, SetBackend, make_backend
@@ -240,6 +240,190 @@ def test_columnar_id_surface_consistent():
     rank = backend.entity_sort_rank()
     symbols = backend.entity_interner.symbols()
     assert [symbols[i] for i in np.argsort(rank)] == sorted(symbols)
+
+
+# --------------------------------------------------------------------------- #
+# small live writes: O(batch) through the overlay, reads merge it
+# --------------------------------------------------------------------------- #
+#: Small enough that a short script crosses it, large enough that most
+#: steps stay on the overlay.
+LIVE_THRESHOLD = 12
+LIVE_KINDS = ["columnar", "mmap", "mmap-reopened", "sharded-1", "sharded-2"]
+
+
+def _live_backend(kind, base, directory):
+    """A ``kind`` backend whose *base block* holds ``base``, overlay empty."""
+    if kind == "columnar":
+        backend = ColumnarBackend(delta_threshold=LIVE_THRESHOLD)
+    elif kind.startswith("mmap"):
+        backend = MmapBackend(delta_threshold=LIVE_THRESHOLD)
+    else:
+        backend = ShardedBackend(int(kind[-1]), delta_threshold=LIVE_THRESHOLD)
+    backend.add_many(triples_from_tuples(base))
+    if kind == "mmap-reopened":
+        backend = MmapBackend.open(backend.save(directory / "store"),
+                                   delta_threshold=LIVE_THRESHOLD)
+    for leaf in _leaves(backend):
+        leaf.id_triples()            # fold the initial load into the base
+    return backend
+
+
+def _leaves(backend):
+    return backend._shards if isinstance(backend, ShardedBackend) else [backend]
+
+
+def _rebuilds(backend):
+    return sum(leaf.rebuild_count for leaf in _leaves(backend))
+
+
+def _overlay(backend):
+    return sum(leaf._overlay_size() for leaf in _leaves(backend))
+
+
+def _id_pattern(backend, pattern):
+    """Ids of a string pattern; an unknown constant probes past every table."""
+    head, relation, tail = pattern
+    entity, rel = backend.entity_interner, backend.relation_interner
+
+    def resolve(interner, symbol):
+        if symbol is None:
+            return None
+        known = interner.lookup(symbol)
+        return len(interner) + 3 if known is None else known
+
+    return resolve(entity, head), resolve(rel, relation), resolve(entity, tail)
+
+
+def _rows_of(backend, block):
+    entity = backend.entity_interner.symbol_table()
+    relation = backend.relation_interner.symbol_table()
+    return sorted((entity[h], relation[r], entity[t]) for h, r, t in block.tolist())
+
+
+def _assert_reads_agree(backend, oracle, probe):
+    """Every wildcard view of ``probe`` reads the oracle's rows, on both surfaces."""
+    patterns = list(_pattern_views(*probe))
+    id_patterns = [_id_pattern(backend, pattern) for pattern in patterns]
+    blocks = backend.match_ids_many(id_patterns)
+    for pattern, id_pattern, block in zip(patterns, id_patterns, blocks):
+        expected = sorted(row for row in oracle
+                          if all(want is None or want == got
+                                 for want, got in zip(pattern, row)))
+        assert _rows_of(backend, block) == expected
+        assert _rows_of(backend, backend.match_ids(*id_pattern)) == expected
+        assert backend.count_ids(*id_pattern) == len(expected)
+        assert backend.count(*pattern) == len(expected)
+        assert [tuple(t) for t in backend.match(*pattern, sort=True)] == expected
+
+
+_early = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+#: Symbols no base ever holds: their ids lie beyond the base's CSR offsets.
+_late = st.sampled_from(["a", "b", "c", "d", "e", "f", "late1", "late2"])
+_base_rows = st.lists(st.tuples(_early, st.sampled_from(["r1", "r2"]), _early),
+                      min_size=8, max_size=24)
+_live_step = st.tuples(
+    st.sampled_from(["add", "add", "remove"]),
+    st.lists(st.tuples(_late, st.sampled_from(["r1", "r2", "r-late"]), _late),
+             min_size=1, max_size=5))
+
+
+@pytest.mark.parametrize("kind", LIVE_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(base=_base_rows, steps=st.lists(_live_step, max_size=20))
+def test_small_writes_stay_on_the_overlay(tmp_path_factory, kind, base, steps):
+    """Property: small ``add_many`` / ``discard_many`` batches and the id and
+    string reads between them agree with a plain set, and the base is only
+    rebuilt when the overlay outgrows ``delta_threshold``."""
+    backend = _live_backend(kind, base, tmp_path_factory.mktemp("live"))
+    assume(all(len(leaf.id_triples()) for leaf in _leaves(backend)))
+    oracle = set(base)
+    for action, batch in steps:
+        before = [(leaf.rebuild_count, leaf._overlay_size())
+                  for leaf in _leaves(backend)]
+        held = backend.match_ids(None, None, None)
+        held_rows = held.copy()
+        triples = triples_from_tuples(batch)
+        if action == "add":
+            assert backend.add_many(triples) == len(set(batch) - oracle)
+            oracle |= set(batch)
+        else:
+            assert backend.discard_many(triples) == len(set(batch) & oracle)
+            oracle -= set(batch)
+        np.testing.assert_array_equal(held, held_rows)   # no aliasing
+        assert len(backend) == len(oracle)
+        _assert_reads_agree(backend, oracle, batch[0])
+        for leaf, (rebuilds, overlay) in zip(_leaves(backend), before):
+            moved = leaf.rebuild_count - rebuilds
+            assert moved in (0, 1)
+            if overlay + len(batch) <= LIVE_THRESHOLD:
+                assert moved == 0
+            assert leaf._overlay_size() <= LIVE_THRESHOLD
+            if moved:
+                assert leaf._overlay_size() == 0
+    assert _rows_of(backend, backend.match_ids(None, None, None)) == sorted(oracle)
+    assert sorted(tuple(t) for t in backend.iter_triples()) == sorted(oracle)
+
+
+@pytest.mark.parametrize("kind", LIVE_KINDS)
+def test_small_write_edge_cases(tmp_path, kind):
+    base = [("hub", "r", f"t{index}") for index in range(6)] \
+        + [(f"h{index}", "r", "hub") for index in range(10)]
+    backend = _live_backend(kind, base, tmp_path)
+    assert all(len(leaf.id_triples()) for leaf in _leaves(backend))
+    oracle = set(base)
+    start = _rebuilds(backend)
+
+    def added():
+        return sum(len(leaf._delta_add) for leaf in _leaves(backend))
+
+    def write(action, batch):
+        count = getattr(backend, action)(triples_from_tuples(batch))
+        (oracle.update if action == "add_many" else oracle.difference_update)(batch)
+        _assert_reads_agree(backend, oracle, batch[0])
+        return count
+
+    # duplicate rows inside one batch count (and land in the delta) once
+    twin = ("hub", "r", "twin")
+    assert write("add_many", [twin, ("h0", "r", "hub"), twin]) == 1
+    assert added() == 1
+    # add-then-remove inside the overlay leaves nothing behind
+    assert write("discard_many", [twin, twin]) == 1
+    assert _overlay(backend) == 0
+    # re-adding an overlay-deleted base row resurrects it: the delta does not grow
+    victim = ("hub", "r", "t3")
+    assert write("discard_many", [victim]) == 1
+    assert (_overlay(backend), added()) == (1, 0)
+    assert write("add_many", [victim]) == 1
+    assert (_overlay(backend), added()) == (0, 0)
+    # ids interned after the base was built lie beyond its CSR offsets
+    late = ("late-head", "late-relation", "late-tail")
+    assert write("add_many", [late]) == 1
+    late_head = backend.entity_interner.lookup("late-head")
+    for leaf in _leaves(backend):
+        assert late_head >= len(leaf._head_offsets) - 1
+        assert backend.relation_interner.lookup("late-relation") \
+            >= len(leaf._rel_offsets) - 1
+    assert _rows_of(backend, backend.match_ids(late_head)) == [late]
+    # a block handed out before a write is not touched by it
+    hub = backend.entity_interner.lookup("hub")
+    held = backend.match_ids(hub)
+    held_rows = held.copy()
+    write("add_many", [("hub", "r", "after")])
+    write("discard_many", [("hub", "r", "t0")])
+    np.testing.assert_array_equal(held, held_rows)
+    assert _rebuilds(backend) == start
+    # crossing delta_threshold consolidates exactly once (all rows share one
+    # head, so on sharded-2 they fill a single shard's overlay)
+    overlay = _overlay(backend)
+    for step in range(4):
+        batch = [("hub", "r", f"new{step}-{index}") for index in range(4)]
+        assert write("add_many", batch) == 4
+        overlay += 4
+        assert _rebuilds(backend) == start + (overlay > LIVE_THRESHOLD)
+        if overlay > LIVE_THRESHOLD:
+            break
+    assert _rebuilds(backend) == start + 1
+    assert _rows_of(backend, backend.match_ids(None, None, None)) == sorted(oracle)
 
 
 # --------------------------------------------------------------------------- #

@@ -140,6 +140,35 @@ def test_add_many_rejects_empty_components():
         backend.add_many(bad)
 
 
+def test_small_add_many_applies_inline_and_bulk_blocks_keep_the_pool(monkeypatch):
+    """Overlay applies are GIL-bound Python: no thread pool per small write."""
+    from repro.kg import sharded_backend as module
+
+    pools = []
+
+    class SpyPool(module.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(module, "ThreadPoolExecutor", SpyPool)
+    backend = ShardedBackend(4, delta_threshold=64, max_workers=4)
+    backend.add_many(triples_from_tuples(
+        [(f"p{index}", "brandIs", "b") for index in range(200)]))
+    assert len(pools) == 1                       # the initial bulk load
+    rebuilds = [shard.rebuild_count for shard in backend._shards]
+    assert all(len(shard) for shard in backend._shards)
+    for step in range(4):
+        assert backend.add_many(triples_from_tuples(
+            [(f"new{step}-{index}", "brandIs", "b") for index in range(16)])) == 16
+    assert len(pools) == 1
+    assert [shard.rebuild_count for shard in backend._shards] == rebuilds
+    backend.add_many(triples_from_tuples(
+        [(f"bulk{index}", "brandIs", "b") for index in range(400)]))
+    assert len(pools) == 2                       # does not fit the overlay
+    assert len(backend) == 200 + 64 + 400
+
+
 def test_batched_queries_merge_across_shards():
     rows = [(f"p{index}", "brandIs", f"b{index % 3}") for index in range(30)] \
         + [(f"p{index}", "placeOf", "cn") for index in range(30)]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -133,6 +134,15 @@ def _header_size(wal_path: Path) -> int:
         empty = Path(scratch) / "empty.log"
         WriteAheadLog.create(empty, generation=0, fsync=False).close()
         return scan_wal(empty).valid_bytes
+
+
+def _wait_until(predicate, timeout=5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return False
 
 
 def _assert_recovers(directory: Path, expected: List[Triple]) -> None:
@@ -489,18 +499,8 @@ def test_follower_over_torn_leader_tail_applies_exact_prefix(tmp_path):
     """End-to-end follower proof: a replica bootstrapped over the wire
     from a leader that restarted on a torn WAL converges on exactly the
     recovered prefix, then keeps following post-recovery writes."""
-    import time as _time
-
     from repro.kg.client import connect
     from repro.kg.server import KGServer, bootstrap_replica
-
-    def _wait_until(predicate, timeout=5.0):
-        deadline = _time.monotonic() + timeout
-        while _time.monotonic() < deadline:
-            if predicate():
-                return True
-            _time.sleep(0.02)
-        return False
 
     script: Script = [
         (OP_ADD, [("e3", "r0", "e4"), ("e4", "r0", "e5")]),
@@ -532,6 +532,76 @@ def test_follower_over_torn_leader_tail_applies_exact_prefix(tmp_path):
                 assert _wait_until(
                     lambda: reader.call("count",
                                         pattern=["e5", "r1", "e5"]) == 1)
+        finally:
+            replica.close()
+    finally:
+        leader.close()
+
+
+# --------------------------------------------------------------------- #
+# small acked writes are O(batch): no consolidation on the serving path
+# --------------------------------------------------------------------- #
+def test_small_acked_batches_never_rebuild_the_serving_store(base, tmp_path):
+    """200 acked 16-row batches through the service with id reads between
+    them: no shard backend — the leader's or a follower's — consolidates
+    (the overlay stays far below ``delta_threshold``), and a kill-style
+    reopen and the follower both converge on the online state bit for bit."""
+    from repro.kg.server import KGServer, bootstrap_replica
+
+    def leaves(server):
+        backend = server.service.store.backend
+        return getattr(backend, "_shards", [backend])
+
+    seed = [Triple(f"s{index}", "r0", ENTITIES[index % 6]) for index in range(48)]
+    directory = tmp_path / "leader"
+    TripleStore(seed, backend=_make_backend(base)).save_live(directory,
+                                                             fsync=False)
+    leader = KGServer(TripleStore.open(directory, wal_fsync=False),
+                      port=0).start()
+    try:
+        bootstrap_replica(tmp_path / "replica", leader.url)
+        replica = KGServer.open(tmp_path / "replica", port=0,
+                                follow=leader.url,
+                                follow_poll_interval=0.01).start()
+        try:
+            service = leader.service
+            service.lookup_many([("s0", None, None)])   # attach the base
+            rebuilds = [[leaf.rebuild_count for leaf in leaves(server)]
+                        for server in (leader, replica)]
+            model = set(seed)
+            added: List[Triple] = []
+            for index in range(200):
+                if index % 2 == 0:
+                    added = [Triple(f"w{index}:{i}", "r1", ENTITIES[i % 6])
+                             for i in range(16)]
+                    assert service.add_many(added) == 16
+                    model.update(added)
+                    probe = added[0]
+                else:
+                    # Mostly undo the previous add (the overlay shrinks);
+                    # three times delete snapshot rows instead, so adds
+                    # and base deletions both stay in the overlay.
+                    batch = seed[2 * index - 14:2 * index + 2] \
+                        if index in (7, 15, 23) else added
+                    assert service.remove_many(batch) == 16
+                    model.difference_update(batch)
+                    probe = batch[0]
+                by_head, by_tail = service.lookup_many(
+                    [(probe.head, None, None), (None, "r1", "e0")])
+                assert sorted(by_head) == sorted(
+                    t for t in model if t.head == probe.head)
+                assert sorted(by_tail) == sorted(
+                    t for t in model if t.relation == "r1" and t.tail == "e0")
+            online = sorted(service.store)
+            assert online == sorted(model)
+            assert [leaf.rebuild_count for leaf in leaves(leader)] == rebuilds[0]
+            shutil.copytree(directory, tmp_path / "killed")   # kill -9 now
+            _assert_recovers(tmp_path / "killed", online)
+            assert _wait_until(lambda: replica._replication_snapshot()
+                               ["applied_seq"] == 200)
+            assert sorted(replica.service.lookup_many(
+                [(None, None, None)])[0]) == online
+            assert [leaf.rebuild_count for leaf in leaves(replica)] == rebuilds[1]
         finally:
             replica.close()
     finally:
