@@ -24,14 +24,16 @@ mutate-then-query loops (the dedup stage's
 O(overlay) per query instead of one full O(n log n) rebuild per
 mutation burst.
 
-Backends answer the same string-level query surface, and the columnar
-backend additionally exposes an integer-id surface (``id_triples``,
-``match_ids``, the interners) that the sampling and embedding layers use
-to stay in ID-array land end-to-end.  Queries — string *and* id — merge
-the overlay and never consolidate below ``delta_threshold``; only the
-flat surface (``id_triples``, ``match_id_rows``, the sort ranks,
-``save``) describes one consolidated column block and folds a pending
-overlay back into the base first.
+Backends answer the same string-level query surface.  For the
+id-capable family the **id surface is the contract**: a backend
+implements ``match_ids`` / ``count_ids``, membership, the interner pair
+and two per-id count vectors, and inherits every string-level query from
+:class:`_IdSurfaceMixin`, which resolves a pattern's constants once
+against the interners and takes the id route.  Queries — string *and*
+id — merge the overlay and never consolidate below ``delta_threshold``;
+only the flat surface (``id_triples``, ``match_id_rows``, the sort
+ranks, ``save``) describes one consolidated column block and folds a
+pending overlay back into the base first.
 
 :class:`~repro.kg.mmap_backend.MmapBackend` (``repro.kg.mmap_backend``)
 extends the columnar design with an on-disk, memory-mapped base block
@@ -40,7 +42,8 @@ the name ``"mmap"``.  :class:`~repro.kg.sharded_backend.ShardedBackend`
 (``repro.kg.sharded_backend``, registered as ``"sharded"``) hash-
 partitions triples on the head-entity id across several columnar-family
 shards that share one global interner pair, parallelizing bulk loads,
-saves/opens and batched queries across cores.
+saves/opens and batched queries across cores; it routes the id surface
+over global ids and inherits the same string surface.
 """
 
 from __future__ import annotations
@@ -218,6 +221,58 @@ def supports_id_queries(backend: object) -> bool:
     return isinstance(backend, IdQueryBackend)
 
 
+def empty_id_block() -> np.ndarray:
+    """A fresh zero-row ``(0, 3)`` int64 id block."""
+    return np.zeros((0, 3), dtype=np.int64)
+
+
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Deduplicate a (n, k) id block; rows come back sorted column-major
+    (for a triple block: by (head, relation, tail))."""
+    if len(rows) <= 1:
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.empty(len(rows), dtype=bool)
+    keep[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+    return rows[keep]
+
+
+def _sort_rank(interner: Interner) -> np.ndarray:
+    """``rank[id]`` = position of the id's symbol in ``sorted(symbols)``."""
+    symbols = interner.symbols()
+    order = sorted(range(len(symbols)), key=symbols.__getitem__)
+    rank = np.empty(len(symbols), dtype=np.int64)
+    rank[np.asarray(order, dtype=np.int64)] = np.arange(len(symbols), dtype=np.int64)
+    return rank
+
+
+def intern_id_rows(triples: Iterable[Triple], entity_interner: Interner,
+                   relation_interner: Interner) -> np.ndarray:
+    """Intern a batch of triples into a (k, 3) int64 id block.
+
+    Ids are assigned in first-appearance order, exactly like an ``add``
+    loop; an empty component raises ``ValueError`` like ``add`` does.
+    The batch write paths of the sharded family use this — the per-triple
+    ``add`` of the columnar backends keeps its plain-Python interning.
+    """
+    intern_entity = entity_interner.intern
+    intern_relation = relation_interner.intern
+
+    def components() -> Iterator[int]:
+        for triple in triples:
+            head, relation, tail = triple.head, triple.relation, triple.tail
+            if not (head and relation and tail):
+                raise ValueError(
+                    f"triple components must be non-empty, got "
+                    f"({head!r}, {relation!r}, {tail!r})")
+            yield intern_entity(head)
+            yield intern_relation(relation)
+            yield intern_entity(tail)
+
+    return np.fromiter(components(), dtype=np.int64).reshape(-1, 3)
+
+
 class _BatchedQueriesMixin:
     """Default batched implementations shared by all backends.
 
@@ -280,6 +335,141 @@ class _BatchedQueriesMixin:
         reproduce their configuration.
         """
         return type(self)()
+
+
+class _IdSurfaceMixin(_BatchedQueriesMixin):
+    """The string-level query surface, derived once from the id surface.
+
+    An id-capable backend provides the interner pair, ``contains`` /
+    ``__len__``, ``match_ids`` / ``count_ids`` and the two per-id count
+    vectors (``_entity_degree_counts``, ``_relation_counts``); every
+    string query below resolves its constants once against the interners
+    and takes the id route.  Result order is whatever ``match_ids``
+    returns, so it is the backend's own (a sharded store: the owner
+    shard's order when the head is bound, shard-major otherwise).
+    """
+
+    def _resolve(self, head: Optional[str], relation: Optional[str],
+                 tail: Optional[str]) -> Optional[Tuple[Optional[int], Optional[int], Optional[int]]]:
+        """Translate a string pattern to ids; ``None`` if any constant is unknown."""
+        head_id = relation_id = tail_id = None
+        if head is not None:
+            head_id = self.entity_interner.lookup(head)
+            if head_id is None:
+                return None
+        if relation is not None:
+            relation_id = self.relation_interner.lookup(relation)
+            if relation_id is None:
+                return None
+        if tail is not None:
+            tail_id = self.entity_interner.lookup(tail)
+            if tail_id is None:
+                return None
+        return head_id, relation_id, tail_id
+
+    def _materialize(self, ids: np.ndarray) -> List[Triple]:
+        """Turn a (k, 3) id block into Triple objects in one batched conversion."""
+        if not len(ids):
+            return []
+        entity = self.entity_interner._id_to_symbol
+        relation = self.relation_interner._id_to_symbol
+        new_triple = Triple.unchecked
+        return [new_triple(entity[head_id], relation[relation_id], entity[tail_id])
+                for head_id, relation_id, tail_id in ids.tolist()]
+
+    def match(self, head: Optional[str] = None, relation: Optional[str] = None,
+              tail: Optional[str] = None, sort: bool = False) -> List[Triple]:
+        if head is not None and relation is not None and tail is not None:
+            return [Triple(head, relation, tail)] if self.contains(head, relation, tail) else []
+        resolved = self._resolve(head, relation, tail)
+        if resolved is None:
+            return []
+        result = self._materialize(self.match_ids(*resolved))
+        if sort:
+            result.sort()
+        return result
+
+    def iter_match(self, head: Optional[str] = None, relation: Optional[str] = None,
+                   tail: Optional[str] = None) -> Iterator[Triple]:
+        if head is not None and relation is not None and tail is not None:
+            if self.contains(head, relation, tail):
+                yield Triple(head, relation, tail)
+            return
+        resolved = self._resolve(head, relation, tail)
+        if resolved is None:
+            return
+        entity = self.entity_interner._id_to_symbol
+        relation_symbols = self.relation_interner._id_to_symbol
+        new_triple = Triple.unchecked
+        for head_id, relation_id, tail_id in self.match_ids(*resolved).tolist():
+            yield new_triple(entity[head_id], relation_symbols[relation_id],
+                             entity[tail_id])
+
+    def count(self, head: Optional[str] = None, relation: Optional[str] = None,
+              tail: Optional[str] = None) -> int:
+        if head is not None and relation is not None and tail is not None:
+            return 1 if self.contains(head, relation, tail) else 0
+        if head is None and relation is None and tail is None:
+            return len(self)
+        resolved = self._resolve(head, relation, tail)
+        if resolved is None:
+            return 0
+        return self.count_ids(*resolved)
+
+    def tails(self, head: str, relation: str) -> List[str]:
+        resolved = self._resolve(head, relation, None)
+        if resolved is None:
+            return []
+        symbols = self.entity_interner._id_to_symbol
+        return sorted(symbols[tail_id]
+                      for tail_id in self.match_ids(*resolved)[:, 2].tolist())
+
+    def heads(self, relation: str, tail: str) -> List[str]:
+        resolved = self._resolve(None, relation, tail)
+        if resolved is None:
+            return []
+        symbols = self.entity_interner._id_to_symbol
+        return sorted(symbols[head_id]
+                      for head_id in self.match_ids(*resolved)[:, 0].tolist())
+
+    def degree(self, node: str) -> int:
+        node_id = self.entity_interner.lookup(node)
+        if node_id is None:
+            return 0
+        return self.count_ids(node_id, None, None) + self.count_ids(None, None, node_id)
+
+    def degree_many(self, nodes: Sequence[str]) -> List[int]:
+        out_counts, in_counts = self._entity_degree_counts()
+        result: List[int] = []
+        for node in nodes:
+            node_id = self.entity_interner.lookup(node)
+            if node_id is None or node_id >= len(out_counts):
+                result.append(0)
+            else:
+                result.append(int(out_counts[node_id] + in_counts[node_id]))
+        return result
+
+    def entities(self) -> List[str]:
+        out_counts, in_counts = self._entity_degree_counts()
+        active = (out_counts > 0) | (in_counts > 0)
+        symbol = self.entity_interner.symbol_of
+        return sorted(symbol(int(entity_id)) for entity_id in np.flatnonzero(active))
+
+    def relations(self) -> List[str]:
+        active = self._relation_counts() > 0
+        symbol = self.relation_interner.symbol_of
+        return sorted(symbol(int(relation_id)) for relation_id in np.flatnonzero(active))
+
+    def heads_only(self) -> List[str]:
+        out_counts, _in_counts = self._entity_degree_counts()
+        symbol = self.entity_interner.symbol_of
+        return sorted(symbol(int(entity_id)) for entity_id in np.flatnonzero(out_counts > 0))
+
+    def relation_frequencies(self) -> Dict[str, int]:
+        counts = self._relation_counts()
+        symbol = self.relation_interner.symbol_of
+        return {symbol(int(relation_id)): int(counts[relation_id])
+                for relation_id in np.flatnonzero(counts > 0)}
 
 
 class SetBackend(_BatchedQueriesMixin):
@@ -401,7 +591,7 @@ class SetBackend(_BatchedQueriesMixin):
         return {rel: len(triples) for rel, triples in self._by_relation.items() if triples}
 
 
-class ColumnarBackend(_BatchedQueriesMixin):
+class ColumnarBackend(_IdSurfaceMixin):
     """Interned-id columnar store with CSR adjacency indexes.
 
     Triples are held as an insertion-ordered dict of ``(h, r, t)`` int-id
@@ -549,7 +739,7 @@ class ColumnarBackend(_BatchedQueriesMixin):
                 (component for row in self._rows for component in row),
                 dtype=np.int64, count=3 * len(self._rows),
             ).reshape(-1, 3)
-        return np.zeros((0, 3), dtype=np.int64)
+        return empty_id_block()
 
     def _rebuild(self) -> None:
         self._install_cols(self._rebuild_source())
@@ -627,7 +817,7 @@ class ColumnarBackend(_BatchedQueriesMixin):
                 ).reshape(-1, 3)
                 block = block[np.lexsort((block[:, 2], block[:, 1], block[:, 0]))]
             else:
-                block = np.zeros((0, 3), dtype=np.int64)
+                block = empty_id_block()
             self._delta_block = block
         return self._delta_block
 
@@ -640,16 +830,9 @@ class ColumnarBackend(_BatchedQueriesMixin):
                 delta = delta[delta[:, column] == value]
         return delta
 
-    def _merged_ids(self, head_id: Optional[int] = None,
-                    relation_id: Optional[int] = None,
-                    tail_id: Optional[int] = None) -> np.ndarray:
-        """The (k, 3) id triples matching a pattern, overlay included."""
-        self._ensure_base()
-        return self._merged_block(head_id, relation_id, tail_id)
-
     def _merged_block(self, head_id: Optional[int], relation_id: Optional[int],
                       tail_id: Optional[int]) -> np.ndarray:
-        """:meth:`_merged_ids` once the caller has run :meth:`_ensure_base`."""
+        """:meth:`match_ids` once the caller has run :meth:`_ensure_base`."""
         rows = self._base_match_rows(head_id, relation_id, tail_id)
         if self._num_deleted:
             rows = rows[~self._deleted_mask[rows]]
@@ -660,15 +843,6 @@ class ColumnarBackend(_BatchedQueriesMixin):
         if not len(delta):
             return base
         return np.concatenate((base, delta)) if len(base) else delta
-
-    def _merged_count(self, head_id: Optional[int], relation_id: Optional[int],
-                      tail_id: Optional[int]) -> int:
-        self._ensure_base()
-        rows = self._base_match_rows(head_id, relation_id, tail_id)
-        count = len(rows) - (self._deleted_mask[rows].sum() if self._num_deleted else 0)
-        if self._delta_add:
-            count += len(self._delta_match(head_id, relation_id, tail_id))
-        return int(count)
 
     # ------------------------------------------------------------------ #
     # id-level query surface
@@ -729,7 +903,8 @@ class ColumnarBackend(_BatchedQueriesMixin):
                   relation_id: Optional[int] = None,
                   tail_id: Optional[int] = None) -> np.ndarray:
         """The (k, 3) id triples matching an id pattern, overlay included."""
-        return self._merged_ids(head_id, relation_id, tail_id)
+        self._ensure_base()
+        return self._merged_block(head_id, relation_id, tail_id)
 
     def match_ids_many(self, patterns: Sequence[IdPattern]) -> List[np.ndarray]:
         """One (k, 3) id block per id pattern.
@@ -746,7 +921,12 @@ class ColumnarBackend(_BatchedQueriesMixin):
                   relation_id: Optional[int] = None,
                   tail_id: Optional[int] = None) -> int:
         """Number of triples matching an id pattern (no materialization)."""
-        return self._merged_count(head_id, relation_id, tail_id)
+        self._ensure_base()
+        rows = self._base_match_rows(head_id, relation_id, tail_id)
+        count = len(rows) - (self._deleted_mask[rows].sum() if self._num_deleted else 0)
+        if self._delta_add:
+            count += len(self._delta_match(head_id, relation_id, tail_id))
+        return int(count)
 
     def entity_sort_rank(self) -> np.ndarray:
         """Rank of each entity id in lexicographic symbol order.
@@ -759,11 +939,7 @@ class ColumnarBackend(_BatchedQueriesMixin):
         """
         self._ensure_index()
         if self._entity_rank is None or len(self._entity_rank) != len(self.entity_interner):
-            symbols = self.entity_interner.symbols()
-            order = sorted(range(len(symbols)), key=symbols.__getitem__)
-            rank = np.empty(len(symbols), dtype=np.int64)
-            rank[np.asarray(order, dtype=np.int64)] = np.arange(len(symbols), dtype=np.int64)
-            self._entity_rank = rank
+            self._entity_rank = _sort_rank(self.entity_interner)
         return self._entity_rank
 
     def relation_sort_rank(self) -> np.ndarray:
@@ -771,43 +947,12 @@ class ColumnarBackend(_BatchedQueriesMixin):
         self._ensure_index()
         if self._relation_rank is None \
                 or len(self._relation_rank) != len(self.relation_interner):
-            symbols = self.relation_interner.symbols()
-            order = sorted(range(len(symbols)), key=symbols.__getitem__)
-            rank = np.empty(len(symbols), dtype=np.int64)
-            rank[np.asarray(order, dtype=np.int64)] = np.arange(len(symbols), dtype=np.int64)
-            self._relation_rank = rank
+            self._relation_rank = _sort_rank(self.relation_interner)
         return self._relation_rank
 
-    def _resolve(self, head: Optional[str], relation: Optional[str],
-                 tail: Optional[str]) -> Optional[Tuple[Optional[int], Optional[int], Optional[int]]]:
-        """Translate a string pattern to ids; ``None`` if any constant is unknown."""
-        head_id = relation_id = tail_id = None
-        if head is not None:
-            head_id = self.entity_interner.lookup(head)
-            if head_id is None:
-                return None
-        if relation is not None:
-            relation_id = self.relation_interner.lookup(relation)
-            if relation_id is None:
-                return None
-        if tail is not None:
-            tail_id = self.entity_interner.lookup(tail)
-            if tail_id is None:
-                return None
-        return head_id, relation_id, tail_id
-
-    def _materialize(self, ids: np.ndarray) -> List[Triple]:
-        """Turn a (k, 3) id block into Triple objects in one batched conversion."""
-        if not len(ids):
-            return []
-        entity = self.entity_interner._id_to_symbol
-        relation = self.relation_interner._id_to_symbol
-        new_triple = Triple.unchecked
-        return [new_triple(entity[head_id], relation[relation_id], entity[tail_id])
-                for head_id, relation_id, tail_id in ids.tolist()]
-
     # ------------------------------------------------------------------ #
-    # string-level query surface
+    # membership, iteration and the per-id count vectors — the string
+    # query surface is inherited from _IdSurfaceMixin
     # ------------------------------------------------------------------ #
     def contains(self, head: str, relation: str, tail: str) -> bool:
         key = self._key_of(head, relation, tail)
@@ -822,80 +967,6 @@ class ColumnarBackend(_BatchedQueriesMixin):
         new_triple = Triple.unchecked
         for head_id, relation_id, tail_id in self._rows:
             yield new_triple(entity[head_id], relation[relation_id], entity[tail_id])
-
-    def match(self, head: Optional[str] = None, relation: Optional[str] = None,
-              tail: Optional[str] = None, sort: bool = False) -> List[Triple]:
-        if head is not None and relation is not None and tail is not None:
-            return [Triple(head, relation, tail)] if self.contains(head, relation, tail) else []
-        resolved = self._resolve(head, relation, tail)
-        if resolved is None:
-            return []
-        result = self._materialize(self._merged_ids(*resolved))
-        if sort:
-            result.sort()
-        return result
-
-    def iter_match(self, head: Optional[str] = None, relation: Optional[str] = None,
-                   tail: Optional[str] = None) -> Iterator[Triple]:
-        if head is not None and relation is not None and tail is not None:
-            if self.contains(head, relation, tail):
-                yield Triple(head, relation, tail)
-            return
-        resolved = self._resolve(head, relation, tail)
-        if resolved is None:
-            return
-        ids = self._merged_ids(*resolved)
-        entity = self.entity_interner._id_to_symbol
-        relation_symbols = self.relation_interner._id_to_symbol
-        new_triple = Triple.unchecked
-        for head_id, relation_id, tail_id in ids.tolist():
-            yield new_triple(entity[head_id], relation_symbols[relation_id],
-                             entity[tail_id])
-
-    def count(self, head: Optional[str] = None, relation: Optional[str] = None,
-              tail: Optional[str] = None) -> int:
-        if head is not None and relation is not None and tail is not None:
-            return 1 if self.contains(head, relation, tail) else 0
-        if head is None and relation is None and tail is None:
-            return len(self)
-        resolved = self._resolve(head, relation, tail)
-        if resolved is None:
-            return 0
-        return self._merged_count(*resolved)
-
-    def tails(self, head: str, relation: str) -> List[str]:
-        resolved = self._resolve(head, relation, None)
-        if resolved is None:
-            return []
-        ids = self._merged_ids(resolved[0], resolved[1], None)
-        symbols = self.entity_interner._id_to_symbol
-        return sorted(symbols[tail_id] for tail_id in ids[:, 2].tolist())
-
-    def heads(self, relation: str, tail: str) -> List[str]:
-        resolved = self._resolve(None, relation, tail)
-        if resolved is None:
-            return []
-        ids = self._merged_ids(None, resolved[1], resolved[2])
-        symbols = self.entity_interner._id_to_symbol
-        return sorted(symbols[head_id] for head_id in ids[:, 0].tolist())
-
-    def degree(self, node: str) -> int:
-        node_id = self.entity_interner.lookup(node)
-        if node_id is None:
-            return 0
-        self._ensure_base()
-        total = 0
-        out_rows = self._slice(self._perm_spo, self._head_offsets, node_id)
-        in_rows = self._slice(self._perm_osp, self._tail_offsets, node_id)
-        if self._num_deleted:
-            total += int(len(out_rows) - self._deleted_mask[out_rows].sum())
-            total += int(len(in_rows) - self._deleted_mask[in_rows].sum())
-        else:
-            total += len(out_rows) + len(in_rows)
-        delta = self._delta_cols()
-        if len(delta):
-            total += int((delta[:, 0] == node_id).sum() + (delta[:, 2] == node_id).sum())
-        return total
 
     def _entity_degree_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """(out_degree, in_degree) per entity id, overlay included."""
@@ -935,39 +1006,6 @@ class ColumnarBackend(_BatchedQueriesMixin):
         if len(delta):
             counts = counts + np.bincount(delta[:, 1], minlength=num_relations)
         return counts
-
-    def degree_many(self, nodes: Sequence[str]) -> List[int]:
-        out_counts, in_counts = self._entity_degree_counts()
-        result: List[int] = []
-        for node in nodes:
-            node_id = self.entity_interner.lookup(node)
-            if node_id is None or node_id >= len(out_counts):
-                result.append(0)
-            else:
-                result.append(int(out_counts[node_id] + in_counts[node_id]))
-        return result
-
-    def entities(self) -> List[str]:
-        out_counts, in_counts = self._entity_degree_counts()
-        active = (out_counts > 0) | (in_counts > 0)
-        symbol = self.entity_interner.symbol_of
-        return sorted(symbol(int(entity_id)) for entity_id in np.flatnonzero(active))
-
-    def relations(self) -> List[str]:
-        active = self._relation_counts() > 0
-        symbol = self.relation_interner.symbol_of
-        return sorted(symbol(int(relation_id)) for relation_id in np.flatnonzero(active))
-
-    def heads_only(self) -> List[str]:
-        out_counts, _in_counts = self._entity_degree_counts()
-        symbol = self.entity_interner.symbol_of
-        return sorted(symbol(int(entity_id)) for entity_id in np.flatnonzero(out_counts > 0))
-
-    def relation_frequencies(self) -> Dict[str, int]:
-        counts = self._relation_counts()
-        symbol = self.relation_interner.symbol_of
-        return {symbol(int(relation_id)): int(counts[relation_id])
-                for relation_id in np.flatnonzero(counts > 0)}
 
     def save(self, directory: "str | Path") -> Path:
         """Persist the (consolidated) store as a memory-mappable directory.

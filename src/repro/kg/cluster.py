@@ -56,7 +56,6 @@ fast path (the fingerprint check catches it and falls back to strings).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -72,17 +71,17 @@ from repro.kg.backend import (
     IdPattern,
     Interner,
     Pattern,
-    _BatchedQueriesMixin,
+    empty_id_block,
+    intern_id_rows,
     supports_id_queries,
 )
 from repro.kg.client import RemoteClient
 from repro.kg.mmap_backend import (
-    ENTITY_BLOB_FILE,
-    ENTITY_OFFSETS_FILE,
-    read_interner_files,
-    write_interner_files,
-    RELATION_BLOB_FILE,
-    RELATION_OFFSETS_FILE,
+    SHARD_SET_COUNTS,
+    read_header,
+    read_interner_pair,
+    write_header,
+    write_interner_pair,
 )
 from repro.kg.protocol import (DecodedBlock, decode_triple_rows,
                                encode_wire_patterns, encode_wire_triples)
@@ -179,25 +178,12 @@ def shard_split(store_dir: Union[str, Path], n_shards: int,
                                  generation=0).close()
             write_live_pointer(shard_dir, 0)
             shard_dirs.append(shard_dir)
-        entity_blob_bytes = write_interner_files(
-            entity_interner, out, ENTITY_OFFSETS_FILE, ENTITY_BLOB_FILE)
-        relation_blob_bytes = write_interner_files(
-            relation_interner, out, RELATION_OFFSETS_FILE,
-            RELATION_BLOB_FILE)
-        header = {
-            "magic": CLUSTER_MAGIC,
-            "version": CLUSTER_FORMAT_VERSION,
-            "n_shards": n_shards,
-            "num_entities": len(entity_interner),
-            "num_relations": len(relation_interner),
-            "entity_blob_bytes": entity_blob_bytes,
-            "relation_blob_bytes": relation_blob_bytes,
-            "triples": int(len(rows)),
-        }
-        header_tmp = out / (CLUSTER_HEADER_FILE + ".tmp")
-        header_tmp.write_text(json.dumps(header, indent=1),
-                              encoding="utf-8")
-        header_tmp.replace(out / CLUSTER_HEADER_FILE)
+        interner_fields = write_interner_pair(out, entity_interner,
+                                              relation_interner)
+        write_header(out, CLUSTER_HEADER_FILE, {
+            "magic": CLUSTER_MAGIC, "version": CLUSTER_FORMAT_VERSION,
+            "n_shards": n_shards, **interner_fields,
+            "triples": int(len(rows))})
         return shard_dirs
     finally:
         source.close()
@@ -205,44 +191,16 @@ def shard_split(store_dir: Union[str, Path], n_shards: int,
 
 def load_cluster_header(directory: Union[str, Path]) -> dict:
     """Read and validate a split directory's ``cluster.json`` header."""
-    path = Path(directory) / CLUSTER_HEADER_FILE
-    if not path.is_file():
-        raise StorageError(
-            f"{directory}: missing {CLUSTER_HEADER_FILE} — not a "
-            f"shard-split output directory")
-    try:
-        header = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StorageError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != CLUSTER_MAGIC:
-        raise StorageError(f"{path}: bad magic — not a cluster header")
-    if header.get("version") != CLUSTER_FORMAT_VERSION:
-        raise StorageError(
-            f"{directory}: cluster format version mismatch — directory "
-            f"has {header.get('version')!r}, this build reads "
-            f"{CLUSTER_FORMAT_VERSION}")
-    for key in ("n_shards", "num_entities", "num_relations"):
-        if not isinstance(header.get(key), int) or header[key] < 0:
-            raise StorageError(
-                f"{directory}: header field {key!r} is invalid")
-    if header["n_shards"] < 1:
-        raise StorageError(
-            f"{directory}: header field 'n_shards' is invalid")
-    return header
+    return read_header(directory, CLUSTER_HEADER_FILE, magic=CLUSTER_MAGIC,
+                       version=CLUSTER_FORMAT_VERSION,
+                       counts=SHARD_SET_COUNTS, kind="shard-split output")
 
 
 def load_cluster_interners(
         directory: Union[str, Path]) -> Tuple[dict, Interner, Interner]:
     """Load the global interner pair a split directory carries."""
-    directory = Path(directory)
     header = load_cluster_header(directory)
-    entity_interner = read_interner_files(
-        directory, ENTITY_OFFSETS_FILE, ENTITY_BLOB_FILE,
-        header["num_entities"])
-    relation_interner = read_interner_files(
-        directory, RELATION_OFFSETS_FILE, RELATION_BLOB_FILE,
-        header["num_relations"])
-    return header, entity_interner, relation_interner
+    return (header, *read_interner_pair(Path(directory), header))
 
 
 # --------------------------------------------------------------------- #
@@ -400,15 +358,22 @@ class _ShardSession:
             self._drop(0)
             return ("unknown", exc)
 
-    def _leader_alive(self) -> bool:
-        """Probe endpoint 0 on a dedicated connection; True if it answers."""
+    def _probe(self, address: str, op: str):
+        """One ``op`` on a dedicated short-lived JSON connection.
+
+        Deliberately outside the failover machinery: no counter moves
+        and no pooled socket is shared.  ``None`` on a transport error.
+        """
         try:
-            with RemoteClient(self.addresses[0], codec="json",
+            with RemoteClient(address, codec="json",
                               timeout=self.timeout) as probe:
-                probe.call("role")
-            return True
+                return probe.call(op)
         except (ProtocolError, OSError):
-            return False
+            return None
+
+    def _leader_alive(self) -> bool:
+        """True if endpoint 0 answers a ``role`` probe."""
+        return self._probe(self.addresses[0], "role") is not None
 
     def _fail_write(self, op: str, exc: BaseException, *,
                     promoted: bool) -> NoReturn:
@@ -488,13 +453,8 @@ class _ShardSession:
                 return True
             candidates = []
             for endpoint in range(1, len(self.addresses)):
-                try:
-                    with RemoteClient(self.addresses[endpoint],
-                                      codec="json",
-                                      timeout=self.timeout) as probe:
-                        status = probe.call("replication_status")
-                except (ProtocolError, OSError):
-                    continue
+                status = self._probe(self.addresses[endpoint],
+                                     "replication_status")
                 if not isinstance(status, dict):
                     continue
                 applied = status.get("applied_seq")
@@ -503,12 +463,8 @@ class _ShardSession:
                 candidates.append((applied, -endpoint))
             for applied, neg_endpoint in sorted(candidates, reverse=True):
                 endpoint = -neg_endpoint
-                try:
-                    with RemoteClient(self.addresses[endpoint],
-                                      codec="json",
-                                      timeout=self.timeout) as probe:
-                        result = probe.call("promote")
-                except (ProtocolError, OSError):
+                result = self._probe(self.addresses[endpoint], "promote")
+                if result is None:
                     continue
                 generation = result.get("generation") \
                     if isinstance(result, dict) else None
@@ -550,12 +506,7 @@ class _ShardSession:
         endpoint answers.
         """
         for address in self.addresses:
-            try:
-                with RemoteClient(address, codec="json",
-                                  timeout=self.timeout) as client:
-                    result = client.call("stats")
-            except (ProtocolError, OSError):
-                continue
+            result = self._probe(address, "stats")
             if isinstance(result, dict):
                 return result
         return None
@@ -586,17 +537,14 @@ def _decode_id_rows(item) -> np.ndarray:
     if isinstance(item, DecodedBlock):
         return np.asarray(item.rows, dtype=np.int64).reshape(-1, 3)
     if not item:
-        return np.zeros((0, 3), dtype=np.int64)
+        return empty_id_block()
     return np.asarray(item, dtype=np.int64).reshape(-1, 3)
-
-
-_EMPTY_BLOCK = lambda: np.zeros((0, 3), dtype=np.int64)  # noqa: E731
 
 
 # --------------------------------------------------------------------- #
 # the coordinator backend
 # --------------------------------------------------------------------- #
-class ClusterBackend(_BatchedQueriesMixin):
+class ClusterBackend:
     """A :class:`GraphBackend` whose shards are remote KGServer processes.
 
     ``shards`` lists the leader ``host:port`` of every shard in shard
@@ -745,23 +693,8 @@ class ClusterBackend(_BatchedQueriesMixin):
         items = list(triples)
         if not items:
             return 0
-        intern_entity = self.entity_interner.intern
-        intern_relation = self.relation_interner.intern
-
-        def id_components() -> Iterator[int]:
-            for triple in items:
-                head, relation, tail = triple.head, triple.relation, \
-                    triple.tail
-                if not (head and relation and tail):
-                    raise ValueError(
-                        f"triple components must be non-empty, got "
-                        f"({head!r}, {relation!r}, {tail!r})")
-                yield intern_entity(head)
-                yield intern_relation(relation)
-                yield intern_entity(tail)
-
-        rows = np.fromiter(id_components(),
-                           dtype=np.int64).reshape(-1, 3)
+        rows = intern_id_rows(items, self.entity_interner,
+                              self.relation_interner)
         owners = shard_of_ids(rows[:, 0], self.n_shards)
         grouped: Dict[int, List[Triple]] = {}
         for triple, owner in zip(items, owners.tolist()):
@@ -968,7 +901,7 @@ class ClusterBackend(_BatchedQueriesMixin):
                 patterns,
                 classify=lambda pattern: _BROADCAST if pattern[0] is None
                 else shard_of_id(pattern[0], self.n_shards),
-                empty=_EMPTY_BLOCK,
+                empty=empty_id_block,
                 shard_call=lambda index, group: [
                     _decode_id_rows(item)
                     for item in self._sessions[index].read_call(
@@ -983,7 +916,7 @@ class ClusterBackend(_BatchedQueriesMixin):
         for position, pattern in enumerate(patterns):
             translated = self._translate_id_pattern(pattern)
             if translated is None:
-                results[position] = _EMPTY_BLOCK()
+                results[position] = empty_id_block()
             else:
                 live_positions.append(position)
                 live_patterns.append(translated)
@@ -993,7 +926,7 @@ class ClusterBackend(_BatchedQueriesMixin):
             for position, triples in zip(live_positions,
                                          self.match_many(live_patterns)):
                 if not triples:
-                    results[position] = _EMPTY_BLOCK()
+                    results[position] = empty_id_block()
                     continue
                 results[position] = np.array(
                     [[intern_entity(t.head), intern_relation(t.relation),

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CursorError
-from repro.kg.backend import IdPattern, supports_id_queries
+from repro.kg.backend import IdPattern, supports_id_queries, unique_rows
 from repro.kg.planner import (
     ENTITY,
     PatternStep,
@@ -276,18 +276,6 @@ def _advance(state: _PlanState, block: np.ndarray) -> None:
     state.frontier = _Frontier(num_rows=len(left_rows), columns=columns)
 
 
-def _unique_rows(stacked: np.ndarray) -> np.ndarray:
-    """Deduplicate a (n, k) row block (order: lexicographic by id)."""
-    if len(stacked) <= 1:
-        return stacked
-    order = np.lexsort(stacked.T[::-1])
-    stacked = stacked[order]
-    keep = np.empty(len(stacked), dtype=bool)
-    keep[0] = True
-    np.any(stacked[1:] != stacked[:-1], axis=1, out=keep[1:])
-    return stacked[keep]
-
-
 @dataclass(frozen=True)
 class IdBlock:
     """Read results in id space — the one representation the read path
@@ -462,7 +450,7 @@ def _project_cursor(backend, plan: QueryPlan,
         return ResultCursor(rows if limit is None else rows[:limit])
     stacked = np.stack([frontier.columns[name] for name in names], axis=1)
     if plan.select:
-        stacked = _unique_rows(stacked)
+        stacked = unique_rows(stacked)
     if limit is not None:
         stacked = stacked[:limit]
     kinds = ["e" if plan.var_kinds.get(name) == ENTITY else "r"

@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.kg.backend import BACKENDS, ColumnarBackend, Interner
+from repro.kg.backend import (BACKENDS, ColumnarBackend, Interner,
+                              empty_id_block, unique_rows)
 from repro.kg.triple import Triple
 
 #: Identifies the directory layout; never reuse across incompatible formats.
@@ -90,6 +91,86 @@ def _array_specs(num_triples: int, num_entities: int,
     }
 
 
+#: The count fields of a header that sits over a shard set (a sharded
+#: store's ``header.json``, a split's ``cluster.json``): name -> minimum.
+SHARD_SET_COUNTS = {"n_shards": 1, "num_entities": 0, "num_relations": 0,
+                    "entity_blob_bytes": 0, "relation_blob_bytes": 0}
+
+
+def check_header_counts(directory: Path, header: dict,
+                        minimums: Mapping[str, int]) -> None:
+    """Every listed header field must be an integer (never a boolean —
+    ``true == 1`` in Python) no smaller than its minimum."""
+    for key, minimum in minimums.items():
+        if type(header.get(key)) is not int or header[key] < minimum:
+            raise StorageError(f"{directory}: header field {key!r} is invalid")
+
+
+def read_header(directory: str | Path, file_name: str, *, magic: str,
+                version: int, counts: Mapping[str, int], kind: str) -> dict:
+    """Read and validate one directory header — the single reader behind
+    :func:`load_header`, ``load_sharded_header`` and ``load_cluster_header``.
+
+    File → JSON object → ``magic`` → ``version`` → ``counts`` (see
+    :func:`check_header_counts`), each failure a
+    :class:`~repro.errors.StorageError` naming the directory and field.
+    """
+    directory = Path(directory)
+    header_path = directory / file_name
+    if not header_path.is_file():
+        raise StorageError(
+            f"{directory}: missing {file_name} — not a {kind} directory")
+    try:
+        header = json.loads(header_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StorageError(f"{header_path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("magic") != magic:
+        raise StorageError(f"{header_path}: bad magic — not a {kind} header")
+    if header.get("version") != version:
+        raise StorageError(
+            f"{directory}: {kind} format version mismatch — directory has "
+            f"{header.get('version')!r}, this build reads {version}")
+    check_header_counts(directory, header, counts)
+    return header
+
+
+def write_header(directory: Path, file_name: str, header: dict) -> None:
+    """Atomically (temp + rename) write a directory header.
+
+    Call it after every data file is on disk: the directory only becomes
+    openable once the header exists, so an interrupted save never leaves
+    a header over torn data.
+    """
+    temporary = directory / (file_name + ".tmp")
+    temporary.write_text(json.dumps(header, indent=1), encoding="utf-8")
+    temporary.replace(directory / file_name)
+
+
+def write_interner_pair(directory: Path, entity_interner: Interner,
+                        relation_interner: Interner) -> Dict[str, int]:
+    """Write both interner tables; returns the header fields describing
+    them (symbol counts and blob byte sizes)."""
+    return {
+        "num_entities": len(entity_interner),
+        "num_relations": len(relation_interner),
+        "entity_blob_bytes": write_interner_files(
+            entity_interner, directory, ENTITY_OFFSETS_FILE, ENTITY_BLOB_FILE),
+        "relation_blob_bytes": write_interner_files(
+            relation_interner, directory,
+            RELATION_OFFSETS_FILE, RELATION_BLOB_FILE),
+    }
+
+
+def read_interner_pair(directory: Path,
+                       header: dict) -> Tuple[Interner, Interner]:
+    """Load the (entity, relation) interner tables ``header`` describes."""
+    return (read_interner_files(directory, ENTITY_OFFSETS_FILE, ENTITY_BLOB_FILE,
+                                header["num_entities"], header["entity_blob_bytes"]),
+            read_interner_files(directory, RELATION_OFFSETS_FILE, RELATION_BLOB_FILE,
+                                header["num_relations"],
+                                header["relation_blob_bytes"]))
+
+
 def write_interner_files(interner: Interner, directory: Path,
                          offsets_name: str, blob_name: str) -> int:
     """Write one interner as the binary offsets + blob pair.
@@ -111,18 +192,22 @@ def write_interner_files(interner: Interner, directory: Path,
 
 
 def read_interner_files(directory: Path, offsets_name: str, blob_name: str,
-                        expected_symbols: int) -> Interner:
-    """Load one interner from its binary offsets + blob pair."""
-    offsets_path = directory / offsets_name
+                        expected_symbols: int, expected_blob_bytes: int) -> Interner:
+    """Load one interner from its binary offsets + blob pair, checked
+    against the symbol count and blob size its header declares."""
+    offsets_path, blob_path = directory / offsets_name, directory / blob_name
+    if not (offsets_path.is_file() and blob_path.is_file()):
+        raise StorageError(
+            f"{directory}: missing interner table {offsets_name} / {blob_name}")
     offsets = np.fromfile(offsets_path, dtype=np.int64)
     if len(offsets) != expected_symbols + 1 or (len(offsets) and offsets[0] != 0) \
             or np.any(np.diff(offsets) < 0):
         raise StorageError(f"{offsets_path}: corrupt interner offsets")
-    blob_path = directory / blob_name
     blob = blob_path.read_bytes()
-    if int(offsets[-1]) != len(blob):
+    if len(blob) != expected_blob_bytes or len(blob) != int(offsets[-1]):
         raise StorageError(
-            f"{blob_path}: expected {int(offsets[-1])} bytes, found {len(blob)} "
+            f"{blob_path}: the header declares {expected_blob_bytes} bytes and "
+            f"the offsets table {int(offsets[-1])}, found {len(blob)} "
             f"— truncated or corrupt")
     bounds = offsets.tolist()
     try:
@@ -165,16 +250,18 @@ def write_backend_dir(backend: ColumnarBackend, directory: str | Path, *,
     # mid-overwrite must not leave a stale-but-valid header pointing at a
     # mix of old and new columns.
     (directory / HEADER_FILE).unlink(missing_ok=True)
-    num_triples = len(backend._cols)
-    num_entities = len(backend.entity_interner)
-    num_relations = len(backend.relation_interner)
-    blob_bytes = {}
+    header = {
+        "magic": MAGIC,
+        "version": FORMAT_VERSION,
+        "dtype": _INT64.str,
+        "num_triples": len(backend._cols),
+        "num_entities": len(backend.entity_interner),
+        "num_relations": len(backend.relation_interner),
+        "interners": interners,
+    }
     if interners == INTERNERS_INLINE:
-        blob_bytes["entity_blob_bytes"] = write_interner_files(
-            backend.entity_interner, directory, ENTITY_OFFSETS_FILE, ENTITY_BLOB_FILE)
-        blob_bytes["relation_blob_bytes"] = write_interner_files(
-            backend.relation_interner, directory,
-            RELATION_OFFSETS_FILE, RELATION_BLOB_FILE)
+        header.update(write_interner_pair(
+            directory, backend.entity_interner, backend.relation_interner))
     arrays = {
         "triples.i64": backend._cols,
         "perm_spo.i64": backend._perm_spo,
@@ -188,21 +275,7 @@ def write_backend_dir(backend: ColumnarBackend, directory: str | Path, *,
         # Empty arrays (a zero-triple store) write zero-byte files; the
         # open side special-cases them instead of memory-mapping.
         np.ascontiguousarray(array, dtype=np.int64).tofile(directory / name)
-    header = {
-        "magic": MAGIC,
-        "version": FORMAT_VERSION,
-        "dtype": _INT64.str,
-        "num_triples": num_triples,
-        "num_entities": num_entities,
-        "num_relations": num_relations,
-        "interners": interners,
-        **blob_bytes,
-    }
-    # Atomic header write (temp + rename): the directory only becomes
-    # openable again once every data file is fully on disk.
-    header_tmp = directory / (HEADER_FILE + ".tmp")
-    header_tmp.write_text(json.dumps(header, indent=1), encoding="utf-8")
-    header_tmp.replace(directory / HEADER_FILE)
+    write_header(directory, HEADER_FILE, header)
     return directory
 
 
@@ -215,28 +288,14 @@ def load_header(directory: str | Path) -> dict:
     instead of as garbage query results later.
     """
     directory = Path(directory)
-    header_path = directory / HEADER_FILE
-    if not header_path.is_file():
-        raise StorageError(
-            f"{directory}: missing {HEADER_FILE} — not a graph store directory")
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StorageError(f"{header_path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != MAGIC:
-        raise StorageError(f"{header_path}: bad magic — not a graph store header")
-    version = header.get("version")
-    if version != FORMAT_VERSION:
-        raise StorageError(
-            f"{directory}: format version mismatch — store has {version!r}, "
-            f"this build reads {FORMAT_VERSION}")
+    header = read_header(
+        directory, HEADER_FILE, magic=MAGIC, version=FORMAT_VERSION,
+        counts={"num_triples": 0, "num_entities": 0, "num_relations": 0},
+        kind="graph store")
     if header.get("dtype") != _INT64.str:
         raise StorageError(
             f"{directory}: dtype mismatch — store has {header.get('dtype')!r}, "
             f"this platform reads {_INT64.str!r}")
-    for key in ("num_triples", "num_entities", "num_relations"):
-        if not isinstance(header.get(key), int) or header[key] < 0:
-            raise StorageError(f"{directory}: header field {key!r} is invalid")
     interners = header.get("interners", INTERNERS_INLINE)
     if interners not in (INTERNERS_INLINE, INTERNERS_EXTERNAL):
         raise StorageError(f"{directory}: header field 'interners' is invalid")
@@ -245,13 +304,10 @@ def load_header(directory: str | Path) -> dict:
              in _array_specs(header["num_triples"], header["num_entities"],
                              header["num_relations"]).items()}
     if interners == INTERNERS_INLINE:
-        for key in ("entity_blob_bytes", "relation_blob_bytes"):
-            if not isinstance(header.get(key), int) or header[key] < 0:
-                raise StorageError(f"{directory}: header field {key!r} is invalid")
-        sizes[ENTITY_OFFSETS_FILE] = (header["num_entities"] + 1) * _INT64.itemsize
-        sizes[RELATION_OFFSETS_FILE] = (header["num_relations"] + 1) * _INT64.itemsize
-        sizes[ENTITY_BLOB_FILE] = header["entity_blob_bytes"]
-        sizes[RELATION_BLOB_FILE] = header["relation_blob_bytes"]
+        # The tables themselves are checked against these when they load
+        # (read_interner_pair), like the tables of the other header kinds.
+        check_header_counts(directory, header,
+                            {"entity_blob_bytes": 0, "relation_blob_bytes": 0})
     for name, expected in sizes.items():
         path = directory / name
         if not path.is_file():
@@ -334,12 +390,8 @@ class MmapBackend(ColumnarBackend):
                     f"opening it with externally supplied interners would "
                     f"desynchronize symbol ids")
             else:
-                self.entity_interner = read_interner_files(
-                    self._directory, ENTITY_OFFSETS_FILE, ENTITY_BLOB_FILE,
-                    self._header["num_entities"])
-                self.relation_interner = read_interner_files(
-                    self._directory, RELATION_OFFSETS_FILE, RELATION_BLOB_FILE,
-                    self._header["num_relations"])
+                self.entity_interner, self.relation_interner = \
+                    read_interner_pair(self._directory, self._header)
 
     @classmethod
     def open(cls, directory: str | Path, *, delta_threshold: int = 1024) -> "MmapBackend":
@@ -357,7 +409,7 @@ class MmapBackend(ColumnarBackend):
     def _attach(self) -> None:
         """Attach the base block: memmap the files, or install empty arrays."""
         if self._directory is None:
-            self._install_cols(np.zeros((0, 3), dtype=np.int64))
+            self._install_cols(empty_id_block())
             return
         header = self._header
         specs = _array_specs(header["num_triples"], header["num_entities"],
@@ -500,7 +552,7 @@ class MmapBackend(ColumnarBackend):
         before = len(self)
         existing = self._rebuild_source()
         combined = np.concatenate((existing, rows)) if len(existing) else rows
-        self._install_cols(_unique_rows(combined))
+        self._install_cols(unique_rows(combined))
         return len(self) - before
 
     def fits_overlay(self, num_rows: int) -> bool:
@@ -516,17 +568,6 @@ class MmapBackend(ColumnarBackend):
     def save(self, directory: str | Path) -> Path:
         """Consolidate and persist to ``directory`` (safe over its own files)."""
         return write_backend_dir(self, directory)
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Deduplicate a (k, 3) block, returning rows sorted by (h, r, t)."""
-    if len(rows) <= 1:
-        return rows
-    rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
-    keep = np.empty(len(rows), dtype=bool)
-    keep[0] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
-    return rows[keep]
 
 
 BACKENDS[MmapBackend.name] = MmapBackend

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.kg.backend import Interner
+from repro.kg.backend import Interner, empty_id_block
 
 #: Knuth's multiplicative hash constant (mod 2**32).
 HASH_MULTIPLIER = 2654435761
@@ -142,7 +142,7 @@ def concat_id_blocks(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate per-shard ``(k, 3)`` id blocks in shard order."""
     blocks = [block for block in blocks if len(block)]
     if not blocks:
-        return np.zeros((0, 3), dtype=np.int64)
+        return empty_id_block()
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 

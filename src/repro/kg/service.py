@@ -88,7 +88,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import CursorError, QueryError, StorageError
-from repro.kg.backend import Pattern, supports_id_queries
+from repro.kg.backend import Pattern, empty_id_block, supports_id_queries
 from repro.kg.executor import (Binding, IdBlock, ResultCursor,
                                execute_plans_cursors, materialize)
 from repro.kg.planner import (PatternQuery, cache_key as plan_cache_key,
@@ -859,7 +859,7 @@ class QueryService:
         """
         backend = self.store.backend
         resolve = resolver(backend)
-        empty = np.zeros((0, 3), dtype=np.int64)
+        empty = empty_id_block()
         resolved = [resolve(request.payload) for request in requests]
         fetchable = [ids for ids in resolved if ids is not None]
         try:

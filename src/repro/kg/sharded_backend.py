@@ -17,18 +17,19 @@ stripe).  The hash, the per-item batch grouping and the scatter/gather
 merge skeleton live in :mod:`repro.kg.routing` as pure functions — the
 distributed :class:`~repro.kg.cluster.ClusterBackend` routes with the
 same code, so a triple's owner is independent of deployment shape.
-Because the rule only looks at the head:
-
-* head-bound queries (``match(h, ...)``, ``tails``, ``contains``,
-  ``discard``, fully-bound ``count``) route to **exactly one** shard;
-* unbound / tail-bound / relation-bound queries fan out to every shard
-  and merge the per-shard CSR slices — each shard's contribution is
-  internally consistent, and the documented sort guarantees
-  (``tails``/``heads`` sorted, ``match(sort=True)`` fully sorted) are
-  re-established on the merged result;
-* ``degree`` sums per-shard degrees: a node's out-edges all live in its
-  own shard, while its in-edges may live anywhere, and every triple
-  lives in exactly one shard, so the sum counts each edge once.
+Because the rule only looks at the head, a head-bound id pattern (and
+``contains`` / ``discard``) reads **exactly one** shard, and any other
+pattern fans out to every shard and concatenates the per-shard blocks in
+shard order.  That routing is written once, over global ids
+(``match_ids`` / ``count_ids`` / ``match_ids_many``): the single-pattern
+string surface (``match``, ``count``, ``tails``, ``heads``, ``degree``,
+``entities``, ...) is inherited from
+:class:`~repro.kg.backend._IdSurfaceMixin`, which resolves a pattern's
+constants once against the global interners and takes the id route, so a
+string query on a sharded store has one route.  ``degree`` and the
+``entities`` / ``relations`` family read per-id count vectors summed
+over the shards — every triple lives in exactly one shard, so the sums
+count each edge once.
 
 Parallelism
 -----------
@@ -62,7 +63,6 @@ and dispatches here automatically.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -87,26 +87,26 @@ from repro.kg.backend import (
     IdPattern,
     Interner,
     Pattern,
-    _BatchedQueriesMixin,
+    _IdSurfaceMixin,
+    empty_id_block,
+    intern_id_rows,
 )
 from repro.kg.mmap_backend import (
-    ENTITY_BLOB_FILE,
-    ENTITY_OFFSETS_FILE,
     HEADER_FILE,
     INTERNERS_EXTERNAL,
     MAGIC as COLUMNAR_MAGIC,
+    SHARD_SET_COUNTS,
     MmapBackend,
-    RELATION_BLOB_FILE,
-    RELATION_OFFSETS_FILE,
-    read_interner_files,
+    peek_store_magic,
+    read_header,
+    read_interner_pair,
     write_backend_dir,
-    write_interner_files,
+    write_header,
+    write_interner_pair,
 )
 from repro.kg.routing import (
     BROADCAST as _BROADCAST,
     concat_id_blocks,
-    merge_frequency_dicts,
-    merge_sorted_unique,
     merge_triple_lists,
     scatter_gather,
     shard_of_id,
@@ -132,36 +132,16 @@ __all__ = ["SHARDED_MAGIC", "SHARDED_FORMAT_VERSION", "DEFAULT_SHARDS",
 
 def load_sharded_header(directory: str | Path) -> dict:
     """Read and validate a sharded store directory's global header."""
-    directory = Path(directory)
-    header_path = directory / HEADER_FILE
-    if not header_path.is_file():
+    if peek_store_magic(directory) == COLUMNAR_MAGIC:
         raise StorageError(
-            f"{directory}: missing {HEADER_FILE} — not a graph store directory")
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StorageError(f"{header_path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != SHARDED_MAGIC:
-        if isinstance(header, dict) and header.get("magic") == COLUMNAR_MAGIC:
-            raise StorageError(
-                f"{directory}: single-store directory — open it with "
-                f"MmapBackend.open, not ShardedBackend.open")
-        raise StorageError(f"{header_path}: bad magic — not a sharded store header")
-    version = header.get("version")
-    if version != SHARDED_FORMAT_VERSION:
-        raise StorageError(
-            f"{directory}: sharded format version mismatch — store has "
-            f"{version!r}, this build reads {SHARDED_FORMAT_VERSION}")
-    for key in ("n_shards", "num_entities", "num_relations",
-                "entity_blob_bytes", "relation_blob_bytes"):
-        if not isinstance(header.get(key), int) or header[key] < 0:
-            raise StorageError(f"{directory}: header field {key!r} is invalid")
-    if header["n_shards"] < 1:
-        raise StorageError(f"{directory}: header field 'n_shards' is invalid")
-    return header
+            f"{directory}: single-store directory — open it with "
+            f"MmapBackend.open, not ShardedBackend.open")
+    return read_header(directory, HEADER_FILE, magic=SHARDED_MAGIC,
+                       version=SHARDED_FORMAT_VERSION,
+                       counts=SHARD_SET_COUNTS, kind="sharded store")
 
 
-class ShardedBackend(_BatchedQueriesMixin):
+class ShardedBackend(_IdSurfaceMixin):
     """Hash-partitioned composite over ``n_shards`` columnar-family shards.
 
     The inner shards are in-memory :class:`MmapBackend` instances — the
@@ -285,21 +265,8 @@ class ShardedBackend(_BatchedQueriesMixin):
         :meth:`MmapBackend.bulk_load_ids`).  Returns the number of
         triples that were actually new.
         """
-        intern_entity = self.entity_interner.intern
-        intern_relation = self.relation_interner.intern
-
-        def id_components() -> Iterator[int]:
-            for triple in triples:
-                head, relation, tail = triple.head, triple.relation, triple.tail
-                if not (head and relation and tail):
-                    raise ValueError(
-                        f"triple components must be non-empty, got "
-                        f"({head!r}, {relation!r}, {tail!r})")
-                yield intern_entity(head)
-                yield intern_relation(relation)
-                yield intern_entity(tail)
-
-        rows = np.fromiter(id_components(), dtype=np.int64).reshape(-1, 3)
+        rows = intern_id_rows(triples, self.entity_interner,
+                              self.relation_interner)
         if not len(rows):
             return 0
         shard_ids = shard_of_ids(rows[:, 0], self.n_shards)
@@ -351,61 +318,15 @@ class ShardedBackend(_BatchedQueriesMixin):
         for shard in self._shards:
             yield from shard.iter_triples()
 
-    def match(self, head: Optional[str] = None, relation: Optional[str] = None,
-              tail: Optional[str] = None, sort: bool = False) -> List[Triple]:
-        if head is not None:
-            shard = self._route(head)
-            return shard.match(head, relation, tail, sort=sort) \
-                if shard is not None else []
-        parts = self._per_shard(
-            lambda shard: shard.match(head, relation, tail, sort=False))
-        return merge_triple_lists(parts, sort=sort)
+    def _entity_degree_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(out_degree, in_degree) per global entity id, summed over shards."""
+        counts = self._per_shard(lambda shard: shard._entity_degree_counts())
+        return (sum(out_counts for out_counts, _in_counts in counts),
+                sum(in_counts for _out_counts, in_counts in counts))
 
-    def iter_match(self, head: Optional[str] = None,
-                   relation: Optional[str] = None,
-                   tail: Optional[str] = None) -> Iterator[Triple]:
-        if head is not None:
-            shard = self._route(head)
-            if shard is not None:
-                yield from shard.iter_match(head, relation, tail)
-            return
-        for shard in self._shards:
-            yield from shard.iter_match(head, relation, tail)
-
-    def count(self, head: Optional[str] = None, relation: Optional[str] = None,
-              tail: Optional[str] = None) -> int:
-        if head is not None:
-            shard = self._route(head)
-            return shard.count(head, relation, tail) if shard is not None else 0
-        return sum(self._per_shard(
-            lambda shard: shard.count(head, relation, tail)))
-
-    def tails(self, head: str, relation: str) -> List[str]:
-        shard = self._route(head)
-        return shard.tails(head, relation) if shard is not None else []
-
-    def heads(self, relation: str, tail: str) -> List[str]:
-        parts = self._per_shard(lambda shard: shard.heads(relation, tail))
-        return merge_triple_lists(parts, sort=True)
-
-    def degree(self, node: str) -> int:
-        return sum(self._per_shard(lambda shard: shard.degree(node)))
-
-    def entities(self) -> List[str]:
-        return merge_sorted_unique(
-            self._per_shard(lambda shard: shard.entities()))
-
-    def relations(self) -> List[str]:
-        return merge_sorted_unique(
-            self._per_shard(lambda shard: shard.relations()))
-
-    def heads_only(self) -> List[str]:
-        return merge_sorted_unique(
-            self._per_shard(lambda shard: shard.heads_only()))
-
-    def relation_frequencies(self) -> Dict[str, int]:
-        return merge_frequency_dicts(
-            self._per_shard(lambda shard: shard.relation_frequencies()))
+    def _relation_counts(self) -> np.ndarray:
+        """Triple count per global relation id, summed over shards."""
+        return sum(self._per_shard(lambda shard: shard._relation_counts()))
 
     # ------------------------------------------------------------------ #
     # id-level query surface — global ids, shard-routed
@@ -445,7 +366,7 @@ class ShardedBackend(_BatchedQueriesMixin):
             patterns,
             classify=lambda pattern: _BROADCAST if pattern[0] is None
             else self._shard_index(pattern[0]),
-            empty=lambda: np.zeros((0, 3), dtype=np.int64),
+            empty=empty_id_block,
             shard_call=lambda shard, group: shard.match_ids_many(group),
             merge=concat_id_blocks)
 
@@ -480,13 +401,6 @@ class ShardedBackend(_BatchedQueriesMixin):
         for large batches."""
         if self.n_shards == 1:
             return self._shards[0].match_many(patterns, sort=sort)
-
-        def merge(parts: List[List[Triple]]) -> List[Triple]:
-            merged = [triple for part in parts for triple in part]
-            if sort:
-                merged.sort()
-            return merged
-
         return self._routed_batch(
             patterns,
             classify=lambda pattern: self._classify_head(pattern[0]),
@@ -495,39 +409,7 @@ class ShardedBackend(_BatchedQueriesMixin):
             # Per-shard sorting would be thrown away by the merge.
             broadcast_call=lambda shard, group: shard.match_many(group,
                                                                  sort=False),
-            merge=merge)
-
-    def tails_many(self, pairs: Sequence[Tuple[str, str]]) -> List[List[str]]:
-        """Every (head, relation) pair routes to the head's shard."""
-        if self.n_shards == 1:
-            return self._shards[0].tails_many(pairs)
-        return self._routed_batch(
-            pairs,
-            classify=lambda pair: self._classify_head(pair[0]),
-            empty=list,
-            shard_call=lambda shard, group: shard.tails_many(group))
-
-    def degree_many(self, nodes: Sequence[str]) -> List[int]:
-        """Sum the per-shard vectorized degree-count arrays, then resolve
-        every node with one lookup — the per-node Python work happens
-        once, not once per shard."""
-        if self.n_shards == 1:
-            return self._shards[0].degree_many(nodes)
-        counts = self._parallel(
-            [(lambda shard=shard: shard._entity_degree_counts())
-             for shard in self._shards],
-            parallel=len(nodes) >= 32)
-        totals = np.zeros(len(self.entity_interner), dtype=np.int64)
-        for out_counts, in_counts in counts:
-            totals[:len(out_counts)] += out_counts
-            totals[:len(in_counts)] += in_counts
-        lookup = self.entity_interner.lookup
-        result: List[int] = []
-        for node in nodes:
-            node_id = lookup(node)
-            result.append(int(totals[node_id])
-                          if node_id is not None and node_id < len(totals) else 0)
-        return result
+            merge=lambda parts: merge_triple_lists(parts, sort=sort))
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -539,29 +421,17 @@ class ShardedBackend(_BatchedQueriesMixin):
         # Invalidate any existing global header first: a crash mid-save
         # must never leave an openable-but-inconsistent directory.
         (directory / HEADER_FILE).unlink(missing_ok=True)
-        entity_blob_bytes = write_interner_files(
-            self.entity_interner, directory, ENTITY_OFFSETS_FILE, ENTITY_BLOB_FILE)
-        relation_blob_bytes = write_interner_files(
-            self.relation_interner, directory,
-            RELATION_OFFSETS_FILE, RELATION_BLOB_FILE)
+        interner_fields = write_interner_pair(
+            directory, self.entity_interner, self.relation_interner)
         thunks = [
             (lambda shard=shard, path=directory / f"shard-{index}":
              write_backend_dir(shard, path, interners=INTERNERS_EXTERNAL))
             for index, shard in enumerate(self._shards)
         ]
         self._parallel(thunks)
-        header = {
-            "magic": SHARDED_MAGIC,
-            "version": SHARDED_FORMAT_VERSION,
-            "n_shards": self.n_shards,
-            "num_entities": len(self.entity_interner),
-            "num_relations": len(self.relation_interner),
-            "entity_blob_bytes": entity_blob_bytes,
-            "relation_blob_bytes": relation_blob_bytes,
-        }
-        header_tmp = directory / (HEADER_FILE + ".tmp")
-        header_tmp.write_text(json.dumps(header, indent=1), encoding="utf-8")
-        header_tmp.replace(directory / HEADER_FILE)
+        write_header(directory, HEADER_FILE, {
+            "magic": SHARDED_MAGIC, "version": SHARDED_FORMAT_VERSION,
+            "n_shards": self.n_shards, **interner_fields})
         return directory
 
     @classmethod
@@ -578,13 +448,8 @@ class ShardedBackend(_BatchedQueriesMixin):
         header = load_sharded_header(directory)
         backend = cls(header["n_shards"], delta_threshold=delta_threshold,
                       max_workers=max_workers)
-        backend.entity_interner = read_interner_files(
-            directory, ENTITY_OFFSETS_FILE, ENTITY_BLOB_FILE,
-            header["num_entities"])
-        backend.relation_interner = read_interner_files(
-            directory, RELATION_OFFSETS_FILE, RELATION_BLOB_FILE,
-            header["num_relations"])
-        interners = (backend.entity_interner, backend.relation_interner)
+        interners = read_interner_pair(directory, header)
+        backend.entity_interner, backend.relation_interner = interners
         thunks = [
             (lambda path=directory / f"shard-{index}":
              MmapBackend(path, delta_threshold=delta_threshold,

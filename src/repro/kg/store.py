@@ -25,16 +25,24 @@ service write path.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.errors import StorageError
 from repro.kg.backend import (
     DEFAULT_BACKEND,
+    ColumnarBackend,
     GraphBackend,
     Pattern,
     make_backend,
 )
+from repro.kg.mmap_backend import MmapBackend, peek_store_magic
+from repro.kg.sharded_backend import SHARDED_MAGIC, ShardedBackend
 from repro.kg.triple import Triple
+from repro.kg.wal import (OP_ADD, OP_REMOVE, WriteAheadLog, coalesced_ops,
+                          is_live_store, read_live_pointer, snapshot_dir_name,
+                          wal_file_name, write_live_pointer)
 
 
 class TripleStore:
@@ -64,6 +72,16 @@ class TripleStore:
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
+    def _log(self, op: int, triples: Sequence[Triple]) -> None:
+        """Append one durable WAL record for a mutation batch.
+
+        Every live-store mutation calls this strictly *before* applying
+        the batch to the backend; an empty batch logs nothing.
+        """
+        if triples:
+            self._wal.append(op, [(t.head, t.relation, t.tail)
+                                  for t in triples])
+
     def add(self, triple: Triple) -> bool:
         """Add a triple; return True if it was new, False if already present.
 
@@ -71,10 +89,7 @@ class TripleStore:
         is applied, so a crash after ``add`` returns can never lose it.
         """
         if self._wal is not None:
-            from repro.kg.wal import OP_ADD
-
-            self._wal.append(
-                OP_ADD, ((triple.head, triple.relation, triple.tail),))
+            self._log(OP_ADD, (triple,))
         return self._backend.add(triple.head, triple.relation, triple.tail)
 
     def add_many(self, triples: Iterable[Triple]) -> int:
@@ -86,24 +101,15 @@ class TripleStore:
         any of it is applied: the batch is acked atomically or not at
         all.
         """
-        if self._wal is None:
-            return self._backend.add_many(triples)
-        from repro.kg.wal import OP_ADD
-
-        items = list(triples)
-        if not items:
-            return 0
-        self._wal.append(OP_ADD, [(t.head, t.relation, t.tail)
-                                  for t in items])
-        return self._backend.add_many(items)
+        if self._wal is not None:
+            triples = list(triples)
+            self._log(OP_ADD, triples)
+        return self._backend.add_many(triples)
 
     def discard(self, triple: Triple) -> bool:
         """Remove a triple if present; return True when something was removed."""
         if self._wal is not None:
-            from repro.kg.wal import OP_REMOVE
-
-            self._wal.append(
-                OP_REMOVE, ((triple.head, triple.relation, triple.tail),))
+            self._log(OP_REMOVE, (triple,))
         return self._backend.discard(triple.head, triple.relation, triple.tail)
 
     def remove_many(self, triples: Iterable[Triple]) -> int:
@@ -113,16 +119,10 @@ class TripleStore:
         call, and on a live store one durable WAL record for the whole
         batch.
         """
-        if self._wal is None:
-            return self._backend.discard_many(triples)
-        from repro.kg.wal import OP_REMOVE
-
-        items = list(triples)
-        if not items:
-            return 0
-        self._wal.append(OP_REMOVE, [(t.head, t.relation, t.tail)
-                                     for t in items])
-        return self._backend.discard_many(items)
+        if self._wal is not None:
+            triples = list(triples)
+            self._log(OP_REMOVE, triples)
+        return self._backend.discard_many(triples)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -232,8 +232,6 @@ class TripleStore:
         """
         backend = self._backend
         if not hasattr(backend, "save"):
-            from repro.kg.backend import ColumnarBackend
-
             columnar = ColumnarBackend()
             for triple in backend.iter_triples():
                 columnar.add(triple.head, triple.relation, triple.tail)
@@ -256,8 +254,6 @@ class TripleStore:
         directories as an :class:`~repro.kg.mmap_backend.MmapBackend`.
         ``wal_fsync=False`` trades the per-ack fsync away (benchmarks).
         """
-        from repro.kg.wal import is_live_store
-
         directory = Path(directory)
         if is_live_store(directory):
             return cls._open_live(directory, wal_fsync=wal_fsync)
@@ -268,9 +264,6 @@ class TripleStore:
     @staticmethod
     def _open_backend(directory: "str | Path") -> GraphBackend:
         """Open one snapshot directory, dispatching on its header magic."""
-        from repro.kg.mmap_backend import MmapBackend, peek_store_magic
-        from repro.kg.sharded_backend import SHARDED_MAGIC, ShardedBackend
-
         if peek_store_magic(directory) == SHARDED_MAGIC:
             return ShardedBackend.open(directory)
         return MmapBackend.open(directory)
@@ -279,11 +272,6 @@ class TripleStore:
     def _open_live(cls, directory: Path, *,
                    wal_fsync: bool = True) -> "TripleStore":
         """Open a live directory: snapshot + exact WAL-prefix replay."""
-        from repro.errors import StorageError
-        from repro.kg.wal import (OP_ADD, WriteAheadLog, coalesced_ops,
-                                  read_live_pointer, snapshot_dir_name,
-                                  wal_file_name)
-
         generation = read_live_pointer(directory)
         snapshot = directory / snapshot_dir_name(generation)
         if not snapshot.is_dir():
@@ -351,11 +339,6 @@ class TripleStore:
         :meth:`open` to get the writable store; :meth:`create_live`
         does both in one call.
         """
-        from repro.errors import StorageError
-        from repro.kg.wal import (WriteAheadLog, is_live_store,
-                                  snapshot_dir_name, wal_file_name,
-                                  write_live_pointer)
-
         directory = Path(directory)
         if is_live_store(directory):
             raise StorageError(
@@ -397,10 +380,6 @@ class TripleStore:
         ``"wal"`` and ``"commit"`` stage boundaries; raising from it
         simulates a kill there.
         """
-        from repro.errors import StorageError
-        from repro.kg.wal import (WriteAheadLog, snapshot_dir_name,
-                                  wal_file_name, write_live_pointer)
-
         if self._wal is None or self._live_directory is None:
             raise StorageError(
                 "compact() requires a live store — open a live directory "
@@ -437,15 +416,9 @@ class TripleStore:
         ``snap-*.partial`` transfer directories from an interrupted
         fetch go too — a restarted fetch always begins from scratch.
         """
-        from repro.errors import StorageError
-
         if self._live_directory is None:
             raise StorageError(
                 "sweep_stale_generations() requires a live store")
-        import shutil
-
-        from repro.kg.wal import snapshot_dir_name, wal_file_name
-
         keep = {snapshot_dir_name(self._live_generation),
                 wal_file_name(self._live_generation)}
         for path in self._live_directory.iterdir():
@@ -475,9 +448,6 @@ class TripleStore:
         on-disk base it was cloned from — the columnar backend is the
         correct in-memory equivalent.
         """
-        from repro.kg.backend import ColumnarBackend
-        from repro.kg.mmap_backend import MmapBackend
-
         clone_backend = self._backend.clone_empty()
         if isinstance(clone_backend, MmapBackend):
             clone_backend = ColumnarBackend(

@@ -28,7 +28,8 @@ from repro.kg.triple import Triple, triples_from_tuples
 #: eager behaviour); tiny thresholds exercise overlay → consolidation
 #: transitions constantly; MmapBackend() runs the shared query core over
 #: an empty base plus overlay; the sharded factories cover degenerate
-#: (1), even (2) and many-shard (8) hash partitionings.
+#: (1), even (2) and many-shard (8) hash partitionings, and the ``-dirty``
+#: ones start overlay-dirty (see :func:`_dirty_sharded`).
 BACKEND_FACTORIES = {
     "columnar": ColumnarBackend,
     "columnar-eager": lambda: ColumnarBackend(delta_threshold=0),
@@ -37,7 +38,47 @@ BACKEND_FACTORIES = {
     "sharded-1": lambda: ShardedBackend(1),
     "sharded-2": lambda: ShardedBackend(2),
     "sharded-8": lambda: ShardedBackend(8),
+    "sharded-1-dirty": lambda: _dirty_sharded(1),
+    "sharded-2-dirty": lambda: _dirty_sharded(2),
+    "sharded-3-dirty": lambda: _dirty_sharded(3),
 }
+
+#: Symbols hypothesis reaches first when it shrinks ``_symbol``, so the
+#: random workload does hit the seeded rows.
+_SEED_ROWS = [(head, relation, tail)
+              for head in ("0", "1", "A", "a") for relation in ("r1", "r2", "r4")
+              for tail in ("0", "00", "a")]
+
+
+def _dirty_sharded(n_shards):
+    """``ShardedBackend(n)`` over a consolidated base block with adds and
+    discards of base rows pending in the shards' overlays — far below
+    ``delta_threshold``, so no query may consolidate them."""
+    backend = ShardedBackend(n_shards)
+    backend.add_many(triples_from_tuples(_SEED_ROWS))
+    for leaf in _leaves(backend):
+        leaf.id_triples()            # fold the seed into the base block
+    for head, relation, tail in _SEED_ROWS[::2]:
+        assert backend.discard(head, relation, tail)
+    for head, relation, tail in _SEED_ROWS[:3]:
+        backend.add(tail, "r3", head + "x")
+    assert _overlay(backend) > len(_SEED_ROWS) // 2
+    return backend
+
+
+def _starts_dirty(backend):
+    """True for the :func:`_dirty_sharded` inputs (a fresh backend of any
+    other kind, remote ones included, starts with nothing pending)."""
+    return isinstance(backend, ShardedBackend) and _overlay(backend) > 0
+
+
+def _mirror(backend):
+    """A ``SetBackend`` holding what ``backend`` starts with, and the rows."""
+    reference = SetBackend()
+    rows = [tuple(triple) for triple in backend.iter_triples()]
+    for head, relation, tail in rows:
+        reference.add(head, relation, tail)
+    return reference, rows
 
 # --------------------------------------------------------------------------- #
 # strategies
@@ -93,9 +134,10 @@ def test_make_backend_registry():
 @given(operations=st.lists(_operation, max_size=60))
 def test_backend_parity_random_workload(factory, operations):
     """Property: every backend agrees with the reference after any sequence."""
-    set_backend = SetBackend()
     columnar = factory()
-    touched = set()
+    starts_dirty = _starts_dirty(columnar)
+    set_backend, seeded = _mirror(columnar)
+    touched = set(seeded)
     for action, (head, relation, tail) in operations:
         if action == "add":
             assert set_backend.add(head, relation, tail) \
@@ -105,6 +147,7 @@ def test_backend_parity_random_workload(factory, operations):
                 == columnar.discard(head, relation, tail)
         touched.add((head, relation, tail))
 
+    rebuilds = _rebuilds(columnar) if starts_dirty else None
     assert len(set_backend) == len(columnar)
     assert sorted(set_backend.iter_triples()) == sorted(columnar.iter_triples())
     assert set_backend.entities() == columnar.entities()
@@ -124,6 +167,9 @@ def test_backend_parity_random_workload(factory, operations):
                 == columnar.match(*pattern, sort=True)
             assert sorted(set_backend.iter_match(*pattern)) \
                 == sorted(columnar.iter_match(*pattern))
+    if starts_dirty:
+        # The string surface takes the id route: it merges the overlay.
+        assert _rebuilds(columnar) == rebuilds
 
 
 @pytest.mark.parametrize("factory", BACKEND_FACTORIES.values(),
@@ -131,11 +177,14 @@ def test_backend_parity_random_workload(factory, operations):
 @settings(max_examples=20, deadline=None)
 @given(rows=st.lists(_triple_tuple, max_size=40))
 def test_backend_parity_batched_queries(factory, rows):
-    set_backend = SetBackend()
     columnar = factory()
+    starts_dirty = _starts_dirty(columnar)
+    set_backend, seeded = _mirror(columnar)
     for head, relation, tail in rows:
         set_backend.add(head, relation, tail)
         columnar.add(head, relation, tail)
+    rows = seeded + rows
+    rebuilds = _rebuilds(columnar) if starts_dirty else None
     nodes = sorted({symbol for head, _rel, tail in rows for symbol in (head, tail)})
     pairs = sorted({(head, relation) for head, relation, _tail in rows})
     patterns = [(head, None, None) for head in nodes[:10]] \
@@ -144,6 +193,9 @@ def test_backend_parity_batched_queries(factory, rows):
     assert set_backend.tails_many(pairs) == columnar.tails_many(pairs)
     assert set_backend.match_many(patterns, sort=True) \
         == columnar.match_many(patterns, sort=True)
+    assert set_backend.count_many(patterns) == columnar.count_many(patterns)
+    if starts_dirty:
+        assert _rebuilds(columnar) == rebuilds
 
 
 def test_columnar_match_unsorted_same_multiset():

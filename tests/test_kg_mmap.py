@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from repro.errors import SerializationError, StorageError
 from repro.kg.backend import ColumnarBackend
+from repro.kg.cluster import (CLUSTER_HEADER_FILE, load_cluster_interners,
+                              shard_split)
 from repro.kg.mmap_backend import (
     FORMAT_VERSION,
     HEADER_FILE,
@@ -24,6 +26,7 @@ from repro.kg.mmap_backend import (
     write_backend_dir,
 )
 from repro.kg.serialization import read_store_dir, write_store_dir
+from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple, triples_from_tuples
 
@@ -202,12 +205,7 @@ def test_mmap_empty_backend_and_clone(tmp_path):
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
 def saved_store(tmp_path):
-    directory = tmp_path / "store"
-    columnar = ColumnarBackend()
-    for index in range(8):
-        columnar.add(f"h{index}", "r", f"t{index}")
-    write_backend_dir(columnar, directory)
-    return directory
+    return _columnar_dir(tmp_path)
 
 
 def test_open_missing_directory_raises(tmp_path):
@@ -275,6 +273,95 @@ def test_open_undecodable_interner_blob_raises(saved_store):
     path.write_bytes(bytes(blob))
     with pytest.raises(StorageError, match="corrupt interner blob"):
         MmapBackend.open(saved_store)
+
+
+# --------------------------------------------------------------------------- #
+# one header codec: the same corruption matrix over all three header kinds
+# --------------------------------------------------------------------------- #
+_INTERNER_COUNTS = ("num_entities", "num_relations",
+                    "entity_blob_bytes", "relation_blob_bytes")
+
+
+def _columnar_dir(tmp_path):
+    columnar = ColumnarBackend()
+    for index in range(8):
+        columnar.add(f"h{index}", "r", f"t{index}")
+    return write_backend_dir(columnar, tmp_path / "store")
+
+
+def _sharded_dir(tmp_path):
+    backend = ShardedBackend(2)
+    for index in range(8):
+        backend.add(f"h{index}", "r", f"t{index}")
+    return backend.save(tmp_path / "store")
+
+
+def _split_dir(tmp_path):
+    shard_split(_sharded_dir(tmp_path), 2, tmp_path / "split")
+    return tmp_path / "split"
+
+
+#: kind -> (directory builder, header file, opener, count fields).
+HEADER_KINDS = {
+    "columnar": (_columnar_dir, HEADER_FILE, MmapBackend.open,
+                 ("num_triples",) + _INTERNER_COUNTS),
+    "sharded": (_sharded_dir, HEADER_FILE, ShardedBackend.open,
+                ("n_shards",) + _INTERNER_COUNTS),
+    "shard-split": (_split_dir, CLUSTER_HEADER_FILE, load_cluster_interners,
+                    ("n_shards",) + _INTERNER_COUNTS),
+}
+
+
+def _each_count(value):
+    """One corrupted header per count field: the field set to ``value``
+    (or dropped, for ``value=None``); the error must name the field."""
+    def corrupt(header, counts):
+        for key in counts:
+            corrupted = {**header, key: value}
+            if value is None:
+                del corrupted[key]
+            yield f"header field '{key}' is invalid", corrupted
+    return corrupt
+
+
+#: case -> (pristine header, its count fields) -> (text the error must
+#: carry, corrupted header as a dict or as raw text) pairs.
+HEADER_CORRUPTIONS = {
+    "truncated-json": lambda header, _counts: [
+        ("unreadable header", json.dumps(header)[:-7])],
+    "not-an-object": lambda header, _counts: [
+        ("bad magic", json.dumps([header]))],
+    "wrong-magic": lambda header, _counts: [
+        ("bad magic", {**header, "magic": "something-else"})],
+    "wrong-version": lambda header, _counts: [
+        ("version mismatch", {**header, "version": 99})],
+    "missing-count": _each_count(None),
+    "negative-count": _each_count(-1),
+    "boolean-count": _each_count(True),
+    "wrong-blob-size": lambda header, _counts: [
+        ("truncated or corrupt", {**header, key: header[key] + 1})
+        for key in ("entity_blob_bytes", "relation_blob_bytes")],
+}
+
+
+@pytest.mark.parametrize("case", HEADER_CORRUPTIONS)
+@pytest.mark.parametrize("kind", HEADER_KINDS)
+def test_corrupt_header_raises_storage_error(tmp_path, kind, case):
+    """Every header kind rejects every corruption at open time, naming
+    the field (a boolean is never a count: ``"n_shards": true`` used to
+    open as a 1-shard store)."""
+    build, header_file, opener, counts = HEADER_KINDS[kind]
+    header_path = build(tmp_path) / header_file
+    pristine = json.loads(header_path.read_text())
+    corruptions = list(HEADER_CORRUPTIONS[case](pristine, counts))
+    assert corruptions
+    for message, corrupted in corruptions:
+        header_path.write_text(corrupted if isinstance(corrupted, str)
+                               else json.dumps(corrupted))
+        with pytest.raises(StorageError, match=message):
+            opener(header_path.parent)
+    header_path.write_text(json.dumps(pristine))
+    opener(header_path.parent)     # the pristine header still opens
 
 
 def test_interner_tables_roundtrip_unicode_symbols(tmp_path):

@@ -113,6 +113,23 @@ def test_query_results_invariant_to_shard_count(rows):
             assert was_new == ((head, relation, tail) not in seen)
             seen.add((head, relation, tail))
         _assert_query_parity(reference, sharded, rows)
+    for n_shards in (1, 2, 3):
+        # Overlay-dirty: half the rows (plus one doomed row per head) in
+        # the base block, the dooms discarded and the rest added through
+        # the overlay.  The string surface takes the id route, which
+        # merges the overlay — no shard may consolidate to answer.
+        dirty = ShardedBackend(n_shards)
+        doomed = [(head, "r-gone", tail) for head, _relation, tail in rows]
+        dirty.add_many(triples_from_tuples(rows[::2] + doomed))
+        for shard in dirty._shards:
+            shard.id_triples()
+        for head, relation, tail in doomed:
+            dirty.discard(head, relation, tail)
+        for head, relation, tail in rows:
+            dirty.add(head, relation, tail)
+        rebuilds = [shard.rebuild_count for shard in dirty._shards]
+        _assert_query_parity(reference, dirty, rows)
+        assert [shard.rebuild_count for shard in dirty._shards] == rebuilds
 
 
 @settings(max_examples=15, deadline=None)
