@@ -1,4 +1,4 @@
-"""Persist benchmark results as ``BENCH_*.json`` artifacts at the repo root.
+"""Persist benchmark results as ``benchmarks/out/BENCH_*.json`` artifacts.
 
 Every bench module records its measured numbers — workload description,
 backend, codec, timings and speedups — so a CI bench job can upload the
@@ -22,13 +22,17 @@ import platform
 import time
 from pathlib import Path
 
-#: The repo root — artifacts land next to ROADMAP.md, not in benchmarks/.
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Where the artifacts land: an ignored directory, so a tier-1 run leaves
+#: the repo root as it found it.
+ARTIFACT_DIR = REPO_ROOT / "benchmarks" / "out"
 
 
 def update_artifact(name: str, section: str, payload: dict) -> Path:
     """Merge ``payload`` into the ``section`` of ``BENCH_<name>.json``."""
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    ARTIFACT_DIR.mkdir(exist_ok=True)
+    path = ARTIFACT_DIR / f"BENCH_{name}.json"
     try:
         document = json.loads(path.read_text())
         if not isinstance(document, dict):

@@ -22,7 +22,7 @@ Acceptance bars (assert messages embed the timing table):
 * the cached in-process run is **>= 5x** faster per request than the
   cache-disabled twin.
 
-Results persist into ``BENCH_cache.json`` at the repo root.
+Results persist into ``benchmarks/out/BENCH_cache.json``.
 """
 
 from __future__ import annotations

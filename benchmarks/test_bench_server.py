@@ -32,7 +32,7 @@ so a CI failure report carries the numbers):
 
 Throughput lines are advisory: loopback latency on shared CI runners is
 too noisy for a hard bar.  Every test persists its numbers into
-``BENCH_server.json`` at the repo root via :mod:`_artifacts`.
+``BENCH_server.json`` via :mod:`_artifacts`.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ module introduces the storage seam the ROADMAP asks for:
   ``int64`` columns with CSR-style adjacency indexes per head, relation
   and tail, plus (head, relation) / (relation, tail) / (tail, head)
   subgroup lookups via binary search.  Pattern queries slice arrays and
-  only materialize :class:`Triple` objects (or sort) when asked.
+  only materialize :class:`Triple` objects (or sort) when asked; there
+  is no per-row Python object, membership is a binary search too.
 
 Index maintenance is **incremental**: mutations land in a small sorted
 delta overlay (added rows + a deleted-row mask over the base block) that
@@ -36,9 +37,9 @@ ranks, ``save``) describes one consolidated column block and folds a
 pending overlay back into the base first.
 
 :class:`~repro.kg.mmap_backend.MmapBackend` (``repro.kg.mmap_backend``)
-extends the columnar design with an on-disk, memory-mapped base block
-behind the same protocol; it registers itself in :data:`BACKENDS` under
-the name ``"mmap"``.  :class:`~repro.kg.sharded_backend.ShardedBackend`
+is the same class with a second way to attach the base block — read-only
+memory maps of a saved directory; it registers itself in :data:`BACKENDS`
+under the name ``"mmap"``.  :class:`~repro.kg.sharded_backend.ShardedBackend`
 (``repro.kg.sharded_backend``, registered as ``"sharded"``) hash-
 partitions triples on the head-entity id across several columnar-family
 shards that share one global interner pair, parallelizing bulk loads,
@@ -253,8 +254,8 @@ def intern_id_rows(triples: Iterable[Triple], entity_interner: Interner,
 
     Ids are assigned in first-appearance order, exactly like an ``add``
     loop; an empty component raises ``ValueError`` like ``add`` does.
-    The batch write paths of the sharded family use this — the per-triple
-    ``add`` of the columnar backends keeps its plain-Python interning.
+    Every batch write path (columnar, sharded, cluster) uses this — the
+    per-triple ``add`` keeps its plain-Python interning.
     """
     intern_entity = entity_interner.intern
     intern_relation = relation_interner.intern
@@ -308,8 +309,9 @@ class _BatchedQueriesMixin:
     def add_many(self, triples: Iterable[Triple]) -> int:
         """Add a batch of triples; returns how many were actually new.
 
-        Backends with a vectorized bulk-load path (the sharded backend)
-        override this; the default simply loops :meth:`add`.
+        Backends with a vectorized bulk-load path (the columnar family,
+        the sharded backend) override this; the default simply loops
+        :meth:`add`.
         """
         add = self.add
         return sum(1 for triple in triples
@@ -328,11 +330,9 @@ class _BatchedQueriesMixin:
                    if discard(triple.head, triple.relation, triple.tail))
 
     def clone_empty(self) -> "GraphBackend":
-        """A fresh empty backend of the same kind and configuration.
-
-        Backends with constructor arguments (e.g. a future on-disk
-        backend) must override this so :meth:`TripleStore.copy` can
-        reproduce their configuration.
+        """A fresh empty in-memory backend of the same kind and
+        configuration — what :meth:`TripleStore.copy` fills.  Backends
+        with constructor arguments override this to reproduce them.
         """
         return type(self)()
 
@@ -371,8 +371,8 @@ class _IdSurfaceMixin(_BatchedQueriesMixin):
         """Turn a (k, 3) id block into Triple objects in one batched conversion."""
         if not len(ids):
             return []
-        entity = self.entity_interner._id_to_symbol
-        relation = self.relation_interner._id_to_symbol
+        entity = self.entity_interner.symbol_table()
+        relation = self.relation_interner.symbol_table()
         new_triple = Triple.unchecked
         return [new_triple(entity[head_id], relation[relation_id], entity[tail_id])
                 for head_id, relation_id, tail_id in ids.tolist()]
@@ -398,8 +398,8 @@ class _IdSurfaceMixin(_BatchedQueriesMixin):
         resolved = self._resolve(head, relation, tail)
         if resolved is None:
             return
-        entity = self.entity_interner._id_to_symbol
-        relation_symbols = self.relation_interner._id_to_symbol
+        entity = self.entity_interner.symbol_table()
+        relation_symbols = self.relation_interner.symbol_table()
         new_triple = Triple.unchecked
         for head_id, relation_id, tail_id in self.match_ids(*resolved).tolist():
             yield new_triple(entity[head_id], relation_symbols[relation_id],
@@ -420,7 +420,7 @@ class _IdSurfaceMixin(_BatchedQueriesMixin):
         resolved = self._resolve(head, relation, None)
         if resolved is None:
             return []
-        symbols = self.entity_interner._id_to_symbol
+        symbols = self.entity_interner.symbol_table()
         return sorted(symbols[tail_id]
                       for tail_id in self.match_ids(*resolved)[:, 2].tolist())
 
@@ -428,7 +428,7 @@ class _IdSurfaceMixin(_BatchedQueriesMixin):
         resolved = self._resolve(None, relation, tail)
         if resolved is None:
             return []
-        symbols = self.entity_interner._id_to_symbol
+        symbols = self.entity_interner.symbol_table()
         return sorted(symbols[head_id]
                       for head_id in self.match_ids(*resolved)[:, 0].tolist())
 
@@ -594,9 +594,8 @@ class SetBackend(_BatchedQueriesMixin):
 class ColumnarBackend(_IdSurfaceMixin):
     """Interned-id columnar store with CSR adjacency indexes.
 
-    Triples are held as an insertion-ordered dict of ``(h, r, t)`` int-id
-    keys (O(1) membership and dedup) and, lazily on first query after a
-    mutation, as three parallel ``int64`` numpy columns with three sort
+    The state is a **base block plus an overlay** and nothing else.  The
+    base is three parallel ``int64`` numpy columns with three sort
     permutations:
 
     * ``spo`` — sorted by (head, relation, tail): per-head CSR offsets,
@@ -608,20 +607,28 @@ class ColumnarBackend(_IdSurfaceMixin):
       (tail, head) subranges.
 
     Pattern queries therefore slice arrays; strings only appear when a
-    caller asks for :class:`Triple` objects.
+    caller asks for :class:`Triple` objects.  There is no in-heap dict of
+    all rows: membership (and therefore ``add`` / ``discard`` dedup) is an
+    overlay lookup plus a binary search on the base ``spo`` permutation.
+    This class attaches an empty in-heap base;
+    :class:`~repro.kg.mmap_backend.MmapBackend` is the same class with a
+    second way to attach one — read-only memmaps of a saved directory.
 
-    **Incremental index maintenance.**  Once a base index exists,
-    mutations do not invalidate it.  Adds accumulate in a small sorted
-    delta block, deletes flip bits in a deleted-row mask over the base,
-    and every query merges base slices (minus deleted rows) with a
-    vectorized scan of the delta.  A full rebuild only happens when the
-    overlay (added + deleted rows) exceeds ``delta_threshold``, or when a
-    caller touches the flat id surface (:meth:`id_triples`,
-    :meth:`match_id_rows`, the sort ranks), which by contract describes a
-    single consolidated column block.  :attr:`rebuild_count` counts full
+    **Incremental index maintenance.**  Mutations do not invalidate the
+    base.  Adds accumulate in a small sorted delta block, deletes flip
+    bits in a deleted-row mask over the base, and every query merges
+    base slices (minus deleted rows) with a vectorized scan of the
+    delta.  A full rebuild only happens when the overlay (added +
+    deleted rows) exceeds ``delta_threshold``, or when a caller touches
+    the flat id surface (:meth:`id_triples`, :meth:`match_id_rows`, the
+    sort ranks), which by contract describes a single consolidated
+    column block.  An **empty base** is never searched and never served
+    through the overlay: adds onto it are plain dict inserts, however
+    many, and the first query consolidates them — the bulk-build path of
+    a per-triple ``add`` loop.  :attr:`rebuild_count` counts full
     rebuilds so tests and benchmarks can assert the deferral actually
-    happens; ``delta_threshold=0`` restores the old eager
-    rebuild-per-mutation-burst behaviour.
+    happens; ``delta_threshold=0`` consolidates every pending mutation
+    burst at the next query.
     """
 
     name = "columnar"
@@ -629,13 +636,10 @@ class ColumnarBackend(_IdSurfaceMixin):
     def __init__(self, delta_threshold: int = 1024) -> None:
         self.entity_interner = Interner()
         self.relation_interner = Interner()
-        # Insertion-ordered so iteration and the column layout are
-        # deterministic for a deterministic construction sequence.
-        self._rows: Dict[Tuple[int, int, int], None] = {}
         self.delta_threshold = int(delta_threshold)
         #: Number of full index (re)builds performed so far.
         self.rebuild_count = 0
-        self._dirty = True
+        # The base block, attached on first use (see _attach).
         self._cols: Optional[np.ndarray] = None  # (n, 3) int64
         self._perm_spo: Optional[np.ndarray] = None
         self._perm_pos: Optional[np.ndarray] = None
@@ -666,29 +670,55 @@ class ColumnarBackend(_IdSurfaceMixin):
         key = (self.entity_interner.intern(head),
                self.relation_interner.intern(relation),
                self.entity_interner.intern(tail))
-        if key in self._rows:
-            return False
-        self._rows[key] = None
-        if self._dirty:
-            return True
-        if self._overlay_size() >= self.delta_threshold:
-            # The overlay is already at the rebuild threshold, so the next
-            # query rebuilds from _rows regardless — stop paying per-insert
-            # binary searches and fall back to the dirty flag (O(1) adds,
-            # the bulk-load fast path).
-            self._dirty = True
-            return True
-        self._overlay_add(key)
-        return True
+        self._ensure_attached()
+        return self._overlay_add(key)
+
+    def add_many(self, triples: Iterable[Triple]) -> int:
+        """Bulk load: intern the batch in first-appearance order (exactly
+        like an ``add`` loop), then merge it as one id block — see
+        :meth:`bulk_load_ids`.  Returns how many triples were new."""
+        return self.bulk_load_ids(intern_id_rows(
+            triples, self.entity_interner, self.relation_interner))
+
+    def bulk_load_ids(self, rows: np.ndarray) -> int:
+        """Merge a (k, 3) int64 block of already-interned id triples.
+
+        A block that fits under ``delta_threshold`` together with the
+        current overlay (:meth:`fits_overlay`) goes row by row through
+        the overlay, O(k · log n).  Any other block — and every block
+        onto an empty base: initial build, ``shard_split`` — is one
+        consolidation: the live base rows, any overlay adds and the new
+        block are concatenated, sorted and deduplicated with pure numpy
+        (all of which release the GIL — this is the per-shard unit of
+        work the sharded backend fans out over a thread pool), then
+        installed as the new base.  Returns the number of rows that were
+        actually new.  Ids must come from this backend's interners;
+        callers (``ShardedBackend.add_many``) intern before partitioning.
+        """
+        rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 3)
+        if not len(rows):
+            return 0
+        if self.fits_overlay(len(rows)):
+            return sum(map(self._overlay_add, map(tuple, rows.tolist())))
+        before = len(self)
+        existing = self._rebuild_source()
+        combined = np.concatenate((existing, rows)) if len(existing) else rows
+        self._install_cols(unique_rows(combined))
+        return len(self) - before
+
+    def fits_overlay(self, num_rows: int) -> bool:
+        """Whether :meth:`bulk_load_ids` takes ``num_rows`` without consolidating."""
+        self._ensure_attached()
+        return not num_rows or (
+            len(self._cols) > 0
+            and self._overlay_size() + num_rows <= self.delta_threshold)
 
     def discard(self, head: str, relation: str, tail: str) -> bool:
         key = self._key_of(head, relation, tail)
-        if key is None or key not in self._rows:
+        if key is None:
             return False
-        del self._rows[key]
-        if not self._dirty and not self._overlay_discard(key):
-            self._dirty = True  # pragma: no cover - _rows and base agree
-        return True
+        self._ensure_attached()
+        return self._overlay_discard(key)
 
     def _key_of(self, head: str, relation: str,
                 tail: str) -> Optional[Tuple[int, int, int]]:
@@ -700,8 +730,20 @@ class ColumnarBackend(_IdSurfaceMixin):
         return (head_id, relation_id, tail_id)
 
     # ------------------------------------------------------------------ #
-    # index maintenance
+    # base attachment / consolidation
     # ------------------------------------------------------------------ #
+    def _attach(self) -> None:
+        """Attach the base block: an in-memory store starts on an empty one."""
+        no_rows = np.zeros(0, dtype=np.int64)
+        no_groups = np.zeros(1, dtype=np.int64)
+        self._cols = empty_id_block()
+        self._perm_spo = self._perm_pos = self._perm_osp = no_rows
+        self._head_offsets = self._rel_offsets = self._tail_offsets = no_groups
+
+    def _ensure_attached(self) -> None:
+        if self._cols is None:
+            self._attach()
+
     def _install_cols(self, cols: np.ndarray) -> None:
         """Install ``cols`` as the base block and (re)build all indexes.
 
@@ -729,17 +771,16 @@ class ColumnarBackend(_IdSurfaceMixin):
         self._delta_block = None
         self._deleted_mask = None
         self._num_deleted = 0
-        self._dirty = False
         self.rebuild_count += 1
 
     def _rebuild_source(self) -> np.ndarray:
-        """The full (n, 3) id block to rebuild the base from."""
-        if self._rows:
-            return np.fromiter(
-                (component for row in self._rows for component in row),
-                dtype=np.int64, count=3 * len(self._rows),
-            ).reshape(-1, 3)
-        return empty_id_block()
+        """Live base rows (stored order) followed by overlay adds (sorted),
+        as a fresh in-heap block — a mapped base is immutable."""
+        self._ensure_attached()
+        base = np.asarray(self._cols)
+        if self._num_deleted:
+            base = base[~self._deleted_mask]
+        return np.concatenate((base, self._delta_cols()))
 
     def _rebuild(self) -> None:
         self._install_cols(self._rebuild_source())
@@ -748,8 +789,11 @@ class ColumnarBackend(_IdSurfaceMixin):
         return len(self._delta_add) + self._num_deleted
 
     def _ensure_base(self) -> None:
-        """Make sure a base index exists; consolidate an oversized overlay."""
-        if self._dirty or self._overlay_size() > self.delta_threshold:
+        """Make the base servable: consolidate an oversized overlay, and
+        any overlay at all over an empty base."""
+        self._ensure_attached()
+        if self._overlay_size() > self.delta_threshold \
+                or (self._delta_add and not len(self._cols)):
             self._rebuild()
 
     def _ensure_index(self) -> None:
@@ -759,14 +803,18 @@ class ColumnarBackend(_IdSurfaceMixin):
         the sort ranks) describes exactly one column block, so it calls
         this instead of :meth:`_ensure_base`.
         """
-        if self._dirty or self._delta_add or self._num_deleted:
+        self._ensure_attached()
+        if self._delta_add or self._num_deleted:
             self._rebuild()
 
     # ------------------------------------------------------------------ #
     # delta overlay
     # ------------------------------------------------------------------ #
     def _find_base_row(self, key: Tuple[int, int, int]) -> Optional[int]:
-        """Row index of ``key`` in the base block (deleted or not), else None."""
+        """Row index of ``key`` in the base block (deleted or not), else
+        None.  An empty base is not searched: adds onto it stay O(1)."""
+        if not len(self._cols):
+            return None
         head_id, relation_id, tail_id = key
         rows = self._slice(self._perm_spo, self._head_offsets, head_id)
         rows = self._subrange(rows, 1, relation_id)
@@ -956,17 +1004,40 @@ class ColumnarBackend(_IdSurfaceMixin):
     # ------------------------------------------------------------------ #
     def contains(self, head: str, relation: str, tail: str) -> bool:
         key = self._key_of(head, relation, tail)
-        return key is not None and key in self._rows
+        if key is None:
+            return False
+        self._ensure_attached()
+        if key in self._delta_add:
+            return True
+        base_row = self._find_base_row(key)
+        if base_row is None:
+            return False
+        return not (self._deleted_mask is not None and self._deleted_mask[base_row])
 
     def __len__(self) -> int:
-        return len(self._rows)
+        self._ensure_attached()
+        return len(self._cols) - self._num_deleted + len(self._delta_add)
 
     def iter_triples(self) -> Iterator[Triple]:
-        entity = self.entity_interner._id_to_symbol
-        relation = self.relation_interner._id_to_symbol
+        """Live base rows in stored order, then overlay adds in insertion
+        order; the base is read in chunks so a mapped block never has to
+        fit in the heap."""
+        self._ensure_attached()
+        entity = self.entity_interner.symbol_table()
+        relation = self.relation_interner.symbol_table()
         new_triple = Triple.unchecked
-        for head_id, relation_id, tail_id in self._rows:
-            yield new_triple(entity[head_id], relation[relation_id], entity[tail_id])
+        mask = self._deleted_mask
+        chunk = 4096
+        for start in range(0, len(self._cols), chunk):
+            block = np.asarray(self._cols[start:start + chunk])
+            if mask is not None:
+                block = block[~mask[start:start + chunk]]
+            for head_id, relation_id, tail_id in block.tolist():
+                yield new_triple(entity[head_id], relation[relation_id],
+                                 entity[tail_id])
+        for head_id, relation_id, tail_id in self._delta_add:
+            yield new_triple(entity[head_id], relation[relation_id],
+                             entity[tail_id])
 
     def _entity_degree_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """(out_degree, in_degree) per entity id, overlay included."""

@@ -87,6 +87,7 @@ from repro.kg.protocol import (DecodedBlock, decode_triple_rows,
                                encode_wire_patterns, encode_wire_triples)
 from repro.kg.routing import (
     BROADCAST as _BROADCAST,
+    classify_head,
     concat_id_blocks,
     interner_fingerprint,
     merge_frequency_dicts,
@@ -668,13 +669,6 @@ class ClusterBackend:
             shard_call=shard_call, broadcast_call=broadcast_call,
             merge=merge, run=self._run)
 
-    def _classify_head(self, head: Optional[str]):
-        if head is None:
-            return _BROADCAST
-        head_id = self.entity_interner.lookup(head)
-        return None if head_id is None else shard_of_id(head_id,
-                                                        self.n_shards)
-
     # ------------------------------------------------------------------ #
     # mutation — leader-only, routed exactly like ShardedBackend
     # ------------------------------------------------------------------ #
@@ -742,7 +736,7 @@ class ClusterBackend:
     # string-level queries
     # ------------------------------------------------------------------ #
     def contains(self, head: str, relation: str, tail: str) -> bool:
-        where = self._classify_head(head)
+        where = classify_head(self.entity_interner, self.n_shards, head)
         if where is None:
             return False
         return self._sessions[where].read_call(
@@ -768,7 +762,8 @@ class ClusterBackend:
 
         return self._scatter(
             patterns,
-            classify=lambda pattern: self._classify_head(pattern[0]),
+            classify=lambda pattern: classify_head(
+                self.entity_interner, self.n_shards, pattern[0]),
             empty=list,
             shard_call=shard_call,
             broadcast_call=broadcast_call,
@@ -790,7 +785,8 @@ class ClusterBackend:
     def count_many(self, patterns: Sequence[Pattern]) -> List[int]:
         return self._scatter(
             patterns,
-            classify=lambda pattern: self._classify_head(pattern[0]),
+            classify=lambda pattern: classify_head(
+                self.entity_interner, self.n_shards, pattern[0]),
             empty=lambda: 0,
             shard_call=lambda index, group: self._sessions[index].read_call(
                 "count_many", patterns=encode_wire_patterns(group)),

@@ -23,35 +23,33 @@ from ``numpy.memmap`` views of them:
 * ``head_offsets.i64`` / ``rel_offsets.i64`` / ``tail_offsets.i64`` —
   CSR group offsets.
 
-:class:`MmapBackend` extends :class:`ColumnarBackend`: the base block is
-a read-only memmap instead of in-heap arrays, membership tests are
-binary searches on the ``spo`` permutation instead of a Python dict, and
-mutations land in the same in-memory delta overlay the columnar backend
-uses (so an opened store stays fully mutable).  When the overlay
-outgrows ``delta_threshold`` — or a caller touches the flat surface
-(``id_triples``, ``match_id_rows``, the sort ranks, ``save``) — the
-live base rows and the overlay are consolidated into in-heap arrays;
-:meth:`save` writes that consolidated state back to disk.
+:class:`MmapBackend` is :class:`ColumnarBackend` with a second way to
+attach the base block: a read-only memmap of these files instead of
+in-heap arrays.  Membership, mutation through the in-memory delta
+overlay (so an opened store stays fully mutable) and queries are the
+parent's code, unchanged.  When the overlay outgrows ``delta_threshold``
+— or a caller touches the flat surface (``id_triples``,
+``match_id_rows``, the sort ranks, ``save``) — the live base rows and
+the overlay are consolidated into in-heap arrays; ``save`` writes that
+consolidated state back to disk.
 
-``MmapBackend()`` without a directory starts empty (an overlay over a
-zero-row base) and is registered in :data:`~repro.kg.backend.BACKENDS`
-as ``"mmap"``, so ``TripleStore(backend="mmap")`` and the CLI's
-``--backend mmap`` work like any other backend; build → ``save`` →
-:meth:`open` is the bulk-load-once, query-from-disk lifecycle.
+``MmapBackend()`` without a directory is an in-memory columnar store and
+is registered in :data:`~repro.kg.backend.BACKENDS` as ``"mmap"``, so
+``TripleStore(backend="mmap")`` and the CLI's ``--backend mmap`` work
+like any other backend; build → ``save`` → :meth:`MmapBackend.open` is
+the bulk-load-once, query-from-disk lifecycle.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.kg.backend import (BACKENDS, ColumnarBackend, Interner,
-                              empty_id_block, unique_rows)
-from repro.kg.triple import Triple
+from repro.kg.backend import BACKENDS, ColumnarBackend, Interner
 
 #: Identifies the directory layout; never reuse across incompatible formats.
 MAGIC = "repro-kg-columnar"
@@ -336,25 +334,20 @@ def peek_store_magic(directory: str | Path) -> "str | None":
 
 
 class MmapBackend(ColumnarBackend):
-    """A :class:`ColumnarBackend` whose base block is memory-mapped files.
+    """A :class:`ColumnarBackend` that can attach its base block from disk.
 
     ``MmapBackend(directory)`` opens a saved store: the header and the
     interner tables are read eagerly (they are needed for every symbol
     lookup), the seven array files are attached lazily as read-only
-    ``np.memmap`` views on first query, so opening costs O(header) and
-    bulk column data never has to fit in the heap.  Without a directory
-    the backend starts empty and behaves like an in-memory columnar
-    store that consolidates through the overlay.
-
-    Differences from the parent:
-
-    * membership (and therefore ``add``/``discard`` dedup) is a binary
-      search on the base ``spo`` permutation plus an overlay lookup —
-      there is no in-heap dict of all rows;
-    * consolidation rebuilds into in-heap arrays (the mapped files are
-      immutable); :meth:`save` writes the consolidated state back out;
-    * :meth:`clone_empty` returns an **empty in-memory** ``MmapBackend``
-      (a copied store does not inherit the source's files).
+    ``np.memmap`` views on first use, so opening costs O(header) and
+    bulk column data never has to fit in the heap.  Everything else —
+    membership, the overlay, queries, bulk loads, consolidation into
+    in-heap arrays (the mapped files are immutable), ``save`` — is the
+    parent's; saving over the directory the base is mapped from first
+    copies the base into the heap (:meth:`_detach_from`).  Without a
+    directory this *is* an in-memory columnar store, and that is what
+    :meth:`clone_empty` returns: a copied store does not inherit the
+    source's files.
     """
 
     name = "mmap"
@@ -365,9 +358,6 @@ class MmapBackend(ColumnarBackend):
         super().__init__(delta_threshold=delta_threshold)
         self._directory: Optional[Path] = None
         self._header: Optional[dict] = None
-        # The parent's _rows dict is intentionally unused: membership
-        # goes through _find_base_row + the overlay.
-        self._dirty = False
         if interners is not None:
             self.entity_interner, self.relation_interner = interners
         if directory is not None:
@@ -403,13 +393,10 @@ class MmapBackend(ColumnarBackend):
         """The backing store directory, or ``None`` for an in-memory store."""
         return self._directory
 
-    # ------------------------------------------------------------------ #
-    # base attachment / consolidation
-    # ------------------------------------------------------------------ #
     def _attach(self) -> None:
-        """Attach the base block: memmap the files, or install empty arrays."""
+        """Attach the base block: memmap the files of a saved directory."""
         if self._directory is None:
-            self._install_cols(empty_id_block())
+            super()._attach()
             return
         header = self._header
         specs = _array_specs(header["num_triples"], header["num_entities"],
@@ -430,37 +417,12 @@ class MmapBackend(ColumnarBackend):
         self._rel_offsets = mapped("rel_offsets.i64")
         self._tail_offsets = mapped("tail_offsets.i64")
 
-    def _ensure_attached(self) -> None:
-        if self._cols is None:
-            self._attach()
-
-    def _ensure_base(self) -> None:
-        self._ensure_attached()
-        if self._overlay_size() > self.delta_threshold:
-            self._rebuild()
-
-    def _ensure_index(self) -> None:
-        self._ensure_attached()
-        if self._delta_add or self._num_deleted:
-            self._rebuild()
-
-    def _rebuild_source(self) -> np.ndarray:
-        """Live base rows (stored order) followed by overlay adds (sorted)."""
-        self._ensure_attached()
-        base = np.asarray(self._cols)
-        if self._num_deleted:
-            base = base[~self._deleted_mask]
-        delta = self._delta_cols()
-        if len(delta):
-            return np.concatenate((np.ascontiguousarray(base), delta))
-        return np.array(base, dtype=np.int64)
-
     def _detach_from(self, directory: Path) -> None:
         """Copy the base into the heap if it is mapped from ``directory``.
 
-        Called before :meth:`save` overwrites files that this very
-        backend may still have mapped (truncating a mapped file is
-        undefined behaviour territory).
+        Called before a save overwrites files that this very backend may
+        still have mapped (truncating a mapped file is undefined
+        behaviour territory).
         """
         if self._directory is None or self._cols is None:
             return
@@ -471,103 +433,6 @@ class MmapBackend(ColumnarBackend):
             value = getattr(self, attr)
             if isinstance(value, np.memmap):
                 setattr(self, attr, np.array(value, dtype=np.int64))
-
-    # ------------------------------------------------------------------ #
-    # mutation & membership (no _rows dict)
-    # ------------------------------------------------------------------ #
-    def add(self, head: str, relation: str, tail: str) -> bool:
-        if not (head and relation and tail):
-            raise ValueError(
-                f"triple components must be non-empty, got ({head!r}, {relation!r}, {tail!r})")
-        key = (self.entity_interner.intern(head),
-               self.relation_interner.intern(relation),
-               self.entity_interner.intern(tail))
-        self._ensure_attached()
-        return self._overlay_add(key)
-
-    def discard(self, head: str, relation: str, tail: str) -> bool:
-        key = self._key_of(head, relation, tail)
-        if key is None:
-            return False
-        self._ensure_attached()
-        return self._overlay_discard(key)
-
-    def contains(self, head: str, relation: str, tail: str) -> bool:
-        key = self._key_of(head, relation, tail)
-        if key is None:
-            return False
-        self._ensure_attached()
-        if key in self._delta_add:
-            return True
-        base_row = self._find_base_row(key)
-        if base_row is None:
-            return False
-        return not (self._deleted_mask is not None and self._deleted_mask[base_row])
-
-    def __len__(self) -> int:
-        self._ensure_attached()
-        return len(self._cols) - self._num_deleted + len(self._delta_add)
-
-    def iter_triples(self) -> Iterator[Triple]:
-        self._ensure_attached()
-        entity = self.entity_interner._id_to_symbol
-        relation = self.relation_interner._id_to_symbol
-        new_triple = Triple.unchecked
-        mask = self._deleted_mask
-        chunk = 4096
-        for start in range(0, len(self._cols), chunk):
-            block = np.asarray(self._cols[start:start + chunk])
-            if mask is not None:
-                block = block[~mask[start:start + chunk]]
-            for head_id, relation_id, tail_id in block.tolist():
-                yield new_triple(entity[head_id], relation[relation_id],
-                                 entity[tail_id])
-        for head_id, relation_id, tail_id in self._delta_add:
-            yield new_triple(entity[head_id], relation[relation_id],
-                             entity[tail_id])
-
-    # ------------------------------------------------------------------ #
-    # bulk loading
-    # ------------------------------------------------------------------ #
-    def bulk_load_ids(self, rows: np.ndarray) -> int:
-        """Merge a (k, 3) int64 block of already-interned id triples.
-
-        A block that fits under ``delta_threshold`` together with the
-        current overlay (:meth:`fits_overlay`) goes row by row through
-        the overlay, O(k · log n).  Any other block — and every block
-        onto an empty base: initial build, ``shard_split`` — is one
-        consolidation: the live base rows, any overlay adds and the new
-        block are concatenated, sorted and deduplicated with pure numpy
-        (all of which release the GIL — this is the per-shard unit of
-        work the sharded backend fans out over a thread pool), then
-        installed as the new base.  Returns the number of rows that were
-        actually new.  Ids must come from this backend's interners;
-        callers (``ShardedBackend.add_many``) intern before partitioning.
-        """
-        rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 3)
-        if not len(rows):
-            return 0
-        if self.fits_overlay(len(rows)):
-            return sum(map(self._overlay_add, map(tuple, rows.tolist())))
-        before = len(self)
-        existing = self._rebuild_source()
-        combined = np.concatenate((existing, rows)) if len(existing) else rows
-        self._install_cols(unique_rows(combined))
-        return len(self) - before
-
-    def fits_overlay(self, num_rows: int) -> bool:
-        """Whether :meth:`bulk_load_ids` takes ``num_rows`` without consolidating."""
-        self._ensure_attached()
-        return not num_rows or (
-            len(self._cols) > 0
-            and self._overlay_size() + num_rows <= self.delta_threshold)
-
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-    def save(self, directory: str | Path) -> Path:
-        """Consolidate and persist to ``directory`` (safe over its own files)."""
-        return write_backend_dir(self, directory)
 
 
 BACKENDS[MmapBackend.name] = MmapBackend

@@ -68,6 +68,17 @@ def shard_of_ids(head_ids: np.ndarray, n_shards: int) -> np.ndarray:
     return (mixed % np.uint64(n_shards)).astype(np.int64)
 
 
+def classify_head(entity_interner: Interner, n_shards: int,
+                  head: Optional[str]):
+    """:func:`scatter_gather`'s ``classify`` for a string pattern head:
+    :data:`BROADCAST` for a wildcard, the owner shard of an interned
+    head, ``None`` (statically empty) for a symbol never interned."""
+    if head is None:
+        return BROADCAST
+    head_id = entity_interner.lookup(head)
+    return None if head_id is None else shard_of_id(head_id, n_shards)
+
+
 def run_serially(thunks: Sequence[Callable[[], _T]],
                  parallel: bool = False) -> List[_T]:
     """The trivial :data:`Runner`: call every thunk in order."""

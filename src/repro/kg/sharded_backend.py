@@ -106,6 +106,7 @@ from repro.kg.mmap_backend import (
 )
 from repro.kg.routing import (
     BROADCAST as _BROADCAST,
+    classify_head,
     concat_id_blocks,
     merge_triple_lists,
     scatter_gather,
@@ -144,12 +145,12 @@ def load_sharded_header(directory: str | Path) -> dict:
 class ShardedBackend(_IdSurfaceMixin):
     """Hash-partitioned composite over ``n_shards`` columnar-family shards.
 
-    The inner shards are in-memory :class:`MmapBackend` instances — the
-    dict-free variant of the columnar design whose membership tests are
-    binary searches, so the per-shard bulk-load unit
-    (:meth:`MmapBackend.bulk_load_ids`) is pure numpy and parallelizes
-    across threads.  All shards alias the two interners owned by this
-    object; ids are global and backend-independent.
+    The inner shards are :class:`MmapBackend` instances (in-memory, or
+    mapped from a saved shard directory); the per-shard bulk-load unit
+    (:meth:`ColumnarBackend.bulk_load_ids
+    <repro.kg.backend.ColumnarBackend.bulk_load_ids>`) is pure numpy and
+    parallelizes across threads.  All shards alias the two interners
+    owned by this object; ids are global and backend-independent.
 
     ``max_workers`` caps the thread pool (default: the machine's core
     count); pass ``max_workers=1`` to force serial execution, or a
@@ -262,8 +263,8 @@ class ShardedBackend(_IdSurfaceMixin):
         unavoidable Python.  Per shard, a block that fits the overlay is
         applied inline in O(block · log n); any other block is a numpy
         merge + sort + index build and runs threaded (see
-        :meth:`MmapBackend.bulk_load_ids`).  Returns the number of
-        triples that were actually new.
+        :meth:`~repro.kg.backend.ColumnarBackend.bulk_load_ids`).
+        Returns the number of triples that were actually new.
         """
         rows = intern_id_rows(triples, self.entity_interner,
                               self.relation_interner)
@@ -373,13 +374,6 @@ class ShardedBackend(_IdSurfaceMixin):
     # ------------------------------------------------------------------ #
     # batched queries — route head-bound items, fan out the rest
     # ------------------------------------------------------------------ #
-    def _classify_head(self, head: Optional[str]):
-        """Owner shard of a string pattern head (None = wildcard)."""
-        if head is None:
-            return _BROADCAST
-        head_id = self.entity_interner.lookup(head)
-        return None if head_id is None else self._shard_index(head_id)
-
     def count_many(self, patterns: Sequence[Pattern]) -> List[int]:
         """Batched :meth:`count`: head-bound patterns hit one shard,
         the rest sum across shards — one pass per shard, not one per
@@ -388,7 +382,8 @@ class ShardedBackend(_IdSurfaceMixin):
             return self._shards[0].count_many(patterns)
         return self._routed_batch(
             patterns,
-            classify=lambda pattern: self._classify_head(pattern[0]),
+            classify=lambda pattern: classify_head(
+                self.entity_interner, self.n_shards, pattern[0]),
             empty=lambda: 0,
             shard_call=lambda shard, group: shard.count_many(group),
             merge=sum)
@@ -403,7 +398,8 @@ class ShardedBackend(_IdSurfaceMixin):
             return self._shards[0].match_many(patterns, sort=sort)
         return self._routed_batch(
             patterns,
-            classify=lambda pattern: self._classify_head(pattern[0]),
+            classify=lambda pattern: classify_head(
+                self.entity_interner, self.n_shards, pattern[0]),
             empty=list,
             shard_call=lambda shard, group: shard.match_many(group, sort=sort),
             # Per-shard sorting would be thrown away by the merge.

@@ -233,8 +233,7 @@ class TripleStore:
         backend = self._backend
         if not hasattr(backend, "save"):
             columnar = ColumnarBackend()
-            for triple in backend.iter_triples():
-                columnar.add(triple.head, triple.relation, triple.tail)
+            columnar.add_many(backend.iter_triples())
             backend = columnar
         return backend.save(directory)
 
@@ -438,21 +437,14 @@ class TripleStore:
             self._wal.close()
 
     def copy(self) -> "TripleStore":
-        """Return an independent, fully writable copy of the store.
+        """Return an independent, fully writable in-memory copy of the store.
 
-        Copies stay on the same backend kind, with one exception: a copy
-        of an mmap-backed store materializes as an in-memory
-        :class:`~repro.kg.backend.ColumnarBackend`.  An empty
-        ``MmapBackend`` clone would route every write through the dict-
-        free overlay (binary searches per insert) and keep none of the
-        on-disk base it was cloned from — the columnar backend is the
-        correct in-memory equivalent.
+        The copy stays on the same backend kind and configuration
+        (:meth:`~repro.kg.backend.GraphBackend.clone_empty`); the copy of
+        an opened on-disk store holds nothing of the source's files.
         """
-        clone_backend = self._backend.clone_empty()
-        if isinstance(clone_backend, MmapBackend):
-            clone_backend = ColumnarBackend(
-                delta_threshold=clone_backend.delta_threshold)
-        return TripleStore(self._backend.iter_triples(), backend=clone_backend)
+        return TripleStore(self._backend.iter_triples(),
+                           backend=self._backend.clone_empty())
 
     def triples(self) -> List[Triple]:
         """Return all triples sorted deterministically."""

@@ -11,6 +11,9 @@ layer and assert identical observable behaviour.
 
 from __future__ import annotations
 
+import functools
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +32,8 @@ from repro.kg.triple import Triple, triples_from_tuples
 #: transitions constantly; MmapBackend() runs the shared query core over
 #: an empty base plus overlay; the sharded factories cover degenerate
 #: (1), even (2) and many-shard (8) hash partitionings, and the ``-dirty``
-#: ones start overlay-dirty (see :func:`_dirty_sharded`).
+#: ones start overlay-dirty (see :func:`_pend_overlay`) — over in-heap
+#: base blocks, and over one mapped from a saved directory.
 BACKEND_FACTORIES = {
     "columnar": ColumnarBackend,
     "columnar-eager": lambda: ColumnarBackend(delta_threshold=0),
@@ -41,6 +45,7 @@ BACKEND_FACTORIES = {
     "sharded-1-dirty": lambda: _dirty_sharded(1),
     "sharded-2-dirty": lambda: _dirty_sharded(2),
     "sharded-3-dirty": lambda: _dirty_sharded(3),
+    "mmap-reopened-dirty": lambda: _dirty_reopened_mmap(),
 }
 
 #: Symbols hypothesis reaches first when it shrinks ``_symbol``, so the
@@ -50,14 +55,10 @@ _SEED_ROWS = [(head, relation, tail)
               for tail in ("0", "00", "a")]
 
 
-def _dirty_sharded(n_shards):
-    """``ShardedBackend(n)`` over a consolidated base block with adds and
-    discards of base rows pending in the shards' overlays — far below
-    ``delta_threshold``, so no query may consolidate them."""
-    backend = ShardedBackend(n_shards)
-    backend.add_many(triples_from_tuples(_SEED_ROWS))
-    for leaf in _leaves(backend):
-        leaf.id_triples()            # fold the seed into the base block
+def _pend_overlay(backend):
+    """Leave adds and discards of ``_SEED_ROWS`` base rows pending in the
+    overlay — far below ``delta_threshold``, so no query may consolidate
+    them."""
     for head, relation, tail in _SEED_ROWS[::2]:
         assert backend.discard(head, relation, tail)
     for head, relation, tail in _SEED_ROWS[:3]:
@@ -66,10 +67,36 @@ def _dirty_sharded(n_shards):
     return backend
 
 
+def _dirty_sharded(n_shards):
+    """``ShardedBackend(n)`` over a consolidated in-heap base block."""
+    backend = ShardedBackend(n_shards)
+    backend.add_many(triples_from_tuples(_SEED_ROWS))
+    for leaf in _leaves(backend):
+        leaf.id_triples()            # fold the seed into the base block
+    return _pend_overlay(backend)
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_seed():
+    """A saved ``_SEED_ROWS`` store (the directory lives as long as the
+    returned holder, i.e. the test session)."""
+    holder = tempfile.TemporaryDirectory()
+    seed = ColumnarBackend()
+    seed.add_many(triples_from_tuples(_SEED_ROWS))
+    seed.save(holder.name)
+    return holder
+
+
+def _dirty_reopened_mmap():
+    """A reopened ``MmapBackend``: the base block is mapped from disk."""
+    return _pend_overlay(MmapBackend.open(_saved_seed().name))
+
+
 def _starts_dirty(backend):
-    """True for the :func:`_dirty_sharded` inputs (a fresh backend of any
+    """True for the :func:`_pend_overlay` inputs (a fresh backend of any
     other kind, remote ones included, starts with nothing pending)."""
-    return isinstance(backend, ShardedBackend) and _overlay(backend) > 0
+    return isinstance(backend, (ColumnarBackend, ShardedBackend)) \
+        and _overlay(backend) > 0
 
 
 def _mirror(backend):
@@ -250,31 +277,90 @@ def test_delta_overlay_parity_with_queries_between_mutations(operations):
     assert reference.entities() == columnar.entities()
 
 
-def test_delta_overlay_defers_rebuilds():
-    """Mutation bursts below the threshold cost zero extra full rebuilds."""
-    backend = ColumnarBackend(delta_threshold=100)
-    for index in range(50):
-        backend.add(f"h{index}", "r", f"t{index}")
-    assert backend.count(relation="r") == 50      # builds the base index
-    assert backend.rebuild_count == 1
-    for index in range(60):
-        backend.add(f"extra{index}", "r", "sink") # 60 adds < threshold
-        assert backend.count(relation="r") == 51 + index
-        assert backend.tails(f"extra{index}", "r") == ["sink"]
-    assert backend.rebuild_count == 1             # all served from the overlay
-    # The flat id surface consolidates: exactly one more rebuild.
-    assert len(backend.id_triples()) == 110
-    assert backend.rebuild_count == 2
+#: The in-memory columnar family, by ``delta_threshold``.
+FAMILY = {
+    "columnar": lambda threshold: ColumnarBackend(delta_threshold=threshold),
+    "mmap": lambda threshold: MmapBackend(delta_threshold=threshold),
+    "sharded-1": lambda threshold: ShardedBackend(1, delta_threshold=threshold),
+    "sharded-2": lambda threshold: ShardedBackend(2, delta_threshold=threshold),
+}
 
-    eager = ColumnarBackend(delta_threshold=0)
-    for index in range(10):
-        eager.add(f"h{index}", "r", f"t{index}")
-    eager.count(relation="r")
-    before = eager.rebuild_count
-    for index in range(5):
-        eager.add(f"extra{index}", "r", "sink")
+
+def test_delta_overlay_defers_rebuilds():
+    """Mutation bursts below the threshold cost zero extra full rebuilds,
+    on every member of the family (one leaf each)."""
+    for kind in ("columnar", "mmap", "sharded-1"):
+        backend = FAMILY[kind](100)
+        for index in range(50):
+            backend.add(f"h{index}", "r", f"t{index}")
+        assert backend.count(relation="r") == 50      # builds the base index
+        assert _rebuilds(backend) == 1, kind
+        for index in range(60):
+            backend.add(f"extra{index}", "r", "sink") # 60 adds < threshold
+            assert backend.count(relation="r") == 51 + index
+            assert backend.tails(f"extra{index}", "r") == ["sink"]
+        assert _rebuilds(backend) == 1, kind          # all served from the overlay
+        # The flat id surface consolidates: exactly one more rebuild.
+        assert len(_leaves(backend)[0].id_triples()) == 110
+        assert _rebuilds(backend) == 2, kind
+
+        eager = FAMILY[kind](0)
+        for index in range(10):
+            eager.add(f"h{index}", "r", f"t{index}")
         eager.count(relation="r")
-    assert eager.rebuild_count == before + 5      # one rebuild per burst
+        before = _rebuilds(eager)
+        for index in range(5):
+            eager.add(f"extra{index}", "r", "sink")
+            eager.count(relation="r")
+        assert _rebuilds(eager) == before + 5, kind   # one rebuild per burst
+
+
+@pytest.mark.parametrize("count", [30, 300], ids=["below", "above"])
+@pytest.mark.parametrize("kind", FAMILY)
+def test_an_empty_base_is_never_searched_nor_served_through_the_overlay(kind, count):
+    """Per-triple adds onto an empty store are plain dict inserts however
+    many there are (below / above ``delta_threshold``), and the first
+    query consolidates them all."""
+    backend = FAMILY[kind](100)
+    searches = []
+    for leaf in _leaves(backend):
+        for name in ("_slice", "_subrange"):
+            def counted(*args, _search=getattr(leaf, name)):
+                searches.append(args)
+                return _search(*args)
+            setattr(leaf, name, counted)
+    for index in range(count):
+        assert backend.add(f"h{index}", "r", f"t{index % 7}")
+    assert not backend.add("h0", "r", "t0")
+    assert not backend.discard("h0", "r", "t1")
+    assert backend.contains("h1", "r", "t1") and not backend.contains("h1", "r", "t2")
+    assert len(backend) == count
+    assert (searches, _rebuilds(backend)) == ([], 0)
+    assert backend.count(relation="r") == count
+    assert backend.tails("h1", "r") == ["t1"]
+    for leaf in _leaves(backend):
+        assert (leaf._overlay_size(), leaf.rebuild_count) == (0, 1)
+
+
+@pytest.mark.parametrize("base", [0, 40], ids=["empty-base", "populated-base"])
+@pytest.mark.parametrize("batch_size", [8, 200], ids=["overlay", "merge"])
+def test_add_many_counts_like_an_add_loop(base, batch_size):
+    """``add_many`` is one id-block merge, yet returns what the ``add``
+    loop does: in-batch duplicates and rows already present count once."""
+    rows = [(f"h{index % 37}", f"r{index % 2}", f"t{index % 5}")
+            for index in range(batch_size)]
+    rows += rows[:3] + [(f"b{index}", "r0", "sink") for index in range(0, base, 2)]
+    looped, batched = ColumnarBackend(delta_threshold=64), ColumnarBackend(delta_threshold=64)
+    for backend in (looped, batched):
+        for index in range(base):
+            backend.add(f"b{index}", "r0", "sink")
+        backend.id_triples()
+    new = sum(looped.add(*row) for row in rows)
+    assert batched.add_many(triples_from_tuples(rows)) == new == len(set(rows)) - base // 2
+    assert sorted(batched.iter_triples()) == sorted(looped.iter_triples())
+    assert batched.entity_interner.symbols() == looped.entity_interner.symbols()
+    with pytest.raises(ValueError, match="non-empty"):
+        batched.add_many([Triple.unchecked("h", "", "t")])
 
 
 def test_columnar_id_surface_consistent():
@@ -493,11 +579,7 @@ def test_store_facade_roundtrip(backend_name):
     assert store.count(relation="brandIs") == 2
     assert store.heads("brandIs", "apple") == ["p1", "p2"]
     clone = store.copy()
-    # Copies of mmap-backed stores materialize as in-memory columnar
-    # backends (an empty MmapBackend clone would be a degraded overlay-
-    # only store); every other backend kind is preserved.
-    expected_clone = "columnar" if backend_name == "mmap" else backend_name
-    assert clone.backend_name == expected_clone
+    assert clone.backend_name == backend_name
     clone.add(Triple("p3", "brandIs", "tesla"))
     assert len(clone) == len(store) + 1
     assert store.triples() == sorted(triples)

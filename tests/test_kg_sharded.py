@@ -230,7 +230,7 @@ def test_match_many_mixed_batch_on_fresh_open_is_thread_safe(tmp_path):
     assert clone.entity_interner is not backend.entity_interner
 
 
-def test_sharded_store_copy_stays_sharded():
+def test_sharded_store_copy_stays_sharded(tmp_path):
     store = TripleStore(triples_from_tuples([("a", "r", "b"), ("c", "r", "d")]),
                         backend=ShardedBackend(3))
     clone = store.copy()
@@ -238,6 +238,12 @@ def test_sharded_store_copy_stays_sharded():
     assert clone.backend.n_shards == 3
     clone.add(Triple("e", "r", "f"))
     assert len(store) == 2 and len(clone) == 3
+    # The copy of an on-disk sharded store is detached from its files.
+    opened = TripleStore.open(store.save(tmp_path / "store"))
+    assert all(shard.directory is not None for shard in opened.backend._shards)
+    detached = opened.copy()
+    assert detached.triples() == store.triples()
+    assert all(shard.directory is None for shard in detached.backend._shards)
 
 
 # --------------------------------------------------------------------------- #
