@@ -19,8 +19,9 @@ Acceptance bars (assert messages embed the timing table):
 * hit rate **>= 0.9** on the Zipfian trace (>= 2k distinct queries over
   >= 50k requests — misses are bounded by the catalog size, so a
   correct cache cannot miss this bar);
-* the cached in-process run is **>= 5x** faster per request than the
-  cache-disabled twin.
+* the cached in-process run is **>= 3x** faster per request than the
+  cache-disabled twin (a ratio of cached to *uncached* cost: it was 5x
+  until PR 17 made the uncached side 2.3x cheaper).
 
 Results persist into ``benchmarks/out/BENCH_cache.json``.
 """
@@ -59,7 +60,12 @@ COLD_SLICE = 4096
 WIRE_SLICE = 4096
 
 HIT_RATE_BAR = 0.9
-SPEEDUP_BAR = 5.0
+#: Cached ÷ **uncached** cost per request.  Re-based from 5.0 in PR 17:
+#: ``plan_queries`` now counts each distinct pattern of a batch once, so
+#: the *miss* path of this replay fell from ~890 to ~365-430 us/request
+#: while a hit costs what it did (~85 us) — the ratio dropped to
+#: 4.6-5.6x because the denominator got cheaper, not the cache slower.
+SPEEDUP_BAR = 3.0
 
 
 def _catalog_store() -> TripleStore:

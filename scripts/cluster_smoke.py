@@ -13,7 +13,10 @@ box a separate OS process talking TCP on loopback:
 then drives join and point-lookup workloads through the coordinator
 with the ordinary remote client and checks the answers against an
 in-process ``ShardedBackend(2)`` oracle (a cluster of N must be
-bit-identical to it).  Then the self-management story, in order:
+bit-identical to it) — a guide-shaped star join among them, which the
+coordinator must ship whole to the shards: exactly one shard request per
+shard, read off its own ``stats``.  Then the self-management story, in
+order:
 
 1. compact the shard-0 leader under the live follower — the follower
    must re-bootstrap automatically (fetch the new snapshot generation,
@@ -107,6 +110,9 @@ def main() -> int:
         [("?p", "rdf:type", f"category:{index}"),
          ("?p", "brandIs", "?b"),
          ("?b", "headquartersIn", "?c")]) for index in range(9)]
+    guide = PatternQuery.from_patterns(
+        [("?p", "brandIs", "brand:3"), ("?p", "rdf:type", "category:3")],
+        select=["?p"])
     lookups = [(f"product:{(index * 13) % NUM_PRODUCTS:04d}", None, None)
                for index in range(200)]
     interner = oracle_store.backend.entity_interner
@@ -167,6 +173,23 @@ def main() -> int:
         check("batched joins bit-identical to ShardedBackend(2)",
               got_joins == want_joins,
               f"{sum(map(len, got_joins))} vs {sum(map(len, want_joins))} rows")
+
+        def shard_requests() -> int:
+            with RemoteClient(coord_url) as client:
+                return client.call("stats")["cluster"]["totals"]["requests"]
+
+        # Before any write: a new symbol ends the coordinator's raw-id
+        # path, and with it the pushdown.  The ``stats`` op itself asks
+        # every shard its ``len``; two back-to-back reads price that.
+        before = shard_requests()
+        stats_cost = shard_requests() - before
+        got_guide = engine.execute(guide)
+        cost = shard_requests() - before - 2 * stats_cost
+        check("guide star join bit-identical to ShardedBackend(2)",
+              len(got_guide) > 0 and got_guide == oracle.execute(guide),
+              f"{len(got_guide)} rows")
+        check(f"star join shipped whole: exactly {N_SHARDS} shard requests",
+              cost == N_SHARDS, f"{cost} shard requests")
 
         got_lookups = remote.match_many(lookups)
         want_lookups = oracle_store.match_many(lookups)

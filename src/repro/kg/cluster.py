@@ -83,8 +83,9 @@ from repro.kg.mmap_backend import (
     write_header,
     write_interner_pair,
 )
-from repro.kg.protocol import (DecodedBlock, decode_triple_rows,
-                               encode_wire_patterns, encode_wire_triples)
+from repro.kg.protocol import (CODEC_BINARY, DecodedBlock, decode_triple_rows,
+                               encode_wire_patterns, encode_wire_query,
+                               encode_wire_triples)
 from repro.kg.routing import (
     BROADCAST as _BROADCAST,
     classify_head,
@@ -943,6 +944,40 @@ class ClusterBackend:
         if translated is None:
             return 0
         return self.count_many([translated])[0]
+
+    def execute_co_partitioned(self, queries: Sequence, reorder: bool = True
+                               ) -> Optional[List[np.ndarray]]:
+        """Star queries answered whole by the shards: ONE scatter round.
+
+        The :func:`~repro.kg.planner.co_partitioned` queries go out as
+        they are through ``execute_many``, one ``read_call`` per shard
+        (replica routing, retry, fencing and counters as for any read);
+        each shard plans and joins locally behind its own result cache;
+        per query the id rows concatenate in shard order.  ``None`` —
+        plan it here — unless the raw-id path holds and no live
+        connection negotiated JSON, on which ``execute_many`` ships
+        strings (``[]`` is zero rows either way).
+        """
+        if not self._fast_id_path() or any(
+                client is not None and client.codec != CODEC_BINARY
+                for session in self._sessions
+                for client in session._clients):
+            return None
+        wire = [encode_wire_query(query) for query in queries]
+        answers = self._run([
+            (lambda session=session: session.read_call(
+                "execute_many", queries=wire, reorder=reorder))
+            for session in self._sessions])
+        results: List[np.ndarray] = []
+        for query, parts in zip(queries, zip(*answers)):
+            if any(len(part) and not isinstance(part, DecodedBlock)
+                   for part in parts):
+                return None     # string rows: an endpoint reconnected on JSON
+            empty = np.zeros((0, len(query.select or query.variables())),
+                             dtype=np.int64)
+            results.append(np.concatenate(
+                [part.rows for part in parts if len(part)] or [empty]))
+        return results
 
     # ------------------------------------------------------------------ #
     # observability + lifecycle

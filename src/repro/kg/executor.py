@@ -26,6 +26,9 @@ The counterpart of :mod:`repro.kg.planner`.  Two executors evaluate a
 
 Both executors produce identical binding *sets*; only the row order is
 executor-defined (deterministic for a deterministic store either way).
+
+:func:`execute_co_partitioned` runs before either: a batch's star
+queries go to a backend that answers them whole (the coordinator).
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ import numpy as np
 from repro.errors import CursorError
 from repro.kg.backend import IdPattern, supports_id_queries, unique_rows
 from repro.kg.planner import (
-    ENTITY,
+    PatternQuery,
     PatternStep,
     QueryPlan,
+    co_partitioned,
     is_variable,
 )
 from repro.kg.store import TripleStore
@@ -449,13 +453,49 @@ def _project_cursor(backend, plan: QueryPlan,
         rows = [{}] if frontier.num_rows else []
         return ResultCursor(rows if limit is None else rows[:limit])
     stacked = np.stack([frontier.columns[name] for name in names], axis=1)
-    if plan.select:
-        stacked = unique_rows(stacked)
-    if limit is not None:
-        stacked = stacked[:limit]
-    kinds = ["e" if plan.var_kinds.get(name) == ENTITY else "r"
-             for name in names]
-    return ResultCursor(IdBlock.over(backend, names, kinds, stacked))
+    return _id_cursor(backend, plan.query, names, stacked)
+
+
+def _id_cursor(backend, query: PatternQuery, names: Sequence[str],
+               rows: np.ndarray) -> ResultCursor:
+    """The one projection rule over an id-space query's rows: ``select``
+    deduplicates (:func:`unique_rows` sorts too, so a selected result
+    is independent of join or gather order), then ``limit`` slices."""
+    if query.select:
+        rows = unique_rows(rows)
+    if query.limit is not None:
+        rows = rows[:query.limit]
+    # Id-space: a relation variable is one in a relation position.
+    relation_variables = {pattern[1] for pattern in query.patterns}
+    kinds = ["r" if name in relation_variables else "e" for name in names]
+    return ResultCursor(IdBlock.over(backend, names, kinds, rows))
+
+
+def execute_co_partitioned(store: TripleStore,
+                           queries: Sequence[PatternQuery],
+                           reorder: bool = True
+                           ) -> List[Optional[ResultCursor]]:
+    """Answer the star queries of a batch where the data lives.
+
+    One entry per query: a cursor where the backend answered it whole,
+    ``None`` where the caller still has to plan and execute it.  A
+    backend takes part by exposing ``execute_co_partitioned(queries,
+    reorder)`` → per query its id rows in shard order, or ``None`` when
+    it cannot right now; only the cluster coordinator does.  Projected
+    like a planned result: bit-identical under ``select``, else the
+    same binding multiset in shard order.
+    """
+    cursors: List[Optional[ResultCursor]] = [None] * len(queries)
+    pushdown = getattr(store.backend, "execute_co_partitioned", None)
+    pushed = [position for position, query in enumerate(queries)
+              if pushdown is not None and co_partitioned(query)]
+    blocks = pushdown([queries[position] for position in pushed],
+                      reorder) if pushed else None
+    for position, rows in zip(pushed, blocks or ()):
+        query = queries[position]
+        cursors[position] = _id_cursor(
+            store.backend, query, query.select or query.variables(), rows)
+    return cursors
 
 
 def execute_plans_cursors(store: TripleStore,
@@ -473,10 +513,11 @@ def execute_plans_cursors(store: TripleStore,
     bindings are not.
     """
     backend = store.backend
+    id_backend = supports_id_queries(backend)
     results: List[Optional[ResultCursor]] = [None] * len(plans)
     states: List[Tuple[int, _PlanState]] = []
     for index, plan in enumerate(plans):
-        if not plan.id_space or not supports_id_queries(backend):
+        if not plan.id_space or not id_backend:
             rows = execute_backtracking(store, plan)
             if plan.query.limit is not None:
                 rows = rows[:plan.query.limit]

@@ -9,9 +9,9 @@ the query text plus one batched ``count_many`` round-trip to the store:
 * :func:`plan_query` / :func:`plan_queries` — turn queries into
   :class:`QueryPlan` objects: patterns ordered by batched selectivity
   counts (fewest matching triples first), each annotated with its
-  constants and variable occurrences, plus a query-wide variable → kind
-  (entity / relation position) analysis that decides whether the
-  ID-space executor can run the plan;
+  constants and variable occurrences, plus whether the ID-space
+  executor can run the plan (no variable spans entity and relation
+  positions);
 * select validation — a ``select`` naming a variable the query never
   binds raises :class:`~repro.errors.QueryError` instead of silently
   producing partial rows;
@@ -19,7 +19,9 @@ the query text plus one batched ``count_many`` round-trip to the store:
   :class:`~repro.kg.service.QueryService` result cache is keyed by:
   interned pattern ids plus ``select`` plus the reorder flag,
   deliberately **limit-independent** (cache entries hold the full
-  deduplicated id-row block; ``limit`` applies at projection).
+  deduplicated id-row block; ``limit`` applies at projection);
+* :func:`co_partitioned` — the star-query shape test: what a store
+  partitioned by head hash answers shard by shard, unplanned.
 
 Plans are inert data; handing one to
 :func:`repro.kg.executor.execute_plans_cursors` produces result cursors.
@@ -27,8 +29,8 @@ Plans are inert data; handing one to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.kg.store import TripleStore
@@ -74,11 +76,6 @@ class PatternQuery:
         return seen
 
 
-#: Variable kinds: the id space a variable's bindings live in.
-ENTITY = "entity"
-RELATION = "relation"
-
-
 @dataclass(frozen=True)
 class PatternStep:
     """One pattern of a plan: constants split out, variables located.
@@ -106,19 +103,16 @@ class QueryPlan:
     ``steps`` are the query's patterns in execution order.  ``variables``
     keeps the *original* first-appearance order (the order
     :meth:`PatternQuery.variables` reports, independent of reordering).
-    ``var_kinds`` maps each variable to the id space it binds in
-    (:data:`ENTITY` or :data:`RELATION`); ``id_space`` is False when some
-    variable appears in both entity and relation positions, in which
-    case only the symbol-level backtracking executor can evaluate the
-    plan (entity and relation ids are different spaces, so the ID-space
-    join cannot compare them).
+    ``id_space`` is False when some variable appears in both entity and
+    relation positions, in which case only the symbol-level backtracking
+    executor can evaluate the plan (entity and relation ids are
+    different spaces, so the ID-space join cannot compare them).
     """
 
     query: PatternQuery
     steps: Tuple[PatternStep, ...]
     variables: Tuple[str, ...]
     select: Tuple[str, ...]
-    var_kinds: Dict[str, str] = field(default_factory=dict)
     id_space: bool = True
 
 
@@ -157,22 +151,13 @@ def validate_limit(limit: Optional[int]) -> None:
             f"limit must be a positive integer or None, got {limit!r}")
 
 
-def _analyze_variables(query: PatternQuery) -> Tuple[Dict[str, str], bool]:
-    """Variable → kind map, plus whether the query is ID-space executable."""
-    kinds: Dict[str, str] = {}
-    id_space = True
-    for pattern in query.patterns:
-        for position, term in enumerate(pattern):
-            if not is_variable(term):
-                continue
-            kind = RELATION if position == 1 else ENTITY
-            previous = kinds.setdefault(term, kind)
-            if previous != kind:
-                # The same variable binds entity symbols in one pattern
-                # and relation symbols in another: joining requires
-                # symbol comparison, not id comparison.
-                id_space = False
-    return kinds, id_space
+def _id_space(query: PatternQuery) -> bool:
+    """False when a variable binds relation symbols in one pattern and
+    entity symbols in another: joining those compares symbols, not ids."""
+    relation_terms = {pattern[1] for pattern in query.patterns}
+    return not any(is_variable(term) and term in relation_terms
+                   for head, _relation, tail in query.patterns
+                   for term in (head, tail))
 
 
 def _make_step(pattern: Tuple[str, str, str], count: int) -> PatternStep:
@@ -187,11 +172,11 @@ def plan_queries(store: TripleStore, queries: Sequence[PatternQuery],
                  reorder: bool = True) -> List[QueryPlan]:
     """Plan a batch of queries with ONE batched selectivity round-trip.
 
-    All constants-only patterns across all queries go to the store in a
-    single :meth:`~repro.kg.store.TripleStore.count_many` call (the
-    sharded backend routes head-bound patterns to their owner shard), so
-    planning cost does not multiply with the batch size the way
-    per-pattern ``count`` calls would.  The probe only covers queries
+    The distinct constants-only patterns across all queries go to the
+    store in a single :meth:`~repro.kg.store.TripleStore.count_many`
+    call (the sharded backend routes head-bound ones to their owner
+    shard), so planning cost multiplies neither with the batch size nor
+    with how often it repeats a pattern.  The probe only covers queries
     whose ordering can actually change — with ``reorder=False``, or for
     single-pattern queries, counts are never consulted, no probe is
     issued and the steps carry ``count=-1``.
@@ -209,7 +194,10 @@ def plan_queries(store: TripleStore, queries: Sequence[PatternQuery],
                      (tuple(None if is_variable(term) else term
                             for term in pattern)
                       for pattern in query.patterns)]
-    counts = store.count_many(flat_patterns) if flat_patterns else []
+    distinct = list(dict.fromkeys(flat_patterns))
+    count_of = dict(zip(distinct, store.count_many(distinct))) \
+        if distinct else {}
+    counts = [count_of[pattern] for pattern in flat_patterns]
     plans: List[QueryPlan] = []
     cursor = 0
     for query in queries:
@@ -226,14 +214,12 @@ def plan_queries(store: TripleStore, queries: Sequence[PatternQuery],
             # triples first prunes the binding frontier early; ties keep
             # the written order.  The binding *set* is order-invariant.
             steps.sort(key=lambda step: step.count)
-        kinds, id_space = _analyze_variables(query)
         plans.append(QueryPlan(
             query=query,
             steps=tuple(steps),
             variables=tuple(query.variables()),
             select=query.select,
-            var_kinds=kinds,
-            id_space=id_space,
+            id_space=_id_space(query),
         ))
     return plans
 
@@ -242,6 +228,24 @@ def plan_query(store: TripleStore, query: PatternQuery,
                reorder: bool = True) -> QueryPlan:
     """Plan a single query (see :func:`plan_queries`)."""
     return plan_queries(store, [query], reorder=reorder)[0]
+
+
+def co_partitioned(query: PatternQuery) -> bool:
+    """True for a well-formed star query: ≥ 2 patterns, every head the
+    same variable.  A store partitioned by head hash finds each binding
+    whole on the shard owning its head, so the shards' answers just
+    concatenate into the full binding multiset.  Id-space queries only
+    (the backtracking fallback has no id rows to gather)."""
+    heads = {pattern[0] for pattern in query.patterns}
+    if len(query.patterns) < 2 or len(heads) > 1 \
+            or not is_variable(min(heads)) or not _id_space(query):
+        return False
+    try:
+        validate_select(query)
+        validate_limit(query.limit)
+    except QueryError:
+        return False    # never shipped: planning raises it, per request
+    return True
 
 
 def cache_key(backend: object, query: PatternQuery,
@@ -274,8 +278,7 @@ def cache_key(backend: object, query: PatternQuery,
     executor refuses (a variable spanning entity and relation
     positions) and for queries projecting no columns at all.
     """
-    kinds, id_space = _analyze_variables(query)
-    if not id_space:
+    if not _id_space(query):
         return None
     names = query.select or tuple(query.variables())
     if not names:

@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.kg.executor import (
     Binding,
     ResultCursor,
+    execute_co_partitioned,
     execute_plans_cursors,
 )
 from repro.kg.planner import (
@@ -119,8 +120,13 @@ class QueryEngine:
         """Batched :meth:`cursor` — one lockstep execution, one cursor each."""
         if limit is not None:
             queries = [replace(query, limit=limit) for query in queries]
-        plans = plan_queries(self.store, queries, reorder=reorder)
-        return execute_plans_cursors(self.store, plans)
+        cursors = execute_co_partitioned(self.store, queries, reorder)
+        rest = [query for query, cursor in zip(queries, cursors)
+                if cursor is None]
+        planned = iter(execute_plans_cursors(
+            self.store, plan_queries(self.store, rest, reorder=reorder)))
+        return [next(planned) if cursor is None else cursor
+                for cursor in cursors]
 
     # ------------------------------------------------------------------ #
     # convenience helpers used by the applications layer

@@ -87,10 +87,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import CursorError, QueryError, StorageError
+from repro.errors import CursorError, QueryError, ReproError, StorageError
 from repro.kg.backend import Pattern, empty_id_block, supports_id_queries
 from repro.kg.executor import (Binding, IdBlock, ResultCursor,
-                               execute_plans_cursors, materialize)
+                               execute_co_partitioned, execute_plans_cursors,
+                               materialize)
 from repro.kg.planner import (PatternQuery, cache_key as plan_cache_key,
                               plan_queries, validate_limit)
 from repro.kg.store import TripleStore
@@ -739,6 +740,20 @@ class QueryService:
         for request in requests:
             groups.setdefault(request.reorder, []).append(request)
         for reorder, group in groups.items():
+            # Star queries a cluster backend answers whole skip planning; if
+            # that round fails, the planned path lands the error per request.
+            try:
+                pushed = execute_co_partitioned(
+                    self.store, [self._plannable_query(request)
+                                 for request in group], reorder)
+            except ReproError:
+                pushed = [None] * len(group)
+            for request, cursor in zip(group, pushed):
+                if cursor is not None:
+                    self._resolve_query(
+                        request, self._maybe_cache_result(request, cursor))
+            group = [request for request, cursor in zip(group, pushed)
+                     if cursor is None]
             try:
                 # The fast path: ONE batched count_many plans the whole group.
                 plans = plan_queries(self.store,

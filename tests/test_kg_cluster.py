@@ -9,6 +9,10 @@ Covers the distributed deployment of the sharded store:
   existing backend-parity property suite, reused unchanged;
 - bit-identical results between a cluster of N shard servers and a
   single-process ``ShardedBackend(N)`` across shard counts and codecs;
+- the co-partitioned pushdown: star queries answered whole by the
+  shards in one scatter round, equal to the planned path and the
+  backtracking oracle, with its fallbacks (lost raw-id path, JSON
+  codec), paging, and per-request error isolation;
 - the failure story: reads reroute to replicas with zero failures while
   a shard leader is down, and fail with a typed, shard-naming
   :class:`~repro.errors.ShardUnavailableError` when no replica exists;
@@ -35,7 +39,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProtocolError, ShardUnavailableError
+from _oracle import backtrack
+from repro.errors import ProtocolError, QueryError, ShardUnavailableError
 from repro.kg.client import RemoteClient, RemoteQueryEngine, connect
 from repro.kg.cluster import (
     ClusterBackend,
@@ -43,9 +48,11 @@ from repro.kg.cluster import (
     load_cluster_interners,
     shard_split,
 )
-from repro.kg.query import PatternQuery
+from repro.kg.planner import co_partitioned
+from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.routing import shard_of_id
 from repro.kg.server import KGServer, bootstrap_replica
+from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
@@ -185,8 +192,13 @@ def test_cluster_results_bit_identical_to_sharded(n_shards, codec,
            (None, None, None)]
     id_patterns = [(local.entity_interner.lookup(head), None, None)
                    for head in heads[:6]] + [(None, 0, None), (None, None, None)]
+    star = PatternQuery.from_patterns(
+        [("?x", "r1", "?y"), ("?x", "r2", "?z")], select=["?x", "?z"])
+    star_rows = QueryEngine(TripleStore(backend=local)).execute(star)
 
     def check(backend):
+        assert QueryEngine(TripleStore(backend=backend)).execute(star) \
+            == star_rows
         assert backend.match_many(patterns) == local.match_many(patterns)
         assert backend.match_many(patterns, sort=True) \
             == local.match_many(patterns, sort=True)
@@ -234,6 +246,211 @@ def test_cluster_query_engine_and_cursor_identical():
                 stats = admin.stats()
             assert stats["cluster"]["n_shards"] == 2
             assert stats["cluster"]["totals"]["requests"] > 0
+
+
+# --------------------------------------------------------------------- #
+# co-partitioned pushdown: star queries answered whole by the shards
+# --------------------------------------------------------------------- #
+def _requests(backend: ClusterBackend) -> int:
+    return backend.cluster_stats(probe_shards=False)["totals"]["requests"]
+
+
+def _multiset(rows):
+    return sorted(tuple(sorted(row.items())) for row in rows)
+
+
+_node = st.sampled_from(["a", "b", "c", "d"])
+_small_rows = st.lists(st.tuples(_node, st.sampled_from(["r1", "r2"]), _node),
+                       max_size=25)
+_relation_term = st.sampled_from(["r1", "r2", "?r"])
+_tail_term = st.one_of(_node, st.sampled_from(["?x", "?y", "?z"]))
+_star_pattern = st.tuples(st.just("?x"), _relation_term, _tail_term)
+_any_pattern = st.tuples(st.one_of(_node, st.sampled_from(["?x", "?y"])),
+                         _relation_term, _tail_term)
+
+
+@st.composite
+def _join_queries(draw):
+    """A 2–3 pattern query, star-shaped half the time; ``select`` is any
+    subset of its variables (so it may drop the head variable)."""
+    pattern = _star_pattern if draw(st.booleans()) else _any_pattern
+    patterns = draw(st.lists(pattern, min_size=2, max_size=3))
+    bound = PatternQuery.from_patterns(patterns).variables()
+    select = [name for name in bound if draw(st.booleans())]
+    limit = draw(st.one_of(st.none(), st.integers(1, 4)))
+    return PatternQuery.from_patterns(patterns, select=select, limit=limit)
+
+
+@pytest.mark.parametrize("codec", ["binary", "json"])
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+@settings(max_examples=5, deadline=None)
+@given(rows=_small_rows, queries=st.lists(_join_queries(), min_size=4,
+                                          max_size=4))
+def test_pushdown_equals_planned_equals_oracle(n_shards, codec, rows,
+                                               queries):
+    """Coordinator ≡ ``QueryEngine(ShardedBackend(n))`` ≡ backtracking
+    over random stores and random star / non-star joins: row-for-row
+    under ``select`` (the projection sorts), as multisets otherwise —
+    and a ``limit`` without ``select`` is any that many rows of the full
+    answer.  On the binary codec every star query costs exactly one
+    request per shard."""
+    local = ShardedBackend(n_shards)
+    local.add_many([Triple(*row) for row in rows])
+    local_store = TripleStore(backend=local)
+    planned = QueryEngine(local_store)
+    with _cluster_over(local, codec=codec) as (backend, _servers, _replica):
+        engine = QueryEngine(TripleStore(backend=backend))
+        for query in queries:
+            before = _requests(backend)
+            got = engine.execute(query)
+            if rows and co_partitioned(query) and codec == "binary":
+                assert _requests(backend) - before == n_shards
+            unlimited = PatternQuery(query.patterns, query.select, None)
+            full = _multiset(backtrack(local_store, unlimited))
+            assert _multiset(planned.execute(unlimited)) == full
+            if query.select:
+                assert got == planned.execute(query)
+            if query.limit is None:
+                assert _multiset(got) == full
+            else:
+                assert len(got) == min(query.limit, len(full))
+                remaining = list(full)
+                for row in _multiset(got):
+                    remaining.remove(row)       # a sub-multiset of it
+
+
+def _guide_cluster_store() -> ShardedBackend:
+    """Products with a brand, a category and a place; brands with a
+    headquarters — the star (guide / facet) and chain (point) shapes."""
+    local = ShardedBackend(2)
+    for i in range(60):
+        local.add_many([Triple(f"p{i}", "brandIs", f"b{i % 4}"),
+                        Triple(f"p{i}", "type", f"c{i % 3}"),
+                        Triple(f"p{i}", "placeOfOrigin", f"pl{i % 5}")])
+    local.add_many([Triple(f"b{i}", "headquartersIn", f"city{i % 2}")
+                    for i in range(4)])
+    return local
+
+
+_GUIDE_STAR = PatternQuery.from_patterns(
+    [("?p", "brandIs", "b1"), ("?p", "type", "c2")], select=["?p"])
+_FACET_STAR = PatternQuery.from_patterns(
+    [("?p", "brandIs", "b1"), ("?p", "type", "?c"),
+     ("?p", "placeOfOrigin", "?pl")])
+_POINT_CHAIN = PatternQuery.from_patterns(
+    [("p1", "brandIs", "?b"), ("?b", "headquartersIn", "?c")])
+
+
+def test_star_query_costs_one_request_per_shard():
+    """The round count the pushdown exists for: a star query is ONE
+    ``execute_many`` per shard — no count probe, no per-pattern fetch —
+    through ``QueryEngine`` and through ``QueryService`` alike, while a
+    chain join (not co-partitioned) keeps its planned rounds."""
+    local = _guide_cluster_store()
+    reference = QueryEngine(TripleStore(backend=local))
+    with _cluster_over(local, codec="binary") as (backend, _servers, _rep):
+        store = TripleStore(backend=backend)
+        before = _requests(backend)
+        assert QueryEngine(store).execute(_GUIDE_STAR) \
+            == reference.execute(_GUIDE_STAR)
+        assert _requests(backend) - before == backend.n_shards
+        with QueryService(store) as service:
+            before = _requests(backend)
+            assert _multiset(service.execute(_FACET_STAR)) \
+                == _multiset(reference.execute(_FACET_STAR))
+            assert _requests(backend) - before == backend.n_shards
+            before = _requests(backend)
+            assert service.execute(_POINT_CHAIN) \
+                == reference.execute(_POINT_CHAIN)
+            assert _requests(backend) - before > backend.n_shards
+
+
+def test_star_query_falls_back_when_the_id_path_is_lost():
+    """A coordinator write that interns a new symbol ends the raw-id
+    path (the shards' tables are no longer known to match): the same
+    star query is planned here again, and still answers correctly."""
+    local = _guide_cluster_store()
+    with _cluster_over(local, codec="binary") as (backend, _servers, _rep):
+        engine = QueryEngine(TripleStore(backend=backend))
+        assert backend._fast_id_path()
+        fresh = [Triple("p-new", "brandIs", "b1"),
+                 Triple("p-new", "type", "c2")]
+        assert backend.add_many(fresh) == 2
+        assert not backend._fast_id_path()
+        local.add_many(fresh)
+        expected = QueryEngine(TripleStore(backend=local)).execute(
+            _GUIDE_STAR)
+        assert {"?p": "p-new"} in expected
+        before = _requests(backend)
+        assert engine.execute(_GUIDE_STAR) == expected
+        assert _requests(backend) - before > backend.n_shards
+
+
+def test_star_query_falls_back_on_a_json_cluster():
+    """``execute_many`` answers a JSON connection in strings, so a
+    ``codec="json"`` coordinator decides from the negotiated codec not
+    to ship the query at all — it plans it, and answers the same."""
+    local = _guide_cluster_store()
+    reference = QueryEngine(TripleStore(backend=local))
+    with _cluster_over(local, codec="json") as (backend, _servers, _rep):
+        assert backend._fast_id_path()
+        assert backend.execute_co_partitioned([_GUIDE_STAR]) is None
+        engine = QueryEngine(TripleStore(backend=backend))
+        before = _requests(backend)
+        assert engine.execute(_GUIDE_STAR) == reference.execute(_GUIDE_STAR)
+        assert _multiset(engine.execute(_FACET_STAR)) \
+            == _multiset(reference.execute(_FACET_STAR))
+        assert _requests(backend) - before > 2 * backend.n_shards
+
+
+def test_pushed_result_pages_through_a_coordinator_cursor():
+    """``open_cursor`` + paged ``fetch`` over a pushed result through a
+    coordinator ``KGServer`` is the one-shot answer, row for row."""
+    local = _guide_cluster_store()
+    with _cluster_over(local) as (backend, _servers, _replica):
+        with KGServer(TripleStore(backend=backend), port=0).start() \
+                as coordinator:
+            before = _requests(backend)
+            with RemoteQueryEngine(coordinator.url) as remote:
+                # The cursor opens first: it is the miss that is pushed.
+                paged = list(remote.cursor(_FACET_STAR, page_size=4))
+                assert _requests(backend) - before == backend.n_shards
+                assert remote.execute(_FACET_STAR) == paged
+                limited = PatternQuery(_FACET_STAR.patterns, (), 5)
+                assert remote.execute(limited) == paged[:5]
+            # ... and the two one-shot answers were cache hits.
+            assert _requests(backend) - before == backend.n_shards
+    assert len(paged) > 4
+    assert _multiset(paged) == _multiset(
+        QueryEngine(TripleStore(backend=local)).execute(_FACET_STAR))
+
+
+def test_malformed_star_query_fails_typed_on_that_request_only():
+    """A star query that cannot mean anything (``select`` of a variable
+    nothing binds, ``limit=0``) is validated before shipping: it gets
+    the planner's typed ``QueryError``, its batch neighbours are
+    answered, and no shard ever sees it."""
+    local = _guide_cluster_store()
+    unbound = PatternQuery(_GUIDE_STAR.patterns, ("?nope",), None)
+    no_rows = PatternQuery(_GUIDE_STAR.patterns, ("?p",), 0)
+    with _cluster_over(local, codec="binary") as (backend, _servers, _rep):
+        store = TripleStore(backend=backend)
+        for bad in (unbound, no_rows):
+            with pytest.raises(QueryError):
+                QueryEngine(store).execute(bad)
+        assert _requests(backend) == 0
+        with QueryService(store, cache_bytes=0) as service:
+            before = _requests(backend)
+            futures = [service.submit(query) for query in
+                       (unbound, _GUIDE_STAR, no_rows, _FACET_STAR)]
+            for future in (futures[0], futures[2]):
+                with pytest.raises(QueryError):
+                    future.result()
+            assert len(futures[1].result()) == 5
+            assert len(futures[3].result()) == 15
+        # The two good stars, shipped (together or apart): nothing else.
+        assert _requests(backend) - before in (backend.n_shards,
+                                               2 * backend.n_shards)
 
 
 # --------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from _oracle import backtrack
 from repro.errors import QueryError
 from repro.kg.backend import supports_id_queries
 from repro.kg.executor import execute_plans_cursors
-from repro.kg.planner import plan_queries, plan_query
+from repro.kg.planner import is_variable, plan_queries, plan_query
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
@@ -194,8 +194,22 @@ def test_plan_many_batches_counts(monkeypatch):
 
     monkeypatch.setattr(type(store.backend), "count_many", spy)
     queries = [SAMPLE_QUERIES[1], SAMPLE_QUERIES[2], SAMPLE_QUERIES[4]]
-    plan_queries(store, queries)
-    assert calls == [sum(len(query.patterns) for query in queries)]
+
+    def distinct_patterns(batch):
+        return {tuple(None if is_variable(term) else term for term in pattern)
+                for query in batch for pattern in query.patterns}
+
+    # Still ONE call per batch — of the *distinct* constants-only
+    # patterns: a repeated pattern is counted once and fanned back out.
+    plans = plan_queries(store, queries)
+    assert calls == [len(distinct_patterns(queries))]
+    assert calls[0] < sum(len(query.patterns) for query in queries)
+    # A batch that is all duplicates costs what one copy costs, and
+    # every copy is planned exactly like the original.
+    del calls[:]
+    tripled = plan_queries(store, queries * 3)
+    assert calls == [len(distinct_patterns(queries))]
+    assert tripled == plans * 3
 
 
 def test_supports_id_queries_flags():
