@@ -49,6 +49,7 @@ over global ids and inherits the same string surface.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from pathlib import Path
 from typing import (
@@ -190,7 +191,6 @@ class GraphBackend(Protocol):
     def count_many(self, patterns: Sequence[Pattern]) -> List[int]: ...
 
 
-@runtime_checkable
 class IdQueryBackend(Protocol):
     """The integer-id query surface of the columnar backend family.
 
@@ -218,8 +218,11 @@ class IdQueryBackend(Protocol):
 
 
 def supports_id_queries(backend: object) -> bool:
-    """True when ``backend`` exposes the id-level query surface."""
-    return isinstance(backend, IdQueryBackend)
+    """True when ``backend`` has every name :class:`IdQueryBackend` declares
+    (an ``isinstance`` against the Protocol costs ~20x this attribute check)."""
+    return all(hasattr(backend, name) for name in (
+        "match_ids", "match_ids_many", "count_ids",
+        "entity_interner", "relation_interner"))
 
 
 def empty_id_block() -> np.ndarray:
@@ -599,8 +602,7 @@ class ColumnarBackend(_IdSurfaceMixin):
     permutations:
 
     * ``spo`` — sorted by (head, relation, tail): per-head CSR offsets,
-      (head, relation) subranges via ``searchsorted`` on the relation
-      column inside the head slice;
+      (head, relation) subranges by binary search inside the head slice;
     * ``pos`` — sorted by (relation, tail, head): per-relation CSR
       offsets, (relation, tail) subranges;
     * ``osp`` — sorted by (tail, head, relation): per-tail CSR offsets,
@@ -777,7 +779,7 @@ class ColumnarBackend(_IdSurfaceMixin):
         """Live base rows (stored order) followed by overlay adds (sorted),
         as a fresh in-heap block — a mapped base is immutable."""
         self._ensure_attached()
-        base = np.asarray(self._cols)
+        base = self._cols
         if self._num_deleted:
             base = base[~self._deleted_mask]
         return np.concatenate((base, self._delta_cols()))
@@ -815,10 +817,7 @@ class ColumnarBackend(_IdSurfaceMixin):
         None.  An empty base is not searched: adds onto it stay O(1)."""
         if not len(self._cols):
             return None
-        head_id, relation_id, tail_id = key
-        rows = self._slice(self._perm_spo, self._head_offsets, head_id)
-        rows = self._subrange(rows, 1, relation_id)
-        rows = self._subrange(rows, 2, tail_id)
+        rows = self._base_match_rows(*key)
         return int(rows[0]) if len(rows) else None
 
     def _overlay_add(self, key: Tuple[int, int, int]) -> bool:
@@ -911,11 +910,11 @@ class ColumnarBackend(_IdSurfaceMixin):
         return perm[offsets[group_id]:offsets[group_id + 1]]
 
     def _subrange(self, rows: np.ndarray, column: int, value: int) -> np.ndarray:
-        """Narrow ``rows`` (already sorted by ``column``) to one value."""
-        keys = self._cols[rows, column]
-        lo = int(np.searchsorted(keys, value, side="left"))
-        hi = int(np.searchsorted(keys, value, side="right"))
-        return rows[lo:hi]
+        """Narrow ``rows`` (already sorted by ``column``) to one value: a
+        binary search that reads one base key per step, never the group."""
+        key = self._cols[:, column].__getitem__
+        lo = bisect_left(rows, value, key=key)
+        return rows[lo:bisect_right(rows, value, lo, key=key)]
 
     def match_id_rows(self, head_id: Optional[int] = None,
                       relation_id: Optional[int] = None,
@@ -1029,7 +1028,7 @@ class ColumnarBackend(_IdSurfaceMixin):
         mask = self._deleted_mask
         chunk = 4096
         for start in range(0, len(self._cols), chunk):
-            block = np.asarray(self._cols[start:start + chunk])
+            block = self._cols[start:start + chunk]
             if mask is not None:
                 block = block[~mask[start:start + chunk]]
             for head_id, relation_id, tail_id in block.tolist():

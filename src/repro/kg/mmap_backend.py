@@ -5,7 +5,7 @@ Python process heap, so this module persists the
 :class:`~repro.kg.backend.ColumnarBackend` state — interner tables,
 ``int64`` triple columns, the three sort permutations and their CSR
 offsets — as flat files under a directory and serves queries straight
-from ``numpy.memmap`` views of them:
+from read-only views over memory maps of them:
 
 * ``header.json`` — versioned header (magic, format version, dtype,
   element counts per file); written **last** so an interrupted save
@@ -24,7 +24,7 @@ from ``numpy.memmap`` views of them:
   CSR group offsets.
 
 :class:`MmapBackend` is :class:`ColumnarBackend` with a second way to
-attach the base block: a read-only memmap of these files instead of
+attach the base block: read-only views of these mapped files instead of
 in-heap arrays.  Membership, mutation through the in-memory delta
 overlay (so an opened store stays fully mutable) and queries are the
 parent's code, unchanged.  When the overlay outgrows ``delta_threshold``
@@ -338,13 +338,13 @@ class MmapBackend(ColumnarBackend):
 
     ``MmapBackend(directory)`` opens a saved store: the header and the
     interner tables are read eagerly (they are needed for every symbol
-    lookup), the seven array files are attached lazily as read-only
-    ``np.memmap`` views on first use, so opening costs O(header) and
-    bulk column data never has to fit in the heap.  Everything else —
-    membership, the overlay, queries, bulk loads, consolidation into
-    in-heap arrays (the mapped files are immutable), ``save`` — is the
-    parent's; saving over the directory the base is mapped from first
-    copies the base into the heap (:meth:`_detach_from`).  Without a
+    lookup), the seven array files are attached lazily on first use as plain
+    read-only ``np.ndarray`` views of their memory maps, so opening costs
+    O(header) and bulk column data never has to fit in the heap.
+    Everything else — membership, the overlay, queries, bulk loads,
+    consolidation into in-heap arrays (the mapped files are immutable),
+    ``save`` — is the parent's; saving over the directory the base is mapped
+    from first copies it into the heap (:meth:`_detach_from`).  Without a
     directory this *is* an in-memory columnar store, and that is what
     :meth:`clone_empty` returns: a copied store does not inherit the
     source's files.
@@ -394,7 +394,8 @@ class MmapBackend(ColumnarBackend):
         return self._directory
 
     def _attach(self) -> None:
-        """Attach the base block: memmap the files of a saved directory."""
+        """Attach the base block: plain read-only ``ndarray`` views over memory
+        maps of a saved directory's files (``.base`` keeps each mapping alive)."""
         if self._directory is None:
             super()._attach()
             return
@@ -406,8 +407,8 @@ class MmapBackend(ColumnarBackend):
             count, shape = specs[name]
             if count == 0:
                 return np.zeros(shape, dtype=np.int64)
-            return np.memmap(self._directory / name, dtype=np.int64,
-                             mode="r", shape=shape)
+            return np.asarray(np.memmap(self._directory / name, dtype=np.int64,
+                                        mode="r", shape=shape))
 
         self._cols = mapped("triples.i64")
         self._perm_spo = mapped("perm_spo.i64")
@@ -431,7 +432,7 @@ class MmapBackend(ColumnarBackend):
         for attr in ("_cols", "_perm_spo", "_perm_pos", "_perm_osp",
                      "_head_offsets", "_rel_offsets", "_tail_offsets"):
             value = getattr(self, attr)
-            if isinstance(value, np.memmap):
+            if not value.flags.writeable:  # a mapped (read-only) view
                 setattr(self, attr, np.array(value, dtype=np.int64))
 
 

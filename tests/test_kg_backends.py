@@ -565,6 +565,127 @@ def test_small_write_edge_cases(tmp_path, kind):
 
 
 # --------------------------------------------------------------------------- #
+# narrowing a group is a binary search: work bound + edge-case parity
+# --------------------------------------------------------------------------- #
+def _counting_cols(cols):
+    """``cols`` viewed as an ndarray subclass that logs how many base-column
+    elements each index expression *reads*: a scalar counts 1, a gathered
+    copy its size, a view (which reads nothing yet) 0."""
+    reads = []
+
+    class CountingCols(np.ndarray):
+        def __getitem__(self, index):
+            out = super().__getitem__(index)
+            if not (isinstance(out, np.ndarray) and np.may_share_memory(out, self)):
+                reads.append(np.size(out))
+            return out
+
+    return cols.view(CountingCols), reads
+
+
+@pytest.mark.parametrize("kind", [*FAMILY, "mmap-reopened"])
+def test_a_probe_reads_what_it_returns_not_its_relation(tmp_path, kind):
+    """``(None, r, t)`` over a 50 000-row relation and ``(h, None, t)``
+    through a 5 000-row tail slice read O(log n) base keys plus the rows
+    they return — never the group (the gather this replaced read n)."""
+    n, tails, hub = 50_000, 250, 5_000
+    rows = [(f"h{index}", "r", f"t{index % tails}") for index in range(n)] \
+        + [(f"h{index}", "s", "hub") for index in range(hub)]
+    backend = FAMILY[kind.removesuffix("-reopened")](1024)
+    backend.add_many(triples_from_tuples(rows))
+    if kind == "mmap-reopened":
+        backend = MmapBackend.open(backend.save(tmp_path / "store"))
+    entity, relation = backend.entity_interner.lookup, backend.relation_interner.lookup
+    by_tail = (None, relation("r"), entity("t7"))
+    by_head_and_tail = (entity("h4321"), None, entity("hub"))
+    bound = 4 * int(np.ceil(np.log2(n)))
+    counts = []
+    for leaf in _leaves(backend):
+        leaf.id_triples()            # attached, consolidated, nothing pending
+        leaf._cols, reads = _counting_cols(leaf._cols)
+        for pattern in (by_tail, by_head_and_tail):
+            counts.append(leaf.count_ids(*pattern))
+            assert sum(reads) <= bound, (kind, pattern, sum(reads))
+            del reads[:]
+            block = leaf.match_ids(*pattern)
+            assert len(block) == counts[-1]
+            assert sum(reads) <= bound + 3 * len(block), (kind, pattern, sum(reads))
+            del reads[:]
+    assert (sum(counts[0::2]), sum(counts[1::2])) == (n // tails, 1)
+
+
+def _gathered_subrange(leaf):
+    """The search ``_subrange`` replaced — gather every key of the group,
+    then ``searchsorted`` — kept as the reference for row order."""
+    def subrange(rows, column, value):
+        keys = np.asarray(leaf._cols)[rows, column]
+        return rows[np.searchsorted(keys, value, side="left"):
+                    np.searchsorted(keys, value, side="right")]
+    return subrange
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["clean", "overlay"])
+@pytest.mark.parametrize("kind", ["columnar", "mmap-reopened", "sharded-2"])
+def test_narrowing_a_big_group_edge_cases(tmp_path, kind, pending):
+    """All eight pattern shapes over big groups agree with a brute-force
+    filter of a plain reference set, and row for row with the gathering
+    search, for keys absent below / between / above a group's keys, its
+    first and last key, one-row groups, ids interned after the base was
+    built and an id beyond every table."""
+    tails = 97
+    base = [("low", "other", "low2")] \
+        + [(f"p{index}", "big", f"t{index % tails}") for index in range(10_000)] \
+        + [("hub", f"r{index % 3}", f"t{index}") for index in range(tails)] \
+        + [("hub", "big", f"t{index}") for index in range(0, tails, 2)] \
+        + [("p3", "single", "t5"), ("solo-head", "big", "solo"),
+           ("high", "other", "high2")]
+    backend = _live_backend(kind, base, tmp_path)
+    live = set(base)
+    if pending:
+        gone = [("hub", "big", "t0"), ("p96", "big", "t96"), ("p3", "single", "t5")]
+        new = [("hub", "big", "t1"), ("fresh", "big", "t0"), ("p3", "big", "fresh"),
+               ("late-head", "late-relation", "late-tail")]
+        assert backend.discard_many(triples_from_tuples(gone)) == len(gone)
+        assert backend.add_many(triples_from_tuples(new)) == len(new)
+        live = live - set(gone) | set(new)
+    backend.entity_interner.intern("after-the-base")
+    backend.relation_interner.intern("after-the-base")
+    state = (_rebuilds(backend), _overlay(backend))
+    assert (state[1] > 0) == pending
+
+    entity, relation = backend.entity_interner.lookup, backend.relation_interner.lookup
+    keys = [entity(symbol) for symbol in ("low", "t0", "p7", "t96", "solo", "high")]
+    assert keys == sorted(keys)      # below, first, between, last, one row, above
+    probes = [("hub", "big", "t0"), ("hub", "big", "t96"), ("hub", "r1", "t1"),
+              ("p96", "big", "t96"), ("p7", "big", "p7"), ("low", "big", "low"),
+              ("high", "big", "high"), ("p3", "single", "t5"),
+              ("solo-head", "big", "solo"), ("fresh", "big", "fresh"),
+              ("late-head", "late-relation", "late-tail"),
+              ("after-the-base", "after-the-base", "after-the-base"),
+              ("nowhere", "nowhere", "nowhere")]
+    patterns = [_id_pattern(backend, view)
+                for probe in probes for view in _pattern_views(*probe)]
+    blocks = backend.match_ids_many(patterns)
+    counts = [backend.count_ids(*pattern) for pattern in patterns]
+    singles = [backend.match_ids(*pattern) for pattern in patterns]
+
+    reference = np.array(sorted((entity(h), relation(r), entity(t)) for h, r, t in live))
+    for leaf in _leaves(backend):
+        leaf._subrange = _gathered_subrange(leaf)
+    for pattern, block, count, single, gathered in zip(
+            patterns, blocks, counts, singles, backend.match_ids_many(patterns)):
+        keep = np.ones(len(reference), dtype=bool)
+        for column, value in enumerate(pattern):
+            if value is not None:
+                keep &= reference[:, column] == value
+        assert sorted(block.tolist()) == reference[keep].tolist(), pattern
+        assert count == keep.sum(), pattern
+        np.testing.assert_array_equal(block, gathered, err_msg=str(pattern))
+        np.testing.assert_array_equal(single, gathered, err_msg=str(pattern))
+    assert (_rebuilds(backend), _overlay(backend)) == state    # nothing consolidated
+
+
+# --------------------------------------------------------------------------- #
 # store facade over both backends
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend_name", ["set", "columnar", "mmap", "sharded"])

@@ -9,7 +9,9 @@ version-mismatch error paths (all raising ``repro.errors`` types).
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,48 @@ def test_mmap_mutate_after_open_then_resave(tmp_path_factory, rows, extra):
     opened.save(directory)
     reloaded = MmapBackend.open(directory)
     _assert_query_parity(columnar, reloaded, rows + extra)
+
+
+_BASE_ARRAYS = ("_cols", "_perm_spo", "_perm_pos", "_perm_osp",
+                "_head_offsets", "_rel_offsets", "_tail_offsets")
+
+
+def test_a_mapped_base_is_plain_read_only_views_and_detaches_on_resave(tmp_path):
+    """The mapped base is seven plain ``np.ndarray`` views of the mapping
+    (no ``np.memmap`` subclass hooks on the probe path), immutable; saving
+    over the directory it is mapped from copies it into the heap first."""
+    rows = [(f"p{index}", "brandIs", f"b{index % 3}") for index in range(12)]
+    columnar = ColumnarBackend()
+    columnar.add_many(triples_from_tuples(rows))
+    directory = columnar.save(tmp_path / "store")
+    opened = MmapBackend.open(directory)
+    assert opened.count(relation="brandIs") == 12
+    for name in _BASE_ARRAYS:
+        array = getattr(opened, name)
+        assert type(array) is np.ndarray, name
+        assert not array.flags.writeable and not array.flags.owndata, name
+    with pytest.raises(ValueError, match="read-only"):
+        opened.id_triples()[0, 0] = 7
+    # Nothing pending, so the save starts from the still-mapped base.
+    opened.save(directory)
+    for name in _BASE_ARRAYS:
+        assert getattr(opened, name).flags.writeable, name
+    _assert_query_parity(columnar, opened, rows)
+    _assert_query_parity(columnar, MmapBackend.open(directory), rows)
+
+
+def test_a_store_written_by_the_parent_commit_opens_and_answers_identically():
+    """``tests/data/store-written-by-pr17`` was saved by the commit before
+    the base became plain views; the recorded answers are that commit's
+    ``match_ids`` over it, row order included."""
+    directory = Path(__file__).parent / "data" / "store-written-by-pr17"
+    recorded = json.loads(directory.with_suffix(".answers.json").read_text())
+    opened = MmapBackend.open(directory)
+    assert opened.id_triples().tobytes() == (directory / "triples.i64").read_bytes()
+    for pattern, answer in zip(recorded["patterns"], recorded["answers"]):
+        assert opened.match_ids(*pattern).tolist() == answer, pattern
+        assert opened.count_ids(*pattern) == len(answer), pattern
+    assert opened.heads("brandIs", "b1") == ["p1", "p4", "p7"]
 
 
 def test_store_facade_save_open_roundtrip(tmp_path):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import backtrack
 from repro.errors import QueryError
-from repro.kg.backend import supports_id_queries
+from repro.kg.backend import IdQueryBackend, supports_id_queries
 from repro.kg.executor import execute_plans_cursors
 from repro.kg.planner import is_variable, plan_queries, plan_query
 from repro.kg.query import PatternQuery, QueryEngine
@@ -216,6 +218,15 @@ def test_supports_id_queries_flags():
     assert not supports_id_queries(_store(SAMPLE_ROWS, "set").backend)
     for backend in ("columnar", "mmap", "sharded"):
         assert supports_id_queries(_store(SAMPLE_ROWS, backend).backend)
+    # It is an attribute check over exactly what IdQueryBackend declares.
+    declared = [name for name in vars(IdQueryBackend) if name[0] != "_"] \
+        + list(IdQueryBackend.__annotations__)
+    assert len(declared) == 5
+    for missing in declared:
+        stub = SimpleNamespace(**dict.fromkeys(declared))
+        assert supports_id_queries(stub)
+        delattr(stub, missing)
+        assert not supports_id_queries(stub), missing
 
 
 # --------------------------------------------------------------------------- #
