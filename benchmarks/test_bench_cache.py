@@ -19,11 +19,17 @@ Acceptance bars (assert messages embed the timing table):
 * hit rate **>= 0.9** on the Zipfian trace (>= 2k distinct queries over
   >= 50k requests — misses are bounded by the catalog size, so a
   correct cache cannot miss this bar);
-* the cached in-process run is **>= 3x** faster per request than the
-  cache-disabled twin (a ratio of cached to *uncached* cost: it was 5x
-  until PR 17 made the uncached side 2.3x cheaper).
+* the cache does what it is responsible for, **counted, not timed**:
+  over the cached replay the backend's ``match_ids_many`` runs only for
+  dispatch rounds that contain a miss (never more calls than misses,
+  never more patterns than the misses have), and not once while an
+  all-hit slice is replayed.
 
-Results persist into ``benchmarks/out/BENCH_cache.json``.
+The cached ÷ uncached stopwatch ratio is still printed and persisted
+(``benchmarks/out/BENCH_cache.json``) but no longer asserted: it is a
+ratio to the *miss* path's cost, so every PR that made a miss cheaper
+(PR 17: 5x -> 3.5-3.9x; the single fetch round: 2.8-4.1x) made the
+cache look worse without touching it.
 """
 
 from __future__ import annotations
@@ -60,12 +66,6 @@ COLD_SLICE = 4096
 WIRE_SLICE = 4096
 
 HIT_RATE_BAR = 0.9
-#: Cached ÷ **uncached** cost per request.  Re-based from 5.0 in PR 17:
-#: ``plan_queries`` now counts each distinct pattern of a batch once, so
-#: the *miss* path of this replay fell from ~890 to ~365-430 us/request
-#: while a hit costs what it did (~85 us) — the ratio dropped to
-#: 4.6-5.6x because the denominator got cheaper, not the cache slower.
-SPEEDUP_BAR = 3.0
 
 
 def _catalog_store() -> TripleStore:
@@ -123,8 +123,29 @@ def test_zipf_traffic_hot_path_speedup_and_hit_rate():
         for rank in trace[:32]:
             assert cached.execute(catalog[rank]) == plain.execute(catalog[rank])
         cold_seconds = _replay(plain, catalog, trace[:COLD_SLICE])
-        hot_seconds = _replay(cached, catalog, trace)
-        stats = cached.stats
+        # Count the backend fetches of the cached replay: each records
+        # how many misses had been charged when it ran and how many
+        # patterns it asked for (the spy runs on the dispatcher thread,
+        # after that round's cache check).
+        fetches: List[Tuple[int, int]] = []
+        backend = store.backend
+        fetch = backend.match_ids_many
+
+        def counted_fetch(patterns):
+            fetches.append((cached.stats["cache_misses"], len(patterns)))
+            return fetch(patterns)
+
+        backend.match_ids_many = counted_fetch
+        try:
+            warm_misses = cached.stats["cache_misses"]
+            hot_seconds = _replay(cached, catalog, trace)
+            stats = cached.stats
+            replay_fetches = list(fetches)
+            # The last chunk again: everything in it was just served.
+            _replay(cached, catalog, trace[-CHUNK:])
+            all_hit_stats = cached.stats
+        finally:
+            del backend.match_ids_many
     finally:
         cached.close()
         plain.close()
@@ -144,7 +165,9 @@ def test_zipf_traffic_hot_path_speedup_and_hit_rate():
         f"hit rate {hit_rate:.4f} ({hits} hits / {misses} misses, "
         f"{stats['cache_entries']} entries, {stats['cache_bytes']:,}B, "
         f"{stats['cache_evictions']} evictions)",
-        f"speedup {speedup:.1f}x (bar {SPEEDUP_BAR}x)",
+        f"speedup {speedup:.1f}x (reported, not asserted); "
+        f"{len(replay_fetches)} backend fetches for "
+        f"{misses - warm_misses} replay misses",
     ])
     print(f"\nZipf(s={ZIPF_S}) traffic: {NUM_REQUESTS} requests over "
           f"{CATALOG_SIZE} distinct join queries, {NUM_PRODUCTS * 2} "
@@ -164,15 +187,27 @@ def test_zipf_traffic_hot_path_speedup_and_hit_rate():
                          "cache_bytes", "cache_evictions",
                          "cache_invalidations")},
         "speedups": {"hot_path": speedup},
-        "bar": f"hit rate >= {HIT_RATE_BAR}, hot-path speedup >= "
-               f"{SPEEDUP_BAR}x",
+        "backend_fetches": len(replay_fetches),
+        "bar": f"hit rate >= {HIT_RATE_BAR}; backend fetches only for "
+               f"misses, none during an all-hit slice",
     })
     assert hit_rate >= HIT_RATE_BAR, (
         f"Zipfian hit rate bar missed: {hit_rate:.4f} < {HIT_RATE_BAR}\n"
         f"{table}")
-    assert speedup >= SPEEDUP_BAR, (
-        f"hot-path speedup bar missed: {speedup:.1f}x < {SPEEDUP_BAR}x\n"
-        f"{table}")
+    # Every fetch answers at least one miss charged since the previous
+    # fetch, asks for no more than the misses' own patterns (two each),
+    # and a slice of pure hits reaches the backend not at all.
+    charged = [warm_misses] + [seen for seen, _patterns in replay_fetches]
+    assert replay_fetches and all(
+        before < after for before, after in zip(charged, charged[1:])), table
+    assert sum(patterns for _seen, patterns in replay_fetches) \
+        <= 2 * (misses - warm_misses), table
+    assert stats["cache_evictions"] == 0, table
+    assert all_hit_stats["cache_misses"] == misses, table
+    assert all_hit_stats["cache_hits"] == hits + CHUNK, table
+    assert fetches == replay_fetches, (
+        f"{len(fetches) - len(replay_fetches)} backend fetches during an "
+        f"all-hit slice\n{table}")
 
 
 def test_zipf_traffic_over_the_wire_both_codecs():

@@ -11,9 +11,10 @@ output directories:
 
 * **batched join** — 2 000 per-product two-pattern joins
   (product → brand → country) executed as one ``execute_many`` batch
-  through ``QueryEngine`` over a ``ClusterBackend``: every lockstep
-  round is thousands of head-bound probes scattered to their owner
-  shards, so the per-request service work lands on the shard servers;
+  through ``QueryEngine`` over a ``ClusterBackend``: the batch's one
+  fetch round is thousands of head-bound probes scattered to their
+  owner shards, so the per-request service work lands on the shard
+  servers;
 * **point lookups** — one big batch of head-bound id probes routed to
   their owner shards.
 
@@ -107,10 +108,11 @@ def test_cluster_scaling_1_vs_2_vs_4_shard_processes(tmp_path):
     source.save(source_dir)
 
     # One two-pattern join per probed product, executed as a single
-    # batch: the lockstep executor advances all plans together, so each
-    # round is one big scattered ``match_ids_many`` of head-bound
-    # probes.  The per-probe service handling (request parsing, CSR
-    # probe, response encoding) is the dominant cost and runs on the
+    # batch: the executor fetches every step of every plan together, so
+    # the batch is one big scattered ``match_ids_many`` of head-bound
+    # probes (plus the one relation-wide leg).  The per-probe service
+    # handling (request parsing, CSR probe, response encoding) is the
+    # dominant cost and runs on the
     # shard servers — exactly the part that spreads over N processes,
     # while the coordinator's per-plan join bookkeeping stays fixed.
     joins = [PatternQuery.from_patterns(

@@ -12,8 +12,9 @@ Three workloads over one synthetic product graph:
   vectorized hash joins, strings only at projection).  Run on the
   columnar and sharded backends.
 * **batched execution** — the same queries through
-  ``QueryEngine.execute_many``: one batched ``count_many`` plan round
-  plus lockstep ``match_ids_many`` fetches for the whole batch.
+  ``QueryEngine.execute_many``: no count probe, ONE ``match_ids_many``
+  fetching every distinct pattern of the whole batch, each plan's
+  blocks joined fewest rows first.
 * **service throughput** — 8 client threads pushing the workload
   through a :class:`~repro.kg.service.QueryService`, which coalesces
   concurrent requests into the same batched calls; results are

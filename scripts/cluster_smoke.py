@@ -14,9 +14,10 @@ then drives join and point-lookup workloads through the coordinator
 with the ordinary remote client and checks the answers against an
 in-process ``ShardedBackend(2)`` oracle (a cluster of N must be
 bit-identical to it) — a guide-shaped star join among them, which the
-coordinator must ship whole to the shards: exactly one shard request per
-shard, read off its own ``stats``.  Then the self-management story, in
-order:
+coordinator must ship whole to the shards, and a chain join, which it
+plans itself and fetches in one round: each exactly one shard request
+per shard, read off its own ``stats``.  Then the self-management story,
+in order:
 
 1. compact the shard-0 leader under the live follower — the follower
    must re-bootstrap automatically (fetch the new snapshot generation,
@@ -113,6 +114,8 @@ def main() -> int:
     guide = PatternQuery.from_patterns(
         [("?p", "brandIs", "brand:3"), ("?p", "rdf:type", "category:3")],
         select=["?p"])
+    chain = PatternQuery.from_patterns(
+        [("product:0007", "brandIs", "?b"), ("?b", "headquartersIn", "?c")])
     lookups = [(f"product:{(index * 13) % NUM_PRODUCTS:04d}", None, None)
                for index in range(200)]
     interner = oracle_store.backend.entity_interner
@@ -189,6 +192,16 @@ def main() -> int:
               len(got_guide) > 0 and got_guide == oracle.execute(guide),
               f"{len(got_guide)} rows")
         check(f"star join shipped whole: exactly {N_SHARDS} shard requests",
+              cost == N_SHARDS, f"{cost} shard requests")
+        # A chain is planned here: both steps in ONE fetch round, the
+        # head-bound leg riding in its owner shard's one request.
+        before = shard_requests()
+        got_chain = engine.execute(chain)
+        cost = shard_requests() - before - stats_cost
+        check("chain join bit-identical to ShardedBackend(2)",
+              len(got_chain) > 0 and got_chain == oracle.execute(chain),
+              f"{len(got_chain)} rows")
+        check(f"chain join in one round: exactly {N_SHARDS} shard requests",
               cost == N_SHARDS, f"{cost} shard requests")
 
         got_lookups = remote.match_many(lookups)

@@ -466,8 +466,8 @@ class RemoteQueryEngine(_RemoteSurface):
                      reorder: bool = True,
                      limit: Optional[int] = None) -> List[List[Binding]]:
         """Remote :meth:`QueryEngine.execute_many` (one round-trip; the
-        server still coalesces the whole batch into batched planning and
-        lockstep execution)."""
+        server still coalesces the whole batch into one planned fetch
+        round)."""
         encoded = [encode_wire_query(query if limit is None
                                else replace(query, limit=limit))
                    for query in queries]

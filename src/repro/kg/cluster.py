@@ -558,8 +558,8 @@ class ClusterBackend:
     thread pool (wire I/O releases the GIL).
 
     The backend satisfies both the string-level ``GraphBackend``
-    protocol and the ``IdQueryBackend`` id surface, so the planner and
-    the lockstep executor treat it exactly like a local
+    protocol and the ``IdQueryBackend`` id surface, so the id-space
+    executor treats it exactly like a local
     :class:`~repro.kg.sharded_backend.ShardedBackend` — including
     bit-identical result ordering, because per-shard results concatenate
     in shard-index order on both sides of the deployment boundary.

@@ -10,12 +10,13 @@ The counterpart of :mod:`repro.kg.planner`.  Two executors evaluate a
   frontier is a set of parallel numpy id columns (one per variable)
   that each step extends with a vectorized hash join — factorize the
   shared-variable key columns, sort one side, ``searchsorted`` the
-  other, expand matches with ``repeat``/``cumsum`` arithmetic.  A batch
-  of plans runs in lockstep so every round's pattern fetches collapse
-  into a single ``match_ids_many`` call (which the sharded backend
-  routes per shard).  The result is an :class:`IdBlock`; strings appear
-  exactly once, in :meth:`IdBlock.materialize`, on the thread that
-  encodes or consumes the rows.
+  other, expand matches with ``repeat``/``cumsum`` arithmetic.  Every
+  step of every plan in a batch is fetched in ONE ``match_ids_many``
+  call (which the sharded backend routes per shard — one round, one
+  request per shard), and each plan joins its blocks fewest rows
+  first.  The result is an :class:`IdBlock`; strings appear exactly
+  once, in :meth:`IdBlock.materialize`, on the thread that encodes or
+  consumes the rows.
 
 * :func:`execute_backtracking` — the original symbol-level evaluator
   (one ``iter_match`` round-trip per binding per pattern), kept both as
@@ -63,9 +64,17 @@ def execute_backtracking(store: TripleStore, plan: QueryPlan) -> List[Binding]:
     bindings accumulated so far into the next pattern, ask the store for
     matching triples, extend each binding per match.  Kept as the parity
     oracle and the fallback for non-id backends / non-id-space plans.
+    Its per-binding probes do depend on earlier rows, so it orders its
+    own steps first: one ``count_many``, fewest matches first, ties in
+    written order.
     """
+    steps = list(plan.steps)
+    if plan.reorder and len(steps) > 1:
+        counts = store.count_many([step.constants for step in steps])
+        steps = [steps[index] for index in
+                 sorted(range(len(steps)), key=counts.__getitem__)]
     bindings: List[Binding] = [{}]
-    for step in plan.steps:
+    for step in steps:
         next_bindings: List[Binding] = []
         for binding in bindings:
             next_bindings.extend(_extend(store, binding, step.pattern))
@@ -138,20 +147,6 @@ class _Frontier:
 
     num_rows: int = 1
     columns: Dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class _PlanState:
-    """Progress of one plan through the lockstep batched execution."""
-
-    plan: QueryPlan
-    resolved: List[IdPattern]           # per step, constants interned
-    frontier: _Frontier
-    step_index: int = 0
-    failed: bool = False                # unknown constant or empty join
-
-    def done(self) -> bool:
-        return self.failed or self.step_index >= len(self.plan.steps)
 
 
 def _resolve_constants(backend, plan: QueryPlan) -> Optional[List[IdPattern]]:
@@ -249,18 +244,16 @@ def _join_indices(left_keys: Sequence[np.ndarray],
     return left_rows, right_rows
 
 
-def _advance(state: _PlanState, block: np.ndarray) -> None:
-    """Join the current step's matched block into the frontier."""
-    step = state.plan.steps[state.step_index]
-    state.step_index += 1
+def _advance(frontier: _Frontier, step: PatternStep,
+             block: np.ndarray) -> Optional[_Frontier]:
+    """Join one step's matched block into the frontier; ``None`` once
+    no binding survives."""
     block, var_position = _pattern_columns(step, block)
-    frontier = state.frontier
     shared = [name for name in var_position if name in frontier.columns]
     fresh = [name for name in var_position if name not in frontier.columns]
     num_rows, num_matches = frontier.num_rows, len(block)
     if not num_matches or not num_rows:
-        state.failed = True
-        return
+        return None
     if shared:
         left_rows, right_rows = _join_indices(
             [frontier.columns[name] for name in shared],
@@ -271,13 +264,12 @@ def _advance(state: _PlanState, block: np.ndarray) -> None:
         left_rows = np.repeat(np.arange(num_rows, dtype=np.int64), num_matches)
         right_rows = np.tile(np.arange(num_matches, dtype=np.int64), num_rows)
     if not len(left_rows):
-        state.failed = True
-        return
+        return None
     columns = {name: column[left_rows]
                for name, column in frontier.columns.items()}
     for name in fresh:
         columns[name] = block[right_rows, var_position[name]]
-    state.frontier = _Frontier(num_rows=len(left_rows), columns=columns)
+    return _Frontier(num_rows=len(left_rows), columns=columns)
 
 
 @dataclass(frozen=True)
@@ -502,20 +494,25 @@ def execute_plans_cursors(store: TripleStore,
                           plans: Sequence[QueryPlan]) -> List[ResultCursor]:
     """Evaluate a batch of plans into one :class:`ResultCursor` each.
 
-    ID-space-executable plans advance in lockstep: each round gathers
-    the current step of every live plan into ONE ``match_ids_many``
-    call (shard-routed on the sharded backend), then joins each block
-    into its plan's frontier.  Plans the id executor cannot run (no id
-    backend, mixed-kind variables) fall back to
-    :func:`execute_backtracking` transparently (their cursor pages over
-    the materialized list).  Projection is deferred to the cursors: the
-    join frontiers are materialized (compact int64 columns), the string
-    bindings are not.
+    Every step's pattern is resolved from constants only, so no fetch
+    waits on another step's rows: all steps of all ID-space-executable
+    plans go out in ONE ``match_ids_many`` call, each distinct pattern
+    once (shard-routed on the sharded backend, one request per shard on
+    the coordinator).  Each plan then joins its blocks fewest rows
+    first — ``len(block)`` is the selectivity a count probe would have
+    reported; the sort is stable, ``plan.reorder`` False keeps the
+    written order — and stops at the first empty frontier.  A plan with
+    an unknown constant is empty before any fetch.  Plans the id
+    executor cannot run (no id backend, mixed-kind variables) fall back
+    to :func:`execute_backtracking` transparently (their cursor pages
+    over the materialized list).  Projection is deferred to the cursors:
+    the join frontiers are materialized (compact int64 columns), the
+    string bindings are not.
     """
     backend = store.backend
     id_backend = supports_id_queries(backend)
     results: List[Optional[ResultCursor]] = [None] * len(plans)
-    states: List[Tuple[int, _PlanState]] = []
+    resolved_plans: List[Tuple[int, List[IdPattern]]] = []
     for index, plan in enumerate(plans):
         if not plan.id_space or not id_backend:
             rows = execute_backtracking(store, plan)
@@ -526,22 +523,23 @@ def execute_plans_cursors(store: TripleStore,
         resolved = _resolve_constants(backend, plan)
         if resolved is None:
             results[index] = ResultCursor([])
-            continue
-        states.append((index, _PlanState(plan=plan, resolved=resolved,
-                                         frontier=_Frontier())))
-    live = [entry for entry in states if not entry[1].done()]
-    while live:
-        # Dedupe identical id patterns within the round: a batch of
-        # related queries (e.g. one per attribute, all sharing a
-        # (None, type_id, None) step) fetches each distinct block once.
-        requests = [state.resolved[state.step_index] for _index, state in live]
-        distinct = list(dict.fromkeys(requests))
-        blocks = backend.match_ids_many(distinct)
-        by_pattern = dict(zip(distinct, blocks))
-        for (_index, state), request in zip(live, requests):
-            _advance(state, by_pattern[request])
-        live = [entry for entry in live if not entry[1].done()]
-    for index, state in states:
-        results[index] = ResultCursor([]) if state.failed \
-            else _project_cursor(backend, state.plan, state.frontier)
+        else:
+            resolved_plans.append((index, resolved))
+    distinct = list(dict.fromkeys(
+        pattern for _index, resolved in resolved_plans for pattern in resolved))
+    blocks = dict(zip(distinct, backend.match_ids_many(distinct))) \
+        if distinct else {}
+    for index, resolved in resolved_plans:
+        plan = plans[index]
+        fetched = [(step, blocks[pattern])
+                   for step, pattern in zip(plan.steps, resolved)]
+        if plan.reorder:
+            fetched.sort(key=lambda pair: len(pair[1]))
+        frontier: Optional[_Frontier] = _Frontier()
+        for step, block in fetched:
+            frontier = _advance(frontier, step, block)
+            if frontier is None:
+                break
+        results[index] = ResultCursor([]) if frontier is None \
+            else _project_cursor(backend, plan, frontier)
     return results

@@ -1,17 +1,17 @@
-"""Query planning: pattern normalization, selectivity ordering, variable analysis.
+"""Query planning: pattern normalization, validation, variable analysis.
 
 The query layer is split into a **planner** (this module) and an
-**executor** (:mod:`repro.kg.executor`).  Planning is pure analysis over
-the query text plus one batched ``count_many`` round-trip to the store:
+**executor** (:mod:`repro.kg.executor`).  Planning is pure analysis of
+the query text — no store is consulted:
 
 * :class:`PatternQuery` — the user-facing conjunctive query (a sequence
   of (head, relation, tail) patterns with ``?variables``);
 * :func:`plan_query` / :func:`plan_queries` — turn queries into
-  :class:`QueryPlan` objects: patterns ordered by batched selectivity
-  counts (fewest matching triples first), each annotated with its
-  constants and variable occurrences, plus whether the ID-space
-  executor can run the plan (no variable spans entity and relation
-  positions);
+  :class:`QueryPlan` objects: the patterns in written order, each
+  annotated with its constants and variable occurrences, plus whether
+  the ID-space executor can run the plan (no variable spans entity and
+  relation positions) and whether it may reorder the joins (it orders
+  them by the sizes of the blocks it fetched, fewest rows first);
 * select validation — a ``select`` naming a variable the query never
   binds raises :class:`~repro.errors.QueryError` instead of silently
   producing partial rows;
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
-from repro.kg.store import TripleStore
 
 
 def is_variable(term: str) -> bool:
@@ -84,29 +83,27 @@ class PatternStep:
     the position is a variable); ``variables`` lists every
     ``(position, name)`` variable occurrence, including repeats of the
     same variable within the pattern (the executor turns repeats into
-    equality filters).  ``count`` is the store's match count for the
-    constants-only version of the pattern — the selectivity estimate the
-    plan was ordered by (``-1`` when the plan was built with
-    ``reorder=False``, which skips the probe entirely).
+    equality filters).
     """
 
     pattern: Tuple[str, str, str]
     constants: Tuple[Optional[str], Optional[str], Optional[str]]
     variables: Tuple[Tuple[int, str], ...]
-    count: int
 
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """An ordered, analyzed query ready for execution.
+    """An analyzed query ready for execution.
 
-    ``steps`` are the query's patterns in execution order.  ``variables``
-    keeps the *original* first-appearance order (the order
-    :meth:`PatternQuery.variables` reports, independent of reordering).
-    ``id_space`` is False when some variable appears in both entity and
-    relation positions, in which case only the symbol-level backtracking
-    executor can evaluate the plan (entity and relation ids are
-    different spaces, so the ID-space join cannot compare them).
+    ``steps`` are the query's patterns in written order; with
+    ``reorder`` the executor joins them fewest-matching-rows first (a
+    stable sort: ties keep the written order), else as written.
+    ``variables`` is the first-appearance order
+    :meth:`PatternQuery.variables` reports.  ``id_space`` is False when
+    some variable appears in both entity and relation positions, in
+    which case only the symbol-level backtracking executor can evaluate
+    the plan (entity and relation ids are different spaces, so the
+    ID-space join cannot compare them).
     """
 
     query: PatternQuery
@@ -114,6 +111,7 @@ class QueryPlan:
     variables: Tuple[str, ...]
     select: Tuple[str, ...]
     id_space: bool = True
+    reorder: bool = True
 
 
 def validate_select(query: PatternQuery) -> None:
@@ -160,74 +158,32 @@ def _id_space(query: PatternQuery) -> bool:
                    for term in (head, tail))
 
 
-def _make_step(pattern: Tuple[str, str, str], count: int) -> PatternStep:
+def _make_step(pattern: Tuple[str, str, str]) -> PatternStep:
     constants = tuple(None if is_variable(term) else term for term in pattern)
     variables = tuple((position, term) for position, term in enumerate(pattern)
                       if is_variable(term))
     return PatternStep(pattern=pattern, constants=constants,
-                       variables=variables, count=count)
+                       variables=variables)
 
 
-def plan_queries(store: TripleStore, queries: Sequence[PatternQuery],
+def plan_queries(queries: Sequence[PatternQuery],
                  reorder: bool = True) -> List[QueryPlan]:
-    """Plan a batch of queries with ONE batched selectivity round-trip.
-
-    The distinct constants-only patterns across all queries go to the
-    store in a single :meth:`~repro.kg.store.TripleStore.count_many`
-    call (the sharded backend routes head-bound ones to their owner
-    shard), so planning cost multiplies neither with the batch size nor
-    with how often it repeats a pattern.  The probe only covers queries
-    whose ordering can actually change — with ``reorder=False``, or for
-    single-pattern queries, counts are never consulted, no probe is
-    issued and the steps carry ``count=-1``.
-    """
-    for query in queries:
-        validate_select(query)
-        validate_limit(query.limit)
-
-    def probed(query: PatternQuery) -> bool:
-        return reorder and len(query.patterns) > 1
-
-    flat_patterns = [step_constants
-                     for query in queries if probed(query)
-                     for step_constants in
-                     (tuple(None if is_variable(term) else term
-                            for term in pattern)
-                      for pattern in query.patterns)]
-    distinct = list(dict.fromkeys(flat_patterns))
-    count_of = dict(zip(distinct, store.count_many(distinct))) \
-        if distinct else {}
-    counts = [count_of[pattern] for pattern in flat_patterns]
-    plans: List[QueryPlan] = []
-    cursor = 0
-    for query in queries:
-        if probed(query):
-            num_patterns = len(query.patterns)
-            query_counts = counts[cursor:cursor + num_patterns]
-            cursor += num_patterns
-        else:
-            query_counts = [-1] * len(query.patterns)
-        steps = [_make_step(pattern, count)
-                 for pattern, count in zip(query.patterns, query_counts)]
-        if len(steps) > 1 and probed(query):
-            # Stable sort by (count, original index): fewest matching
-            # triples first prunes the binding frontier early; ties keep
-            # the written order.  The binding *set* is order-invariant.
-            steps.sort(key=lambda step: step.count)
-        plans.append(QueryPlan(
-            query=query,
-            steps=tuple(steps),
-            variables=tuple(query.variables()),
-            select=query.select,
-            id_space=_id_space(query),
-        ))
-    return plans
+    """Validate and analyze a batch of queries; no store is consulted."""
+    return [plan_query(query, reorder=reorder) for query in queries]
 
 
-def plan_query(store: TripleStore, query: PatternQuery,
-               reorder: bool = True) -> QueryPlan:
-    """Plan a single query (see :func:`plan_queries`)."""
-    return plan_queries(store, [query], reorder=reorder)[0]
+def plan_query(query: PatternQuery, reorder: bool = True) -> QueryPlan:
+    """Plan a single query: a pure function of the query text."""
+    validate_select(query)
+    validate_limit(query.limit)
+    return QueryPlan(
+        query=query,
+        steps=tuple(_make_step(pattern) for pattern in query.patterns),
+        variables=tuple(query.variables()),
+        select=query.select,
+        id_space=_id_space(query),
+        reorder=reorder,
+    )
 
 
 def co_partitioned(query: PatternQuery) -> bool:
@@ -263,11 +219,12 @@ def cache_key(backend: object, query: PatternQuery,
       split the cache;
     * variables keep their names verbatim: renaming a variable changes
       projection column names, which are part of the result;
-    * ``select`` and the ``reorder`` flag are part of the key (both
-      change the projected columns or, for reorder, the count-probe
-      path), but ``limit`` is deliberately **not**: execution only
-      applies ``limit`` as a final projection slice, so one cache entry
-      holds the full block and every limit is a view of it.
+    * ``select`` and the ``reorder`` flag are part of the key (the
+      first changes the projected columns, the second the join order
+      and with it the row order), but ``limit`` is deliberately
+      **not**: execution only applies ``limit`` as a final projection
+      slice, so one cache entry holds the full block and every limit is
+      a view of it.
 
     A constant the interner has never seen keys as ``("#", term)``.
     That is only sound because the service drops the whole cache on

@@ -8,13 +8,14 @@ graph patterns) against a :class:`~repro.kg.store.TripleStore`.
 
 The engine is a thin facade over a plan/execute pipeline:
 
-* :mod:`repro.kg.planner` normalizes patterns, orders them by batched
-  selectivity (one ``count_many`` call) and analyzes variables;
+* :mod:`repro.kg.planner` normalizes and validates patterns and
+  analyzes variables — a pure function of the query;
 * :mod:`repro.kg.executor` evaluates the plan — by default in **ID
-  space**: constants interned once, every pattern fetched as an int64
-  block from the backend's CSR indexes, the binding frontier carried as
-  numpy id columns through vectorized hash joins, strings materialized
-  only at projection.  Backends without an id surface (``set``) and
+  space**: constants interned once, every pattern of every query
+  fetched as an int64 block in one batched backend call, the blocks
+  joined fewest rows first with the binding frontier carried as numpy
+  id columns through vectorized hash joins, strings materialized only
+  at projection.  Backends without an id surface (``set``) and
   queries that bind one variable in both entity and relation positions
   fall back to the original symbol-level backtracking evaluator.
 
@@ -60,20 +61,20 @@ class QueryEngine:
         self.store = store
 
     def plan(self, query: PatternQuery, reorder: bool = True) -> QueryPlan:
-        """Plan a query without executing it (selectivity-ordered steps).
+        """Plan a query without executing it (no store round-trip).
 
         Raises :class:`~repro.errors.QueryError` when ``select`` names a
         variable no pattern binds.
         """
-        return plan_query(self.store, query, reorder=reorder)
+        return plan_query(query, reorder=reorder)
 
     def execute(self, query: PatternQuery, reorder: bool = True,
                 limit: Optional[int] = None) -> List[Binding]:
         """Return all variable bindings satisfying every pattern.
 
-        With ``reorder`` (the default) patterns are evaluated in batched
-        ``count_many`` selectivity order — fewest matching triples first
-        — which is what keeps conjunctive queries fast on skewed stores;
+        With ``reorder`` (the default) the fetched pattern blocks are
+        joined in selectivity order — fewest matching triples first —
+        which is what keeps conjunctive queries fast on skewed stores;
         the binding *set* is unaffected by ordering.  The executor is
         picked from what the store and the plan allow: ID-space when the
         backend has an id surface and no variable mixes entity and
@@ -90,12 +91,11 @@ class QueryEngine:
 
     def execute_many(self, queries: Sequence[PatternQuery], reorder: bool = True,
                      limit: Optional[int] = None) -> List[List[Binding]]:
-        """Execute a batch of queries with batched planning and fetching.
+        """Execute a batch of queries with one batched fetch.
 
-        Planning issues one ``count_many`` over every pattern of every
-        query; execution advances all ID-space-executable plans in
-        lockstep so each round's pattern fetches collapse into a single
-        ``match_ids_many`` backend call.  ``limit`` (when given) caps
+        Every pattern of every ID-space-executable query goes out in a
+        single ``match_ids_many`` backend call (each distinct pattern
+        once); no count probe is issued.  ``limit`` (when given) caps
         every query in the batch.
         """
         return [cursor.fetch_all()
@@ -117,14 +117,14 @@ class QueryEngine:
     def cursor_many(self, queries: Sequence[PatternQuery],
                     reorder: bool = True,
                     limit: Optional[int] = None) -> List[ResultCursor]:
-        """Batched :meth:`cursor` — one lockstep execution, one cursor each."""
+        """Batched :meth:`cursor` — one fetch round, one cursor each."""
         if limit is not None:
             queries = [replace(query, limit=limit) for query in queries]
         cursors = execute_co_partitioned(self.store, queries, reorder)
         rest = [query for query, cursor in zip(queries, cursors)
                 if cursor is None]
         planned = iter(execute_plans_cursors(
-            self.store, plan_queries(self.store, rest, reorder=reorder)))
+            self.store, plan_queries(rest, reorder=reorder)))
         return [next(planned) if cursor is None else cursor
                 for cursor in cursors]
 

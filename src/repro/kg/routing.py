@@ -32,7 +32,7 @@ shard's connection serves one request at a time.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -98,13 +98,15 @@ def scatter_gather(items: Sequence, *, n_shards: int,
 
     ``classify(item)`` returns the owner shard index, :data:`BROADCAST`
     to fan the item out to every shard, or ``None`` when the answer is
-    statically ``empty()`` (an unknown head symbol).  Routed groups go
-    to their shard via ``shard_call(shard_index, group)``; broadcast
-    items go to every shard via ``broadcast_call`` (default:
-    ``shard_call``) and each item's per-shard results are combined with
-    ``merge`` in shard-index order — deterministic, so merged results
-    are identical no matter where the shards live.  The per-shard jobs
-    are handed to ``run`` with a parallel hint for batches of
+    statically ``empty()`` (an unknown head symbol).  A shard's routed
+    group and the broadcast items go to it in ONE
+    ``shard_call(shard_index, group + broadcast_items)`` — one request
+    per shard per round; only when a distinct ``broadcast_call`` is
+    given do the broadcast items take that second call.  Each broadcast
+    item's per-shard results are combined with ``merge`` in shard-index
+    order — deterministic, so merged results are identical no matter
+    where the shards live.  The per-shard jobs are handed to ``run``
+    with a parallel hint for batches of
     ≥ :data:`PARALLEL_BATCH_THRESHOLD` items.
     """
     results: List[Optional[_T]] = [None] * len(items)
@@ -119,27 +121,24 @@ def scatter_gather(items: Sequence, *, n_shards: int,
         else:
             routed.setdefault(where, []).append(position)
     broadcast_items = [items[position] for position in broadcast]
-    if broadcast_call is None:
-        broadcast_call = shard_call
     job_shards = list(range(n_shards)) if broadcast else sorted(routed)
 
-    def make_thunk(shard_index: int) -> Callable[[], Tuple[List[_T], List[_T]]]:
+    def make_thunk(shard_index: int) -> Callable[[], List[_T]]:
         group = [items[position] for position in routed.get(shard_index, ())]
-
-        def thunk() -> Tuple[List[_T], List[_T]]:
-            routed_part = shard_call(shard_index, group) if group else []
-            broadcast_part = broadcast_call(shard_index, broadcast_items) \
-                if broadcast_items else []
-            return routed_part, broadcast_part
-        return thunk
+        if broadcast_call is None:
+            return lambda: shard_call(shard_index, group + broadcast_items)
+        return lambda: (shard_call(shard_index, group) if group else []) \
+            + (broadcast_call(shard_index, broadcast_items)
+               if broadcast_items else [])
 
     parts = run([make_thunk(shard_index) for shard_index in job_shards],
                 len(items) >= PARALLEL_BATCH_THRESHOLD)
     broadcast_parts: List[List[_T]] = []
-    for shard_index, (routed_part, broadcast_part) in zip(job_shards, parts):
-        for position, value in zip(routed.get(shard_index, ()), routed_part):
+    for shard_index, part in zip(job_shards, parts):
+        positions = routed.get(shard_index, ())
+        for position, value in zip(positions, part):
             results[position] = value
-        broadcast_parts.append(broadcast_part)
+        broadcast_parts.append(part[len(positions):])
     for offset, position in enumerate(broadcast):
         results[position] = merge([part[offset]
                                    for part in broadcast_parts if part])

@@ -13,13 +13,13 @@ round-trip per request.
   of threads;
 * requests land on an internal queue; a single **dispatcher** thread
   drains whatever has accumulated (up to ``max_batch`` requests),
-  plans every pattern query in the batch with ONE batched
-  ``count_many`` call, advances all their plans in lockstep through
-  shared ``match_ids_many`` fetches
-  (:func:`repro.kg.executor.execute_plans_cursors`), and answers point
-  lookups with one more ``match_ids_many`` call — then resolves each
-  request's future to an :class:`~repro.kg.executor.IdBlock`.  Ids
-  become strings only in ``IdBlock.materialize()``, never on the
+  plans every pattern query in the batch (pure analysis, no store
+  round-trip), fetches all their patterns in ONE shared
+  ``match_ids_many`` call and joins each plan's blocks fewest rows
+  first (:func:`repro.kg.executor.execute_plans_cursors`), and answers
+  point lookups with one more ``match_ids_many`` call — then resolves
+  each request's future to an :class:`~repro.kg.executor.IdBlock`.
+  Ids become strings only in ``IdBlock.materialize()``, never on the
   dispatcher: the blocking facades call it in the caller's thread,
   :class:`~repro.kg.server.KGServer` where it encodes the response.
   The served store must therefore have an id-capable backend;
@@ -755,11 +755,9 @@ class QueryService:
             group = [request for request, cursor in zip(group, pushed)
                      if cursor is None]
             try:
-                # The fast path: ONE batched count_many plans the whole group.
-                plans = plan_queries(self.store,
-                                     [self._plannable_query(request)
-                                      for request in group],
-                                     reorder=reorder)
+                # The fast path: the whole group validates in one call.
+                plans = plan_queries([self._plannable_query(request)
+                                      for request in group], reorder=reorder)
                 planned = group
             except Exception:
                 # Some query in the group is malformed; re-plan one by one
@@ -768,7 +766,7 @@ class QueryService:
                 for request in group:
                     try:
                         plans.append(plan_queries(
-                            self.store, [self._plannable_query(request)],
+                            [self._plannable_query(request)],
                             reorder=reorder)[0])
                         planned.append(request)
                     except Exception as exc:
@@ -777,7 +775,10 @@ class QueryService:
                 continue
             try:
                 cursors = execute_plans_cursors(self.store, plans)
-            except Exception as exc:  # pragma: no cover - defensive
+            except Exception as exc:
+                # The one fetch round failed (a shard with no live
+                # endpoint): every planned request gets the typed error;
+                # nothing is retried one by one.
                 for request in planned:
                     _resolve(request.future, exception=exc)
                 continue

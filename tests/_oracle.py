@@ -12,6 +12,5 @@ from repro.kg.store import TripleStore
 def backtrack(store: TripleStore, query: PatternQuery,
               reorder: bool = True) -> List[Dict[str, str]]:
     """``query`` answered by the symbol-level reference executor."""
-    rows = execute_backtracking(store, plan_query(store, query,
-                                                  reorder=reorder))
+    rows = execute_backtracking(store, plan_query(query, reorder=reorder))
     return rows if query.limit is None else rows[:query.limit]

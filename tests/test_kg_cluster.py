@@ -41,14 +41,16 @@ from hypothesis import strategies as st
 
 from _oracle import backtrack
 from repro.errors import ProtocolError, QueryError, ShardUnavailableError
-from repro.kg.client import RemoteClient, RemoteQueryEngine, connect
+from repro.kg.client import (RemoteClient, RemoteQueryEngine, RemoteStore,
+                             connect)
 from repro.kg.cluster import (
     ClusterBackend,
+    _ShardSession,
     load_cluster_header,
     load_cluster_interners,
     shard_split,
 )
-from repro.kg.planner import co_partitioned
+from repro.kg.planner import co_partitioned, plan_query
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.routing import shard_of_id
 from repro.kg.server import KGServer, bootstrap_replica
@@ -259,6 +261,20 @@ def _multiset(rows):
     return sorted(tuple(sorted(row.items())) for row in rows)
 
 
+@pytest.fixture
+def shard_ops(monkeypatch):
+    """Every read op the coordinator sends a shard, in order."""
+    ops = []
+    original = _ShardSession.read_call
+
+    def spy(self, op, **fields):
+        ops.append(op)
+        return original(self, op, **fields)
+
+    monkeypatch.setattr(_ShardSession, "read_call", spy)
+    return ops
+
+
 _node = st.sampled_from(["a", "b", "c", "d"])
 _small_rows = st.lists(st.tuples(_node, st.sampled_from(["r1", "r2"]), _node),
                        max_size=25)
@@ -293,7 +309,7 @@ def test_pushdown_equals_planned_equals_oracle(n_shards, codec, rows,
     under ``select`` (the projection sorts), as multisets otherwise —
     and a ``limit`` without ``select`` is any that many rows of the full
     answer.  On the binary codec every star query costs exactly one
-    request per shard."""
+    request per shard, and every other id-space query at most that."""
     local = ShardedBackend(n_shards)
     local.add_many([Triple(*row) for row in rows])
     local_store = TripleStore(backend=local)
@@ -305,6 +321,8 @@ def test_pushdown_equals_planned_equals_oracle(n_shards, codec, rows,
             got = engine.execute(query)
             if rows and co_partitioned(query) and codec == "binary":
                 assert _requests(backend) - before == n_shards
+            elif codec == "binary" and plan_query(query).id_space:
+                assert _requests(backend) - before <= n_shards
             unlimited = PatternQuery(query.patterns, query.select, None)
             full = _multiset(backtrack(local_store, unlimited))
             assert _multiset(planned.execute(unlimited)) == full
@@ -344,8 +362,9 @@ _POINT_CHAIN = PatternQuery.from_patterns(
 def test_star_query_costs_one_request_per_shard():
     """The round count the pushdown exists for: a star query is ONE
     ``execute_many`` per shard — no count probe, no per-pattern fetch —
-    through ``QueryEngine`` and through ``QueryService`` alike, while a
-    chain join (not co-partitioned) keeps its planned rounds."""
+    through ``QueryEngine`` and through ``QueryService`` alike, and a
+    chain join (not co-partitioned, planned here) is ONE
+    ``match_ids_many`` per shard: every step in the same round."""
     local = _guide_cluster_store()
     reference = QueryEngine(TripleStore(backend=local))
     with _cluster_over(local, codec="binary") as (backend, _servers, _rep):
@@ -362,13 +381,15 @@ def test_star_query_costs_one_request_per_shard():
             before = _requests(backend)
             assert service.execute(_POINT_CHAIN) \
                 == reference.execute(_POINT_CHAIN)
-            assert _requests(backend) - before > backend.n_shards
+            assert _requests(backend) - before == backend.n_shards
 
 
-def test_star_query_falls_back_when_the_id_path_is_lost():
+def test_star_query_falls_back_when_the_id_path_is_lost(shard_ops):
     """A coordinator write that interns a new symbol ends the raw-id
     path (the shards' tables are no longer known to match): the same
-    star query is planned here again, and still answers correctly."""
+    star query is planned here again — the shards see one string
+    ``match_many`` each, not ``execute_many`` — and still answers
+    correctly."""
     local = _guide_cluster_store()
     with _cluster_over(local, codec="binary") as (backend, _servers, _rep):
         engine = QueryEngine(TripleStore(backend=backend))
@@ -381,26 +402,27 @@ def test_star_query_falls_back_when_the_id_path_is_lost():
         expected = QueryEngine(TripleStore(backend=local)).execute(
             _GUIDE_STAR)
         assert {"?p": "p-new"} in expected
-        before = _requests(backend)
+        del shard_ops[:]
         assert engine.execute(_GUIDE_STAR) == expected
-        assert _requests(backend) - before > backend.n_shards
+        assert shard_ops == ["match_many"] * backend.n_shards
 
 
-def test_star_query_falls_back_on_a_json_cluster():
+def test_star_query_falls_back_on_a_json_cluster(shard_ops):
     """``execute_many`` answers a JSON connection in strings, so a
     ``codec="json"`` coordinator decides from the negotiated codec not
-    to ship the query at all — it plans it, and answers the same."""
+    to ship the query at all — it plans it (one ``match_ids_many`` per
+    shard per query), and answers the same."""
     local = _guide_cluster_store()
     reference = QueryEngine(TripleStore(backend=local))
     with _cluster_over(local, codec="json") as (backend, _servers, _rep):
         assert backend._fast_id_path()
         assert backend.execute_co_partitioned([_GUIDE_STAR]) is None
         engine = QueryEngine(TripleStore(backend=backend))
-        before = _requests(backend)
+        del shard_ops[:]
         assert engine.execute(_GUIDE_STAR) == reference.execute(_GUIDE_STAR)
         assert _multiset(engine.execute(_FACET_STAR)) \
             == _multiset(reference.execute(_FACET_STAR))
-        assert _requests(backend) - before > 2 * backend.n_shards
+        assert shard_ops == ["match_ids_many"] * (2 * backend.n_shards)
 
 
 def test_pushed_result_pages_through_a_coordinator_cursor():
@@ -560,6 +582,65 @@ def test_reads_fail_typed_and_named_without_replica():
         assert backend.match(head1, None, None, sort=True) \
             == local.match(head1, None, None, sort=True)
         assert backend.cluster_stats()["totals"]["failures"] > 0
+
+
+def test_a_dead_shard_fails_each_planned_request_once(monkeypatch):
+    """A shard with no live endpoint surfaces from the executor's one
+    fetch round: every planned request of the batch gets the typed,
+    shard-naming error — and only those.  A malformed query beside them
+    keeps its own ``QueryError``, a head-bound ``match`` on the live
+    shard is answered, and nothing is re-attempted one by one: no count
+    probe, at most one ``match_ids_many`` round per dispatched batch."""
+    local = _guide_cluster_store()
+    chains = [PatternQuery.from_patterns(
+        [(f"p{i}", "brandIs", "?b"), ("?b", "headquartersIn", "?c")])
+        for i in range(3)]
+    malformed = PatternQuery(chains[0].patterns, ("?nope",), None)
+    live_head = next(f"p{i}" for i in range(60) if shard_of_id(
+        local.entity_interner.lookup(f"p{i}"), 2) == 1)
+    rounds = []
+    for name in ("match_ids_many", "count_many"):
+        original = getattr(ClusterBackend, name)
+
+        def spy(self, patterns, _name=name, _original=original):
+            rounds.append(_name)
+            return _original(self, patterns)
+
+        monkeypatch.setattr(ClusterBackend, name, spy)
+    with _cluster_over(local, codec="binary") as (backend, servers, _rep), \
+            ExitStack() as stack:
+        store = TripleStore(backend=backend)
+        # Both front-ends warm the backend up while the shard is alive.
+        coordinator = stack.enter_context(KGServer(store, port=0).start())
+        remote = stack.enter_context(RemoteQueryEngine(coordinator.url))
+        with QueryService(store, cache_bytes=0) as service:
+            servers[0].close()
+            del rounds[:]
+            batches = service.stats["batches_dispatched"]
+            futures = [service.submit(query)
+                       for query in (chains[0], malformed, *chains[1:])]
+            lookup = service.submit_lookup((live_head, None, None))
+            for future in (futures[0], *futures[2:]):
+                with pytest.raises(ShardUnavailableError) as excinfo:
+                    future.result()
+                assert excinfo.value.shard_index == 0
+            with pytest.raises(QueryError, match=r"\?nope"):
+                futures[1].result()
+            assert lookup.result().materialize() \
+                == local.match(live_head, None, None)
+            batches = service.stats["batches_dispatched"] - batches
+            assert "count_many" not in rounds
+            # (the lookup is one more match_ids_many in its batch)
+            assert 1 <= rounds.count("match_ids_many") - 1 <= batches
+        del rounds[:]
+        with pytest.raises(ShardUnavailableError) as excinfo:
+            remote.execute(chains[0])
+        assert "shard 0" in str(excinfo.value)      # typed across the wire
+        assert rounds == ["match_ids_many"]       # one round, not N + 1
+        with pytest.raises(QueryError, match=r"\?nope"):
+            remote.execute(malformed)
+        assert RemoteStore(remote.client).match(live_head, None, None) \
+            == local.match(live_head, None, None)
 
 
 def test_write_to_dead_leader_promotes_replica():

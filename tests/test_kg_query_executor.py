@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,10 +12,12 @@ from hypothesis import strategies as st
 
 from _oracle import backtrack
 from repro.errors import QueryError
+from repro.kg import executor
 from repro.kg.backend import IdQueryBackend, supports_id_queries
 from repro.kg.executor import execute_plans_cursors
-from repro.kg.planner import is_variable, plan_queries, plan_query
+from repro.kg.planner import is_variable, plan_query
 from repro.kg.query import PatternQuery, QueryEngine
+from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import triples_from_tuples
@@ -77,7 +81,7 @@ def test_id_strategy_explicitly(backend):
     executor — the cursor is block-backed — and match the oracle."""
     store = _store(SAMPLE_ROWS, backend)
     query = SAMPLE_QUERIES[2]
-    (cursor,) = execute_plans_cursors(store, [plan_query(store, query)])
+    (cursor,) = execute_plans_cursors(store, [plan_query(query)])
     assert cursor.block is not None
     assert _binding_set(cursor.fetch_all()) == \
         _binding_set(backtrack(store, query))
@@ -88,7 +92,7 @@ def test_id_strategy_rejected_on_set_backend():
     reference (a list-backed cursor), and the engine still answers."""
     store = _store(SAMPLE_ROWS, "set")
     query = SAMPLE_QUERIES[0]
-    (cursor,) = execute_plans_cursors(store, [plan_query(store, query)])
+    (cursor,) = execute_plans_cursors(store, [plan_query(query)])
     assert cursor.block is None
     assert cursor.fetch_all() == backtrack(store, query)
     assert QueryEngine(store).execute(query) == backtrack(store, query)
@@ -99,7 +103,7 @@ def test_id_strategy_rejected_on_mixed_kind_variable():
     engine = QueryEngine(store)
     # ?m binds a relation in the first pattern and an entity in the second.
     query = PatternQuery.from_patterns([("?p", "?m", "apple"), ("?m", "r", "?t")])
-    plan = plan_query(store, query)
+    plan = plan_query(query)
     assert not plan.id_space
     (cursor,) = execute_plans_cursors(store, [plan])
     assert cursor.block is None     # fell back: ids of two spaces don't join
@@ -172,46 +176,149 @@ def test_select_projection_dedupes():
 # --------------------------------------------------------------------------- #
 # planner
 # --------------------------------------------------------------------------- #
-def test_plan_orders_by_selectivity():
+@pytest.fixture
+def joined(monkeypatch):
+    """``(pattern, len(block))`` of every join the id executor runs, in
+    the order it runs them."""
+    seen = []
+    original = executor._advance
+
+    def spy(frontier, step, block):
+        seen.append((step.pattern, len(block)))
+        return original(frontier, step, block)
+
+    monkeypatch.setattr(executor, "_advance", spy)
+    return seen
+
+
+def test_plan_orders_by_selectivity(joined):
+    """A plan is the query as written plus the ``reorder`` flag; the
+    *executed* order is smallest block first, ties in written order."""
     store = _store(SAMPLE_ROWS, "columnar")
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b"),
                                         ("?b", "headquartersIn", "america"),
                                         ("?p", "placeOfOrigin", "china")])
-    plan = plan_query(store, query)
-    counts = [step.count for step in plan.steps]
-    assert counts == sorted(counts)
-    assert plan.steps[0].pattern != query.patterns[0]
-    unordered = plan_query(store, query, reorder=False)
-    assert tuple(step.pattern for step in unordered.steps) == query.patterns
+    for reorder in (True, False):
+        plan = plan_query(query, reorder=reorder)
+        assert tuple(step.pattern for step in plan.steps) == query.patterns
+        assert plan.reorder is reorder
+        assert not hasattr(plan.steps[0], "count")
+    assert plan_query(query).reorder
+    engine = QueryEngine(store)
+    rows = engine.execute(query)
+    # Stable smallest-first: the two 2-row legs in written order, then
+    # the 3-row leg that was written first.
+    assert joined == [(query.patterns[1], 2), (query.patterns[2], 2),
+                      (query.patterns[0], 3)]
+    del joined[:]
+    unordered_rows = engine.execute(query, reorder=False)
+    assert tuple(pattern for pattern, _size in joined) == query.patterns
+    assert _binding_set(rows) == _binding_set(unordered_rows)
+    # Equal sizes everywhere: the written order is the executed order.
+    tie = PatternQuery.from_patterns([("?p", "placeOfOrigin", "china"),
+                                      ("?b", "headquartersIn", "america")])
+    for written in (tie.patterns, tie.patterns[::-1]):
+        del joined[:]
+        engine.execute(PatternQuery.from_patterns(written))
+        assert joined == [(pattern, 2) for pattern in written]
+
+
+def _spy_backend(monkeypatch, store):
+    """Record every ``count_many`` / ``match_ids_many`` the backend sees."""
+    calls = {"count_many": [], "match_ids_many": []}
+    for name, seen in calls.items():
+        original = getattr(type(store.backend), name)
+
+        def spy(self, patterns, _original=original, _seen=seen):
+            _seen.append(list(patterns))
+            return _original(self, patterns)
+
+        monkeypatch.setattr(type(store.backend), name, spy)
+    return calls
 
 
 def test_plan_many_batches_counts(monkeypatch):
+    """A batch costs ZERO count probes and exactly ONE ``match_ids_many``
+    — of the distinct resolved patterns across all steps of all plans —
+    through ``QueryEngine`` and through ``QueryService`` alike."""
     store = _store(SAMPLE_ROWS, "columnar")
-    calls = []
-    original = type(store.backend).count_many
-
-    def spy(self, patterns):
-        calls.append(len(patterns))
-        return original(self, patterns)
-
-    monkeypatch.setattr(type(store.backend), "count_many", spy)
     queries = [SAMPLE_QUERIES[1], SAMPLE_QUERIES[2], SAMPLE_QUERIES[4]]
+    entity = store.backend.entity_interner.lookup
+    relation = store.backend.relation_interner.lookup
+    distinct = {tuple(None if is_variable(term)
+                      else (relation if position == 1 else entity)(term)
+                      for position, term in enumerate(pattern))
+                for query in queries for pattern in query.patterns}
+    assert len(distinct) < sum(len(query.patterns) for query in queries)
+    calls = _spy_backend(monkeypatch, store)
+    engine = QueryEngine(store)
+    with QueryService(store, cache_bytes=0) as service:
+        for run in (engine.execute_many, service.execute_batch):
+            calls["match_ids_many"].clear()
+            results = run(queries)
+            assert calls["count_many"] == []
+            (fetched,) = calls["match_ids_many"]
+            assert len(fetched) == len(distinct) and set(fetched) == distinct
+            # A batch that is all duplicates fetches what one copy
+            # fetches, and every copy is answered like the original.
+            assert run(queries * 3) == results * 3
+            assert calls["count_many"] == []
+            assert calls["match_ids_many"] == [fetched, fetched]
+    # reorder=False: the same single fetch, still no probe.
+    calls["match_ids_many"].clear()
+    engine.execute_many(queries, reorder=False)
+    assert calls["count_many"] == [] and calls["match_ids_many"] == [fetched]
 
-    def distinct_patterns(batch):
-        return {tuple(None if is_variable(term) else term for term in pattern)
-                for query in batch for pattern in query.patterns}
 
-    # Still ONE call per batch — of the *distinct* constants-only
-    # patterns: a repeated pattern is counted once and fanned back out.
-    plans = plan_queries(store, queries)
-    assert calls == [len(distinct_patterns(queries))]
-    assert calls[0] < sum(len(query.patterns) for query in queries)
-    # A batch that is all duplicates costs what one copy costs, and
-    # every copy is planned exactly like the original.
-    del calls[:]
-    tripled = plan_queries(store, queries * 3)
-    assert calls == [len(distinct_patterns(queries))]
-    assert tripled == plans * 3
+def test_an_unknown_constant_makes_no_backend_call(monkeypatch):
+    """Early exit one: a plan naming a symbol the store never interned is
+    empty before any fetch; alone in its batch it costs no call at all."""
+    store = _store(SAMPLE_ROWS, "columnar")
+    calls = _spy_backend(monkeypatch, store)
+    unknown = [PatternQuery.from_patterns([("?p", "brandIs", "nokia"),
+                                           ("?p", "placeOfOrigin", "?x")]),
+               PatternQuery.from_patterns([("?p", "madeOf", "?m"),
+                                           ("?p", "brandIs", "?b")])]
+    assert QueryEngine(store).execute_many(unknown) == [[], []]
+    assert calls == {"count_many": [], "match_ids_many": []}
+    # Beside a live batch-mate none of its patterns is fetched either.
+    mate = SAMPLE_QUERIES[1]
+    alone = QueryEngine(store).execute(mate)
+    calls["match_ids_many"].clear()
+    assert QueryEngine(store).execute_many([unknown[0], mate, unknown[1]]) \
+        == [[], alone, []]
+    assert [len(call) for call in calls["match_ids_many"]] == [2]
+
+
+def test_an_empty_block_stops_that_plan_only(joined):
+    """Early exit two: an empty block sorts first, so its plan joins
+    nothing more — and its batch-mates, sharing the same fetched blocks,
+    are answered exactly as they are alone."""
+    store = _store(SAMPLE_ROWS + [("china", "partOf", "asia")], "columnar")
+    mate = SAMPLE_QUERIES[1]
+    # Own variable names: the same fetched blocks as ``mate``, but the
+    # spy can tell whose join it is.  Every constant of the last leg is
+    # interned, yet no triple matches it.
+    empty = PatternQuery.from_patterns([("?q", "brandIs", "?b2"),
+                                        ("?b2", "headquartersIn", "?c2"),
+                                        ("?q", "partOf", "america")])
+    # Non-empty blocks (1, 2 and 3 rows) whose join dies at the second.
+    dead_end = PatternQuery.from_patterns([("?r", "brandIs", "tesla"),
+                                           ("?r", "placeOfOrigin", "china"),
+                                           ("?r", "brandIs", "?b3")])
+    alone = QueryEngine(store).execute(mate)
+    assert alone
+
+    def sizes_joined(query):
+        return [size for pattern, size in joined if pattern in query.patterns]
+
+    for reorder, empty_joins in ((True, [0]), (False, [3, 2, 0])):
+        del joined[:]
+        assert QueryEngine(store).execute_many(
+            [empty, mate, dead_end], reorder=reorder) == [[], alone, []]
+        assert sizes_joined(empty) == empty_joins
+        assert sizes_joined(dead_end) == [1, 2]     # the third never ran
+        assert sorted(sizes_joined(mate)) == [2, 3]
 
 
 def test_supports_id_queries_flags():
@@ -242,6 +349,40 @@ def test_executor_parity_on_reopened_store(tmp_path, backend):
         expected = _binding_set(backtrack(store, query))
         assert _binding_set(engine.execute(query)) == expected
         assert _binding_set(backtrack(reopened, query)) == expected
+
+
+# --------------------------------------------------------------------------- #
+# row-for-row parity with the count-probe planner (parent-written fixture)
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", ("columnar", "mmap", "sharded"))
+def test_join_order_matches_the_parent_commit_row_for_row(tmp_path, backend):
+    """``tests/data/join-order-written-by-pr20.json`` was written by
+    running the commit before the single fetch round — ``plan_queries``
+    still probed ``count_many`` and sorted the steps.  Joining the
+    fetched blocks smallest first must reproduce every answer in order:
+    chains, stars, cartesian pairs, repeated variables, equal-count
+    ties, empty steps and unknown constants, with and without
+    ``select``, reordered and as written, one by one and as one batch."""
+    fixture = json.loads((Path(__file__).parent / "data" /
+                          "join-order-written-by-pr20.json").read_text())
+    if backend == "mmap":
+        _store(fixture["triples"], "columnar").save(tmp_path / "saved")
+        store = TripleStore.open(tmp_path / "saved")
+    else:
+        store = _store(fixture["triples"], backend)
+    queries = [PatternQuery.from_patterns(entry["patterns"],
+                                          select=entry["select"])
+               for entry in fixture["queries"]]
+    assert sum(not query.select for query in queries) >= 30
+    engine = QueryEngine(store)
+    for key, reorder in (("reorder", True), ("written", False)):
+        expected = fixture["answers"][backend][key]
+        assert len(expected) == len(queries)
+        for query, rows in zip(queries, expected):
+            assert engine.execute(query, reorder=reorder) == rows, query
+        assert engine.execute_many(queries, reorder=reorder) == expected
+    assert fixture["answers"][backend]["reorder"] \
+        != fixture["answers"][backend]["written"]     # the order matters
 
 
 # --------------------------------------------------------------------------- #

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import StorageError
 from repro.kg.backend import ColumnarBackend, make_backend
 from repro.kg.mmap_backend import HEADER_FILE, MmapBackend
+from repro.kg.routing import BROADCAST, scatter_gather
 from repro.kg.sharded_backend import (
     SHARDED_FORMAT_VERSION,
     ShardedBackend,
@@ -202,6 +203,87 @@ def test_batched_queries_merge_across_shards():
     assert single.tails_many(pairs) == many.tails_many(pairs)
     nodes = [f"p{index}" for index in range(30)] + ["cn", "b0", "missing"]
     assert single.degree_many(nodes) == many.degree_many(nodes)
+
+
+_where = st.sampled_from([0, 1, 2, "*", None])   # owner / broadcast / empty
+
+
+@settings(max_examples=60, deadline=None)
+@given(wheres=st.lists(_where, max_size=12))
+def test_scatter_gather_sends_one_call_per_shard(wheres):
+    """A shard's routed group and the broadcast items travel in ONE
+    ``shard_call`` — never two per shard — and every routed / broadcast
+    / statically-empty mix answers exactly what the two-call split
+    (a distinct ``broadcast_call``) answers."""
+    items = list(enumerate(wheres))
+    calls = {"shard": [], "broadcast": []}
+
+    def answer(kind):
+        def call(shard_index, group):
+            calls[kind].append(shard_index)
+            return [(shard_index, item) for item in group]
+        return call
+
+    def scatter(**extra):
+        for seen in calls.values():
+            del seen[:]
+        return scatter_gather(
+            items, n_shards=3, empty=lambda: "empty", merge=list,
+            classify=lambda item: BROADCAST if item[1] == "*" else item[1],
+            shard_call=answer("shard"), **extra)
+
+    single = scatter()
+    touched = set(range(3)) if "*" in wheres \
+        else {where for where in wheres if where is not None}
+    assert sorted(calls["shard"]) == sorted(touched)    # once each
+    assert calls["broadcast"] == []
+    for item, result in zip(items, single):
+        if item[1] is None:
+            assert result == "empty"
+        elif item[1] == "*":
+            assert result == [(index, item) for index in range(3)]
+        else:
+            assert result == (item[1], item)
+    assert scatter(broadcast_call=answer("broadcast")) == single
+    assert sorted(calls["shard"]) == sorted(
+        {where for where in wheres if isinstance(where, int)})
+    assert calls["broadcast"] == ([0, 1, 2] if "*" in wheres else [])
+
+
+def test_a_mixed_id_batch_drives_each_shard_once(monkeypatch):
+    """The id path and the counts have no distinct broadcast form: a
+    batch mixing head-bound and unbound patterns is one
+    ``match_ids_many`` / ``count_many`` per shard; ``match_many(sort=)``
+    keeps its two callables (sorted routed, unsorted broadcast)."""
+    backend = ShardedBackend(3)
+    backend.add_many(triples_from_tuples(
+        [(f"h{index}", f"r{index % 2}", f"t{index % 5}")
+         for index in range(30)]))
+    calls = []
+    for name in ("match_ids_many", "count_many", "match_many"):
+        original = getattr(MmapBackend, name)
+
+        def spy(self, patterns, *args, _name=name, _original=original,
+                **kwargs):
+            calls.append(_name)
+            return _original(self, patterns, *args, **kwargs)
+
+        monkeypatch.setattr(MmapBackend, name, spy)
+    head_ids = [backend.entity_interner.lookup(f"h{index}")
+                for index in range(30)]
+    id_patterns = [(head_id, None, None) for head_id in head_ids] \
+        + [(None, 0, None), (None, None, None)]
+    blocks = backend.match_ids_many(id_patterns)
+    assert calls == ["match_ids_many"] * 3
+    assert [len(block) for block in blocks] == [1] * 30 + [15, 30]
+    del calls[:]
+    patterns = [(f"h{index}", None, None) for index in range(30)] \
+        + [(None, "r0", None), ("missing", None, None)]
+    assert backend.count_many(patterns) == [1] * 30 + [15, 0]
+    assert calls == ["count_many"] * 3
+    del calls[:]
+    backend.match_many(patterns, sort=True)
+    assert calls == ["match_many"] * 6
 
 
 def test_match_many_mixed_batch_on_fresh_open_is_thread_safe(tmp_path):
