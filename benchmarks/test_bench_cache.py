@@ -11,8 +11,8 @@ what the dispatcher-side result cache exists for.
   sides and the ratio prices execution vs cache serving, not thread
   wakeups.
 * **over the wire** — a slice of the trace through real loopback
-  servers on both codecs, cache on vs off (advisory: loopback latency
-  on shared runners is too noisy for a hard bar).
+  servers, cache on vs off (advisory: loopback latency on shared
+  runners is too noisy for a hard bar).
 
 Acceptance bars (assert messages embed the timing table):
 
@@ -211,8 +211,9 @@ def test_zipf_traffic_hot_path_speedup_and_hit_rate():
 
 
 def test_zipf_traffic_over_the_wire_both_codecs():
-    """The same trace through real loopback servers, cache on vs off,
-    on both codecs.  Advisory: the numbers land in the table and the
+    """The same trace through real loopback servers, cache on vs off
+    (the id keeps its name from when a JSON row path ran beside the
+    binary one).  Advisory: the numbers land in the table and the
     artifact, but loopback latency on shared CI runners is too noisy
     for a hard bar — the asserted bar lives on the in-process path."""
     catalog = _query_catalog()
@@ -227,54 +228,41 @@ def test_zipf_traffic_over_the_wire_both_codecs():
         return time.perf_counter() - start
 
     timings = {}
-    hit_rates = {}
     store = _catalog_store()
-    for client_codec in ("json", "binary"):
-        for label, cache_bytes in (("cache_on", None), ("cache_off", 0)):
-            kwargs = {} if cache_bytes is None else {"cache_bytes": 0}
-            # Servers run one after another over the same read-only
-            # store; each owns a fresh service (and a fresh cache).
-            with KGServer(store, port=0, **kwargs).start() \
-                    as server:
-                with RemoteQueryEngine(server.url,
-                                       codec=client_codec) as engine:
-                    seconds = replay_remote(engine)
-                stats = server.service.stats
-            timings[f"{client_codec}_{label}"] = seconds
-            if label == "cache_on":
-                served = stats["cache_hits"] + stats["cache_misses"]
-                hit_rates[client_codec] = (stats["cache_hits"] / served
-                                           if served else 0.0)
+    for label, kwargs in (("cache_on", {}), ("cache_off", {"cache_bytes": 0})):
+        # Servers run one after another over the same read-only
+        # store; each owns a fresh service (and a fresh cache).
+        with KGServer(store, port=0, **kwargs).start() as server:
+            with RemoteQueryEngine(server.url) as engine:
+                timings[label] = replay_remote(engine)
+            stats = server.service.stats
+        if label == "cache_on":
+            served = stats["cache_hits"] + stats["cache_misses"]
+            hit_rate = stats["cache_hits"] / served if served else 0.0
 
-    lines = [f"{'codec':<8} {'cache off':>10} {'cache on':>10} "
-             f"{'speedup':>9} {'hit rate':>9}"]
-    speedups = {}
-    for client_codec in ("json", "binary"):
-        off = timings[f"{client_codec}_cache_off"]
-        on = timings[f"{client_codec}_cache_on"]
-        speedups[client_codec] = off / on
-        lines.append(f"{client_codec:<8} {off:>10.3f} {on:>10.3f} "
-                     f"{off / on:>8.1f}x {hit_rates[client_codec]:>9.4f}")
-    table = "\n".join(lines)
+    speedup = timings["cache_off"] / timings["cache_on"]
+    table = "\n".join([
+        f"{'cache off':>10} {'cache on':>10} {'speedup':>9} {'hit rate':>9}",
+        f"{timings['cache_off']:>10.3f} {timings['cache_on']:>10.3f} "
+        f"{speedup:>8.1f}x {hit_rate:>9.4f}"])
     print(f"\nZipf traffic over the wire ({WIRE_SLICE} requests, chunked "
           f"x{CHUNK}, loopback, advisory)\n{table}")
     update_artifact("cache", "zipf_over_the_wire", {
         "workload": f"first {WIRE_SLICE} requests of the Zipf(s={ZIPF_S}) "
                     f"trace in {CHUNK}-query batched calls, loopback",
         "backend": "columnar",
-        "codec": "json and binary (negotiated)",
+        "codec": "binary",
         "timings_seconds": timings,
-        "hit_rates": hit_rates,
-        "speedups_advisory": speedups,
+        "hit_rates": {"binary": hit_rate},
+        "speedups_advisory": {"binary": speedup},
         "bar": "advisory (wire noise); the asserted bar is in-process",
     })
     # Functional floor, not a perf bar: the cache must actually have
-    # absorbed the bulk of the hot traffic on both codecs.  The floor
-    # is looser than the in-process bar because this slice is only
-    # WIRE_SLICE requests — the catalog's cold tail is a much larger
-    # share of a short trace (the 0.9 bar is asserted on the full 50k
-    # trace by the in-process test above).
-    for client_codec, rate in hit_rates.items():
-        assert rate >= 0.5, (
-            f"wire traffic was not absorbed on {client_codec}: hit rate "
-            f"{rate:.4f} < 0.5\n{table}")
+    # absorbed the bulk of the hot traffic.  The floor is looser than
+    # the in-process bar because this slice is only WIRE_SLICE requests
+    # — the catalog's cold tail is a much larger share of a short trace
+    # (the 0.9 bar is asserted on the full 50k trace by the in-process
+    # test above).
+    assert hit_rate >= 0.5, (
+        f"wire traffic was not absorbed: hit rate {hit_rate:.4f} < 0.5\n"
+        f"{table}")

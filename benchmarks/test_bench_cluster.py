@@ -138,7 +138,7 @@ def test_cluster_scaling_1_vs_2_vs_4_shard_processes(tmp_path):
                     split_dir / f"shard-{index}", index, n_shards)
                 procs.append(proc)
                 urls.append(url)
-            backend = ClusterBackend.open(split_dir, urls, codec="binary")
+            backend = ClusterBackend.open(split_dir, urls)
             assert backend._fast_id_path(), \
                 "raw-id fast path must be on for a fresh split deployment"
             engine = QueryEngine(TripleStore(backend=backend))

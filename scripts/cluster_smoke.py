@@ -50,6 +50,7 @@ from typing import List, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.errors import ProtocolError  # noqa: E402
 from repro.kg.client import RemoteClient, RemoteQueryEngine, RemoteStore  # noqa: E402
 from repro.kg.query import PatternQuery, QueryEngine  # noqa: E402
 from repro.kg.routing import shard_of_id  # noqa: E402
@@ -207,6 +208,20 @@ def main() -> int:
         got_lookups = remote.match_many(lookups)
         want_lookups = oracle_store.match_many(lookups)
         check("point lookups bit-identical", got_lookups == want_lookups)
+
+        # The two planes: a connection that never says hello gets
+        # scalars, and a typed refusal for anything answered in rows.
+        with RemoteClient(coord_url, codec="json") as control:
+            try:
+                control.call("match", pattern=list(lookups[0]))
+                refusal = "answered"
+            except ProtocolError as exc:
+                refusal = str(exc)
+            check("rows over a control connection are refused typed",
+                  "match" in refusal and "hello" in refusal, refusal)
+            check("a count of the same pattern answers there",
+                  control.call("count", pattern=list(lookups[0]))
+                  == oracle_store.count(*lookups[0]))
 
         stats = RemoteClient(coord_url).call("stats")
         cluster = stats.get("cluster", {})

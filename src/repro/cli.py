@@ -93,11 +93,6 @@ def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
                              "MiB (default 64; 0 disables it; entries are "
                              "invalidated on every write and LRU-evicted "
                              "under the budget)")
-    parser.add_argument("--codec", choices=("auto", "json"), default="auto",
-                        help="wire codec policy: auto grants per-connection "
-                             "binary negotiation (id blocks + interner "
-                             "deltas); json pins every connection to the "
-                             "JSON codec (default auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--page-size", type=int, default=512,
                        help="rows per fetch when streaming from --url "
                             "(default 512)")
-    query.add_argument("--codec", choices=("auto", "json", "binary"),
-                       default="auto",
-                       help="wire codec when querying --url: auto "
-                            "negotiates binary and falls back to json; "
-                            "binary fails fast if the server declines "
-                            "(default auto; ignored with --store-dir)")
     return parser
 
 
@@ -380,7 +369,6 @@ def _command_serve(args) -> int:
                                max_batch=args.max_batch,
                                cursor_ttl=args.cursor_ttl,
                                cache_bytes=cache_bytes,
-                               codec=args.codec,
                                shard_index=shard_index, n_shards=n_shards,
                                follow=args.follow,
                                follow_poll_interval=poll_interval)
@@ -470,7 +458,7 @@ def _command_cluster(args) -> int:
         server = KGServer(TripleStore(backend=backend), host=args.host,
                           port=port, max_batch=args.max_batch,
                           cursor_ttl=args.cursor_ttl,
-                          cache_bytes=_cache_bytes(args), codec=args.codec)
+                          cache_bytes=_cache_bytes(args))
     except (ReproError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr, flush=True)
         return 2
@@ -526,7 +514,7 @@ def _remote_query_rows(args, query):
 
     if args.limit == 0:
         return
-    with RemoteQueryEngine(args.url, codec=args.codec) as engine:
+    with RemoteQueryEngine(args.url) as engine:
         cursor = engine.cursor(query, reorder=not args.no_reorder,
                                limit=args.limit, page_size=args.page_size)
         for row in cursor:

@@ -48,7 +48,6 @@ from repro.kg.protocol import (
     BinaryResponseDecoder,
     DecodedBlock,
     decode_json_body,
-    decode_triple_rows,
     encode_frame,
     encode_tagged_json,
     encode_wire_patterns,
@@ -110,15 +109,15 @@ def parse_address(url: str) -> Tuple[str, int]:
 class RemoteClient:
     """One connection to a KGServer: framed, serialized request/response.
 
-    ``codec`` selects the wire codec: ``"auto"`` (default) asks the
-    server for the binary codec with one ``hello`` exchange and falls
-    back to JSON when the server declines or predates negotiation;
-    ``"json"`` skips negotiation; ``"binary"`` raises
-    :class:`~repro.errors.ProtocolError` unless the server grants it.
-    On a binary connection, block results decode zero-copy
+    ``codec="auto"`` (default) says ``hello`` on every connection and
+    **requires** the binary grant — anything else is a
+    :class:`~repro.errors.ProtocolError` at connect, never a silent
+    JSON connection.  Block results then decode zero-copy
     (``np.frombuffer``) into :class:`~repro.kg.protocol.DecodedBlock`
     views whose symbols resolve from a connection-local id→symbol
-    cache fed by the server's interner deltas.
+    cache fed by the server's interner deltas.  ``codec="json"`` never
+    says ``hello``: a control connection (scalars, writes, replication)
+    on which the server refuses every op that answers in rows.
     """
 
     def __init__(self, address: Union[str, Tuple[str, int]], *,
@@ -126,9 +125,9 @@ class RemoteClient:
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  codec: str = "auto",
                  reconnect_attempts: int = DEFAULT_RECONNECT_ATTEMPTS) -> None:
-        if codec not in ("auto", CODEC_JSON, CODEC_BINARY):
+        if codec not in ("auto", CODEC_JSON):
             raise ValueError(
-                f"codec must be 'auto', 'json' or 'binary', got {codec!r}")
+                f"codec must be 'auto' or 'json', got {codec!r}")
         host, port = parse_address(address) if isinstance(address, str) \
             else address
         self.max_frame_bytes = int(max_frame_bytes)
@@ -144,34 +143,23 @@ class RemoteClient:
 
     @property
     def codec(self) -> str:
-        """The negotiated wire codec: ``"json"`` or ``"binary"``."""
+        """``"binary"`` after ``hello``, ``"json"`` without."""
         return self._codec
 
-    def _negotiate(self, required: bool) -> None:
-        """Run the hello exchange (caller holds the lock)."""
-        try:
-            response = self._roundtrip({"op": "hello",
-                                        "codecs": [CODEC_BINARY]})
-            if not response.get("ok"):
-                raise error_from_wire(response.get("error"))
-            granted = response.get("result")
-        except ProtocolError:
-            if required or self._closed:
-                # Forced binary, or actual transport damage — either
-                # way this is not a silent-JSON situation.
-                raise
-            # A pre-negotiation server answers hello with a typed
-            # "unknown op" error on a perfectly healthy connection:
-            # that IS the fallback signal.  Stay on JSON.
-            return
-        codec = granted.get("codec") if isinstance(granted, dict) else None
-        if codec == CODEC_BINARY:
-            self._codec = CODEC_BINARY
-            self._decoder = BinaryResponseDecoder()
-        elif required:
+    def _negotiate(self) -> None:
+        """The hello exchange (caller holds the lock): binary is
+        granted or the connection is dropped — never silently JSON."""
+        response = self._roundtrip({"op": "hello", "codecs": [CODEC_BINARY]})
+        granted = response.get("result") if response.get("ok") else None
+        if not isinstance(granted, dict) \
+                or granted.get("codec") != CODEC_BINARY:
+            self._invalidate()
             raise ProtocolError(
-                f"server declined the binary codec (granted {codec!r}); "
-                f"use codec='auto' to fall back to JSON")
+                f"the peer did not grant the binary frame to 'hello' "
+                f"(answered {response.get('error') or granted!r}); rows "
+                f"travel in nothing else (codec='json': control only)")
+        self._codec = CODEC_BINARY
+        self._decoder = BinaryResponseDecoder()
 
     def _connect(self) -> None:
         """Open a fresh negotiated connection (caller holds the lock);
@@ -180,14 +168,12 @@ class RemoteClient:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._closed = False
-        # A connection starts on JSON with an empty symbol cache;
-        # negotiation then gives it the codec (and a fresh decoder
-        # state) the caller asked for.
+        # A connection starts on JSON with an empty symbol cache; hello
+        # then gives it the binary frame and a fresh decoder state.
         self._codec = CODEC_JSON
         self._decoder: Optional[BinaryResponseDecoder] = None
         if self._requested_codec != CODEC_JSON:
-            self._negotiate(
-                required=(self._requested_codec == CODEC_BINARY))
+            self._negotiate()
 
     def _reconnect(self) -> None:
         """Replace a dead socket (caller holds the lock).  Raises
@@ -321,10 +307,9 @@ class RemoteClient:
 
 
 def connect(address: Union[str, Tuple[str, int]], *,
-            timeout: Optional[float] = 60.0,
-            codec: str = "auto") -> RemoteClient:
+            timeout: Optional[float] = 60.0) -> RemoteClient:
     """Open a :class:`RemoteClient` to ``host:port``."""
-    return RemoteClient(address, timeout=timeout, codec=codec)
+    return RemoteClient(address, timeout=timeout)
 
 
 class RemoteCursor:
@@ -339,15 +324,13 @@ class RemoteCursor:
     """
 
     def __init__(self, client: RemoteClient, cursor_id: str,
-                 page_size: int = DEFAULT_PAGE_SIZE,
-                 as_triples: bool = False) -> None:
+                 page_size: int = DEFAULT_PAGE_SIZE) -> None:
         if page_size < 1:
             raise CursorError(
                 f"page_size must be a positive integer, got {page_size!r}")
         self._client = client
         self.cursor_id = cursor_id
         self.page_size = int(page_size)
-        self._as_triples = as_triples
         self._exhausted = False
         self._closed = False
 
@@ -360,19 +343,15 @@ class RemoteCursor:
         """Fetch the next page (at most ``max_rows``, defaulting to the
         cursor's page size; an empty page means exhausted)."""
         rows = self.fetch_block(max_rows)
-        if isinstance(rows, DecodedBlock):
-            return rows.to_rows()
-        return decode_triple_rows(rows) if self._as_triples else rows
+        return rows.to_rows() if isinstance(rows, DecodedBlock) else rows
 
     def fetch_block(self, max_rows: Optional[int] = None):
-        """The zero-copy form of :meth:`fetch` on a binary connection:
-        the next page as a :class:`~repro.kg.protocol.DecodedBlock`
-        (int64 id rows + the connection's symbol caches), for bulk
-        consumers that feed arrays onward instead of materializing
-        per-row objects.  On a JSON connection — or for a list-backed
-        server cursor — the page comes back as the plain wire rows
-        (``[head, relation, tail]`` arrays for a match cursor).
-        Pagination state is shared with :meth:`fetch`.
+        """The zero-copy form of :meth:`fetch`: the next page as a
+        :class:`~repro.kg.protocol.DecodedBlock` (int64 id rows + the
+        connection's symbol caches), for bulk consumers that feed
+        arrays onward instead of materializing per-row objects (a
+        list-backed server cursor — a no-variable query — pages plain
+        binding lists).  Pagination state is shared with :meth:`fetch`.
         """
         if self._closed:
             raise CursorError("cursor is closed")
@@ -434,9 +413,9 @@ class _RemoteSurface:
     from a ``host:port`` string (owns the connection) or an existing
     client (shared; caller closes it)."""
 
-    def __init__(self, address_or_client, codec: str = "auto") -> None:
+    def __init__(self, address_or_client) -> None:
         self._owns_client = not isinstance(address_or_client, RemoteClient)
-        self.client = RemoteClient(address_or_client, codec=codec) \
+        self.client = RemoteClient(address_or_client) \
             if self._owns_client else address_or_client
 
     def close(self) -> None:
@@ -453,8 +432,8 @@ class _RemoteSurface:
 class RemoteQueryEngine(_RemoteSurface):
     """The :class:`~repro.kg.query.QueryEngine` API over the wire.
 
-    The wire codec is invisible here: bindings come back identical (and
-    in the same order) whether the connection negotiated binary or JSON.
+    The wire is invisible here: id blocks decode to the bindings (and
+    the order) the in-process engine returns.
     """
 
     def execute(self, query: PatternQuery, reorder: bool = True,
@@ -497,9 +476,9 @@ class RemoteStore(_RemoteSurface):
 
     Writes mirror the local API too: :meth:`add_many` /
     :meth:`remove_many` ship a batch in one round-trip (requests are
-    JSON on both codecs) and return the same counts the local store
-    would, and :meth:`compact` folds the server's WAL into a fresh
-    snapshot.  A server over a read-only snapshot store raises a typed
+    always JSON) and return the same counts the local store would, and
+    :meth:`compact` folds the server's WAL into a fresh snapshot.  A
+    server over a read-only snapshot store raises a typed
     :class:`~repro.errors.StorageError` here, not a generic wire error.
     """
 
@@ -507,26 +486,23 @@ class RemoteStore(_RemoteSurface):
               relation: Optional[str] = None, tail: Optional[str] = None,
               sort: bool = False) -> List[Triple]:
         """Remote :meth:`TripleStore.match` (one round-trip)."""
-        triples = decode_triple_rows(self.client.call(
-            "match", pattern=[head, relation, tail]))
+        triples = self.client.call(
+            "match", pattern=[head, relation, tail]).to_triples()
         return sorted(triples) if sort else triples
 
     def match_many(self, patterns: Sequence[Pattern],
                    sort: bool = False) -> List[List[Triple]]:
         """Remote :meth:`TripleStore.match_many` (one round-trip)."""
-        decoded = [decode_triple_rows(rows)
-                   for rows in self.match_many_blocks(patterns)]
+        decoded = [block.to_triples()
+                   for block in self.match_many_blocks(patterns)]
         return [sorted(rows) for rows in decoded] if sort else decoded
 
     def match_many_blocks(self, patterns: Sequence[Pattern]) -> List:
-        """Batched point lookups without per-row materialization: on a
-        binary connection each result is a
-        :class:`~repro.kg.protocol.DecodedBlock` of ``(head, relation,
-        tail)`` id rows (decoded zero-copy; symbols resolve from the
-        connection cache on demand) — the handoff a scatter/gather
-        engine or bulk exporter wants.  On a JSON connection each
-        result is the raw ``[head, relation, tail]`` row list.
-        """
+        """Batched point lookups without per-row materialization:
+        each result is a :class:`~repro.kg.protocol.DecodedBlock` of
+        ``(head, relation, tail)`` id rows (decoded zero-copy; symbols
+        resolve from the connection cache on demand) — the handoff a
+        scatter/gather engine or bulk exporter wants."""
         return self.client.call(
             "match_many", patterns=encode_wire_patterns(patterns))
 
@@ -538,8 +514,7 @@ class RemoteStore(_RemoteSurface):
         server-side cursor, holding one page of triples at a time."""
         cursor_id = self.client.call("open_match_cursor",
                                      pattern=[head, relation, tail])
-        return iter(RemoteCursor(self.client, cursor_id, page_size=page_size,
-                                 as_triples=True))
+        return iter(RemoteCursor(self.client, cursor_id, page_size=page_size))
 
     def add_many(self, triples: Sequence[Triple]) -> int:
         """Remote :meth:`TripleStore.add_many`: one durable round-trip.

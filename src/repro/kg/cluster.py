@@ -21,10 +21,11 @@ exactly the same ids as the coordinator, which both sides verify by
 comparing interner *fingerprints* at handshake time
 (:func:`~repro.kg.routing.interner_fingerprint`).  While the
 fingerprints match — and the coordinator's interners have not grown
-since — id-space queries ship raw over the wire (``match_ids_many``,
-dense int64 blocks on the binary codec) with zero translation; any
-mismatch silently falls back to the string-level ops, which are always
-correct because servers resolve strings against their own interners.
+since — id-space queries ship raw over the wire (``match_ids_many``)
+with zero translation; any mismatch silently falls back to the
+string-pattern ops, which are always correct because servers resolve
+strings against their own interners.  Shard links always say ``hello``:
+rows come back as dense int64 id blocks either way.
 
 Failure story
 -------------
@@ -83,8 +84,7 @@ from repro.kg.mmap_backend import (
     write_header,
     write_interner_pair,
 )
-from repro.kg.protocol import (CODEC_BINARY, DecodedBlock, decode_triple_rows,
-                               encode_wire_patterns, encode_wire_query,
+from repro.kg.protocol import (encode_wire_patterns, encode_wire_query,
                                encode_wire_triples)
 from repro.kg.routing import (
     BROADCAST as _BROADCAST,
@@ -225,12 +225,11 @@ class _ShardSession:
     """
 
     def __init__(self, index: int, leader: str, replicas: Sequence[str],
-                 *, codec: str = "auto", timeout: Optional[float] = 30.0,
+                 *, timeout: Optional[float] = 30.0,
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF) -> None:
         self.index = index
         self.leader = leader
         self.addresses: List[str] = [leader] + list(replicas)
-        self.codec = codec
         self.timeout = timeout
         self.retry_backoff = float(retry_backoff)
         self._clients: List[Optional[RemoteClient]] = \
@@ -261,7 +260,7 @@ class _ShardSession:
         client = self._clients[endpoint]
         if client is None:
             client = RemoteClient(self.addresses[endpoint],
-                                  codec=self.codec, timeout=self.timeout)
+                                  timeout=self.timeout)
             self._clients[endpoint] = client
             self._check_generation(endpoint, client)
         return client
@@ -534,15 +533,6 @@ class _ShardSession:
             self._drop(endpoint)
 
 
-def _decode_id_rows(item) -> np.ndarray:
-    """One wire ``match_ids_many`` result to a ``(k, 3)`` int64 block."""
-    if isinstance(item, DecodedBlock):
-        return np.asarray(item.rows, dtype=np.int64).reshape(-1, 3)
-    if not item:
-        return empty_id_block()
-    return np.asarray(item, dtype=np.int64).reshape(-1, 3)
-
-
 # --------------------------------------------------------------------- #
 # the coordinator backend
 # --------------------------------------------------------------------- #
@@ -569,7 +559,7 @@ class ClusterBackend:
 
     def __init__(self, shards: Sequence[str], *,
                  replicas: Optional[Mapping[int, Sequence[str]]] = None,
-                 codec: str = "auto", timeout: Optional[float] = 30.0,
+                 timeout: Optional[float] = 30.0,
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF,
                  entity_interner: Optional[Interner] = None,
                  relation_interner: Optional[Interner] = None,
@@ -599,8 +589,7 @@ class ClusterBackend:
         try:
             self._sessions = [
                 _ShardSession(index, address, replicas.get(index, ()),
-                              codec=codec, timeout=timeout,
-                              retry_backoff=retry_backoff)
+                              timeout=timeout, retry_backoff=retry_backoff)
                 for index, address in enumerate(shards)
             ]
             self._pool = ThreadPoolExecutor(
@@ -755,7 +744,7 @@ class ClusterBackend:
             # Per-shard sorting would be thrown away by the merge.
             results = self._sessions[index].read_call(
                 "match_many", patterns=encode_wire_patterns(group))
-            return [decode_triple_rows(rows) for rows in results]
+            return [block.to_triples() for block in results]
 
         def shard_call(index: int, group: List[Pattern]) -> List[List[Triple]]:
             decoded = broadcast_call(index, group)
@@ -828,9 +817,8 @@ class ClusterBackend:
     def _all_triples_per_shard(self) -> List[List[Triple]]:
         """Every shard's full content, one wire call per shard."""
         return self._run([
-            (lambda session=session:
-             decode_triple_rows(session.read_call(
-                 "match", pattern=[None, None, None])))
+            (lambda session=session: session.read_call(
+                "match", pattern=[None, None, None]).to_triples())
             for session in self._sessions])
 
     def entities(self) -> List[str]:
@@ -886,11 +874,11 @@ class ClusterBackend:
         While every endpoint's interner fingerprint matched at
         handshake (and the coordinator's interners have not grown
         since), raw id patterns ship as-is and dense id blocks come
-        straight back — zero translation, zero string traffic on the
-        binary codec.  Otherwise patterns translate to strings, route
-        through :meth:`match_many`, and results re-intern in the caller
-        thread (the interner is not thread-safe; scatter threads never
-        touch it).  Both paths concatenate per-shard blocks in shard
+        straight back — zero translation, zero string traffic.
+        Otherwise patterns translate to strings, route through
+        :meth:`match_many`, and results re-intern in the caller thread
+        (the interner is not thread-safe; scatter threads never touch
+        it).  Both paths concatenate per-shard blocks in shard
         order — the same order the in-process backend produces.
         """
         if self._fast_id_path():
@@ -900,8 +888,7 @@ class ClusterBackend:
                 else shard_of_id(pattern[0], self.n_shards),
                 empty=empty_id_block,
                 shard_call=lambda index, group: [
-                    _decode_id_rows(item)
-                    for item in self._sessions[index].read_call(
+                    item.rows for item in self._sessions[index].read_call(
                         "match_ids_many",
                         patterns=[[None if term is None else int(term)
                                    for term in pattern]
@@ -953,15 +940,11 @@ class ClusterBackend:
         they are through ``execute_many``, one ``read_call`` per shard
         (replica routing, retry, fencing and counters as for any read);
         each shard plans and joins locally behind its own result cache;
-        per query the id rows concatenate in shard order.  ``None`` —
-        plan it here — unless the raw-id path holds and no live
-        connection negotiated JSON, on which ``execute_many`` ships
-        strings (``[]`` is zero rows either way).
+        per query the id rows concatenate in shard order (a list-backed
+        ``[]`` is zero rows).  ``None`` — plan it here — for one reason
+        only: the raw-id path is lost.
         """
-        if not self._fast_id_path() or any(
-                client is not None and client.codec != CODEC_BINARY
-                for session in self._sessions
-                for client in session._clients):
+        if not self._fast_id_path():
             return None
         wire = [encode_wire_query(query) for query in queries]
         answers = self._run([
@@ -970,9 +953,6 @@ class ClusterBackend:
             for session in self._sessions])
         results: List[np.ndarray] = []
         for query, parts in zip(queries, zip(*answers)):
-            if any(len(part) and not isinstance(part, DecodedBlock)
-                   for part in parts):
-                return None     # string rows: an endpoint reconnected on JSON
             empty = np.zeros((0, len(query.select or query.variables())),
                              dtype=np.int64)
             results.append(np.concatenate(

@@ -22,22 +22,25 @@ Design choices, in order of importance:
   the client process, and query-boundary ``except`` clauses behave the
   same for local and remote engines.
 
-Two codecs share that framing:
+Two planes share that framing:
 
-* **JSON** (the default and the fallback): the frame body is UTF-8
-  JSON.  Every server and client speaks it; old peers speak nothing
-  else.  Triples cross the wire as ``[head, relation, tail]`` arrays,
-  patterns with ``null`` wildcards, bindings as plain objects.
-* **binary** (negotiated per connection with one ``hello`` exchange):
-  the frame body starts with a one-byte tag — :data:`TAG_JSON` for a
-  JSON payload (all requests, errors, and small control results) or
-  :data:`TAG_BINARY` for a packed response.  A binary response ships
-  result rows as dense **little-endian int64 id blocks** plus an
-  **interner delta**: only the id→symbol entries this connection has
-  not been sent yet.  The client decodes blocks zero-copy via
-  ``np.frombuffer`` and resolves strings from its connection-local
-  symbol cache, so a steady-state response (warm cache) is one memcpy
-  instead of per-row JSON stringify/parse on both sides.
+* **control plane — JSON.**  Every request, error, scalar or small
+  structured answer (``ping``, ``stats``, counts, write acks, ``role``,
+  ``wal_tail``, ``snapshot_ship``, cursor ids).  A connection that
+  never says ``hello`` speaks nothing else.
+* **row plane — the id-block frame, the one row encoder.**  One
+  ``hello`` exchange switches a connection to tagged frames: the body
+  starts with :data:`TAG_JSON` (requests, errors, control results) or
+  :data:`TAG_BINARY`, a packed response shipping rows as dense
+  **little-endian int64 id blocks** plus an **interner delta** — only
+  the id→symbol entries this connection has not been sent yet.  The
+  client decodes blocks zero-copy (``np.frombuffer``) and resolves
+  strings from its connection-local symbol cache.
+
+The refusal rule: an op that answers in blocks (:attr:`Op.rows`) is
+refused with a typed ``ProtocolError`` naming it and ``hello`` when the
+caller cannot frame one — no ``hello``, or a request id that is not an
+int64 — *before* its fields are decoded or anything runs.
 
 Binary response body layout (everything after the tag little-endian)::
 
@@ -53,12 +56,10 @@ Binary response body layout (everything after the tag little-endian)::
         u16 ncols, [kind 1 only] ncols x (u8 space, u16 len, name)
         u64 nrows, nrows*ncols x i64 row-major id block
 
-``shape`` says how the items assemble back into the JSON-equivalent
-result: 0 = the single item IS the result, 1 = the result is the list
-of items, 2 = a cursor page ``{"rows": item, "exhausted": flag}``.
-The negotiation ``hello`` itself (and its response) always travels as
-a plain JSON frame, which is why a pre-binary server answers it with a
-typed ``ProtocolError`` response a client can treat as "JSON then".
+``shape`` says how the items assemble back into the result: 0 = the
+single item IS the result, 1 = the result is the list of items, 2 = a
+cursor page ``{"rows": item, "exhausted": flag}``.  The ``hello``
+itself (and its response) always travels as a plain JSON frame.
 """
 
 from __future__ import annotations
@@ -199,9 +200,8 @@ _decode_terms = _wire_pattern(wildcards=False)
 def encode_wire_triples(triples: Sequence[Triple]) -> List[List[str]]:
     """Triples as their wire form: ``[head, relation, tail]`` arrays.
 
-    The body of the ``add_many`` / ``remove_many`` write ops (and of
-    every triples-valued response).  Write requests travel as JSON on
-    both codecs — binary frames flow server-to-client only.
+    The body of the ``add_many`` / ``remove_many`` write ops.  Requests
+    are always JSON — binary frames flow server-to-client only.
     """
     return [[triple.head, triple.relation, triple.tail]
             for triple in triples]
@@ -310,14 +310,14 @@ class Op(NamedTuple):
     retried promotion must stay an explicit decision of the routing
     layer, never a silent transport-level replay.
 
-    ``json_ids``: the op answers in id space on both codecs — a JSON
-    connection gets its blocks as integer rows, not symbols.
+    ``rows``: the op answers in id blocks — refused, before its fields
+    decode, from a caller that cannot frame one (no ``hello``, bad id).
     """
 
     fields: Dict[str, Field] = {}
     write: bool = False
     retry_safe: bool = False
-    json_ids: bool = False
+    rows: bool = False
 
     def decode(self, message: dict) -> dict:
         """The handler's keyword arguments out of a request message."""
@@ -336,7 +336,7 @@ _CURSOR = Field(_STR)
 _TRIPLES = {"triples": Field(decode_wire_triples)}
 
 #: Every request op but ``hello``, which the server answers at the frame
-#: level: it changes the connection's codec, not what the store answers.
+#: level: it changes the connection's framing, not what the store answers.
 OPS: Dict[str, Op] = {
     "ping": Op(retry_safe=True),
     "stats": Op(retry_safe=True),
@@ -354,23 +354,23 @@ OPS: Dict[str, Op] = {
                          "generation": Field(_INT, None)},
                         retry_safe=True),
     "promote": Op(),
-    "execute": Op(_QUERY, retry_safe=True),
-    "execute_many": Op(_QUERIES, retry_safe=True),
-    "match": Op(_PATTERN, retry_safe=True),
-    "match_many": Op(_PATTERNS, retry_safe=True),
-    "match_ids_many": Op(_ID_PATTERNS, retry_safe=True, json_ids=True),
+    "execute": Op(_QUERY, retry_safe=True, rows=True),
+    "execute_many": Op(_QUERIES, retry_safe=True, rows=True),
+    "match": Op(_PATTERN, retry_safe=True, rows=True),
+    "match_many": Op(_PATTERNS, retry_safe=True, rows=True),
+    "match_ids_many": Op(_ID_PATTERNS, retry_safe=True, rows=True),
     "count": Op(_PATTERN, retry_safe=True),
     "count_many": Op(_PATTERNS, retry_safe=True),
-    "open_cursor": Op(_QUERY, retry_safe=True),
-    "open_match_cursor": Op(_PATTERN, retry_safe=True),
-    "fetch": Op({"cursor": _CURSOR, "max_rows": Field(_INT)}),
+    "open_cursor": Op(_QUERY, retry_safe=True, rows=True),
+    "open_match_cursor": Op(_PATTERN, retry_safe=True, rows=True),
+    "fetch": Op({"cursor": _CURSOR, "max_rows": Field(_INT)}, rows=True),
     "close_cursor": Op({"cursor": _CURSOR}),
     "add_many": Op(_TRIPLES, write=True),
     "remove_many": Op(_TRIPLES, write=True),
     "compact": Op(write=True),
 }
 
-#: The codec negotiation — the one exchange outside :data:`OPS`.
+#: The framing negotiation — the one exchange outside :data:`OPS`.
 HELLO = Op({"codecs": Field(_wire_list(_STR), ())})
 
 
@@ -427,7 +427,7 @@ def read_frame_bytes(sock: socket.socket,
 
 
 def decode_json_body(body: bytes) -> dict:
-    """Parse a frame body as the JSON codec: a single UTF-8 object."""
+    """Parse a JSON frame body: a single UTF-8 object."""
     try:
         message = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -528,7 +528,7 @@ def error_from_wire(error: object) -> ReproError:
 
 
 # --------------------------------------------------------------------------
-# Binary codec
+# The id-block frame
 # --------------------------------------------------------------------------
 
 #: Version byte of the binary response layout.  Bumped on any change;
@@ -542,8 +542,8 @@ CODEC_BINARY = "binary"
 #: First body byte on a *negotiated binary* connection.  ``J`` marks a
 #: JSON payload (requests, errors, small control results), ``B`` a
 #: packed response.  Neither is valid leading JSON, so a tagged frame
-#: sent to a JSON-only peer fails with a typed ProtocolError instead
-#: of being misread.
+#: sent on a connection that never said ``hello`` fails with a typed
+#: ProtocolError instead of being misread.
 TAG_JSON = 0x4A    # 'J'
 TAG_BINARY = 0x42  # 'B'
 
@@ -590,7 +590,7 @@ class DecodedBlock:
     (samplers, embedding pipelines, scatter/gather engines) use
     ``rows`` plus the connection symbol caches directly;
     :meth:`to_bindings` / :meth:`to_triples` materialize the exact
-    objects the JSON codec would have produced.
+    objects the in-process engine returns.
     """
 
     __slots__ = ("names", "kinds", "rows", "is_triples", "exhausted",
@@ -632,7 +632,7 @@ class DecodedBlock:
                 f"desync)") from exc
 
     def to_rows(self):
-        """Materialize what the JSON codec would have shipped."""
+        """Materialize the block as the kind of rows it holds."""
         return self.to_triples() if self.is_triples else self.to_bindings()
 
     def to_bindings(self) -> List[Dict[str, str]]:
@@ -667,15 +667,6 @@ class DecodedBlock:
         unchecked = Triple.unchecked
         return [unchecked(h, r, t)
                 for h, r, t in zip(heads, relations, tails)]
-
-
-def decode_triple_rows(rows) -> List[Triple]:
-    """One triples-valued *result* to :class:`Triple`\\ s, either codec:
-    a :class:`DecodedBlock` resolves through its connection's symbol
-    cache, a JSON result is ``[head, relation, tail]`` arrays."""
-    if isinstance(rows, DecodedBlock):
-        return rows.to_triples()
-    return [Triple(head, relation, tail) for head, relation, tail in rows]
 
 
 def _delta_bytes(ids: "np.ndarray", symbols: List[str]) -> bytes:
@@ -877,10 +868,9 @@ class BinaryResponseDecoder:
         return block, offset
 
     def decode(self, body: bytes) -> dict:
-        """Decode one :data:`TAG_BINARY` body into the response dict the
-        JSON codec would have produced (blocks left as
-        :class:`DecodedBlock` for the caller to materialize or use
-        zero-copy)."""
+        """Decode one :data:`TAG_BINARY` body into a response dict shaped
+        like a JSON one (blocks left as :class:`DecodedBlock` for the
+        caller to materialize or use zero-copy)."""
         try:
             tag, version, shape, _, request_id = _HEADER.unpack_from(body, 0)
             if tag != TAG_BINARY:  # pragma: no cover - caller dispatches

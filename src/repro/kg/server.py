@@ -23,16 +23,15 @@ Concurrency model — one I/O thread, a small worker pool, one dispatcher:
 * huge results never cross the wire in one frame: ``open_cursor`` /
   ``fetch`` / ``close_cursor`` page a server-side cursor (TTL-evicted).
 
-Codecs: every connection starts as JSON (old clients never notice any
-of this).  A client may send one ``{"op": "hello", "codecs":
-["binary"]}`` exchange; if the server grants it, the connection
-switches to the binary codec of :mod:`repro.kg.protocol` — responses
-carry dense int64 id blocks plus interner deltas.  Either way the
-:class:`QueryService` hands back the same
-:class:`~repro.kg.executor.IdBlock` results; the codec only decides how
-the worker thread encodes them (packed as ids, or materialized to
-strings for JSON).  ``codec="json"`` pins a server to JSON (negotiation
-requests are declined, not errored).
+Framing: every connection starts on plain JSON frames, the control
+plane — requests, errors, scalars, replication.  One ``{"op": "hello",
+"codecs": ["binary"]}`` exchange (always granted) switches it to the
+tagged frames of :mod:`repro.kg.protocol`, whose binary id-block frame
+is the one row encoder: the :class:`~repro.kg.executor.IdBlock`
+results the :class:`QueryService` hands back are packed as they are,
+never materialized to strings here.  An op that answers in blocks
+(:attr:`~repro.kg.protocol.Op.rows`) is refused, typed, from a
+connection that never said ``hello``.
 
 Abuse tolerance: a malformed, truncated, oversized or garbage frame
 gets a ``ProtocolError`` response when the frame boundary is still
@@ -88,7 +87,6 @@ from repro.kg.protocol import (
     encode_frame,
     encode_snapshot_chunk,
     encode_tagged_json,
-    encode_wire_triples,
     error_to_wire,
 )
 from repro.kg.routing import interner_fingerprint
@@ -122,7 +120,7 @@ _WAL_TAIL_MAX_BATCHES = 4096
 
 
 def _result_blocks(result) -> Tuple[Optional[int], Sequence]:
-    """Classify a read result for either encoder: its binary ``shape``
+    """Classify a read result for the binary encoder: its ``shape``
     and the items that carries (a block, a list holding blocks, a cursor
     page) — ``(None, ())`` when no id block is in it (plain JSON)."""
     if isinstance(result, IdBlock):
@@ -133,29 +131,6 @@ def _result_blocks(result) -> Tuple[Optional[int], Sequence]:
     if isinstance(result, dict) and isinstance(result.get("rows"), IdBlock):
         return SHAPE_PAGE, (result["rows"],)
     return None, ()
-
-
-def _json_rows(item, ids: bool):
-    if not isinstance(item, IdBlock):
-        return item
-    if ids:
-        return item.rows.tolist()
-    rows = item.materialize()
-    return encode_wire_triples(rows) if item.triples else rows
-
-
-def _json_result(result, ids: bool = False):
-    """A read result as the JSON codec ships it — the counterpart of
-    :meth:`KGServer._encode_binary_response` over the same shapes: every
-    block materialized, triples as ``[head, relation, tail]`` arrays; for
-    an :attr:`~repro.kg.protocol.Op.json_ids` op, the id rows themselves."""
-    shape, items = _result_blocks(result)
-    if shape is None:
-        return result
-    rows = [_json_rows(item, ids) for item in items]
-    if shape == SHAPE_LIST:
-        return rows
-    return rows[0] if shape == SHAPE_SINGLE else {**result, "rows": rows[0]}
 
 
 def _resolve_snapshot_member(snapshot: Path, member: str) -> Path:
@@ -305,9 +280,6 @@ class KGServer:
         is the hot-query result cache budget; ``0`` disables caching).
     max_frame_bytes:
         Per-frame payload cap, both directions.
-    codec:
-        ``"auto"`` (default) grants binary negotiation; ``"json"``
-        declines it, pinning every connection to the JSON codec.
     workers:
         Size of the pool running blocking service calls.
 
@@ -322,18 +294,12 @@ class KGServer:
                  cursor_ttl: float = DEFAULT_CURSOR_TTL,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
                  max_frame_bytes: int = MAX_FRAME_BYTES,
-                 codec: str = "auto",
                  workers: int = DEFAULT_WORKERS,
                  shard_index: Optional[int] = None,
                  n_shards: Optional[int] = None,
                  follow: Optional[str] = None,
                  follow_poll_interval: float =
                  DEFAULT_FOLLOW_POLL_INTERVAL) -> None:
-        if codec not in ("auto", CODEC_JSON):
-            raise ValueError(
-                f"server codec policy must be 'auto' or 'json', got "
-                f"{codec!r} (binary is negotiated per connection, never "
-                f"forced: old clients must keep working)")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if (shard_index is None) != (n_shards is None):
@@ -357,7 +323,6 @@ class KGServer:
                 f"interval would busy-spin the follower against its "
                 f"leader)")
         self.max_frame_bytes = int(max_frame_bytes)
-        self.codec = codec
         self.closing = False
         self.role = "replica" if follow is not None else "leader"
         self.shard_index = shard_index
@@ -785,32 +750,30 @@ class KGServer:
         try:
             message = decode_json_body(payload)
         except ProtocolError as exc:
-            # Not JSON: the stream may be garbage — report and hang up
-            # (same contract as the pre-codec server).
+            # Not JSON: the stream may be garbage — report and hang up.
             return self._error_frame(conn, exc), True
         if message.get("op") == "hello":
             return self._serve_hello(conn, message), False
-        response = self.handle_message(message, raw=binary)
-        if conn.codec == CODEC_BINARY:
-            return self._encode_binary_response(conn, response), False
-        return self._encode_json_response(conn, response), False
+        encode = self._encode_binary_response if binary \
+            else self._encode_json_response
+        return encode(conn, self.handle_message(message, raw=binary)), False
 
     def _serve_hello(self, conn: _Connection, message: dict) -> bytes:
-        """Codec negotiation.  Grant binary when the policy allows; the
-        reply itself always uses the connection's *current* codec, so
-        the client flips exactly after reading the ack."""
+        """Framing negotiation: ``binary`` is granted whenever offered,
+        anything else leaves the connection as it was.  The reply uses
+        the connection's *current* framing, so the client flips exactly
+        after reading the ack."""
         request_id = message.get("id")
         try:
             codecs = HELLO.decode(message)["codecs"]
         except ProtocolError as exc:
             return self._error_frame(conn, exc, request_id)
-        grant = CODEC_BINARY in codecs and self.codec == "auto"
-        granted = CODEC_BINARY if grant else CODEC_JSON
+        grant = CODEC_BINARY in codecs and conn.codec != CODEC_BINARY
         frame = self._encode_json_response(
             conn, {"id": request_id, "ok": True,
-                   "result": {"codec": granted,
+                   "result": {"codec": CODEC_BINARY if grant else conn.codec,
                               "protocol": BINARY_PROTOCOL_VERSION}})
-        if grant and conn.codec != CODEC_BINARY:
+        if grant:
             backend = self.service.store.backend
             conn.encoder = BinaryResponseEncoder(
                 backend.entity_interner, backend.relation_interner,
@@ -863,16 +826,13 @@ class KGServer:
         Anything a hostile or buggy client can provoke — unknown op,
         missing/garbage fields, a query-layer error — comes back as a
         typed error response on the same connection; nothing propagates
-        to the connection loop.  With ``raw=True`` (binary-codec
-        connections) row results stay
-        :class:`~repro.kg.executor.IdBlock` values for the binary
-        encoder; the id must then be a wire-safe integer or the result
-        is materialized like a JSON connection's.
+        to the connection loop.  ``raw=True`` says the connection said
+        ``hello``, so id blocks can be framed for it under an int64
+        request id; otherwise an op that answers in rows is refused
+        before its fields are decoded — no query runs, no cursor is
+        parked.
         """
         request_id = message.get("id")
-        raw = raw and isinstance(request_id, int) \
-            and not isinstance(request_id, bool) \
-            and -(1 << 63) <= request_id < (1 << 63)
         try:
             op = message.get("op")
             spec = OPS.get(op) if isinstance(op, str) else None
@@ -882,12 +842,18 @@ class KGServer:
                 raise ProtocolError(
                     f"this server is a read-only replica following "
                     f"{self._follow}; send writes to the leader")
+            if spec.rows and not (raw and type(request_id) is int
+                                  and -(1 << 63) <= request_id < (1 << 63)):
+                raise ProtocolError(
+                    f"{op} answers in id blocks, framed only after a "
+                    f"'hello' offering codecs ['binary'] and under an "
+                    f"int64 request id: " + (
+                        f"got id {request_id!r}" if raw else
+                        "this connection never said 'hello'"))
             # The whole request decodes BEFORE the handler submits
             # anything: a malformed query mid-batch must not leave
             # already-submitted futures executing with nobody waiting.
             result = self._HANDLERS[op](self, **spec.decode(message))
-            if not raw:       # strings are made here, on the worker thread
-                result = _json_result(result, spec.json_ids)
         except Exception as exc:
             return {"id": request_id, "ok": False, "error": error_to_wire(exc)}
         return {"id": request_id, "ok": True, "result": result}
@@ -895,7 +861,6 @@ class KGServer:
     def _op_stats(self) -> dict:
         server_info = {"connections": self.connection_count,
                        "workers": self._pool._max_workers,
-                       "codec_policy": self.codec,
                        "role": self.role}
         if self.shard_index is not None:
             server_info["shard_index"] = self.shard_index

@@ -900,7 +900,10 @@ class QueryService:
         try:
             results = self.store.count_many([request.payload
                                              for request in requests])
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
+            # Where a coordinator's shard with no live endpoint surfaces
+            # (ShardUnavailableError): the batch was ONE count_many, so
+            # each request gets it once and none is re-attempted.
             for request in requests:
                 _resolve(request.future, exception=exc)
             return

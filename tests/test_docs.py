@@ -91,23 +91,24 @@ def test_smoke_import_reports_failures():
 
 def test_documented_op_table_matches_the_protocol():
     """docs/architecture.md lists every wire op with its fields and its
-    write / retry-safe class; a drift from ``protocol.OPS`` fails here."""
+    write / retry-safe / rows class; a drift from ``protocol.OPS`` fails
+    here."""
     from repro.kg.protocol import HELLO, OPS, REQUIRED
 
     text = (REPO_ROOT / "docs" / "architecture.md").read_text()
     table = text.split("<!-- ops-table -->")[1].split("<!-- /ops-table -->")[0]
     documented = {}
     for line in table.strip().splitlines()[2:]:       # skip header + rule
-        name, fields, write, retry = (
+        name, fields, write, retry, rows = (
             cell.strip() for cell in line.strip("|").split("|"))
         documented[name.strip("`")] = (
             [] if fields == "—" else fields.replace("`", "").split(", "),
-            write == "yes", retry.startswith("yes"))
+            write == "yes", retry.startswith("yes"), rows == "yes")
 
     def declared(op):
         return ([name if field.default is REQUIRED else name + "?"
                  for name, field in op.fields.items()],
-                op.write, op.retry_safe)
+                op.write, op.retry_safe, op.rows)
 
     assert documented == {"hello": declared(HELLO),
                           **{name: declared(op) for name, op in OPS.items()}}

@@ -8,11 +8,11 @@ Covers the distributed deployment of the sharded store:
   backend contract as the in-process ``ShardedBackend`` — including the
   existing backend-parity property suite, reused unchanged;
 - bit-identical results between a cluster of N shard servers and a
-  single-process ``ShardedBackend(N)`` across shard counts and codecs;
+  single-process ``ShardedBackend(N)`` across shard counts;
 - the co-partitioned pushdown: star queries answered whole by the
   shards in one scatter round, equal to the planned path and the
-  backtracking oracle, with its fallbacks (lost raw-id path, JSON
-  codec), paging, and per-request error isolation;
+  backtracking oracle, with its one fallback (the raw-id path lost),
+  paging, and per-request error isolation;
 - the failure story: reads reroute to replicas with zero failures while
   a shard leader is down, and fail with a typed, shard-naming
   :class:`~repro.errors.ShardUnavailableError` when no replica exists;
@@ -87,7 +87,7 @@ def _shard_parts(local: ShardedBackend):
 
 
 @contextmanager
-def _cluster_over(local: ShardedBackend, *, codec: str = "auto",
+def _cluster_over(local: ShardedBackend, *,
                   replicate_shard: int | None = None):
     """Serve every shard of ``local`` and connect a coordinator.
 
@@ -116,7 +116,6 @@ def _cluster_over(local: ShardedBackend, *, codec: str = "auto",
             replicas[replicate_shard] = [replica_server.url]
         backend = ClusterBackend(
             [server.url for server in servers], replicas=replicas,
-            codec=codec,
             entity_interner=local.entity_interner,
             relation_interner=local.relation_interner,
             retry_backoff=0.01)
@@ -173,19 +172,21 @@ _rows = st.lists(st.tuples(_symbol, st.sampled_from(["r1", "r2"]), _symbol),
                  max_size=25)
 
 
-@pytest.mark.parametrize("n_shards,codec,kill_leader", [
-    (1, "json", False),
-    (2, "binary", True),
-    (4, "auto", False),
+@pytest.mark.parametrize("n_shards,kill_leader", [
+    # The ids keep the word that used to name the link codec: shard
+    # links always negotiate the binary frame now.
+    pytest.param(1, False, id="1-binary-False"),
+    pytest.param(2, True, id="2-binary-True"),
+    pytest.param(4, False, id="4-auto-False"),
 ])
 @settings(max_examples=5, deadline=None)
 @given(rows=_rows)
-def test_cluster_results_bit_identical_to_sharded(n_shards, codec,
-                                                  kill_leader, rows):
+def test_cluster_results_bit_identical_to_sharded(n_shards, kill_leader,
+                                                  rows):
     """Queries through N shard servers return byte-for-byte what a
     single-process ``ShardedBackend(N)`` returns — same rows, same
-    order, same dtypes — on both codecs, surviving an injected leader
-    kill when a replica is present."""
+    order, same dtypes — surviving an injected leader kill when a
+    replica is present."""
     local = ShardedBackend(n_shards)
     local.add_many([Triple(*row) for row in rows])
     heads = sorted({row[0] for row in rows})
@@ -210,7 +211,7 @@ def test_cluster_results_bit_identical_to_sharded(n_shards, codec,
             assert mine.dtype == theirs.dtype
             assert np.array_equal(mine, theirs)
 
-    with _cluster_over(local, codec=codec,
+    with _cluster_over(local,
                        replicate_shard=0 if kill_leader else None) \
             as (backend, servers, _replica):
         check(backend)
@@ -297,31 +298,30 @@ def _join_queries(draw):
     return PatternQuery.from_patterns(patterns, select=select, limit=limit)
 
 
-@pytest.mark.parametrize("codec", ["binary", "json"])
-@pytest.mark.parametrize("n_shards", [1, 2, 3])
+@pytest.mark.parametrize("n_shards", [
+    pytest.param(n, id=f"{n}-binary") for n in (1, 2, 3)])
 @settings(max_examples=5, deadline=None)
 @given(rows=_small_rows, queries=st.lists(_join_queries(), min_size=4,
                                           max_size=4))
-def test_pushdown_equals_planned_equals_oracle(n_shards, codec, rows,
-                                               queries):
+def test_pushdown_equals_planned_equals_oracle(n_shards, rows, queries):
     """Coordinator ≡ ``QueryEngine(ShardedBackend(n))`` ≡ backtracking
     over random stores and random star / non-star joins: row-for-row
     under ``select`` (the projection sorts), as multisets otherwise —
     and a ``limit`` without ``select`` is any that many rows of the full
-    answer.  On the binary codec every star query costs exactly one
-    request per shard, and every other id-space query at most that."""
+    answer.  Every star query costs exactly one request per shard, and
+    every other id-space query at most that."""
     local = ShardedBackend(n_shards)
     local.add_many([Triple(*row) for row in rows])
     local_store = TripleStore(backend=local)
     planned = QueryEngine(local_store)
-    with _cluster_over(local, codec=codec) as (backend, _servers, _replica):
+    with _cluster_over(local) as (backend, _servers, _replica):
         engine = QueryEngine(TripleStore(backend=backend))
         for query in queries:
             before = _requests(backend)
             got = engine.execute(query)
-            if rows and co_partitioned(query) and codec == "binary":
+            if rows and co_partitioned(query):
                 assert _requests(backend) - before == n_shards
-            elif codec == "binary" and plan_query(query).id_space:
+            elif plan_query(query).id_space:
                 assert _requests(backend) - before <= n_shards
             unlimited = PatternQuery(query.patterns, query.select, None)
             full = _multiset(backtrack(local_store, unlimited))
@@ -367,7 +367,7 @@ def test_star_query_costs_one_request_per_shard():
     ``match_ids_many`` per shard: every step in the same round."""
     local = _guide_cluster_store()
     reference = QueryEngine(TripleStore(backend=local))
-    with _cluster_over(local, codec="binary") as (backend, _servers, _rep):
+    with _cluster_over(local) as (backend, _servers, _rep):
         store = TripleStore(backend=backend)
         before = _requests(backend)
         assert QueryEngine(store).execute(_GUIDE_STAR) \
@@ -391,7 +391,7 @@ def test_star_query_falls_back_when_the_id_path_is_lost(shard_ops):
     ``match_many`` each, not ``execute_many`` — and still answers
     correctly."""
     local = _guide_cluster_store()
-    with _cluster_over(local, codec="binary") as (backend, _servers, _rep):
+    with _cluster_over(local) as (backend, _servers, _rep):
         engine = QueryEngine(TripleStore(backend=backend))
         assert backend._fast_id_path()
         fresh = [Triple("p-new", "brandIs", "b1"),
@@ -405,24 +405,6 @@ def test_star_query_falls_back_when_the_id_path_is_lost(shard_ops):
         del shard_ops[:]
         assert engine.execute(_GUIDE_STAR) == expected
         assert shard_ops == ["match_many"] * backend.n_shards
-
-
-def test_star_query_falls_back_on_a_json_cluster(shard_ops):
-    """``execute_many`` answers a JSON connection in strings, so a
-    ``codec="json"`` coordinator decides from the negotiated codec not
-    to ship the query at all — it plans it (one ``match_ids_many`` per
-    shard per query), and answers the same."""
-    local = _guide_cluster_store()
-    reference = QueryEngine(TripleStore(backend=local))
-    with _cluster_over(local, codec="json") as (backend, _servers, _rep):
-        assert backend._fast_id_path()
-        assert backend.execute_co_partitioned([_GUIDE_STAR]) is None
-        engine = QueryEngine(TripleStore(backend=backend))
-        del shard_ops[:]
-        assert engine.execute(_GUIDE_STAR) == reference.execute(_GUIDE_STAR)
-        assert _multiset(engine.execute(_FACET_STAR)) \
-            == _multiset(reference.execute(_FACET_STAR))
-        assert shard_ops == ["match_ids_many"] * (2 * backend.n_shards)
 
 
 def test_pushed_result_pages_through_a_coordinator_cursor():
@@ -455,7 +437,7 @@ def test_malformed_star_query_fails_typed_on_that_request_only():
     local = _guide_cluster_store()
     unbound = PatternQuery(_GUIDE_STAR.patterns, ("?nope",), None)
     no_rows = PatternQuery(_GUIDE_STAR.patterns, ("?p",), 0)
-    with _cluster_over(local, codec="binary") as (backend, _servers, _rep):
+    with _cluster_over(local) as (backend, _servers, _rep):
         store = TripleStore(backend=backend)
         for bad in (unbound, no_rows):
             with pytest.raises(QueryError):
@@ -607,7 +589,7 @@ def test_a_dead_shard_fails_each_planned_request_once(monkeypatch):
             return _original(self, patterns)
 
         monkeypatch.setattr(ClusterBackend, name, spy)
-    with _cluster_over(local, codec="binary") as (backend, servers, _rep), \
+    with _cluster_over(local) as (backend, servers, _rep), \
             ExitStack() as stack:
         store = TripleStore(backend=backend)
         # Both front-ends warm the backend up while the shard is alive.
@@ -641,6 +623,60 @@ def test_a_dead_shard_fails_each_planned_request_once(monkeypatch):
             remote.execute(malformed)
         assert RemoteStore(remote.client).match(live_head, None, None) \
             == local.match(live_head, None, None)
+
+
+def test_a_dead_shard_fails_each_count_of_its_batch_once(monkeypatch):
+    """``count`` / ``count_many`` through a coordinator meet a shard
+    with no live endpoint in the service's count handler: the
+    dispatched batch is ONE ``count_many``, so every count request in
+    it gets the typed, shard-naming error once — nothing is re-attempted
+    one by one.  A head-bound ``match`` batch-mate on the live shard and
+    a later head-bound ``count`` there are answered, and the same error
+    arrives typed over a never-``hello`` control connection to a
+    coordinator server: counts are scalars and keep working there."""
+    local = _guide_cluster_store()
+    heads = {owner: [f"p{i}" for i in range(60) if shard_of_id(
+        local.entity_interner.lookup(f"p{i}"), 2) == owner]
+        for owner in (0, 1)}
+    doomed = [(head, "brandIs", None) for head in heads[0][:3]] \
+        + [(None, "brandIs", "b1")]
+    live = (heads[1][0], None, None)
+    rounds = []
+    original = ClusterBackend.count_many
+
+    def spy(self, patterns):
+        rounds.append(len(patterns))
+        return original(self, patterns)
+
+    monkeypatch.setattr(ClusterBackend, "count_many", spy)
+    with _cluster_over(local) as (backend, servers, _rep), ExitStack() as stack:
+        store = TripleStore(backend=backend)
+        coordinator = stack.enter_context(KGServer(store, port=0).start())
+        control = stack.enter_context(
+            RemoteClient(coordinator.url, codec="json"))
+        with QueryService(store, cache_bytes=0) as service:
+            assert service.count_many(doomed) == local.count_many(doomed)
+            servers[0].close()
+            del rounds[:]
+            batches = service.stats["batches_dispatched"]
+            counts = [service.submit_count(pattern) for pattern in doomed]
+            lookup = service.submit_lookup(live)
+            for future in counts:
+                with pytest.raises(ShardUnavailableError) as excinfo:
+                    future.result()
+                assert excinfo.value.shard_index == 0
+            assert lookup.result().materialize() == local.match(*live)
+            batches = service.stats["batches_dispatched"] - batches
+            assert 1 <= len(rounds) <= batches and sum(rounds) == len(doomed)
+            assert service.count_many([live]) == local.count_many([live])
+        del rounds[:]
+        remote = RemoteStore(control)
+        with pytest.raises(ShardUnavailableError, match="shard 0"):
+            remote.count(*doomed[-1])
+        assert rounds == [1]                        # asked once, not retried
+        assert remote.count(*live) == local.count(*live)
+        with pytest.raises(ProtocolError, match="never said 'hello'"):
+            remote.match(*live)
 
 
 def test_write_to_dead_leader_promotes_replica():

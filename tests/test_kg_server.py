@@ -18,35 +18,45 @@ Four suites, mirroring what a network boundary must survive:
 * **cursor faults** — expired TTL, server restart, double close and
   limit edge cases raise typed ``CursorError``/``QueryError``, never
   silent partial results;
-* **codec negotiation** — the whole module runs twice via the
-  ``server_codec`` fixture (JSON-pinned policy vs auto/binary), so every
-  parity, robustness and concurrency case exercises both wire codecs;
-  dedicated fuzz cases cover malformed ``hello``, codec mismatch and
-  binary-tagged frames sent at the wrong peer.
+* **the two planes** — JSON frames carry requests, errors, scalars and
+  replication; the binary id-block frame is the one row encoder.  The
+  ``server_codec`` fixture is the *connection state* a case starts
+  from: ``json-wire`` never said ``hello`` (a control connection),
+  ``binary-wire`` said it.  Framing, validation, control and write
+  cases hold on both; a case whose scenario asks for rows runs as
+  written after ``hello`` and, without it, must end in the typed
+  refusal at its first rows request.  Dedicated cases cover malformed
+  ``hello``, the refusal rule derived from ``protocol.OPS``, and a
+  byte-for-byte replay of frames the parent commit wrote.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import gc
+import inspect
 import json
 import os
 import socket
 import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CursorError, ProtocolError, QueryError, StorageError
-from repro.kg.executor import IdBlock
+from repro.kg.cluster import ClusterBackend
 from repro.kg.client import (
     RemoteClient,
     RemoteCursor,
     RemoteQueryEngine,
     RemoteStore,
+    connect,
     parse_address,
 )
 from repro.kg.protocol import (
@@ -67,12 +77,13 @@ from repro.kg.protocol import (
 )
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.server import KGServer as _KGServer
-from repro.kg.service import DEFAULT_CACHE_BYTES
+from repro.kg.service import DEFAULT_CACHE_BYTES, QueryService
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import triples_from_tuples
 
 NUM_PRODUCTS = 48
+DATA_DIR = Path(__file__).parent / "data"
 
 #: The CI ``server-cache-matrix`` job reruns this whole adversarial
 #: suite with the result cache disabled (``KG_SERVER_CACHE=off``); the
@@ -118,31 +129,30 @@ def sharded_store():
 @pytest.fixture(scope="module", params=["json", "auto"],
                 ids=["json-wire", "binary-wire"])
 def server_codec(request):
-    """Server codec policy.  The module runs once per policy: under
-    ``json`` every connection stays on the JSON codec; under ``auto``
-    the default clients negotiate the binary codec, so the same parity
-    and abuse cases cover both wire formats."""
+    """The connection state a case starts from, as the
+    ``RemoteClient(codec=)`` value that produces it: ``json`` never
+    says ``hello`` (a control connection), ``auto`` said it.  The
+    server has no say — it grants every ``hello`` offering binary."""
     return request.param
 
 
 @pytest.fixture(scope="module")
-def server(store, server_codec):
-    with KGServer(store, port=0, codec=server_codec).start() as running:
+def server(store):
+    with KGServer(store, port=0).start() as running:
         yield running
 
 
 @pytest.fixture(scope="module")
-def sharded_server(sharded_store, server_codec):
-    with KGServer(sharded_store, port=0,
-                  codec=server_codec).start() as running:
+def sharded_server(sharded_store):
+    with KGServer(sharded_store, port=0).start() as running:
         yield running
 
 
 @pytest.fixture(scope="module")
-def reopened_server(tmp_path_factory, sharded_store, server_codec):
+def reopened_server(tmp_path_factory, sharded_store):
     """A save→reopen→serve cycle over the sharded layout."""
     directory = sharded_store.save(tmp_path_factory.mktemp("served") / "kg")
-    with KGServer.open(directory, port=0, codec=server_codec) as running:
+    with KGServer.open(directory, port=0) as running:
         running.start()
         yield running
 
@@ -151,6 +161,32 @@ def _drain(cursor: RemoteCursor):
     rows = list(cursor)
     cursor.close()
     return rows
+
+
+@contextlib.contextmanager
+def _surface(surface, running, state: str):
+    """``surface`` (a remote API class) over a connection in ``state``."""
+    with RemoteClient(running.url, codec=state) as client:
+        yield surface(client)
+
+
+_engine = functools.partial(_surface, RemoteQueryEngine)
+_remote_store = functools.partial(_surface, RemoteStore)
+
+
+def _asks_for_rows(scenario):
+    """Mark a case whose scenario asks for rows.  After ``hello`` it
+    runs as written.  On a connection that never said it the scenario
+    still starts, and must end at its first rows request — whichever
+    client method makes it — in the typed refusal naming ``hello``:
+    never JSON rows, never an untyped failure."""
+    @functools.wraps(scenario)
+    def run(*args, server_codec, **kwargs):
+        if server_codec == "auto":
+            return scenario(*args, server_codec=server_codec, **kwargs)
+        with pytest.raises(ProtocolError, match="never said 'hello'"):
+            scenario(*args, server_codec=server_codec, **kwargs)
+    return run
 
 
 # --------------------------------------------------------------------------- #
@@ -183,10 +219,11 @@ def query_strategy(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(query=query_strategy(), page_size=st.sampled_from((1, 3, 7, 1000)),
        reorder=st.booleans())
+@_asks_for_rows
 def test_remote_paged_results_identical_to_local(server, sharded_server,
                                                  reopened_server, store,
-                                                 sharded_store, query,
-                                                 page_size, reorder):
+                                                 sharded_store, server_codec,
+                                                 query, page_size, reorder):
     """The acceptance property: random queries, several page sizes
     (including 1), three serving setups — remote paging must be
     bit-identical (values AND order) to local execution."""
@@ -194,61 +231,77 @@ def test_remote_paged_results_identical_to_local(server, sharded_server,
                 (reopened_server, reopened_server.service.store)]
     for running, backing in fixtures:
         local = QueryEngine(backing).execute(query, reorder=reorder)
-        with RemoteQueryEngine(running.url) as engine:
+        with _engine(running, server_codec) as engine:
             assert engine.execute(query, reorder=reorder) == local
             paged = _drain(engine.cursor(query, reorder=reorder,
                                          page_size=page_size))
             assert paged == local
 
 
-def test_remote_three_pattern_join_parity(server, store):
+@_asks_for_rows
+def test_remote_three_pattern_join_parity(server, store, server_codec):
     query = PatternQuery.from_patterns(
         [("?p", "brandIs", "?b"),
          ("?b", "headquartersIn", "?c"),
          ("?p", "rdf:type", "?cat")],
         select=["?p", "?c"])
     local = QueryEngine(store).execute(query)
-    with RemoteQueryEngine(server.url) as engine:
+    with _engine(server, server_codec) as engine:
         assert engine.execute(query) == local
         assert _drain(engine.cursor(query, page_size=1)) == local
 
 
-def test_remote_execute_many_parity(server, store):
+@_asks_for_rows
+def test_remote_execute_many_parity(server, store, server_codec):
     queries = [PatternQuery.from_patterns([("?p", "brandIs", f"brand:{i}")])
                for i in range(6)]
     local = QueryEngine(store).execute_many(queries)
-    with RemoteQueryEngine(server.url) as engine:
+    with _engine(server, server_codec) as engine:
         assert engine.execute_many(queries) == local
 
 
-def test_remote_store_mirrors_local_surface(server, store):
+@_asks_for_rows
+def test_remote_store_mirrors_local_surface(server, store, server_codec):
     patterns = [(None, "brandIs", None), ("product:0001", None, None),
                 ("ghost", None, None), (None, None, "country:1")]
-    with RemoteStore(server.url) as remote:
+    with _remote_store(server, server_codec) as remote:
+        # Scalars first: these answer on a control connection too.
         assert len(remote) == len(store)
         for pattern in patterns:
-            assert remote.match(*pattern) == store.match(*pattern)
             assert remote.count(*pattern) == store.count(*pattern)
+        assert remote.count_many(patterns) == store.count_many(patterns)
+        for pattern in patterns:
+            assert remote.match(*pattern) == store.match(*pattern)
         assert remote.match(None, "brandIs", None, sort=True) == \
             store.match(None, "brandIs", None, sort=True)
         assert remote.match_many(patterns) == store.match_many(patterns)
-        assert remote.count_many(patterns) == store.count_many(patterns)
         assert list(remote.iter_match(relation="brandIs", page_size=7)) == \
             store.match(relation="brandIs")
 
 
-def test_remote_limit_caps_rows(server, store):
+@_asks_for_rows
+def test_remote_limit_caps_rows(server, store, server_codec):
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
     local = QueryEngine(store).execute(query)
-    with RemoteQueryEngine(server.url) as engine:
+    with _engine(server, server_codec) as engine:
         assert engine.execute(query, limit=5) == local[:5]
         assert _drain(engine.cursor(query, limit=7, page_size=3)) == local[:7]
 
 
-def test_remote_typed_errors_round_trip(server):
+def test_remote_typed_errors_round_trip(server, server_codec):
+    """A server-side error re-raises as its own class on either plane;
+    a query error is only reachable where queries are."""
     bad_select = PatternQuery.from_patterns([("?p", "brandIs", "?b")],
                                             select=["?oops"])
-    with RemoteQueryEngine(server.url) as engine:
+    with _engine(server, server_codec) as engine:
+        with pytest.raises(CursorError, match="unknown cursor"):
+            engine.client.call("close_cursor", cursor="cur-never-opened")
+        with pytest.raises(QueryError, match="variable"):
+            engine.client.call("count", pattern=["?p", "brandIs", None])
+        if server_codec == "json":
+            with pytest.raises(ProtocolError, match="execute_many.*hello"):
+                engine.execute(bad_select)
+            return
         with pytest.raises(QueryError, match=r"\?oops"):
             engine.execute(bad_select)
         with pytest.raises(QueryError, match="limit"):
@@ -300,76 +353,104 @@ def _assert_serviceable(running: KGServer) -> None:
         assert engine.execute(query) == local
 
 
-def _raw_connection(running: KGServer) -> socket.socket:
+def _raw_connection(running: KGServer, state: str = "json") -> socket.socket:
+    """A raw socket in ``state``: ``auto`` says ``hello`` first."""
     sock = socket.create_connection(running.address, timeout=10)
     sock.settimeout(10)
+    if state == "auto":
+        assert _hello(sock, ["binary"])["result"]["codec"] == "binary"
     return sock
 
 
-def _read_error(sock: socket.socket) -> dict:
-    response = read_frame(sock)
-    assert response is not None and response["ok"] is False
+def _send_body(sock: socket.socket, body: bytes, state: str) -> None:
+    """One request frame carrying the raw ``body`` (not necessarily
+    JSON), tagged after ``hello``."""
+    if state == "auto":
+        body = bytes([TAG_JSON]) + body
+    sock.sendall(struct.pack(">I", len(body)) + body)
+
+
+def _read_response(sock: socket.socket, state: str) -> dict:
+    """One JSON response; after ``hello`` it arrives tagged."""
+    response = read_frame(sock) if state == "json" else _read_tagged(sock)
+    assert response is not None
+    return response
+
+
+def _send(sock: socket.socket, message: dict, state: str) -> None:
+    encode = encode_frame if state == "json" else encode_tagged_json
+    sock.sendall(encode(message, MAX_FRAME_BYTES))
+
+
+def _exchange(sock: socket.socket, message: dict, state: str) -> dict:
+    """One raw request/response on a connection in ``state``."""
+    _send(sock, message, state)
+    return _read_response(sock, state)
+
+
+def _read_error(sock: socket.socket, state: str) -> dict:
+    response = _read_response(sock, state)
+    assert response["ok"] is False
     return response["error"]
 
 
-def test_garbage_bytes_get_error_then_close(server):
-    with _raw_connection(server) as sock:
+def test_garbage_bytes_get_error_then_close(server, server_codec):
+    with _raw_connection(server, server_codec) as sock:
         sock.sendall(b"\xde\xad\xbe\xef not a frame at all")
-        error = _read_error(sock)
+        error = _read_error(sock, server_codec)
         assert error["type"] == "ProtocolError"
         assert sock.recv(1024) == b""       # server hung up
     _assert_serviceable(server)
 
 
-def test_oversized_declared_length_rejected_without_allocation(server):
-    with _raw_connection(server) as sock:
+def test_oversized_declared_length_rejected_without_allocation(server,
+                                                               server_codec):
+    with _raw_connection(server, server_codec) as sock:
         sock.sendall(struct.pack(">I", 0xFFFFFFFF))
-        error = _read_error(sock)
+        error = _read_error(sock, server_codec)
         assert error["type"] == "ProtocolError"
         assert "cap" in error["message"]
         assert sock.recv(1024) == b""
     _assert_serviceable(server)
 
 
-def test_zero_length_frame_rejected(server):
-    with _raw_connection(server) as sock:
+def test_zero_length_frame_rejected(server, server_codec):
+    with _raw_connection(server, server_codec) as sock:
         sock.sendall(struct.pack(">I", 0))
-        assert _read_error(sock)["type"] == "ProtocolError"
+        assert _read_error(sock, server_codec)["type"] == "ProtocolError"
     _assert_serviceable(server)
 
 
-def test_truncated_frame_then_disconnect(server):
-    with _raw_connection(server) as sock:
+def test_truncated_frame_then_disconnect(server, server_codec):
+    with _raw_connection(server, server_codec) as sock:
         sock.sendall(struct.pack(">I", 1000) + b"only a little")
     _assert_serviceable(server)
 
 
-def test_frame_with_invalid_json_body(server):
-    with _raw_connection(server) as sock:
-        body = b"{not json!"
-        sock.sendall(struct.pack(">I", len(body)) + body)
-        error = _read_error(sock)
+def test_frame_with_invalid_json_body(server, server_codec):
+    with _raw_connection(server, server_codec) as sock:
+        _send_body(sock, b"{not json!", server_codec)
+        error = _read_error(sock, server_codec)
         assert error["type"] == "ProtocolError"
         assert "JSON" in error["message"]
     _assert_serviceable(server)
 
 
-def test_frame_with_non_object_json_body(server):
-    with _raw_connection(server) as sock:
-        sock.sendall(encode_frame({}).replace(b"{}", b"[]"))
-        assert _read_error(sock)["type"] == "ProtocolError"
+def test_frame_with_non_object_json_body(server, server_codec):
+    with _raw_connection(server, server_codec) as sock:
+        _send_body(sock, b"[]", server_codec)
+        assert _read_error(sock, server_codec)["type"] == "ProtocolError"
     _assert_serviceable(server)
 
 
-def test_unknown_op_keeps_connection_alive(server):
-    with _raw_connection(server) as sock:
-        send_frame(sock, {"op": "self-destruct", "id": 1})
-        error = _read_error(sock)
+def test_unknown_op_keeps_connection_alive(server, server_codec):
+    with _raw_connection(server, server_codec) as sock:
+        error = _exchange(sock, {"op": "self-destruct", "id": 1},
+                          server_codec)["error"]
         assert error["type"] == "ProtocolError"
         assert "self-destruct" in error["message"]
         # The frame stream is intact: the same connection keeps working.
-        send_frame(sock, {"op": "ping", "id": 2})
-        response = read_frame(sock)
+        response = _exchange(sock, {"op": "ping", "id": 2}, server_codec)
         assert response == {"id": 2, "ok": True, "result": "pong"}
     _assert_serviceable(server)
 
@@ -395,15 +476,6 @@ _WELL_FORMED = {
     "generation": 0,
     "triples": [],
 }
-
-
-def _exchange(sock: socket.socket, message: dict, binary: bool) -> dict:
-    """One raw request/response on a JSON or negotiated-binary stream."""
-    if not binary:
-        send_frame(sock, message)
-        return read_frame(sock)
-    sock.sendall(encode_tagged_json(message, MAX_FRAME_BYTES))
-    return _read_tagged(sock)
 
 
 def _rejects(field, value) -> bool:
@@ -439,8 +511,9 @@ def test_every_declared_field_rejects_missing_and_wrong_types(server,
     every op x every declared field, once missing (when required) and
     once per palette value its decoder refuses — each a ProtocolError
     naming the field and echoing the id, on a connection that then
-    still answers ``ping``."""
-    binary = server_codec == "auto"
+    still answers ``ping``.  Without ``hello`` an op that answers in
+    rows never gets as far as its fields: it is refused naming itself
+    and ``hello``."""
     cases = []
     for name, op in OPS.items():
         well_formed = {field: _WELL_FORMED[field] for field in op.fields}
@@ -458,16 +531,18 @@ def test_every_declared_field_rejects_missing_and_wrong_types(server,
                 del broken[field]
                 cases.append((field, {"op": name, **broken}))
     assert len(cases) > 150
-    with _raw_connection(server) as sock:
-        if binary:
-            assert _hello(sock, ["binary"])["result"]["codec"] == "binary"
+    with _raw_connection(server, server_codec) as sock:
         for request_id, (field, message) in enumerate(cases):
-            response = _exchange(sock, {**message, "id": request_id}, binary)
+            response = _exchange(sock, {**message, "id": request_id},
+                                 server_codec)
             assert response["ok"] is False, message
             assert response["id"] == request_id
             assert response["error"]["type"] == "ProtocolError", message
-            assert field in response["error"]["message"], message
-            pong = _exchange(sock, {"op": "ping", "id": "p"}, binary)
+            named = (message["op"], "hello") if server_codec == "json" \
+                and OPS[message["op"]].rows else (field,)
+            for name in named:
+                assert name in response["error"]["message"], message
+            pong = _exchange(sock, {"op": "ping", "id": "p"}, server_codec)
             assert pong == {"id": "p", "ok": True, "result": "pong"}
     _assert_serviceable(server)
 
@@ -475,22 +550,18 @@ def test_every_declared_field_rejects_missing_and_wrong_types(server,
 def test_every_write_op_is_refused_on_a_replica(server, server_codec):
     """The replica gate reads ``Op.write`` — and runs before field
     decoding, so even a field-less write gets the redirect."""
-    binary = server_codec == "auto"
     writes = [name for name, op in OPS.items() if op.write]
     follower = TripleStore(triples_from_tuples(_rows()[:3]))
-    with KGServer(follower, port=0, codec=server_codec,
-                  follow=server.url).start() as replica:
-        with _raw_connection(replica) as sock:
-            if binary:
-                assert _hello(sock, ["binary"])["result"]["codec"] == "binary"
+    with KGServer(follower, port=0, follow=server.url).start() as replica:
+        with _raw_connection(replica, server_codec) as sock:
             for request_id, name in enumerate(writes):
                 response = _exchange(sock, {"op": name, "id": request_id},
-                                     binary)
+                                     server_codec)
                 assert response["ok"] is False and response["id"] == request_id
                 assert response["error"]["type"] == "ProtocolError"
                 assert "read-only replica" in response["error"]["message"]
             assert _exchange(sock, {"op": "len", "id": 9},
-                             binary)["result"] == 3
+                             server_codec)["result"] == 3
 
 
 @settings(max_examples=50, deadline=None)
@@ -503,7 +574,7 @@ def test_wire_query_round_trips(query, limit):
         json.loads(json.dumps(encode_wire_query(query)))) == query
 
 
-def test_missing_and_malformed_fields_are_typed_errors(server):
+def test_missing_and_malformed_fields_are_typed_errors(server, server_codec):
     """The hand-written cases the generated matrix cannot reach: shapes
     nested inside a field, truthy wrong types, and undeclared fields."""
     good_query = {"patterns": [["?p", "brandIs", "?b"]]}
@@ -538,24 +609,23 @@ def test_missing_and_malformed_fields_are_typed_errors(server):
         {"op": "open_cursor", "id": 13, "reorder": [0],
          "query": {"patterns": [["?p", "brandIs", "?b"]]}},
     ]
-    with _raw_connection(server) as sock:
+    with _raw_connection(server, server_codec) as sock:
         for message in cases:
-            send_frame(sock, message)
-            response = read_frame(sock)
-            assert response is not None
+            response = _exchange(sock, message, server_codec)
             assert response["ok"] is False, message
             assert response["error"]["type"] == "ProtocolError", message
             assert response["id"] == message["id"]
     _assert_serviceable(server)
 
 
-def test_mid_request_disconnect_does_not_poison_server(server):
+def test_mid_request_disconnect_does_not_poison_server(server, server_codec):
     # Hang up after a complete request but before reading the response,
     # and again halfway through a frame: both only kill that connection.
-    sock = _raw_connection(server)
-    send_frame(sock, {"op": "match", "id": 1, "pattern": [None, None, None]})
+    sock = _raw_connection(server, server_codec)
+    _send(sock, {"op": "match", "id": 1, "pattern": [None, None, None]},
+          server_codec)
     sock.close()
-    sock = _raw_connection(server)
+    sock = _raw_connection(server, server_codec)
     frame = encode_frame({"op": "ping", "id": 1})
     sock.sendall(frame[:len(frame) // 2])
     sock.close()
@@ -563,34 +633,46 @@ def test_mid_request_disconnect_does_not_poison_server(server):
     _assert_serviceable(server)
 
 
-def test_oversized_response_suggests_cursor_and_keeps_serving(store,
+def test_oversized_response_suggests_cursor_and_keeps_serving(tmp_path,
                                                               server_codec):
     """A result too big for the frame cap is a typed error, not a dead
-    connection — and the cursor path streams the same result fine.
-    On the binary codec this also proves an oversized frame never
-    commits the interner delta (the later pages still decode)."""
-    with KGServer(store, port=0, max_frame_bytes=2048,
-                  codec=server_codec).start() as small:
-        query = PatternQuery.from_patterns([("?p", "?r", "?t")])
-        local = QueryEngine(store).execute(query)
-        with RemoteQueryEngine(small.url) as engine:
+    connection, on either plane — and the cursor path streams the same
+    rows fine, which also proves an oversized frame never commits the
+    interner delta (the later pages still decode)."""
+    directory = tmp_path / "live"
+    TripleStore.create_live(directory, triples_from_tuples(_rows())).close()
+    with KGServer.open(directory, port=0, max_frame_bytes=2048) as small:
+        small.start()
+        with _remote_store(small, server_codec) as remote:
+            for batch in range(4):      # each request fits the cap
+                remote.add_many(triples_from_tuples(
+                    [(f"big:{batch}:{i}", "inBatch", f"batch:{batch}")
+                     for i in range(20)]))
             with pytest.raises(ProtocolError, match="cursor"):
-                engine.execute(query)
-            # Same connection, paged: streams within the cap.
-            assert _drain(engine.cursor(query, page_size=8)) == local
+                remote.client.call("wal_tail", after_seq=0)
+            assert len(remote.client.call(
+                "wal_tail", after_seq=0, max_batches=1)["batches"]) == 1
+            if server_codec == "auto":
+                query = PatternQuery.from_patterns([("?p", "?r", "?t")])
+                local = QueryEngine(small.service.store).execute(query)
+                engine = RemoteQueryEngine(remote.client)
+                with pytest.raises(ProtocolError, match="cursor"):
+                    engine.execute(query)
+                # Same connection, paged: streams within the cap.
+                assert _drain(engine.cursor(query, page_size=8)) == local
         _assert_serviceable(small)
 
 
-def test_client_rejects_mismatched_response_id(server):
-    with _raw_connection(server) as sock:
-        send_frame(sock, {"op": "ping", "id": 41})
-        response = read_frame(sock)
+def test_client_rejects_mismatched_response_id(server, server_codec):
+    with _raw_connection(server, server_codec) as sock:
+        response = _exchange(sock, {"op": "ping", "id": 41}, server_codec)
         assert response["id"] == 41  # sanity: server echoes the id
 
 
 # --------------------------------------------------------------------------- #
 # concurrency: 16 remote clients, coalesced batches, serial-identical results
 # --------------------------------------------------------------------------- #
+@_asks_for_rows
 def test_sixteen_concurrent_clients_match_serial(sharded_store, server_codec):
     queries = [PatternQuery.from_patterns(
         [("?p", "brandIs", f"brand:{brand}"),
@@ -607,13 +689,13 @@ def test_sixteen_concurrent_clients_match_serial(sharded_store, server_codec):
     num_clients = 16
     outputs = [None] * num_clients
     errors = []
-    with KGServer(sharded_store, port=0,
-                  codec=server_codec).start() as running:
+    with KGServer(sharded_store, port=0).start() as running:
         barrier = threading.Barrier(num_clients)
 
         def client(slot: int) -> None:
             try:
-                with RemoteClient(running.url) as connection:
+                with RemoteClient(running.url,
+                                  codec=server_codec) as connection:
                     remote_engine = RemoteQueryEngine(connection)
                     remote_store = RemoteStore(connection)
                     barrier.wait(timeout=30)
@@ -632,7 +714,8 @@ def test_sixteen_concurrent_clients_match_serial(sharded_store, server_codec):
             thread.start()
         for thread in threads:
             thread.join(timeout=120)
-        assert not errors
+        if errors:
+            raise errors[0]
         for slot in range(num_clients):
             assert outputs[slot] == (serial_queries, serial_matches,
                                      serial_cursor)
@@ -647,11 +730,11 @@ def test_sixteen_concurrent_clients_match_serial(sharded_store, server_codec):
 # --------------------------------------------------------------------------- #
 # cursor faults: typed errors, never silent partial results
 # --------------------------------------------------------------------------- #
+@_asks_for_rows
 def test_cursor_expires_after_ttl(store, server_codec):
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
-    with KGServer(store, port=0, cursor_ttl=0.15,
-                  codec=server_codec).start() as running:
-        with RemoteQueryEngine(running.url) as engine:
+    with KGServer(store, port=0, cursor_ttl=0.15).start() as running:
+        with _engine(running, server_codec) as engine:
             cursor = engine.cursor(query, page_size=4)
             assert cursor.fetch()  # alive while touched
             time.sleep(0.5)
@@ -673,9 +756,10 @@ def test_cursor_dies_with_server_restart(tmp_path, store):
                 connection.call("fetch", cursor=stale_id, max_rows=10)
 
 
-def test_cursor_double_close_raises(server):
+@_asks_for_rows
+def test_cursor_double_close_raises(server, server_codec):
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
-    with RemoteQueryEngine(server.url) as engine:
+    with _engine(server, server_codec) as engine:
         cursor = engine.cursor(query)
         cursor.close()
         with pytest.raises(CursorError):
@@ -687,10 +771,11 @@ def test_cursor_double_close_raises(server):
             engine.client.call("close_cursor", cursor=fresh.cursor_id)
 
 
-def test_cursor_limit_edge_cases(server, store):
+@_asks_for_rows
+def test_cursor_limit_edge_cases(server, store, server_codec):
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
     local = QueryEngine(store).execute(query)
-    with RemoteQueryEngine(server.url) as engine:
+    with _engine(server, server_codec) as engine:
         # limit=0 is a typed error, not an empty result.
         with pytest.raises(QueryError, match="limit"):
             engine.cursor(query, limit=0).fetch()
@@ -711,17 +796,19 @@ def test_cursor_limit_edge_cases(server, store):
             engine.client.call("fetch", cursor=live.cursor_id, max_rows=-3)
 
 
-def test_fetch_after_local_close_raises_without_wire_traffic(server):
+@_asks_for_rows
+def test_fetch_after_local_close_raises_without_wire_traffic(server,
+                                                             server_codec):
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
-    with RemoteQueryEngine(server.url) as engine:
+    with _engine(server, server_codec) as engine:
         cursor = engine.cursor(query)
         cursor.close()
         with pytest.raises(CursorError, match="closed"):
             cursor.fetch()
 
 
-def test_stats_op_reports_service_counters(server):
-    with RemoteClient(server.url) as connection:
+def test_stats_op_reports_service_counters(server, server_codec):
+    with RemoteClient(server.url, codec=server_codec) as connection:
         assert connection.ping()
         stats = connection.stats()
         assert stats["service"]["requests_served"] >= 0
@@ -772,9 +859,10 @@ def test_client_marks_connection_broken_after_transport_failure(store):
     listener.close()
 
 
-def test_remote_cursor_fetch_zero_raises_locally(server):
+@_asks_for_rows
+def test_remote_cursor_fetch_zero_raises_locally(server, server_codec):
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
-    with RemoteQueryEngine(server.url) as engine:
+    with _engine(server, server_codec) as engine:
         cursor = engine.cursor(query)
         for bad in (0, -1, True, "10"):
             with pytest.raises(CursorError, match="positive"):
@@ -782,22 +870,25 @@ def test_remote_cursor_fetch_zero_raises_locally(server):
         assert cursor.fetch(3)  # still usable afterwards
 
 
-def test_execute_many_rejects_batch_before_submitting(server, store):
+@_asks_for_rows
+def test_execute_many_rejects_batch_before_submitting(server, store,
+                                                      server_codec):
     """A malformed query anywhere in the batch fails the whole request
     up front — no half-submitted futures — and the server stays fine."""
     good = {"patterns": [["?p", "brandIs", "?b"]]}
-    with RemoteClient(server.url, codec="json") as connection:
-        with pytest.raises(ProtocolError, match="patterns"):
+    with RemoteClient(server.url, codec=server_codec) as connection:
+        with pytest.raises(ProtocolError,
+                           match="patterns|never said 'hello'"):
             connection.call("execute_many", queries=[good, {"nope": 1}])
         # Same connection still serves the valid batch.
         result = connection.call("execute_many", queries=[good])
-        assert result[0] == QueryEngine(store).execute(
+        assert result[0].to_bindings() == QueryEngine(store).execute(
             PatternQuery.from_patterns([("?p", "brandIs", "?b")]))
     _assert_serviceable(server)
 
 
 # --------------------------------------------------------------------------- #
-# codec negotiation: grants, declines, hostile hellos, mis-tagged frames
+# hello: the grant, hostile hellos, mis-tagged frames, the refusal rule
 # --------------------------------------------------------------------------- #
 def _hello(sock: socket.socket, codecs, request_id: int = 1) -> dict:
     send_frame(sock, {"op": "hello", "id": request_id, "codecs": codecs})
@@ -807,72 +898,109 @@ def _hello(sock: socket.socket, codecs, request_id: int = 1) -> dict:
 
 
 def _read_tagged(sock: socket.socket) -> dict:
-    """Read one response frame from a binary-codec connection; control
-    payloads (errors, pong, ...) arrive as tagged JSON."""
+    """Read one response frame from a connection that said ``hello``;
+    control payloads (errors, pong, ...) arrive as tagged JSON."""
     body = read_frame_bytes(sock, MAX_FRAME_BYTES)
     assert body is not None and body[0] == TAG_JSON
     return decode_json_body(body[1:])
 
 
 def test_negotiated_codec_follows_server_policy(server, server_codec):
+    """The server has no policy left to follow: the framing is what the
+    client asked for, and only ``auto`` and ``json`` can be asked."""
     expected = "binary" if server_codec == "auto" else "json"
-    with RemoteClient(server.url) as connection:
+    with RemoteClient(server.url, codec=server_codec) as connection:
         assert connection.codec == expected
         assert connection.ping()
-    # A JSON-pinned client never negotiates, whatever the policy.
-    with RemoteClient(server.url, codec="json") as pinned:
-        assert pinned.codec == "json"
-        assert pinned.ping()
+    for gone in ("binary", "msgpack", None):
+        with pytest.raises(ValueError, match="'auto' or 'json'"):
+            RemoteClient(server.url, codec=gone)
+    assert "codec_policy" not in server.handle_message(
+        {"op": "stats", "id": 1})["result"]["server"]
+    for knobless in (_KGServer, ClusterBackend, RemoteStore,
+                     RemoteQueryEngine, RemoteCursor, connect):
+        assert "codec" not in inspect.signature(knobless).parameters
 
 
-def test_forced_binary_client_obeys_policy(store):
-    with KGServer(store, port=0, codec="json").start() as running:
-        with pytest.raises(ProtocolError, match="declined the binary codec"):
-            RemoteClient(running.url, codec="binary")
-        _assert_serviceable(running)
-    with KGServer(store, port=0, codec="auto").start() as running:
-        with RemoteClient(running.url, codec="binary") as connection:
-            assert connection.codec == "binary"
-            assert connection.ping()
+@pytest.mark.parametrize("answer", [
+    {"ok": False, "error": {"type": "ProtocolError",
+                            "message": "unknown op 'hello'"}},
+    {"ok": False, "error": {"type": "StorageError", "message": "no"}},
+    {"ok": True, "result": {"codec": "json", "protocol": 1}},
+    {"ok": True, "result": {"codec": "msgpack", "protocol": 1}},
+    {"ok": True, "result": "binary"},
+], ids=["unknown-op", "other-error", "grants-json", "grants-unknown",
+        "malformed-grant"])
+def test_auto_client_requires_the_binary_grant(answer):
+    """``codec="auto"`` against a peer that answers ``hello`` with an
+    error, or grants anything but ``binary``, fails typed at connect —
+    never a silent JSON connection."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def answer_one_hello():
+        connection, _address = listener.accept()
+        with connection:
+            request = read_frame(connection)
+            send_frame(connection, {"id": request["id"], **answer})
+            connection.recv(1 << 16)      # until the client hangs up
+
+    acceptor = threading.Thread(target=answer_one_hello, daemon=True)
+    acceptor.start()
+    try:
+        with pytest.raises(ProtocolError, match="did not grant the binary"):
+            RemoteClient(f"127.0.0.1:{listener.getsockname()[1]}",
+                         reconnect_attempts=0)
+    finally:
+        acceptor.join(timeout=10)
+        listener.close()
+    assert not acceptor.is_alive()
 
 
 def test_malformed_hello_is_typed_error_connection_survives(server,
                                                             server_codec):
+    before = "binary" if server_codec == "auto" else "json"
     cases = ["binary", 7, {"codec": "binary"}, ["binary", 3], [None], None]
-    with _raw_connection(server) as sock:
+    with _raw_connection(server, server_codec) as sock:
         for index, codecs in enumerate(cases):
             message = {"op": "hello", "id": index}
             if codecs is not None:
                 message["codecs"] = codecs
-            send_frame(sock, message)
-            response = read_frame(sock)
-            assert response is not None
+            response = _exchange(sock, message, server_codec)
             if codecs is None:
                 # Omitted codecs is a *valid* hello asking for nothing:
-                # granted json, connection unchanged.
+                # the connection stays what it was.
                 assert response["ok"] is True
-                assert response["result"]["codec"] == "json"
+                assert response["result"]["codec"] == before
                 continue
             assert response["ok"] is False, codecs
             assert response["error"]["type"] == "ProtocolError"
             assert "codecs" in response["error"]["message"]
             assert response["id"] == index
-        # The frame stream is intact: a well-formed hello still works.
-        ack = _hello(sock, ["binary"], request_id=99)
-        granted = "binary" if server_codec == "auto" else "json"
+        # The frame stream is intact: a well-formed hello still works,
+        # and offering binary is always granted.
+        ack = _exchange(sock, {"op": "hello", "id": 99,
+                               "codecs": ["binary"]}, server_codec)
         assert ack["ok"] is True
-        assert ack["result"]["codec"] == granted
+        assert ack["result"]["codec"] == "binary"
         assert ack["result"]["protocol"] == 1
+        assert _exchange(sock, {"op": "ping", "id": 100},
+                         "auto")["result"] == "pong"
     _assert_serviceable(server)
 
 
-def test_hello_with_unknown_codecs_stays_json(server):
-    with _raw_connection(server) as sock:
-        ack = _hello(sock, ["gzip", "cbor"])
-        assert ack["ok"] is True and ack["result"]["codec"] == "json"
-        # Still a plain-JSON connection afterwards.
-        send_frame(sock, {"op": "ping", "id": 2})
-        assert read_frame(sock)["result"] == "pong"
+def test_hello_with_unknown_codecs_stays_json(server, server_codec):
+    """Offering only codecs the server does not know changes nothing:
+    a fresh connection stays JSON, one that said ``hello`` stays
+    tagged."""
+    before = "binary" if server_codec == "auto" else "json"
+    with _raw_connection(server, server_codec) as sock:
+        ack = _exchange(sock, {"op": "hello", "id": 1,
+                               "codecs": ["gzip", "cbor"]}, server_codec)
+        assert ack["ok"] is True and ack["result"]["codec"] == before
+        assert _exchange(sock, {"op": "ping", "id": 2},
+                         server_codec)["result"] == "pong"
     _assert_serviceable(server)
 
 
@@ -880,9 +1008,8 @@ def test_binary_tagged_frame_to_binary_connection_typed_error(store):
     """Binary frames flow server→client only.  One sent at the server is
     a typed error on a live connection — the frame boundary is intact,
     so the stream keeps working."""
-    with KGServer(store, port=0, codec="auto").start() as running:
-        with _raw_connection(running) as sock:
-            assert _hello(sock, ["binary"])["result"]["codec"] == "binary"
+    with KGServer(store, port=0).start() as running:
+        with _raw_connection(running, "auto") as sock:
             body = bytes([TAG_BINARY]) + b"\x01\x00\x00\x00" * 3
             sock.sendall(struct.pack(">I", len(body)) + body)
             response = _read_tagged(sock)
@@ -896,23 +1023,24 @@ def test_binary_tagged_frame_to_binary_connection_typed_error(store):
         _assert_serviceable(running)
 
 
-def test_binary_tagged_frame_to_json_connection_closes(server):
-    """Without negotiation the connection speaks plain JSON: a
+def test_binary_tagged_frame_to_json_connection_closes(server, server_codec):
+    """Without ``hello`` the connection speaks plain JSON: a
     binary-tagged body is not JSON, so the server reports and hangs up
-    — the garbage-bytes contract, unchanged."""
-    with _raw_connection(server) as sock:
+    — the garbage-bytes contract.  Framing is per connection: a sibling
+    in this run's state changes nothing."""
+    with _raw_connection(server, server_codec), \
+            _raw_connection(server) as sock:
         body = bytes([TAG_BINARY]) + b"garbage"
         sock.sendall(struct.pack(">I", len(body)) + body)
-        error = _read_error(sock)
+        error = _read_error(sock, "json")
         assert error["type"] == "ProtocolError"
         assert sock.recv(1024) == b""
     _assert_serviceable(server)
 
 
 def test_unknown_tag_on_binary_connection_closes(store):
-    with KGServer(store, port=0, codec="auto").start() as running:
-        with _raw_connection(running) as sock:
-            assert _hello(sock, ["binary"])["result"]["codec"] == "binary"
+    with KGServer(store, port=0).start() as running:
+        with _raw_connection(running, "auto") as sock:
             body = b"\xff\x00\x01"
             sock.sendall(struct.pack(">I", len(body)) + body)
             response = _read_tagged(sock)
@@ -922,35 +1050,130 @@ def test_unknown_tag_on_binary_connection_closes(store):
         _assert_serviceable(running)
 
 
-def test_non_i64_request_id_served_materialized_on_binary(store):
-    """Id-block responses embed the request id as an i64; a hostile id
-    (string, or beyond 2**63) still gets a correct answer — just
-    materialized as tagged JSON."""
-    with KGServer(store, port=0, codec="auto").start() as running:
-        with _raw_connection(running) as sock:
-            assert _hello(sock, ["binary"])["result"]["codec"] == "binary"
-            for request_id in ("abc", 2 ** 64, True):
-                sock.sendall(encode_tagged_json(
-                    {"op": "match", "id": request_id,
-                     "pattern": [None, "headquartersIn", None]},
-                    MAX_FRAME_BYTES))
-                response = _read_tagged(sock)
+def test_non_i64_request_id_is_refused_typed_on_binary(store):
+    """An id block echoes the request id as an i64.  A rows op under a
+    hostile id (string, boolean, beyond 2**63) is refused typed — never
+    answered as JSON rows — and the next request is served."""
+    with KGServer(store, port=0).start() as running:
+        with _raw_connection(running, "auto") as sock:
+            for request_id in ("abc", True, 2 ** 63, -(2 ** 63) - 1, 1.5,
+                               None):
+                response = _exchange(
+                    sock, {"op": "match", "id": request_id,
+                           "pattern": [None, "headquartersIn", None]},
+                    "auto")
                 assert response["id"] == request_id
-                assert response["ok"] is True
-                rows = response["result"]
-                assert rows and all(len(row) == 3 for row in rows)
+                assert response["ok"] is False
+                assert response["error"]["type"] == "ProtocolError"
+                assert "match" in response["error"]["message"]
+                assert "int64" in response["error"]["message"]
+                # A scalar needs no block header: any id will do.
+                assert _exchange(sock, {"op": "count", "id": request_id,
+                                        "pattern": [None, "headquartersIn",
+                                                    None]},
+                                 "auto")["result"] == 6
+            sock.sendall(encode_tagged_json(
+                {"op": "match", "id": -(2 ** 63),
+                 "pattern": [None, "headquartersIn", None]},
+                MAX_FRAME_BYTES))
+            body = read_frame_bytes(sock, MAX_FRAME_BYTES)
+            assert body[0] == TAG_BINARY
         _assert_serviceable(running)
+
+
+@contextlib.contextmanager
+def _plain_server():
+    rows = triples_from_tuples(_rows())
+    with KGServer(TripleStore(rows), port=0).start() as running:
+        yield running
+
+
+@contextlib.contextmanager
+def _replica_server():
+    rows = triples_from_tuples(_rows())
+    with _plain_server() as leader, KGServer(
+            TripleStore(rows), port=0, follow=leader.url).start() as running:
+        yield running
+
+
+@contextlib.contextmanager
+def _coordinator_server():
+    shard = TripleStore(triples_from_tuples(_rows()),
+                        backend=ShardedBackend(n_shards=1))
+    with KGServer(shard, port=0, shard_index=0, n_shards=1).start() as served, \
+            contextlib.closing(ClusterBackend(
+                [served.url], entity_interner=shard.backend.entity_interner,
+                relation_interner=shard.backend.relation_interner)) as backend, \
+            KGServer(TripleStore(backend=backend), port=0).start() as running:
+        yield running
+
+
+@pytest.mark.parametrize(
+    "serve", [_plain_server, _replica_server, _coordinator_server],
+    ids=["plain", "replica", "coordinator"])
+def test_rows_ops_are_refused_without_hello_before_anything_runs(
+        serve, monkeypatch):
+    """The refusal rule, derived from ``protocol.OPS``: on a connection
+    that never said ``hello`` every op that answers in rows is refused
+    typed, naming itself and ``hello``, before its handler runs — no
+    ``submit``, no parked cursor — and every other op answers exactly
+    what it answers after ``hello``."""
+    assert {name for name, op in OPS.items() if op.rows} == {
+        "execute", "execute_many", "match", "match_many", "match_ids_many",
+        "open_cursor", "open_match_cursor", "fetch"}
+    submitted = []
+    for name in ("submit", "submit_lookup", "submit_id_lookup"):
+        monkeypatch.setattr(
+            QueryService, name,
+            lambda self, *args, _name=name, **kwargs: submitted.append(_name))
+
+    def request(name, request_id):
+        return {"op": name, "id": request_id,
+                **{field: _WELL_FORMED[field] for field in OPS[name].fields}}
+
+    # A fresh stats answer differs only in what the asking itself moved.
+    volatile = {"requests_served", "batches_dispatched", "largest_batch",
+                "polls", "epoch"}
+
+    def steady(result):
+        if not isinstance(result, dict):
+            return result
+        return {key: steady(value) for key, value in result.items()
+                if key not in volatile and key != "cluster"}
+
+    with serve() as running, \
+            _raw_connection(running, "json") as plain_sock, \
+            _raw_connection(running, "auto") as tagged_sock:
+        for request_id, (name, op) in enumerate(OPS.items()):
+            if name in ("promote", "compact"):      # change the server
+                continue
+            answer = _exchange(plain_sock, request(name, request_id), "json")
+            assert answer["id"] == request_id
+            if op.rows:
+                assert answer["ok"] is False, name
+                assert answer["error"]["type"] == "ProtocolError"
+                assert name in answer["error"]["message"]
+                assert "hello" in answer["error"]["message"]
+                continue
+            after_hello = _exchange(tagged_sock, request(name, request_id),
+                                    "auto")
+            assert steady(answer) == steady(after_hello), name
+        assert not submitted
+        assert running.service.stats["open_cursors"] == 0
+        assert _exchange(plain_sock, {"op": "ping", "id": "alive"},
+                         "json")["result"] == "pong"
 
 
 # --------------------------------------------------------------------------- #
 # cursor lifecycle: abandoned cursors must not pin server state until TTL
 # --------------------------------------------------------------------------- #
+@_asks_for_rows
 def test_abandoned_cursor_drains_server_table(store, server_codec):
     """Dropping the last reference releases the server-side cursor
     promptly (best-effort close on __del__), not at the TTL sweep."""
     query = PatternQuery.from_patterns([("?p", "?r", "?t")])
-    with KGServer(store, port=0, codec=server_codec).start() as running:
-        with RemoteQueryEngine(running.url) as engine:
+    with KGServer(store, port=0).start() as running:
+        with _engine(running, server_codec) as engine:
             cursor = engine.cursor(query, page_size=4)
             assert cursor.fetch()
             assert running.service.stats["open_cursors"] == 1
@@ -966,10 +1189,11 @@ def test_abandoned_cursor_drains_server_table(store, server_codec):
                 [("?p", "brandIs", "brand:1")]))
 
 
+@_asks_for_rows
 def test_cursor_context_manager_closes_server_side(store, server_codec):
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
-    with KGServer(store, port=0, codec=server_codec).start() as running:
-        with RemoteQueryEngine(running.url) as engine:
+    with KGServer(store, port=0).start() as running:
+        with _engine(running, server_codec) as engine:
             with engine.cursor(query, page_size=4) as cursor:
                 assert cursor.fetch()
                 assert running.service.stats["open_cursors"] == 1
@@ -994,50 +1218,44 @@ def test_cursor_del_after_client_close_is_silent(store):
 # --------------------------------------------------------------------------- #
 # id-block surfaces: zero-copy pages and batched lookups stay bit-identical
 # --------------------------------------------------------------------------- #
+@_asks_for_rows
 def test_fetch_block_streams_identical_rows(server, server_codec, store):
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
     local = QueryEngine(store).execute(query)
-    with RemoteQueryEngine(server.url) as engine:
+    with _engine(server, server_codec) as engine:
         cursor = engine.cursor(query, page_size=7)
         rows = []
         while not cursor.exhausted:
             page = cursor.fetch_block()
-            if isinstance(page, DecodedBlock):
-                assert server_codec == "auto"
-                rows.extend(page.to_rows())
-            else:
-                rows.extend(page)
+            assert isinstance(page, DecodedBlock)
+            rows.extend(page.to_rows())
         cursor.close()
         assert rows == local
 
 
+@_asks_for_rows
 def test_match_many_blocks_parity(server, server_codec, store):
     patterns = [(None, "brandIs", "brand:1"), ("product:0001", None, None),
                 ("ghost", "brandIs", None), (None, None, "country:1")]
     local = store.match_many(patterns)
-    with RemoteStore(server.url) as remote:
+    with _remote_store(server, server_codec) as remote:
         blocks = remote.match_many_blocks(patterns)
-        if server_codec == "auto":
-            assert all(isinstance(block, DecodedBlock) for block in blocks)
-            assert [block.to_triples() for block in blocks] == local
-            # The unknown constant resolved to an empty block without a
-            # backend round-trip.
-            assert len(blocks[2]) == 0
-        else:
-            assert blocks == [
-                [[t.head, t.relation, t.tail] for t in rows]
-                for rows in local]
+        assert all(isinstance(block, DecodedBlock) for block in blocks)
+        assert [block.to_triples() for block in blocks] == local
+        # The unknown constant resolved to an empty block without a
+        # backend round-trip.
+        assert len(blocks[2]) == 0
 
 
 # --------------------------------------------------------------------------- #
-# one result representation: id blocks to the edge, two encoders
+# one result representation, one row encoder: id blocks to the edge
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", ("columnar", "sharded"))
 def test_json_binary_and_in_process_rows_are_identical(backend):
-    """The two codecs encode ONE result: JSON rows == binary rows ==
-    in-process ``QueryEngine`` rows, same order, on every read op —
-    including the executor's list-backed results (a no-variable query,
-    a mixed-kind variable) and an un-interned constant."""
+    """Rows off the binary frame == in-process ``QueryEngine`` rows,
+    same order, on every read op — including the executor's
+    list-backed results (a no-variable query, a mixed-kind variable),
+    which ride as JSON items inside it, and an un-interned constant."""
     rows = _rows() + [("brandIs", "rdf:type", "relation:meta")]
     store = TripleStore(triples_from_tuples(rows), backend=(
         ShardedBackend(n_shards=2) if backend == "sharded" else backend))
@@ -1055,87 +1273,81 @@ def test_json_binary_and_in_process_rows_are_identical(backend):
     patterns = [(None, "headquartersIn", None), ("product:0001", None, None),
                 ("ghost", None, None)]
     engine = QueryEngine(store)
-    with KGServer(store, port=0, codec="auto").start() as running:
-        for codec in ("json", "binary"):
-            with RemoteClient(running.url, codec=codec) as client:
-                assert client.codec == codec
-                remote, remote_store = (RemoteQueryEngine(client),
-                                        RemoteStore(client))
-                for reorder in (True, False):
-                    local = engine.execute_many(queries, reorder=reorder)
-                    assert local[3] == [{}] and local[4]
-                    assert remote.execute_many(
-                        queries, reorder=reorder) == local
-                    for query, expected in zip(queries, local):
-                        assert remote.execute(
-                            query, reorder=reorder) == expected
-                        paged = _drain(remote.cursor(
-                            query, reorder=reorder, page_size=2))
-                        assert paged == expected
-                assert remote_store.match_many(patterns) == \
-                    store.match_many(patterns)
-                for pattern in patterns:
-                    assert remote_store.match(*pattern) == \
-                        store.match(*pattern)
-                    assert list(remote_store.iter_match(
-                        *pattern, page_size=2)) == store.match(*pattern)
+    with KGServer(store, port=0).start() as running, \
+            RemoteClient(running.url) as client:
+        assert client.codec == "binary"
+        remote, remote_store = RemoteQueryEngine(client), RemoteStore(client)
+        for reorder in (True, False):
+            local = engine.execute_many(queries, reorder=reorder)
+            assert local[3] == [{}] and local[4]
+            assert remote.execute_many(queries, reorder=reorder) == local
+            for query, expected in zip(queries, local):
+                assert remote.execute(query, reorder=reorder) == expected
+                paged = _drain(remote.cursor(
+                    query, reorder=reorder, page_size=2))
+                assert paged == expected
+        assert remote_store.match_many(patterns) == \
+            store.match_many(patterns)
+        for pattern in patterns:
+            assert remote_store.match(*pattern) == store.match(*pattern)
+            assert list(remote_store.iter_match(
+                *pattern, page_size=2)) == store.match(*pattern)
 
 
-def test_json_connection_materializes_on_a_worker_thread(store, monkeypatch):
-    """Ids become strings where the response is encoded — a
-    ``kg-server-worker`` thread — never on the one dispatcher thread
-    every client shares."""
-    threads = []
-    original = IdBlock.materialize
-
-    def recording(block):
-        threads.append(threading.current_thread().name)
-        return original(block)
-
-    monkeypatch.setattr(IdBlock, "materialize", recording)
-    query = {"patterns": [["?p", "brandIs", "?b"]]}
-    with KGServer(store, port=0).start() as running:
-        dispatcher = running.service._dispatcher.name
-        with RemoteClient(running.url, codec="json") as client:
-            for op, fields in (
-                    ("execute", {"query": query}),
-                    ("match", {"pattern": [None, "headquartersIn", None]})):
-                threads.clear()
-                assert client.call(op, **fields)
-                assert threads, op
-                assert all(name.startswith("kg-server-worker")
-                           for name in threads), (op, threads)
-            cursor_id = client.call("open_cursor", query=query)
-            threads.clear()
-            assert client.call("fetch", cursor=cursor_id,
-                               max_rows=5)["rows"]
-            assert threads and dispatcher not in threads
-            assert all(name.startswith("kg-server-worker")
-                       for name in threads), threads
+def test_parent_written_binary_frames_replay_byte_identical():
+    """The one remaining encoder is byte-stable: a request script the
+    parent commit (PR 21) answered on one binary connection over a
+    fixed 2-shard store — every rows op, paging, empty and list-backed
+    results, a typed error, a scalar — gets the same response bytes
+    from this tree (the two cursor-open answers carry a random id)."""
+    fixture = json.loads((DATA_DIR / "binary-frames-written-by-pr21.json"
+                          ).read_text(encoding="utf-8"))
+    store = TripleStore(
+        triples_from_tuples([tuple(row) for row in fixture["rows"]]),
+        backend=ShardedBackend(n_shards=fixture["n_shards"]))
+    cursor_ids = {}
+    with KGServer(store, port=0).start() as running, \
+            _raw_connection(running, "auto") as sock:
+        for index, step in enumerate(fixture["script"]):
+            message = {**step["request"], "id": index + 1}
+            if "cursor_from" in step:
+                message["cursor"] = cursor_ids[step["cursor_from"]]
+            sock.sendall(encode_tagged_json(message, MAX_FRAME_BYTES))
+            body = read_frame_bytes(sock, MAX_FRAME_BYTES)
+            if step["response"] is None:
+                cursor_ids[index] = decode_json_body(body[1:])["result"]
+                continue
+            assert (struct.pack(">I", len(body)) + body).hex() \
+                == step["response"], step["request"]
+    assert sum(step["response"] is not None
+               and bytes.fromhex(step["response"])[4] == TAG_BINARY
+               for step in fixture["script"]) >= 9
 
 
 # --------------------------------------------------------------------------- #
 # live write path over the wire: remote mutations, epochs, snapshot cursors
 # --------------------------------------------------------------------------- #
 @pytest.fixture
-def writable_server(server_codec):
+def writable_server():
     """A function-scoped writable in-memory server (the module-scoped
     ``server``/``sharded_server`` fixtures are shared and must never be
     mutated)."""
     writable = TripleStore(triples_from_tuples(_rows()))
-    with KGServer(writable, port=0, codec=server_codec).start() as running:
+    with KGServer(writable, port=0).start() as running:
         yield running
 
 
-def test_remote_writes_mirror_local_api(writable_server):
+def test_remote_writes_mirror_local_api(writable_server, server_codec):
     rows = triples_from_tuples([("w:0", "wrote", "w:1"),
                                 ("w:1", "wrote", "w:2")])
-    with RemoteStore(writable_server.url) as remote:
+    with _remote_store(writable_server, server_codec) as remote:
         before = len(remote)
         assert remote.add_many(rows) == 2
         assert remote.add_many(rows) == 0  # idempotent re-add
         assert len(remote) == before + 2
-        assert remote.match(None, "wrote", None, sort=True) == sorted(rows)
+        assert remote.count(None, "wrote", None) == 2
+        assert writable_server.service.store.match(
+            None, "wrote", None, sort=True) == sorted(rows)
         assert remote.remove_many(rows[:1]) == 1
         assert remote.remove_many(rows[:1]) == 0
         assert len(remote) == before + 1
@@ -1144,10 +1356,11 @@ def test_remote_writes_mirror_local_api(writable_server):
         assert stats["service"]["writable"] is True
 
 
-def test_remote_write_batch_is_validated_before_enqueue(writable_server):
+def test_remote_write_batch_is_validated_before_enqueue(writable_server,
+                                                        server_codec):
     """A malformed row anywhere in the batch rejects the WHOLE batch
     before anything is enqueued or WAL-logged."""
-    with RemoteStore(writable_server.url) as remote:
+    with _remote_store(writable_server, server_codec) as remote:
         before = len(remote)
         with pytest.raises(ProtocolError, match=r"triples\[1\]"):
             remote.client.call("add_many",
@@ -1166,9 +1379,9 @@ def test_remote_writes_durable_through_wal(tmp_path, server_codec):
     TripleStore.create_live(directory, triples_from_tuples(_rows())).close()
     added = triples_from_tuples([("net:0", "sentVia", "wire"),
                                  ("net:1", "sentVia", "wire")])
-    with KGServer.open(directory, port=0, codec=server_codec) as running:
+    with KGServer.open(directory, port=0) as running:
         running.start()
-        with RemoteStore(running.url) as remote:
+        with _remote_store(running, server_codec) as remote:
             assert remote.add_many(added) == 2
             assert remote.remove_many(
                 triples_from_tuples([("net:0", "sentVia", "wire")])) == 1
@@ -1184,9 +1397,9 @@ def test_remote_writes_durable_through_wal(tmp_path, server_codec):
 def test_remote_compact_over_the_wire(tmp_path, server_codec):
     directory = tmp_path / "live"
     TripleStore.create_live(directory, triples_from_tuples(_rows())).close()
-    with KGServer.open(directory, port=0, codec=server_codec) as running:
+    with KGServer.open(directory, port=0) as running:
         running.start()
-        with RemoteStore(running.url) as remote:
+        with _remote_store(running, server_codec) as remote:
             remote.add_many(triples_from_tuples([("c:0", "folded", "c:1")]))
             epoch_before = remote.client.stats()["service"]["mutation_epoch"]
             assert remote.compact() == 1
@@ -1202,9 +1415,10 @@ def test_remote_compact_over_the_wire(tmp_path, server_codec):
         reopened.close()
 
 
-def test_concurrent_remote_writers_and_readers(writable_server):
-    """Interleaved remote writers and readers (both codecs): every read
-    sees whole batches only, and observed epochs are monotone."""
+@_asks_for_rows
+def test_concurrent_remote_writers_and_readers(writable_server, server_codec):
+    """Interleaved remote writers and readers: every read sees whole
+    batches only, and observed epochs are monotone."""
     batch_size = 4
     violations: list = []
     epochs: list = []
@@ -1212,35 +1426,36 @@ def test_concurrent_remote_writers_and_readers(writable_server):
 
     def writer(worker: int) -> None:
         try:
-            with RemoteStore(writable_server.url) as remote:
+            with _remote_store(writable_server, server_codec) as remote:
                 for index in range(12):
                     remote.add_many(triples_from_tuples(
                         [(f"wr{worker}:{index}:{i}", "inBatch",
                           f"batch:{worker}:{index}") for i in range(batch_size)]))
         except BaseException as exc:  # pragma: no cover
-            violations.append(repr(exc))
+            violations.append(exc)
 
     def reader() -> None:
         try:
-            with RemoteStore(writable_server.url) as remote, \
-                    RemoteClient(writable_server.url) as control:
+            with _remote_store(writable_server, server_codec) as remote, \
+                    RemoteClient(writable_server.url,
+                                 codec="json") as control:
                 last_epoch = -1
                 while not stop.is_set():
                     epoch = control.stats()["service"]["mutation_epoch"]
                     if epoch < last_epoch:
-                        violations.append(
-                            f"epoch went backwards: {last_epoch}->{epoch}")
+                        violations.append(AssertionError(
+                            f"epoch went backwards: {last_epoch}->{epoch}"))
                     last_epoch = epoch
                     counts: dict = {}
                     for triple in remote.match(None, "inBatch", None):
                         counts[triple.tail] = counts.get(triple.tail, 0) + 1
                     for marker, count in counts.items():
                         if count != batch_size:
-                            violations.append(
-                                f"torn batch {marker}: {count} rows")
+                            violations.append(AssertionError(
+                                f"torn batch {marker}: {count} rows"))
                 epochs.append(last_epoch)
         except BaseException as exc:  # pragma: no cover
-            violations.append(repr(exc))
+            violations.append(exc)
 
     readers = [threading.Thread(target=reader) for _ in range(2)]
     writers = [threading.Thread(target=writer, args=(worker,))
@@ -1252,18 +1467,21 @@ def test_concurrent_remote_writers_and_readers(writable_server):
     stop.set()
     for thread in readers:
         thread.join()
-    assert not violations
-    with RemoteStore(writable_server.url) as remote:
+    with _remote_store(writable_server, server_codec) as remote:
         assert remote.count(None, "inBatch", None) == 3 * 12 * batch_size
+    if violations:
+        raise violations[0]
 
 
-def test_open_cursor_pages_its_snapshot_across_writes(writable_server):
+@_asks_for_rows
+def test_open_cursor_pages_its_snapshot_across_writes(writable_server,
+                                                      server_codec):
     """A cursor opened before a write keeps paging the rows it matched
     at open time — never a mixed-epoch page."""
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
     binding_key = lambda binding: sorted(binding.items())
-    with RemoteQueryEngine(writable_server.url) as engine, \
-            RemoteStore(writable_server.url) as remote:
+    with _engine(writable_server, server_codec) as engine, \
+            _remote_store(writable_server, server_codec) as remote:
         local_before = sorted(engine.execute(query), key=binding_key)
         cursor = engine.cursor(query, page_size=5)
         first_page = cursor.fetch()
@@ -1285,9 +1503,9 @@ def test_readonly_snapshot_server_raises_typed_storage_error(
     generic wire error — and the connection survives."""
     directory = tmp_path / "snapshot"
     TripleStore(triples_from_tuples(_rows())).save(directory)
-    with KGServer.open(directory, port=0, codec=server_codec) as running:
+    with KGServer.open(directory, port=0) as running:
         running.start()
-        with RemoteStore(running.url) as remote:
+        with _remote_store(running, server_codec) as remote:
             assert remote.client.stats()["service"]["writable"] is False
             rows = triples_from_tuples([("x", "y", "z")])
             with pytest.raises(StorageError, match="read-only"):

@@ -10,10 +10,11 @@ claim:
 * **property** — random query/write interleavings on columnar, mmap and
   sharded backends, cached vs cache-disabled twin services, results
   compared bit-identically after every step (hypothesis-driven);
-* **wire** — the same twin comparison through real servers on both
-  codecs, plus a concurrent remote writer appending markers while every
-  acked write is checked immediately visible through the hot path (an
-  epoch bump must never serve a stale entry);
+* **wire** — the same twin comparison through real servers, plus a
+  concurrent remote writer appending markers while every acked write is
+  checked immediately visible through the hot path (an epoch bump must
+  never serve a stale entry); both are rows scenarios, so from a
+  connection that never said ``hello`` they end in the typed refusal;
 * **mechanics** — limit variants sharing one entry, key canonicality,
   LRU eviction under the byte budget, cursor snapshots surviving
   invalidation, ``RemoteCursor`` release draining the server table with
@@ -32,7 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.kg.client import RemoteQueryEngine, RemoteStore
+from repro.kg.client import RemoteClient, RemoteQueryEngine, RemoteStore
 from repro.kg.mmap_backend import MmapBackend
 from repro.kg.planner import PatternQuery, cache_key
 from repro.kg.server import KGServer
@@ -40,6 +41,8 @@ from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple, triples_from_tuples
+
+from test_kg_server import _asks_for_rows
 
 
 def _base_rows():
@@ -254,21 +257,26 @@ def test_remote_cursor_release_drains_table_with_cache_hit_cursor():
 
 
 # --------------------------------------------------------------------------- #
-# wire: both codecs, interleaved remote writes, concurrent writers
+# wire: interleaved remote writes, concurrent writers — once per connection
+# state (``json`` never said ``hello``, ``auto`` said it)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("codec", ["json", "auto"],
-                         ids=["json-wire", "binary-wire"])
+_CONNECTION_STATES = pytest.mark.parametrize(
+    "server_codec", ["json", "auto"], ids=["json-wire", "binary-wire"])
+
+
+@_CONNECTION_STATES
 @pytest.mark.parametrize("seed", [0, 1])
-def test_wire_cache_on_off_bit_identical_interleaving(codec, seed):
+@_asks_for_rows
+def test_wire_cache_on_off_bit_identical_interleaving(server_codec, seed):
     rng = random.Random(seed)
-    cached_server = KGServer(_make_store("columnar"), port=0, codec=codec)
-    plain_server = KGServer(_make_store("columnar"), port=0, codec=codec,
-                            cache_bytes=0)
+    cached_server = KGServer(_make_store("columnar"), port=0)
+    plain_server = KGServer(_make_store("columnar"), port=0, cache_bytes=0)
     with cached_server.start() as cache_on, plain_server.start() as cache_off:
-        with RemoteQueryEngine(cache_on.url) as hot_engine, \
-                RemoteQueryEngine(cache_off.url) as cold_engine, \
-                RemoteStore(cache_on.url) as hot_store, \
-                RemoteStore(cache_off.url) as cold_store:
+        with RemoteClient(cache_on.url, codec=server_codec) as hot, \
+                RemoteClient(cache_off.url, codec=server_codec) as cold:
+            hot_engine, cold_engine = (RemoteQueryEngine(hot),
+                                       RemoteQueryEngine(cold))
+            hot_store, cold_store = RemoteStore(hot), RemoteStore(cold)
             for _step in range(40):
                 roll = rng.random()
                 if roll < 0.2:
@@ -290,23 +298,24 @@ def test_wire_cache_on_off_bit_identical_interleaving(codec, seed):
             "the interleaving never hit the cache — the test lost its teeth"
 
 
-@pytest.mark.parametrize("codec", ["json", "auto"],
-                         ids=["json-wire", "binary-wire"])
-def test_acked_remote_writes_never_served_stale(codec):
+@_CONNECTION_STATES
+@_asks_for_rows
+def test_acked_remote_writes_never_served_stale(server_codec):
     """Epoch-bump invalidation under concurrency: while one remote
     client keeps a query red-hot (so the entry is re-filled constantly),
     every acked write from a second client must be visible to the very
     next read — a single stale hit fails the count check."""
     marker_query = PatternQuery.from_patterns([("?m", "isMarker", "yes")],
                                               select=("?m",))
-    with KGServer(_make_store("columnar"), port=0,
-                  codec=codec).start() as running:
+    with KGServer(_make_store("columnar"), port=0).start() as running:
         stop = threading.Event()
         hammer_errors = []
 
         def hammer():
             try:
-                with RemoteQueryEngine(running.url) as engine:
+                with RemoteClient(running.url,
+                                  codec=server_codec) as connection:
+                    engine = RemoteQueryEngine(connection)
                     while not stop.is_set():
                         engine.execute(marker_query)
             except Exception as exc:  # pragma: no cover - surfaced below
@@ -315,8 +324,9 @@ def test_acked_remote_writes_never_served_stale(codec):
         thread = threading.Thread(target=hammer, daemon=True)
         thread.start()
         try:
-            with RemoteStore(running.url) as writer, \
-                    RemoteQueryEngine(running.url) as reader:
+            with RemoteClient(running.url, codec=server_codec) as write, \
+                    RemoteClient(running.url, codec=server_codec) as read:
+                writer, reader = RemoteStore(write), RemoteQueryEngine(read)
                 for index in range(30):
                     assert writer.add_many(
                         [Triple(f"marker:{index}", "isMarker", "yes")]) == 1

@@ -518,14 +518,13 @@ def test_follower_over_torn_leader_tail_applies_exact_prefix(tmp_path):
                                 follow=leader.url,
                                 follow_poll_interval=0.01).start()
         try:
-            with connect(replica.url, codec="json") as reader:
+            with connect(replica.url) as reader:
                 assert _wait_until(
                     lambda: reader.call("len") == len(expected))
                 # The wire has no ``sort`` field (sorting is the
                 # client's job); an undeclared field is now refused.
                 rows = reader.call("match", pattern=[None, None, None])
-                assert sorted(tuple(row) for row in rows) \
-                    == sorted(tuple(triple) for triple in expected)
+                assert sorted(rows.to_triples()) == expected
             with connect(leader.url) as writer:
                 writer.call("add_many", triples=[["e5", "r1", "e5"]])
             with connect(replica.url) as reader:
