@@ -52,6 +52,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.errors import ProtocolError  # noqa: E402
 from repro.kg.client import RemoteClient, RemoteQueryEngine, RemoteStore  # noqa: E402
+from repro.kg.protocol import encode_wire_query  # noqa: E402
 from repro.kg.query import PatternQuery, QueryEngine  # noqa: E402
 from repro.kg.routing import shard_of_id  # noqa: E402
 from repro.kg.sharded_backend import ShardedBackend  # noqa: E402
@@ -222,6 +223,20 @@ def main() -> int:
             check("a count of the same pattern answers there",
                   control.call("count", pattern=list(lookups[0]))
                   == oracle_store.count(*lookups[0]))
+
+        # The join order is the executor's: the ops take no such field.
+        with RemoteClient(coord_url) as client:
+            wire = encode_wire_query(chain)
+            try:
+                client.call("execute", query=wire, reorder=True)
+                refusal = "answered"
+            except ProtocolError as exc:
+                refusal = str(exc)
+            check("an execute carrying 'reorder' is refused typed",
+                  "no field 'reorder'" in refusal, refusal)
+            check("the same execute without it answers the oracle's rows",
+                  client.call("execute", query=wire).to_bindings()
+                  == oracle.execute(chain))
 
         stats = RemoteClient(coord_url).call("stats")
         cluster = stats.get("cluster", {})

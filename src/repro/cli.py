@@ -231,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--select", nargs="+", default=(), metavar="?VAR",
                        help="project the result rows onto these variables "
                             "(default: all variables)")
-    query.add_argument("--no-reorder", action="store_true",
-                       help="evaluate patterns strictly left to right instead "
-                            "of by batched selectivity order")
     query.add_argument("--limit", type=int, default=None,
                        help="print at most this many binding rows")
     query.add_argument("--page-size", type=int, default=512,
@@ -515,8 +512,8 @@ def _remote_query_rows(args, query):
     if args.limit == 0:
         return
     with RemoteQueryEngine(args.url) as engine:
-        cursor = engine.cursor(query, reorder=not args.no_reorder,
-                               limit=args.limit, page_size=args.page_size)
+        cursor = engine.cursor(query, limit=args.limit,
+                               page_size=args.page_size)
         for row in cursor:
             yield row
 
@@ -552,10 +549,9 @@ def _command_query(args) -> int:
             rows = _remote_query_rows(args, query)
         else:
             store = TripleStore.open(args.store_dir)
-            rows = QueryEngine(store).execute(query,
-                                              reorder=not args.no_reorder)
-            if args.limit is not None:
-                rows = rows[:args.limit]
+            # limit=0 raises in the planner; here it means header only.
+            rows = [] if args.limit == 0 else \
+                QueryEngine(store).execute(query, limit=args.limit)
         header = list(query.select) if query.select else query.variables()
         print("\t".join(header))
         # Remote rows stream here (one page in memory at a time), so a

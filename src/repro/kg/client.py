@@ -436,13 +436,12 @@ class RemoteQueryEngine(_RemoteSurface):
     the order) the in-process engine returns.
     """
 
-    def execute(self, query: PatternQuery, reorder: bool = True,
+    def execute(self, query: PatternQuery,
                 limit: Optional[int] = None) -> List[Binding]:
         """Remote :meth:`QueryEngine.execute`: identical bindings, same order."""
-        return self.execute_many([query], reorder=reorder, limit=limit)[0]
+        return self.execute_many([query], limit=limit)[0]
 
     def execute_many(self, queries: Sequence[PatternQuery],
-                     reorder: bool = True,
                      limit: Optional[int] = None) -> List[List[Binding]]:
         """Remote :meth:`QueryEngine.execute_many` (one round-trip; the
         server still coalesces the whole batch into one planned fetch
@@ -450,19 +449,18 @@ class RemoteQueryEngine(_RemoteSurface):
         encoded = [encode_wire_query(query if limit is None
                                else replace(query, limit=limit))
                    for query in queries]
-        results = self.client.call("execute_many", queries=encoded,
-                                   reorder=reorder)
+        results = self.client.call("execute_many", queries=encoded)
         return [result.to_bindings() if isinstance(result, DecodedBlock)
                 else result for result in results]
 
-    def cursor(self, query: PatternQuery, reorder: bool = True,
+    def cursor(self, query: PatternQuery,
                limit: Optional[int] = None,
                page_size: int = DEFAULT_PAGE_SIZE) -> RemoteCursor:
         """Stream a query's bindings through a server-side cursor."""
         if limit is not None:
             query = replace(query, limit=limit)
         cursor_id = self.client.call(
-            "open_cursor", query=encode_wire_query(query), reorder=reorder)
+            "open_cursor", query=encode_wire_query(query))
         return RemoteCursor(self.client, cursor_id, page_size=page_size)
 
 

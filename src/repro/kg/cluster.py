@@ -932,7 +932,7 @@ class ClusterBackend:
             return 0
         return self.count_many([translated])[0]
 
-    def execute_co_partitioned(self, queries: Sequence, reorder: bool = True
+    def execute_co_partitioned(self, queries: Sequence
                                ) -> Optional[List[np.ndarray]]:
         """Star queries answered whole by the shards: ONE scatter round.
 
@@ -949,7 +949,7 @@ class ClusterBackend:
         wire = [encode_wire_query(query) for query in queries]
         answers = self._run([
             (lambda session=session: session.read_call(
-                "execute_many", queries=wire, reorder=reorder))
+                "execute_many", queries=wire))
             for session in self._sessions])
         results: List[np.ndarray] = []
         for query, parts in zip(queries, zip(*answers)):

@@ -69,7 +69,7 @@ def execute_backtracking(store: TripleStore, plan: QueryPlan) -> List[Binding]:
     written order.
     """
     steps = list(plan.steps)
-    if plan.reorder and len(steps) > 1:
+    if len(steps) > 1:
         counts = store.count_many([step.constants for step in steps])
         steps = [steps[index] for index in
                  sorted(range(len(steps)), key=counts.__getitem__)]
@@ -464,16 +464,15 @@ def _id_cursor(backend, query: PatternQuery, names: Sequence[str],
 
 
 def execute_co_partitioned(store: TripleStore,
-                           queries: Sequence[PatternQuery],
-                           reorder: bool = True
+                           queries: Sequence[PatternQuery]
                            ) -> List[Optional[ResultCursor]]:
     """Answer the star queries of a batch where the data lives.
 
     One entry per query: a cursor where the backend answered it whole,
     ``None`` where the caller still has to plan and execute it.  A
-    backend takes part by exposing ``execute_co_partitioned(queries,
-    reorder)`` → per query its id rows in shard order, or ``None`` when
-    it cannot right now; only the cluster coordinator does.  Projected
+    backend takes part by exposing ``execute_co_partitioned(queries)``
+    → per query its id rows in shard order, or ``None`` when it cannot
+    right now; only the cluster coordinator does.  Projected
     like a planned result: bit-identical under ``select``, else the
     same binding multiset in shard order.
     """
@@ -481,8 +480,8 @@ def execute_co_partitioned(store: TripleStore,
     pushdown = getattr(store.backend, "execute_co_partitioned", None)
     pushed = [position for position, query in enumerate(queries)
               if pushdown is not None and co_partitioned(query)]
-    blocks = pushdown([queries[position] for position in pushed],
-                      reorder) if pushed else None
+    blocks = pushdown([queries[position] for position in pushed]) \
+        if pushed else None
     for position, rows in zip(pushed, blocks or ()):
         query = queries[position]
         cursors[position] = _id_cursor(
@@ -500,14 +499,14 @@ def execute_plans_cursors(store: TripleStore,
     once (shard-routed on the sharded backend, one request per shard on
     the coordinator).  Each plan then joins its blocks fewest rows
     first — ``len(block)`` is the selectivity a count probe would have
-    reported; the sort is stable, ``plan.reorder`` False keeps the
-    written order — and stops at the first empty frontier.  A plan with
-    an unknown constant is empty before any fetch.  Plans the id
-    executor cannot run (no id backend, mixed-kind variables) fall back
-    to :func:`execute_backtracking` transparently (their cursor pages
-    over the materialized list).  Projection is deferred to the cursors:
-    the join frontiers are materialized (compact int64 columns), the
-    string bindings are not.
+    reported; the sort is stable, so ties keep the written order — and
+    stops at the first empty frontier.  A plan with an unknown constant
+    is empty before any fetch.  Plans the id executor cannot run (no id
+    backend, mixed-kind variables) fall back to
+    :func:`execute_backtracking` transparently (their cursor pages over
+    the materialized list).  Projection is deferred to the cursors: the
+    join frontiers are materialized (compact int64 columns), the string
+    bindings are not.
     """
     backend = store.backend
     id_backend = supports_id_queries(backend)
@@ -531,10 +530,9 @@ def execute_plans_cursors(store: TripleStore,
         if distinct else {}
     for index, resolved in resolved_plans:
         plan = plans[index]
-        fetched = [(step, blocks[pattern])
-                   for step, pattern in zip(plan.steps, resolved)]
-        if plan.reorder:
-            fetched.sort(key=lambda pair: len(pair[1]))
+        fetched = sorted(((step, blocks[pattern])
+                          for step, pattern in zip(plan.steps, resolved)),
+                         key=lambda pair: len(pair[1]))
         frontier: Optional[_Frontier] = _Frontier()
         for step, block in fetched:
             frontier = _advance(frontier, step, block)

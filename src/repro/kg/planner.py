@@ -10,16 +10,16 @@ the query text — no store is consulted:
   :class:`QueryPlan` objects: the patterns in written order, each
   annotated with its constants and variable occurrences, plus whether
   the ID-space executor can run the plan (no variable spans entity and
-  relation positions) and whether it may reorder the joins (it orders
-  them by the sizes of the blocks it fetched, fewest rows first);
+  relation positions) — the join order is the executor's decision,
+  taken from the sizes of the blocks it fetched;
 * select validation — a ``select`` naming a variable the query never
   binds raises :class:`~repro.errors.QueryError` instead of silently
   producing partial rows;
 * :func:`cache_key` — the stable canonical identity of a plan that the
   :class:`~repro.kg.service.QueryService` result cache is keyed by:
-  interned pattern ids plus ``select`` plus the reorder flag,
-  deliberately **limit-independent** (cache entries hold the full
-  deduplicated id-row block; ``limit`` applies at projection);
+  interned pattern ids plus ``select``, deliberately
+  **limit-independent** (cache entries hold the full deduplicated
+  id-row block; ``limit`` applies at projection);
 * :func:`co_partitioned` — the star-query shape test: what a store
   partitioned by head hash answers shard by shard, unplanned.
 
@@ -95,9 +95,9 @@ class PatternStep:
 class QueryPlan:
     """An analyzed query ready for execution.
 
-    ``steps`` are the query's patterns in written order; with
-    ``reorder`` the executor joins them fewest-matching-rows first (a
-    stable sort: ties keep the written order), else as written.
+    ``steps`` are the query's patterns in written order; the executor
+    joins them fewest-matching-rows first (a stable sort: ties keep the
+    written order).
     ``variables`` is the first-appearance order
     :meth:`PatternQuery.variables` reports.  ``id_space`` is False when
     some variable appears in both entity and relation positions, in
@@ -111,7 +111,6 @@ class QueryPlan:
     variables: Tuple[str, ...]
     select: Tuple[str, ...]
     id_space: bool = True
-    reorder: bool = True
 
 
 def validate_select(query: PatternQuery) -> None:
@@ -166,13 +165,12 @@ def _make_step(pattern: Tuple[str, str, str]) -> PatternStep:
                        variables=variables)
 
 
-def plan_queries(queries: Sequence[PatternQuery],
-                 reorder: bool = True) -> List[QueryPlan]:
+def plan_queries(queries: Sequence[PatternQuery]) -> List[QueryPlan]:
     """Validate and analyze a batch of queries; no store is consulted."""
-    return [plan_query(query, reorder=reorder) for query in queries]
+    return [plan_query(query) for query in queries]
 
 
-def plan_query(query: PatternQuery, reorder: bool = True) -> QueryPlan:
+def plan_query(query: PatternQuery) -> QueryPlan:
     """Plan a single query: a pure function of the query text."""
     validate_select(query)
     validate_limit(query.limit)
@@ -182,7 +180,6 @@ def plan_query(query: PatternQuery, reorder: bool = True) -> QueryPlan:
         variables=tuple(query.variables()),
         select=query.select,
         id_space=_id_space(query),
-        reorder=reorder,
     )
 
 
@@ -204,8 +201,7 @@ def co_partitioned(query: PatternQuery) -> bool:
     return True
 
 
-def cache_key(backend: object, query: PatternQuery,
-              reorder: bool = True) -> Optional[Tuple]:
+def cache_key(backend: object, query: PatternQuery) -> Optional[Tuple]:
     """The stable identity of a query's *result*, or ``None`` if uncacheable.
 
     Two queries get the same key exactly when the ID-space executor is
@@ -219,12 +215,10 @@ def cache_key(backend: object, query: PatternQuery,
       split the cache;
     * variables keep their names verbatim: renaming a variable changes
       projection column names, which are part of the result;
-    * ``select`` and the ``reorder`` flag are part of the key (the
-      first changes the projected columns, the second the join order
-      and with it the row order), but ``limit`` is deliberately
-      **not**: execution only applies ``limit`` as a final projection
-      slice, so one cache entry holds the full block and every limit is
-      a view of it.
+    * ``select`` is part of the key (it changes the projected
+      columns), but ``limit`` is deliberately **not**: execution only
+      applies ``limit`` as a final projection slice, so one cache entry
+      holds the full block and every limit is a view of it.
 
     A constant the interner has never seen keys as ``("#", term)``.
     That is only sound because the service drops the whole cache on
@@ -251,4 +245,4 @@ def cache_key(backend: object, query: PatternQuery,
             lookup = relation_lookup if position == 1 else entity_lookup
             interned = lookup(term)
             terms.append(("#", term) if interned is None else interned)
-    return (bool(reorder), tuple(query.select), tuple(terms))
+    return (tuple(query.select), tuple(terms))

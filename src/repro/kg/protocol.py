@@ -328,10 +328,8 @@ class Op(NamedTuple):
 _PATTERN = {"pattern": Field(decode_wire_pattern)}
 _PATTERNS = {"patterns": Field(_wire_list(decode_wire_pattern))}
 _ID_PATTERNS = {"patterns": Field(_wire_list(_wire_pattern(int)))}
-_REORDER = Field(_BOOL, True)
-_QUERY = {"query": Field(decode_wire_query), "reorder": _REORDER}
-_QUERIES = {"queries": Field(_wire_list(decode_wire_query)),
-            "reorder": _REORDER}
+_QUERY = {"query": Field(decode_wire_query)}
+_QUERIES = {"queries": Field(_wire_list(decode_wire_query))}
 _CURSOR = Field(_STR)
 _TRIPLES = {"triples": Field(decode_wire_triples)}
 

@@ -60,25 +60,24 @@ class QueryEngine:
     def __init__(self, store: TripleStore) -> None:
         self.store = store
 
-    def plan(self, query: PatternQuery, reorder: bool = True) -> QueryPlan:
+    def plan(self, query: PatternQuery) -> QueryPlan:
         """Plan a query without executing it (no store round-trip).
 
         Raises :class:`~repro.errors.QueryError` when ``select`` names a
         variable no pattern binds.
         """
-        return plan_query(query, reorder=reorder)
+        return plan_query(query)
 
-    def execute(self, query: PatternQuery, reorder: bool = True,
+    def execute(self, query: PatternQuery,
                 limit: Optional[int] = None) -> List[Binding]:
         """Return all variable bindings satisfying every pattern.
 
-        With ``reorder`` (the default) the fetched pattern blocks are
-        joined in selectivity order — fewest matching triples first —
-        which is what keeps conjunctive queries fast on skewed stores;
-        the binding *set* is unaffected by ordering.  The executor is
-        picked from what the store and the plan allow: ID-space when the
-        backend has an id surface and no variable mixes entity and
-        relation positions, else the backtracking reference.
+        The fetched pattern blocks are joined in selectivity order —
+        fewest matching triples first — which is what keeps conjunctive
+        queries fast on skewed stores.  The executor is picked from what
+        the store and the plan allow: ID-space when the backend has an
+        id surface and no variable mixes entity and relation positions,
+        else the backtracking reference.
         ``limit`` caps the materialized rows (overriding any cap on the
         query itself); ``limit=0`` raises — see
         :func:`repro.kg.planner.validate_limit`.
@@ -87,9 +86,9 @@ class QueryEngine:
         :class:`~repro.errors.QueryError` instead of silently dropping
         the column from result rows.
         """
-        return self.execute_many([query], reorder=reorder, limit=limit)[0]
+        return self.execute_many([query], limit=limit)[0]
 
-    def execute_many(self, queries: Sequence[PatternQuery], reorder: bool = True,
+    def execute_many(self, queries: Sequence[PatternQuery],
                      limit: Optional[int] = None) -> List[List[Binding]]:
         """Execute a batch of queries with one batched fetch.
 
@@ -99,10 +98,9 @@ class QueryEngine:
         every query in the batch.
         """
         return [cursor.fetch_all()
-                for cursor in self.cursor_many(queries, reorder=reorder,
-                                               limit=limit)]
+                for cursor in self.cursor_many(queries, limit=limit)]
 
-    def cursor(self, query: PatternQuery, reorder: bool = True,
+    def cursor(self, query: PatternQuery,
                limit: Optional[int] = None) -> ResultCursor:
         """Execute a query into a :class:`ResultCursor` instead of a list.
 
@@ -112,19 +110,17 @@ class QueryEngine:
         streaming form huge result sets want, and what the network
         protocol pages over the wire.
         """
-        return self.cursor_many([query], reorder=reorder, limit=limit)[0]
+        return self.cursor_many([query], limit=limit)[0]
 
     def cursor_many(self, queries: Sequence[PatternQuery],
-                    reorder: bool = True,
                     limit: Optional[int] = None) -> List[ResultCursor]:
         """Batched :meth:`cursor` — one fetch round, one cursor each."""
         if limit is not None:
             queries = [replace(query, limit=limit) for query in queries]
-        cursors = execute_co_partitioned(self.store, queries, reorder)
+        cursors = execute_co_partitioned(self.store, queries)
         rest = [query for query, cursor in zip(queries, cursors)
                 if cursor is None]
-        planned = iter(execute_plans_cursors(
-            self.store, plan_queries(rest, reorder=reorder)))
+        planned = iter(execute_plans_cursors(self.store, plan_queries(rest)))
         return [next(planned) if cursor is None else cursor
                 for cursor in cursors]
 

@@ -877,9 +877,8 @@ class KGServer:
             stats["cluster"] = cluster_stats()
         return stats
 
-    def _op_execute_many(self, queries, reorder) -> list:
-        futures = [self.service.submit(query, reorder=reorder)
-                   for query in queries]
+    def _op_execute_many(self, queries) -> list:
+        futures = [self.service.submit(query) for query in queries]
         return [future.result() for future in futures]
 
     def _op_match_many(self, patterns) -> list:
@@ -1072,8 +1071,7 @@ class KGServer:
         "wal_tail": _op_wal_tail,
         "snapshot_ship": _op_snapshot_ship,
         "promote": _op_promote,
-        "execute": lambda self, query, reorder:
-            self.service.submit(query, reorder=reorder).result(),
+        "execute": lambda self, query: self.service.submit(query).result(),
         "execute_many": _op_execute_many,
         "match": lambda self, pattern:
             self.service.submit_lookup(pattern).result(),
@@ -1082,8 +1080,7 @@ class KGServer:
             self.service.match_ids_many(patterns),
         "count": lambda self, pattern: self.service.count_many([pattern])[0],
         "count_many": lambda self, patterns: self.service.count_many(patterns),
-        "open_cursor": lambda self, query, reorder:
-            self.service.open_cursor(query, reorder=reorder),
+        "open_cursor": lambda self, query: self.service.open_cursor(query),
         "open_match_cursor": lambda self, pattern:
             self.service.open_match_cursor(pattern),
         "fetch": _op_fetch,

@@ -52,8 +52,8 @@ mixed-epoch rows into an existing cursor.
 
 Hot queries short-circuit all of the above: the dispatcher consults a
 **result cache** before a pattern query joins a batch round — key =
-:func:`repro.kg.planner.cache_key` (interned pattern ids + select +
-reorder flag, limit-independent), value = the full deduplicated
+:func:`repro.kg.planner.cache_key` (interned pattern ids + select,
+limit-independent), value = the full deduplicated
 :class:`~repro.kg.executor.IdBlock` (strings still materialize per
 request/page, so the binary codec ships cached blocks without
 re-stringifying), LRU-evicted under a byte budget, dropped wholesale on
@@ -190,12 +190,11 @@ def _ranged_patterns(backend):
 class _Request:
     """One queued client request: payload plus the future to resolve."""
 
-    __slots__ = ("kind", "payload", "reorder", "future", "cache_key")
+    __slots__ = ("kind", "payload", "future", "cache_key")
 
-    def __init__(self, kind: str, payload, reorder: bool) -> None:
+    def __init__(self, kind: str, payload) -> None:
         self.kind = kind
         self.payload = payload
-        self.reorder = reorder
         self.future: "Future" = Future()
         # Set by the dispatcher for cacheable pattern queries: the plan
         # cache key a missing result should be inserted under.
@@ -394,13 +393,13 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # client surface (thread-safe)
     # ------------------------------------------------------------------ #
-    def submit(self, query: PatternQuery, reorder: bool = True) -> "Future":
+    def submit(self, query: PatternQuery) -> "Future":
         """Enqueue one query; returns a future yielding its bindings as
         an :class:`~repro.kg.executor.IdBlock` (a list only for the
         executor's own list-backed results: a no-variable query, the
         backtracking fallback of a mixed-kind variable).
         """
-        return self._enqueue(_Request(_QUERY, query, reorder))
+        return self._enqueue(_Request(_QUERY, query))
 
     def submit_lookup(self, pattern: Pattern) -> "Future":
         """Enqueue one point lookup; future yields a triples
@@ -411,8 +410,7 @@ class QueryService:
         the wrong entry point, and would otherwise silently match
         nothing; use :meth:`submit` for variables.
         """
-        return self._enqueue(_Request(_LOOKUP, self._checked_pattern(pattern),
-                                      True))
+        return self._enqueue(_Request(_LOOKUP, self._checked_pattern(pattern)))
 
     @staticmethod
     def _checked_pattern(pattern: Pattern) -> Pattern:
@@ -425,15 +423,15 @@ class QueryService:
                     f"(wildcards here are spelled None)")
         return pattern
 
-    def execute(self, query: PatternQuery, reorder: bool = True) -> List[Binding]:
+    def execute(self, query: PatternQuery) -> List[Binding]:
         """Run one query, blocking until its batch is dispatched; the
         bindings materialize here, in the caller's thread."""
-        return materialize(self.submit(query, reorder=reorder).result())
+        return materialize(self.submit(query).result())
 
-    def execute_batch(self, queries: Sequence[PatternQuery],
-                      reorder: bool = True) -> List[List[Binding]]:
+    def execute_batch(self, queries: Sequence[PatternQuery]
+                      ) -> List[List[Binding]]:
         """Run a client-side batch; one future per query, awaited together."""
-        futures = [self.submit(query, reorder=reorder) for query in queries]
+        futures = [self.submit(query) for query in queries]
         return [materialize(future.result()) for future in futures]
 
     def lookup_many(self, patterns: Sequence[Pattern]) -> List[List[Triple]]:
@@ -467,7 +465,7 @@ class QueryService:
         if len(checked) != 3:
             raise QueryError(
                 f"id patterns have exactly 3 terms, got {len(checked)}")
-        return self._enqueue(_Request(_ID_LOOKUP, tuple(checked), True))
+        return self._enqueue(_Request(_ID_LOOKUP, tuple(checked)))
 
     def match_ids_many(self, id_patterns: Sequence) -> List[IdBlock]:
         """Batched raw id-space lookups (one backend call per round)."""
@@ -477,8 +475,7 @@ class QueryService:
 
     def submit_count(self, pattern: Pattern) -> "Future":
         """Enqueue one pattern count; future yields ``int``."""
-        return self._enqueue(_Request(_COUNT, self._checked_pattern(pattern),
-                                      True))
+        return self._enqueue(_Request(_COUNT, self._checked_pattern(pattern)))
 
     def count_many(self, patterns: Sequence[Pattern]) -> List[int]:
         """Batched pattern counts (``None`` wildcards; one backend call)."""
@@ -517,8 +514,7 @@ class QueryService:
         a live store the future resolves only after the batch's WAL
         record is fsync'd.
         """
-        return self._enqueue(_Request(_ADD, self._checked_write(triples),
-                                      True))
+        return self._enqueue(_Request(_ADD, self._checked_write(triples)))
 
     def add_many(self, triples: Sequence[Triple]) -> int:
         """Durably add a batch of triples; returns the newly-added count."""
@@ -526,8 +522,7 @@ class QueryService:
 
     def submit_remove(self, triples: Sequence[Triple]) -> "Future":
         """Enqueue one remove batch; future yields the removed count."""
-        return self._enqueue(_Request(_REMOVE, self._checked_write(triples),
-                                      True))
+        return self._enqueue(_Request(_REMOVE, self._checked_write(triples)))
 
     def remove_many(self, triples: Sequence[Triple]) -> int:
         """Durably remove a batch of triples; returns the removed count."""
@@ -542,7 +537,7 @@ class QueryService:
         ``crash_hook`` is the fault-injection hook of
         :meth:`TripleStore.compact` (tests only).
         """
-        return self._enqueue(_Request(_COMPACT, crash_hook, True)).result()
+        return self._enqueue(_Request(_COMPACT, crash_hook)).result()
 
     def swap_store(self, new_store: TripleStore) -> TripleStore:
         """Atomically replace the served store; returns the old one.
@@ -561,12 +556,12 @@ class QueryService:
         is enqueued).
         """
         _id_backend(new_store)
-        return self._enqueue(_Request(_SWAP, new_store, True)).result()
+        return self._enqueue(_Request(_SWAP, new_store)).result()
 
     # ------------------------------------------------------------------ #
     # cursors (paged results; remote clients stream through these)
     # ------------------------------------------------------------------ #
-    def open_cursor(self, query: PatternQuery, reorder: bool = True) -> str:
+    def open_cursor(self, query: PatternQuery) -> str:
         """Execute ``query`` into a server-side cursor; returns its id.
 
         The cursor holds the compact id-row projection (strings
@@ -575,12 +570,12 @@ class QueryService:
         Cursor opens batch with ordinary queries: one dispatch round
         plans and executes them all together.
         """
-        return self._enqueue(_Request(_CURSOR_QUERY, query, reorder)).result()
+        return self._enqueue(_Request(_CURSOR_QUERY, query)).result()
 
     def open_match_cursor(self, pattern: Pattern) -> str:
         """Point-lookup counterpart of :meth:`open_cursor` (pages triples)."""
         return self._enqueue(_Request(
-            _CURSOR_MATCH, self._checked_pattern(pattern), True)).result()
+            _CURSOR_MATCH, self._checked_pattern(pattern))).result()
 
     def fetch_cursor(self, cursor_id: str, max_rows: int) -> Tuple:
         """Return ``(next page, exhausted)`` and refresh the cursor's TTL.
@@ -592,12 +587,12 @@ class QueryService:
         ``max_rows`` — never a silently partial result.
         """
         return self._enqueue(_Request(
-            _CURSOR_FETCH, (cursor_id, max_rows), True)).result()
+            _CURSOR_FETCH, (cursor_id, max_rows))).result()
 
     def close_cursor(self, cursor_id: str) -> None:
         """Release a cursor.  Closing one twice (or an unknown/expired id)
         raises :class:`~repro.errors.CursorError`."""
-        return self._enqueue(_Request(_CURSOR_CLOSE, cursor_id, True)).result()
+        return self._enqueue(_Request(_CURSOR_CLOSE, cursor_id)).result()
 
     def _enqueue(self, request: _Request) -> "Future":
         # The closed-check and the put share the close lock: otherwise a
@@ -735,56 +730,50 @@ class QueryService:
                         if not self._serve_query_from_cache(request)]
             if not requests:
                 return
-        # Group by reorder flag so each group plans in one batched call.
-        groups: Dict[bool, List[_Request]] = {}
-        for request in requests:
-            groups.setdefault(request.reorder, []).append(request)
-        for reorder, group in groups.items():
-            # Star queries a cluster backend answers whole skip planning; if
-            # that round fails, the planned path lands the error per request.
-            try:
-                pushed = execute_co_partitioned(
-                    self.store, [self._plannable_query(request)
-                                 for request in group], reorder)
-            except ReproError:
-                pushed = [None] * len(group)
-            for request, cursor in zip(group, pushed):
-                if cursor is not None:
-                    self._resolve_query(
-                        request, self._maybe_cache_result(request, cursor))
-            group = [request for request, cursor in zip(group, pushed)
-                     if cursor is None]
-            try:
-                # The fast path: the whole group validates in one call.
-                plans = plan_queries([self._plannable_query(request)
-                                      for request in group], reorder=reorder)
-                planned = group
-            except Exception:
-                # Some query in the group is malformed; re-plan one by one
-                # so the error lands on the offending request only.
-                plans, planned = [], []
-                for request in group:
-                    try:
-                        plans.append(plan_queries(
-                            [self._plannable_query(request)],
-                            reorder=reorder)[0])
-                        planned.append(request)
-                    except Exception as exc:
-                        _resolve(request.future, exception=exc)
-            if not planned:
-                continue
-            try:
-                cursors = execute_plans_cursors(self.store, plans)
-            except Exception as exc:
-                # The one fetch round failed (a shard with no live
-                # endpoint): every planned request gets the typed error;
-                # nothing is retried one by one.
-                for request in planned:
+        # Star queries a cluster backend answers whole skip planning; if
+        # that round fails, the planned path lands the error per request.
+        try:
+            pushed = execute_co_partitioned(
+                self.store, [self._plannable_query(request)
+                             for request in requests])
+        except ReproError:
+            pushed = [None] * len(requests)
+        for request, cursor in zip(requests, pushed):
+            if cursor is not None:
+                self._resolve_query(
+                    request, self._maybe_cache_result(request, cursor))
+        requests = [request for request, cursor in zip(requests, pushed)
+                    if cursor is None]
+        try:
+            # The fast path: the whole batch validates in one call.
+            plans = plan_queries([self._plannable_query(request)
+                                  for request in requests])
+            planned = requests
+        except Exception:
+            # Some query in the batch is malformed; re-plan one by one
+            # so the error lands on the offending request only.
+            plans, planned = [], []
+            for request in requests:
+                try:
+                    plans.append(plan_queries(
+                        [self._plannable_query(request)])[0])
+                    planned.append(request)
+                except Exception as exc:
                     _resolve(request.future, exception=exc)
-                continue
-            for request, cursor in zip(planned, cursors):
-                cursor = self._maybe_cache_result(request, cursor)
-                self._resolve_query(request, cursor)
+        if not planned:
+            return
+        try:
+            cursors = execute_plans_cursors(self.store, plans)
+        except Exception as exc:
+            # The one fetch round failed (a shard with no live
+            # endpoint): every planned request gets the typed error;
+            # nothing is retried one by one.
+            for request in planned:
+                _resolve(request.future, exception=exc)
+            return
+        for request, cursor in zip(planned, cursors):
+            cursor = self._maybe_cache_result(request, cursor)
+            self._resolve_query(request, cursor)
 
     def _resolve_query(self, request: _Request, cursor: ResultCursor) -> None:
         if request.kind == _CURSOR_QUERY:
@@ -817,8 +806,7 @@ class QueryService:
         """
         query = request.payload
         try:
-            key = plan_cache_key(self.store.backend, query,
-                                 reorder=request.reorder)
+            key = plan_cache_key(self.store.backend, query)
         except Exception:
             # A malformed query: fall through and let the planning path
             # raise the real, typed error.

@@ -144,6 +144,48 @@ def test_cli_query_sharded_store_and_limit(tmp_path, capsys):
     assert len(lines) == 2  # header + one limited row
 
 
+def test_cli_query_limit_caps_the_rows_materialized(tmp_path, capsys,
+                                                    monkeypatch):
+    """``--limit N`` on a saved store is the id-block slice at
+    projection — N binding dicts are built, not the whole join's —
+    ``--limit 0`` stays header-only, and the join order is not a flag."""
+    from repro.kg.executor import IdBlock
+    from repro.kg.store import TripleStore
+    from repro.kg.triple import triples_from_tuples
+
+    rows = [(f"p{i}", relation, f"{relation}{i % 7}") for i in range(1000)
+            for relation in ("brandIs", "placeOfOrigin")]
+    store_dir = TripleStore(triples_from_tuples(rows)).save(tmp_path / "big")
+    query_args = ["query", "--store-dir", str(store_dir),
+                  "--pattern", "?p brandIs ?b",
+                  "--pattern", "?p placeOfOrigin ?where"]
+    materialized = []
+    original = IdBlock.materialize
+
+    def spy(self):
+        materialized.append(len(self))
+        return original(self)
+
+    monkeypatch.setattr(IdBlock, "materialize", spy)
+    assert main(query_args) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1001
+    assert materialized == [1000]
+    del materialized[:]
+    assert main(query_args + ["--limit", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "?p\t?b\t?where" and len(lines) == 4
+    assert materialized == [3]
+    del materialized[:]
+    assert main(query_args + ["--limit", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["?p\t?b\t?where"]
+    assert materialized == []
+    with pytest.raises(SystemExit) as usage:
+        main(query_args + ["--no-reorder"])
+    assert usage.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--no-reorder" in err
+
+
 def test_cli_query_errors_are_reported(tmp_path, capsys):
     store_dir = _saved_store(tmp_path)
     # Unknown select variable -> QueryError -> exit code 2, on stderr

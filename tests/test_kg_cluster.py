@@ -39,7 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import backtrack
+from _oracle import backtrack, multiset as _multiset
 from repro.errors import ProtocolError, QueryError, ShardUnavailableError
 from repro.kg.client import (RemoteClient, RemoteQueryEngine, RemoteStore,
                              connect)
@@ -258,10 +258,6 @@ def _requests(backend: ClusterBackend) -> int:
     return backend.cluster_stats(probe_shards=False)["totals"]["requests"]
 
 
-def _multiset(rows):
-    return sorted(tuple(sorted(row.items())) for row in rows)
-
-
 @pytest.fixture
 def shard_ops(monkeypatch):
     """Every read op the coordinator sends a shard, in order."""
@@ -382,6 +378,43 @@ def test_star_query_costs_one_request_per_shard():
             assert service.execute(_POINT_CHAIN) \
                 == reference.execute(_POINT_CHAIN)
             assert _requests(backend) - before == backend.n_shards
+
+
+def test_a_star_and_chain_batch_is_one_pushed_and_one_planned_round(
+        monkeypatch):
+    """One batch mixing stars and a chain: BOTH stars ride one
+    ``execute_co_partitioned`` scatter and the chain one
+    ``match_ids_many`` — two rounds, ``2 * n_shards`` requests, however
+    many queries — through ``QueryEngine``; a ``QueryService`` never
+    makes more of either than it dispatched batches."""
+    calls = []
+    for name in ("execute_co_partitioned", "match_ids_many"):
+        def spy(self, batch, _name=name,
+                _original=getattr(ClusterBackend, name)):
+            calls.append(_name)
+            return _original(self, batch)
+
+        monkeypatch.setattr(ClusterBackend, name, spy)
+    local = _guide_cluster_store()
+    batch = [_GUIDE_STAR, _POINT_CHAIN, _FACET_STAR]
+    expected = QueryEngine(TripleStore(backend=local)).execute_many(batch)
+    with _cluster_over(local) as (backend, _servers, _rep):
+        store = TripleStore(backend=backend)
+        before = _requests(backend)
+        got = QueryEngine(store).execute_many(batch)
+        assert calls == ["execute_co_partitioned", "match_ids_many"]
+        assert _requests(backend) - before == 2 * backend.n_shards
+        assert [_multiset(rows) for rows in got] \
+            == [_multiset(rows) for rows in expected]
+        del calls[:]
+        with QueryService(store, cache_bytes=0) as service:
+            before = _requests(backend)
+            assert [_multiset(rows) for rows in service.execute_batch(batch)] \
+                == [_multiset(rows) for rows in expected]
+            batches = service.stats["batches_dispatched"]
+        assert 1 <= calls.count("execute_co_partitioned") <= batches
+        assert 1 <= calls.count("match_ids_many") <= batches
+        assert _requests(backend) - before == len(calls) * backend.n_shards
 
 
 def test_star_query_falls_back_when_the_id_path_is_lost(shard_ops):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,11 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import backtrack
+from _oracle import backtrack, multiset
 from repro.errors import QueryError
-from repro.kg import executor
+from repro.kg import executor, planner
+from repro.kg import query as query_module
+from repro.kg import service as service_module
 from repro.kg.backend import IdQueryBackend, supports_id_queries
-from repro.kg.executor import execute_plans_cursors
+from repro.kg.client import RemoteQueryEngine
+from repro.kg.cluster import ClusterBackend
+from repro.kg.executor import execute_plans_cursors, materialize
 from repro.kg.planner import is_variable, plan_query
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.service import QueryService
@@ -69,10 +75,9 @@ SAMPLE_QUERIES = [
 def test_id_executor_matches_backtracking_on_samples(backend):
     engine = QueryEngine(_store(SAMPLE_ROWS, backend))
     for query in SAMPLE_QUERIES:
-        for reorder in (True, False):
-            auto = engine.execute(query, reorder=reorder)
-            legacy = backtrack(engine.store, query, reorder=reorder)
-            assert _binding_set(auto) == _binding_set(legacy), query
+        auto = engine.execute(query)
+        legacy = backtrack(engine.store, query)
+        assert _binding_set(auto) == _binding_set(legacy), query
 
 
 @pytest.mark.parametrize("backend", ("columnar", "mmap", "sharded"))
@@ -191,29 +196,48 @@ def joined(monkeypatch):
     return seen
 
 
+# Every callable that took the join-order knob before it was deleted.
+_JOIN_ORDER_IS_NOT_A_PARAMETER_OF = (
+    planner.plan_query, planner.plan_queries, planner.cache_key,
+    executor.execute_co_partitioned, ClusterBackend.execute_co_partitioned,
+    QueryEngine.plan, QueryEngine.execute, QueryEngine.execute_many,
+    QueryEngine.cursor, QueryEngine.cursor_many,
+    QueryService.submit, QueryService.execute, QueryService.execute_batch,
+    QueryService.open_cursor,
+    RemoteQueryEngine.execute, RemoteQueryEngine.execute_many,
+    RemoteQueryEngine.cursor,
+)
+
+
 def test_plan_orders_by_selectivity(joined):
-    """A plan is the query as written plus the ``reorder`` flag; the
-    *executed* order is smallest block first, ties in written order."""
+    """A plan is the query as written and nothing else; the *executed*
+    order is smallest block first, ties in written order — the
+    executor's decision, which no callable takes a parameter for."""
     store = _store(SAMPLE_ROWS, "columnar")
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b"),
                                         ("?b", "headquartersIn", "america"),
                                         ("?p", "placeOfOrigin", "china")])
-    for reorder in (True, False):
-        plan = plan_query(query, reorder=reorder)
-        assert tuple(step.pattern for step in plan.steps) == query.patterns
-        assert plan.reorder is reorder
-        assert not hasattr(plan.steps[0], "count")
-    assert plan_query(query).reorder
+    plan = plan_query(query)
+    assert tuple(step.pattern for step in plan.steps) == query.patterns
+    assert not hasattr(plan, "reorder")
+    assert not hasattr(plan.steps[0], "count")
+    assert len(_JOIN_ORDER_IS_NOT_A_PARAMETER_OF) == 17
+    for function in _JOIN_ORDER_IS_NOT_A_PARAMETER_OF:
+        assert "reorder" not in inspect.signature(function).parameters, \
+            function.__qualname__
     engine = QueryEngine(store)
     rows = engine.execute(query)
     # Stable smallest-first: the two 2-row legs in written order, then
     # the 3-row leg that was written first.
     assert joined == [(query.patterns[1], 2), (query.patterns[2], 2),
                       (query.patterns[0], 3)]
+    # Written in another order: another join order, the same bindings.
     del joined[:]
-    unordered_rows = engine.execute(query, reorder=False)
-    assert tuple(pattern for pattern, _size in joined) == query.patterns
-    assert _binding_set(rows) == _binding_set(unordered_rows)
+    rewritten = engine.execute(
+        PatternQuery.from_patterns(query.patterns[::-1]))
+    assert joined == [(query.patterns[2], 2), (query.patterns[1], 2),
+                      (query.patterns[0], 3)]
+    assert _binding_set(rows) == _binding_set(rewritten)
     # Equal sizes everywhere: the written order is the executed order.
     tie = PatternQuery.from_patterns([("?p", "placeOfOrigin", "china"),
                                       ("?b", "headquartersIn", "america")])
@@ -237,10 +261,28 @@ def _spy_backend(monkeypatch, store):
     return calls
 
 
-def test_plan_many_batches_counts(monkeypatch):
-    """A batch costs ZERO count probes and exactly ONE ``match_ids_many``
-    — of the distinct resolved patterns across all steps of all plans —
-    through ``QueryEngine`` and through ``QueryService`` alike."""
+@pytest.fixture
+def rounds(monkeypatch):
+    """How often the two batch executors ran, through the binding
+    either facade (``QueryEngine``, ``QueryService``) calls them by."""
+    counts = Counter()
+    for facade in (query_module, service_module):
+        for name in ("execute_co_partitioned", "execute_plans_cursors"):
+            def spy(*args, _name=name, _original=getattr(facade, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(facade, name, spy)
+    return counts
+
+
+def test_plan_many_batches_counts(monkeypatch, rounds):
+    """A batch costs ZERO count probes, ONE ``execute_co_partitioned``
+    and ONE ``execute_plans_cursors`` making exactly ONE
+    ``match_ids_many`` — of the distinct resolved patterns across all
+    steps of all plans — through ``QueryEngine`` and through
+    ``QueryService`` alike; and whatever a dispatched service batch
+    holds, it never costs a second round of either executor."""
     store = _store(SAMPLE_ROWS, "columnar")
     queries = [SAMPLE_QUERIES[1], SAMPLE_QUERIES[2], SAMPLE_QUERIES[4]]
     entity = store.backend.entity_interner.lookup
@@ -255,19 +297,60 @@ def test_plan_many_batches_counts(monkeypatch):
     with QueryService(store, cache_bytes=0) as service:
         for run in (engine.execute_many, service.execute_batch):
             calls["match_ids_many"].clear()
+            rounds.clear()
             results = run(queries)
             assert calls["count_many"] == []
             (fetched,) = calls["match_ids_many"]
             assert len(fetched) == len(distinct) and set(fetched) == distinct
+            assert rounds == {"execute_co_partitioned": 1,
+                              "execute_plans_cursors": 1}
             # A batch that is all duplicates fetches what one copy
             # fetches, and every copy is answered like the original.
             assert run(queries * 3) == results * 3
             assert calls["count_many"] == []
             assert calls["match_ids_many"] == [fetched, fetched]
-    # reorder=False: the same single fetch, still no probe.
+    # A second batch, written the other way round: the same single
+    # fetch of the same patterns, still no probe.
     calls["match_ids_many"].clear()
-    engine.execute_many(queries, reorder=False)
-    assert calls["count_many"] == [] and calls["match_ids_many"] == [fetched]
+    engine.execute_many(queries[::-1])
+    assert calls["count_many"] == []
+    (again,) = calls["match_ids_many"]
+    assert set(again) == distinct and len(again) == len(distinct)
+    # Whatever the dispatcher puts in one batch — one-shot queries and
+    # cursor opens, a star, duplicates, a malformed query (re-planned
+    # one by one), a batch that is nothing but malformed — it costs ONE
+    # pushdown call and AT MOST one planned round.
+    per_batch = []
+    serve_queries = QueryService._serve_queries
+
+    def counted(self, requests):
+        before = Counter(rounds)
+        serve_queries(self, requests)
+        per_batch.append(rounds - before)   # a Counter: 0 where unmoved
+
+    monkeypatch.setattr(QueryService, "_serve_queries", counted)
+    malformed = PatternQuery.from_patterns([("?p", "brandIs", "?b")],
+                                           select=["?nope"])
+    star = PatternQuery.from_patterns([("?p", "brandIs", "?b"),
+                                       ("?p", "placeOfOrigin", "?x")])
+    with QueryService(store, cache_bytes=0) as service:
+        futures = [service.submit(query)
+                   for query in (*queries, malformed, star, *queries)]
+        cursor_id = service.open_cursor(star)
+        assert materialize(service.fetch_cursor(cursor_id, 100)[0]) \
+            == engine.execute(star)
+        for future in futures:
+            if future is futures[len(queries)]:
+                with pytest.raises(QueryError, match="nope"):
+                    future.result()
+            else:
+                future.result()
+        with pytest.raises(QueryError, match="nope"):
+            service.execute(malformed)
+    assert per_batch and all(
+        batch["execute_co_partitioned"] == 1
+        and batch["execute_plans_cursors"] <= 1 for batch in per_batch)
+    assert per_batch[-1]["execute_plans_cursors"] == 0    # all malformed
 
 
 def test_an_unknown_constant_makes_no_backend_call(monkeypatch):
@@ -312,13 +395,12 @@ def test_an_empty_block_stops_that_plan_only(joined):
     def sizes_joined(query):
         return [size for pattern, size in joined if pattern in query.patterns]
 
-    for reorder, empty_joins in ((True, [0]), (False, [3, 2, 0])):
-        del joined[:]
-        assert QueryEngine(store).execute_many(
-            [empty, mate, dead_end], reorder=reorder) == [[], alone, []]
-        assert sizes_joined(empty) == empty_joins
-        assert sizes_joined(dead_end) == [1, 2]     # the third never ran
-        assert sorted(sizes_joined(mate)) == [2, 3]
+    del joined[:]
+    assert QueryEngine(store).execute_many(
+        [empty, mate, dead_end]) == [[], alone, []]
+    assert sizes_joined(empty) == [0]
+    assert sizes_joined(dead_end) == [1, 2]     # the third never ran
+    assert sorted(sizes_joined(mate)) == [2, 3]
 
 
 def test_supports_id_queries_flags():
@@ -362,7 +444,10 @@ def test_join_order_matches_the_parent_commit_row_for_row(tmp_path, backend):
     fetched blocks smallest first must reproduce every answer in order:
     chains, stars, cartesian pairs, repeated variables, equal-count
     ties, empty steps and unknown constants, with and without
-    ``select``, reordered and as written, one by one and as one batch."""
+    ``select``, one by one and as one batch.  The parent could also be
+    told to join as written; those answers are the same bindings in
+    another order (the fixture proves the order is observable), and
+    bit-identical where ``select`` sorts them."""
     fixture = json.loads((Path(__file__).parent / "data" /
                           "join-order-written-by-pr20.json").read_text())
     if backend == "mmap":
@@ -375,14 +460,17 @@ def test_join_order_matches_the_parent_commit_row_for_row(tmp_path, backend):
                for entry in fixture["queries"]]
     assert sum(not query.select for query in queries) >= 30
     engine = QueryEngine(store)
-    for key, reorder in (("reorder", True), ("written", False)):
-        expected = fixture["answers"][backend][key]
-        assert len(expected) == len(queries)
-        for query, rows in zip(queries, expected):
-            assert engine.execute(query, reorder=reorder) == rows, query
-        assert engine.execute_many(queries, reorder=reorder) == expected
-    assert fixture["answers"][backend]["reorder"] \
-        != fixture["answers"][backend]["written"]     # the order matters
+    ordered = fixture["answers"][backend]["reorder"]
+    written = fixture["answers"][backend]["written"]
+    assert len(ordered) == len(written) == len(queries)
+    one_by_one = [engine.execute(query) for query in queries]
+    assert one_by_one == ordered
+    assert engine.execute_many(queries) == ordered
+    for query, got, rows in zip(queries, one_by_one, written):
+        assert multiset(got) == multiset(rows), query
+        if query.select:
+            assert got == rows, query
+    assert ordered != written     # the order matters
 
 
 # --------------------------------------------------------------------------- #

@@ -49,6 +49,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _oracle import multiset
 from repro.errors import CursorError, ProtocolError, QueryError, StorageError
 from repro.kg.cluster import ClusterBackend
 from repro.kg.client import (
@@ -65,6 +66,7 @@ from repro.kg.protocol import (
     REQUIRED,
     TAG_BINARY,
     TAG_JSON,
+    BinaryResponseDecoder,
     DecodedBlock,
     decode_json_body,
     decode_wire_query,
@@ -217,24 +219,22 @@ def query_strategy(draw):
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(query=query_strategy(), page_size=st.sampled_from((1, 3, 7, 1000)),
-       reorder=st.booleans())
+@given(query=query_strategy(), page_size=st.sampled_from((1, 3, 7, 1000)))
 @_asks_for_rows
 def test_remote_paged_results_identical_to_local(server, sharded_server,
                                                  reopened_server, store,
                                                  sharded_store, server_codec,
-                                                 query, page_size, reorder):
+                                                 query, page_size):
     """The acceptance property: random queries, several page sizes
     (including 1), three serving setups — remote paging must be
     bit-identical (values AND order) to local execution."""
     fixtures = [(server, store), (sharded_server, sharded_store),
                 (reopened_server, reopened_server.service.store)]
     for running, backing in fixtures:
-        local = QueryEngine(backing).execute(query, reorder=reorder)
+        local = QueryEngine(backing).execute(query)
         with _engine(running, server_codec) as engine:
-            assert engine.execute(query, reorder=reorder) == local
-            paged = _drain(engine.cursor(query, reorder=reorder,
-                                         page_size=page_size))
+            assert engine.execute(query) == local
+            paged = _drain(engine.cursor(query, page_size=page_size))
             assert paged == local
 
 
@@ -466,7 +466,6 @@ _WELL_FORMED = {
     "patterns": [],
     "query": {"patterns": [["?p", "brandIs", "?b"]]},
     "queries": [],
-    "reorder": True,
     "cursor": "x",
     "max_rows": 1,
     "after_seq": 0,
@@ -530,7 +529,7 @@ def test_every_declared_field_rejects_missing_and_wrong_types(server,
                 broken = dict(well_formed)
                 del broken[field]
                 cases.append((field, {"op": name, **broken}))
-    assert len(cases) > 150
+    assert len(cases) > 130
     with _raw_connection(server, server_codec) as sock:
         for request_id, (field, message) in enumerate(cases):
             response = _exchange(sock, {**message, "id": request_id},
@@ -600,8 +599,8 @@ def test_missing_and_malformed_fields_are_typed_errors(server, server_codec):
          "queries": [good_query, {**good_query, "select": "?p"}]},
         {"op": "match_ids_many", "id": 21, "patterns": [[0, "brandIs", 1]]},
         {"op": "match_ids_many", "id": 22, "patterns": [[True, None, None]]},
-        # 'reorder' is a boolean or absent: a truthy string/array must
-        # not silently mean True.
+        # 'reorder' is no field of any op (the join order is the
+        # executor's): refused as undeclared whatever it carries.
         {"op": "execute", "id": 11, "reorder": "false",
          "query": {"patterns": [["?p", "brandIs", "?b"]]}},
         {"op": "execute_many", "id": 12, "reorder": "no",
@@ -1164,6 +1163,48 @@ def test_rows_ops_are_refused_without_hello_before_anything_runs(
                          "json")["result"] == "pong"
 
 
+@pytest.mark.parametrize(
+    "serve", [_plain_server, _replica_server, _coordinator_server],
+    ids=["plain", "replica", "coordinator"])
+def test_a_request_carrying_reorder_is_refused_before_anything_runs(
+        serve, monkeypatch):
+    """The join order is the executor's decision, so no op declares a
+    ``reorder`` field and every op taking a ``query`` / ``queries``
+    refuses a well-formed request that carries one by the
+    undeclared-field rule: typed, naming the field (without ``hello``
+    the rows gate comes first and names the op and ``hello``), before
+    ``submit`` / ``open_cursor`` run, on a connection that keeps
+    serving."""
+    assert not any("reorder" in op.fields for op in OPS.values())
+    carriers = [name for name, op in OPS.items()
+                if {"query", "queries"} & op.fields.keys()]
+    assert carriers == ["execute", "execute_many", "open_cursor"]
+    submitted = []
+    for name in ("submit", "open_cursor"):
+        monkeypatch.setattr(
+            QueryService, name,
+            lambda self, *args, _name=name, **kwargs: submitted.append(_name))
+    with serve() as running:
+        for state in ("json", "auto"):
+            with _raw_connection(running, state) as sock:
+                for request_id, name in enumerate(carriers):
+                    fields = {field: _WELL_FORMED[field]
+                              for field in OPS[name].fields}
+                    response = _exchange(
+                        sock, {"op": name, "id": request_id, **fields,
+                               "reorder": True}, state)
+                    assert response["ok"] is False, name
+                    assert response["id"] == request_id
+                    assert response["error"]["type"] == "ProtocolError"
+                    for word in ((name, "hello") if state == "json"
+                                 else ("no field 'reorder'",)):
+                        assert word in response["error"]["message"], name
+                    assert _exchange(sock, {"op": "ping", "id": "alive"},
+                                     state)["result"] == "pong"
+        assert not submitted
+        assert running.service.stats["open_cursors"] == 0
+
+
 # --------------------------------------------------------------------------- #
 # cursor lifecycle: abandoned cursors must not pin server state until TTL
 # --------------------------------------------------------------------------- #
@@ -1277,15 +1318,12 @@ def test_json_binary_and_in_process_rows_are_identical(backend):
             RemoteClient(running.url) as client:
         assert client.codec == "binary"
         remote, remote_store = RemoteQueryEngine(client), RemoteStore(client)
-        for reorder in (True, False):
-            local = engine.execute_many(queries, reorder=reorder)
-            assert local[3] == [{}] and local[4]
-            assert remote.execute_many(queries, reorder=reorder) == local
-            for query, expected in zip(queries, local):
-                assert remote.execute(query, reorder=reorder) == expected
-                paged = _drain(remote.cursor(
-                    query, reorder=reorder, page_size=2))
-                assert paged == expected
+        local = engine.execute_many(queries)
+        assert local[3] == [{}] and local[4]
+        assert remote.execute_many(queries) == local
+        for query, expected in zip(queries, local):
+            assert remote.execute(query) == expected
+            assert _drain(remote.cursor(query, page_size=2)) == expected
         assert remote_store.match_many(patterns) == \
             store.match_many(patterns)
         for pattern in patterns:
@@ -1299,26 +1337,62 @@ def test_parent_written_binary_frames_replay_byte_identical():
     parent commit (PR 21) answered on one binary connection over a
     fixed 2-shard store — every rows op, paging, empty and list-backed
     results, a typed error, a scalar — gets the same response bytes
-    from this tree (the two cursor-open answers carry a random id)."""
+    from this tree (the two cursor-open answers carry a random id).
+
+    One step asked for ``"reorder": false``, a field no op takes any
+    more.  Sent verbatim (on a second connection) it is refused typed;
+    replayed without the field it decodes to the parent's rows — in
+    order under ``select``, the same multiset otherwise, where only
+    the join order the parent was told to use differs — and every
+    later frame is byte-identical again: what a connection has been
+    sent is a set of symbols, not an order."""
     fixture = json.loads((DATA_DIR / "binary-frames-written-by-pr21.json"
                           ).read_text(encoding="utf-8"))
     store = TripleStore(
         triples_from_tuples([tuple(row) for row in fixture["rows"]]),
         backend=ShardedBackend(n_shards=fixture["n_shards"]))
     cursor_ids = {}
+    ours, parents = BinaryResponseDecoder(), BinaryResponseDecoder()
+    reordered = []
     with KGServer(store, port=0).start() as running, \
-            _raw_connection(running, "auto") as sock:
+            _raw_connection(running, "auto") as sock, \
+            _raw_connection(running, "auto") as verbatim:
         for index, step in enumerate(fixture["script"]):
             message = {**step["request"], "id": index + 1}
             if "cursor_from" in step:
                 message["cursor"] = cursor_ids[step["cursor_from"]]
+            if "reorder" in message:
+                refusal = _exchange(verbatim, message, "auto")
+                assert refusal["ok"] is False and refusal["id"] == index + 1
+                assert refusal["error"]["type"] == "ProtocolError"
+                assert "no field 'reorder'" in refusal["error"]["message"]
+                assert _exchange(verbatim, {"op": "ping", "id": 0},
+                                 "auto")["result"] == "pong"
+                del message["reorder"]
+                reordered.append(index)
             sock.sendall(encode_tagged_json(message, MAX_FRAME_BYTES))
             body = read_frame_bytes(sock, MAX_FRAME_BYTES)
             if step["response"] is None:
                 cursor_ids[index] = decode_json_body(body[1:])["result"]
                 continue
-            assert (struct.pack(">I", len(body)) + body).hex() \
-                == step["response"], step["request"]
+            written = bytes.fromhex(step["response"])[4:]
+            if body[0] == TAG_BINARY:       # both sides keep their symbols
+                got = ours.decode(body)["result"]
+                wanted = parents.decode(written)["result"]
+            if index not in reordered:
+                assert body == written, step["request"]
+                continue
+            assert len(got) == len(wanted) == len(message["queries"])
+            for query, mine, theirs in zip(message["queries"], got, wanted):
+                mine, theirs = mine.to_bindings(), theirs.to_bindings()
+                if query.get("select"):
+                    assert mine == theirs, query
+                else:
+                    assert multiset(mine) == multiset(theirs), query
+    assert reordered == [4]
+    selects = [bool(query.get("select")) for query in
+               fixture["script"][4]["request"]["queries"]]
+    assert selects == [True, False, True]
     assert sum(step["response"] is not None
                and bytes.fromhex(step["response"])[4] == TAG_BINARY
                for step in fixture["script"]) >= 9

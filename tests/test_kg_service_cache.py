@@ -95,8 +95,7 @@ _WRITE_POOL = triples_from_tuples(
 
 _OP = st.one_of(
     st.tuples(st.just("query"),
-              st.integers(min_value=0, max_value=len(_QUERIES) - 1),
-              st.booleans()),
+              st.integers(min_value=0, max_value=len(_QUERIES) - 1)),
     st.tuples(st.just("add"),
               st.lists(st.sampled_from(_WRITE_POOL), min_size=1,
                        max_size=3)),
@@ -123,13 +122,13 @@ def test_cache_on_off_bit_identical_under_interleavings(backend_name, ops):
             elif op[0] == "remove":
                 assert cached.remove_many(op[1]) == plain.remove_many(op[1])
             else:
-                query, reorder = _QUERIES[op[1]], op[2]
+                query = _QUERIES[op[1]]
                 # Ask twice: the second answer is (likely) a cache hit
                 # and must be byte-for-byte the fresh execution.
-                first = cached.execute(query, reorder=reorder)
-                expected = plain.execute(query, reorder=reorder)
+                first = cached.execute(query)
+                expected = plain.execute(query)
                 assert first == expected
-                assert cached.execute(query, reorder=reorder) == expected
+                assert cached.execute(query) == expected
     finally:
         cached.close()
         plain.close()
@@ -144,14 +143,15 @@ def test_cache_key_is_limit_independent_and_shape_sensitive():
     base = PatternQuery.from_patterns(patterns, select=("?p",))
     limited = PatternQuery.from_patterns(patterns, select=("?p",), limit=7)
     assert cache_key(backend, base) == cache_key(backend, limited)
-    assert cache_key(backend, base) is not None
+    # The key is (select, interned terms) and nothing else.
+    assert cache_key(backend, base) == (
+        ("?p",), ("?p", backend.relation_interner.lookup("brandIs"), "?b"))
     # Anything that changes the projected result changes the key.
     renamed = PatternQuery.from_patterns([("?q", "brandIs", "?b")],
                                          select=("?q",))
     wider = PatternQuery.from_patterns(patterns, select=("?p", "?b"))
     assert cache_key(backend, renamed) != cache_key(backend, base)
     assert cache_key(backend, wider) != cache_key(backend, base)
-    assert cache_key(backend, base, reorder=False) != cache_key(backend, base)
     # Constants canonicalize through the interner; unknown constants are
     # tagged, never confused with interned ids or variables.
     known = PatternQuery.from_patterns([("?p", "brandIs", "brand:1")])
@@ -172,14 +172,16 @@ def test_limit_variants_share_one_cache_entry():
         patterns = [("?p", "brandIs", "?b")]
         full = service.execute(PatternQuery.from_patterns(
             patterns, select=("?p", "?b")))
-        for limit in (1, 3, 999):
+        # None: the query again — two submissions of one query always
+        # share one entry, there is nothing else a caller could vary.
+        for limit in (1, 3, 999, None):
             limited = PatternQuery.from_patterns(
                 patterns, select=("?p", "?b"), limit=limit)
             assert service.execute(limited) == full[:limit]
         stats = service.stats
         assert stats["cache_entries"] == 1
         assert stats["cache_misses"] == 1
-        assert stats["cache_hits"] == 3
+        assert stats["cache_hits"] == 4
 
 
 def test_lru_eviction_respects_byte_budget():
