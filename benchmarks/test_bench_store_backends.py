@@ -43,7 +43,9 @@ failure report prints the whole table, not just the failing comparison.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 from typing import Callable, List, Tuple
 
 from _artifacts import update_artifact
@@ -53,12 +55,21 @@ from repro.kg.mmap_backend import MmapBackend
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.triple import Triple
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _oracle import SetBackend  # noqa: E402
+
 #: Synthetic scale: enough rows for stable timings, small enough for CI.
 NUM_PRODUCTS = 5000
 RELATIONS = ["brandIs", "placeOfOrigin", "relatedScene", "forCrowd",
              "aboutTheme", "rdf:type"]
 REPEATS = 3
 BACKEND_NAMES = ("set", "columnar", "mmap")
+
+
+def _make_backend(name: str):
+    """A fresh backend; ``set`` is the dict-of-set reference the test
+    oracle keeps (no longer a registered backend)."""
+    return SetBackend() if name == "set" else make_backend(name)
 #: Interleaved workload: mutation bursts of 1 add followed by queries.
 INTERLEAVED_CYCLES = 250
 
@@ -87,7 +98,7 @@ def _best_of(repeats: int, workload: Callable[[], None]) -> float:
 
 def _time_bulk_load(backend_name: str, rows) -> float:
     def workload() -> None:
-        backend = make_backend(backend_name)
+        backend = _make_backend(backend_name)
         for head, relation, tail in rows:
             backend.add(head, relation, tail)
         # A pattern count forces the columnar index build into the timed
@@ -152,12 +163,13 @@ def test_bench_store_backends(tmp_path):
     for backend_name in BACKEND_NAMES:
         load_seconds = _time_bulk_load(backend_name, rows)
 
-        backend = make_backend(backend_name)
+        backend = _make_backend(backend_name)
         for head, relation, tail in rows:
             backend.add(head, relation, tail)
         match_seconds = _time_pattern_match(backend)
 
-        graph = KnowledgeGraph(name="bench", backend=backend_name)
+        graph = KnowledgeGraph(name="bench",
+                               backend=_make_backend(backend_name))
         graph.add_many(Triple(*row) for row in rows)
         hood_seconds = _time_neighbourhood(graph)
 

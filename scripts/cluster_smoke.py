@@ -16,8 +16,12 @@ in-process ``ShardedBackend(2)`` oracle (a cluster of N must be
 bit-identical to it) — a guide-shaped star join among them, which the
 coordinator must ship whole to the shards, and a chain join, which it
 plans itself and fetches in one round: each exactly one shard request
-per shard, read off its own ``stats``.  Then the self-management story,
-in order:
+per shard, read off its own ``stats``.  Two answers the executor once
+gave as lists are blocks like any other and must equal the reference
+backtracker of ``tests/_oracle.py``: a query without variables (true and
+false) and a mixed-kind star, whose variable binds a relation in one
+pattern and an entity in the other — also shipped whole.  Then the
+self-management story, in order:
 
 1. compact the shard-0 leader under the live follower — the follower
    must re-bootstrap automatically (fetch the new snapshot generation,
@@ -49,6 +53,9 @@ from typing import List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+
+from _oracle import backtrack, multiset  # noqa: E402
 
 from repro.errors import ProtocolError  # noqa: E402
 from repro.kg.client import RemoteClient, RemoteQueryEngine, RemoteStore  # noqa: E402
@@ -73,6 +80,9 @@ def _workload_rows() -> List[Tuple[str, str, str]]:
     for brand in range(NUM_BRANDS):
         rows.append((f"brand:{brand}", "headquartersIn",
                      f"country:{brand % 3}"))
+    # A relation symbol as an entity: "which attribute, and its value".
+    for index in range(0, NUM_PRODUCTS, 50):
+        rows.append((f"product:{index:04d}", "attribute", "brandIs"))
     return rows
 
 
@@ -205,6 +215,32 @@ def main() -> int:
               f"{len(got_chain)} rows")
         check(f"chain join in one round: exactly {N_SHARDS} shard requests",
               cost == N_SHARDS, f"{cost} shard requests")
+        # Every answer is a block: no variables, and a variable that is
+        # a relation in one pattern and an entity in the other.
+        for label, query in (
+                ("query without variables (true)", PatternQuery.from_patterns(
+                    [("product:0007", "brandIs", "brand:7")])),
+                ("query without variables (false)", PatternQuery.from_patterns(
+                    [("product:0007", "brandIs", "brand:8")]))):
+            got = engine.execute(query)
+            check(f"{label} equals the oracle",
+                  got == oracle.execute(query) == backtrack(oracle_store,
+                                                            query),
+                  repr(got))
+        mixed = PatternQuery.from_patterns(
+            [("?p", "attribute", "?r"), ("?p", "?r", "?v")],
+            select=["?p", "?r", "?v"])
+        before = shard_requests()
+        got_mixed = engine.execute(mixed)
+        cost = shard_requests() - before - stats_cost
+        check("mixed-kind star equals the oracle",
+              len(got_mixed) == NUM_PRODUCTS // 50
+              and got_mixed == oracle.execute(mixed)
+              and multiset(got_mixed) == multiset(backtrack(oracle_store,
+                                                            mixed)),
+              f"{len(got_mixed)} rows")
+        check(f"mixed-kind star shipped whole: exactly {N_SHARDS} shard "
+              f"requests", cost == N_SHARDS, f"{cost} shard requests")
 
         got_lookups = remote.match_many(lookups)
         want_lookups = oracle_store.match_many(lookups)

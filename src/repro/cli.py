@@ -106,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="triple-store backend (columnar: interned-id numpy "
                              "arrays; mmap: on-disk memory-mapped columns; "
                              "sharded: hash-partitioned columnar shards with "
-                             "parallel bulk loads and saves; "
-                             "set: the reference dict-of-set store)")
+                             "parallel bulk loads and saves)")
     parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
                         help="shard count for --backend sharded "
                              f"(default {DEFAULT_SHARDS}; ignored otherwise)")

@@ -17,7 +17,6 @@ from repro.kg.backend import (
     ColumnarBackend,
     GraphBackend,
     Interner,
-    SetBackend,
     make_backend,
 )
 from repro.kg.mmap_backend import MmapBackend
@@ -52,7 +51,6 @@ __all__ = [
     "GraphBackend",
     "Interner",
     "MmapBackend",
-    "SetBackend",
     "ShardedBackend",
     "make_backend",
     "TripleStore",

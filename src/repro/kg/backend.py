@@ -7,8 +7,6 @@ module introduces the storage seam the ROADMAP asks for:
 
 * :class:`Interner` — a shared string ↔ contiguous ``int`` id table,
 * :class:`GraphBackend` — the protocol every backend implements,
-* :class:`SetBackend` — the original dict-of-set design (kept for parity
-  testing and as a reference implementation),
 * :class:`ColumnarBackend` — the default: triples live in parallel numpy
   ``int64`` columns with CSR-style adjacency indexes per head, relation
   and tail, plus (head, relation) / (relation, tail) / (tail, head)
@@ -50,7 +48,6 @@ over global ids and inherits the same string surface.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from pathlib import Path
 from typing import (
     Dict,
@@ -198,8 +195,7 @@ class IdQueryBackend(Protocol):
     answer pattern queries entirely in id space — the query executor
     (:mod:`repro.kg.executor`) interns a query's constants once and then
     joins numpy id arrays without materializing a single
-    :class:`Triple` or string.  ``SetBackend`` does not implement this
-    surface; callers fall back to the string-level protocol
+    :class:`Triple` or string.  The query layer runs on nothing else
     (see :func:`supports_id_queries`).
     """
 
@@ -473,125 +469,6 @@ class _IdSurfaceMixin(_BatchedQueriesMixin):
         symbol = self.relation_interner.symbol_of
         return {symbol(int(relation_id)): int(counts[relation_id])
                 for relation_id in np.flatnonzero(counts > 0)}
-
-
-class SetBackend(_BatchedQueriesMixin):
-    """The original dict-of-set store, kept as the parity reference.
-
-    Six single- and two-key indexes (SPO / POS / OSP style) make every
-    pattern lookup a dictionary access rather than a scan.  Index buckets
-    are insertion-ordered dicts rather than sets so unsorted ``match``
-    results are deterministic for a deterministic insertion sequence
-    (plain sets would leak ``PYTHONHASHSEED`` into query order).
-    """
-
-    name = "set"
-
-    def __init__(self) -> None:
-        self._triples: Dict[Triple, None] = {}
-        self._by_head: Dict[str, Dict[Triple, None]] = defaultdict(dict)
-        self._by_relation: Dict[str, Dict[Triple, None]] = defaultdict(dict)
-        self._by_tail: Dict[str, Dict[Triple, None]] = defaultdict(dict)
-        self._by_head_relation: Dict[Tuple[str, str], Dict[Triple, None]] = defaultdict(dict)
-        self._by_relation_tail: Dict[Tuple[str, str], Dict[Triple, None]] = defaultdict(dict)
-        self._by_head_tail: Dict[Tuple[str, str], Dict[Triple, None]] = defaultdict(dict)
-
-    # ------------------------------------------------------------------ #
-    # mutation
-    # ------------------------------------------------------------------ #
-    def add(self, head: str, relation: str, tail: str) -> bool:
-        triple = Triple(head, relation, tail)
-        if triple in self._triples:
-            return False
-        self._triples[triple] = None
-        self._by_head[head][triple] = None
-        self._by_relation[relation][triple] = None
-        self._by_tail[tail][triple] = None
-        self._by_head_relation[(head, relation)][triple] = None
-        self._by_relation_tail[(relation, tail)][triple] = None
-        self._by_head_tail[(head, tail)][triple] = None
-        return True
-
-    def discard(self, head: str, relation: str, tail: str) -> bool:
-        triple = Triple(head, relation, tail)
-        if triple not in self._triples:
-            return False
-        del self._triples[triple]
-        self._by_head[head].pop(triple, None)
-        self._by_relation[relation].pop(triple, None)
-        self._by_tail[tail].pop(triple, None)
-        self._by_head_relation[(head, relation)].pop(triple, None)
-        self._by_relation_tail[(relation, tail)].pop(triple, None)
-        self._by_head_tail[(head, tail)].pop(triple, None)
-        return True
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def contains(self, head: str, relation: str, tail: str) -> bool:
-        return Triple(head, relation, tail) in self._triples
-
-    def __len__(self) -> int:
-        return len(self._triples)
-
-    def iter_triples(self) -> Iterator[Triple]:
-        return iter(self._triples)
-
-    def _candidates(self, head: Optional[str], relation: Optional[str],
-                    tail: Optional[str]) -> Iterable[Triple]:
-        if head is not None and relation is not None and tail is not None:
-            candidate = Triple(head, relation, tail)
-            return (candidate,) if candidate in self._triples else ()
-        if head is not None and relation is not None:
-            return self._by_head_relation.get((head, relation), ())
-        if relation is not None and tail is not None:
-            return self._by_relation_tail.get((relation, tail), ())
-        if head is not None and tail is not None:
-            return self._by_head_tail.get((head, tail), ())
-        if head is not None:
-            return self._by_head.get(head, ())
-        if relation is not None:
-            return self._by_relation.get(relation, ())
-        if tail is not None:
-            return self._by_tail.get(tail, ())
-        return self._triples
-
-    def match(self, head: Optional[str] = None, relation: Optional[str] = None,
-              tail: Optional[str] = None, sort: bool = False) -> List[Triple]:
-        candidates = self._candidates(head, relation, tail)
-        return sorted(candidates) if sort else list(candidates)
-
-    def iter_match(self, head: Optional[str] = None, relation: Optional[str] = None,
-                   tail: Optional[str] = None) -> Iterator[Triple]:
-        return iter(self._candidates(head, relation, tail))
-
-    def count(self, head: Optional[str] = None, relation: Optional[str] = None,
-              tail: Optional[str] = None) -> int:
-        # Every branch of _candidates returns a sized container.
-        return len(self._candidates(head, relation, tail))
-
-    def tails(self, head: str, relation: str) -> List[str]:
-        return sorted(t.tail for t in self._by_head_relation.get((head, relation), ()))
-
-    def heads(self, relation: str, tail: str) -> List[str]:
-        return sorted(t.head for t in self._by_relation_tail.get((relation, tail), ()))
-
-    def degree(self, node: str) -> int:
-        return len(self._by_head.get(node, ())) + len(self._by_tail.get(node, ()))
-
-    def entities(self) -> List[str]:
-        nodes = {key for key, triples in self._by_head.items() if triples}
-        nodes.update(key for key, triples in self._by_tail.items() if triples)
-        return sorted(nodes)
-
-    def relations(self) -> List[str]:
-        return sorted(rel for rel, triples in self._by_relation.items() if triples)
-
-    def heads_only(self) -> List[str]:
-        return sorted(key for key, triples in self._by_head.items() if triples)
-
-    def relation_frequencies(self) -> Dict[str, int]:
-        return {rel: len(triples) for rel, triples in self._by_relation.items() if triples}
 
 
 class ColumnarBackend(_IdSurfaceMixin):
@@ -1089,7 +966,6 @@ class ColumnarBackend(_IdSurfaceMixin):
 
 #: Registered backend implementations, keyed by their CLI name.
 BACKENDS: Dict[str, type] = {
-    SetBackend.name: SetBackend,
     ColumnarBackend.name: ColumnarBackend,
 }
 

@@ -17,7 +17,9 @@ One :class:`RemoteClient` is one TCP connection.  Round-trips are
 serialized under a lock, so a client object is thread-safe the way a
 DB-API connection is — concurrent *throughput* comes from multiple
 clients, whose in-flight requests the server coalesces into batched
-backend rounds.  Results stream: :class:`RemoteCursor` pages through a
+backend rounds.  Every read answer arrives as an id block
+(:class:`~repro.kg.protocol.DecodedBlock`), an empty or variable-free
+one included.  Results stream: :class:`RemoteCursor` pages through a
 server-side cursor, so iterating a huge result holds one page of
 bindings in client memory, never the whole set.
 
@@ -46,7 +48,6 @@ from repro.kg.protocol import (
     TAG_BINARY,
     TAG_JSON,
     BinaryResponseDecoder,
-    DecodedBlock,
     decode_json_body,
     encode_frame,
     encode_tagged_json,
@@ -342,16 +343,16 @@ class RemoteCursor:
     def fetch(self, max_rows: Optional[int] = None) -> List:
         """Fetch the next page (at most ``max_rows``, defaulting to the
         cursor's page size; an empty page means exhausted)."""
-        rows = self.fetch_block(max_rows)
-        return rows.to_rows() if isinstance(rows, DecodedBlock) else rows
+        page = self.fetch_block(max_rows)
+        return page.to_rows() if len(page) else []
 
     def fetch_block(self, max_rows: Optional[int] = None):
         """The zero-copy form of :meth:`fetch`: the next page as a
         :class:`~repro.kg.protocol.DecodedBlock` (int64 id rows + the
         connection's symbol caches), for bulk consumers that feed
-        arrays onward instead of materializing per-row objects (a
-        list-backed server cursor — a no-variable query — pages plain
-        binding lists).  Pagination state is shared with :meth:`fetch`.
+        arrays onward instead of materializing per-row objects; once
+        the cursor is exhausted, an empty list without a round-trip.
+        Pagination state is shared with :meth:`fetch`.
         """
         if self._closed:
             raise CursorError("cursor is closed")
@@ -450,8 +451,7 @@ class RemoteQueryEngine(_RemoteSurface):
                                else replace(query, limit=limit))
                    for query in queries]
         results = self.client.call("execute_many", queries=encoded)
-        return [result.to_bindings() if isinstance(result, DecodedBlock)
-                else result for result in results]
+        return [result.to_bindings() for result in results]
 
     def cursor(self, query: PatternQuery,
                limit: Optional[int] = None,

@@ -940,9 +940,9 @@ class ClusterBackend:
         they are through ``execute_many``, one ``read_call`` per shard
         (replica routing, retry, fencing and counters as for any read);
         each shard plans and joins locally behind its own result cache;
-        per query the id rows concatenate in shard order (a list-backed
-        ``[]`` is zero rows).  ``None`` — plan it here — for one reason
-        only: the raw-id path is lost.
+        per query the shards' id blocks concatenate in shard order.
+        ``None`` — plan it here — for one reason only: the raw-id path
+        is lost.
         """
         if not self._fast_id_path():
             return None
@@ -951,13 +951,8 @@ class ClusterBackend:
             (lambda session=session: session.read_call(
                 "execute_many", queries=wire))
             for session in self._sessions])
-        results: List[np.ndarray] = []
-        for query, parts in zip(queries, zip(*answers)):
-            empty = np.zeros((0, len(query.select or query.variables())),
-                             dtype=np.int64)
-            results.append(np.concatenate(
-                [part.rows for part in parts if len(part)] or [empty]))
-        return results
+        return [np.concatenate([part.rows for part in parts])
+                for parts in zip(*answers)]
 
     # ------------------------------------------------------------------ #
     # observability + lifecycle

@@ -1,45 +1,42 @@
-"""Query execution: vectorized ID-space joins plus the legacy backtracker.
+"""Query execution: vectorized joins in id space.
 
-The counterpart of :mod:`repro.kg.planner`.  Two executors evaluate a
-:class:`~repro.kg.planner.QueryPlan`:
+The counterpart of :mod:`repro.kg.planner`, and the one executor:
+:func:`execute_plans_cursors` evaluates a batch of
+:class:`~repro.kg.planner.QueryPlan`\\ s.  Each pattern's constants are
+interned once; the pattern is fetched as one ``(k, 3)`` int64 block
+from the backend's CSR indexes (the batched :meth:`match_ids_many`);
+the binding frontier is a set of parallel numpy id columns (one per
+variable) that each step extends with a vectorized hash join —
+factorize the shared-variable key columns, sort one side,
+``searchsorted`` the other, expand matches with ``repeat``/``cumsum``
+arithmetic.  Every step of every plan in a batch is fetched in ONE
+``match_ids_many`` call (which the sharded backend routes per shard —
+one round, one request per shard), and each plan joins its blocks
+fewest rows first.
 
-* :func:`execute_plans_cursors` — the **ID-space executor**.  Each
-  pattern's constants are interned once; the pattern is fetched as one
-  ``(k, 3)`` int64 block from the backend's CSR indexes
-  (:meth:`match_ids` / the batched :meth:`match_ids_many`); the binding
-  frontier is a set of parallel numpy id columns (one per variable)
-  that each step extends with a vectorized hash join — factorize the
-  shared-variable key columns, sort one side, ``searchsorted`` the
-  other, expand matches with ``repeat``/``cumsum`` arithmetic.  Every
-  step of every plan in a batch is fetched in ONE ``match_ids_many``
-  call (which the sharded backend routes per shard — one round, one
-  request per shard), and each plan joins its blocks fewest rows
-  first.  The result is an :class:`IdBlock`; strings appear exactly
-  once, in :meth:`IdBlock.materialize`, on the thread that encodes or
-  consumes the rows.
+Every answer is an :class:`IdBlock`; strings appear exactly once, in
+:meth:`IdBlock.materialize`, on the thread that encodes or consumes the
+rows.  The degenerate answers are blocks too: an unknown constant or an
+empty join is a zero-row block with the query's columns, and a query
+without variables is a zero-column block of one row (it holds) or none.
+A variable bound in both relation and entity positions joins in entity
+space: its relation-position column is re-keyed through one relation →
+entity id table, and a relation that is no entity drops its row.
 
-* :func:`execute_backtracking` — the original symbol-level evaluator
-  (one ``iter_match`` round-trip per binding per pattern), kept both as
-  the parity reference and as the fallback for backends without an id
-  surface (``SetBackend``) and for the rare query whose variable binds
-  in both entity and relation positions (``plan.id_space`` False —
-  entity and relation ids are different spaces, only symbols compare).
-
-Both executors produce identical binding *sets*; only the row order is
-executor-defined (deterministic for a deterministic store either way).
-
-:func:`execute_co_partitioned` runs before either: a batch's star
-queries go to a backend that answers them whole (the coordinator).
+:func:`execute_co_partitioned` runs first: a batch's star queries go to
+a backend that answers them whole (the coordinator).  Only the row
+order is executor-defined; the symbol-level reference the parity tests
+compare against lives in ``tests/_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CursorError
+from repro.errors import CursorError, QueryError
 from repro.kg.backend import IdPattern, supports_id_queries, unique_rows
 from repro.kg.planner import (
     PatternQuery,
@@ -54,84 +51,18 @@ from repro.kg.triple import Triple
 Binding = Dict[str, str]
 
 
-# --------------------------------------------------------------------------- #
-# legacy symbol-level backtracking executor
-# --------------------------------------------------------------------------- #
-def execute_backtracking(store: TripleStore, plan: QueryPlan) -> List[Binding]:
-    """Evaluate a plan by per-binding backtracking over ``iter_match``.
-
-    This is the seed engine's strategy, word for word: substitute the
-    bindings accumulated so far into the next pattern, ask the store for
-    matching triples, extend each binding per match.  Kept as the parity
-    oracle and the fallback for non-id backends / non-id-space plans.
-    Its per-binding probes do depend on earlier rows, so it orders its
-    own steps first: one ``count_many``, fewest matches first, ties in
-    written order.
-    """
-    steps = list(plan.steps)
-    if len(steps) > 1:
-        counts = store.count_many([step.constants for step in steps])
-        steps = [steps[index] for index in
-                 sorted(range(len(steps)), key=counts.__getitem__)]
-    bindings: List[Binding] = [{}]
-    for step in steps:
-        next_bindings: List[Binding] = []
-        for binding in bindings:
-            next_bindings.extend(_extend(store, binding, step.pattern))
-        bindings = next_bindings
-        if not bindings:
-            return []
-    return _project_bindings(bindings, plan.select)
-
-
-def _extend(store: TripleStore, binding: Binding,
-            pattern: Tuple[str, str, str]) -> Iterable[Binding]:
-    head, relation, tail = (_substitute(term, binding) for term in pattern)
-    matches = store.iter_match(
-        head=None if is_variable(head) else head,
-        relation=None if is_variable(relation) else relation,
-        tail=None if is_variable(tail) else tail,
-    )
-    for triple in matches:
-        extended = dict(binding)
-        if not _bind(extended, head, triple.head):
-            continue
-        if not _bind(extended, relation, triple.relation):
-            continue
-        if not _bind(extended, tail, triple.tail):
-            continue
-        yield extended
-
-
-def _substitute(term: str, binding: Binding) -> str:
-    if is_variable(term) and term in binding:
-        return binding[term]
-    return term
-
-
-def _bind(binding: Binding, term: str, value: str) -> bool:
-    if not is_variable(term):
-        return term == value
-    existing = binding.get(term)
-    if existing is None:
-        binding[term] = value
-        return True
-    return existing == value
-
-
-def _project_bindings(bindings: List[Binding],
-                      select: Tuple[str, ...]) -> List[Binding]:
-    if not select:
-        return bindings
-    projected: List[Binding] = []
-    seen = set()
-    for binding in bindings:
-        row = {var: binding[var] for var in select}
-        key = tuple(sorted(row.items()))
-        if key not in seen:
-            seen.add(key)
-            projected.append(row)
-    return projected
+def id_backend(store: TripleStore):
+    """``store``'s backend, which must expose the id-level query surface:
+    the one guard :class:`~repro.kg.query.QueryEngine` and
+    :class:`~repro.kg.service.QueryService` share."""
+    backend = store.backend
+    if not supports_id_queries(backend):
+        raise QueryError(
+            f"queries run on id-capable backends only: "
+            f"{type(backend).__name__} (backend {store.backend_name!r}) has "
+            f"no id-level query surface — load it into a "
+            f"columnar/mmap/sharded store")
+    return backend
 
 
 # --------------------------------------------------------------------------- #
@@ -169,14 +100,32 @@ def _resolve_constants(backend, plan: QueryPlan) -> Optional[List[IdPattern]]:
     return resolved
 
 
-def _pattern_columns(step: PatternStep,
-                     block: np.ndarray) -> Tuple[np.ndarray, Dict[str, int]]:
+def _relation_entity_ids(backend) -> np.ndarray:
+    """Relation id → the entity id of the same symbol, ``-1`` where the
+    symbol is no entity."""
+    entities = backend.entity_interner
+    return np.array([entities.lookup(symbol) if symbol in entities else -1
+                     for symbol in backend.relation_interner.symbol_table()],
+                    dtype=np.int64)
+
+
+def _pattern_columns(step: PatternStep, block: np.ndarray,
+                     rekey: Optional[np.ndarray]
+                     ) -> Tuple[np.ndarray, Dict[str, int]]:
     """Filter repeated-variable rows; map each variable to its column.
 
-    A variable occurring twice in one pattern (``(?x, r, ?x)``) keeps
-    only rows where the occurrences agree; the surviving first position
-    becomes the variable's column.
+    ``rekey`` (:func:`_relation_entity_ids`) is given when the step's
+    relation variable binds entity positions too: its column becomes
+    entity ids first, and a row whose relation is no entity drops — it
+    could never join an entity position.  A variable occurring twice
+    in one pattern (``(?x, r, ?x)``) then keeps only rows where the
+    occurrences agree; the surviving first position becomes the
+    variable's column.
     """
+    if rekey is not None:
+        entity_ids = rekey[block[:, 1]]
+        block = np.column_stack((block[:, 0], entity_ids,
+                                 block[:, 2]))[entity_ids >= 0]
     var_position: Dict[str, int] = {}
     for position, name in step.variables:
         first = var_position.setdefault(name, position)
@@ -244,11 +193,11 @@ def _join_indices(left_keys: Sequence[np.ndarray],
     return left_rows, right_rows
 
 
-def _advance(frontier: _Frontier, step: PatternStep,
-             block: np.ndarray) -> Optional[_Frontier]:
+def _advance(frontier: _Frontier, step: PatternStep, block: np.ndarray,
+             rekey: Optional[np.ndarray]) -> Optional[_Frontier]:
     """Join one step's matched block into the frontier; ``None`` once
     no binding survives."""
-    block, var_position = _pattern_columns(step, block)
+    block, var_position = _pattern_columns(step, block, rekey)
     shared = [name for name in var_position if name in frontier.columns]
     fresh = [name for name in var_position if name not in frontier.columns]
     num_rows, num_matches = frontier.num_rows, len(block)
@@ -259,8 +208,8 @@ def _advance(frontier: _Frontier, step: PatternStep,
             [frontier.columns[name] for name in shared],
             [block[:, var_position[name]] for name in shared])
     else:
-        # No shared variables: cartesian product (the legacy executor
-        # does the same — every binding pairs with every match).
+        # No shared variables: cartesian product — every binding pairs
+        # with every match.
         left_rows = np.repeat(np.arange(num_rows, dtype=np.int64), num_matches)
         right_rows = np.tile(np.arange(num_matches, dtype=np.int64), num_rows)
     if not len(left_rows):
@@ -331,23 +280,13 @@ class IdBlock:
                 for row in self.rows.tolist()]
 
 
-def materialize(result) -> List:
-    """A read result as strings: blocks materialize, the executor's own
-    list-backed results (no-variable queries, the backtracking
-    fallback) already are."""
-    return result.materialize() if isinstance(result, IdBlock) else result
-
-
 class ResultCursor:
     """Pages over one query's results without re-running the query.
 
-    The ID-space executor hands a cursor the **deduplicated id-row
-    projection** as one :class:`IdBlock`, and each :meth:`fetch`
-    stringifies only the rows of the page it returns, so a huge result
-    set never materializes all its binding dicts at once.  Results from
-    the backtracking fallback (and degenerate no-variable results) page
-    over an already-built list; either way the paging surface is
-    identical.
+    The executor hands a cursor the **deduplicated id-row projection**
+    as one :class:`IdBlock`, and each :meth:`fetch` stringifies only the
+    rows of the page it returns, so a huge result set never materializes
+    all its binding dicts at once.
 
     Cursors are single-consumer and not thread-safe;
     :class:`~repro.kg.service.QueryService` serializes access for its
@@ -355,17 +294,17 @@ class ResultCursor:
     creation, so paging happens *within* the cap.
     """
 
-    __slots__ = ("_result", "_position", "_closed")
+    __slots__ = ("_block", "_position", "_closed")
 
-    def __init__(self, result) -> None:
-        self._result = result                # IdBlock, or a list
+    def __init__(self, block: IdBlock) -> None:
+        self._block = block
         self._position = 0
         self._closed = False
 
     @property
     def total_rows(self) -> int:
         """How many result rows the cursor covers (limit already applied)."""
-        return len(self._result)
+        return len(self._block)
 
     @property
     def position(self) -> int:
@@ -378,27 +317,25 @@ class ResultCursor:
         return self._closed or self._position >= self.total_rows
 
     @property
-    def block(self) -> Optional[IdBlock]:
+    def block(self) -> IdBlock:
         """The cursor's *entire* id-row block, independent of paging state.
 
-        ``None`` for list-backed cursors.  This is what the
-        :class:`~repro.kg.service.QueryService` result cache pins: the
-        full deduplicated block of a limit-stripped execution, from
-        which every per-request limited view is a zero-copy slice.
+        This is what the :class:`~repro.kg.service.QueryService` result
+        cache pins: the full deduplicated block of a limit-stripped
+        execution, from which every per-request limited view is a
+        zero-copy slice.
         """
-        result = self._result
-        return result if isinstance(result, IdBlock) else None
+        return self._block
 
-    def _page(self, stop: int):
-        """The one pager: rows ``[position, stop)`` in the cursor's own
-        representation (an :class:`IdBlock` view, or a list slice)."""
+    def _page(self, stop: int) -> IdBlock:
+        """The one pager: a view of rows ``[position, stop)``."""
         if self._closed:
             raise CursorError("cursor is closed")
-        page = self._result[self._position:stop]
+        page = self._block[self._position:stop]
         self._position += len(page)
         return page
 
-    def fetch_block(self, max_rows: int):
+    def fetch_block(self, max_rows: int) -> IdBlock:
         """The next page of at most ``max_rows`` results, unmaterialized.
 
         An empty page means the cursor is exhausted.  ``max_rows`` must
@@ -412,22 +349,23 @@ class ResultCursor:
                 f"fetch page size must be a positive integer, got {max_rows!r}")
         return self._page(self._position + max_rows)
 
-    def fetch_all_block(self):
+    def fetch_all_block(self) -> IdBlock:
         """Every remaining row in one page (the non-paged path)."""
         return self._page(self.total_rows)
 
     def fetch(self, max_rows: int) -> List:
         """:meth:`fetch_block`, materialized as strings."""
-        return materialize(self.fetch_block(max_rows))
+        return self.fetch_block(max_rows).materialize()
 
     def fetch_all(self) -> List:
         """:meth:`fetch_all_block`, materialized as strings."""
-        return materialize(self.fetch_all_block())
+        return self.fetch_all_block().materialize()
 
     def close(self) -> None:
-        """Release the row block.  Idempotent; later fetches raise."""
+        """Release the rows (the block keeps its columns, zero rows).
+        Idempotent; later fetches raise."""
         self._closed = True
-        self._result = []
+        self._block = replace(self._block, rows=self._block.rows[:0].copy())
 
     def __enter__(self) -> "ResultCursor":
         return self
@@ -437,29 +375,37 @@ class ResultCursor:
 
 
 def _project_cursor(backend, plan: QueryPlan,
-                    frontier: _Frontier) -> ResultCursor:
-    """Build the deduplicated, limit-capped id projection for a plan."""
-    names = list(plan.select) if plan.select else list(plan.variables)
-    limit = plan.query.limit
-    if not names:
-        rows = [{}] if frontier.num_rows else []
-        return ResultCursor(rows if limit is None else rows[:limit])
-    stacked = np.stack([frontier.columns[name] for name in names], axis=1)
-    return _id_cursor(backend, plan.query, names, stacked)
+                    frontier: Optional[_Frontier]) -> ResultCursor:
+    """The plan's id projection; a ``None`` frontier (an unknown
+    constant, an empty join) projects zero rows."""
+    names = plan.select or plan.variables
+    if frontier is not None and names:
+        rows = np.stack([frontier.columns[name] for name in names], axis=1)
+    else:   # nothing survived, or a query binding nothing holds: one row
+        rows = np.zeros((0 if frontier is None else 1, len(names)),
+                        dtype=np.int64)
+    return _id_cursor(backend, plan.query, rows)
 
 
-def _id_cursor(backend, query: PatternQuery, names: Sequence[str],
+def _entity_terms(query: PatternQuery) -> set:
+    """Every term in a head or tail position of ``query``."""
+    return {term for head, _relation, tail in query.patterns
+            for term in (head, tail)}
+
+
+def _id_cursor(backend, query: PatternQuery,
                rows: np.ndarray) -> ResultCursor:
-    """The one projection rule over an id-space query's rows: ``select``
+    """The one projection rule over a query's id rows: ``select``
     deduplicates (:func:`unique_rows` sorts too, so a selected result
-    is independent of join or gather order), then ``limit`` slices."""
+    is independent of join or gather order), then ``limit`` slices.  A
+    variable is a relation column only if it binds no entity position."""
+    names = query.select or query.variables()
     if query.select:
         rows = unique_rows(rows)
     if query.limit is not None:
         rows = rows[:query.limit]
-    # Id-space: a relation variable is one in a relation position.
-    relation_variables = {pattern[1] for pattern in query.patterns}
-    kinds = ["r" if name in relation_variables else "e" for name in names]
+    entities = _entity_terms(query)
+    kinds = ["e" if name in entities else "r" for name in names]
     return ResultCursor(IdBlock.over(backend, names, kinds, rows))
 
 
@@ -483,9 +429,7 @@ def execute_co_partitioned(store: TripleStore,
     blocks = pushdown([queries[position] for position in pushed]) \
         if pushed else None
     for position, rows in zip(pushed, blocks or ()):
-        query = queries[position]
-        cursors[position] = _id_cursor(
-            store.backend, query, query.select or query.variables(), rows)
+        cursors[position] = _id_cursor(store.backend, queries[position], rows)
     return cursors
 
 
@@ -494,34 +438,24 @@ def execute_plans_cursors(store: TripleStore,
     """Evaluate a batch of plans into one :class:`ResultCursor` each.
 
     Every step's pattern is resolved from constants only, so no fetch
-    waits on another step's rows: all steps of all ID-space-executable
-    plans go out in ONE ``match_ids_many`` call, each distinct pattern
-    once (shard-routed on the sharded backend, one request per shard on
-    the coordinator).  Each plan then joins its blocks fewest rows
-    first — ``len(block)`` is the selectivity a count probe would have
-    reported; the sort is stable, so ties keep the written order — and
-    stops at the first empty frontier.  A plan with an unknown constant
-    is empty before any fetch.  Plans the id executor cannot run (no id
-    backend, mixed-kind variables) fall back to
-    :func:`execute_backtracking` transparently (their cursor pages over
-    the materialized list).  Projection is deferred to the cursors: the
-    join frontiers are materialized (compact int64 columns), the string
+    waits on another step's rows: all steps of all plans go out in ONE
+    ``match_ids_many`` call, each distinct pattern once (shard-routed on
+    the sharded backend, one request per shard on the coordinator).
+    Each plan then joins its blocks fewest rows first — ``len(block)``
+    is the selectivity a count probe would have reported; the sort is
+    stable, so ties keep the written order — and stops at the first
+    empty frontier.  A plan with an unknown constant is empty before
+    any fetch.  Projection is deferred to the cursors: the join
+    frontiers are materialized (compact int64 columns), the string
     bindings are not.
     """
     backend = store.backend
-    id_backend = supports_id_queries(backend)
     results: List[Optional[ResultCursor]] = [None] * len(plans)
     resolved_plans: List[Tuple[int, List[IdPattern]]] = []
     for index, plan in enumerate(plans):
-        if not plan.id_space or not id_backend:
-            rows = execute_backtracking(store, plan)
-            if plan.query.limit is not None:
-                rows = rows[:plan.query.limit]
-            results[index] = ResultCursor(rows)
-            continue
         resolved = _resolve_constants(backend, plan)
         if resolved is None:
-            results[index] = ResultCursor([])
+            results[index] = _project_cursor(backend, plan, None)
         else:
             resolved_plans.append((index, resolved))
     distinct = list(dict.fromkeys(
@@ -530,14 +464,17 @@ def execute_plans_cursors(store: TripleStore,
         if distinct else {}
     for index, resolved in resolved_plans:
         plan = plans[index]
+        entities = _entity_terms(plan.query)
         fetched = sorted(((step, blocks[pattern])
                           for step, pattern in zip(plan.steps, resolved)),
                          key=lambda pair: len(pair[1]))
         frontier: Optional[_Frontier] = _Frontier()
         for step, block in fetched:
-            frontier = _advance(frontier, step, block)
+            relation = step.pattern[1]
+            rekey = _relation_entity_ids(backend) \
+                if is_variable(relation) and relation in entities else None
+            frontier = _advance(frontier, step, block, rekey)
             if frontier is None:
                 break
-        results[index] = ResultCursor([]) if frontier is None \
-            else _project_cursor(backend, plan, frontier)
+        results[index] = _project_cursor(backend, plan, frontier)
     return results

@@ -8,10 +8,9 @@ the query text — no store is consulted:
   of (head, relation, tail) patterns with ``?variables``);
 * :func:`plan_query` / :func:`plan_queries` — turn queries into
   :class:`QueryPlan` objects: the patterns in written order, each
-  annotated with its constants and variable occurrences, plus whether
-  the ID-space executor can run the plan (no variable spans entity and
-  relation positions) — the join order is the executor's decision,
-  taken from the sizes of the blocks it fetched;
+  annotated with its constants and variable occurrences — the join
+  order is the executor's decision, taken from the sizes of the blocks
+  it fetched;
 * select validation — a ``select`` naming a variable the query never
   binds raises :class:`~repro.errors.QueryError` instead of silently
   producing partial rows;
@@ -99,18 +98,13 @@ class QueryPlan:
     joins them fewest-matching-rows first (a stable sort: ties keep the
     written order).
     ``variables`` is the first-appearance order
-    :meth:`PatternQuery.variables` reports.  ``id_space`` is False when
-    some variable appears in both entity and relation positions, in
-    which case only the symbol-level backtracking executor can evaluate
-    the plan (entity and relation ids are different spaces, so the
-    ID-space join cannot compare them).
+    :meth:`PatternQuery.variables` reports.
     """
 
     query: PatternQuery
     steps: Tuple[PatternStep, ...]
     variables: Tuple[str, ...]
     select: Tuple[str, ...]
-    id_space: bool = True
 
 
 def validate_select(query: PatternQuery) -> None:
@@ -148,15 +142,6 @@ def validate_limit(limit: Optional[int]) -> None:
             f"limit must be a positive integer or None, got {limit!r}")
 
 
-def _id_space(query: PatternQuery) -> bool:
-    """False when a variable binds relation symbols in one pattern and
-    entity symbols in another: joining those compares symbols, not ids."""
-    relation_terms = {pattern[1] for pattern in query.patterns}
-    return not any(is_variable(term) and term in relation_terms
-                   for head, _relation, tail in query.patterns
-                   for term in (head, tail))
-
-
 def _make_step(pattern: Tuple[str, str, str]) -> PatternStep:
     constants = tuple(None if is_variable(term) else term for term in pattern)
     variables = tuple((position, term) for position, term in enumerate(pattern)
@@ -179,7 +164,6 @@ def plan_query(query: PatternQuery) -> QueryPlan:
         steps=tuple(_make_step(pattern) for pattern in query.patterns),
         variables=tuple(query.variables()),
         select=query.select,
-        id_space=_id_space(query),
     )
 
 
@@ -187,11 +171,10 @@ def co_partitioned(query: PatternQuery) -> bool:
     """True for a well-formed star query: ≥ 2 patterns, every head the
     same variable.  A store partitioned by head hash finds each binding
     whole on the shard owning its head, so the shards' answers just
-    concatenate into the full binding multiset.  Id-space queries only
-    (the backtracking fallback has no id rows to gather)."""
+    concatenate into the full binding multiset."""
     heads = {pattern[0] for pattern in query.patterns}
     if len(query.patterns) < 2 or len(heads) > 1 \
-            or not is_variable(min(heads)) or not _id_space(query):
+            or not is_variable(min(heads)):
         return False
     try:
         validate_select(query)
@@ -201,10 +184,10 @@ def co_partitioned(query: PatternQuery) -> bool:
     return True
 
 
-def cache_key(backend: object, query: PatternQuery) -> Optional[Tuple]:
-    """The stable identity of a query's *result*, or ``None`` if uncacheable.
+def cache_key(backend: object, query: PatternQuery) -> Tuple:
+    """The stable identity of a query's *result*.
 
-    Two queries get the same key exactly when the ID-space executor is
+    Two queries get the same key exactly when the executor is
     guaranteed to produce bit-identical id-row blocks for them against
     an unchanged store:
 
@@ -224,16 +207,7 @@ def cache_key(backend: object, query: PatternQuery) -> Optional[Tuple]:
     That is only sound because the service drops the whole cache on
     every mutation epoch bump — interners grow only on writes, so
     between bumps "unknown" is as stable an identity as an id.
-
-    ``None`` (bypass the cache) is returned for queries the ID-space
-    executor refuses (a variable spanning entity and relation
-    positions) and for queries projecting no columns at all.
     """
-    if not _id_space(query):
-        return None
-    names = query.select or tuple(query.variables())
-    if not names:
-        return None
     entity_lookup = backend.entity_interner.lookup
     relation_lookup = backend.relation_interner.lookup
     terms: List[object] = []

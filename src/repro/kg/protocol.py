@@ -33,9 +33,12 @@ Two planes share that framing:
   starts with :data:`TAG_JSON` (requests, errors, control results) or
   :data:`TAG_BINARY`, a packed response shipping rows as dense
   **little-endian int64 id blocks** plus an **interner delta** — only
-  the id→symbol entries this connection has not been sent yet.  The
-  client decodes blocks zero-copy (``np.frombuffer``) and resolves
-  strings from its connection-local symbol cache.
+  the id→symbol entries this connection has not been sent yet.  Every
+  read answer is a block — an empty one has zero rows, a query without
+  variables zero columns — so a binary frame carries blocks and
+  nothing else.  The client decodes blocks zero-copy
+  (``np.frombuffer``) and resolves strings from its connection-local
+  symbol cache.
 
 The refusal rule: an op that answers in blocks (:attr:`Op.rows`) is
 refused with a typed ``ProtocolError`` naming it and ``hello`` when the
@@ -49,12 +52,13 @@ Binary response body layout (everything after the tag little-endian)::
     u32 item_count                      #   count x i64 ids,
     item_count x item                   #   count x u32 byte lens,
                                         #   concatenated utf-8 blob
-    item := u8 kind
-      kind 0 (json):      u32 len, utf-8 JSON bytes (any JSON value)
-      kind 1/2 (bindings/triples block):
+    item := u8 kind                     # 1 bindings, 2 triples
         u8 flags (bit0 = page exhausted)
         u16 ncols, [kind 1 only] ncols x (u8 space, u16 len, name)
         u64 nrows, nrows*ncols x i64 row-major id block
+
+Any other item kind, 0 included, is refused with a typed
+``ProtocolError``: a value that is not a block travels as a JSON frame.
 
 ``shape`` says how the items assemble back into the result: 0 = the
 single item IS the result, 1 = the result is the list of items, 2 = a
@@ -551,7 +555,6 @@ SHAPE_LIST = 1     # the result is the list of items
 SHAPE_PAGE = 2     # cursor page {"rows": item, "exhausted": flag}
 
 #: ``kind`` byte of one item.
-ITEM_JSON = 0      # arbitrary JSON value (fallback / non-block results)
 ITEM_BINDINGS = 1  # id block with named, per-space typed columns
 ITEM_TRIPLES = 2   # id block of (head, relation, tail) rows
 
@@ -720,27 +723,20 @@ class BinaryResponseEncoder:
                 f"interner table ({len(table)} symbols)") from exc
         return new_ids, symbols
 
-    def encode(self, request_id: int, shape: int, items: Sequence,
-               max_bytes: Optional[int] = None) -> bytes:
+    def encode(self, request_id: int, shape: int, blocks: Sequence,
+               flags: int = 0, max_bytes: Optional[int] = None) -> bytes:
         """Encode one response into a complete frame (prefix included).
 
-        ``items`` entries are either ``("json", value)`` or
-        ``("block", block, flags)`` where ``block`` exposes ``names``
-        (or ``None`` for triples), ``kinds``, ``rows`` (int64 ndarray)
-        and ``triples`` (bool).  Raises ProtocolError without touching
-        connection state if the frame would exceed the cap, so an
-        oversized-result error never desyncs the delta masks.
+        Every block exposes ``names`` (unused for triples), ``kinds``,
+        ``rows`` (int64 ndarray) and ``triples`` (bool), and carries
+        ``flags``.  Raises ProtocolError without touching connection
+        state if the frame would exceed the cap, so an oversized-result
+        error never desyncs the delta masks.
         """
         cap = self._max_bytes if max_bytes is None else max_bytes
         pending = {"e": [], "r": []}
         encoded_items = []
-        for item in items:
-            if item[0] == "json":
-                body = _json_bytes(item[1])
-                encoded_items.append(
-                    bytes((ITEM_JSON,)) + _U32.pack(len(body)) + body)
-                continue
-            _, block, flags = item
+        for block in blocks:
             rows = np.ascontiguousarray(block.rows, dtype="<i8")
             kinds = tuple(block.kinds)
             for col, kind in enumerate(kinds):
@@ -811,16 +807,6 @@ class BinaryResponseDecoder:
     def _decode_item(self, body: bytes, offset: int):
         (kind,) = struct.unpack_from("<B", body, offset)
         offset += 1
-        if kind == ITEM_JSON:
-            (nbytes,) = _U32.unpack_from(body, offset)
-            offset += _U32.size
-            try:
-                value = json.loads(body[offset:offset + nbytes].decode(
-                    "utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(
-                    f"embedded JSON item is invalid: {exc}") from exc
-            return value, offset + nbytes
         if kind not in (ITEM_BINDINGS, ITEM_TRIPLES):
             raise ProtocolError(f"unknown binary item kind {kind}")
         flags, ncols = struct.unpack_from("<BH", body, offset)
@@ -901,8 +887,6 @@ class BinaryResponseDecoder:
                 raise ProtocolError(
                     f"page-shape response carries {len(items)} items")
             page = items[0]
-            if not isinstance(page, DecodedBlock):
-                raise ProtocolError("page-shape response must carry a block")
             result = {"rows": page, "exhausted": page.exhausted}
         else:
             raise ProtocolError(f"unknown binary response shape {shape}")

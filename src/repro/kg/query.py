@@ -10,18 +10,17 @@ The engine is a thin facade over a plan/execute pipeline:
 
 * :mod:`repro.kg.planner` normalizes and validates patterns and
   analyzes variables — a pure function of the query;
-* :mod:`repro.kg.executor` evaluates the plan — by default in **ID
-  space**: constants interned once, every pattern of every query
-  fetched as an int64 block in one batched backend call, the blocks
-  joined fewest rows first with the binding frontier carried as numpy
-  id columns through vectorized hash joins, strings materialized only
-  at projection.  Backends without an id surface (``set``) and
-  queries that bind one variable in both entity and relation positions
-  fall back to the original symbol-level backtracking evaluator.
+* :mod:`repro.kg.executor` evaluates the plan in **id space**:
+  constants interned once, every pattern of every query fetched as an
+  int64 block in one batched backend call, the blocks joined fewest
+  rows first with the binding frontier carried as numpy id columns
+  through vectorized hash joins, strings materialized only at
+  projection.  The store's backend must have the id surface (the
+  columnar family, the cluster coordinator); any other raises a typed
+  :class:`~repro.errors.QueryError` at construction.
 
-Both paths produce identical binding *sets* (row order is
-executor-defined).  For a concurrent, batching front-end over the same
-pipeline see :class:`repro.kg.service.QueryService`.
+Row order is executor-defined.  For a concurrent, batching front-end
+over the same pipeline see :class:`repro.kg.service.QueryService`.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from repro.kg.executor import (
     ResultCursor,
     execute_co_partitioned,
     execute_plans_cursors,
+    id_backend,
 )
 from repro.kg.planner import (
     PatternQuery,
@@ -55,9 +55,12 @@ __all__ = [
 
 
 class QueryEngine:
-    """Evaluates :class:`PatternQuery` objects against a :class:`TripleStore`."""
+    """Evaluates :class:`PatternQuery` objects against a :class:`TripleStore`
+    whose backend has the id surface (:class:`~repro.errors.QueryError`
+    otherwise)."""
 
     def __init__(self, store: TripleStore) -> None:
+        id_backend(store)
         self.store = store
 
     def plan(self, query: PatternQuery) -> QueryPlan:
@@ -74,13 +77,9 @@ class QueryEngine:
 
         The fetched pattern blocks are joined in selectivity order —
         fewest matching triples first — which is what keeps conjunctive
-        queries fast on skewed stores.  The executor is picked from what
-        the store and the plan allow: ID-space when the backend has an
-        id surface and no variable mixes entity and relation positions,
-        else the backtracking reference.
-        ``limit`` caps the materialized rows (overriding any cap on the
-        query itself); ``limit=0`` raises — see
-        :func:`repro.kg.planner.validate_limit`.
+        queries fast on skewed stores.  ``limit`` caps the materialized
+        rows (overriding any cap on the query itself); ``limit=0``
+        raises — see :func:`repro.kg.planner.validate_limit`.
 
         A ``select`` naming a variable that never binds raises
         :class:`~repro.errors.QueryError` instead of silently dropping
@@ -92,10 +91,10 @@ class QueryEngine:
                      limit: Optional[int] = None) -> List[List[Binding]]:
         """Execute a batch of queries with one batched fetch.
 
-        Every pattern of every ID-space-executable query goes out in a
-        single ``match_ids_many`` backend call (each distinct pattern
-        once); no count probe is issued.  ``limit`` (when given) caps
-        every query in the batch.
+        Every pattern of every query goes out in a single
+        ``match_ids_many`` backend call (each distinct pattern once); no
+        count probe is issued.  ``limit`` (when given) caps every query
+        in the batch.
         """
         return [cursor.fetch_all()
                 for cursor in self.cursor_many(queries, limit=limit)]

@@ -27,9 +27,11 @@ Framing: every connection starts on plain JSON frames, the control
 plane — requests, errors, scalars, replication.  One ``{"op": "hello",
 "codecs": ["binary"]}`` exchange (always granted) switches it to the
 tagged frames of :mod:`repro.kg.protocol`, whose binary id-block frame
-is the one row encoder: the :class:`~repro.kg.executor.IdBlock`
-results the :class:`QueryService` hands back are packed as they are,
-never materialized to strings here.  An op that answers in blocks
+is the one row encoder: every read answer the :class:`QueryService`
+hands back is an :class:`~repro.kg.executor.IdBlock` (empty and
+variable-free answers included), packed as it is, never materialized
+to strings here, and never a JSON value inside a binary frame.  An op
+that answers in blocks
 (:attr:`~repro.kg.protocol.Op.rows`) is refused, typed, from a
 connection that never said ``hello``.
 
@@ -119,14 +121,14 @@ _WAL_TAIL_TRIPLE_BUDGET = 50_000
 _WAL_TAIL_MAX_BATCHES = 4096
 
 
-def _result_blocks(result) -> Tuple[Optional[int], Sequence]:
-    """Classify a read result for the binary encoder: its ``shape``
-    and the items that carries (a block, a list holding blocks, a cursor
-    page) — ``(None, ())`` when no id block is in it (plain JSON)."""
+def _result_blocks(result) -> Tuple[Optional[int], Sequence[IdBlock]]:
+    """Classify a result for the binary encoder: its ``shape`` and the
+    blocks that carries (a block, a list of blocks, a cursor page) —
+    ``(None, ())`` for a control-plane answer (plain JSON)."""
     if isinstance(result, IdBlock):
         return SHAPE_SINGLE, (result,)
-    if isinstance(result, list) and any(isinstance(item, IdBlock)
-                                        for item in result):
+    if isinstance(result, list) and result \
+            and isinstance(result[0], IdBlock):
         return SHAPE_LIST, result
     if isinstance(result, dict) and isinstance(result.get("rows"), IdBlock):
         return SHAPE_PAGE, (result["rows"],)
@@ -811,9 +813,8 @@ class KGServer:
         flags = FLAG_EXHAUSTED if shape == SHAPE_PAGE \
             and result.get("exhausted") else 0
         try:
-            return conn.encoder.encode(response.get("id"), shape, [
-                ("block", item, flags) if isinstance(item, IdBlock)
-                else ("json", item) for item in blocks])
+            return conn.encoder.encode(response.get("id"), shape, blocks,
+                                       flags)
         except ProtocolError as exc:
             return self._error_frame(conn, exc, response.get("id"))
 

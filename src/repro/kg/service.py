@@ -18,11 +18,13 @@ round-trip per request.
   ``match_ids_many`` call and joins each plan's blocks fewest rows
   first (:func:`repro.kg.executor.execute_plans_cursors`), and answers
   point lookups with one more ``match_ids_many`` call — then resolves
-  each request's future to an :class:`~repro.kg.executor.IdBlock`.
-  Ids become strings only in ``IdBlock.materialize()``, never on the
-  dispatcher: the blocking facades call it in the caller's thread,
-  :class:`~repro.kg.server.KGServer` where it encodes the response.
-  The served store must therefore have an id-capable backend;
+  each request's future to an :class:`~repro.kg.executor.IdBlock`, the
+  only read result there is (an empty or variable-free answer is a
+  block too).  Ids become strings only in ``IdBlock.materialize()``,
+  never on the dispatcher: the blocking facades call it in the
+  caller's thread, :class:`~repro.kg.server.KGServer` where it encodes
+  the response.  The served store must therefore have an id-capable
+  backend;
 * because only the dispatcher touches the backend, the service is safe
   over backends whose lazy attach/consolidate steps are not thread-safe,
   while the sharded backend still parallelizes *inside* each batched
@@ -88,10 +90,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import CursorError, QueryError, ReproError, StorageError
-from repro.kg.backend import Pattern, empty_id_block, supports_id_queries
+from repro.kg.backend import Pattern, empty_id_block
 from repro.kg.executor import (Binding, IdBlock, ResultCursor,
                                execute_co_partitioned, execute_plans_cursors,
-                               materialize)
+                               id_backend)
 from repro.kg.planner import (PatternQuery, cache_key as plan_cache_key,
                               plan_queries, validate_limit)
 from repro.kg.store import TripleStore
@@ -139,18 +141,6 @@ def _resolve(future: "Future", result=None, exception: Optional[BaseException] =
         future.set_exception(exception)
     else:
         future.set_result(result)
-
-
-def _id_backend(store: TripleStore):
-    """``store``'s backend, which must expose the id-level query surface."""
-    backend = store.backend
-    if not supports_id_queries(backend):
-        raise QueryError(
-            f"QueryService serves id-capable backends only: "
-            f"{type(backend).__name__} (backend {store.backend_name!r}) has "
-            f"no id-level query surface — query it in-process through "
-            f"QueryEngine, or load it into a columnar/mmap/sharded store")
-    return backend
 
 
 def _interned_patterns(backend):
@@ -331,7 +321,7 @@ class QueryService:
         # Force lazy attach/consolidation before concurrent dispatch
         # starts.  ``count_ids()`` touches the consolidated id surface
         # without copying any column data.
-        _id_backend(store).count_ids()
+        id_backend(store).count_ids()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="kg-query-service", daemon=True)
         self._dispatcher.start()
@@ -395,10 +385,7 @@ class QueryService:
     # ------------------------------------------------------------------ #
     def submit(self, query: PatternQuery) -> "Future":
         """Enqueue one query; returns a future yielding its bindings as
-        an :class:`~repro.kg.executor.IdBlock` (a list only for the
-        executor's own list-backed results: a no-variable query, the
-        backtracking fallback of a mixed-kind variable).
-        """
+        an :class:`~repro.kg.executor.IdBlock`."""
         return self._enqueue(_Request(_QUERY, query))
 
     def submit_lookup(self, pattern: Pattern) -> "Future":
@@ -426,13 +413,13 @@ class QueryService:
     def execute(self, query: PatternQuery) -> List[Binding]:
         """Run one query, blocking until its batch is dispatched; the
         bindings materialize here, in the caller's thread."""
-        return materialize(self.submit(query).result())
+        return self.submit(query).result().materialize()
 
     def execute_batch(self, queries: Sequence[PatternQuery]
                       ) -> List[List[Binding]]:
         """Run a client-side batch; one future per query, awaited together."""
         futures = [self.submit(query) for query in queries]
-        return [materialize(future.result()) for future in futures]
+        return [future.result().materialize() for future in futures]
 
     def lookup_many(self, patterns: Sequence[Pattern]) -> List[List[Triple]]:
         """Batched point lookups ((head, relation, tail), ``None`` wildcards)."""
@@ -555,7 +542,7 @@ class QueryService:
         (:class:`~repro.errors.QueryError`, raised here, before anything
         is enqueued).
         """
-        _id_backend(new_store)
+        id_backend(new_store)
         return self._enqueue(_Request(_SWAP, new_store)).result()
 
     # ------------------------------------------------------------------ #
@@ -580,9 +567,9 @@ class QueryService:
     def fetch_cursor(self, cursor_id: str, max_rows: int) -> Tuple:
         """Return ``(next page, exhausted)`` and refresh the cursor's TTL.
 
-        The page is an :class:`~repro.kg.executor.IdBlock` (a list for
-        a list-backed cursor) — :func:`~repro.kg.executor.materialize`
-        it for strings.  Raises :class:`~repro.errors.CursorError` for
+        The page is an :class:`~repro.kg.executor.IdBlock` —
+        :meth:`~repro.kg.executor.IdBlock.materialize` it for strings.
+        Raises :class:`~repro.errors.CursorError` for
         an unknown, closed or expired cursor, and for a non-positive
         ``max_rows`` — never a silently partial result.
         """
@@ -730,33 +717,31 @@ class QueryService:
                         if not self._serve_query_from_cache(request)]
             if not requests:
                 return
+        queries = [self._plannable_query(request) for request in requests]
         # Star queries a cluster backend answers whole skip planning; if
         # that round fails, the planned path lands the error per request.
         try:
-            pushed = execute_co_partitioned(
-                self.store, [self._plannable_query(request)
-                             for request in requests])
+            pushed = execute_co_partitioned(self.store, queries)
         except ReproError:
             pushed = [None] * len(requests)
-        for request, cursor in zip(requests, pushed):
-            if cursor is not None:
+        rest = []
+        for request, query, cursor in zip(requests, queries, pushed):
+            if cursor is None:
+                rest.append((request, query))
+            else:
                 self._resolve_query(
                     request, self._maybe_cache_result(request, cursor))
-        requests = [request for request, cursor in zip(requests, pushed)
-                    if cursor is None]
         try:
             # The fast path: the whole batch validates in one call.
-            plans = plan_queries([self._plannable_query(request)
-                                  for request in requests])
-            planned = requests
+            plans = plan_queries([query for _request, query in rest])
+            planned = [request for request, _query in rest]
         except Exception:
             # Some query in the batch is malformed; re-plan one by one
             # so the error lands on the offending request only.
             plans, planned = [], []
-            for request in requests:
+            for request, query in rest:
                 try:
-                    plans.append(plan_queries(
-                        [self._plannable_query(request)])[0])
+                    plans.append(plan_queries([query])[0])
                     planned.append(request)
                 except Exception as exc:
                     _resolve(request.future, exception=exc)
@@ -811,8 +796,6 @@ class QueryService:
             # A malformed query: fall through and let the planning path
             # raise the real, typed error.
             return False
-        if key is None:
-            return False
         try:
             validate_limit(query.limit)
         except Exception as exc:
@@ -834,16 +817,13 @@ class QueryService:
 
         The executed cursor holds the FULL block (the limit was
         stripped before planning), so the request is handed a zero-copy
-        limited view of it.  A list-backed cursor with a cache key can
-        only be the empty result of an un-interned constant — nothing
-        worth pinning, and limiting the empty list is a no-op.
+        limited view of it.  Empty answers are pinned too: an empty join
+        costs its fetch round like any other.
         """
         key = request.cache_key
         if key is None:
             return cursor
         block = cursor.block
-        if block is None:
-            return cursor
         with self._stats_lock:
             self._cache.put(key, block)
         limit = request.payload.limit
@@ -949,10 +929,10 @@ class QueryService:
             # Nothing left to serve: release the id-row block now
             # rather than pinning it for the remaining TTL (clients
             # that iterate-to-exhaustion rely on the TTL, not on an
-            # explicit close).  The id stays valid — later fetches see
-            # an empty exhausted cursor, close_cursor still works.
+            # explicit close).  The id stays valid — later fetches page
+            # the released zero-row block, close_cursor still works.
             cursor.close()
-            cursor = ResultCursor([])
+            cursor = ResultCursor(cursor.block)
         self._cursors[cursor_id] = (cursor, time.monotonic() + self.cursor_ttl)
         _resolve(request.future, (page, exhausted))
 

@@ -7,8 +7,9 @@ paths and an iterator form (:meth:`iter_match`) that never materializes a
 list.  Storage lives behind the :class:`~repro.kg.backend.GraphBackend`
 protocol; the default :class:`~repro.kg.backend.ColumnarBackend` interns
 identifiers to contiguous int ids and answers pattern queries from numpy
-CSR adjacency slices, while :class:`~repro.kg.backend.SetBackend` keeps
-the original dict-of-set design for parity testing.
+CSR adjacency slices; :class:`~repro.kg.mmap_backend.MmapBackend` and
+:class:`~repro.kg.sharded_backend.ShardedBackend` are the same family
+attached from disk and partitioned by head.
 
 ``match`` returns results in backend-defined (deterministic per process)
 order; pass ``sort=True`` when a deterministic sorted order is required.

@@ -23,6 +23,17 @@ def test_parser_defaults_and_model_choices():
         parser.parse_args(["linkpred", "--model", "NotAModel"])
 
 
+def test_cli_backend_set_is_an_argparse_error(capsys):
+    """The dict-of-set reference is the test oracle's, not a backend:
+    ``--backend`` offers the columnar family only."""
+    with pytest.raises(SystemExit) as usage:
+        main(["--backend", "set", "stats"])
+    assert usage.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'set'" in err
+    assert "'columnar', 'mmap', 'sharded'" in err
+
+
 def test_cli_build_writes_tsv(tmp_path, capsys):
     exit_code = main(["--products", "40", "--seed", "1", "build",
                       "--out", str(tmp_path)])

@@ -1,7 +1,8 @@
 """Backend parity: every backend must agree with the SetBackend reference.
 
-The columnar backend is the default store; the set backend is the
-reference implementation; the mmap backend shares the columnar query
+The columnar backend is the default store; the set backend (the test
+oracle's, not a registered backend) is the reference implementation;
+the mmap backend shares the columnar query
 core over a (possibly on-disk) base block.  These tests drive all of
 them — including delta-overlay configurations that force eager rebuilds
 (threshold 0) and constant overlay churn (tiny thresholds) — through
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.kg.backend import ColumnarBackend, Interner, SetBackend, make_backend
+from _oracle import SetBackend, backend_named
+from repro.kg.backend import BACKENDS, ColumnarBackend, Interner, make_backend
 from repro.kg.mmap_backend import MmapBackend
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.serialization import read_tsv, write_tsv
@@ -143,7 +145,10 @@ def test_interner_assigns_dense_stable_ids():
 
 
 def test_make_backend_registry():
-    assert isinstance(make_backend("set"), SetBackend)
+    # The dict-of-set reference is the test oracle's, not a backend.
+    assert sorted(BACKENDS) == ["columnar", "mmap", "sharded"]
+    with pytest.raises(ValueError, match="unknown graph backend 'set'"):
+        make_backend("set")
     assert isinstance(make_backend("columnar"), ColumnarBackend)
     assert isinstance(make_backend("mmap"), MmapBackend)
     assert isinstance(make_backend("sharded"), ShardedBackend)
@@ -694,7 +699,7 @@ def test_store_facade_roundtrip(backend_name):
         ("p1", "brandIs", "apple"), ("p2", "brandIs", "apple"),
         ("p1", "placeOfOrigin", "china"),
     ])
-    store = TripleStore(triples, backend=backend_name)
+    store = TripleStore(triples, backend=backend_named(backend_name))
     assert store.backend_name == backend_name
     assert len(store) == 3
     assert store.count(relation="brandIs") == 2
@@ -714,7 +719,7 @@ def test_vocabularies_and_id_arrays_backend_independent(rows):
 
     graphs = {}
     for backend_name in ("set", "columnar"):
-        graph = KnowledgeGraph(backend=backend_name)
+        graph = KnowledgeGraph(backend=backend_named(backend_name))
         graph.add_many(triples_from_tuples(rows))
         graphs[backend_name] = graph
     vocab_set = graphs["set"].build_vocabularies()

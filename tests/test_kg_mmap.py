@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import backend_named
 from repro.errors import SerializationError, StorageError
 from repro.kg.backend import ColumnarBackend
 from repro.kg.cluster import (CLUSTER_HEADER_FILE, load_cluster_interners,
@@ -170,7 +171,7 @@ def test_store_facade_save_open_roundtrip(tmp_path):
     ])
     for backend_name in ("set", "columnar", "mmap"):
         directory = tmp_path / backend_name
-        store = TripleStore(triples, backend=backend_name)
+        store = TripleStore(triples, backend=backend_named(backend_name))
         store.save(directory)
         reopened = TripleStore.open(directory)
         assert reopened.backend_name == "mmap"
@@ -199,7 +200,7 @@ def test_zero_triple_store_save_reopen(tmp_path, backend_name):
     ``np.memmap`` rejects — the open path must special-case them.
     """
     directory = tmp_path / backend_name
-    TripleStore(backend=backend_name).save(directory)
+    TripleStore(backend=backend_named(backend_name)).save(directory)
     reopened = TripleStore.open(directory)
     assert len(reopened) == 0
     assert reopened.match() == []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import backtrack, multiset
+from _oracle import SetBackend, backend_named, backtrack, multiset
 from repro.errors import QueryError
 from repro.kg import executor, planner
 from repro.kg import query as query_module
@@ -20,7 +20,7 @@ from repro.kg import service as service_module
 from repro.kg.backend import IdQueryBackend, supports_id_queries
 from repro.kg.client import RemoteQueryEngine
 from repro.kg.cluster import ClusterBackend
-from repro.kg.executor import execute_plans_cursors, materialize
+from repro.kg.executor import execute_plans_cursors
 from repro.kg.planner import is_variable, plan_query
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.service import QueryService
@@ -28,6 +28,8 @@ from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import triples_from_tuples
 
+#: ``set`` builds the oracle's dict-of-set store: the reference answers
+#: come from it, the id executor's from a columnar store of the same rows.
 BACKENDS = ("set", "columnar", "mmap", "sharded")
 
 
@@ -35,7 +37,15 @@ def _store(rows, backend: str) -> TripleStore:
     if backend == "sharded":
         return TripleStore(triples_from_tuples(rows),
                            backend=ShardedBackend(n_shards=2))
-    return TripleStore(triples_from_tuples(rows), backend=backend)
+    return TripleStore(triples_from_tuples(rows),
+                       backend=backend_named(backend))
+
+
+def _engine(rows, backend: str) -> QueryEngine:
+    """The id executor for a parametrization (the oracle's ``set`` store
+    has no id surface: its rows are served from a columnar store)."""
+    return QueryEngine(_store(rows, "columnar" if backend == "set"
+                              else backend))
 
 
 def _binding_set(rows):
@@ -73,54 +83,70 @@ SAMPLE_QUERIES = [
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_id_executor_matches_backtracking_on_samples(backend):
-    engine = QueryEngine(_store(SAMPLE_ROWS, backend))
+    engine = _engine(SAMPLE_ROWS, backend)
+    reference = _store(SAMPLE_ROWS, backend)
     for query in SAMPLE_QUERIES:
         auto = engine.execute(query)
-        legacy = backtrack(engine.store, query)
+        legacy = backtrack(reference, query)
         assert _binding_set(auto) == _binding_set(legacy), query
 
 
 @pytest.mark.parametrize("backend", ("columnar", "mmap", "sharded"))
 def test_id_strategy_explicitly(backend):
-    """An id-capable backend and an id-space plan run on the ID-space
-    executor — the cursor is block-backed — and match the oracle."""
+    """An id-capable backend runs the id executor — the cursor is
+    block-backed, one column per selected variable — and matches the
+    oracle."""
     store = _store(SAMPLE_ROWS, backend)
     query = SAMPLE_QUERIES[2]
     (cursor,) = execute_plans_cursors(store, [plan_query(query)])
-    assert cursor.block is not None
+    assert cursor.block.names == ("?p", "?c")
     assert _binding_set(cursor.fetch_all()) == \
         _binding_set(backtrack(store, query))
 
 
-def test_id_strategy_rejected_on_set_backend():
-    """No id surface: the executor itself picks the backtracking
-    reference (a list-backed cursor), and the engine still answers."""
+def test_id_strategy_rejected_on_set_backend(monkeypatch):
+    """No id surface, no executor: ``QueryEngine`` over the oracle's
+    dict-of-set store raises the typed error ``QueryService`` raises —
+    one guard — before any backend call."""
     store = _store(SAMPLE_ROWS, "set")
     query = SAMPLE_QUERIES[0]
-    (cursor,) = execute_plans_cursors(store, [plan_query(query)])
-    assert cursor.block is None
-    assert cursor.fetch_all() == backtrack(store, query)
-    assert QueryEngine(store).execute(query) == backtrack(store, query)
+    assert backtrack(store, query) == [{"?p": "p1"}, {"?p": "p2"}]
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("the backend was called")
+
+    for name in ("match", "match_many", "iter_match", "count", "count_many",
+                 "tails", "heads", "__len__"):
+        monkeypatch.setattr(SetBackend, name, never)
+    with pytest.raises(QueryError, match="SetBackend.*id-level") as engine:
+        QueryEngine(store)
+    with pytest.raises(QueryError) as service:
+        QueryService(store)
+    assert str(engine.value) == str(service.value)
 
 
 def test_id_strategy_rejected_on_mixed_kind_variable():
+    """?m binds a relation in the first pattern and an entity in the
+    second: the id executor joins it in entity space — a block-backed
+    cursor whose ?m column is entity ids — and answers what the oracle
+    answers.  (?p=brandIs is not a real binding; ?m=brandIs joins both.)"""
     store = _store(SAMPLE_ROWS + [("brandIs", "r", "x")], "columnar")
-    engine = QueryEngine(store)
-    # ?m binds a relation in the first pattern and an entity in the second.
     query = PatternQuery.from_patterns([("?p", "?m", "apple"), ("?m", "r", "?t")])
     plan = plan_query(query)
-    assert not plan.id_space
+    assert not hasattr(plan, "id_space")
     (cursor,) = execute_plans_cursors(store, [plan])
-    assert cursor.block is None     # fell back: ids of two spaces don't join
-    auto = engine.execute(query)
-    legacy = backtrack(store, query)
-    assert _binding_set(auto) == _binding_set(legacy)
-    assert auto  # (?p=brandIs is not a real binding; ?m=brandIs joins both)
+    assert cursor.block.names == ("?p", "?m", "?t")
+    assert cursor.block.kinds == ("e", "e", "e")
+    auto = cursor.fetch_all()
+    assert multiset(auto) == multiset(backtrack(store, query)) == multiset(
+        [{"?p": "p1", "?m": "brandIs", "?t": "x"},
+         {"?p": "p2", "?m": "brandIs", "?t": "x"}])
+    assert QueryEngine(store).execute(query) == auto
 
 
 def test_unknown_strategy_raises():
-    """The executor is chosen from the store and the plan; ``strategy``
-    is not a parameter of the engine."""
+    """There is one executor; ``strategy`` is not a parameter of the
+    engine."""
     engine = QueryEngine(_store(SAMPLE_ROWS, "columnar"))
     for call in (engine.execute, engine.execute_many):
         with pytest.raises(TypeError, match="strategy"):
@@ -130,19 +156,19 @@ def test_unknown_strategy_raises():
 def test_repeated_variable_within_pattern():
     rows = SAMPLE_ROWS + [("loop", "r", "loop"), ("a", "r", "b")]
     for backend in BACKENDS:
-        engine = QueryEngine(_store(rows, backend))
+        engine = _engine(rows, backend)
         query = PatternQuery.from_patterns([("?x", "r", "?x")])
         assert engine.execute(query) == [{"?x": "loop"}]
-        assert backtrack(engine.store, query) == [{"?x": "loop"}]
+        assert backtrack(_store(rows, backend), query) == [{"?x": "loop"}]
 
 
 def test_cartesian_product_between_disjoint_patterns():
     for backend in BACKENDS:
-        engine = QueryEngine(_store(SAMPLE_ROWS, backend))
+        engine = _engine(SAMPLE_ROWS, backend)
         query = PatternQuery.from_patterns([("?p", "brandIs", "apple"),
                                             ("?b", "headquartersIn", "?c")])
         auto = engine.execute(query)
-        legacy = backtrack(engine.store, query)
+        legacy = backtrack(_store(SAMPLE_ROWS, backend), query)
         assert _binding_set(auto) == _binding_set(legacy)
         assert len(auto) == 4  # 2 apple products x 2 headquarters
 
@@ -171,11 +197,12 @@ def test_select_non_variable_raises():
 
 def test_select_projection_dedupes():
     for backend in BACKENDS:
-        engine = QueryEngine(_store(SAMPLE_ROWS, backend))
         query = PatternQuery.from_patterns([("?p", "placeOfOrigin", "china"),
                                             ("?p", "brandIs", "?b")],
                                            select=["?b"])
-        assert engine.execute(query) == [{"?b": "apple"}]
+        assert _engine(SAMPLE_ROWS, backend).execute(query) == [{"?b": "apple"}]
+        assert backtrack(_store(SAMPLE_ROWS, backend), query) == \
+            [{"?b": "apple"}]
 
 
 # --------------------------------------------------------------------------- #
@@ -188,9 +215,9 @@ def joined(monkeypatch):
     seen = []
     original = executor._advance
 
-    def spy(frontier, step, block):
+    def spy(frontier, step, block, rekey):
         seen.append((step.pattern, len(block)))
-        return original(frontier, step, block)
+        return original(frontier, step, block, rekey)
 
     monkeypatch.setattr(executor, "_advance", spy)
     return seen
@@ -337,7 +364,7 @@ def test_plan_many_batches_counts(monkeypatch, rounds):
         futures = [service.submit(query)
                    for query in (*queries, malformed, star, *queries)]
         cursor_id = service.open_cursor(star)
-        assert materialize(service.fetch_cursor(cursor_id, 100)[0]) \
+        assert service.fetch_cursor(cursor_id, 100)[0].materialize() \
             == engine.execute(star)
         for future in futures:
             if future is futures[len(queries)]:
@@ -473,6 +500,53 @@ def test_join_order_matches_the_parent_commit_row_for_row(tmp_path, backend):
     assert ordered != written     # the order matters
 
 
+@pytest.mark.parametrize("backend", ("columnar", "mmap", "sharded"))
+def test_list_backed_answers_match_the_parent_commit(tmp_path, backend):
+    """``tests/data/list-backed-answers-written-by-pr24.json`` was
+    written by the commit whose executor still answered some queries
+    with plain lists: no-variable queries (true and false, with and
+    without ``limit``), unknown constants, empty joins, and mixed-kind
+    queries — a relation variable reused as head or tail,
+    ``(?x, ?x, ?y)``, a mixed star — which the symbol-level backtracker
+    answered.  Every answer is a block now: the same multisets, one by
+    one and as one batch, and the identical rows wherever the parent
+    said ``[]`` or ``[{}]``."""
+    fixture = json.loads((Path(__file__).parent / "data" /
+                          "list-backed-answers-written-by-pr24.json"
+                          ).read_text())
+    if backend == "mmap":
+        _store(fixture["triples"], "columnar").save(tmp_path / "saved")
+        store = TripleStore.open(tmp_path / "saved")
+    else:
+        store = _store(fixture["triples"], backend)
+    queries = [PatternQuery.from_patterns(entry["patterns"],
+                                          select=entry["select"],
+                                          limit=entry["limit"])
+               for entry in fixture["queries"]]
+    engine = QueryEngine(store)
+    cursors = engine.cursor_many(queries)
+    for query, cursor in zip(queries, cursors):
+        assert len(cursor.block.names) == cursor.block.rows.shape[1] \
+            == len(query.select or query.variables())
+    batch = [cursor.fetch_all() for cursor in cursors]
+    assert engine.execute_many(queries) == batch
+    one_by_one = [engine.execute(query) for query in queries]
+    parent = fixture["answers"][backend]
+    for query, got, alone, rows, rows_alone in zip(
+            queries, batch, one_by_one, parent["batch"],
+            parent["one_by_one"]):
+        assert multiset(got) == multiset(alone) == multiset(rows) \
+            == multiset(rows_alone), query
+        if rows in ([], [{}]):
+            assert got == alone == rows, query
+    assert sum(rows in ([], [{}]) for rows in parent["batch"]) >= 18
+    assert sum(any(is_variable(relation) and relation in
+                   {term for pattern in query.patterns
+                    for term in (pattern[0], pattern[2])}
+                   for _head, relation, _tail in query.patterns)
+               for query in queries) >= 14
+
+
 # --------------------------------------------------------------------------- #
 # property test: random stores, random queries, every backend
 # --------------------------------------------------------------------------- #
@@ -502,9 +576,9 @@ def test_property_id_executor_bit_identical_binding_sets(rows, patterns,
 
     Random small stores and random conjunctive queries (including
     relation variables, repeated variables and variables that mix
-    entity/relation positions — the executor must fall back
-    correctly), across all four backends.  ``select`` projects a random
-    subset of the bound variables.
+    entity/relation positions — joined in entity space), across all
+    four backends.  ``select`` projects a random subset of the bound
+    variables.
     """
     query = PatternQuery.from_patterns(patterns)
     variables = query.variables()
@@ -512,9 +586,8 @@ def test_property_id_executor_bit_identical_binding_sets(rows, patterns,
     query = PatternQuery.from_patterns(patterns, select=select)
     reference = None
     for backend in BACKENDS:
-        engine = QueryEngine(_store(rows, backend))
-        legacy = _binding_set(backtrack(engine.store, query))
-        auto = _binding_set(engine.execute(query))
+        legacy = _binding_set(backtrack(_store(rows, backend), query))
+        auto = _binding_set(_engine(rows, backend).execute(query))
         assert auto == legacy
         if reference is None:
             reference = legacy
@@ -527,12 +600,17 @@ def test_property_id_executor_bit_identical_binding_sets(rows, patterns,
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_limit_is_a_prefix_of_the_unlimited_result(backend):
-    engine = QueryEngine(_store(SAMPLE_ROWS, backend))
+    engine = _engine(SAMPLE_ROWS, backend)
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b"),
                                         ("?p", "placeOfOrigin", "?where")])
     full = engine.execute(query)
+    oracle = backtrack(_store(SAMPLE_ROWS, backend), query)
+    assert multiset(full) == multiset(oracle)
     for limit in (1, 2, len(full), len(full) + 10):
         assert engine.execute(query, limit=limit) == full[:limit]
+        limited = PatternQuery.from_patterns(query.patterns, limit=limit)
+        assert backtrack(_store(SAMPLE_ROWS, backend), limited) \
+            == oracle[:limit]
     # The cap can also live on the query itself (how it crosses the wire).
     capped = PatternQuery.from_patterns(query.patterns, limit=2)
     assert engine.execute(capped) == full[:2]
@@ -540,20 +618,25 @@ def test_limit_is_a_prefix_of_the_unlimited_result(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_limit_zero_and_negative_raise(backend):
-    engine = QueryEngine(_store(SAMPLE_ROWS, backend))
+    engine = _engine(SAMPLE_ROWS, backend)
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
     for bad in (0, -1, True):
         with pytest.raises(QueryError, match="limit"):
             engine.execute(query, limit=bad)
+        with pytest.raises(QueryError, match="limit"):
+            backtrack(_store(SAMPLE_ROWS, backend),
+                      PatternQuery.from_patterns(query.patterns, limit=bad))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_cursor_pages_reassemble_execute_exactly(backend):
     from repro.errors import CursorError
 
-    engine = QueryEngine(_store(SAMPLE_ROWS, backend))
+    engine = _engine(SAMPLE_ROWS, backend)
     for query in SAMPLE_QUERIES:
         full = engine.execute(query)
+        assert multiset(full) == multiset(
+            backtrack(_store(SAMPLE_ROWS, backend), query))
         for page_size in (1, 2, 100):
             cursor = engine.cursor(query)
             assert cursor.total_rows == len(full)

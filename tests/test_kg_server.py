@@ -1294,9 +1294,9 @@ def test_match_many_blocks_parity(server, server_codec, store):
 @pytest.mark.parametrize("backend", ("columnar", "sharded"))
 def test_json_binary_and_in_process_rows_are_identical(backend):
     """Rows off the binary frame == in-process ``QueryEngine`` rows,
-    same order, on every read op — including the executor's
-    list-backed results (a no-variable query, a mixed-kind variable),
-    which ride as JSON items inside it, and an un-interned constant."""
+    same order, on every read op — including the degenerate answers (a
+    no-variable query, an un-interned constant) and a mixed-kind
+    variable, every one of them a block on the wire."""
     rows = _rows() + [("brandIs", "rdf:type", "relation:meta")]
     store = TripleStore(triples_from_tuples(rows), backend=(
         ShardedBackend(n_shards=2) if backend == "sharded" else backend))
@@ -1307,7 +1307,7 @@ def test_json_binary_and_in_process_rows_are_identical(backend):
         PatternQuery.from_patterns([("?p", "?r", "brand:1")], limit=5),
         PatternQuery.from_patterns([("?p", "brandIs", "ghost")]),
         PatternQuery.from_patterns([("product:0001", "brandIs", "brand:1")]),
-        # ?m binds a relation, then an entity: the backtracking fallback.
+        # ?m binds a relation, then an entity: joined in entity space.
         PatternQuery.from_patterns([("?p", "?m", "brand:1"),
                                     ("?m", "rdf:type", "?t")]),
     ]
@@ -1333,21 +1333,35 @@ def test_json_binary_and_in_process_rows_are_identical(backend):
 
 
 def test_parent_written_binary_frames_replay_byte_identical():
-    """The one remaining encoder is byte-stable: a request script the
-    parent commit (PR 21) answered on one binary connection over a
-    fixed 2-shard store — every rows op, paging, empty and list-backed
-    results, a typed error, a scalar — gets the same response bytes
-    from this tree (the two cursor-open answers carry a random id).
+    """The one remaining encoder is byte-stable: a request script an
+    earlier commit answered on one binary connection over a fixed
+    2-shard store — every rows op, paging, empty answers, a typed
+    error, a scalar — gets the same response bytes from this tree (the
+    two cursor-open answers carry a random id).
 
     One step asked for ``"reorder": false``, a field no op takes any
     more.  Sent verbatim (on a second connection) it is refused typed;
-    replayed without the field it decodes to the parent's rows — in
+    replayed without the field it decodes to the recorded rows — in
     order under ``select``, the same multiset otherwise, where only
-    the join order the parent was told to use differs — and every
-    later frame is byte-identical again: what a connection has been
-    sent is a set of symbols, not an order."""
+    the join order the recording commit was told to use differs.
+
+    Steps 10–13 were answered in JSON then — three JSON frames (an
+    empty join, an unknown constant, a query without variables) and a
+    binary frame carrying the variable-free answer as a JSON item.
+    Every answer is a block now: they decode to the rows the commit
+    before this one read out of them (recorded beside its list-backed
+    answers), and the recorded frame with the JSON item is refused,
+    typed.  Every later frame is byte-identical again: what a
+    connection has been sent is a set of symbols, not an order."""
     fixture = json.loads((DATA_DIR / "binary-frames-written-by-pr21.json"
                           ).read_text(encoding="utf-8"))
+    recorded = json.loads((DATA_DIR / "list-backed-answers-written-by-pr24"
+                           ".json").read_text(encoding="utf-8"))
+    assert recorded["binary_frames"]["fixture"] == \
+        "binary-frames-written-by-pr21.json"
+    were_json = {int(index): rows for index, rows
+                 in recorded["binary_frames"]["rows"].items()}
+    assert sorted(were_json) == [10, 11, 12, 13]
     store = TripleStore(
         triples_from_tuples([tuple(row) for row in fixture["rows"]]),
         backend=ShardedBackend(n_shards=fixture["n_shards"]))
@@ -1378,6 +1392,16 @@ def test_parent_written_binary_frames_replay_byte_identical():
             written = bytes.fromhex(step["response"])[4:]
             if body[0] == TAG_BINARY:       # both sides keep their symbols
                 got = ours.decode(body)["result"]
+            if index in were_json:
+                assert body[0] == TAG_BINARY, step["request"]
+                mine = [block.to_bindings() for block in got] \
+                    if message["op"] == "execute_many" else got.to_bindings()
+                assert mine == were_json[index], step["request"]
+                if written[0] == TAG_BINARY:
+                    with pytest.raises(ProtocolError, match="item kind 0"):
+                        parents.decode(written)
+                continue
+            if written[0] == TAG_BINARY:
                 wanted = parents.decode(written)["result"]
             if index not in reordered:
                 assert body == written, step["request"]

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
+from _oracle import SetBackend, backtrack, multiset
 from repro.errors import CursorError, QueryError
-from repro.kg.executor import IdBlock, materialize
+from repro.kg.executor import IdBlock
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
@@ -233,7 +234,7 @@ def test_service_cursor_pages_match_execute(store):
         rows, exhausted = [], False
         while not exhausted:
             page, exhausted = service.fetch_cursor(cursor_id, 3)
-            rows.extend(materialize(page))
+            rows.extend(page.materialize())
         assert rows == expected
         service.close_cursor(cursor_id)
         with pytest.raises(CursorError):
@@ -278,9 +279,11 @@ def test_service_invalid_cursor_ttl(store):
 
 def test_service_requires_an_id_capable_backend(store):
     """Results are id blocks from backend to encoder, so a store without
-    the id surface is refused — typed, at construction and at swap —
-    while the in-process engine still answers it through the fallback."""
-    set_store = TripleStore(triples_from_tuples(_rows()[:60]), backend="set")
+    the id surface is refused — typed, at construction and at swap, the
+    same error the in-process engine raises — and only the test oracle
+    still answers it."""
+    set_store = TripleStore(triples_from_tuples(_rows()[:60]),
+                            backend=SetBackend())
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
     with pytest.raises(QueryError, match="SetBackend.*id-level"):
         QueryService(set_store)
@@ -289,9 +292,11 @@ def test_service_requires_an_id_capable_backend(store):
             service.swap_store(set_store)
         assert service.store is store       # the refused swap changed nothing
         assert service.execute(query) == QueryEngine(store).execute(query)
+    with pytest.raises(QueryError, match="SetBackend.*id-level"):
+        QueryEngine(set_store)
     columnar = TripleStore(triples_from_tuples(_rows()[:60]))
-    assert _canonical([QueryEngine(set_store).execute(query)]) == \
-        _canonical([QueryEngine(columnar).execute(query)])
+    assert multiset(backtrack(set_store, query)) == \
+        multiset(QueryEngine(columnar).execute(query))
 
 
 def test_block_resolved_before_swap_materializes_against_old_store(store):
@@ -325,14 +330,17 @@ def test_service_invalid_max_batch(store):
 def test_service_releases_exhausted_cursor_rows_but_keeps_id_valid(store):
     """Draining a cursor frees its row block server-side immediately
     (clients that iterate to exhaustion rely on the TTL, not close),
-    while the id keeps answering: empty pages, closeable once."""
+    while the id keeps answering: empty pages of the same columns,
+    closeable once."""
     query = _queries()[0]
     expected = QueryEngine(store).execute(query)
     with QueryService(store) as service:
         cursor_id = service.open_cursor(query)
         page, exhausted = service.fetch_cursor(cursor_id, len(expected) + 1)
         assert page.materialize() == expected and exhausted
-        assert service.fetch_cursor(cursor_id, 5) == ([], True)
+        empty, exhausted = service.fetch_cursor(cursor_id, 5)
+        assert exhausted and empty.rows.shape == (0, len(page.names))
+        assert empty.names == page.names
         service.close_cursor(cursor_id)
         with pytest.raises(CursorError):
             service.close_cursor(cursor_id)

@@ -63,10 +63,10 @@ def _make_store(backend_name: str) -> TripleStore:
     return TripleStore(triples)
 
 
-#: A pool of queries spanning the cacheable and uncacheable shapes:
-#: joins, constants, selects, limits, unknown constants, and a
-#: mixed-kind query (variable in entity AND relation position) that the
-#: cache must bypass.
+#: A pool of queries spanning every answer shape, each cached: joins,
+#: constants, selects, limits, unknown constants, a mixed-kind query
+#: (variable in entity AND relation position), an empty join over
+#: known constants, and a query without variables.
 _QUERIES = [
     PatternQuery.from_patterns([("?p", "brandIs", "?b")]),
     PatternQuery.from_patterns([("?p", "brandIs", "brand:1")],
@@ -82,6 +82,9 @@ _QUERIES = [
                                limit=5),
     PatternQuery.from_patterns([("?p", "?q", "?t"),
                                 ("?q", "brandIs", "?b")]),
+    PatternQuery.from_patterns([("?p", "brandIs", "?b"),
+                                ("?b", "rdf:type", "?c")]),
+    PatternQuery.from_patterns([("product:001", "brandIs", "brand:1")]),
 ]
 
 #: Triples the write ops flip in and out, overlapping the base rows so
@@ -157,14 +160,16 @@ def test_cache_key_is_limit_independent_and_shape_sensitive():
     known = PatternQuery.from_patterns([("?p", "brandIs", "brand:1")])
     unknown = PatternQuery.from_patterns([("?p", "brandIs", "brand:nope")])
     assert cache_key(backend, known) != cache_key(backend, unknown)
-    # Mixed-kind variables (entity + relation position) are uncacheable.
+    # Every query has a key: a mixed-kind variable (entity + relation
+    # position) and a query projecting no columns are blocks like any.
     mixed = PatternQuery.from_patterns([("?p", "?q", "?t"),
                                         ("?q", "brandIs", "?b")])
-    assert cache_key(backend, mixed) is None
-    # So is a query projecting no columns at all.
+    assert cache_key(backend, mixed) == (
+        (), ("?p", "?q", "?t", "?q", backend.relation_interner.lookup(
+            "brandIs"), "?b"))
     constant = PatternQuery.from_patterns(
         [("product:000", "brandIs", "brand:0")])
-    assert cache_key(backend, constant) is None
+    assert cache_key(backend, constant)[0] == ()
 
 
 def test_limit_variants_share_one_cache_entry():
@@ -182,6 +187,34 @@ def test_limit_variants_share_one_cache_entry():
         assert stats["cache_entries"] == 1
         assert stats["cache_misses"] == 1
         assert stats["cache_hits"] == 4
+
+
+def test_an_empty_join_is_fetched_once(monkeypatch):
+    """An empty join over known constants is a zero-row block, pinned
+    like any other answer: sent twice it is fetched once and served
+    from the cache once — and so is a query without variables."""
+    store = _make_store("columnar")
+    fetched = []
+    original = type(store.backend).match_ids_many
+
+    def spy(self, patterns):
+        fetched.append(list(patterns))
+        return original(self, patterns)
+
+    monkeypatch.setattr(type(store.backend), "match_ids_many", spy)
+    empty = PatternQuery.from_patterns([("?p", "brandIs", "?b"),
+                                        ("?b", "rdf:type", "?c")])
+    holds = PatternQuery.from_patterns([("product:001", "brandIs",
+                                         "brand:1")])
+    with QueryService(store) as service:
+        assert service.execute(empty) == []
+        assert service.execute(empty) == []
+        assert (len(fetched), service.stats["cache_hits"]) == (1, 1)
+        assert service.execute(holds) == [{}]
+        assert service.execute(holds) == [{}]
+        stats = service.stats
+    assert (len(fetched), stats["cache_hits"], stats["cache_misses"],
+            stats["cache_entries"]) == (2, 2, 2, 2)
 
 
 def test_lru_eviction_respects_byte_budget():
