@@ -139,8 +139,6 @@ def test_cluster_scaling_1_vs_2_vs_4_shard_processes(tmp_path):
                 procs.append(proc)
                 urls.append(url)
             backend = ClusterBackend.open(split_dir, urls)
-            assert backend._fast_id_path(), \
-                "raw-id fast path must be on for a fresh split deployment"
             engine = QueryEngine(TripleStore(backend=backend))
             id_probes = [(backend.entity_interner.lookup(head), None, None)
                          for head in probe_heads]

@@ -20,8 +20,10 @@ per shard, read off its own ``stats``.  Two answers the executor once
 gave as lists are blocks like any other and must equal the reference
 backtracker of ``tests/_oracle.py``: a query without variables (true and
 false) and a mixed-kind star, whose variable binds a relation in one
-pattern and an entity in the other — also shipped whole.  Then the
-self-management story, in order:
+pattern and an entity in the other — also shipped whole — and, after a
+coordinator write of a never-seen product, brand and relation, a star
+over the new brand: still shipped whole, still the oracle's answer.
+Then the self-management story, in order:
 
 1. compact the shard-0 leader under the live follower — the follower
    must re-bootstrap automatically (fetch the new snapshot generation,
@@ -193,9 +195,8 @@ def main() -> int:
             with RemoteClient(coord_url) as client:
                 return client.call("stats")["cluster"]["totals"]["requests"]
 
-        # Before any write: a new symbol ends the coordinator's raw-id
-        # path, and with it the pushdown.  The ``stats`` op itself asks
-        # every shard its ``len``; two back-to-back reads price that.
+        # The ``stats`` op itself asks every shard its ``len``; two
+        # back-to-back reads price that.
         before = shard_requests()
         stats_cost = shard_requests() - before
         got_guide = engine.execute(guide)
@@ -298,6 +299,37 @@ def main() -> int:
                     return True
                 time.sleep(0.1)
             return False
+
+        # Symbols no shard has seen (a product, a brand, a relation),
+        # written through the coordinator, leave the one id path as it
+        # was: a star over the new brand is still shipped whole.
+        fresh = [("product:new-0", "brandIs", "brand:new"),
+                 ("product:new-0", "launchedIn", "year:2026"),
+                 ("product:new-1", "brandIs", "brand:new"),
+                 ("product:new-1", "launchedIn", "year:2025")]
+        with RemoteClient(coord_url) as writer:
+            writer.call("add_many", triples=[list(row) for row in fresh])
+        oracle_store.add_many(triples_from_tuples(fresh))
+
+        def launched(url: str) -> int:
+            with RemoteClient(url, codec="json") as client:
+                return client.call("count", pattern=[None, "launchedIn", None])
+
+        # Reads round-robin onto the follower: let it catch up first.
+        check("follower holds the new symbols' triples",
+              wait_until(lambda: launched(replica_url)
+                         == launched(shard_urls[0])))
+        new_star = PatternQuery.from_patterns(
+            [("?p", "brandIs", "brand:new"), ("?p", "launchedIn", "?y")],
+            select=["?p", "?y"])
+        before = shard_requests()
+        got_new = engine.execute(new_star)
+        cost = shard_requests() - before - stats_cost
+        check("star over a brand written after the split equals the oracle",
+              len(got_new) == 2 and got_new == oracle.execute(new_star),
+              repr(got_new))
+        check(f"star over new symbols shipped whole: exactly {N_SHARDS} "
+              f"shard requests", cost == N_SHARDS, f"{cost} shard requests")
 
         # ---- 1. leader compaction under the live follower ----------- #
         with RemoteClient(coord_url) as writer:

@@ -340,7 +340,8 @@ class _IdSurfaceMixin(_BatchedQueriesMixin):
     """The string-level query surface, derived once from the id surface.
 
     An id-capable backend provides the interner pair, ``contains`` /
-    ``__len__``, ``match_ids`` / ``count_ids`` and the two per-id count
+    ``__len__``, ``match_ids`` / ``match_ids_many`` / ``count_ids``,
+    ``iter_triples`` and the two per-id count
     vectors (``_entity_degree_counts``, ``_relation_counts``); every
     string query below resolves its constants once against the interners
     and takes the id route.  Result order is whatever ``match_ids``
@@ -423,6 +424,18 @@ class _IdSurfaceMixin(_BatchedQueriesMixin):
         return sorted(symbols[tail_id]
                       for tail_id in self.match_ids(*resolved)[:, 2].tolist())
 
+    def tails_many(self, pairs: Sequence[Tuple[str, str]]) -> List[List[str]]:
+        """:meth:`tails` per pair, every pair in ONE ``match_ids_many``."""
+        resolved = [self._resolve(head, relation, None)
+                    for head, relation in pairs]
+        blocks = iter(self.match_ids_many(
+            [ids for ids in resolved if ids is not None]))
+        symbols = self.entity_interner.symbol_table()
+        return [[] if ids is None else
+                sorted(symbols[tail_id]
+                       for tail_id in next(blocks)[:, 2].tolist())
+                for ids in resolved]
+
     def heads(self, relation: str, tail: str) -> List[str]:
         resolved = self._resolve(None, relation, tail)
         if resolved is None:
@@ -432,10 +445,9 @@ class _IdSurfaceMixin(_BatchedQueriesMixin):
                       for head_id in self.match_ids(*resolved)[:, 0].tolist())
 
     def degree(self, node: str) -> int:
-        node_id = self.entity_interner.lookup(node)
-        if node_id is None:
-            return 0
-        return self.count_ids(node_id, None, None) + self.count_ids(None, None, node_id)
+        """Out- plus in-degree (a self-loop counts twice), in ONE
+        ``count_many`` — one round on a remote backend."""
+        return sum(self.count_many([(node, None, None), (None, None, node)]))
 
     def degree_many(self, nodes: Sequence[str]) -> List[int]:
         out_counts, in_counts = self._entity_degree_counts()

@@ -16,16 +16,25 @@ Deployment shape
 ----------------
 :func:`shard_split` cuts one saved store into N per-shard **live** store
 directories (reusing the hash partitioner), each carrying the FULL
-global interner tables.  A shard server over such a directory assigns
-exactly the same ids as the coordinator, which both sides verify by
-comparing interner *fingerprints* at handshake time
-(:func:`~repro.kg.routing.interner_fingerprint`).  While the
-fingerprints match — and the coordinator's interners have not grown
-since — id-space queries ship raw over the wire (``match_ids_many``)
-with zero translation; any mismatch silently falls back to the
-string-pattern ops, which are always correct because servers resolve
-strings against their own interners.  Shard links always say ``hello``:
-rows come back as dense int64 id blocks either way.
+global interner tables, and leaves those tables at the top level for
+:meth:`ClusterBackend.open`: the coordinator's interners route.
+
+One id path
+-----------
+A shard's interners never have to equal the coordinator's.  Reads send
+their constants as the coordinator's symbols over ops every shard
+serves (``match_many``, ``count_many``, ``execute_many``); each shard
+resolves them against its own tables, and every id column that comes
+back is re-keyed to coordinator ids through the connection's own
+symbol cache (:func:`~repro.kg.protocol.rekey_blocks`): one vectorised
+check — and, once that connection's numbering diverged, one lookup —
+per column of a connection's response, memoised per connection, so a
+reconnect, a re-bootstrapped shard or a replica that numbers symbols
+differently starts a fresh map.  The re-key (and any interning it
+does) runs on the calling thread after the gather; scatter threads
+never touch the interners.  A write that interns new symbols — each
+shard interning only those of its own triples — changes nothing about
+that path.
 
 Failure story
 -------------
@@ -51,8 +60,8 @@ the new leader re-bootstraps it onto the promoted lineage).
 
 Consistency caveats (documented, by design): replication is
 asynchronous, so a replica read may trail the leader by the poll
-interval; writes that bypass the coordinator de-synchronize the id
-fast path (the fingerprint check catches it and falls back to strings).
+interval; writes that bypass the coordinator are outside the contract
+(placement is the coordinator's hash of its own head ids).
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace as dataclass_replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, NoReturn, \
     Optional, Sequence, Tuple, Union
@@ -72,7 +82,7 @@ from repro.kg.backend import (
     IdPattern,
     Interner,
     Pattern,
-    empty_id_block,
+    _IdSurfaceMixin,
     intern_id_rows,
     supports_id_queries,
 )
@@ -84,16 +94,13 @@ from repro.kg.mmap_backend import (
     write_header,
     write_interner_pair,
 )
-from repro.kg.protocol import (encode_wire_patterns, encode_wire_query,
-                               encode_wire_triples)
+from repro.kg.protocol import (DecodedBlock, encode_wire_patterns,
+                               encode_wire_query, encode_wire_triples,
+                               rekey_blocks)
 from repro.kg.routing import (
     BROADCAST as _BROADCAST,
     classify_head,
     concat_id_blocks,
-    interner_fingerprint,
-    merge_frequency_dicts,
-    merge_sorted_unique,
-    merge_triple_lists,
     scatter_gather,
     shard_of_id,
     shard_of_ids,
@@ -136,9 +143,7 @@ def shard_split(store_dir: Union[str, Path], n_shards: int,
     same rule every sharded backend routes with — over the source's
     global head ids.  Each ``out/shard-K/`` is a generation-0 **live**
     store (snapshot + empty WAL + pointer) whose snapshot is a 1-shard
-    sharded layout carrying the FULL global interner tables: a shard
-    server opened over it therefore speaks exactly the global id space,
-    and a coordinator verifies that via the interner fingerprint.  The
+    sharded layout carrying the FULL global interner tables.  The
     top level gains a ``cluster.json`` header plus the global interner
     files so :meth:`ClusterBackend.open` can load its interners without
     touching any shard.  Returns the per-shard directories in shard
@@ -247,9 +252,6 @@ class _ShardSession:
             "leader_reads": 0, "replica_reads": 0,
             "writes": 0, "failures": 0, "promotions": 0,
         }
-        #: True when every endpoint's interner fingerprint matched the
-        #: coordinator's at handshake time (enables the raw-id path).
-        self.id_space_matched = False
 
     def _count(self, key: str, amount: int = 1) -> None:
         with self._counter_lock:
@@ -512,22 +514,6 @@ class _ShardSession:
                 return result
         return None
 
-    def handshake(self, coordinator_fingerprint: Optional[str]) -> None:
-        """Probe every endpoint's ``role`` and gate the raw-id path."""
-        fingerprints: List[Optional[str]] = []
-        for endpoint in range(len(self.addresses)):
-            try:
-                info = self._call(endpoint, "role", {})
-            except (ProtocolError, OSError):
-                self._drop(endpoint)
-                fingerprints.append(None)
-                continue
-            fingerprints.append(info.get("fingerprint")
-                                if isinstance(info, dict) else None)
-        self.id_space_matched = (
-            coordinator_fingerprint is not None
-            and all(fp == coordinator_fingerprint for fp in fingerprints))
-
     def close(self) -> None:
         for endpoint in range(len(self.addresses)):
             self._drop(endpoint)
@@ -536,7 +522,7 @@ class _ShardSession:
 # --------------------------------------------------------------------- #
 # the coordinator backend
 # --------------------------------------------------------------------- #
-class ClusterBackend:
+class ClusterBackend(_IdSurfaceMixin):
     """A :class:`GraphBackend` whose shards are remote KGServer processes.
 
     ``shards`` lists the leader ``host:port`` of every shard in shard
@@ -545,11 +531,13 @@ class ClusterBackend:
     from the :func:`shard_split` output via :meth:`open`) that assigns
     the global ids used for routing; every batched operation is ONE
     wire call per touched shard, run concurrently over a persistent
-    thread pool (wire I/O releases the GIL).
+    thread pool (wire I/O releases the GIL).  Construction opens no
+    connection: an endpoint connects on its first call.
 
-    The backend satisfies both the string-level ``GraphBackend``
-    protocol and the ``IdQueryBackend`` id surface, so the id-space
-    executor treats it exactly like a local
+    The id surface (``match_ids_many``, ``count_ids``,
+    ``execute_co_partitioned``) is the one read path, and the string
+    surface is :class:`~repro.kg.backend._IdSurfaceMixin`'s, derived
+    from it as on a local
     :class:`~repro.kg.sharded_backend.ShardedBackend` — including
     bit-identical result ordering, because per-shard results concatenate
     in shard-index order on both sides of the deployment boundary.
@@ -562,8 +550,7 @@ class ClusterBackend:
                  timeout: Optional[float] = 30.0,
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF,
                  entity_interner: Optional[Interner] = None,
-                 relation_interner: Optional[Interner] = None,
-                 handshake: bool = True) -> None:
+                 relation_interner: Optional[Interner] = None) -> None:
         if not shards:
             raise ValueError("a cluster needs at least one shard server")
         replicas = dict(replicas or {})
@@ -578,38 +565,23 @@ class ClusterBackend:
             if entity_interner is not None else Interner()
         self.relation_interner = relation_interner \
             if relation_interner is not None else Interner()
-        # Resources are acquired under a guard: a handshake (or pool
-        # creation) that raises mid-__init__ must not leak the thread
-        # pool or any connection the sessions already opened — the
-        # caller never gets an object to close().
-        self._sessions: List[_ShardSession] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._fast_lengths: Optional[Tuple[int, int]] = None
+        self._sessions = [
+            _ShardSession(index, address, replicas.get(index, ()),
+                          timeout=timeout, retry_backoff=retry_backoff)
+            for index, address in enumerate(shards)
+        ]
+        self._pool = ThreadPoolExecutor(max_workers=max(2, self.n_shards),
+                                        thread_name_prefix="kg-cluster")
         self._closed = False
-        try:
-            self._sessions = [
-                _ShardSession(index, address, replicas.get(index, ()),
-                              timeout=timeout, retry_backoff=retry_backoff)
-                for index, address in enumerate(shards)
-            ]
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(2, self.n_shards),
-                thread_name_prefix="kg-cluster")
-            if handshake:
-                self.refresh_handshake()
-        except BaseException:
-            self._dispose()
-            raise
 
     @classmethod
     def open(cls, directory: Union[str, Path], shards: Sequence[str],
              **kwargs) -> "ClusterBackend":
         """Connect to a cluster whose stores came from :func:`shard_split`.
 
-        Loads the coordinator's interner pair from the split
-        directory's top-level tables (so routing ids match what the
-        shard servers carry) and validates the shard count against the
-        ``cluster.json`` header.
+        Loads the coordinator's interner pair — the ids routing hashes —
+        from the split directory's top-level tables and validates the
+        shard count against the ``cluster.json`` header.
         """
         header, entity_interner, relation_interner = \
             load_cluster_interners(directory)
@@ -623,22 +595,6 @@ class ClusterBackend:
     # ------------------------------------------------------------------ #
     # plumbing
     # ------------------------------------------------------------------ #
-    def refresh_handshake(self) -> None:
-        """(Re-)probe every endpoint's role and re-gate the id path."""
-        fingerprint = interner_fingerprint(self.entity_interner,
-                                           self.relation_interner)
-        for session in self._sessions:
-            session.handshake(fingerprint)
-        self._fast_lengths = (len(self.entity_interner),
-                              len(self.relation_interner))
-
-    def _fast_id_path(self) -> bool:
-        """True while raw coordinator ids are valid on every shard."""
-        return (self._fast_lengths == (len(self.entity_interner),
-                                       len(self.relation_interner))
-                and all(session.id_space_matched
-                        for session in self._sessions))
-
     def _run(self, thunks: Sequence, parallel: bool = True) -> List:
         """Run per-shard jobs concurrently, results in submission order.
 
@@ -653,11 +609,10 @@ class ClusterBackend:
                                for thunk in thunks]]
 
     def _scatter(self, items: Sequence, *, classify, empty, shard_call,
-                 broadcast_call=None, merge=None) -> List:
+                 merge=None) -> List:
         return scatter_gather(
             items, n_shards=self.n_shards, classify=classify, empty=empty,
-            shard_call=shard_call, broadcast_call=broadcast_call,
-            merge=merge, run=self._run)
+            shard_call=shard_call, merge=merge, run=self._run)
 
     # ------------------------------------------------------------------ #
     # mutation — leader-only, routed exactly like ShardedBackend
@@ -723,7 +678,7 @@ class ClusterBackend:
         return ShardedBackend(self.n_shards)
 
     # ------------------------------------------------------------------ #
-    # string-level queries
+    # reads — constants out as symbols, id blocks back re-keyed
     # ------------------------------------------------------------------ #
     def contains(self, head: str, relation: str, tail: str) -> bool:
         where = classify_head(self.entity_interner, self.n_shards, head)
@@ -737,40 +692,55 @@ class ClusterBackend:
             (lambda session=session: session.read_call("len"))
             for session in self._sessions]))
 
+    def _fetch(self, patterns: Sequence[Optional[list]],
+               heads: Sequence[Optional[int]]) -> List[np.ndarray]:
+        """Per wire pattern, its triples in coordinator ids, in shard
+        order: ONE ``match_many`` per touched shard, routed by the
+        pattern's coordinator head id (``None``: every shard); a
+        ``None`` pattern is statically empty.  The scatter threads only
+        fetch; each shard's response is re-keyed whole on this thread
+        after the gather.  Not a traced entry point, so a fetch is one
+        outermost scatter."""
+        n_shards = self.n_shards
+        responses: List[List[DecodedBlock]] = [[] for _ in range(n_shards)]
+
+        def classify(position: int):
+            if patterns[position] is None:
+                return None
+            head = heads[position]
+            return _BROADCAST if head is None else shard_of_id(head, n_shards)
+
+        def shard_call(index: int, group: List[int]) -> List[list]:
+            responses[index] = self._sessions[index].read_call(
+                "match_many",
+                patterns=[patterns[position] for position in group])
+            return [[(index, offset)] for offset in range(len(group))]
+
+        located = self._scatter(
+            range(len(patterns)), classify=classify, empty=list,
+            shard_call=shard_call,
+            merge=lambda parts: [part for shard in parts for part in shard])
+        keyed = [rekey_blocks(blocks, self.entity_interner,
+                              self.relation_interner)
+                 for blocks in responses]
+        return [keyed[parts[0][0]][parts[0][1]] if len(parts) == 1 else
+                concat_id_blocks([keyed[index][offset]
+                                  for index, offset in parts])
+                for parts in located]
+
     def match_many(self, patterns: Sequence[Pattern],
                    sort: bool = False) -> List[List[Triple]]:
-        def broadcast_call(index: int,
-                           group: List[Pattern]) -> List[List[Triple]]:
-            # Per-shard sorting would be thrown away by the merge.
-            results = self._sessions[index].read_call(
-                "match_many", patterns=encode_wire_patterns(group))
-            return [block.to_triples() for block in results]
-
-        def shard_call(index: int, group: List[Pattern]) -> List[List[Triple]]:
-            decoded = broadcast_call(index, group)
-            return [sorted(rows) for rows in decoded] if sort else decoded
-
-        return self._scatter(
-            patterns,
-            classify=lambda pattern: classify_head(
-                self.entity_interner, self.n_shards, pattern[0]),
-            empty=list,
-            shard_call=shard_call,
-            broadcast_call=broadcast_call,
-            merge=lambda parts: merge_triple_lists(parts, sort=sort))
-
-    def match(self, head: Optional[str] = None,
-              relation: Optional[str] = None, tail: Optional[str] = None,
-              sort: bool = False) -> List[Triple]:
-        return self.match_many([(head, relation, tail)], sort=sort)[0]
-
-    def iter_match(self, head: Optional[str] = None,
-                   relation: Optional[str] = None,
-                   tail: Optional[str] = None) -> Iterator[Triple]:
-        yield from self.match(head, relation, tail)
-
-    def iter_triples(self) -> Iterator[Triple]:
-        yield from self.match(None, None, None)
+        lookup = self.entity_interner.lookup
+        heads = [None if pattern[0] is None else lookup(pattern[0])
+                 for pattern in patterns]
+        wire = [None if pattern[0] is not None and head is None
+                else list(pattern)
+                for pattern, head in zip(patterns, heads)]
+        results = [self._materialize(ids) for ids in self._fetch(wire, heads)]
+        if sort:
+            for triples in results:
+                triples.sort()
+        return results
 
     def count_many(self, patterns: Sequence[Pattern]) -> List[int]:
         return self._scatter(
@@ -782,141 +752,48 @@ class ClusterBackend:
                 "count_many", patterns=encode_wire_patterns(group)),
             merge=sum)
 
-    def count(self, head: Optional[str] = None,
-              relation: Optional[str] = None,
-              tail: Optional[str] = None) -> int:
-        return self.count_many([(head, relation, tail)])[0]
-
-    def tails(self, head: str, relation: str) -> List[str]:
-        return sorted(triple.tail
-                      for triple in self.match(head, relation, None))
-
-    def tails_many(self, pairs: Sequence[Tuple[str, str]]) -> List[List[str]]:
-        results = self.match_many([(head, relation, None)
-                                   for head, relation in pairs])
-        return [sorted(triple.tail for triple in rows) for rows in results]
-
-    def heads(self, relation: str, tail: str) -> List[str]:
-        return sorted(triple.head
-                      for triple in self.match(None, relation, tail))
-
-    def degree(self, node: str) -> int:
-        return self.degree_many([node])[0]
-
     def degree_many(self, nodes: Sequence[str]) -> List[int]:
         """Two counts per node (as head, as tail) in one batched call;
         a self-loop counts twice, matching every local backend."""
-        patterns: List[Pattern] = []
-        for node in nodes:
-            patterns.append((node, None, None))
-            patterns.append((None, None, node))
-        counts = self.count_many(patterns)
+        counts = self.count_many([pattern for node in nodes for pattern in
+                                  ((node, None, None), (None, None, node))])
         return [counts[2 * i] + counts[2 * i + 1]
                 for i in range(len(nodes))]
 
-    def _all_triples_per_shard(self) -> List[List[Triple]]:
-        """Every shard's full content, one wire call per shard."""
-        return self._run([
-            (lambda session=session: session.read_call(
-                "match", pattern=[None, None, None]).to_triples())
-            for session in self._sessions])
-
-    def entities(self) -> List[str]:
-        parts = self._all_triples_per_shard()
-        return merge_sorted_unique(
-            [[symbol for triple in part
-              for symbol in (triple.head, triple.tail)] for part in parts])
-
-    def relations(self) -> List[str]:
-        parts = self._all_triples_per_shard()
-        return merge_sorted_unique(
-            [[triple.relation for triple in part] for part in parts])
-
-    def heads_only(self) -> List[str]:
-        parts = self._all_triples_per_shard()
-        return merge_sorted_unique(
-            [[triple.head for triple in part] for part in parts])
-
-    def relation_frequencies(self) -> Dict[str, int]:
-        parts = self._all_triples_per_shard()
-        tallies = []
-        for part in parts:
-            tally: Dict[str, int] = {}
-            for triple in part:
-                tally[triple.relation] = tally.get(triple.relation, 0) + 1
-            tallies.append(tally)
-        return merge_frequency_dicts(tallies)
-
-    # ------------------------------------------------------------------ #
-    # id-level surface — raw when fingerprints match, strings otherwise
-    # ------------------------------------------------------------------ #
-    def _translate_id_pattern(self, pattern: IdPattern) \
-            -> Optional[Pattern]:
-        """Id pattern -> string pattern; ``None`` for out-of-range ids
-        (statically empty, mirroring the service's range check)."""
-        head_id, relation_id, tail_id = pattern
-        translated = []
-        for term, interner in ((head_id, self.entity_interner),
-                               (relation_id, self.relation_interner),
-                               (tail_id, self.entity_interner)):
-            if term is None:
-                translated.append(None)
-                continue
-            if not 0 <= term < len(interner):
-                return None
-            translated.append(interner.symbol_of(int(term)))
-        return (translated[0], translated[1], translated[2])
+    def _symbols(self, patterns: Sequence[IdPattern]) \
+            -> List[Optional[list]]:
+        """Id patterns as wire patterns of coordinator symbols; ``None``
+        for one with an out-of-range id (statically empty, mirroring the
+        service's range check)."""
+        entities = self.entity_interner.symbol_table()
+        relations = self.relation_interner.symbol_table()
+        n_entities, n_relations = len(entities), len(relations)
+        wire: List[Optional[list]] = []
+        for head, relation, tail in patterns:
+            if (head is not None and not 0 <= head < n_entities) \
+                    or (relation is not None
+                        and not 0 <= relation < n_relations) \
+                    or (tail is not None and not 0 <= tail < n_entities):
+                wire.append(None)
+            else:
+                wire.append([None if head is None else entities[head],
+                             None if relation is None else relations[relation],
+                             None if tail is None else entities[tail]])
+        return wire
 
     def match_ids_many(self, patterns: Sequence[IdPattern]) \
             -> List[np.ndarray]:
-        """Batched id-pattern lookup: ONE wire call per touched shard.
+        """Batched id-pattern lookup: ONE ``match_many`` per touched
+        shard, whatever ids the shards' interners assign.
 
-        While every endpoint's interner fingerprint matched at
-        handshake (and the coordinator's interners have not grown
-        since), raw id patterns ship as-is and dense id blocks come
-        straight back — zero translation, zero string traffic.
-        Otherwise patterns translate to strings, route through
-        :meth:`match_many`, and results re-intern in the caller thread
-        (the interner is not thread-safe; scatter threads never touch
-        it).  Both paths concatenate per-shard blocks in shard
-        order — the same order the in-process backend produces.
+        Constants go out as the coordinator's symbols; every block comes
+        back re-keyed to coordinator ids (one memoised lookup per
+        connection's response, on this thread after the gather), and the
+        blocks concatenate in shard order — the order the in-process
+        backend produces.
         """
-        if self._fast_id_path():
-            return self._scatter(
-                patterns,
-                classify=lambda pattern: _BROADCAST if pattern[0] is None
-                else shard_of_id(pattern[0], self.n_shards),
-                empty=empty_id_block,
-                shard_call=lambda index, group: [
-                    item.rows for item in self._sessions[index].read_call(
-                        "match_ids_many",
-                        patterns=[[None if term is None else int(term)
-                                   for term in pattern]
-                                  for pattern in group])],
-                merge=concat_id_blocks)
-        results: List[Optional[np.ndarray]] = [None] * len(patterns)
-        live_positions: List[int] = []
-        live_patterns: List[Pattern] = []
-        for position, pattern in enumerate(patterns):
-            translated = self._translate_id_pattern(pattern)
-            if translated is None:
-                results[position] = empty_id_block()
-            else:
-                live_positions.append(position)
-                live_patterns.append(translated)
-        if live_patterns:
-            intern_entity = self.entity_interner.intern
-            intern_relation = self.relation_interner.intern
-            for position, triples in zip(live_positions,
-                                         self.match_many(live_patterns)):
-                if not triples:
-                    results[position] = empty_id_block()
-                    continue
-                results[position] = np.array(
-                    [[intern_entity(t.head), intern_relation(t.relation),
-                      intern_entity(t.tail)] for t in triples],
-                    dtype=np.int64)
-        return results
+        return self._fetch(self._symbols(patterns),
+                           [pattern[0] for pattern in patterns])
 
     def match_ids(self, head_id: Optional[int] = None,
                   relation_id: Optional[int] = None,
@@ -926,33 +803,50 @@ class ClusterBackend:
     def count_ids(self, head_id: Optional[int] = None,
                   relation_id: Optional[int] = None,
                   tail_id: Optional[int] = None) -> int:
-        translated = self._translate_id_pattern(
-            (head_id, relation_id, tail_id))
-        if translated is None:
-            return 0
-        return self.count_many([translated])[0]
+        (wire,) = self._symbols([(head_id, relation_id, tail_id)])
+        return 0 if wire is None else self.count_many([tuple(wire)])[0]
 
-    def execute_co_partitioned(self, queries: Sequence
-                               ) -> Optional[List[np.ndarray]]:
+    def iter_triples(self) -> Iterator[Triple]:
+        return iter(self.match())
+
+    def _entity_degree_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(out_degree, in_degree) per coordinator entity id."""
+        rows = self.match_ids()
+        size = len(self.entity_interner)
+        return (np.bincount(rows[:, 0], minlength=size),
+                np.bincount(rows[:, 2], minlength=size))
+
+    def _relation_counts(self) -> np.ndarray:
+        """Triple count per coordinator relation id."""
+        rows = self.match_ids()
+        return np.bincount(rows[:, 1], minlength=len(self.relation_interner))
+
+    def execute_co_partitioned(self, queries: Sequence) -> List[np.ndarray]:
         """Star queries answered whole by the shards: ONE scatter round.
 
-        The :func:`~repro.kg.planner.co_partitioned` queries go out as
-        they are through ``execute_many``, one ``read_call`` per shard
-        (replica routing, retry, fencing and counters as for any read);
-        each shard plans and joins locally behind its own result cache;
-        per query the shards' id blocks concatenate in shard order.
-        ``None`` — plan it here — for one reason only: the raw-id path
-        is lost.
+        The :func:`~repro.kg.planner.co_partitioned` queries go out
+        through ``execute_many``, one ``read_call`` per shard (replica
+        routing, retry, fencing and counters as for any read); each
+        shard plans and joins locally behind its own result cache; per
+        query the shards' id blocks, re-keyed like
+        :meth:`match_ids_many`'s, concatenate in shard order.  A query
+        with ``select`` goes without its ``limit``: a shard's first *k*
+        sorted rows are in ITS id order, not the coordinator's, so the
+        limit is left to the caller's projection.
         """
-        if not self._fast_id_path():
-            return None
-        wire = [encode_wire_query(query) for query in queries]
-        answers = self._run([
+        wire = [encode_wire_query(
+            dataclass_replace(query, limit=None)
+            if query.select and query.limit is not None else query)
+            for query in queries]
+        per_query = list(zip(*self._run([
             (lambda session=session: session.read_call(
                 "execute_many", queries=wire))
-            for session in self._sessions])
-        return [np.concatenate([part.rows for part in parts])
-                for parts in zip(*answers)]
+            for session in self._sessions])))
+        keyed = iter(rekey_blocks(
+            [part for parts in per_query for part in parts],
+            self.entity_interner, self.relation_interner))
+        return [np.concatenate([next(keyed) for _part in parts])
+                for parts in per_query]
 
     # ------------------------------------------------------------------ #
     # observability + lifecycle
@@ -981,7 +875,6 @@ class ClusterBackend:
             shards.append({"index": session.index,
                            "leader": session.leader,
                            "replicas": list(session.addresses[1:]),
-                           "fast_path": bool(session.id_space_matched),
                            **counters})
         reads = totals["leader_reads"] + totals["replica_reads"]
         totals["replica_read_share"] = \
@@ -1008,33 +901,17 @@ class ClusterBackend:
             cache_totals["shards_reporting"] = reachable
             totals["cache"] = cache_totals
         return {"n_shards": self.n_shards,
-                "fast_id_path": self._fast_id_path(),
                 "shards": shards,
                 "totals": totals}
-
-    def _dispose(self) -> None:
-        """Release the pool and every session connection, best-effort.
-
-        Shared by :meth:`close` and the ``__init__`` failure path, so a
-        backend that never finished opening still tears down whatever it
-        had acquired (no orphaned ``kg-cluster`` threads, no leaked
-        sockets from a half-done handshake).
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        for session in self._sessions:
-            try:
-                session.close()
-            except Exception:  # pragma: no cover - close is best-effort
-                pass
 
     def close(self) -> None:
         """Close every connection and the job pool (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self._dispose()
+        self._pool.shutdown(wait=True)
+        for session in self._sessions:
+            session.close()
 
     def __enter__(self) -> "ClusterBackend":
         return self

@@ -417,18 +417,17 @@ def execute_co_partitioned(store: TripleStore,
     One entry per query: a cursor where the backend answered it whole,
     ``None`` where the caller still has to plan and execute it.  A
     backend takes part by exposing ``execute_co_partitioned(queries)``
-    → per query its id rows in shard order, or ``None`` when it cannot
-    right now; only the cluster coordinator does.  Projected
-    like a planned result: bit-identical under ``select``, else the
-    same binding multiset in shard order.
+    → per query its id rows in shard order; only the cluster
+    coordinator does.  Projected like a planned result: bit-identical
+    under ``select``, else the same binding multiset in shard order.
     """
     cursors: List[Optional[ResultCursor]] = [None] * len(queries)
     pushdown = getattr(store.backend, "execute_co_partitioned", None)
     pushed = [position for position, query in enumerate(queries)
               if pushdown is not None and co_partitioned(query)]
     blocks = pushdown([queries[position] for position in pushed]) \
-        if pushed else None
-    for position, rows in zip(pushed, blocks or ()):
+        if pushed else []
+    for position, rows in zip(pushed, blocks):
         cursors[position] = _id_cursor(store.backend, queries[position], rows)
     return cursors
 

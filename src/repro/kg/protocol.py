@@ -589,48 +589,31 @@ class DecodedBlock:
     straight out of the frame body with ``np.frombuffer`` — no per-row
     Python objects exist until a caller asks for them.  Bulk consumers
     (samplers, embedding pipelines, scatter/gather engines) use
-    ``rows`` plus the connection symbol caches directly;
+    ``rows`` directly, or :func:`rekey_blocks` for ids of their own
+    interners;
     :meth:`to_bindings` / :meth:`to_triples` materialize the exact
     objects the in-process engine returns.
     """
 
     __slots__ = ("names", "kinds", "rows", "is_triples", "exhausted",
-                 "_entity", "_relation")
+                 "_decoder")
 
     def __init__(self, names: Tuple[str, ...], kinds: Tuple[str, ...],
                  rows: "np.ndarray", *, is_triples: bool, exhausted: bool,
-                 entity_symbols: Dict[int, str],
-                 relation_symbols: Dict[int, str]) -> None:
+                 decoder: "BinaryResponseDecoder") -> None:
         self.names = names
         self.kinds = kinds
         self.rows = rows
         self.is_triples = is_triples
         self.exhausted = exhausted
-        self._entity = entity_symbols
-        self._relation = relation_symbols
+        self._decoder = decoder
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    @property
-    def entity_symbols(self) -> Dict[int, str]:
-        """The connection-local entity id→symbol cache (live dict)."""
-        return self._entity
-
-    @property
-    def relation_symbols(self) -> Dict[int, str]:
-        """The connection-local relation id→symbol cache (live dict)."""
-        return self._relation
-
     def _column_symbols(self, col: int) -> List[str]:
-        cache = self._entity if self.kinds[col] == "e" else self._relation
-        try:
-            return [cache[i] for i in self.rows[:, col].tolist()]
-        except KeyError as exc:
-            raise ProtocolError(
-                f"binary response references id {exc.args[0]} with no "
-                f"symbol mapping on this connection (interner-delta "
-                f"desync)") from exc
+        return self._decoder.symbols_of(self.kinds[col],
+                                        self.rows[:, col].tolist())
 
     def to_rows(self):
         """Materialize the block as the kind of rows it holds."""
@@ -778,19 +761,96 @@ class BinaryResponseDecoder:
 
     Accumulates the interner deltas into id→symbol dict caches that
     live as long as the connection; every :class:`DecodedBlock` handed
-    out references those caches.
+    out references those caches.  So does the re-key state of
+    :meth:`rekey`: a fresh connection starts a fresh map.
     """
 
     def __init__(self) -> None:
         self.entity_symbols: Dict[int, str] = {}
         self.relation_symbols: Dict[int, str] = {}
+        # Re-key state per space ("e" / "r"): the highest id the sender
+        # shipped a symbol for; which ids :meth:`rekey` resolved (1 byte
+        # per id); the sender id -> caller id map (8 bytes per id), only
+        # once some id resolved to another number.  Both arrays grow by
+        # doubling: at most twice the highest id a block referenced.
+        self._top = {"e": -1, "r": -1}
+        self._resolved = {"e": np.zeros(0, dtype=bool),
+                          "r": np.zeros(0, dtype=bool)}
+        self._rekeyed: Dict[str, Optional["np.ndarray"]] = \
+            {"e": None, "r": None}
 
-    def _apply_delta(self, body: bytes, offset: int,
-                     cache: Dict[int, str]) -> int:
+    def rekey(self, rows: "np.ndarray", kinds: Sequence[str],
+              entity_interner, relation_interner) -> "np.ndarray":
+        """``rows`` (this connection's ids, one space per column of
+        ``kinds``) as ids of the caller's interner pair.
+
+        Only ids not resolved before look up their symbol, and a symbol
+        the caller's interner lacks is interned there — so call this
+        from the thread that owns that interner pair, and use one pair
+        per connection.  An id the sender never shipped a symbol for
+        (negative ones included) is a :class:`ProtocolError`.  While a
+        space's ids all resolved to themselves its columns are only
+        checked: ``rows`` itself comes back if no column was rewritten.
+        """
+        keyed = rows
+        for col, kind in enumerate(kinds if len(rows) else ()):
+            column, top = rows[:, col], self._top[kind]
+            high = int(column.view(np.uint64).max())    # negatives: huge
+            if high > top:
+                raise ProtocolError(
+                    f"binary response references {kind!r}-space id "
+                    f"{column[(column < 0) | (column > top)][0]} outside "
+                    f"the ids this connection has symbols for (0..{top})")
+            resolved, memo = self._resolved[kind], self._rekeyed[kind]
+            if high >= len(resolved):
+                size = max(high + 1, 2 * len(resolved))
+                resolved = np.concatenate(
+                    (resolved, np.zeros(size - len(resolved), dtype=bool)))
+                if memo is not None:
+                    memo = np.concatenate(
+                        (memo, np.arange(len(memo), size, dtype=np.int64)))
+                self._resolved[kind], self._rekeyed[kind] = resolved, memo
+            known = resolved[column]
+            if not known.all():
+                unseen = list(dict.fromkeys(column[~known].tolist()))
+                intern = (entity_interner if kind == "e"
+                          else relation_interner).intern
+                mine = [intern(symbol)
+                        for symbol in self.symbols_of(kind, unseen)]
+                resolved[unseen] = True
+                if memo is None and mine != unseen:
+                    memo = self._rekeyed[kind] = np.arange(len(resolved))
+                if memo is not None:
+                    memo[unseen] = mine
+            if memo is not None:
+                if keyed is rows:
+                    keyed = rows.astype(np.int64)
+                keyed[:, col] = memo[column]
+        return keyed
+
+    def symbols_of(self, kind: str, ids: List[int]) -> List[str]:
+        """Resolve this connection's ids of one space (``"e"``/``"r"``)."""
+        cache = self.entity_symbols if kind == "e" else self.relation_symbols
+        try:
+            return [cache[i] for i in ids]
+        except KeyError as exc:
+            raise ProtocolError(
+                f"binary response references id {exc.args[0]} with no "
+                f"symbol mapping on this connection (interner-delta "
+                f"desync)") from exc
+
+    def _apply_delta(self, body: bytes, offset: int, kind: str) -> int:
+        cache = self.entity_symbols if kind == "e" else self.relation_symbols
         (count,) = _U32.unpack_from(body, offset)
         offset += _U32.size
         ids = np.frombuffer(body, dtype="<i8", count=count, offset=offset)
         offset += 8 * count
+        if count:
+            if int(ids.min()) < 0:
+                raise ProtocolError(
+                    f"interner delta carries negative {kind!r}-space id "
+                    f"{int(ids.min())}")
+            self._top[kind] = max(self._top[kind], int(ids.max()))
         lengths = np.frombuffer(body, dtype="<u4", count=count,
                                 offset=offset)
         offset += 4 * count
@@ -846,9 +906,7 @@ class BinaryResponseDecoder:
         block = DecodedBlock(
             names, kinds, rows,
             is_triples=(kind == ITEM_TRIPLES),
-            exhausted=bool(flags & FLAG_EXHAUSTED),
-            entity_symbols=self.entity_symbols,
-            relation_symbols=self.relation_symbols)
+            exhausted=bool(flags & FLAG_EXHAUSTED), decoder=self)
         return block, offset
 
     def decode(self, body: bytes) -> dict:
@@ -863,9 +921,8 @@ class BinaryResponseDecoder:
                 raise ProtocolError(
                     f"unsupported binary protocol version {version} "
                     f"(this client speaks {BINARY_PROTOCOL_VERSION})")
-            offset = self._apply_delta(body, _HEADER.size,
-                                       self.entity_symbols)
-            offset = self._apply_delta(body, offset, self.relation_symbols)
+            offset = self._apply_delta(body, _HEADER.size, "e")
+            offset = self._apply_delta(body, offset, "r")
             (item_count,) = _U32.unpack_from(body, offset)
             offset += _U32.size
             items = []
@@ -891,3 +948,31 @@ class BinaryResponseDecoder:
         else:
             raise ProtocolError(f"unknown binary response shape {shape}")
         return {"id": request_id, "ok": True, "result": result}
+
+
+def rekey_blocks(blocks: Sequence[DecodedBlock], entity_interner,
+                 relation_interner) -> List["np.ndarray"]:
+    """Every block's rows as ids of the caller's interner pair, in order.
+
+    The blocks one connection sent in one column layout are re-keyed
+    together — one :meth:`BinaryResponseDecoder.rekey` however many
+    blocks a response carried — and come back as row slices of it, or
+    as their own rows where that connection's ids all map to themselves.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for position, block in enumerate(blocks):
+        groups.setdefault((block._decoder, block.kinds), []).append(position)
+    keyed: List[Optional["np.ndarray"]] = [None] * len(blocks)
+    for (decoder, kinds), positions in groups.items():
+        parts = [blocks[position].rows for position in positions]
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        ids = decoder.rekey(rows, kinds, entity_interner, relation_interner)
+        if ids is rows:
+            for position, part in zip(positions, parts):
+                keyed[position] = part
+            continue
+        start = 0
+        for position, part in zip(positions, parts):
+            keyed[position] = ids[start:start + len(part)]
+            start += len(part)
+    return keyed

@@ -14,7 +14,10 @@ A triple ``(h, r, t)`` lives in shard
 ``((id(h) * 2654435761) & 0xFFFFFFFF) % n_shards`` (Knuth's
 multiplicative hash over the interned head id, so consecutive ids do not
 stripe).  Because the rule only looks at the head, head-bound operations
-route to exactly one shard; everything else fans out and merges.
+route to exactly one shard; everything else fans out and merges.  Only
+the router's own ids are hashed: a remote shard may number symbols its
+own way, since the coordinator speaks to it in symbols and re-keys the
+ids that come back (see :mod:`repro.kg.cluster`).
 
 The scatter/gather skeleton
 ---------------------------
@@ -31,7 +34,6 @@ shard's connection serves one request at a time.
 
 from __future__ import annotations
 
-import zlib
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -163,40 +165,3 @@ def merge_triple_lists(parts: Sequence[List], sort: bool = False) -> List:
     if sort:
         merged.sort()
     return merged
-
-
-def merge_sorted_unique(parts: Sequence[List[str]]) -> List[str]:
-    """Union per-shard symbol lists into one sorted deduplicated list."""
-    collected: set = set()
-    for part in parts:
-        collected.update(part)
-    return sorted(collected)
-
-
-def merge_frequency_dicts(parts: Sequence[Dict[str, int]]) -> Dict[str, int]:
-    """Sum per-shard ``symbol -> count`` tallies."""
-    totals: Dict[str, int] = {}
-    for part in parts:
-        for symbol, count in part.items():
-            totals[symbol] = totals.get(symbol, 0) + count
-    return totals
-
-
-def interner_fingerprint(entity_interner: Interner,
-                         relation_interner: Interner) -> str:
-    """A cheap digest of both interner tables' exact contents.
-
-    Two parties whose fingerprints match assign identical ids to
-    identical symbols, so raw id patterns and id blocks can cross the
-    wire between them without translation.  The coordinator compares its
-    fingerprint against each shard server's at handshake time; any
-    mismatch forces the string-level (translating) query path.
-    """
-    state = 0
-    for interner in (entity_interner, relation_interner):
-        for symbol in interner.symbol_table():
-            encoded = symbol.encode("utf-8")
-            state = zlib.crc32(len(encoded).to_bytes(4, "little"), state)
-            state = zlib.crc32(encoded, state)
-        state = zlib.crc32(b"\x00", state)
-    return f"{len(entity_interner)}:{len(relation_interner)}:{state:08x}"

@@ -91,7 +91,6 @@ from repro.kg.protocol import (
     encode_tagged_json,
     error_to_wire,
 )
-from repro.kg.routing import interner_fingerprint
 from repro.kg.service import (DEFAULT_CACHE_BYTES, DEFAULT_CURSOR_TTL,
                               QueryService)
 from repro.kg.store import TripleStore
@@ -892,25 +891,17 @@ class KGServer:
         return {"rows": page, "exhausted": exhausted}
 
     def _op_role(self) -> dict:
-        """The ``role`` handshake: who this server is in a cluster.
-
-        The ``fingerprint`` field digests both interner tables; a
-        coordinator whose own interners carry the same fingerprint
-        knows the server's id space is identical to its own and may
-        ship raw id-space queries (``match_ids_many``) instead of
-        strings.
-        """
+        """Who this server is in a cluster.  No per-symbol work: the
+        coordinator's split-brain gate asks it on every fresh
+        connection after a promotion."""
         store = self.service.store
-        backend = store.backend
         info = {"role": self.role,
                 "shard_index": self.shard_index,
                 "n_shards": self.n_shards,
                 "writable": store.writable,
                 "generation": store.live_generation,
                 "triples": len(store),
-                "backend": store.backend_name,
-                "fingerprint": interner_fingerprint(
-                    backend.entity_interner, backend.relation_interner)}
+                "backend": store.backend_name}
         if self.role == "replica":
             info["replication"] = self._replication_snapshot()
         return info

@@ -151,12 +151,20 @@ def _interned_patterns(backend):
 
     def resolve(pattern: Pattern) -> Optional[Tuple]:
         head, relation, tail = pattern
-        ids = (None if head is None else entity_lookup(head),
-               None if relation is None else relation_lookup(relation),
-               None if tail is None else entity_lookup(tail))
-        unknown = any(term is not None and identifier is None
-                      for term, identifier in zip(pattern, ids))
-        return None if unknown else ids
+        head_id = relation_id = tail_id = None
+        if head is not None:
+            head_id = entity_lookup(head)
+            if head_id is None:
+                return None
+        if relation is not None:
+            relation_id = relation_lookup(relation)
+            if relation_id is None:
+                return None
+        if tail is not None:
+            tail_id = entity_lookup(tail)
+            if tail_id is None:
+                return None
+        return head_id, relation_id, tail_id
 
     return resolve
 
@@ -431,12 +439,9 @@ class QueryService:
         :class:`~repro.kg.executor.IdBlock`.
 
         The pattern is ``(head_id, relation_id, tail_id)`` with ``None``
-        wildcards — interned ids, no string translation on either side.
-        This is the coordinator fast path: a
-        :class:`~repro.kg.cluster.ClusterBackend` whose interner tables
-        match this store's fingerprint ships executor id patterns
-        straight through and splices the returned blocks into its own
-        join rounds.
+        wildcards — this store's own interned ids.  Nothing in the
+        package calls it (a coordinator sends symbols); it stays as the
+        ``match_ids_many`` op's server side.
         """
         checked = []
         for term in tuple(id_pattern):

@@ -11,8 +11,10 @@ Covers the distributed deployment of the sharded store:
   single-process ``ShardedBackend(N)`` across shard counts;
 - the co-partitioned pushdown: star queries answered whole by the
   shards in one scatter round, equal to the planned path and the
-  backtracking oracle, with its one fallback (the raw-id path lost),
-  paging, and per-request error isolation;
+  backtracking oracle, still pushed after writes that intern new
+  symbols, paging, and per-request error isolation;
+- the one id path: constants out as symbols, every connection's ids
+  re-keyed to the coordinator's, whatever a shard or replica numbers;
 - the failure story: reads reroute to replicas with zero failures while
   a shard leader is down, and fail with a typed, shard-naming
   :class:`~repro.errors.ShardUnavailableError` when no replica exists;
@@ -33,7 +35,6 @@ import re
 import shutil
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from repro.kg.executor import IdBlock
 from repro.kg.planner import co_partitioned
 from repro.kg.protocol import (SHAPE_SINGLE, BinaryResponseDecoder,
                                BinaryResponseEncoder, DecodedBlock,
-                               encode_wire_query)
+                               encode_wire_query, rekey_blocks)
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.routing import shard_of_id
 from repro.kg.server import KGServer, bootstrap_replica
@@ -79,13 +80,15 @@ def _sample_triples(count: int = 120):
 
 
 def _shard_parts(local: ShardedBackend):
-    """In-process per-shard stores sharing the local backend's id space
-    — the memory-only equivalent of a :func:`shard_split` deployment."""
+    """In-process per-shard stores, each with its own copy of the local
+    backend's interner tables — the memory-only equivalent of a
+    :func:`shard_split` deployment: the ids start equal, and every
+    shard interns later writes on its own."""
     parts = []
     for shard in local._shards:
         part = ShardedBackend(1)
-        part.entity_interner = local.entity_interner
-        part.relation_interner = local.relation_interner
+        part.entity_interner = Interner(local.entity_interner)
+        part.relation_interner = Interner(local.relation_interner)
         part._shards = [part._new_shard()]
         rows = shard.match_ids(None, None, None)
         if len(rows):
@@ -368,8 +371,8 @@ def test_star_query_costs_one_request_per_shard():
     """The round count the pushdown exists for: a star query is ONE
     ``execute_many`` per shard — no count probe, no per-pattern fetch —
     through ``QueryEngine`` and through ``QueryService`` alike, and a
-    chain join (not co-partitioned, planned here) is ONE
-    ``match_ids_many`` per shard: every step in the same round."""
+    chain join (not co-partitioned, planned here) is ONE ``match_many``
+    per shard: every step in the same round."""
     local = _guide_cluster_store()
     reference = QueryEngine(TripleStore(backend=local))
     with _cluster_over(local) as (backend, _servers, _rep):
@@ -426,27 +429,183 @@ def test_a_star_and_chain_batch_is_one_pushed_and_one_planned_round(
         assert _requests(backend) - before == len(calls) * backend.n_shards
 
 
-def test_star_query_falls_back_when_the_id_path_is_lost(shard_ops):
-    """A coordinator write that interns a new symbol ends the raw-id
-    path (the shards' tables are no longer known to match): the same
-    star query is planned here again — the shards see one string
-    ``match_many`` each, not ``execute_many`` — and still answers
-    correctly."""
+def test_a_write_of_new_symbols_keeps_the_star_pushed(shard_ops):
+    """A coordinator write that interns a new entity and a new relation
+    — which each shard then numbers its own way — changes nothing about
+    the read path: the star query is still one ``execute_many`` per
+    shard, the chain still one ``match_many`` per shard, and both answer
+    what a ``ShardedBackend`` that took the same writes answers, the new
+    product and the new brand included."""
+    local = _guide_cluster_store()
+    # New heads land on both shards, so each numbers its share apart.
+    fresh = [Triple("p-new", "brandIs", "b1"),
+             Triple("p-new", "type", "c2"),
+             Triple("p-new", "soldBy", "shop-new"),
+             Triple("shop-new", "locatedIn", "city-new"),
+             Triple("p1", "brandIs", "b-new"),
+             Triple("b-new", "headquartersIn", "city-new")]
+    with _cluster_over(local) as (backend, servers, _rep):
+        engine = QueryEngine(TripleStore(backend=backend))
+        assert backend.add_many(fresh) == len(fresh)
+        local.add_many(fresh)
+        for symbol in ("shop-new", "b-new", "city-new"):
+            assert {server.service.store.backend.entity_interner.lookup(
+                symbol) for server in servers} \
+                - {backend.entity_interner.lookup(symbol), None}
+        reference = QueryEngine(TripleStore(backend=local))
+        for query, op in ((_GUIDE_STAR, "execute_many"),
+                          (_POINT_CHAIN, "match_many")):
+            expected = reference.execute(query)
+            del shard_ops[:]
+            assert engine.execute(query) == expected
+            assert shard_ops == [op] * backend.n_shards
+        assert {"?p": "p-new"} in reference.execute(_GUIDE_STAR)
+        assert {"?b": "b-new", "?c": "city-new"} \
+            in reference.execute(_POINT_CHAIN)
+
+
+def test_each_connection_rekeys_its_own_id_space():
+    """Shard 0's replica holds the same triples loaded in another order
+    and numbers only its own symbols, so its ids differ from the
+    leader's; reads round-robin over both and go on across a leader
+    kill.  Every ``match_ids_many`` answer is still exactly the local
+    backend's arrays, and the star and chain answers its rows."""
+    local = ShardedBackend(2)       # one bulk load: the parts' row order
+    local.add_many(list(_guide_cluster_store().iter_triples()))
+    leader_part = _shard_parts(local)[0]
+    rows = leader_part.match_ids(None, None, None)
+    twin = ShardedBackend(1)
+    for interner, space, columns in (
+            (twin.entity_interner, local.entity_interner, [0, 2]),
+            (twin.relation_interner, local.relation_interner, [1])):
+        for symbol_id in np.unique(rows[:, columns]).tolist():
+            interner.intern(space.symbol_of(symbol_id))
+    twin.add_many(reversed(leader_part.match()))
+    assert twin.entity_interner.symbols() \
+        != local.entity_interner.symbols()[:len(twin.entity_interner)]
+    reference = QueryEngine(TripleStore(backend=local))
+    lookup = local.entity_interner.lookup
+    id_patterns = [(lookup(f"p{i}"), None, None) for i in range(8)] + [
+        (None, local.relation_interner.lookup("brandIs"), None),
+        (None, None, lookup("b1")), (None, None, None)]
+    expected = local.match_ids_many(id_patterns)
+    with ExitStack() as stack:
+        servers = [stack.enter_context(
+            KGServer(TripleStore(backend=part), port=0, shard_index=index,
+                     n_shards=2).start())
+            for index, part in enumerate(_shard_parts(local))]
+        replica = stack.enter_context(
+            KGServer(TripleStore(backend=twin), port=0, shard_index=0,
+                     n_shards=2).start())
+        backend = stack.enter_context(closing(ClusterBackend(
+            [server.url for server in servers], replicas={0: [replica.url]},
+            entity_interner=local.entity_interner,
+            relation_interner=local.relation_interner, retry_backoff=0.01)))
+        engine = QueryEngine(TripleStore(backend=backend))
+        for _round in range(2):
+            for _read in range(3):
+                for mine, theirs in zip(backend.match_ids_many(id_patterns),
+                                        expected):
+                    assert mine.dtype == theirs.dtype
+                    assert np.array_equal(mine, theirs)
+                for query in (_GUIDE_STAR, _FACET_STAR, _POINT_CHAIN):
+                    assert engine.execute(query) == reference.execute(query)
+            servers[0].close()
+        totals = backend.cluster_stats(probe_shards=False)["totals"]
+        assert totals["replica_reads"] > 0 and totals["leader_reads"] > 0
+        assert totals["failures"] == 0
+
+
+def test_a_limited_star_keeps_the_coordinator_order(shard_ops):
+    """A star with ``select`` and ``limit`` is still pushed whole, and
+    its rows are the first ones in the COORDINATOR's id order: shard 0's
+    leader here numbers its symbols in reverse, so the first rows in its
+    own order are the coordinator's last, and a shard-side limit would
+    keep the wrong ones."""
+    local = _guide_cluster_store()
+    part = _shard_parts(local)[0]
+    rows = part.match_ids(None, None, None)
+    reversed_twin = ShardedBackend(1)
+    for interner, space, columns in (
+            (reversed_twin.entity_interner, local.entity_interner, [0, 2]),
+            (reversed_twin.relation_interner, local.relation_interner, [1])):
+        for symbol_id in np.unique(rows[:, columns])[::-1].tolist():
+            interner.intern(space.symbol_of(symbol_id))
+    reversed_twin.add_many(part.match())
+    reference = QueryEngine(TripleStore(backend=local))
+    with ExitStack() as stack:
+        servers = [stack.enter_context(
+            KGServer(TripleStore(backend=store), port=0, shard_index=index,
+                     n_shards=2).start())
+            for index, store in enumerate(
+                [reversed_twin, _shard_parts(local)[1]])]
+        backend = stack.enter_context(closing(ClusterBackend(
+            [server.url for server in servers],
+            entity_interner=local.entity_interner,
+            relation_interner=local.relation_interner, retry_backoff=0.01)))
+        engine = QueryEngine(TripleStore(backend=backend))
+        for brand in ("b0", "b1", "b2", "b3"):
+            for limit in (1, 2):
+                query = PatternQuery.from_patterns(
+                    [("?p", "brandIs", brand), ("?p", "placeOfOrigin", "?pl")],
+                    select=["?p"], limit=limit)
+                del shard_ops[:]
+                assert engine.execute(query) == reference.execute(query)
+                assert shard_ops == ["execute_many"] * backend.n_shards
+
+
+def test_rekey_refuses_ids_the_connection_has_no_symbol_for():
+    """Ids from the wire are checked before they index anything: a
+    negative id, an id past every id the sender shipped a symbol for (no
+    allocation sized by it) and an id inside that range the sender never
+    shipped are each a typed ``ProtocolError``, as is a negative id in
+    an interner delta.  Honest ids re-key to the caller's numbering."""
+    entities, relations = Interner(), Interner()
+    for symbol in "abcdef":
+        entities.intern(symbol)
+    relations.intern("r")
+    encoder = BinaryResponseEncoder(entities, relations)
+    decoder = BinaryResponseDecoder()
+    mine = Interner(), Interner()
+
+    def block(rows, forged=None):
+        body = encoder.encode(1, SHAPE_SINGLE, [IdBlock(
+            (), ("e", "r", "e"), np.array(rows, dtype=np.int64),
+            triples=True)])[4:]
+        if forged is not None:
+            body = body[:-24] + np.array(forged, dtype="<i8").tobytes()
+        return decoder.decode(body)["result"]
+
+    (keyed,) = rekey_blocks([block([[0, 0, 5]])], *mine)
+    assert keyed.tolist() == [[0, 0, 1]]
+    assert mine[0].symbols() == ["a", "f"]
+    for forged, message in (([-1, 0, 5], "outside"),
+                            ([10 ** 15, 0, 5], "outside"),
+                            ([3, 0, 5], "no symbol mapping")):
+        with pytest.raises(ProtocolError, match=message):
+            rekey_blocks([block([[0, 0, 5]], forged)], *mine)
+    assert len(decoder._resolved["e"]) <= 2 * len(entities)
+    body = BinaryResponseEncoder(entities, relations).encode(
+        1, SHAPE_SINGLE, [IdBlock(("?x",), ("e",),
+                                  np.array([[0]], dtype=np.int64))])[4:]
+    delta_id = 12 + 4                # header, then the delta's count
+    assert body[delta_id:delta_id + 8] == bytes(8)
+    with pytest.raises(ProtocolError, match="negative"):
+        BinaryResponseDecoder().decode(
+            body[:delta_id] + np.array([-1], dtype="<i8").tobytes()
+            + body[delta_id + 8:])
+
+
+def test_degree_is_one_round(shard_ops):
+    """``degree`` is the id surface's: one ``count_many`` per shard for
+    both directions together, whether or not the node exists."""
     local = _guide_cluster_store()
     with _cluster_over(local) as (backend, _servers, _rep):
-        engine = QueryEngine(TripleStore(backend=backend))
-        assert backend._fast_id_path()
-        fresh = [Triple("p-new", "brandIs", "b1"),
-                 Triple("p-new", "type", "c2")]
-        assert backend.add_many(fresh) == 2
-        assert not backend._fast_id_path()
-        local.add_many(fresh)
-        expected = QueryEngine(TripleStore(backend=local)).execute(
-            _GUIDE_STAR)
-        assert {"?p": "p-new"} in expected
-        del shard_ops[:]
-        assert engine.execute(_GUIDE_STAR) == expected
-        assert shard_ops == ["match_many"] * backend.n_shards
+        store = TripleStore(backend=backend)
+        for node in ("p1", "b1", "city0", "nowhere"):
+            del shard_ops[:]
+            assert store.degree(node) == local.degree(node)
+            assert shard_ops == ["count_many"] * backend.n_shards
 
 
 def test_pushed_result_pages_through_a_coordinator_cursor():
@@ -784,7 +943,7 @@ def test_undelivered_write_promotes_and_retries_transparently():
         backend = ClusterBackend(urls, replicas={0: [replica.url]},
                                  entity_interner=local.entity_interner,
                                  relation_interner=local.relation_interner,
-                                 retry_backoff=0.01, handshake=False)
+                                 retry_backoff=0.01)
         try:
             backend.add_many([Triple(head0, "rnew", "transparent")])
             assert Triple(head0, "rnew", "transparent") \
@@ -796,41 +955,36 @@ def test_undelivered_write_promotes_and_retries_transparently():
             backend.close()
 
 
-def test_cluster_backend_failed_open_releases_resources(monkeypatch):
-    """Regression: a handshake that raises mid-``__init__`` used to leak
-    the thread pool and every connection the earlier sessions had
-    already opened — the caller never gets an object to ``close()``.
-    The constructor must tear down whatever it acquired."""
-    from repro.kg import cluster as cluster_mod
-
+def test_cluster_backend_failed_open_releases_resources():
+    """Construction opens no connection, so a shard that cannot be
+    reached costs nothing until it is read: over one live shard and one
+    unreachable shard the constructor opens zero connections, the first
+    read of the dead shard raises a typed ``ShardUnavailableError``
+    naming shard 1, and after ``close()`` no ``kg-cluster`` thread (nor
+    any connection) is left."""
     local = ShardedBackend(1)
     local.add_many(_sample_triples(10))
     part = _shard_parts(local)[0]
+    dead_head = next(entity_id
+                     for entity_id in range(len(local.entity_interner))
+                     if shard_of_id(entity_id, 2) == 1)
     with KGServer(TripleStore(backend=part), port=0, shard_index=0,
                   n_shards=2).start() as server:
-        real_handshake = cluster_mod._ShardSession.handshake
-
-        def exploding(self, fingerprint):
-            if self.index == 1:
-                raise RuntimeError("handshake exploded")
-            return real_handshake(self, fingerprint)
-
-        shutdowns = []
-        real_shutdown = ThreadPoolExecutor.shutdown
-
-        def spying(pool, *args, **kwargs):
-            shutdowns.append(pool)
-            return real_shutdown(pool, *args, **kwargs)
-
-        monkeypatch.setattr(cluster_mod._ShardSession, "handshake",
-                            exploding)
-        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", spying)
-        with pytest.raises(RuntimeError, match="handshake exploded"):
-            ClusterBackend([server.url, "127.0.0.1:1"],
-                           entity_interner=local.entity_interner,
-                           relation_interner=local.relation_interner)
-        assert len(shutdowns) == 1  # the half-built pool was shut down
-        # ... and shard 0's handshake connection was closed, not leaked.
+        backend = ClusterBackend([server.url, "127.0.0.1:1"],
+                                 entity_interner=local.entity_interner,
+                                 relation_interner=local.relation_interner,
+                                 retry_backoff=0.01)
+        try:
+            assert server.connection_count == 0
+            assert all(client is None for session in backend._sessions
+                       for client in session._clients)
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                backend.match_ids(dead_head)
+            assert excinfo.value.shard_index == 1
+            with pytest.raises(ShardUnavailableError):
+                backend.match_ids()         # both shards, over the pool
+        finally:
+            backend.close()
         assert _wait_until(lambda: server.connection_count == 0)
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("kg-cluster")]
@@ -1056,7 +1210,7 @@ def test_promoted_ex_leader_rejoins_as_follower(tmp_path):
                             follow=leader.url,
                             follow_poll_interval=0.01).start()
     backend = ClusterBackend([leader.url], replicas={0: [replica.url]},
-                             retry_backoff=0.01, handshake=False)
+                             retry_backoff=0.01)
     try:
         backend.add_many([Triple("pre", "r", "kill")])
         with connect(replica.url) as reader:
