@@ -22,6 +22,8 @@ Concurrency model — one I/O thread, a small worker pool, one dispatcher:
   ``QueryService.stats`` shows it;
 * huge results never cross the wire in one frame: ``open_cursor`` /
   ``fetch`` / ``close_cursor`` page a server-side cursor (TTL-evicted).
+  The open is a dispatched read; a page or a close is served on the
+  worker thread itself, never queued behind a dispatch round.
 
 Framing: every connection starts on plain JSON frames, the control
 plane — requests, errors, scalars, replication.  One ``{"op": "hello",
@@ -281,8 +283,6 @@ class KGServer:
         is the hot-query result cache budget; ``0`` disables caching).
     max_frame_bytes:
         Per-frame payload cap, both directions.
-    workers:
-        Size of the pool running blocking service calls.
 
     Use :meth:`start` for a background-thread server (tests, embedding
     in an application) or :meth:`serve_forever` to donate the calling
@@ -295,14 +295,11 @@ class KGServer:
                  cursor_ttl: float = DEFAULT_CURSOR_TTL,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
                  max_frame_bytes: int = MAX_FRAME_BYTES,
-                 workers: int = DEFAULT_WORKERS,
                  shard_index: Optional[int] = None,
                  n_shards: Optional[int] = None,
                  follow: Optional[str] = None,
                  follow_poll_interval: float =
                  DEFAULT_FOLLOW_POLL_INTERVAL) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if (shard_index is None) != (n_shards is None):
             raise ValueError(
                 "shard_index and n_shards come together: a shard server "
@@ -384,7 +381,7 @@ class KGServer:
         self._connections: set = set()
         self._flush_wanted: set = set()
         self._flush_lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(max_workers=int(workers),
+        self._pool = ThreadPoolExecutor(max_workers=DEFAULT_WORKERS,
                                         thread_name_prefix="kg-server-worker")
         self._thread: Optional[threading.Thread] = None
         self._serving = threading.Event()
@@ -860,7 +857,7 @@ class KGServer:
 
     def _op_stats(self) -> dict:
         server_info = {"connections": self.connection_count,
-                       "workers": self._pool._max_workers,
+                       "workers": DEFAULT_WORKERS,
                        "role": self.role}
         if self.shard_index is not None:
             server_info["shard_index"] = self.shard_index

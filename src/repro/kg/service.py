@@ -30,13 +30,14 @@ round-trip per request.
   while the sharded backend still parallelizes *inside* each batched
   call across its shard pool;
 * huge results stream instead of materializing: :meth:`open_cursor` /
-  :meth:`open_match_cursor` park a
-  :class:`~repro.kg.executor.ResultCursor` (the compact id-row
-  projection) in a TTL-evicted table, and :meth:`fetch_cursor` pages it
-  out — the mechanism :class:`repro.kg.server.KGServer` exposes over
-  the wire.  Every cursor-lifecycle violation (expiry, double close,
-  unknown id, non-positive page) raises a typed
-  :class:`~repro.errors.CursorError`.
+  :meth:`open_match_cursor` park the block :meth:`submit` /
+  :meth:`submit_lookup` answered as a
+  :class:`~repro.kg.executor.ResultCursor` in a TTL-evicted table, and
+  :meth:`fetch_cursor` pages it out on the caller's thread — a page is
+  a slice of rows already computed, so the dispatcher, which serves
+  backend work and nothing else, never sees it.  Every cursor-lifecycle
+  violation (expiry, double close, unknown id, non-positive page)
+  raises a typed :class:`~repro.errors.CursorError`.
 
 The service is also the store's **exclusive writer**: :meth:`add_many`
 / :meth:`remove_many` / :meth:`compact` enqueue write requests that the
@@ -104,10 +105,6 @@ _QUERY = "query"                 # pattern query -> bindings IdBlock
 _LOOKUP = "lookup"               # point lookup  -> triples IdBlock
 _ID_LOOKUP = "id-lookup"         # raw id pattern -> triples IdBlock
 _COUNT = "count"                 # point pattern -> int
-_CURSOR_QUERY = "cursor-query"   # pattern query -> cursor id
-_CURSOR_MATCH = "cursor-match"   # point lookup  -> cursor id
-_CURSOR_FETCH = "cursor-fetch"   # (cursor id, max_rows) -> (page, exhausted)
-_CURSOR_CLOSE = "cursor-close"   # cursor id -> None
 _ADD = "add"                     # List[Triple] -> newly-added count
 _REMOVE = "remove"               # List[Triple] -> removed count
 _COMPACT = "compact"             # crash_hook | None -> new generation
@@ -268,6 +265,9 @@ class _ResultCache:
 class QueryService:
     """Multiplexes concurrent pattern queries into backend batch calls.
 
+    The dispatcher thread owns the backend and serves nothing else; the
+    cursor table is served on the caller's thread under the stats lock.
+
     Parameters
     ----------
     store:
@@ -308,13 +308,13 @@ class QueryService:
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._closed = False
         self._close_lock = threading.Lock()
-        # Open cursors: id -> (ResultCursor, monotonic deadline).  Only
-        # the dispatcher thread touches this dict after construction.
+        # Open cursors: id -> (ResultCursor, monotonic deadline), read
+        # and written only under _stats_lock.
         self._cursors: Dict[str, Tuple[ResultCursor, float]] = {}
         # Observability: how much multiplexing actually happens.  All
         # counters mutate under _stats_lock so `stats` can read one
-        # consistent snapshot (the dispatcher holds it only for the
-        # few-instruction bumps, never across backend calls).
+        # consistent snapshot (held only for few-instruction bumps and
+        # O(1) cursor-table steps, never across backend calls).
         self._stats_lock = threading.Lock()
         self.requests_served = 0
         self.batches_dispatched = 0
@@ -559,15 +559,14 @@ class QueryService:
         The cursor holds the compact id-row projection (strings
         materialize per fetched page) and lives until :meth:`close_cursor`
         or ``cursor_ttl`` seconds of inactivity, whichever comes first.
-        Cursor opens batch with ordinary queries: one dispatch round
-        plans and executes them all together.
+        The query runs through :meth:`submit`, so it batches and hits
+        the result cache like any other.
         """
-        return self._enqueue(_Request(_CURSOR_QUERY, query)).result()
+        return self._register_cursor(self.submit(query).result())
 
     def open_match_cursor(self, pattern: Pattern) -> str:
         """Point-lookup counterpart of :meth:`open_cursor` (pages triples)."""
-        return self._enqueue(_Request(
-            _CURSOR_MATCH, self._checked_pattern(pattern))).result()
+        return self._register_cursor(self.submit_lookup(pattern).result())
 
     def fetch_cursor(self, cursor_id: str, max_rows: int) -> Tuple:
         """Return ``(next page, exhausted)`` and refresh the cursor's TTL.
@@ -578,13 +577,26 @@ class QueryService:
         an unknown, closed or expired cursor, and for a non-positive
         ``max_rows`` — never a silently partial result.
         """
-        return self._enqueue(_Request(
-            _CURSOR_FETCH, (cursor_id, max_rows))).result()
+        with self._stats_lock:
+            cursor = self._lookup_cursor(cursor_id)
+            page = cursor.fetch_block(max_rows)
+            exhausted = cursor.exhausted
+            if exhausted:
+                # Release the rows now rather than pin them for the TTL
+                # (clients that iterate to exhaustion never close).  The
+                # id stays valid: later fetches page zero rows.
+                cursor.close()
+                cursor = ResultCursor(cursor.block)
+            self._cursors[cursor_id] = (cursor,
+                                        time.monotonic() + self.cursor_ttl)
+        return page, exhausted
 
     def close_cursor(self, cursor_id: str) -> None:
         """Release a cursor.  Closing one twice (or an unknown/expired id)
         raises :class:`~repro.errors.CursorError`."""
-        return self._enqueue(_Request(_CURSOR_CLOSE, cursor_id)).result()
+        with self._stats_lock:
+            self._lookup_cursor(cursor_id).close()
+            del self._cursors[cursor_id]
 
     def _enqueue(self, request: _Request) -> "Future":
         # The closed-check and the put share the close lock: otherwise a
@@ -592,10 +604,15 @@ class QueryService:
         # (closed flag read, preempted, close runs fully, then put) and
         # its future would never resolve — a hung client.
         with self._close_lock:
-            if self._closed:
-                raise QueryError("QueryService is closed")
+            self._check_open()
             self._queue.put(request)
         return request.future
+
+    def _check_open(self) -> None:
+        # Called under _close_lock (enqueue) or _stats_lock (the cursor
+        # table, which close() releases under it after setting the flag).
+        if self._closed:
+            raise QueryError("QueryService is closed")
 
     # ------------------------------------------------------------------ #
     # dispatcher (single thread; the only backend toucher)
@@ -637,7 +654,7 @@ class QueryService:
             self.batches_dispatched += 1
             self.largest_batch = max(self.largest_batch, len(batch))
             self.requests_served += len(batch)
-        self._evict_expired_cursors()
+            self._evict_expired_cursors()
         by_kind: Dict[str, List[_Request]] = {}
         writes: List[_Request] = []
         for request in batch:
@@ -651,12 +668,10 @@ class QueryService:
         # half-applied around it.
         if writes:
             self._serve_writes(writes)
-        # Opens are served before fetches/closes so a pipelined client
-        # that batches "open; fetch" into one round still works.
-        queries = by_kind.get(_QUERY, []) + by_kind.get(_CURSOR_QUERY, [])
-        lookups = by_kind.get(_LOOKUP, []) + by_kind.get(_CURSOR_MATCH, [])
+        queries = by_kind.get(_QUERY, [])
         if queries:
             self._serve_queries(queries)
+        lookups = by_kind.get(_LOOKUP, [])
         if lookups:
             self._serve_id_lookups(lookups, _interned_patterns)
         id_lookups = by_kind.get(_ID_LOOKUP, [])
@@ -665,10 +680,6 @@ class QueryService:
         counts = by_kind.get(_COUNT, [])
         if counts:
             self._serve_counts(counts)
-        for request in by_kind.get(_CURSOR_FETCH, []):
-            self._serve_cursor_fetch(request)
-        for request in by_kind.get(_CURSOR_CLOSE, []):
-            self._serve_cursor_close(request)
 
     def _serve_writes(self, requests: List[_Request]) -> None:
         """Apply write batches one by one, in arrival order.
@@ -734,8 +745,8 @@ class QueryService:
             if cursor is None:
                 rest.append((request, query))
             else:
-                self._resolve_query(
-                    request, self._maybe_cache_result(request, cursor))
+                _resolve(request.future,
+                         self._maybe_cache_result(request, cursor))
         try:
             # The fast path: the whole batch validates in one call.
             plans = plan_queries([query for _request, query in rest])
@@ -762,14 +773,8 @@ class QueryService:
                 _resolve(request.future, exception=exc)
             return
         for request, cursor in zip(planned, cursors):
-            cursor = self._maybe_cache_result(request, cursor)
-            self._resolve_query(request, cursor)
-
-    def _resolve_query(self, request: _Request, cursor: ResultCursor) -> None:
-        if request.kind == _CURSOR_QUERY:
-            _resolve(request.future, self._register_cursor(cursor))
-        else:
-            _resolve(request.future, cursor.fetch_all_block())
+            _resolve(request.future,
+                     self._maybe_cache_result(request, cursor))
 
     @staticmethod
     def _plannable_query(request: _Request) -> PatternQuery:
@@ -813,28 +818,26 @@ class QueryService:
             return False
         if query.limit is not None:
             block = block[:query.limit]
-        self._resolve_query(request, ResultCursor(block))
+        _resolve(request.future, block)
         return True
 
     def _maybe_cache_result(self, request: _Request,
-                            cursor: ResultCursor) -> ResultCursor:
-        """Insert a cacheable executed result; return the cursor to serve.
+                            cursor: ResultCursor) -> IdBlock:
+        """Insert a cacheable executed result; return the block to serve.
 
         The executed cursor holds the FULL block (the limit was
         stripped before planning), so the request is handed a zero-copy
         limited view of it.  Empty answers are pinned too: an empty join
         costs its fetch round like any other.
         """
+        block = cursor.block
         key = request.cache_key
         if key is None:
-            return cursor
-        block = cursor.block
+            return block
         with self._stats_lock:
             self._cache.put(key, block)
         limit = request.payload.limit
-        if limit is not None and len(block.rows) > limit:
-            return ResultCursor(block[:limit])
-        return cursor
+        return block if limit is None else block[:limit]
 
     def _serve_id_lookups(self, requests: List[_Request], resolver) -> None:
         """Batched point lookups answered as triples blocks: ONE
@@ -861,13 +864,8 @@ class QueryService:
                 _resolve(request.future, exception=exc)
             return
         for request, rows in zip(requests, rows_per_request):
-            block = IdBlock.over(backend, (), ("e", "r", "e"), rows,
-                                 triples=True)
-            if request.kind == _CURSOR_MATCH:
-                _resolve(request.future,
-                         self._register_cursor(ResultCursor(block)))
-            else:
-                _resolve(request.future, block)
+            _resolve(request.future, IdBlock.over(
+                backend, (), ("e", "r", "e"), rows, triples=True))
 
     def _serve_counts(self, requests: List[_Request]) -> None:
         try:
@@ -884,12 +882,14 @@ class QueryService:
             _resolve(request.future, int(result))
 
     # ------------------------------------------------------------------ #
-    # cursor table (dispatcher-thread only)
+    # cursor table (every step O(1) and under _stats_lock)
     # ------------------------------------------------------------------ #
-    def _register_cursor(self, cursor: ResultCursor) -> str:
+    def _register_cursor(self, block: IdBlock) -> str:
         cursor_id = f"cur-{secrets.token_hex(8)}"
-        self._cursors[cursor_id] = (cursor, time.monotonic() + self.cursor_ttl)
         with self._stats_lock:
+            self._check_open()
+            self._cursors[cursor_id] = (ResultCursor(block),
+                                        time.monotonic() + self.cursor_ttl)
             self.cursors_opened += 1
         return cursor_id
 
@@ -899,10 +899,10 @@ class QueryService:
                           in self._cursors.items() if deadline < now]:
             cursor, _deadline = self._cursors.pop(cursor_id)
             cursor.close()
-            with self._stats_lock:
-                self.cursors_expired += 1
+            self.cursors_expired += 1
 
     def _lookup_cursor(self, cursor_id: str) -> ResultCursor:
+        self._check_open()
         entry = self._cursors.get(cursor_id)
         if entry is None:
             raise CursorError(
@@ -914,42 +914,11 @@ class QueryService:
         if deadline < time.monotonic():
             del self._cursors[cursor_id]
             cursor.close()
-            with self._stats_lock:
-                self.cursors_expired += 1
+            self.cursors_expired += 1
             raise CursorError(
                 f"cursor {cursor_id!r} expired after {self.cursor_ttl:g}s "
                 f"idle; re-run the query")
         return cursor
-
-    def _serve_cursor_fetch(self, request: _Request) -> None:
-        cursor_id, max_rows = request.payload
-        try:
-            cursor = self._lookup_cursor(cursor_id)
-            page = cursor.fetch_block(max_rows)
-        except Exception as exc:
-            _resolve(request.future, exception=exc)
-            return
-        exhausted = cursor.exhausted
-        if exhausted:
-            # Nothing left to serve: release the id-row block now
-            # rather than pinning it for the remaining TTL (clients
-            # that iterate-to-exhaustion rely on the TTL, not on an
-            # explicit close).  The id stays valid — later fetches page
-            # the released zero-row block, close_cursor still works.
-            cursor.close()
-            cursor = ResultCursor(cursor.block)
-        self._cursors[cursor_id] = (cursor, time.monotonic() + self.cursor_ttl)
-        _resolve(request.future, (page, exhausted))
-
-    def _serve_cursor_close(self, request: _Request) -> None:
-        try:
-            cursor = self._lookup_cursor(request.payload)
-        except Exception as exc:
-            _resolve(request.future, exception=exc)
-            return
-        del self._cursors[request.payload]
-        cursor.close()
-        _resolve(request.future, None)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -976,10 +945,10 @@ class QueryService:
             if leftover is not _SHUTDOWN:
                 _resolve(leftover.future,
                          exception=QueryError("QueryService is closed"))
-        # The dispatcher has exited; its cursor table is safe to touch.
-        for cursor, _deadline in self._cursors.values():
-            cursor.close()
-        self._cursors.clear()
+        with self._stats_lock:
+            for cursor, _deadline in self._cursors.values():
+                cursor.close()
+            self._cursors.clear()
 
     def __enter__(self) -> "QueryService":
         return self

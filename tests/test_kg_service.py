@@ -344,3 +344,90 @@ def test_service_releases_exhausted_cursor_rows_but_keeps_id_valid(store):
         service.close_cursor(cursor_id)
         with pytest.raises(CursorError):
             service.close_cursor(cursor_id)
+
+
+def test_cursor_pages_are_not_queued_behind_a_stuck_round():
+    """A page is a slice of rows the open already computed: fetch and
+    close must answer while the dispatcher is held inside a backend
+    call, and neither counts as a dispatched request."""
+    store = TripleStore(triples_from_tuples(_rows()))
+    backend = store.backend
+    entered, release = threading.Event(), threading.Event()
+
+    def blocking_fetch(patterns):
+        entered.set()
+        release.wait(timeout=30)
+        return type(backend).match_ids_many(backend, patterns)
+
+    query, stuck_query = _queries()[0], _queries()[1]
+    expected = QueryEngine(store).execute(query)
+    service = QueryService(store, cache_bytes=0)
+    try:
+        cursor_id = service.open_cursor(query)
+        backend.match_ids_many = blocking_fetch
+        stuck = service.submit(stuck_query)
+        assert entered.wait(timeout=10)
+        batches = service.stats["batches_dispatched"]
+        answers = []
+        pager = threading.Thread(target=lambda: answers.append(
+            (service.fetch_cursor(cursor_id, 3),
+             service.close_cursor(cursor_id))), daemon=True)
+        pager.start()
+        pager.join(timeout=1.0)
+        assert answers, "fetch/close waited for the dispatcher's round"
+        (page, exhausted), _closed = answers[0]
+        assert page.materialize() == expected[:3] and not exhausted
+        assert service.stats["batches_dispatched"] == batches
+        assert service.stats["open_cursors"] == 0
+        release.set()
+        assert stuck.result(timeout=10).materialize() == \
+            QueryEngine(store).execute(stuck_query)
+    finally:
+        release.set()
+        backend.__dict__.pop("match_ids_many", None)
+        service.close()
+
+
+def test_cursor_table_under_concurrent_fetches_sweeps_and_close(store):
+    """Three cursor-table guarantees: concurrent fetches of one cursor
+    hand out disjoint pages covering its rows exactly once; an expired
+    cursor is released by the next dispatch round of an unrelated
+    query; and cursor calls after close() raise QueryError."""
+    pattern = (None, "rdf:type", None)
+    expected = store.match(*pattern)
+    with QueryService(store) as service:
+        cursor_id = service.open_match_cursor(pattern)
+        barrier = threading.Barrier(8)
+        pages = [[] for _ in range(8)]
+
+        def drain(slot):
+            barrier.wait(timeout=10)
+            exhausted = False
+            while not exhausted:
+                page, exhausted = service.fetch_cursor(cursor_id, 7)
+                pages[slot].append(page.materialize())
+
+        threads = [threading.Thread(target=drain, args=(slot,))
+                   for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        rows = [row for slot in pages for page in slot for row in page]
+        assert len(rows) == len(expected)
+        assert sorted(rows) == sorted(expected)
+
+    with QueryService(store, cursor_ttl=0.1) as service:
+        service.open_cursor(_queries()[0])
+        time.sleep(0.3)
+        service.execute(_queries()[1])
+        assert service.stats["open_cursors"] == 0
+        assert service.stats["cursors_expired"] == 1
+
+    service = QueryService(store)
+    cursor_id = service.open_cursor(_queries()[0])
+    service.close()
+    with pytest.raises(QueryError, match="closed"):
+        service.fetch_cursor(cursor_id, 5)
+    with pytest.raises(QueryError, match="closed"):
+        service.close_cursor(cursor_id)
