@@ -1,4 +1,4 @@
-"""Micro-benchmark — Set vs Columnar vs Mmap backends on store hot paths.
+"""Micro-benchmark — Set vs Columnar backends on store hot paths.
 
 Four workloads mirror what the upper layers actually hot-loop over:
 
@@ -15,9 +15,9 @@ Four workloads mirror what the upper layers actually hot-loop over:
   (``delta_threshold=0``, the pre-overlay behaviour) — to price
   incremental index maintenance.
 
-The mmap backend is additionally timed on **reopen** (save to disk, open,
-query cold) and parity-checked against the columnar results on all eight
-pattern shapes.
+The columnar store is additionally timed on **reopen** (save to disk,
+``ColumnarBackend.open`` with the base mapped, query cold) and
+parity-checked against the in-heap results on all eight pattern shapes.
 
 A second bench test drives the full **bulk-load → save → reopen →
 batched-query** pipeline at 8× scale, comparing the pre-sharding path
@@ -51,7 +51,6 @@ from typing import Callable, List, Tuple
 from _artifacts import update_artifact
 from repro.kg.backend import ColumnarBackend, make_backend
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.mmap_backend import MmapBackend
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.triple import Triple
 
@@ -63,7 +62,7 @@ NUM_PRODUCTS = 5000
 RELATIONS = ["brandIs", "placeOfOrigin", "relatedScene", "forCrowd",
              "aboutTheme", "rdf:type"]
 REPEATS = 3
-BACKEND_NAMES = ("set", "columnar", "mmap")
+BACKEND_NAMES = ("set", "columnar")
 
 
 def _make_backend(name: str):
@@ -187,7 +186,7 @@ def test_bench_store_backends(tmp_path):
         speedup = results["set"][workload] / results["columnar"][workload]
         print(f"  {workload:<16}{timings}{speedup:>8.1f}x")
 
-    # --- mmap reopen-then-query: cold disk-backed pattern matching ---------- #
+    # --- reopen-then-query: cold pattern matching over a mapped base ------- #
     store_dir = tmp_path / "bench-store"
     source = make_backend("columnar")
     for head, relation, tail in rows:
@@ -195,13 +194,13 @@ def test_bench_store_backends(tmp_path):
     source.save(store_dir)
 
     def reopen_workload() -> None:
-        reopened = MmapBackend.open(store_dir)
+        reopened = ColumnarBackend.open(store_dir)
         assert _pattern_match_workload(reopened) > 0
     reopen_seconds = _best_of(REPEATS, reopen_workload)
-    print(f"  mmap reopen + pattern-match (cold open each run): {reopen_seconds:.3f}s")
+    print(f"  reopen + pattern-match (cold open each run): {reopen_seconds:.3f}s")
 
     # Reopen parity on all eight pattern shapes of a sample triple.
-    reopened = MmapBackend.open(store_dir)
+    reopened = ColumnarBackend.open(store_dir)
     sample = ("product:000042", "relatedScene", f"scene:{42 % 53}")
     for use_head in (sample[0], None):
         for use_relation in (sample[1], None):
@@ -234,14 +233,14 @@ def test_bench_store_backends(tmp_path):
     update_artifact("store", "backend_workloads", {
         "workload": f"{len(rows)} triples: bulk-load, pattern-match, "
                     f"2-hop neighbourhood, interleaved mutate/query, "
-                    f"mmap reopen (best of {REPEATS})",
+                    f"mapped reopen (best of {REPEATS})",
         "backend": list(BACKEND_NAMES),
         "codec": "in-process",
         "timings_seconds": {
             **{f"{name}/{workload}": duration
                for name, timings in results.items()
                for workload, duration in timings.items()},
-            "mmap/reopen+pattern-match": reopen_seconds,
+            "columnar/reopen+pattern-match": reopen_seconds,
             "columnar/interleaved-eager": eager_seconds,
             "columnar/interleaved-overlay": overlay_seconds,
         },
@@ -298,13 +297,13 @@ def _sharded_batched_queries(backend) -> None:
 
 def _time_columnar_pipeline(triples: List[Triple], store_dir) -> float:
     """The pre-sharding pipeline: per-row adds into one columnar store,
-    save, reopen via mmap, then the batched query mix."""
+    save, reopen with the base mapped, then the batched query mix."""
     def workload() -> None:
         backend = ColumnarBackend()
         for triple in triples:
             backend.add(triple.head, triple.relation, triple.tail)
         backend.save(store_dir)
-        _sharded_batched_queries(MmapBackend.open(store_dir))
+        _sharded_batched_queries(ColumnarBackend.open(store_dir))
     return _best_of(REPEATS, workload)
 
 

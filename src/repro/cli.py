@@ -32,7 +32,7 @@ serves a coordinator that fans queries out to running shard servers
 (reads round-robin leader+replicas with failover, writes go to
 leaders), ``query`` evaluates a conjunctive
 triple-pattern query — against a local store directory (``--store-dir``,
-mmap or sharded layout, no rebuild) or a running server (``--url``,
+columnar or sharded layout, no rebuild) or a running server (``--url``,
 results streamed in pages through a server-side cursor) — printing
 bindings as TSV, and ``compact`` folds a live store's write-ahead log
 into a fresh snapshot generation (and truncates the log).
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--backend", choices=sorted(BACKENDS), default=DEFAULT_BACKEND,
                         help="triple-store backend (columnar: interned-id numpy "
-                             "arrays; mmap: on-disk memory-mapped columns; "
+                             "arrays, memory-mapped when reopened from disk; "
                              "sharded: hash-partitioned columnar shards with "
                              "parallel bulk loads and saves)")
     parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store-dir", type=Path, dest="store_dir",
                        default=argparse.SUPPRESS,
                        help="store directory written by build --store-dir or "
-                            "TripleStore.save (mmap or sharded layout; "
+                            "TripleStore.save (columnar or sharded layout; "
                             "auto-detected)")
     _add_serving_flags(serve)
     serve.add_argument("--shard-of", default=None, metavar="K/N",
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
              "directories (plus coordinator metadata)")
     split.add_argument("--store-dir", type=Path, dest="store_dir",
                        default=argparse.SUPPRESS,
-                       help="source store directory (mmap or sharded "
+                       help="source store directory (columnar or sharded "
                             "layout, or a live store)")
     split.add_argument("--shards", type=int, default=argparse.SUPPRESS,
                        help="number of shard directories to produce "
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--store-dir", type=Path, dest="store_dir",
                        default=argparse.SUPPRESS,
                        help="store directory written by build --store-dir or "
-                            "TripleStore.save (mmap or sharded layout; "
+                            "TripleStore.save (columnar or sharded layout; "
                             "auto-detected)")
     query.add_argument("--url", default=None, metavar="HOST:PORT",
                        help="query a running `repro serve` instance instead "

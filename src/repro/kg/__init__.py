@@ -19,7 +19,6 @@ from repro.kg.backend import (
     Interner,
     make_backend,
 )
-from repro.kg.mmap_backend import MmapBackend
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.cluster import ClusterBackend, shard_split
 from repro.kg.store import TripleStore
@@ -50,7 +49,6 @@ __all__ = [
     "ColumnarBackend",
     "GraphBackend",
     "Interner",
-    "MmapBackend",
     "ShardedBackend",
     "make_backend",
     "TripleStore",

@@ -34,10 +34,9 @@ only the flat surface (``id_triples``, ``match_id_rows``, the sort
 ranks, ``save``) describes one consolidated column block and folds a
 pending overlay back into the base first.
 
-:class:`~repro.kg.mmap_backend.MmapBackend` (``repro.kg.mmap_backend``)
-is the same class with a second way to attach the base block — read-only
-memory maps of a saved directory; it registers itself in :data:`BACKENDS`
-under the name ``"mmap"``.  :class:`~repro.kg.sharded_backend.ShardedBackend`
+:meth:`ColumnarBackend.open` attaches the base block from a saved
+directory instead — read-only memory maps of the files
+:mod:`repro.kg.mmap_backend` writes.  :class:`~repro.kg.sharded_backend.ShardedBackend`
 (``repro.kg.sharded_backend``, registered as ``"sharded"``) hash-
 partitions triples on the head-entity id across several columnar-family
 shards that share one global interner pair, parallelizing bulk loads,
@@ -501,9 +500,8 @@ class ColumnarBackend(_IdSurfaceMixin):
     caller asks for :class:`Triple` objects.  There is no in-heap dict of
     all rows: membership (and therefore ``add`` / ``discard`` dedup) is an
     overlay lookup plus a binary search on the base ``spo`` permutation.
-    This class attaches an empty in-heap base;
-    :class:`~repro.kg.mmap_backend.MmapBackend` is the same class with a
-    second way to attach one — read-only memmaps of a saved directory.
+    A new store attaches an empty in-heap base; :meth:`open` attaches
+    read-only memmaps of a saved directory instead.
 
     **Incremental index maintenance.**  Mutations do not invalidate the
     base.  Adds accumulate in a small sorted delta block, deletes flip
@@ -547,8 +545,32 @@ class ColumnarBackend(_IdSurfaceMixin):
         self._delta_block: Optional[np.ndarray] = None
         self._deleted_mask: Optional[np.ndarray] = None
         self._num_deleted = 0
+        # The saved directory (and its header) the base is mapped from.
+        self._directory: Optional[Path] = None
+        self._header: Optional[dict] = None
+
+    @classmethod
+    def open(cls, directory: "str | Path", *, delta_threshold: int = 1024,
+             interners: Optional[Tuple[Interner, Interner]] = None
+             ) -> "ColumnarBackend":
+        """Open a store directory written by :meth:`save`: the header and
+        interner tables (``interners``: a sharded store's shared pair, for
+        its shard directories) load now, the base maps on first use."""
+        from repro.kg.mmap_backend import load_header, open_interners
+        backend = cls(delta_threshold=delta_threshold)
+        backend._directory = Path(directory)
+        backend._header = load_header(backend._directory)
+        backend.entity_interner, backend.relation_interner = open_interners(
+            backend._directory, backend._header, interners)
+        return backend
+
+    @property
+    def directory(self) -> Optional[Path]:
+        """The directory the base is mapped from, or ``None`` in memory."""
+        return self._directory
 
     def clone_empty(self) -> "GraphBackend":
+        """An empty in-memory store: a copy never inherits the source's files."""
         return type(self)(delta_threshold=self.delta_threshold)
 
     # ------------------------------------------------------------------ #
@@ -624,7 +646,13 @@ class ColumnarBackend(_IdSurfaceMixin):
     # base attachment / consolidation
     # ------------------------------------------------------------------ #
     def _attach(self) -> None:
-        """Attach the base block: an in-memory store starts on an empty one."""
+        """Attach the base block: an opened store maps its directory's
+        files, an in-memory store starts on an empty one."""
+        if self._directory is not None:
+            from repro.kg.mmap_backend import map_base
+            for attr, array in map_base(self._directory, self._header).items():
+                setattr(self, attr, array)
+            return
         no_rows = np.zeros(0, dtype=np.int64)
         no_groups = np.zeros(1, dtype=np.int64)
         self._cols = empty_id_block()
@@ -634,6 +662,19 @@ class ColumnarBackend(_IdSurfaceMixin):
     def _ensure_attached(self) -> None:
         if self._cols is None:
             self._attach()
+
+    def _detach_from(self, directory: Path) -> None:
+        """Copy the base into the heap if it is mapped from ``directory``:
+        a save is about to overwrite those files (truncating a mapped file
+        is undefined behaviour territory)."""
+        if self._directory is None or self._cols is None \
+                or self._directory.resolve() != Path(directory).resolve():
+            return
+        from repro.kg.mmap_backend import BASE_FILES
+        for attr in BASE_FILES.values():
+            value = getattr(self, attr)
+            if not value.flags.writeable:  # a mapped (read-only) view
+                setattr(self, attr, np.array(value, dtype=np.int64))
 
     def _install_cols(self, cols: np.ndarray) -> None:
         """Install ``cols`` as the base block and (re)build all indexes.
@@ -969,8 +1010,7 @@ class ColumnarBackend(_IdSurfaceMixin):
     def save(self, directory: "str | Path") -> Path:
         """Persist the (consolidated) store as a memory-mappable directory.
 
-        Returns the directory path; reopen with
-        :meth:`repro.kg.mmap_backend.MmapBackend.open`.
+        Returns the directory path; reopen with :meth:`open`.
         """
         from repro.kg.mmap_backend import write_backend_dir
         return write_backend_dir(self, directory)

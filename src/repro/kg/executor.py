@@ -61,7 +61,7 @@ def id_backend(store: TripleStore):
             f"queries run on id-capable backends only: "
             f"{type(backend).__name__} (backend {store.backend_name!r}) has "
             f"no id-level query surface — load it into a "
-            f"columnar/mmap/sharded store")
+            f"columnar or sharded store")
     return backend
 
 

@@ -23,21 +23,18 @@ from read-only views over memory maps of them:
 * ``head_offsets.i64`` / ``rel_offsets.i64`` / ``tail_offsets.i64`` —
   CSR group offsets.
 
-:class:`MmapBackend` is :class:`ColumnarBackend` with a second way to
-attach the base block: read-only views of these mapped files instead of
-in-heap arrays.  Membership, mutation through the in-memory delta
-overlay (so an opened store stays fully mutable) and queries are the
-parent's code, unchanged.  When the overlay outgrows ``delta_threshold``
-— or a caller touches the flat surface (``id_triples``,
-``match_id_rows``, the sort ranks, ``save``) — the live base rows and
-the overlay are consolidated into in-heap arrays; ``save`` writes that
-consolidated state back to disk.
-
-``MmapBackend()`` without a directory is an in-memory columnar store and
-is registered in :data:`~repro.kg.backend.BACKENDS` as ``"mmap"``, so
-``TripleStore(backend="mmap")`` and the CLI's ``--backend mmap`` work
-like any other backend; build → ``save`` → :meth:`MmapBackend.open` is
-the bulk-load-once, query-from-disk lifecycle.
+:meth:`ColumnarBackend.open <repro.kg.backend.ColumnarBackend.open>`
+attaches the base block from these files instead of from in-heap arrays:
+the header and interner tables load eagerly, the array files lazily on
+first use as read-only views of their memory maps (:func:`map_base`).
+Membership, mutation through the in-memory delta overlay (so an opened
+store stays fully mutable) and queries are the class's code, unchanged.
+When the overlay outgrows ``delta_threshold`` — or a caller touches the
+flat surface (``id_triples``, ``match_id_rows``, the sort ranks,
+``save``) — the live base rows and the overlay are consolidated into
+in-heap arrays; ``save`` writes that consolidated state back to disk.
+Build → ``save`` → ``ColumnarBackend.open`` is the bulk-load-once,
+query-from-disk lifecycle.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.errors import StorageError
-from repro.kg.backend import BACKENDS, ColumnarBackend, Interner
+from repro.kg.backend import ColumnarBackend, Interner
 
 #: Identifies the directory layout; never reuse across incompatible formats.
 MAGIC = "repro-kg-columnar"
@@ -71,22 +68,27 @@ RELATION_BLOB_FILE = "relations.blob.utf8"
 INTERNERS_INLINE = "inline"
 INTERNERS_EXTERNAL = "external"
 
-#: Array files: name -> (element-count key derivation, shape builder).
 _INT64 = np.dtype(np.int64)
 
+#: Array file -> the :class:`ColumnarBackend` base-block attribute it holds.
+BASE_FILES = {
+    "triples.i64": "_cols",
+    "perm_spo.i64": "_perm_spo",
+    "perm_pos.i64": "_perm_pos",
+    "perm_osp.i64": "_perm_osp",
+    "head_offsets.i64": "_head_offsets",
+    "rel_offsets.i64": "_rel_offsets",
+    "tail_offsets.i64": "_tail_offsets",
+}
 
-def _array_specs(num_triples: int, num_entities: int,
-                 num_relations: int) -> Dict[str, Tuple[int, Tuple[int, ...]]]:
-    """name -> (element count, memmap shape) for every array file."""
-    return {
-        "triples.i64": (3 * num_triples, (num_triples, 3)),
-        "perm_spo.i64": (num_triples, (num_triples,)),
-        "perm_pos.i64": (num_triples, (num_triples,)),
-        "perm_osp.i64": (num_triples, (num_triples,)),
-        "head_offsets.i64": (num_entities + 1, (num_entities + 1,)),
-        "rel_offsets.i64": (num_relations + 1, (num_relations + 1,)),
-        "tail_offsets.i64": (num_entities + 1, (num_entities + 1,)),
-    }
+
+def _array_shapes(header: dict) -> Dict[str, Tuple[int, ...]]:
+    """File name -> memmap shape of every array file ``header`` declares."""
+    rows, entities = (header["num_triples"],), (header["num_entities"] + 1,)
+    return {"triples.i64": rows + (3,), "perm_spo.i64": rows,
+            "perm_pos.i64": rows, "perm_osp.i64": rows,
+            "head_offsets.i64": entities, "tail_offsets.i64": entities,
+            "rel_offsets.i64": (header["num_relations"] + 1,)}
 
 
 #: The count fields of a header that sits over a shard set (a sharded
@@ -242,8 +244,7 @@ def write_backend_dir(backend: ColumnarBackend, directory: str | Path, *,
         # the on-disk header sizes files by the interner — rebuild so
         # arrays and header agree.
         backend._rebuild()
-    if isinstance(backend, MmapBackend):
-        backend._detach_from(directory)
+    backend._detach_from(directory)
     # Invalidate any existing header BEFORE touching array files: a crash
     # mid-overwrite must not leave a stale-but-valid header pointing at a
     # mix of old and new columns.
@@ -260,19 +261,11 @@ def write_backend_dir(backend: ColumnarBackend, directory: str | Path, *,
     if interners == INTERNERS_INLINE:
         header.update(write_interner_pair(
             directory, backend.entity_interner, backend.relation_interner))
-    arrays = {
-        "triples.i64": backend._cols,
-        "perm_spo.i64": backend._perm_spo,
-        "perm_pos.i64": backend._perm_pos,
-        "perm_osp.i64": backend._perm_osp,
-        "head_offsets.i64": backend._head_offsets,
-        "rel_offsets.i64": backend._rel_offsets,
-        "tail_offsets.i64": backend._tail_offsets,
-    }
-    for name, array in arrays.items():
+    for name, attr in BASE_FILES.items():
         # Empty arrays (a zero-triple store) write zero-byte files; the
         # open side special-cases them instead of memory-mapping.
-        np.ascontiguousarray(array, dtype=np.int64).tofile(directory / name)
+        np.ascontiguousarray(getattr(backend, attr),
+                             dtype=np.int64).tofile(directory / name)
     write_header(directory, HEADER_FILE, header)
     return directory
 
@@ -297,10 +290,8 @@ def load_header(directory: str | Path) -> dict:
     interners = header.get("interners", INTERNERS_INLINE)
     if interners not in (INTERNERS_INLINE, INTERNERS_EXTERNAL):
         raise StorageError(f"{directory}: header field 'interners' is invalid")
-    sizes = {name: count * _INT64.itemsize
-             for name, (count, _shape)
-             in _array_specs(header["num_triples"], header["num_entities"],
-                             header["num_relations"]).items()}
+    sizes = {name: int(np.prod(shape)) * _INT64.itemsize
+             for name, shape in _array_shapes(header).items()}
     if interners == INTERNERS_INLINE:
         # The tables themselves are checked against these when they load
         # (read_interner_pair), like the tables of the other header kinds.
@@ -333,107 +324,40 @@ def peek_store_magic(directory: str | Path) -> "str | None":
     return header.get("magic") if isinstance(header, dict) else None
 
 
-class MmapBackend(ColumnarBackend):
-    """A :class:`ColumnarBackend` that can attach its base block from disk.
-
-    ``MmapBackend(directory)`` opens a saved store: the header and the
-    interner tables are read eagerly (they are needed for every symbol
-    lookup), the seven array files are attached lazily on first use as plain
-    read-only ``np.ndarray`` views of their memory maps, so opening costs
-    O(header) and bulk column data never has to fit in the heap.
-    Everything else — membership, the overlay, queries, bulk loads,
-    consolidation into in-heap arrays (the mapped files are immutable),
-    ``save`` — is the parent's; saving over the directory the base is mapped
-    from first copies it into the heap (:meth:`_detach_from`).  Without a
-    directory this *is* an in-memory columnar store, and that is what
-    :meth:`clone_empty` returns: a copied store does not inherit the
-    source's files.
-    """
-
-    name = "mmap"
-
-    def __init__(self, directory: Optional[str | Path] = None, *,
-                 delta_threshold: int = 1024,
-                 interners: Optional[Tuple[Interner, Interner]] = None) -> None:
-        super().__init__(delta_threshold=delta_threshold)
-        self._directory: Optional[Path] = None
-        self._header: Optional[dict] = None
+def open_interners(directory: Path, header: dict,
+                   interners: Optional[Tuple[Interner, Interner]]
+                   ) -> Tuple[Interner, Interner]:
+    """The interner pair to open a store directory with: its own tables
+    when ``header`` says they are inline, the enclosing sharded store's
+    ``interners`` when external — never the other way round."""
+    if header.get("interners") != INTERNERS_EXTERNAL:
         if interners is not None:
-            self.entity_interner, self.relation_interner = interners
-        if directory is not None:
-            self._directory = Path(directory)
-            self._header = load_header(self._directory)
-            if self._header.get("interners") == INTERNERS_EXTERNAL:
-                if interners is None:
-                    raise StorageError(
-                        f"{self._directory}: store was written with external "
-                        f"interner tables (a shard of a sharded store) — open "
-                        f"the enclosing sharded directory instead")
-                if len(self.entity_interner) != self._header["num_entities"] \
-                        or len(self.relation_interner) != self._header["num_relations"]:
-                    raise StorageError(
-                        f"{self._directory}: shard header disagrees with the "
-                        f"shared interner tables — corrupt or mixed-up shard")
-            elif interners is not None:
-                raise StorageError(
-                    f"{self._directory}: store has inline interner tables; "
-                    f"opening it with externally supplied interners would "
-                    f"desynchronize symbol ids")
-            else:
-                self.entity_interner, self.relation_interner = \
-                    read_interner_pair(self._directory, self._header)
-
-    @classmethod
-    def open(cls, directory: str | Path, *, delta_threshold: int = 1024) -> "MmapBackend":
-        """Open a store directory written by :func:`write_backend_dir`."""
-        return cls(directory, delta_threshold=delta_threshold)
-
-    @property
-    def directory(self) -> Optional[Path]:
-        """The backing store directory, or ``None`` for an in-memory store."""
-        return self._directory
-
-    def _attach(self) -> None:
-        """Attach the base block: plain read-only ``ndarray`` views over memory
-        maps of a saved directory's files (``.base`` keeps each mapping alive)."""
-        if self._directory is None:
-            super()._attach()
-            return
-        header = self._header
-        specs = _array_specs(header["num_triples"], header["num_entities"],
-                             header["num_relations"])
-
-        def mapped(name: str) -> np.ndarray:
-            count, shape = specs[name]
-            if count == 0:
-                return np.zeros(shape, dtype=np.int64)
-            return np.asarray(np.memmap(self._directory / name, dtype=np.int64,
-                                        mode="r", shape=shape))
-
-        self._cols = mapped("triples.i64")
-        self._perm_spo = mapped("perm_spo.i64")
-        self._perm_pos = mapped("perm_pos.i64")
-        self._perm_osp = mapped("perm_osp.i64")
-        self._head_offsets = mapped("head_offsets.i64")
-        self._rel_offsets = mapped("rel_offsets.i64")
-        self._tail_offsets = mapped("tail_offsets.i64")
-
-    def _detach_from(self, directory: Path) -> None:
-        """Copy the base into the heap if it is mapped from ``directory``.
-
-        Called before a save overwrites files that this very backend may
-        still have mapped (truncating a mapped file is undefined
-        behaviour territory).
-        """
-        if self._directory is None or self._cols is None:
-            return
-        if self._directory.resolve() != Path(directory).resolve():
-            return
-        for attr in ("_cols", "_perm_spo", "_perm_pos", "_perm_osp",
-                     "_head_offsets", "_rel_offsets", "_tail_offsets"):
-            value = getattr(self, attr)
-            if not value.flags.writeable:  # a mapped (read-only) view
-                setattr(self, attr, np.array(value, dtype=np.int64))
+            raise StorageError(
+                f"{directory}: store has inline interner tables; opening it "
+                f"with externally supplied interners would desynchronize "
+                f"symbol ids")
+        return read_interner_pair(directory, header)
+    if interners is None:
+        raise StorageError(
+            f"{directory}: store was written with external interner tables "
+            f"(a shard of a sharded store) — open the enclosing sharded "
+            f"directory instead")
+    if [len(interner) for interner in interners] \
+            != [header["num_entities"], header["num_relations"]]:
+        raise StorageError(
+            f"{directory}: shard header disagrees with the shared interner "
+            f"tables — corrupt or mixed-up shard")
+    return interners
 
 
-BACKENDS[MmapBackend.name] = MmapBackend
+def map_base(directory: Path, header: dict) -> Dict[str, np.ndarray]:
+    """A saved directory's base block, by :class:`ColumnarBackend`
+    attribute: plain read-only ``ndarray`` views over memory maps of its
+    files (``.base`` keeps each mapping alive).  Zero-byte mappings are
+    rejected, so an empty array lives in the heap."""
+    shapes = _array_shapes(header)
+    return {attr: np.zeros(shapes[name], dtype=np.int64)
+            if 0 in shapes[name] else
+            np.asarray(np.memmap(directory / name, dtype=np.int64, mode="r",
+                                 shape=shapes[name]))
+            for name, attr in BASE_FILES.items()}

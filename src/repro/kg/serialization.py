@@ -10,7 +10,7 @@ Three formats are supported:
 * **Store directory** — the binary memory-mapped columnar layout
   (:mod:`repro.kg.mmap_backend`): interner tables plus ``int64`` column /
   index files under one directory, reopened zero-copy by
-  :class:`~repro.kg.mmap_backend.MmapBackend`.  Unlike the text formats
+  :meth:`ColumnarBackend.open <repro.kg.backend.ColumnarBackend.open>`.  Unlike the text formats
   this round-trips the *indexes* too, so a bulk-loaded graph can be
   queried from disk without re-interning or re-sorting anything.
 """
@@ -168,8 +168,8 @@ def write_store_dir(triples: "Iterable[Triple] | TripleStore",
 def read_store_dir(directory: str | Path) -> "TripleStore":
     """Open a store directory as a disk-backed :class:`TripleStore`.
 
-    Dispatches on the header magic: single-store directories reopen on
-    the mmap backend, sharded directories on the sharded backend.
+    Dispatches on the header magic: single-store directories reopen as a
+    columnar store with a mapped base, sharded ones as a sharded store.
     Raises :class:`~repro.errors.StorageError` when the directory is
     missing, truncated, corrupt, or written by an incompatible format
     version.

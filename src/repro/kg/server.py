@@ -398,7 +398,7 @@ class KGServer:
         """Open a saved store directory and serve it.
 
         Live directories (``live.json`` pointer) come up writable with
-        their WAL replayed; plain mmap/sharded snapshots come up
+        their WAL replayed; plain columnar/sharded snapshots come up
         read-only for the write ops.
         """
         return cls(TripleStore.open(directory), **kwargs)

@@ -50,10 +50,11 @@ Persistence layout
       header.json            (magic "repro-kg-sharded", version, n_shards)
       entities.offsets.i64   + entities.blob.utf8     (global interner)
       relations.offsets.i64  + relations.blob.utf8
-      shard-0/ ... shard-K/  (standard mmap store dirs, interners external)
+      shard-0/ ... shard-K/  (columnar store dirs, interners external)
 
-Each ``shard-K/`` is a normal :mod:`repro.kg.mmap_backend` directory
-whose header declares ``interners: external`` — the shard arrays are
+Each ``shard-K/`` is a normal :mod:`repro.kg.mmap_backend` directory,
+opened with ``ColumnarBackend.open``, whose header declares
+``interners: external`` — the shard arrays are
 validated per shard, while the symbol tables live once at the top level
 in the binary offsets + blob layout.  The global header is written last
 (temp + rename) so an interrupted save never leaves an openable but
@@ -83,6 +84,7 @@ import numpy as np
 from repro.errors import StorageError
 from repro.kg.backend import (
     BACKENDS,
+    ColumnarBackend,
     GraphBackend,
     IdPattern,
     Interner,
@@ -96,7 +98,6 @@ from repro.kg.mmap_backend import (
     INTERNERS_EXTERNAL,
     MAGIC as COLUMNAR_MAGIC,
     SHARD_SET_COUNTS,
-    MmapBackend,
     peek_store_magic,
     read_header,
     read_interner_pair,
@@ -136,7 +137,7 @@ def load_sharded_header(directory: str | Path) -> dict:
     if peek_store_magic(directory) == COLUMNAR_MAGIC:
         raise StorageError(
             f"{directory}: single-store directory — open it with "
-            f"MmapBackend.open, not ShardedBackend.open")
+            f"ColumnarBackend.open, not ShardedBackend.open")
     return read_header(directory, HEADER_FILE, magic=SHARDED_MAGIC,
                        version=SHARDED_FORMAT_VERSION,
                        counts=SHARD_SET_COUNTS, kind="sharded store")
@@ -145,8 +146,9 @@ def load_sharded_header(directory: str | Path) -> dict:
 class ShardedBackend(_IdSurfaceMixin):
     """Hash-partitioned composite over ``n_shards`` columnar-family shards.
 
-    The inner shards are :class:`MmapBackend` instances (in-memory, or
-    mapped from a saved shard directory); the per-shard bulk-load unit
+    The inner shards are :class:`~repro.kg.backend.ColumnarBackend`
+    instances (in-memory, or opened from a saved shard directory with
+    their base mapped); the per-shard bulk-load unit
     (:meth:`ColumnarBackend.bulk_load_ids
     <repro.kg.backend.ColumnarBackend.bulk_load_ids>`) is pure numpy and
     parallelizes across threads.  All shards alias the two interners
@@ -170,13 +172,14 @@ class ShardedBackend(_IdSurfaceMixin):
         self._max_workers = max_workers
         self.entity_interner = Interner()
         self.relation_interner = Interner()
-        self._shards: List[MmapBackend] = [self._new_shard()
-                                           for _ in range(n_shards)]
+        self._shards: List[ColumnarBackend] = [self._new_shard()
+                                               for _ in range(n_shards)]
 
-    def _new_shard(self) -> MmapBackend:
-        return MmapBackend(
-            delta_threshold=self.delta_threshold,
-            interners=(self.entity_interner, self.relation_interner))
+    def _new_shard(self) -> ColumnarBackend:
+        shard = ColumnarBackend(delta_threshold=self.delta_threshold)
+        shard.entity_interner = self.entity_interner
+        shard.relation_interner = self.relation_interner
+        return shard
 
     def clone_empty(self) -> "GraphBackend":
         return type(self)(self.n_shards, delta_threshold=self.delta_threshold,
@@ -188,7 +191,7 @@ class ShardedBackend(_IdSurfaceMixin):
     def _shard_index(self, head_id: int) -> int:
         return shard_of_id(head_id, self.n_shards)
 
-    def _route(self, head: str) -> Optional[MmapBackend]:
+    def _route(self, head: str) -> Optional[ColumnarBackend]:
         """The shard owning ``head``, or ``None`` when it was never interned."""
         head_id = self.entity_interner.lookup(head)
         if head_id is None:
@@ -211,15 +214,15 @@ class ShardedBackend(_IdSurfaceMixin):
             return [future.result()
                     for future in [pool.submit(thunk) for thunk in thunks]]
 
-    def _per_shard(self, fn: Callable[[MmapBackend], _T],
+    def _per_shard(self, fn: Callable[[ColumnarBackend], _T],
                    parallel: bool = False) -> List[_T]:
         return self._parallel([(lambda shard=shard: fn(shard))
                                for shard in self._shards], parallel=parallel)
 
     def _routed_batch(self, items: Sequence, classify: Callable,
                       empty: Callable[[], _T],
-                      shard_call: Callable[[MmapBackend, List], List[_T]],
-                      broadcast_call: Optional[Callable[[MmapBackend, List],
+                      shard_call: Callable[[ColumnarBackend, List], List[_T]],
+                      broadcast_call: Optional[Callable[[ColumnarBackend, List],
                                                         List[_T]]] = None,
                       merge: Optional[Callable[[List[_T]], _T]] = None
                       ) -> List[_T]:
@@ -448,8 +451,8 @@ class ShardedBackend(_IdSurfaceMixin):
         backend.entity_interner, backend.relation_interner = interners
         thunks = [
             (lambda path=directory / f"shard-{index}":
-             MmapBackend(path, delta_threshold=delta_threshold,
-                         interners=interners))
+             ColumnarBackend.open(path, delta_threshold=delta_threshold,
+                                  interners=interners))
             for index in range(header["n_shards"])
         ]
         backend._shards = backend._parallel(thunks)

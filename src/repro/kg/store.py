@@ -7,9 +7,10 @@ paths and an iterator form (:meth:`iter_match`) that never materializes a
 list.  Storage lives behind the :class:`~repro.kg.backend.GraphBackend`
 protocol; the default :class:`~repro.kg.backend.ColumnarBackend` interns
 identifiers to contiguous int ids and answers pattern queries from numpy
-CSR adjacency slices; :class:`~repro.kg.mmap_backend.MmapBackend` and
-:class:`~repro.kg.sharded_backend.ShardedBackend` are the same family
-attached from disk and partitioned by head.
+CSR adjacency slices — from in-heap arrays, or from memory-mapped files
+when :meth:`ColumnarBackend.open <repro.kg.backend.ColumnarBackend.open>`
+opens a saved directory; :class:`~repro.kg.sharded_backend.ShardedBackend`
+partitions that class by head.
 
 ``match`` returns results in backend-defined (deterministic per process)
 order; pass ``sort=True`` when a deterministic sorted order is required.
@@ -38,7 +39,7 @@ from repro.kg.backend import (
     Pattern,
     make_backend,
 )
-from repro.kg.mmap_backend import MmapBackend, peek_store_magic
+from repro.kg.mmap_backend import peek_store_magic
 from repro.kg.sharded_backend import SHARDED_MAGIC, ShardedBackend
 from repro.kg.triple import Triple
 from repro.kg.wal import (OP_ADD, OP_REMOVE, WriteAheadLog, coalesced_ops,
@@ -251,7 +252,8 @@ class TripleStore:
         the service write path (:attr:`writable` is False) and dispatch
         on the header magic: sharded directories reopen as a
         :class:`~repro.kg.sharded_backend.ShardedBackend`, single-store
-        directories as an :class:`~repro.kg.mmap_backend.MmapBackend`.
+        directories as a :class:`~repro.kg.backend.ColumnarBackend` with a
+        mapped base.
         ``wal_fsync=False`` trades the per-ack fsync away (benchmarks).
         """
         directory = Path(directory)
@@ -266,7 +268,7 @@ class TripleStore:
         """Open one snapshot directory, dispatching on its header magic."""
         if peek_store_magic(directory) == SHARDED_MAGIC:
             return ShardedBackend.open(directory)
-        return MmapBackend.open(directory)
+        return ColumnarBackend.open(directory)
 
     @classmethod
     def _open_live(cls, directory: Path, *,

@@ -28,7 +28,7 @@ Live store layout (one directory)::
 
     store/
       live.json        atomic pointer: {"magic", "version", "generation"}
-      snap-000007/     store-format-v2 snapshot (mmap or sharded layout)
+      snap-000007/     store-format-v2 snapshot (columnar or sharded layout)
       wal-000007.log   the WAL logged on top of exactly that snapshot
 
 ``live.json`` is rewritten via temp-file + ``os.replace`` so exactly one

@@ -9,10 +9,12 @@ the columnar family, and the suites check it against these two.
 
 from __future__ import annotations
 
+import tempfile
+import weakref
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.kg.backend import _BatchedQueriesMixin
+from repro.kg.backend import ColumnarBackend, _BatchedQueriesMixin
 from repro.kg.planner import PatternQuery, QueryPlan, is_variable, plan_query
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
@@ -34,8 +36,24 @@ def multiset(rows: List[Binding]) -> List[tuple]:
 
 def backend_named(name: str):
     """What ``TripleStore(backend=...)`` takes for a parametrize id:
-    ``"set"`` is the reference store here, any other a registered name."""
-    return SetBackend() if name == "set" else name
+    ``"set"`` is the reference store here, ``"mmap"`` an empty
+    :func:`mapped_backend`, any other a registered name."""
+    if name == "set":
+        return SetBackend()
+    return mapped_backend() if name == "mmap" else name
+
+
+def mapped_backend(triples: Iterable[Triple] = (),
+                   **options) -> ColumnarBackend:
+    """A ``ColumnarBackend`` holding ``triples``, saved and reopened with
+    ``ColumnarBackend.open(directory, **options)``: its base is mapped
+    from disk.  The directory lives as long as the returned backend."""
+    holder = tempfile.TemporaryDirectory()
+    source = ColumnarBackend()
+    source.add_many(triples)
+    backend = ColumnarBackend.open(source.save(holder.name), **options)
+    weakref.finalize(backend, holder.cleanup)
+    return backend
 
 
 def execute_backtracking(store: TripleStore, plan: QueryPlan) -> List[Binding]:

@@ -31,7 +31,26 @@ def test_cli_backend_set_is_an_argparse_error(capsys):
     assert usage.value.code == 2
     err = capsys.readouterr().err
     assert "invalid choice: 'set'" in err
-    assert "'columnar', 'mmap', 'sharded'" in err
+    assert "'columnar', 'sharded'" in err
+
+
+def test_backend_mmap_is_refused_naming_columnar(capsys):
+    """A mapped base is how ``ColumnarBackend.open`` attaches a saved
+    store, not a backend: the name is refused on every surface, and each
+    refusal names ``columnar``."""
+    from repro.kg.backend import make_backend
+    from repro.kg.store import TripleStore
+
+    for refuse in (lambda: make_backend("mmap"),
+                   lambda: TripleStore(backend="mmap")):
+        with pytest.raises(ValueError, match=r"unknown graph backend 'mmap' "
+                                             r"\(known: columnar, sharded\)"):
+            refuse()
+    with pytest.raises(SystemExit) as usage:
+        main(["--backend", "mmap", "stats"])
+    assert usage.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'mmap'" in err and "'columnar'" in err
 
 
 def test_cli_build_writes_tsv(tmp_path, capsys):
@@ -45,16 +64,20 @@ def test_cli_build_writes_tsv(tmp_path, capsys):
 
 
 def test_cli_build_persists_store_dir(tmp_path, capsys):
+    from repro.kg.backend import ColumnarBackend
     from repro.kg.store import TripleStore
 
     store_dir = tmp_path / "store"
-    exit_code = main(["--products", "40", "--seed", "1", "--backend", "mmap",
+    exit_code = main(["--products", "40", "--seed", "1", "--backend", "columnar",
                       "--store-dir", str(store_dir), "build"])
     assert exit_code == 0
     output = capsys.readouterr().out
-    assert "persisted mmap-built triple store" in output
+    assert "persisted columnar-built triple store" in output
     reopened = TripleStore.open(store_dir)
-    assert reopened.backend_name == "mmap"
+    assert type(reopened.backend) is ColumnarBackend
+    assert reopened.backend.directory == store_dir
+    # The base is mapped from the saved files: read-only views, no copy.
+    assert not reopened.backend.id_triples().flags.writeable
     assert len(reopened) > 100
 
 

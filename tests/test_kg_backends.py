@@ -2,8 +2,9 @@
 
 The columnar backend is the default store; the set backend (the test
 oracle's, not a registered backend) is the reference implementation;
-the mmap backend shares the columnar query
-core over a (possibly on-disk) base block.  These tests drive all of
+the ``mmap`` ids are columnar stores saved and reopened with
+``ColumnarBackend.open``: the same query core over a base block mapped
+from disk.  These tests drive all of
 them — including delta-overlay configurations that force eager rebuilds
 (threshold 0) and constant overlay churn (tiny thresholds) — through
 randomized add/discard/query workloads and through the serialization
@@ -12,17 +13,13 @@ layer and assert identical observable behaviour.
 
 from __future__ import annotations
 
-import functools
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracle import SetBackend, backend_named
+from _oracle import SetBackend, backend_named, mapped_backend
 from repro.kg.backend import BACKENDS, ColumnarBackend, Interner, make_backend
-from repro.kg.mmap_backend import MmapBackend
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.serialization import read_tsv, write_tsv
 from repro.kg.store import TripleStore
@@ -31,8 +28,8 @@ from repro.kg.triple import Triple, triples_from_tuples
 #: Non-reference backend factories, keyed by a readable parametrize id.
 #: delta_threshold=0 forces a full rebuild per mutation burst (the old
 #: eager behaviour); tiny thresholds exercise overlay → consolidation
-#: transitions constantly; MmapBackend() runs the shared query core over
-#: an empty base plus overlay; the sharded factories cover degenerate
+#: transitions constantly; ``mmap`` runs the shared query core over an
+#: empty base mapped from disk plus overlay; the sharded factories cover degenerate
 #: (1), even (2) and many-shard (8) hash partitionings, and the ``-dirty``
 #: ones start overlay-dirty (see :func:`_pend_overlay`) — over in-heap
 #: base blocks, and over one mapped from a saved directory.
@@ -40,7 +37,7 @@ BACKEND_FACTORIES = {
     "columnar": ColumnarBackend,
     "columnar-eager": lambda: ColumnarBackend(delta_threshold=0),
     "columnar-tiny-delta": lambda: ColumnarBackend(delta_threshold=2),
-    "mmap": MmapBackend,
+    "mmap": mapped_backend,
     "sharded-1": lambda: ShardedBackend(1),
     "sharded-2": lambda: ShardedBackend(2),
     "sharded-8": lambda: ShardedBackend(8),
@@ -78,20 +75,9 @@ def _dirty_sharded(n_shards):
     return _pend_overlay(backend)
 
 
-@functools.lru_cache(maxsize=None)
-def _saved_seed():
-    """A saved ``_SEED_ROWS`` store (the directory lives as long as the
-    returned holder, i.e. the test session)."""
-    holder = tempfile.TemporaryDirectory()
-    seed = ColumnarBackend()
-    seed.add_many(triples_from_tuples(_SEED_ROWS))
-    seed.save(holder.name)
-    return holder
-
-
 def _dirty_reopened_mmap():
-    """A reopened ``MmapBackend``: the base block is mapped from disk."""
-    return _pend_overlay(MmapBackend.open(_saved_seed().name))
+    """A reopened ``ColumnarBackend``: the base block is mapped from disk."""
+    return _pend_overlay(mapped_backend(triples_from_tuples(_SEED_ROWS)))
 
 
 def _starts_dirty(backend):
@@ -146,11 +132,10 @@ def test_interner_assigns_dense_stable_ids():
 
 def test_make_backend_registry():
     # The dict-of-set reference is the test oracle's, not a backend.
-    assert sorted(BACKENDS) == ["columnar", "mmap", "sharded"]
+    assert sorted(BACKENDS) == ["columnar", "sharded"]
     with pytest.raises(ValueError, match="unknown graph backend 'set'"):
         make_backend("set")
     assert isinstance(make_backend("columnar"), ColumnarBackend)
-    assert isinstance(make_backend("mmap"), MmapBackend)
     assert isinstance(make_backend("sharded"), ShardedBackend)
     assert make_backend("sharded", n_shards=8).n_shards == 8
     with pytest.raises(ValueError):
@@ -285,7 +270,7 @@ def test_delta_overlay_parity_with_queries_between_mutations(operations):
 #: The in-memory columnar family, by ``delta_threshold``.
 FAMILY = {
     "columnar": lambda threshold: ColumnarBackend(delta_threshold=threshold),
-    "mmap": lambda threshold: MmapBackend(delta_threshold=threshold),
+    "mmap": lambda threshold: mapped_backend(delta_threshold=threshold),
     "sharded-1": lambda threshold: ShardedBackend(1, delta_threshold=threshold),
     "sharded-2": lambda threshold: ShardedBackend(2, delta_threshold=threshold),
 }
@@ -399,13 +384,13 @@ def _live_backend(kind, base, directory):
     if kind == "columnar":
         backend = ColumnarBackend(delta_threshold=LIVE_THRESHOLD)
     elif kind.startswith("mmap"):
-        backend = MmapBackend(delta_threshold=LIVE_THRESHOLD)
+        backend = mapped_backend(delta_threshold=LIVE_THRESHOLD)
     else:
         backend = ShardedBackend(int(kind[-1]), delta_threshold=LIVE_THRESHOLD)
     backend.add_many(triples_from_tuples(base))
     if kind == "mmap-reopened":
-        backend = MmapBackend.open(backend.save(directory / "store"),
-                                   delta_threshold=LIVE_THRESHOLD)
+        backend = ColumnarBackend.open(backend.save(directory / "store"),
+                                       delta_threshold=LIVE_THRESHOLD)
     for leaf in _leaves(backend):
         leaf.id_triples()            # fold the initial load into the base
     return backend
@@ -599,7 +584,7 @@ def test_a_probe_reads_what_it_returns_not_its_relation(tmp_path, kind):
     backend = FAMILY[kind.removesuffix("-reopened")](1024)
     backend.add_many(triples_from_tuples(rows))
     if kind == "mmap-reopened":
-        backend = MmapBackend.open(backend.save(tmp_path / "store"))
+        backend = ColumnarBackend.open(backend.save(tmp_path / "store"))
     entity, relation = backend.entity_interner.lookup, backend.relation_interner.lookup
     by_tail = (None, relation("r"), entity("t7"))
     by_head_and_tail = (entity("h4321"), None, entity("hub"))
@@ -700,12 +685,14 @@ def test_store_facade_roundtrip(backend_name):
         ("p1", "placeOfOrigin", "china"),
     ])
     store = TripleStore(triples, backend=backend_named(backend_name))
-    assert store.backend_name == backend_name
+    # A store opened with a mapped base is a columnar store.
+    name = "columnar" if backend_name == "mmap" else backend_name
+    assert store.backend_name == name
     assert len(store) == 3
     assert store.count(relation="brandIs") == 2
     assert store.heads("brandIs", "apple") == ["p1", "p2"]
     clone = store.copy()
-    assert clone.backend_name == backend_name
+    assert clone.backend_name == name
     clone.add(Triple("p3", "brandIs", "tesla"))
     assert len(clone) == len(store) + 1
     assert store.triples() == sorted(triples)

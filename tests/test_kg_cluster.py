@@ -721,6 +721,54 @@ def test_cluster_open_validates_shard_count(tmp_path):
         ClusterBackend.open(tmp_path / "split", ["127.0.0.1:1"])
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: a coordinator places and resolves a head by the id "
+    "its own in-memory interner gave it, so a head another coordinator "
+    "wrote is invisible and a re-add lands it on a second shard"))
+@pytest.mark.parametrize("overlap", [False, True],
+                         ids=["after-a-restart", "two-at-once"])
+def test_a_head_written_by_one_coordinator_is_one_head_to_the_next(
+        tmp_path, overlap):
+    """Coordinator A writes eight new heads; coordinator B — opened after
+    A closed, or alongside A — must read all eight, count and delete
+    them, and re-adding them must leave every head on exactly one
+    shard."""
+    rows = [Triple(f"product:{index}", "brandIs", f"brand:{index % 4}")
+            for index in range(40)]
+    TripleStore(rows, backend=ShardedBackend(2)).save(tmp_path / "source")
+    split = tmp_path / "split"
+    shard_split(tmp_path / "source", 2, split)
+    new = [Triple(f"p{index}", "brandIs", "bX") for index in range(8)]
+    with ExitStack() as stack:
+        servers = [stack.enter_context(KGServer.open(
+            split / f"shard-{index}", port=0, shard_index=index,
+            n_shards=2).start()) for index in range(2)]
+
+        def coordinator():
+            return stack.enter_context(closing(ClusterBackend.open(
+                split, [server.url for server in servers],
+                retry_backoff=0.01)))
+
+        def heads_read(backend):
+            return sum(len(found) for found in backend.match_many(
+                [(triple.head, "brandIs", None) for triple in new]))
+
+        first = coordinator()
+        second = coordinator() if overlap else None
+        assert first.add_many(new) == 8
+        assert heads_read(first) == 8
+        if not overlap:
+            first.close()
+            second = coordinator()
+        assert heads_read(second) == 8
+        assert second.count(None, "brandIs", "bX") == 8
+        assert second.discard_many(new) == 8
+        assert second.add_many(new[::-1]) == 8
+        owners = [[server.service.store.count(triple.head, None, None)
+                   for server in servers] for triple in new]
+        assert owners.count([1, 0]) + owners.count([0, 1]) == 8, owners
+
+
 # --------------------------------------------------------------------- #
 # failure story
 # --------------------------------------------------------------------- #

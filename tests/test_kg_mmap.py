@@ -1,6 +1,6 @@
-"""Persistence tests for the on-disk memory-mapped backend.
+"""Persistence tests for columnar stores opened with a memory-mapped base.
 
-Covers the save → reopen → bit-identical-queries property against the
+Covers the save → ``ColumnarBackend.open`` → bit-identical-queries property against the
 in-memory columnar backend, mutation of an opened store through the
 delta overlay, save-over-own-files safety, and the corrupt / truncated /
 version-mismatch error paths (all raising ``repro.errors`` types).
@@ -24,7 +24,6 @@ from repro.kg.cluster import (CLUSTER_HEADER_FILE, load_cluster_interners,
 from repro.kg.mmap_backend import (
     FORMAT_VERSION,
     HEADER_FILE,
-    MmapBackend,
     load_header,
     write_backend_dir,
 )
@@ -78,7 +77,7 @@ def test_mmap_reopen_bit_identical_queries(tmp_path_factory, rows):
     for head, relation, tail in rows:
         columnar.add(head, relation, tail)
     write_backend_dir(columnar, directory)
-    reopened = MmapBackend.open(directory)
+    reopened = ColumnarBackend.open(directory)
     _assert_query_parity(columnar, reopened, rows)
 
 
@@ -91,7 +90,7 @@ def test_mmap_open_is_lazy_and_header_validates(tmp_path):
     header = load_header(directory)
     assert header["num_triples"] == 2
     assert header["version"] == FORMAT_VERSION
-    backend = MmapBackend.open(directory)
+    backend = ColumnarBackend.open(directory)
     # Columns attach lazily: nothing mapped until the first query.
     assert backend._cols is None
     assert backend.count(head="a") == 2
@@ -109,7 +108,7 @@ def test_mmap_mutate_after_open_then_resave(tmp_path_factory, rows, extra):
     for head, relation, tail in rows:
         columnar.add(head, relation, tail)
     write_backend_dir(columnar, directory)
-    opened = MmapBackend.open(directory)
+    opened = ColumnarBackend.open(directory)
     for head, relation, tail in extra:
         assert columnar.add(head, relation, tail) \
             == opened.add(head, relation, tail)
@@ -118,7 +117,7 @@ def test_mmap_mutate_after_open_then_resave(tmp_path_factory, rows, extra):
     _assert_query_parity(columnar, opened, rows + extra)
     # Saving over its OWN files must detach the memmaps first.
     opened.save(directory)
-    reloaded = MmapBackend.open(directory)
+    reloaded = ColumnarBackend.open(directory)
     _assert_query_parity(columnar, reloaded, rows + extra)
 
 
@@ -134,7 +133,7 @@ def test_a_mapped_base_is_plain_read_only_views_and_detaches_on_resave(tmp_path)
     columnar = ColumnarBackend()
     columnar.add_many(triples_from_tuples(rows))
     directory = columnar.save(tmp_path / "store")
-    opened = MmapBackend.open(directory)
+    opened = ColumnarBackend.open(directory)
     assert opened.count(relation="brandIs") == 12
     for name in _BASE_ARRAYS:
         array = getattr(opened, name)
@@ -147,7 +146,7 @@ def test_a_mapped_base_is_plain_read_only_views_and_detaches_on_resave(tmp_path)
     for name in _BASE_ARRAYS:
         assert getattr(opened, name).flags.writeable, name
     _assert_query_parity(columnar, opened, rows)
-    _assert_query_parity(columnar, MmapBackend.open(directory), rows)
+    _assert_query_parity(columnar, ColumnarBackend.open(directory), rows)
 
 
 def test_a_store_written_by_the_parent_commit_opens_and_answers_identically():
@@ -156,7 +155,7 @@ def test_a_store_written_by_the_parent_commit_opens_and_answers_identically():
     ``match_ids`` over it, row order included."""
     directory = Path(__file__).parent / "data" / "store-written-by-pr17"
     recorded = json.loads(directory.with_suffix(".answers.json").read_text())
-    opened = MmapBackend.open(directory)
+    opened = ColumnarBackend.open(directory)
     assert opened.id_triples().tobytes() == (directory / "triples.i64").read_bytes()
     for pattern, answer in zip(recorded["patterns"], recorded["answers"]):
         assert opened.match_ids(*pattern).tolist() == answer, pattern
@@ -174,7 +173,8 @@ def test_store_facade_save_open_roundtrip(tmp_path):
         store = TripleStore(triples, backend=backend_named(backend_name))
         store.save(directory)
         reopened = TripleStore.open(directory)
-        assert reopened.backend_name == "mmap"
+        assert reopened.backend_name == "columnar"
+        assert reopened.backend.directory == directory
         assert reopened.triples() == sorted(triples)
         assert reopened.heads("brandIs", "apple") == ["p1", "p2"]
         # Reopened stores stay mutable through the overlay.
@@ -221,25 +221,26 @@ def test_store_copy_of_mmap_store_materializes_in_memory(tmp_path):
     TripleStore(triples_from_tuples([("a", "r", "b"), ("c", "r", "d")])).save(directory)
     opened = TripleStore.open(directory)
     clone = opened.copy()
-    assert clone.backend_name == opened.backend_name == "mmap"
+    assert clone.backend_name == opened.backend_name == "columnar"
+    assert opened.backend.directory == directory
     assert clone.triples() == opened.triples()
     assert clone.backend.directory is None
     for index in range(50):  # writes never touch the source store or its files
         assert clone.add(Triple(f"new{index}", "r", "x"))
     assert len(opened) == 2
-    assert MmapBackend.open(directory).count() == 2
+    assert ColumnarBackend.open(directory).count() == 2
 
 
 def test_mmap_empty_backend_and_clone(tmp_path):
-    backend = MmapBackend()
+    backend = ColumnarBackend.open(ColumnarBackend().save(tmp_path / "empty"))
     assert len(backend) == 0
     assert backend.match() == []
     assert backend.add("a", "r", "b")
     clone = backend.clone_empty()
-    assert isinstance(clone, MmapBackend)
+    assert type(clone) is ColumnarBackend
     assert len(clone) == 0 and clone.directory is None
     backend.save(tmp_path / "tiny")
-    assert MmapBackend.open(tmp_path / "tiny").match(sort=True) \
+    assert ColumnarBackend.open(tmp_path / "tiny").match(sort=True) \
         == [Triple("a", "r", "b")]
 
 
@@ -253,14 +254,14 @@ def saved_store(tmp_path):
 
 def test_open_missing_directory_raises(tmp_path):
     with pytest.raises(StorageError, match="missing header.json"):
-        MmapBackend.open(tmp_path / "nowhere")
+        ColumnarBackend.open(tmp_path / "nowhere")
 
 
 def test_open_truncated_column_file_raises(saved_store):
     path = saved_store / "triples.i64"
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(StorageError, match="truncated or corrupt"):
-        MmapBackend.open(saved_store)
+        ColumnarBackend.open(saved_store)
 
 
 def test_open_version_mismatch_raises(saved_store):
@@ -268,7 +269,7 @@ def test_open_version_mismatch_raises(saved_store):
     header["version"] = FORMAT_VERSION + 1
     (saved_store / HEADER_FILE).write_text(json.dumps(header))
     with pytest.raises(StorageError, match="version mismatch"):
-        MmapBackend.open(saved_store)
+        ColumnarBackend.open(saved_store)
 
 
 def test_open_bad_magic_raises(saved_store):
@@ -276,26 +277,26 @@ def test_open_bad_magic_raises(saved_store):
     header["magic"] = "something-else"
     (saved_store / HEADER_FILE).write_text(json.dumps(header))
     with pytest.raises(StorageError, match="bad magic"):
-        MmapBackend.open(saved_store)
+        ColumnarBackend.open(saved_store)
 
 
 def test_open_unparseable_header_raises(saved_store):
     (saved_store / HEADER_FILE).write_text("{not json")
     with pytest.raises(StorageError, match="unreadable header"):
-        MmapBackend.open(saved_store)
+        ColumnarBackend.open(saved_store)
 
 
 def test_open_missing_array_file_raises(saved_store):
     (saved_store / "perm_pos.i64").unlink()
     with pytest.raises(StorageError, match="missing array file"):
-        MmapBackend.open(saved_store)
+        ColumnarBackend.open(saved_store)
 
 
 def test_open_truncated_interner_blob_raises(saved_store):
     path = saved_store / "entities.blob.utf8"
     path.write_bytes(path.read_bytes()[:-2])
     with pytest.raises(StorageError, match="truncated or corrupt"):
-        MmapBackend.open(saved_store)
+        ColumnarBackend.open(saved_store)
 
 
 def test_open_corrupt_interner_offsets_raises(saved_store):
@@ -306,7 +307,7 @@ def test_open_corrupt_interner_offsets_raises(saved_store):
     offsets[1:3] = offsets[2:0:-1]  # make them non-monotonic, same byte size
     offsets.tofile(path)
     with pytest.raises(StorageError, match="corrupt interner offsets"):
-        MmapBackend.open(saved_store)
+        ColumnarBackend.open(saved_store)
 
 
 def test_open_undecodable_interner_blob_raises(saved_store):
@@ -315,7 +316,7 @@ def test_open_undecodable_interner_blob_raises(saved_store):
     blob[0] = 0xFF  # not valid UTF-8 anywhere
     path.write_bytes(bytes(blob))
     with pytest.raises(StorageError, match="corrupt interner blob"):
-        MmapBackend.open(saved_store)
+        ColumnarBackend.open(saved_store)
 
 
 # --------------------------------------------------------------------------- #
@@ -346,7 +347,7 @@ def _split_dir(tmp_path):
 
 #: kind -> (directory builder, header file, opener, count fields).
 HEADER_KINDS = {
-    "columnar": (_columnar_dir, HEADER_FILE, MmapBackend.open,
+    "columnar": (_columnar_dir, HEADER_FILE, ColumnarBackend.open,
                  ("num_triples",) + _INTERNER_COUNTS),
     "sharded": (_sharded_dir, HEADER_FILE, ShardedBackend.open,
                 ("n_shards",) + _INTERNER_COUNTS),
@@ -414,7 +415,7 @@ def test_interner_tables_roundtrip_unicode_symbols(tmp_path):
     for index, symbol in enumerate(symbols):
         columnar.add(symbol, f"r{index}", "常规")
     write_backend_dir(columnar, tmp_path / "store")
-    reopened = MmapBackend.open(tmp_path / "store")
+    reopened = ColumnarBackend.open(tmp_path / "store")
     assert sorted(reopened.iter_triples()) == sorted(columnar.iter_triples())
     assert reopened.entity_interner.symbols() == columnar.entity_interner.symbols()
 
@@ -423,7 +424,7 @@ def test_interrupted_resave_leaves_no_valid_header(saved_store, monkeypatch):
     """A crash mid-save must not leave a stale header over torn array files."""
     import numpy as np
 
-    backend = MmapBackend.open(saved_store)
+    backend = ColumnarBackend.open(saved_store)
     backend.add("brand-new", "r", "x")
     calls = {"count": 0}
     real = np.ascontiguousarray
@@ -439,7 +440,7 @@ def test_interrupted_resave_leaves_no_valid_header(saved_store, monkeypatch):
     with pytest.raises(RuntimeError, match="simulated crash"):
         backend.save(saved_store)
     with pytest.raises(StorageError, match="missing header.json"):
-        MmapBackend.open(saved_store)
+        ColumnarBackend.open(saved_store)
 
 
 def test_storage_error_is_serialization_error(saved_store):

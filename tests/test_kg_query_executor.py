@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import SetBackend, backend_named, backtrack, multiset
+from _oracle import (SetBackend, backend_named, backtrack, mapped_backend,
+                     multiset)
 from repro.errors import QueryError
 from repro.kg import executor, planner
 from repro.kg import query as query_module
@@ -34,6 +35,10 @@ BACKENDS = ("set", "columnar", "mmap", "sharded")
 
 
 def _store(rows, backend: str) -> TripleStore:
+    """``mmap`` is a columnar store of ``rows`` saved and reopened: its
+    base is mapped from disk."""
+    if backend == "mmap":
+        return TripleStore(backend=mapped_backend(triples_from_tuples(rows)))
     if backend == "sharded":
         return TripleStore(triples_from_tuples(rows),
                            backend=ShardedBackend(n_shards=2))
@@ -464,7 +469,7 @@ def test_executor_parity_on_reopened_store(tmp_path, backend):
 # row-for-row parity with the count-probe planner (parent-written fixture)
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", ("columnar", "mmap", "sharded"))
-def test_join_order_matches_the_parent_commit_row_for_row(tmp_path, backend):
+def test_join_order_matches_the_parent_commit_row_for_row(backend):
     """``tests/data/join-order-written-by-pr20.json`` was written by
     running the commit before the single fetch round — ``plan_queries``
     still probed ``count_many`` and sorted the steps.  Joining the
@@ -477,11 +482,7 @@ def test_join_order_matches_the_parent_commit_row_for_row(tmp_path, backend):
     bit-identical where ``select`` sorts them."""
     fixture = json.loads((Path(__file__).parent / "data" /
                           "join-order-written-by-pr20.json").read_text())
-    if backend == "mmap":
-        _store(fixture["triples"], "columnar").save(tmp_path / "saved")
-        store = TripleStore.open(tmp_path / "saved")
-    else:
-        store = _store(fixture["triples"], backend)
+    store = _store(fixture["triples"], backend)
     queries = [PatternQuery.from_patterns(entry["patterns"],
                                           select=entry["select"])
                for entry in fixture["queries"]]
@@ -501,7 +502,7 @@ def test_join_order_matches_the_parent_commit_row_for_row(tmp_path, backend):
 
 
 @pytest.mark.parametrize("backend", ("columnar", "mmap", "sharded"))
-def test_list_backed_answers_match_the_parent_commit(tmp_path, backend):
+def test_list_backed_answers_match_the_parent_commit(backend):
     """``tests/data/list-backed-answers-written-by-pr24.json`` was
     written by the commit whose executor still answered some queries
     with plain lists: no-variable queries (true and false, with and
@@ -514,11 +515,7 @@ def test_list_backed_answers_match_the_parent_commit(tmp_path, backend):
     fixture = json.loads((Path(__file__).parent / "data" /
                           "list-backed-answers-written-by-pr24.json"
                           ).read_text())
-    if backend == "mmap":
-        _store(fixture["triples"], "columnar").save(tmp_path / "saved")
-        store = TripleStore.open(tmp_path / "saved")
-    else:
-        store = _store(fixture["triples"], backend)
+    store = _store(fixture["triples"], backend)
     queries = [PatternQuery.from_patterns(entry["patterns"],
                                           select=entry["select"],
                                           limit=entry["limit"])

@@ -7,8 +7,8 @@ check, fill and drop-all invalidation all happen on the single
 dispatcher thread that serializes writes.  These suites attack that
 claim:
 
-* **property** — random query/write interleavings on columnar, mmap and
-  sharded backends, cached vs cache-disabled twin services, results
+* **property** — random query/write interleavings on columnar stores
+  (in-heap, and reopened with a mapped base) and sharded ones, cached vs cache-disabled twin services, results
   compared bit-identically after every step (hypothesis-driven);
 * **wire** — the same twin comparison through real servers, plus a
   concurrent remote writer appending markers while every acked write is
@@ -33,8 +33,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _oracle import mapped_backend
 from repro.kg.client import RemoteClient, RemoteQueryEngine, RemoteStore
-from repro.kg.mmap_backend import MmapBackend
 from repro.kg.planner import PatternQuery, cache_key
 from repro.kg.server import KGServer
 from repro.kg.service import QueryService
@@ -57,7 +57,7 @@ def _base_rows():
 def _make_store(backend_name: str) -> TripleStore:
     triples = triples_from_tuples(_base_rows())
     if backend_name == "mmap":
-        return TripleStore(triples, backend=MmapBackend())
+        return TripleStore(backend=mapped_backend(triples))
     if backend_name == "sharded":
         return TripleStore(triples, backend=ShardedBackend(n_shards=2))
     return TripleStore(triples)

@@ -4,7 +4,7 @@ The hash-partitioned :class:`~repro.kg.sharded_backend.ShardedBackend`
 must be observably identical to the in-memory columnar backend for every
 query shape, **bit-identical across shard counts**, and must round-trip
 through its sharded on-disk layout (global binary interner tables +
-per-shard mmap directories).  Corrupt shards and mixed-up directories
+per-shard columnar directories).  Corrupt shards and mixed-up directories
 must surface as :class:`~repro.errors.StorageError` at open time.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.kg.backend import ColumnarBackend, make_backend
-from repro.kg.mmap_backend import HEADER_FILE, MmapBackend
+from repro.kg.mmap_backend import HEADER_FILE
 from repro.kg.routing import BROADCAST, scatter_gather
 from repro.kg.sharded_backend import (
     SHARDED_FORMAT_VERSION,
@@ -261,14 +261,14 @@ def test_a_mixed_id_batch_drives_each_shard_once(monkeypatch):
          for index in range(30)]))
     calls = []
     for name in ("match_ids_many", "count_many", "match_many"):
-        original = getattr(MmapBackend, name)
+        original = getattr(ColumnarBackend, name)
 
         def spy(self, patterns, *args, _name=name, _original=original,
                 **kwargs):
             calls.append(_name)
             return _original(self, patterns, *args, **kwargs)
 
-        monkeypatch.setattr(MmapBackend, name, spy)
+        monkeypatch.setattr(ColumnarBackend, name, spy)
     head_ids = [backend.entity_interner.lookup(f"h{index}")
                 for index in range(30)]
     id_patterns = [(head_id, None, None) for head_id in head_ids] \
@@ -456,7 +456,7 @@ def test_open_single_store_as_sharded_raises(tmp_path):
 def test_open_shard_directly_raises(saved_sharded):
     """A shard dir has no interner tables — opening it alone must fail."""
     with pytest.raises(StorageError, match="external"):
-        MmapBackend.open(saved_sharded / "shard-0")
+        ColumnarBackend.open(saved_sharded / "shard-0")
 
 
 def test_interrupted_sharded_save_leaves_no_valid_header(saved_sharded, monkeypatch):

@@ -9,7 +9,7 @@ recovery is checked against an oracle that replays the same acked-batch
 prefix on a plain in-memory store.
 
 The ``base`` fixture runs the sweeps across all three snapshot bases
-(columnar / mmap / sharded); CI's WAL fault-injection matrix keys off
+(columnar, a columnar store reopened with its base mapped, sharded); CI's WAL fault-injection matrix keys off
 its ``*-base`` ids.
 """
 
@@ -26,9 +26,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _oracle import mapped_backend
 from repro.errors import StorageError
 from repro.kg import Triple, TripleStore
-from repro.kg.mmap_backend import MmapBackend
 from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.wal import (
@@ -66,7 +66,7 @@ def base(request):
 
 def _make_backend(base: str):
     if base == "mmap":
-        return MmapBackend()
+        return mapped_backend()
     if base == "sharded":
         return ShardedBackend(n_shards=2, max_workers=2)
     return "columnar"
