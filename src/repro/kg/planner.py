@@ -18,7 +18,8 @@ the query text — no store is consulted:
   :class:`~repro.kg.service.QueryService` result cache is keyed by:
   interned pattern ids plus ``select``, deliberately
   **limit-independent** (cache entries hold the full deduplicated
-  id-row block; ``limit`` applies at projection);
+  id-row block; ``limit`` applies at projection), and :func:`key_triple`,
+  a written triple in that key's term space (what invalidation probes);
 * :func:`co_partitioned` — the star-query shape test: what a store
   partitioned by head hash answers shard by shard, unplanned.
 
@@ -204,9 +205,14 @@ def cache_key(backend: object, query: PatternQuery) -> Tuple:
       holds the full block and every limit is a view of it.
 
     A constant the interner has never seen keys as ``("#", term)``.
-    That is only sound because the service drops the whole cache on
-    every mutation epoch bump — interners grow only on writes, so
-    between bumps "unknown" is as stable an identity as an id.
+    Interners are append-only: an id never changes, and an
+    ``("#", term)`` entry becomes unreachable (no query computes its
+    key again) once ``term`` is interned there.  So while an entry is
+    reachable each of its constants canonicalizes now exactly as it did
+    at fill, and a written triple put in this term space by
+    :func:`key_triple` — before or after its own apply — meets the
+    key's terms wherever it matches a pattern.  That is why the service
+    may drop only the entries a write matches instead of all of them.
     """
     entity_lookup = backend.entity_interner.lookup
     relation_lookup = backend.relation_interner.lookup
@@ -217,6 +223,21 @@ def cache_key(backend: object, query: PatternQuery) -> Tuple:
                 terms.append(term)
                 continue
             lookup = relation_lookup if position == 1 else entity_lookup
-            interned = lookup(term)
-            terms.append(("#", term) if interned is None else interned)
+            terms.append(_known(lookup(term), term))
     return (tuple(query.select), tuple(terms))
+
+
+def key_triple(backend: object, triple) -> Tuple:
+    """A written ``(head, relation, tail)`` in :func:`cache_key`'s term
+    space: every term canonicalized as the constant it is, an interned
+    id or ``("#", term)``.  A written term is never a variable, even
+    one spelled ``?x``."""
+    entity_lookup = backend.entity_interner.lookup
+    head, relation, tail = triple
+    return (_known(entity_lookup(head), head),
+            _known(backend.relation_interner.lookup(relation), relation),
+            _known(entity_lookup(tail), tail))
+
+
+def _known(interned: Optional[int], term: str) -> object:
+    return ("#", term) if interned is None else interned

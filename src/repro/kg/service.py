@@ -59,11 +59,13 @@ Hot queries short-circuit all of the above: the dispatcher consults a
 limit-independent), value = the full deduplicated
 :class:`~repro.kg.executor.IdBlock` (strings still materialize per
 request/page, so the binary codec ships cached blocks without
-re-stringifying), LRU-evicted under a byte budget, dropped wholesale on
-every ``mutation_epoch`` bump.  Check, fill and invalidation all happen
-on the one dispatcher thread, so a stale hit after an acked write is
-impossible by construction; ``compact()`` doesn't bump the epoch, so
-compaction keeps the cache warm.
+re-stringifying), LRU-evicted under a byte budget.  A write drops
+exactly the entries with a pattern one of its triples matches,
+variables read as wildcards — no other entry's answer can change — and
+a store swap or a failed apply drops them all.  Check, fill and
+invalidation all happen on the one dispatcher thread, after the
+round's writes, so a read served after an acked write reflects it;
+``compact()`` changes no triple, so compaction keeps the cache warm.
 
 Construction warms the backend up (attaches memmaps, folds any pending
 overlay) so steady-state dispatch never pays a consolidation.  The
@@ -96,7 +98,7 @@ from repro.kg.executor import (Binding, IdBlock, ResultCursor,
                                execute_co_partitioned, execute_plans_cursors,
                                id_backend)
 from repro.kg.planner import (PatternQuery, cache_key as plan_cache_key,
-                              plan_queries, validate_limit)
+                              key_triple, plan_queries, validate_limit)
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
 
@@ -196,9 +198,32 @@ class _Request:
         self.cache_key: Optional[Tuple] = None
 
 
+def _slot(mask: int, terms: Sequence) -> Tuple:
+    """A reverse-index slot: the mask of bound positions (bit ``p`` set:
+    position ``p`` holds a constant), then the terms there."""
+    return (mask,) + tuple(term for position, term in enumerate(terms)
+                           if mask >> position & 1)
+
+
+def _slots(key: Tuple) -> set:
+    """A cache key's slots, one per pattern.  Variables are the key's
+    only strings (constants are ids or ``("#", term)``)."""
+    terms = key[1]
+    patterns = [terms[start:start + 3] for start in range(0, len(terms), 3)]
+    return {_slot(sum(1 << position for position, term in enumerate(pattern)
+                      if not isinstance(term, str)), pattern)
+            for pattern in patterns}
+
+
 class _ResultCache:
     """Hot-query result cache: plan cache key → the full deduplicated
     :class:`~repro.kg.executor.IdBlock`, LRU-evicted under a byte budget.
+
+    A reverse index maps each pattern's slot — its mask of bound
+    positions and its bound terms — to the keys of the entries holding
+    it, so :meth:`drop_matching` finds every entry a written triple
+    matches with one probe per mask.  An entry enters the index on
+    :meth:`put` and leaves it when evicted or dropped.
 
     Structure is touched exclusively by the dispatcher thread; the
     service wraps every counter-mutating call in its stats lock so
@@ -210,7 +235,7 @@ class _ResultCache:
     """
 
     __slots__ = ("max_bytes", "bytes", "entries", "hits", "misses",
-                 "evictions", "invalidations", "_table")
+                 "evictions", "invalidations", "_table", "_index")
 
     #: Per-entry bookkeeping charge on top of the raw row bytes (key
     #: tuple, table slot, block header) so a flood of tiny results
@@ -226,6 +251,7 @@ class _ResultCache:
         self.evictions = 0
         self.invalidations = 0
         self._table: "OrderedDict[Tuple, Tuple[int, IdBlock]]" = OrderedDict()
+        self._index: Dict[Tuple, set] = {}
 
     @classmethod
     def _cost(cls, block: IdBlock) -> int:
@@ -248,16 +274,43 @@ class _ResultCache:
         if previous is not None:
             self.bytes -= previous[0]
         while self._table and self.bytes + cost > self.max_bytes:
-            _key, (evicted_cost, _block) = self._table.popitem(last=False)
+            evicted_key, (evicted_cost, _block) = \
+                self._table.popitem(last=False)
+            self._unindex(evicted_key)
             self.bytes -= evicted_cost
             self.evictions += 1
+        if previous is None:
+            for slot in _slots(key):
+                self._index.setdefault(slot, set()).add(key)
         self._table[key] = (cost, block)
         self.bytes += cost
+        self.entries = len(self._table)
+
+    def _unindex(self, key: Tuple) -> None:
+        for slot in _slots(key):
+            keys = self._index[slot]
+            keys.discard(key)
+            if not keys:
+                del self._index[slot]
+
+    def drop_matching(self, triples: Sequence[Tuple]) -> None:
+        """Drop every entry with a pattern one of ``triples`` (in
+        :func:`~repro.kg.planner.key_triple` form) matches, variables
+        read as wildcards; nothing else can change its answer."""
+        self.invalidations += 1
+        doomed = set()
+        for triple in triples:
+            for mask in range(8):
+                doomed.update(self._index.get(_slot(mask, triple), ()))
+        for key in doomed:
+            self.bytes -= self._table.pop(key)[0]
+            self._unindex(key)
         self.entries = len(self._table)
 
     def clear(self) -> None:
         self.invalidations += 1
         self._table.clear()
+        self._index.clear()
         self.bytes = 0
         self.entries = 0
 
@@ -282,11 +335,11 @@ class QueryService:
         The dispatcher checks the cache before a pattern query joins a
         batch round; entries are the full limit-stripped id-row blocks
         keyed by :func:`~repro.kg.planner.cache_key`, LRU-evicted under
-        this budget, and dropped wholesale on every ``mutation_epoch``
-        bump (``compact()`` doesn't bump, so compaction keeps the cache
-        warm).  Because the same single dispatcher checks, fills and
-        invalidates, a stale hit after a write is impossible by
-        construction.
+        this budget.  A write drops the entries with a pattern one of
+        its triples matches (a swap or a failed apply drops all;
+        ``compact()`` drops none).  Because the same single dispatcher
+        checks, fills and invalidates, a stale hit after a write is
+        impossible by construction.
 
     Use as a context manager or call :meth:`close` — the dispatcher is
     a daemon thread, but closing deterministically drains in-flight
@@ -690,22 +743,31 @@ class QueryService:
         is recoverable, a batch whose ack never arrived may or may not
         be.
 
-        Any ADD/REMOVE — even one whose apply *failed*, since a partial
-        apply may already have interned new symbols or spliced rows —
-        drops the whole result cache before this round's reads are
-        served, and so does a store SWAP (the adopted store's interners
-        share nothing with the cached id blocks).  COMPACT keeps it:
-        compaction changes the on-disk generation, not the triple set or
-        the interners, so the cache stays warm through it by design.
+        Before this round's reads are served, the result cache drops
+        exactly the entries with a pattern some ADD/REMOVE triple of the
+        round matches (variables read as wildcards): no other write can
+        change a conjunctive answer.  An ADD/REMOVE whose apply *failed*
+        drops the whole cache, and so does a store SWAP (the adopted
+        store's interners share nothing with the cached id blocks).
+        COMPACT keeps it: compaction changes the on-disk generation, not
+        the triple set or the interners.
         """
         mutated = False
+        # The round's written triples in cache-key form; None: drop all.
+        written: Optional[List[Tuple]] = \
+            [] if self._cache is not None else None
         for request in requests:
+            # Re-read self.store per request: a SWAP earlier in this
+            # round must route the rest of the round to the new store.
+            store = self.store
             if request.kind != _COMPACT:
                 mutated = True
+                if request.kind == _SWAP:
+                    written = None
+                elif written is not None:
+                    written.extend(key_triple(store.backend, triple)
+                                   for triple in request.payload)
             try:
-                # Re-read self.store per request: a SWAP earlier in this
-                # round must route the rest of the round to the new store.
-                store = self.store
                 if request.kind == _ADD:
                     result = store.add_many(request.payload)
                 elif request.kind == _REMOVE:
@@ -715,6 +777,8 @@ class QueryService:
                 else:
                     result = store.compact(crash_hook=request.payload)
             except Exception as exc:
+                if request.kind != _COMPACT:
+                    written = None
                 _resolve(request.future, exception=exc)
                 continue
             if request.kind != _COMPACT:
@@ -724,7 +788,10 @@ class QueryService:
             _resolve(request.future, result)
         if mutated and self._cache is not None:
             with self._stats_lock:
-                self._cache.clear()
+                if written is None:
+                    self._cache.clear()
+                else:
+                    self._cache.drop_matching(written)
 
     def _serve_queries(self, requests: List[_Request]) -> None:
         # Cache check first: hot queries never join the planning batch.

@@ -3,18 +3,30 @@
 The cache's one safety claim: a service with the cache enabled is
 OBSERVATIONALLY IDENTICAL to one without it — same rows, same order,
 same errors — under any interleaving of queries and writes, because
-check, fill and drop-all invalidation all happen on the single
-dispatcher thread that serializes writes.  These suites attack that
-claim:
+check, fill and invalidation all happen on the single dispatcher thread
+that serializes writes.  Invalidation is per pattern: a write drops
+exactly the entries with a pattern one of its triples matches
+(variables as wildcards); a SWAP or a failed apply drops them all.
+These suites attack that claim:
 
 * **property** — random query/write interleavings on columnar stores
   (in-heap, and reopened with a mapped base) and sharded ones, cached vs cache-disabled twin services, results
-  compared bit-identically after every step (hypothesis-driven);
+  compared bit-identically after every step (hypothesis-driven); the
+  write pool holds triples under relations no query names, triples
+  that intern a constant a query keyed as unknown (in its position and
+  elsewhere), and one that interns a relation a query names before it
+  exists;
+* **invalidation** — a write keeps the entries it cannot change, drops
+  the ones it matches a pattern of, an all-variable pattern is dropped
+  by any write, a failed apply mid-round drops everything, and the
+  reverse index holds exactly the live entries' keys through LRU churn
+  and drops;
 * **wire** — the same twin comparison through real servers, plus a
   concurrent remote writer appending markers while every acked write is
-  checked immediately visible through the hot path (an epoch bump must
-  never serve a stale entry); both are rows scenarios, so from a
-  connection that never said ``hello`` they end in the typed refusal;
+  checked immediately visible through the hot path (an acked write
+  must never be answered by a stale entry); both are rows scenarios,
+  so from a connection that never said ``hello`` they end in the typed
+  refusal;
 * **mechanics** — limit variants sharing one entry, key canonicality,
   LRU eviction under the byte budget, cursor snapshots surviving
   invalidation, ``RemoteCursor`` release draining the server table with
@@ -28,6 +40,7 @@ import gc
 import random
 import threading
 import time
+from dataclasses import replace as dataclass_replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +50,8 @@ from _oracle import mapped_backend
 from repro.kg.client import RemoteClient, RemoteQueryEngine, RemoteStore
 from repro.kg.planner import PatternQuery, cache_key
 from repro.kg.server import KGServer
-from repro.kg.service import QueryService
+from repro.errors import StorageError
+from repro.kg.service import QueryService, _slots
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple, triples_from_tuples
@@ -66,7 +80,8 @@ def _make_store(backend_name: str) -> TripleStore:
 #: A pool of queries spanning every answer shape, each cached: joins,
 #: constants, selects, limits, unknown constants, a mixed-kind query
 #: (variable in entity AND relation position), an empty join over
-#: known constants, and a query without variables.
+#: known constants, a query without variables, and a join over a
+#: relation (``madeIn``) no base triple has.
 _QUERIES = [
     PatternQuery.from_patterns([("?p", "brandIs", "?b")]),
     PatternQuery.from_patterns([("?p", "brandIs", "brand:1")],
@@ -85,16 +100,27 @@ _QUERIES = [
     PatternQuery.from_patterns([("?p", "brandIs", "?b"),
                                 ("?b", "rdf:type", "?c")]),
     PatternQuery.from_patterns([("product:001", "brandIs", "brand:1")]),
+    PatternQuery.from_patterns([("?p", "brandIs", "?b"),
+                                ("?p", "madeIn", "?c")]),
 ]
 
 #: Triples the write ops flip in and out, overlapping the base rows so
-#: removes actually remove and adds actually change hot results.
+#: removes actually remove and adds actually change hot results — plus
+#: writes per-pattern invalidation must tell apart: under a relation no
+#: query names, interning ``brand:none`` where a query keyed it as
+#: unknown (and, under the unnamed relation, elsewhere), and interning
+#: the ``madeIn`` relation a query names before any triple has it.
 _WRITE_POOL = triples_from_tuples(
     [(f"product:{index:03d}", "brandIs", f"brand:{index % 4}")
      for index in range(6)]
     + [(f"extra:{index}", "brandIs", f"brand:{index % 4}")
        for index in range(6)]
-    + [(f"extra:{index}", "rdf:type", "category:0") for index in range(4)])
+    + [(f"extra:{index}", "rdf:type", "category:0") for index in range(4)]
+    + [("product:001", "viewedWith", "product:002"),
+       ("extra:1", "viewedWith", "product:003"),
+       ("brand:none", "viewedWith", "brand:1"),
+       ("extra:5", "brandIs", "brand:none"),
+       ("product:002", "madeIn", "country:0")])
 
 _OP = st.one_of(
     st.tuples(st.just("query"),
@@ -112,7 +138,7 @@ _OP = st.one_of(
 # property: cache on/off twins are bit-identical under interleavings
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend_name", ["columnar", "mmap", "sharded"])
-@settings(max_examples=15, deadline=None,
+@settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ops=st.lists(_OP, min_size=1, max_size=10))
 def test_cache_on_off_bit_identical_under_interleavings(backend_name, ops):
@@ -135,6 +161,170 @@ def test_cache_on_off_bit_identical_under_interleavings(backend_name, ops):
     finally:
         cached.close()
         plain.close()
+
+
+# --------------------------------------------------------------------------- #
+# invalidation: a write drops exactly the entries it can change
+# --------------------------------------------------------------------------- #
+_GUIDE = PatternQuery.from_patterns([("?p", "brandIs", "brand:1"),
+                                     ("?p", "rdf:type", "category:0")],
+                                    select=("?p",), limit=2)
+_POINT = PatternQuery.from_patterns([("product:001", "brandIs", "?b"),
+                                     ("?b", "headquartersIn", "?c")])
+_OTHER_GUIDE = PatternQuery.from_patterns([("?p", "brandIs", "brand:2"),
+                                           ("?p", "rdf:type", "category:2")],
+                                          select=("?p",))
+_VIEWED = [Triple("product:001", "viewedWith", "product:002")]
+
+
+def _guide_store() -> TripleStore:
+    return TripleStore(triples_from_tuples(
+        _base_rows() + [(f"brand:{index}", "headquartersIn",
+                         f"country:{index % 2}") for index in range(4)]))
+
+
+def _cache_state(service):
+    stats = service.stats
+    return (stats["cache_entries"], stats["cache_hits"],
+            stats["cache_misses"], stats["cache_invalidations"])
+
+
+def test_a_write_keeps_the_entries_it_cannot_change():
+    """Adding and removing a ``viewedWith`` triple changes neither a
+    guide join nor a point join: both stay cached and keep hitting."""
+    with QueryService(_guide_store()) as service:
+        answers = [service.execute(query) for query in (_GUIDE, _POINT)]
+        entries, hits, misses, invalidations = _cache_state(service)
+        assert entries == 2
+        assert service.add_many(_VIEWED) == 1
+        assert [service.execute(query) for query in (_GUIDE, _POINT)] \
+            == answers
+        assert service.remove_many(_VIEWED) == 1
+        assert [service.execute(query) for query in (_GUIDE, _POINT)] \
+            == answers
+        assert _cache_state(service) == (entries, hits + 4, misses,
+                                         invalidations + 2)
+
+
+def test_a_write_drops_the_entry_one_of_whose_patterns_it_matches():
+    """``product:005`` is a brand:1 product; typing it category:0
+    matches the guide join's second pattern only — that entry goes, the
+    others stay, and the re-asked guide join sees the new row."""
+    with QueryService(_guide_store()) as service:
+        queries = (_GUIDE, _POINT, _OTHER_GUIDE)
+        answers = [service.execute(query) for query in queries]
+        entries, hits, misses, _ = _cache_state(service)
+        assert entries == 3
+        service.add_many([Triple("product:005", "rdf:type", "category:0")])
+        assert service.stats["cache_entries"] == 2
+        assert service.execute(_POINT) == answers[1]
+        assert service.execute(_OTHER_GUIDE) == answers[2]
+        guide = service.execute(dataclass_replace(_GUIDE, limit=None))
+        assert {"?p": "product:005"} in guide
+        assert _cache_state(service)[:3] == (3, hits + 2, misses + 1)
+
+
+def test_an_all_variable_pattern_is_dropped_by_any_write():
+    everything = PatternQuery.from_patterns([("?x", "?r", "?y")],
+                                            select=("?x",), limit=5)
+    with QueryService(_guide_store()) as service:
+        service.execute(everything)
+        service.execute(_GUIDE)
+        service.add_many(_VIEWED)
+        assert service.stats["cache_entries"] == 1
+        _, hits, misses, _ = _cache_state(service)
+        service.execute(_GUIDE)
+        service.execute(everything)
+        assert _cache_state(service)[1:3] == (hits + 1, misses + 1)
+
+
+def test_interning_an_unknown_constant_drops_its_entry():
+    """``brand:none`` keys as unknown; the write that interns it in the
+    pattern's position drops the entry at once instead of leaving an
+    unreachable one for the LRU."""
+    none = PatternQuery.from_patterns([("?p", "brandIs", "brand:none")])
+    with QueryService(_guide_store()) as service:
+        assert service.execute(none) == []
+        service.execute(_GUIDE)
+        service.add_many([Triple("extra:5", "brandIs", "brand:none")])
+        assert service.stats["cache_entries"] == 1
+        assert service.execute(none) == [{"?p": "extra:5"}]
+
+
+def test_a_failed_apply_mid_round_drops_the_whole_cache(monkeypatch):
+    """Two writes in one dispatch round, the second's apply raising:
+    the first matches no cached pattern, yet the round drops all."""
+    store = _guide_store()
+    held, release = threading.Event(), threading.Event()
+    count_many, add_many = store.count_many, store.add_many
+
+    def holding_count_many(patterns):
+        held.set()
+        release.wait(10)
+        return count_many(patterns)
+
+    def failing_add_many(triples):
+        if any(triple.relation == "poison" for triple in triples):
+            raise StorageError("apply failed")
+        return add_many(triples)
+
+    with QueryService(store) as service:
+        for query in (_GUIDE, _POINT):
+            service.execute(query)
+        invalidations = service.stats["cache_invalidations"]
+        monkeypatch.setattr(store, "count_many", holding_count_many)
+        monkeypatch.setattr(store, "add_many", failing_add_many)
+        # Park the dispatcher so both writes queue into one round.
+        counted = service.submit_count(("product:001", "brandIs", None))
+        assert held.wait(10)
+        harmless = service.submit_add(_VIEWED)
+        poisoned = service.submit_add(
+            [Triple("product:001", "poison", "product:002")])
+        release.set()
+        assert counted.result() == 1
+        assert harmless.result() == 1
+        with pytest.raises(StorageError):
+            poisoned.result()
+        stats = service.stats
+        assert (stats["cache_entries"], stats["cache_bytes"]) == (0, 0)
+        assert stats["cache_invalidations"] == invalidations + 1
+        assert not service._cache._index
+
+
+def _assert_index_is_live_keys(cache):
+    live = set(cache._table)
+    assert set().union(*cache._index.values()) == live
+    assert all(cache._index.values())
+    for key in live:
+        for slot in _slots(key):
+            assert key in cache._index[slot]
+
+
+def test_reverse_index_holds_exactly_the_live_keys_through_churn():
+    rows = [(f"product:{index:04d}", "brandIs", f"brand:{index % 64}")
+            for index in range(4096)]
+    rows += [(f"product:{index:04d}", "rdf:type", f"category:{index % 8}")
+             for index in range(4096)]
+    store = TripleStore(triples_from_tuples(rows))
+    with QueryService(store, cache_bytes=8192) as service:
+        cache = service._cache
+        for index in range(64):
+            service.execute(PatternQuery.from_patterns(
+                [("?p", "brandIs", f"brand:{index}")], select=("?p",)))
+            service.execute(PatternQuery.from_patterns(
+                [("?p", "brandIs", f"brand:{index}"),
+                 ("?p", "rdf:type", f"category:{index % 8}")],
+                select=("?p",)))
+            service.execute(PatternQuery.from_patterns(
+                [(f"product:{index:04d}", "brandIs", "?b"),
+                 ("?b", "headquartersIn", "?c")]))
+            _assert_index_is_live_keys(cache)
+            if index % 8 == 7:
+                service.add_many([Triple(f"product:{index:04d}", "rdf:type",
+                                         "category:0")])
+                _assert_index_is_live_keys(cache)
+        assert service.stats["cache_evictions"] > 0
+        assert 0 < len(cache._table) < 3 * 64
 
 
 # --------------------------------------------------------------------------- #
