@@ -927,32 +927,35 @@ class KGServer:
     def _op_wal_tail(self, after_seq: int, max_batches: int) -> dict:
         """Ship WAL batches past ``after_seq`` to a polling follower.
 
-        Re-scans the WAL file per poll: the scanner recovers the
-        longest *intact record prefix*, which is exactly the durably
-        acked state even while the dispatcher thread is appending to
-        the same file.  The response is capped (batches and a triple
-        budget) so a far-behind follower catches up over several polls
-        instead of one response blowing the frame cap.
+        Scans only what it may ship: ``wal.ends`` (the end offset of
+        every durable record, pushed once its fsync returned) bounds the
+        scan to the records past ``after_seq`` up to the batch cap, so a
+        poll costs the bytes it ships, a caught-up poll opens no file
+        and a record still in fsync never ships.  The response is capped
+        (batches and a triple budget) so a far-behind follower catches
+        up over several polls instead of one response blowing the frame
+        cap.
         """
         wal = self.service.store.wal
         if wal is None:
             raise ProtocolError(
                 "wal_tail requires a live store (this server was opened "
                 "from a plain snapshot or in-memory data)")
-        scan = scan_wal(wal.path)
+        n = len(wal.ends)
         batches: List[list] = []
-        budget = _WAL_TAIL_TRIPLE_BUDGET
-        for batch in scan.batches:
-            if batch.seq <= after_seq:
-                continue
-            if batches and (budget <= 0
-                            or len(batches) >= min(max_batches,
-                                                   _WAL_TAIL_MAX_BATCHES)):
-                break
-            batches.append([batch.seq, batch.op,
-                            [list(triple) for triple in batch.triples]])
-            budget -= len(batch.triples)
-        return {"generation": scan.generation, "next_seq": wal.next_seq,
+        if after_seq < n:
+            last = min(n, after_seq + min(max_batches, _WAL_TAIL_MAX_BATCHES))
+            scan = scan_wal(wal.path,
+                            start=wal.ends[after_seq - 1] if after_seq else 0,
+                            first_seq=after_seq + 1, stop=wal.ends[last - 1])
+            budget = _WAL_TAIL_TRIPLE_BUDGET
+            for batch in scan.batches:
+                if batches and budget <= 0:
+                    break
+                batches.append([batch.seq, batch.op,
+                                [list(triple) for triple in batch.triples]])
+                budget -= len(batch.triples)
+        return {"generation": wal.generation, "next_seq": wal.next_seq,
                 "batches": batches}
 
     def _op_snapshot_ship(self, path: Optional[str], offset: int,

@@ -19,10 +19,16 @@ On-disk record format (all little-endian)::
 ``seq`` starts at 1 and must increase by exactly 1 per record; the scan
 stops at the first record whose length, checksum or sequence number does
 not hold, so replay recovers **exactly the prefix of durably-acked
-batches**.  Replay is *not* idempotent (``add x`` then ``remove x`` in
-later batches cannot be re-applied out of order), which is why the live
-layout below never lets a WAL outlive the snapshot it was logged
-against.
+batches**.  The open log keeps the end offset of every *durable* record
+(:attr:`WriteAheadLog.ends`, pushed once its fsync returns), so a
+follower's poll reads only the byte range it ships and never a record
+still in fsync.  If ``append``'s write, flush or fsync raises, the
+record's bytes may stay in the file under the seq the next batch would
+reuse, so the log refuses appends until it is reopened; the failed
+batch's outcome is unknown, not lost (recovery may replay it).  Replay
+is *not* idempotent (``add x`` then ``remove x`` in later batches cannot
+be re-applied out of order), which is why the live layout below never
+lets a WAL outlive the snapshot it was logged against.
 
 Live store layout (one directory)::
 
@@ -44,6 +50,7 @@ import json
 import os
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Sequence, Tuple, Union
@@ -163,7 +170,7 @@ class WalBatch:
 
 @dataclass(frozen=True)
 class WalScan:
-    """Result of scanning a WAL file front to back."""
+    """Result of scanning a WAL file (or a record range of one)."""
 
     generation: int
     batches: List[WalBatch]
@@ -174,25 +181,34 @@ class WalScan:
     damaged: bool
 
 
-def scan_wal(path: "Union[str, Path]") -> WalScan:
+def scan_wal(path: "Union[str, Path]", start: int = 0, first_seq: int = 1,
+             stop: "int | None" = None) -> WalScan:
     """Scan a WAL file, recovering the longest intact record prefix.
 
     A truncated or corrupted *record* ends the scan (prefix recovery);
     a truncated or corrupted *file header* raises
     :class:`~repro.errors.StorageError` — a live pointer naming a WAL
     whose header never made it to disk is real corruption, not a torn
-    append.
+    append.  ``start`` (an offset of a record boundary; ``0`` means
+    just past the header) and ``first_seq`` resume the scan mid-log,
+    and ``stop`` ends it at that offset instead of end-of-file: only
+    the header and ``[start, stop)`` are read, and every record in
+    that range is checked exactly as in a full scan.
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        with path.open("rb") as file:
+            header = file.read(_HEADER.size)
+            start = max(start, _HEADER.size)
+            file.seek(start)
+            data = file.read(-1 if stop is None else stop - start)
     except OSError as exc:
         raise StorageError(f"cannot read WAL {path}: {exc}") from exc
-    if len(data) < _HEADER.size:
+    if len(header) < _HEADER.size:
         raise StorageError(
-            f"WAL {path} is {len(data)} bytes, shorter than its "
+            f"WAL {path} is {len(header)} bytes, shorter than its "
             f"{_HEADER.size}-byte header")
-    magic, version, generation = _HEADER.unpack_from(data)
+    magic, version, generation = _HEADER.unpack(header)
     if magic != WAL_MAGIC:
         raise StorageError(f"{path} is not a WAL file (magic {magic!r})")
     if version != WAL_VERSION:
@@ -200,25 +216,25 @@ def scan_wal(path: "Union[str, Path]") -> WalScan:
             f"WAL {path} has format version {version}, this build reads "
             f"version {WAL_VERSION}")
     batches: List[WalBatch] = []
-    offset = _HEADER.size
-    next_seq = 1
+    offset = 0
+    next_seq = first_seq
     while offset + _RECORD.size <= len(data):
         length, checksum = _RECORD.unpack_from(data, offset)
-        start = offset + _RECORD.size
-        end = start + length
+        begin = offset + _RECORD.size
+        end = begin + length
         if length > MAX_RECORD_BYTES or end > len(data):
             break
-        payload = data[start:end]
+        payload = data[begin:end]
         if zlib.crc32(payload) != checksum:
             break
-        batch = _decode_payload(payload, next_seq, end)
+        batch = _decode_payload(payload, next_seq, start + end)
         if batch is None:
             break
         batches.append(batch)
         next_seq += 1
         offset = end
     return WalScan(generation=generation, batches=batches,
-                   valid_bytes=offset, damaged=offset < len(data))
+                   valid_bytes=start + offset, damaged=offset < len(data))
 
 
 def coalesced_ops(
@@ -255,13 +271,18 @@ class WriteAheadLog:
     file; the service's single dispatcher thread is that writer.
     """
 
-    def __init__(self, path: Path, file, generation: int, next_seq: int,
+    def __init__(self, path: Path, file, generation: int, ends: array,
                  fsync: bool) -> None:
         self.path = path
         self._file = file
         self.generation = generation
-        self._next_seq = next_seq
+        #: End offset of every durable record, indexed by ``seq - 1``:
+        #: pushed only after the record's fsync (or flush) returned, so
+        #: a reader on another thread never sees a record in flight.
+        self.ends = ends
         self.fsync = fsync
+        #: Why an append failed; once set, the log refuses appends.
+        self._failure: "str | None" = None
 
     @classmethod
     def create(cls, path: "Union[str, Path]", *, generation: int,
@@ -279,7 +300,7 @@ class WriteAheadLog:
             raise
         if fsync:
             _fsync_directory(path.parent)
-        return cls(path, file, generation, 1, fsync)
+        return cls(path, file, generation, array("Q"), fsync)
 
     @classmethod
     def open(cls, path: "Union[str, Path]", *,
@@ -302,27 +323,39 @@ class WriteAheadLog:
         except BaseException:
             file.close()
             raise
-        next_seq = scan.batches[-1].seq + 1 if scan.batches else 1
-        return cls(path, file, scan.generation, next_seq, fsync), scan
+        ends = array("Q", (batch.end_offset for batch in scan.batches))
+        return cls(path, file, scan.generation, ends, fsync), scan
 
     def append(self, op: int,
                triples: Sequence[Tuple[str, str, str]]) -> int:
-        """Durably append one mutation batch; returns its sequence number."""
+        """Durably append one mutation batch; returns its sequence number.
+
+        Once a write, flush or fsync has raised, every later append
+        raises a typed :class:`StorageError` until the log is reopened.
+        """
         if self._file is None:
             raise StorageError(f"WAL {self.path} is closed")
-        record = encode_batch(self._next_seq, op, triples)
-        self._file.write(record)
-        self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
+        if self._failure is not None:
+            raise StorageError(
+                f"WAL {self.path} refuses appends after a failed append "
+                f"({self._failure}); reopen it to recover")
+        record = encode_batch(self.next_seq, op, triples)
+        end = (self.ends[-1] if self.ends else _HEADER.size) + len(record)
+        try:
+            self._file.write(record)
+            self._file.flush()
+            if self.fsync:
+                os.fsync(self._file.fileno())
+        except BaseException as exc:
+            self._failure = f"{type(exc).__name__}: {exc}"
+            raise
+        self.ends.append(end)
+        return len(self.ends)
 
     @property
     def next_seq(self) -> int:
         """The sequence number the next appended batch will carry."""
-        return self._next_seq
+        return len(self.ends) + 1
 
     @property
     def closed(self) -> bool:

@@ -15,7 +15,10 @@ its ``*-base`` ids.
 
 from __future__ import annotations
 
+import errno
+import os
 import shutil
+import sys
 import tempfile
 import threading
 import time
@@ -535,6 +538,244 @@ def test_follower_over_torn_leader_tail_applies_exact_prefix(tmp_path):
             replica.close()
     finally:
         leader.close()
+
+
+# --------------------------------------------------------------------- #
+# a poll reads only what it ships, and only what is durable
+# --------------------------------------------------------------------- #
+def test_failed_append_refuses_later_appends_until_reopened(tmp_path,
+                                                            monkeypatch):
+    """A raising fsync leaves its record's bytes in the file: an acked
+    batch appended after it would carry the same seq and lose to the
+    failed one on replay, so the log refuses appends until reopened."""
+    path = tmp_path / "wal.log"
+    wal = WriteAheadLog.create(path, generation=0)
+    assert wal.append(OP_ADD, [("a", "r", "b")]) == 1
+
+    def failing_fsync(fd):
+        raise OSError(errno.EIO, "injected EIO")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            wal.append(OP_ADD, [("x", "r", "y")])
+    with pytest.raises(StorageError, match="injected EIO"):
+        wal.append(OP_ADD, [("c", "r", "d")])
+    assert (wal.next_seq, len(wal.ends)) == (2, 1)
+    wal.close()
+    # The failed batch's outcome is unknown (recovery may replay it);
+    # no acked batch was logged under its seq.
+    reopened, scan = WriteAheadLog.open(path)
+    assert [(batch.seq, batch.triples) for batch in scan.batches] \
+        == [(1, (("a", "r", "b"),)), (2, (("x", "r", "y"),))]
+    assert reopened.append(OP_ADD, [("c", "r", "d")]) == 3
+    reopened.close()
+    assert scan_wal(path).batches[-1].triples == (("c", "r", "d"),)
+
+
+def test_wal_tail_never_ships_a_record_before_its_fsync(tmp_path,
+                                                        monkeypatch):
+    """A record flushed but still inside fsync is not durable: a poll
+    racing it ships only the records before it, the next poll after
+    the fsync returns ships it."""
+    from repro.kg.client import connect
+    from repro.kg.server import KGServer
+
+    store = TripleStore.create_live(tmp_path / "store", [])
+    try:
+        with KGServer(store, port=0).start() as server, \
+                connect(server.url) as client:
+            server.service.add_many([Triple("e0", "r0", "e1")])
+            entered, release = threading.Event(), threading.Event()
+            real_fsync = os.fsync
+
+            def slow_fsync(fd):
+                entered.set()
+                release.wait(10)
+                real_fsync(fd)
+
+            monkeypatch.setattr(os, "fsync", slow_fsync)
+            writer = threading.Thread(target=server.service.add_many,
+                                      args=([Triple("e2", "r0", "e3")],))
+            writer.start()
+            try:
+                assert entered.wait(5)
+                tail = client.call("wal_tail", after_seq=0)
+                assert [batch[0] for batch in tail["batches"]] == [1]
+                assert tail["next_seq"] == 2
+            finally:
+                release.set()
+                writer.join(10)
+            assert not writer.is_alive()
+            tail = client.call("wal_tail", after_seq=1)
+            assert tail["batches"] == [[2, OP_ADD, [["e2", "r0", "e3"]]]]
+    finally:
+        store.close()
+
+
+class _CountingFile:
+    """A file wrapper adding every byte ``read`` returns to a tally."""
+
+    def __init__(self, handle, tally: List[int]) -> None:
+        self._handle, self._tally = handle, tally
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._handle.close()
+
+    def read(self, *args) -> bytes:
+        data = self._handle.read(*args)
+        self._tally.append(len(data))
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def test_wal_tail_reads_only_the_records_it_ships(tmp_path, monkeypatch):
+    """Work bound, counted in bytes read: a poll for the last batch, or
+    one capped at the first, reads the header and that record; a
+    caught-up poll reads nothing."""
+    from repro.kg.client import connect
+    from repro.kg.server import KGServer
+
+    batches = 40
+    script: Script = [(OP_ADD, [(f"e{index}", "r0", f"e{index + 1}")] * 3)
+                      for index in range(batches)]
+    directory = _build_live(tmp_path / "store", "columnar", script)
+    wal_path = directory / wal_file_name(0)
+    ends = [batch.end_offset for batch in scan_wal(wal_path).batches]
+    bound = _header_size(wal_path) + ends[-1] - ends[-2]
+    tally: List[int] = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        handle = real_open(self, *args, **kwargs)
+        return _CountingFile(handle, tally) if self == wal_path else handle
+
+    with KGServer.open(directory, port=0).start() as server, \
+            connect(server.url) as client:
+        monkeypatch.setattr(Path, "open", counting_open)
+        tail = client.call("wal_tail", after_seq=batches - 1)
+        assert [batch[0] for batch in tail["batches"]] == [batches]
+        assert 0 < sum(tally) <= bound
+        tally.clear()
+        tail = client.call("wal_tail", after_seq=0, max_batches=1)
+        assert [batch[0] for batch in tail["batches"]] == [1]
+        assert 0 < sum(tally) <= ends[0]
+        tally.clear()
+        for after_seq in (batches, 1 << 62):
+            tail = client.call("wal_tail", after_seq=after_seq)
+            assert tail == {"generation": 0, "next_seq": batches + 1,
+                            "batches": []}
+        assert tally == []
+        server.service.store.close()
+
+
+def _shipped(batches: Sequence, max_batches: int, budget: int) -> list:
+    """The ``wal_tail`` answer cap over a batch list, stated directly."""
+    shipped: list = []
+    for batch in batches:
+        if shipped and (len(shipped) >= max_batches or budget <= 0):
+            break
+        shipped.append([batch.seq, batch.op,
+                        [list(triple) for triple in batch.triples]])
+        budget -= len(batch.triples)
+    return shipped
+
+
+_term = st.builds(lambda name, pad: name + "x" * pad,
+                  st.sampled_from(ENTITIES), st.integers(0, 40))
+_sized_batch = st.tuples(st.sampled_from([OP_ADD, OP_REMOVE]),
+                         st.lists(st.tuples(_term, st.sampled_from(RELATIONS),
+                                            _term), min_size=1, max_size=9))
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(script=st.lists(_sized_batch, min_size=1, max_size=7),
+       after_reopen=st.lists(_sized_batch, max_size=3),
+       tear=st.integers(0, 5), max_batches=st.integers(1, 4))
+def test_incremental_wal_tail_equals_full_scan(monkeypatch, script,
+                                               after_reopen, tear,
+                                               max_batches):
+    """For every follower position ``k``, the offset-bounded poll ships
+    the capped prefix of a full scan's ``batches[k:]``, over torn tails
+    and a reopen; the open log's ``ends`` are the scan's offsets."""
+    from repro.kg import server as server_module
+    from repro.kg.client import connect
+
+    monkeypatch.setattr(server_module, "_WAL_TAIL_TRIPLE_BUDGET", 10)
+    root = Path(tempfile.mkdtemp())
+    try:
+        directory = _build_live(root / "store", "columnar", script)
+        wal_path = directory / wal_file_name(0)
+        if tear:
+            wal_path.write_bytes(wal_path.read_bytes()[:-tear])
+        store = TripleStore.open(directory, wal_fsync=False)
+        try:
+            _apply_script(store, after_reopen)
+            full = scan_wal(wal_path)
+            assert list(store.wal.ends) \
+                == [batch.end_offset for batch in full.batches]
+            with server_module.KGServer(store, port=0).start() as server, \
+                    connect(server.url) as client:
+                for k in range(len(full.batches) + 2):
+                    tail = client.call("wal_tail", after_seq=k,
+                                       max_batches=max_batches)
+                    assert tail["batches"] == _shipped(
+                        full.batches[k:], max_batches, 10)
+                    assert tail["next_seq"] == len(full.batches) + 1
+        finally:
+            store.close()
+        reopened, scan = WriteAheadLog.open(wal_path, fsync=False)
+        reopened.close()
+        assert list(reopened.ends) \
+            == [batch.end_offset for batch in scan.batches] \
+            == [batch.end_offset for batch in full.batches]
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def test_wal_tail_pollers_racing_appends_ship_every_batch_once(tmp_path):
+    """Stress: followers polling over the wire while the dispatcher
+    appends, with a shortened switch interval, each rebuild the full
+    log — every batch once, in seq order, bit-identical to the scan."""
+    from repro.kg.client import connect
+    from repro.kg.server import KGServer
+
+    store = TripleStore.create_live(tmp_path / "store", [], wal_fsync=False)
+    shipped: List[list] = [[] for _ in range(3)]
+    writes = 150
+
+    def follow(into: list) -> None:
+        with connect(server.url) as client:
+            while len(into) < writes:
+                into.extend(client.call("wal_tail", after_seq=len(into),
+                                        max_batches=4)["batches"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with KGServer(store, port=0).start() as server:
+            pollers = [threading.Thread(target=follow, args=(into,))
+                       for into in shipped]
+            for thread in pollers:
+                thread.start()
+            for index in range(writes):
+                server.service.add_many(
+                    [Triple(f"p{index}", "r0", f"e{i}") for i in range(3)])
+            for thread in pollers:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in pollers)
+    finally:
+        sys.setswitchinterval(interval)
+        store.close()
+    expected = _shipped(scan_wal(store.wal.path).batches, writes, writes * 3)
+    assert len(expected) == writes
+    assert shipped == [expected] * 3
 
 
 # --------------------------------------------------------------------- #
