@@ -26,8 +26,8 @@ so a CI failure report carries the numbers):
 * the paged client's peak heap growth stays **bounded**: far below the
   resident size of the fully materialized result (the whole point of
   cursors — a million-row result must not need a million-row client);
-* server thread growth with 64 idle connections stays within the
-  worker-pool size.
+* server thread growth with 64 idle connections is at most one (the
+  control thread): there is no worker pool.
 
 Throughput lines are advisory: loopback latency on shared CI runners is
 too noisy for a hard bar.  Every test persists its numbers into
@@ -46,7 +46,7 @@ from _artifacts import update_artifact
 from repro.kg.client import RemoteClient, RemoteQueryEngine, RemoteStore
 from repro.kg.protocol import DecodedBlock
 from repro.kg.query import PatternQuery, QueryEngine
-from repro.kg.server import DEFAULT_WORKERS, KGServer
+from repro.kg.server import KGServer
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import triples_from_tuples
@@ -317,18 +317,19 @@ IDLE_CONNECTIONS = 64
 
 
 def test_idle_connections_do_not_scale_server_threads():
-    """The selector front-end holds every open socket on one I/O thread;
-    only the fixed worker pool serves requests.  Opening 64 idle
-    connections must not grow the process thread count beyond the pool
-    size (the thread-per-connection front-end it replaced grew by one
-    thread per socket)."""
+    """The selector front-end holds every open socket on one I/O thread,
+    and requests are answered by the I/O, dispatcher and control
+    threads — there is no worker pool.  Opening 64 idle connections may
+    grow the process thread count by at most one (the control thread;
+    the thread-per-connection front-end it replaced grew by one thread
+    per socket)."""
     soft_limit = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
     # Each client costs two fds (client + server end); leave headroom.
     connections = min(IDLE_CONNECTIONS, max(8, (soft_limit - 128) // 4))
     store = _store()
     with KGServer(store, port=0).start() as server:
         with RemoteClient(server.url) as probe:
-            assert probe.ping()     # the pool has started serving
+            assert probe.ping()     # the server has started serving
         baseline = threading.active_count()
         clients = [RemoteClient(server.url, codec="json")   # control only
                    for _ in range(connections)]
@@ -343,17 +344,16 @@ def test_idle_connections_do_not_scale_server_threads():
                 client.close()
     growth = after - baseline
     report = (f"{connections} idle connections: {baseline} threads before, "
-              f"{after} after (growth {growth}, worker pool "
-              f"{DEFAULT_WORKERS})")
+              f"{after} after (growth {growth})")
     print(f"\n{report}")
     update_artifact("server", "idle_connections", {
         "workload": f"{connections} idle loopback connections held open "
                     f"against a running server",
         "backend": "sharded-2",
         "codec": "json",
-        "threads": {"before": baseline, "after": after, "growth": growth,
-                    "worker_pool": DEFAULT_WORKERS},
-        "bar": "thread growth bounded by the worker pool, not connections",
+        "threads": {"before": baseline, "after": after, "growth": growth},
+        "bar": "thread growth at most 1 (the control thread), whatever "
+               "the connection count",
     })
-    assert growth <= DEFAULT_WORKERS, (
+    assert growth <= 1, (
         f"server threads scale with idle connections: {report}")

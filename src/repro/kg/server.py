@@ -5,25 +5,28 @@ the length-prefixed protocol of :mod:`repro.kg.protocol` to a
 :class:`KGServer`, which owns one :class:`~repro.kg.service.QueryService`
 over an (opened or in-memory) :class:`~repro.kg.store.TripleStore`.
 
-Concurrency model — one I/O thread, a small worker pool, one dispatcher:
+Concurrency model — one I/O thread, one dispatcher, one control thread,
+one hand-off per request:
 
-* a single **selector loop** thread multiplexes the listener and every
-  client socket: it accepts, reads, slices complete frames out of
-  per-connection buffers and flushes queued responses.  An idle
-  connection costs one registered file descriptor and a buffer — not a
-  thread — so thousands of open sockets leave the thread count flat;
-* complete frames are handed to a bounded **worker pool** (blocking
-  :class:`QueryService` calls happen there, never on the I/O thread).
-  Each connection is served serially (frame order = response order,
-  and the per-connection codec state stays single-writer), but across
-  connections the workers submit concurrently, so the service's single
-  dispatcher thread still coalesces N remote clients into batched
-  ``execute_many`` / ``match_many`` / ``count_many`` backend rounds —
-  ``QueryService.stats`` shows it;
-* huge results never cross the wire in one frame: ``open_cursor`` /
-  ``fetch`` / ``close_cursor`` page a server-side cursor (TTL-evicted).
-  The open is a dispatched read; a page or a close is served on the
-  worker thread itself, never queued behind a dispatch round.
+* the **I/O thread** multiplexes the listener and every client socket
+  (an idle connection costs a file descriptor and a buffer, not a
+  thread) and decodes each complete frame through
+  :meth:`KGServer.handle_message`; ``ping``, ``replication_status``,
+  ``fetch`` and ``close_cursor`` are answered right there;
+* read and write ops go to the :class:`QueryService`, whose single
+  dispatcher coalesces N remote clients into batched backend rounds
+  (``QueryService.stats`` shows it).  The thread that resolves a
+  request's last future encodes the response and sends it with one
+  non-blocking ``send``; only a partial send, a send error or a close
+  goes back to the I/O loop.  Ops that may wait on a file, a peer or a
+  compaction run on the **control thread**;
+* a connection has one request in flight (frame order = response
+  order; its codec state stays single-writer), and huge results page
+  through a server-side cursor (``open_cursor`` / ``fetch`` /
+  ``close_cursor``, TTL-evicted) instead of one frame.
+
+:mod:`repro.kg.spans` times each answered request stage by stage; the
+``stats`` op carries it.
 
 Framing: every connection starts on plain JSON frames, the control
 plane — requests, errors, scalars, replication.  One ``{"op": "hello",
@@ -57,15 +60,18 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import selectors
 import shutil
 import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
+from operator import itemgetter
 from pathlib import Path
-from typing import Deque, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Deque, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.errors import ProtocolError
 from repro.kg.executor import IdBlock
@@ -95,6 +101,7 @@ from repro.kg.protocol import (
 )
 from repro.kg.service import (DEFAULT_CACHE_BYTES, DEFAULT_CURSOR_TTL,
                               QueryService)
+from repro.kg.spans import Spans
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
 from repro.kg.wal import (OP_ADD, WriteAheadLog, list_snapshot_files,
@@ -103,12 +110,6 @@ from repro.kg.wal import (OP_ADD, WriteAheadLog, list_snapshot_files,
 
 #: Default port of the CLI ``serve`` command (0 = ephemeral, for tests).
 DEFAULT_PORT = 7468
-
-#: Worker threads running blocking service calls.  Small on purpose:
-#: the QueryService dispatcher is the real executor; workers only
-#: decode, submit and encode, and a bounded pool keeps a burst of
-#: hostile connections from spawning unbounded threads.
-DEFAULT_WORKERS = 8
 
 #: How often a replica polls its leader's WAL when caught up, seconds.
 DEFAULT_FOLLOW_POLL_INTERVAL = 0.05
@@ -120,6 +121,31 @@ _WAL_TAIL_TRIPLE_BUDGET = 50_000
 
 #: Hard cap on batches per ``wal_tail`` response.
 _WAL_TAIL_MAX_BATCHES = 4096
+
+
+class _Pending(NamedTuple):
+    """The futures a request waits on; ``finish`` makes their results
+    its answer."""
+    futures: list
+    finish: Callable = list
+
+
+_first = itemgetter(0)
+
+
+def _on_control(handler: Callable) -> Callable:
+    """``handler`` on the control thread: it may wait on a file, a peer
+    (a coordinator's ``len`` asks its shards) or a compaction."""
+    return lambda self, **fields: _Pending(
+        [self._to_control(handler, fields)], _first)
+
+
+def _success(request_id, result) -> dict:
+    return {"id": request_id, "ok": True, "result": result}
+
+
+def _failure(request_id, exc: BaseException) -> dict:
+    return {"id": request_id, "ok": False, "error": error_to_wire(exc)}
 
 
 def _result_blocks(result) -> Tuple[Optional[int], Sequence[IdBlock]]:
@@ -149,20 +175,14 @@ def fetch_snapshot(client, directory: Union[str, Path], *,
                    fsync: bool = True, should_abort=None) -> dict:
     """Fetch the leader's current snapshot generation into ``directory``.
 
-    The wire half of replica (re-)bootstrap: pages the leader's
-    ``snap-G/`` over ``snapshot_ship`` chunk responses into
-    ``snap-G.partial/`` (every chunk CRC-checked, every file
-    size-checked), renames it into place, creates a fresh empty
-    ``wal-G.log``, and atomically flips ``live.json`` to generation G —
-    the commit point.  A crash at any earlier step leaves the pointer
-    untouched (the old state, or no store at all, still stands) and the
-    next fetch starts over.  Raises
+    The wire half of replica (re-)bootstrap (docs/architecture.md,
+    "Re-bootstrap across compaction"): ``snapshot_ship`` chunks staged
+    in ``snap-G.partial/``, then an empty ``wal-G.log`` and the atomic
+    ``live.json`` flip — the commit point.  Raises
     :class:`~repro.errors.ProtocolError` on any integrity or transfer
-    failure — including the leader compacting mid-transfer, which the
-    server reports as a generation change; the caller just retries.
-    Returns the manifest (``generation``, ``base_seq``, ``files``).
-    ``should_abort()`` is polled between chunks so a closing server can
-    cut a transfer short.
+    failure, a leader compacting mid-transfer included; the caller just
+    retries.  Returns the manifest (``generation``, ``base_seq``,
+    ``files``).  ``should_abort()`` is polled between chunks.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -230,19 +250,17 @@ def bootstrap_replica(directory: Union[str, Path], leader: str, *,
 
 
 class _Connection:
-    """Per-connection state shared by the I/O thread and one worker.
+    """Per-connection state shared by the I/O thread and the thread that
+    answers its request in flight.
 
-    The I/O thread owns ``inbuf`` and the selector registration; the
-    ``lock`` guards the worker handoff (``pending`` / ``busy``) and the
-    outgoing ``outbuf``.  ``pending`` holds complete frame bodies in
-    arrival order — or a :class:`ProtocolError` entry when framing
-    broke, so the violation response still goes out *after* the
-    responses of the valid frames that preceded it.
+    The I/O thread owns ``inbuf`` (frames not yet started) and the
+    selector registration, and alone sets ``busy`` (a request is in
+    flight); the ``lock`` guards ``busy``, the outgoing ``outbuf`` and
+    every send on and close of ``sock``.
     """
 
-    __slots__ = ("sock", "peer", "inbuf", "outbuf", "lock", "pending",
-                 "busy", "codec", "encoder", "close_after_write",
-                 "closed", "input_broken", "mask")
+    __slots__ = ("sock", "peer", "inbuf", "outbuf", "lock", "busy", "codec",
+                 "encoder", "close_after_write", "closed", "mask")
 
     def __init__(self, sock: socket.socket, peer) -> None:
         self.sock = sock
@@ -250,13 +268,11 @@ class _Connection:
         self.inbuf = bytearray()
         self.outbuf: Deque[memoryview] = deque()
         self.lock = threading.Lock()
-        self.pending: Deque = deque()
         self.busy = False
         self.codec = CODEC_JSON
         self.encoder: Optional[BinaryResponseEncoder] = None
         self.close_after_write = False
         self.closed = False
-        self.input_broken = False
         self.mask = selectors.EVENT_READ
 
 
@@ -285,8 +301,8 @@ class KGServer:
         Per-frame payload cap, both directions.
 
     Use :meth:`start` for a background-thread server (tests, embedding
-    in an application) or :meth:`serve_forever` to donate the calling
-    thread (the CLI).  Always :meth:`close` (or use as a context
+    in an application) or :meth:`serve_forever` to also block the
+    calling thread (the CLI).  Always :meth:`close` (or use as a context
     manager) — it stops the I/O loop and closes the service.
     """
 
@@ -327,11 +343,9 @@ class KGServer:
         self.n_shards = n_shards
         self._follow = follow
         self._follow_poll_interval = interval
-        # Guards every read and write of the _replication dict: the
-        # replication thread bumps it, stats/role/replication_status
-        # snapshot it, and promotion finalizes it — a reader must never
-        # see a torn block (e.g. generation from one poll, applied_seq
-        # from another).
+        # Guards every read and write of the _replication dict, so a
+        # reader never sees a torn block (generation from one poll,
+        # applied_seq from another).
         self._stats_lock = threading.Lock()
         self._replication = {
             "leader": follow,
@@ -347,10 +361,7 @@ class KGServer:
         }
         self._stop_replication = threading.Event()
         self._replication_thread: Optional[threading.Thread] = None
-        self._promote_lock = threading.Lock()
-        # Set by a store swap (re-bootstrap): tells the I/O loop to drop
-        # every client connection, because negotiated binary encoders
-        # hold references into the replaced store's interners.
+        # Set by a re-bootstrap: the I/O loop drops every connection.
         self._drop_connections = False
         self.service = QueryService(store, max_batch=max_batch,
                                     cursor_ttl=cursor_ttl,
@@ -379,12 +390,14 @@ class KGServer:
         self._selector.register(self._wake_recv, selectors.EVENT_READ,
                                 _WAKEUP)
         self._connections: set = set()
-        self._flush_wanted: set = set()
-        self._flush_lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(max_workers=DEFAULT_WORKERS,
-                                        thread_name_prefix="kg-server-worker")
+        # Connections another thread handed back to the I/O loop.
+        self._flush_wanted: "queue.SimpleQueue" = queue.SimpleQueue()
+        self.spans = Spans()
+        self._control: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._control_thread = threading.Thread(
+            target=self._control_loop, name="kg-server-control", daemon=True)
+        self._control_thread.start()
         self._thread: Optional[threading.Thread] = None
-        self._serving = threading.Event()
         self._close_lock = threading.Lock()
         self._cleaned = False
         if follow is not None:
@@ -433,26 +446,15 @@ class KGServer:
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`close` (the CLI path)."""
-        self._run()
+        """Serve until :meth:`close` (the CLI path): the calling thread
+        waits on the I/O thread."""
+        self.start()._thread.join()
 
     def _wake(self) -> None:
         try:
             self._wake_send.send(b"\0")
         except (BlockingIOError, OSError):
             pass  # pipe full = a wakeup is already pending, or closed
-
-    def _reset_connections(self) -> None:
-        """Ask the I/O loop to drop every client connection.
-
-        Run after a store swap: a binary-codec connection's response
-        encoder captured the *old* store's interner objects at hello
-        time, so its delta masks would desync against the adopted
-        store.  Clients reconnect (the RemoteClient retries idempotent
-        ops transparently) and renegotiate against the new store.
-        """
-        self._drop_connections = True
-        self._wake()
 
     def close(self) -> None:
         """Stop the I/O loop, drop connections, close the service."""
@@ -463,18 +465,11 @@ class KGServer:
         self._stop_replication.set()
         if self._replication_thread is not None:
             self._replication_thread.join(timeout=10)
+        self._control.put(None)
         self._wake()
         if self._thread is not None:
             self._thread.join(timeout=10)
-        elif self._serving.is_set():
-            # serve_forever() on some other thread: give its loop a
-            # moment to notice the flag and clean up after itself.
-            deadline = time.monotonic() + 10
-            while self._serving.is_set() and time.monotonic() < deadline:
-                time.sleep(0.005)
-        # Workers drain fast: their service futures resolve because the
-        # service closes only after the pool has been torn down.
-        self._pool.shutdown(wait=True)
+        self._control_thread.join(timeout=10)
         self._cleanup()
         self.service.close()
 
@@ -503,7 +498,6 @@ class KGServer:
     # the I/O loop (single thread; owns the selector)
     # ------------------------------------------------------------------ #
     def _run(self) -> None:
-        self._serving.set()
         try:
             while not self.closing:
                 events = self._selector.select(timeout=0.1)
@@ -526,7 +520,6 @@ class KGServer:
                     for conn in list(self._connections):
                         self._close_conn(conn)
         finally:
-            self._serving.clear()
             if self.closing:
                 self._cleanup()
 
@@ -534,9 +527,7 @@ class KGServer:
         while True:
             try:
                 sock, peer = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
+            except OSError:     # nothing left to accept, or closed
                 return
             sock.setblocking(False)
             try:
@@ -552,20 +543,15 @@ class KGServer:
             try:
                 if not self._wake_recv.recv(4096):
                     return
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
+            except OSError:     # drained, or closed
                 return
 
     def _flush_requested(self) -> None:
-        with self._flush_lock:
-            if not self._flush_wanted:
-                return
-            wanted = list(self._flush_wanted)
-            self._flush_wanted.clear()
-        for conn in wanted:
+        while not self._flush_wanted.empty():
+            conn = self._flush_wanted.get()
             if not conn.closed:
                 self._flush(conn)
+                self._serve_ready(conn)
 
     def _set_mask(self, conn: _Connection, mask: int) -> None:
         if conn.mask != mask and not conn.closed:
@@ -576,9 +562,12 @@ class KGServer:
                 pass
 
     def _close_conn(self, conn: _Connection) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
+        # Under the lock: a send by the answering thread never races the
+        # close (and never lands on a reused descriptor).
+        with conn.lock:
+            if conn.closed:
+                return
+            conn.closed = True
         self._connections.discard(conn)
         try:
             self._selector.unregister(conn.sock)
@@ -600,136 +589,124 @@ class KGServer:
         if not chunk:
             # Clean EOF at a frame boundary, or the peer vanishing
             # mid-frame/mid-request — either way this connection is
-            # done; any in-flight worker response is dropped on write.
+            # done; an in-flight response is dropped on send.
             self._close_conn(conn)
             return
-        if conn.input_broken:
-            return  # framing already failed; ignore further bytes
         conn.inbuf += chunk
-        self._parse_frames(conn)
+        self._serve_ready(conn)
 
-    def _parse_frames(self, conn: _Connection) -> None:
+    def _serve_ready(self, conn: _Connection) -> None:
+        """Answer the complete frames in ``inbuf`` in order, one in flight
+        at a time: the next starts once the previous response is sent
+        or queued (an inline answer frees the connection at once)."""
         buffer = conn.inbuf
-        appended = False
-        while not conn.input_broken:
-            if len(buffer) < 4:
-                break
+        while len(buffer) >= 4:
+            with conn.lock:
+                if conn.busy or conn.close_after_write or conn.closed:
+                    return
             length = int.from_bytes(buffer[:4], "big")
             try:
                 check_frame_length(length, self.max_frame_bytes)
             except ProtocolError as violation:
-                # Queue the violation behind the valid frames so their
-                # responses still go out first, then stop reading.
-                conn.input_broken = True
-                with conn.lock:
-                    conn.pending.append(violation)
+                # The boundary is no longer trustworthy: report
+                # best-effort, stop reading and hang up.
                 self._set_mask(conn, conn.mask & ~selectors.EVENT_READ)
-                appended = True
-                break
+                self._send(conn, self._error_frame(conn, violation), True)
+                return
             if len(buffer) < 4 + length:
-                break
+                return
             body = bytes(buffer[4:4 + length])
             del buffer[:4 + length]
-            with conn.lock:
-                conn.pending.append(body)
-            appended = True
-        if appended:
-            self._maybe_dispatch(conn)
-
-    def _maybe_dispatch(self, conn: _Connection) -> None:
-        with conn.lock:
-            if conn.busy or conn.close_after_write or not conn.pending:
-                return
             conn.busy = True
-            entry = conn.pending.popleft()
-        try:
-            self._pool.submit(self._work, conn, entry)
-        except RuntimeError:  # pool already shut down: server is closing
-            with conn.lock:
-                conn.busy = False
+            try:
+                answer = self._serve_frame(conn, body)
+            except Exception as exc:  # pragma: no cover - last resort
+                answer = (self._error_frame(conn, exc), True)
+            if answer is not None:
+                self._send(conn, *answer)
 
     def _flush(self, conn: _Connection) -> None:
-        while True:
-            with conn.lock:
-                if not conn.outbuf:
-                    break
-                view = conn.outbuf[0]
+        with conn.lock:
+            sent = self._write_out(conn)
+            # Frames not yet started are moot once a close is decided;
+            # only an in-flight request or unsent bytes defer it.
+            done = sent and conn.close_after_write and not conn.busy
+        if sent is None or done:
+            self._close_conn(conn)
+        else:
+            self._set_mask(conn, conn.mask | selectors.EVENT_WRITE if not sent
+                           else conn.mask & ~selectors.EVENT_WRITE)
+
+    @staticmethod
+    def _write_out(conn: _Connection) -> Optional[bool]:
+        """Send ``outbuf`` as far as the socket takes it, under the
+        caller's ``conn.lock``: True when all of it went, False when the
+        socket would block, None when the peer is gone."""
+        while conn.outbuf:
+            view = conn.outbuf[0]
             try:
                 sent = conn.sock.send(view)
             except (BlockingIOError, InterruptedError):
-                self._set_mask(conn, conn.mask | selectors.EVENT_WRITE)
-                return
+                return False
             except OSError:
-                self._close_conn(conn)
-                return
-            with conn.lock:
-                if sent == len(view):
-                    conn.outbuf.popleft()
-                else:
-                    conn.outbuf[0] = view[sent:]
-        self._set_mask(conn, conn.mask & ~selectors.EVENT_WRITE)
-        if conn.close_after_write:
-            # Pending-but-undispatched frames are moot once the close
-            # decision is made (_maybe_dispatch refuses them); only an
-            # in-flight worker or unsent bytes defer the close.
-            with conn.lock:
-                drained = not conn.outbuf and not conn.busy
-            if drained:
-                self._close_conn(conn)
+                return None
+            if sent < len(view):
+                conn.outbuf[0] = view[sent:]
+            else:
+                conn.outbuf.popleft()
+        return True
 
     # ------------------------------------------------------------------ #
-    # workers (blocking service calls; one frame at a time per conn)
+    # answering (one request in flight per connection)
     # ------------------------------------------------------------------ #
-    def _schedule_write(self, conn: _Connection, frame: Optional[bytes],
-                        close: bool = False) -> None:
+    def _send(self, conn: _Connection, frame: Optional[bytes],
+              close: bool = False) -> bool:
+        """Hand ``conn`` its response, then free it for the next request:
+        with nothing queued ahead and no close pending, the calling
+        thread writes it itself (True: all of it went); the unsent tail,
+        a send error or a close goes to the I/O loop."""
         with conn.lock:
             if conn.closed:
-                return
+                return False
+            through = not (conn.outbuf or conn.close_after_write or close)
             if frame:
                 conn.outbuf.append(memoryview(frame))
-            if close:
-                conn.close_after_write = True
-        with self._flush_lock:
-            self._flush_wanted.add(conn)
-        self._wake()
+                through = through and self._write_out(conn) is True
+            conn.close_after_write |= close
+            conn.busy = False
+            loop = bool(conn.outbuf or conn.inbuf or conn.close_after_write)
+        if loop:
+            self._flush_wanted.put(conn)
+            self._wake()
+        return bool(frame) and through
 
-    def _work(self, conn: _Connection, entry) -> None:
-        close = False
-        try:
-            frame, close = self._serve_frame(conn, entry)
-        except BaseException as exc:  # pragma: no cover - last resort
+    def _replier(self, conn: _Connection, op, started: int) -> Callable:
+        """The ``reply`` of one request on ``conn``: encode on the calling
+        thread, send, record its stages.  Never raises: a response that
+        fails to encode becomes an error frame and a close."""
+        def reply(response: dict, submitted: Optional[int] = None,
+                  picked: Optional[int] = None) -> None:
+            served = time.perf_counter_ns()
             try:
-                frame, close = self._error_frame(conn, exc), True
-            except BaseException:
-                frame, close = None, True
-        self._schedule_write(conn, frame, close=close)
-        with conn.lock:
-            finished = close or conn.close_after_write or not conn.pending
-            if finished:
-                conn.busy = False
-            else:
-                entry = conn.pending.popleft()
-        if finished:
-            if conn.close_after_write:
-                # The flush that saw busy=True may already have run;
-                # request another so the close is never missed.
-                with self._flush_lock:
-                    self._flush_wanted.add(conn)
-                self._wake()
-            return
-        try:
-            self._pool.submit(self._work, conn, entry)
-        except RuntimeError:  # closing
-            with conn.lock:
-                conn.busy = False
+                frame, close = self._encode(conn, response), False
+            except Exception as exc:
+                close = True
+                try:
+                    frame = self._error_frame(conn, exc, response.get("id"))
+                except Exception:
+                    frame = None
+            encoded = time.perf_counter_ns()
+            through = self._send(conn, frame, close)
+            self.spans.request(op, started, submitted, picked, served,
+                               encoded, time.perf_counter_ns(), through)
+
+        return reply
 
     def _serve_frame(self, conn: _Connection,
-                     entry) -> Tuple[Optional[bytes], bool]:
-        """One frame in, one response frame out (+ close-connection flag)."""
-        if isinstance(entry, ProtocolError):
-            # Framing violation queued by the I/O thread: the boundary
-            # is no longer trustworthy — report best-effort and hang up.
-            return self._error_frame(conn, entry), True
+                     entry) -> Optional[Tuple[Optional[bytes], bool]]:
+        """One frame in: a frame-level response (+ close-connection
+        flag), or None once :meth:`handle_message` has taken it."""
+        started = time.perf_counter_ns()
         binary = conn.codec == CODEC_BINARY
         payload = entry
         if binary:
@@ -750,11 +727,12 @@ class KGServer:
         except ProtocolError as exc:
             # Not JSON: the stream may be garbage — report and hang up.
             return self._error_frame(conn, exc), True
-        if message.get("op") == "hello":
+        op = message.get("op")
+        if op == "hello":
             return self._serve_hello(conn, message), False
-        encode = self._encode_binary_response if binary \
-            else self._encode_json_response
-        return encode(conn, self.handle_message(message, raw=binary)), False
+        self.handle_message(message, raw=binary,
+                            reply=self._replier(conn, op, started))
+        return None
 
     def _serve_hello(self, conn: _Connection, message: dict) -> bytes:
         """Framing negotiation: ``binary`` is granted whenever offered,
@@ -767,10 +745,9 @@ class KGServer:
         except ProtocolError as exc:
             return self._error_frame(conn, exc, request_id)
         grant = CODEC_BINARY in codecs and conn.codec != CODEC_BINARY
-        frame = self._encode_json_response(
-            conn, {"id": request_id, "ok": True,
-                   "result": {"codec": CODEC_BINARY if grant else conn.codec,
-                              "protocol": BINARY_PROTOCOL_VERSION}})
+        frame = self._encode(conn, _success(request_id, {
+            "codec": CODEC_BINARY if grant else conn.codec,
+            "protocol": BINARY_PROTOCOL_VERSION}))
         if grant:
             backend = self.service.store.backend
             conn.encoder = BinaryResponseEncoder(
@@ -784,41 +761,37 @@ class KGServer:
         """The failure response for ``exc``, in the connection's codec."""
         encode = encode_tagged_json if conn.codec == CODEC_BINARY \
             else encode_frame
-        return encode({"id": request_id, "ok": False,
-                       "error": error_to_wire(exc)}, self.max_frame_bytes)
+        return encode(_failure(request_id, exc), self.max_frame_bytes)
 
-    def _encode_json_response(self, conn: _Connection,
-                              response: dict) -> bytes:
-        encode = encode_tagged_json if conn.codec == CODEC_BINARY \
-            else encode_frame
-        try:
-            return encode(response, self.max_frame_bytes)
-        except ProtocolError as exc:
-            # The *response* did not fit the frame cap.  The stream is
-            # still intact, so report and keep serving — the client
-            # should page through a cursor instead.
-            return self._error_frame(conn, exc, response.get("id"))
-
-    def _encode_binary_response(self, conn: _Connection,
-                                response: dict) -> bytes:
-        """Pack id-block results; anything else rides as tagged JSON."""
+    def _encode(self, conn: _Connection, response: dict) -> bytes:
+        """``response`` in the connection's codec: id-block results packed
+        binary, anything else as (tagged) JSON.  A response over the
+        frame cap becomes its typed error — the stream is still intact,
+        so the client pages through a cursor instead."""
+        binary = conn.codec == CODEC_BINARY
         result = response.get("result")      # absent on a failure
-        shape, blocks = _result_blocks(result)
-        if shape is None:
-            return self._encode_json_response(conn, response)
-        flags = FLAG_EXHAUSTED if shape == SHAPE_PAGE \
-            and result.get("exhausted") else 0
+        shape, blocks = _result_blocks(result) if binary else (None, ())
         try:
+            if shape is None:
+                return (encode_tagged_json if binary else encode_frame)(
+                    response, self.max_frame_bytes)
+            flags = FLAG_EXHAUSTED if shape == SHAPE_PAGE \
+                and result.get("exhausted") else 0
             return conn.encoder.encode(response.get("id"), shape, blocks,
                                        flags)
         except ProtocolError as exc:
             return self._error_frame(conn, exc, response.get("id"))
 
     # ------------------------------------------------------------------ #
-    # request dispatch (called from worker threads)
+    # request dispatch (called on the I/O thread)
     # ------------------------------------------------------------------ #
-    def handle_message(self, message: dict, raw: bool = False) -> dict:
-        """Serve one decoded request; always returns a response object.
+    def handle_message(self, message: dict, raw: bool = False,
+                       reply: Optional[Callable] = None) -> Optional[dict]:
+        """Serve one decoded request: hand the response object to
+        ``reply(response, submitted, picked)`` exactly once — on the
+        thread that finished it — or, without ``reply``, wait and return
+        it.  ``submitted`` / ``picked`` are the ``perf_counter_ns`` of
+        the hand-off and the pick-up, for :mod:`repro.kg.spans`.
 
         Anything a hostile or buggy client can provoke — unknown op,
         missing/garbage fields, a query-layer error — comes back as a
@@ -829,6 +802,11 @@ class KGServer:
         before its fields are decoded — no query runs, no cursor is
         parked.
         """
+        if reply is None:
+            answer: Future = Future()
+            self.handle_message(message, raw, lambda response, *_:
+                                answer.set_result(response))
+            return answer.result()
         request_id = message.get("id")
         try:
             op = message.get("op")
@@ -850,14 +828,64 @@ class KGServer:
             # The whole request decodes BEFORE the handler submits
             # anything: a malformed query mid-batch must not leave
             # already-submitted futures executing with nobody waiting.
-            result = self._HANDLERS[op](self, **spec.decode(message))
+            fields = spec.decode(message)
+            submitted = time.perf_counter_ns()
+            result = self._HANDLERS[op](self, **fields)
         except Exception as exc:
-            return {"id": request_id, "ok": False, "error": error_to_wire(exc)}
-        return {"id": request_id, "ok": True, "result": result}
+            reply(_failure(request_id, exc))
+            return None
+        if isinstance(result, _Pending):
+            self._await(result, request_id, reply, submitted)
+        else:
+            reply(_success(request_id, result), submitted)
+        return None
+
+    @staticmethod
+    def _await(pending: _Pending, request_id, reply, submitted) -> None:
+        """Reply once every future of ``pending`` resolved, on the thread
+        that resolved the last (the first was the first picked up)."""
+        futures, unresolved = pending.futures, iter(pending.futures)
+
+        def step(_resolved=None) -> None:
+            for future in unresolved:
+                if not future.done():
+                    future.add_done_callback(step)
+                    return
+            picked = futures[0].picked if futures else None
+            try:
+                response = _success(request_id, pending.finish(
+                    [future.result() for future in futures]))
+            except Exception as exc:
+                response = _failure(request_id, exc)
+            # Break future -> step -> futures: free the results right now.
+            futures.clear()
+            reply(response, submitted, picked)
+
+        step()
+
+    def _to_control(self, handler: Callable, fields: dict) -> Future:
+        """Queue ``handler(self, **fields)`` for the control thread."""
+        future: Future = Future()   # the loop stamps ``picked``
+        # Under the close lock: nothing queues behind close()'s stop
+        # sentinel, where no thread would ever answer it.
+        with self._close_lock:
+            if self.closing:
+                raise ProtocolError("this server is closing")
+            self._control.put((future, handler, fields))
+        return future
+
+    def _control_loop(self) -> None:
+        """The control thread: one queued handler at a time, until
+        :meth:`close` queues the stop sentinel."""
+        for future, handler, fields in iter(self._control.get, None):
+            future.picked = time.perf_counter_ns()
+            try:
+                future.set_result(handler(self, **fields))
+            except Exception as exc:
+                future.set_exception(exc)
 
     def _op_stats(self) -> dict:
         server_info = {"connections": self.connection_count,
-                       "workers": DEFAULT_WORKERS,
                        "role": self.role}
         if self.shard_index is not None:
             server_info["shard_index"] = self.shard_index
@@ -865,7 +893,8 @@ class KGServer:
         stats = {"service": self.service.stats,
                  "store": {"triples": len(self.service.store),
                            "backend": self.service.store.backend_name},
-                 "server": server_info}
+                 "server": server_info,
+                 "spans": self.spans.snapshot()}
         if self.role == "replica":
             stats["replication"] = self._replication_snapshot()
         cluster_stats = getattr(self.service.store.backend,
@@ -873,15 +902,6 @@ class KGServer:
         if callable(cluster_stats):
             stats["cluster"] = cluster_stats()
         return stats
-
-    def _op_execute_many(self, queries) -> list:
-        futures = [self.service.submit(query) for query in queries]
-        return [future.result() for future in futures]
-
-    def _op_match_many(self, patterns) -> list:
-        futures = [self.service.submit_lookup(pattern)
-                   for pattern in patterns]
-        return [future.result() for future in futures]
 
     def _op_fetch(self, cursor, max_rows) -> dict:
         page, exhausted = self.service.fetch_cursor(cursor, max_rows)
@@ -909,14 +929,9 @@ class KGServer:
             return dict(self._replication)
 
     def _op_replication_status(self) -> dict:
-        """The ``replication_status`` op: how caught-up this server is.
-
-        The promotion protocol's ballot: a coordinator facing a dead
-        leader polls each replica's ``applied_seq`` through this and
-        promotes the highest.  Served by leaders too (an
-        already-promoted server reports its role so a second
-        coordinator repoints instead of re-promoting).
-        """
+        """How caught-up this server is: the promotion ballot (the
+        highest ``applied_seq`` wins).  A leader answers too, so a second
+        coordinator repoints instead of re-promoting."""
         store = self.service.store
         info = self._replication_snapshot()
         info["role"] = self.role
@@ -927,14 +942,10 @@ class KGServer:
     def _op_wal_tail(self, after_seq: int, max_batches: int) -> dict:
         """Ship WAL batches past ``after_seq`` to a polling follower.
 
-        Scans only what it may ship: ``wal.ends`` (the end offset of
-        every durable record, pushed once its fsync returned) bounds the
-        scan to the records past ``after_seq`` up to the batch cap, so a
-        poll costs the bytes it ships, a caught-up poll opens no file
-        and a record still in fsync never ships.  The response is capped
-        (batches and a triple budget) so a far-behind follower catches
-        up over several polls instead of one response blowing the frame
-        cap.
+        ``wal.ends`` (durable record end offsets) bounds the scan to the
+        records it ships: a caught-up poll opens no file, a record still
+        in fsync never ships.  Batches and triples are capped so a
+        far-behind follower catches up over several polls.
         """
         wal = self.service.store.wal
         if wal is None:
@@ -962,18 +973,13 @@ class KGServer:
                           generation: Optional[int]) -> dict:
         """Stream the current snapshot generation to a bootstrapping peer.
 
-        Two request shapes share the op.  Without a ``path`` field it
-        returns the **manifest**: the current generation, the WAL
-        position the shipped snapshot corresponds to (``base_seq`` — a
-        compaction always starts its new WAL at seq 1, so a shipped
-        snapshot is always seq 0 of its generation) and the relative
-        path + size of every snapshot member file.  With ``path`` /
-        ``offset`` / ``generation`` it returns one **chunk**: up to
-        :data:`~repro.kg.protocol.SNAPSHOT_CHUNK_BYTES` of that file as
-        CRC-checked base64, well under the frame cap.  A chunk request
-        for a generation that is no longer current (the leader
-        compacted mid-transfer) fails typed — the fetcher restarts from
-        a fresh manifest instead of stitching two generations together.
+        Without ``path``: the **manifest** — generation, ``base_seq``
+        (always 0: a compaction starts its WAL at seq 1) and each member
+        file's path and size.  With ``path`` / ``offset`` /
+        ``generation``: one CRC-checked base64 **chunk** of
+        :data:`~repro.kg.protocol.SNAPSHOT_CHUNK_BYTES`.  A chunk of a
+        generation no longer current fails typed, so the fetcher
+        restarts instead of stitching two generations together.
         """
         store = self.service.store
         directory = store.live_directory
@@ -1013,77 +1019,84 @@ class KGServer:
     def _op_promote(self) -> dict:
         """The ``promote`` op: turn this replica into the shard's leader.
 
-        Commit order: stop the replication loop first (no leader batch
-        may apply after the cut), then compact — which folds the
-        replica's current state into a **new, higher generation** and
-        flips its ``live.json`` — then flip the advertised role so the
-        write ops open up.  The generation bump is the split-brain
-        fence: the dead ex-leader's directory stays on the old
-        generation, so a routing layer that recorded the promotion
-        generation refuses any endpoint still serving an older one; a
-        restarted ex-leader rejoins by following the new leader, which
-        re-bootstraps it past the fence.  Idempotent on an
-        already-promoted server (reports ``promoted: false``).
+        Commit order: stop replicating (no leader batch applies after
+        the cut), compact into a **new, higher generation** — the
+        split-brain fence (docs/architecture.md, "Leader promotion") —
+        then flip the role so writes open up.  Idempotent (``promoted:
+        false`` on a leader); the control thread runs one at a time.
         """
-        with self._promote_lock:
-            if self.role == "leader":
-                return {"promoted": False, "role": self.role,
-                        "generation": self.service.store.live_generation}
-            if self.service.store.live_generation is None:
+        if self.role == "leader":
+            return {"promoted": False, "role": self.role,
+                    "generation": self.service.store.live_generation}
+        if self.service.store.live_generation is None:
+            raise ProtocolError(
+                "promotion requires a live store directory: an "
+                "in-memory follower has no durable generation to bump "
+                "and cannot take over the shard's write path")
+        self._stop_replication.set()
+        thread = self._replication_thread
+        if thread is not None:
+            thread.join(timeout=10)
+            if thread.is_alive():
                 raise ProtocolError(
-                    "promotion requires a live store directory: an "
-                    "in-memory follower has no durable generation to bump "
-                    "and cannot take over the shard's write path")
-            self._stop_replication.set()
-            thread = self._replication_thread
-            if thread is not None:
-                thread.join(timeout=10)
-                if thread.is_alive():
-                    raise ProtocolError(
-                        "replication loop did not stop within 10s; "
-                        "refusing to promote while old-leader batches "
-                        "may still be applying")
-            generation = self.service.compact()
-            with self._stats_lock:
-                self._replication["running"] = False
-                self._replication["last_error"] = None
-            self.role = "leader"
-            self._follow = None
-            return {"promoted": True, "role": "leader",
-                    "generation": generation}
+                    "replication loop did not stop within 10s; "
+                    "refusing to promote while old-leader batches "
+                    "may still be applying")
+        generation = self.service.compact()
+        with self._stats_lock:
+            self._replication["running"] = False
+            self._replication["last_error"] = None
+        self.role = "leader"
+        self._follow = None
+        return {"promoted": True, "role": "leader",
+                "generation": generation}
+
+    def _write_ack(self, key: str) -> Callable:
+        """A write's answer: its count under ``key``, and its epoch."""
+        return lambda results: {key: results[0],
+                                "epoch": self.service.mutation_epoch}
 
     #: One handler per ``protocol.OPS`` entry (the test suite holds the
     #: two key sets equal), called as ``handler(self, **decoded_fields)``.
+    #: A handler returns its answer, or a :class:`_Pending` of the
+    #: service futures it submitted.
     _HANDLERS = {
         "ping": lambda self: "pong",
-        "stats": _op_stats,
-        "len": lambda self: len(self.service.store),
-        "role": _op_role,
+        "stats": _on_control(_op_stats),
+        "len": _on_control(lambda self: len(self.service.store)),
+        "role": _on_control(_op_role),
         "replication_status": _op_replication_status,
-        "wal_tail": _op_wal_tail,
-        "snapshot_ship": _op_snapshot_ship,
-        "promote": _op_promote,
-        "execute": lambda self, query: self.service.submit(query).result(),
-        "execute_many": _op_execute_many,
+        "wal_tail": _on_control(_op_wal_tail),
+        "snapshot_ship": _on_control(_op_snapshot_ship),
+        "promote": _on_control(_op_promote),
+        "execute": lambda self, query:
+            _Pending([self.service.submit(query)], _first),
+        "execute_many": lambda self, queries:
+            _Pending([self.service.submit(query) for query in queries]),
         "match": lambda self, pattern:
-            self.service.submit_lookup(pattern).result(),
-        "match_many": _op_match_many,
-        "match_ids_many": lambda self, patterns:
-            self.service.match_ids_many(patterns),
-        "count": lambda self, pattern: self.service.count_many([pattern])[0],
-        "count_many": lambda self, patterns: self.service.count_many(patterns),
-        "open_cursor": lambda self, query: self.service.open_cursor(query),
-        "open_match_cursor": lambda self, pattern:
-            self.service.open_match_cursor(pattern),
+            _Pending([self.service.submit_lookup(pattern)], _first),
+        "match_many": lambda self, patterns: _Pending(
+            [self.service.submit_lookup(pattern) for pattern in patterns]),
+        "match_ids_many": lambda self, patterns: _Pending(
+            [self.service.submit_id_lookup(pattern) for pattern in patterns]),
+        "count": lambda self, pattern:
+            _Pending([self.service.submit_count(pattern)], _first),
+        "count_many": lambda self, patterns: _Pending(
+            [self.service.submit_count(pattern) for pattern in patterns]),
+        "open_cursor": lambda self, query: _Pending(
+            [self.service.submit(query)],
+            lambda blocks: self.service.register_cursor(blocks[0])),
+        "open_match_cursor": lambda self, pattern: _Pending(
+            [self.service.submit_lookup(pattern)],
+            lambda blocks: self.service.register_cursor(blocks[0])),
         "fetch": _op_fetch,
         "close_cursor": lambda self, cursor: self.service.close_cursor(cursor),
-        "add_many": lambda self, triples: {
-            "added": self.service.add_many(triples),
-            "epoch": self.service.mutation_epoch},
-        "remove_many": lambda self, triples: {
-            "removed": self.service.remove_many(triples),
-            "epoch": self.service.mutation_epoch},
-        "compact": lambda self: {"generation": self.service.compact()},
+        "add_many": lambda self, triples: _Pending(
+            [self.service.submit_add(triples)], self._write_ack("added")),
+        "remove_many": lambda self, triples: _Pending(
+            [self.service.submit_remove(triples)], self._write_ack("removed")),
+        "compact": _on_control(lambda self: {
+            "generation": self.service.compact()}),
     }
 
     # ------------------------------------------------------------------ #
@@ -1093,20 +1106,13 @@ class KGServer:
         """Follower loop: poll the leader's WAL tail and apply it.
 
         Each leader batch applies as ONE ``service.add_many`` /
-        ``remove_many`` call, so when this replica runs over a live
-        store bootstrapped from the leader's snapshot, its own WAL
-        sequence numbers stay in lockstep with the leader's and
-        ``applied_seq`` survives a replica restart for free.
-        Unreachable leaders are retried forever (the replica keeps
-        serving reads from its current state).  A *generation* change
-        means the leader compacted underneath us: replaying the new log
-        over our old snapshot would be wrong, so a live-directory
-        replica re-bootstraps itself over the wire
-        (:meth:`_rebootstrap`) and resumes on the new generation — only
-        an in-memory follower, which has nowhere durable to adopt a
-        snapshot into, still stops with the re-bootstrap demand.  Every
-        status mutation happens under the stats lock, grouped per batch,
-        so a concurrent ``stats`` poll never reads a torn block.
+        ``remove_many``, so a replica's WAL seqs stay in lockstep with
+        its leader's and ``applied_seq`` survives a restart.  Leaders
+        are retried forever; a *generation* change (the leader
+        compacted) makes a live-directory replica re-bootstrap
+        (:meth:`_rebootstrap`) and an in-memory one stop.  Status moves
+        under the stats lock, per batch, so ``stats`` never reads a
+        torn block.
         """
         from repro.kg.client import RemoteClient
 
@@ -1218,20 +1224,11 @@ class KGServer:
             drop_client()
 
     def _rebootstrap(self, client) -> None:
-        """Adopt the leader's current generation over the wire.
-
-        The follower half of snapshot shipping, run from the
-        replication thread when the leader's generation moved: fetch
-        the new ``snap-G/`` + WAL position into this replica's live
-        directory (:func:`fetch_snapshot` — the atomic ``live.json``
-        flip is the commit point), open the adopted generation as a
-        fresh store, swap it in through the service dispatcher (readers
-        never observe half a state), close the replaced store, sweep
-        the stale generation, and drop client connections whose binary
-        encoders captured the old store's interners.  On return the
-        loop resumes tailing the new generation's WAL from the shipped
-        ``base_seq``.  In-memory followers cannot adopt a snapshot and
-        keep the old stop-with-error behavior (the caller guards).
+        """Adopt the leader's current generation over the wire: fetch it
+        (:func:`fetch_snapshot`), swap the opened store in through the
+        dispatcher (readers never see half a state), close the old one,
+        sweep stale generations and drop every client connection; the
+        loop then tails the new WAL from the shipped ``base_seq``.
         """
         store = self.service.store
         directory = store.live_directory
@@ -1253,5 +1250,8 @@ class KGServer:
             self._replication["applied_seq"] = manifest["base_seq"]
             self._replication["rebootstraps"] += 1
             self._replication["last_error"] = None
-        self._reset_connections()
+        # A binary connection's encoder captured the old interners at
+        # hello time: drop them all; clients reconnect and renegotiate.
+        self._drop_connections = True
+        self._wake()
 

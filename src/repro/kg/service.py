@@ -184,17 +184,16 @@ def _ranged_patterns(backend):
     return resolve
 
 
-class _Request:
-    """One queued client request: payload plus the future to resolve."""
-
-    __slots__ = ("kind", "payload", "future", "cache_key")
+class _Request(Future):
+    """One queued client request, and the future its client holds;
+    ``picked``: the ``perf_counter_ns`` the dispatcher took it at."""
 
     def __init__(self, kind: str, payload) -> None:
+        super().__init__()
         self.kind = kind
         self.payload = payload
-        self.future: "Future" = Future()
-        # Set by the dispatcher for cacheable pattern queries: the plan
-        # cache key a missing result should be inserted under.
+        self.picked: Optional[int] = None
+        # Set by the dispatcher: the plan cache key a missed result fills.
         self.cache_key: Optional[Tuple] = None
 
 
@@ -615,11 +614,11 @@ class QueryService:
         The query runs through :meth:`submit`, so it batches and hits
         the result cache like any other.
         """
-        return self._register_cursor(self.submit(query).result())
+        return self.register_cursor(self.submit(query).result())
 
     def open_match_cursor(self, pattern: Pattern) -> str:
         """Point-lookup counterpart of :meth:`open_cursor` (pages triples)."""
-        return self._register_cursor(self.submit_lookup(pattern).result())
+        return self.register_cursor(self.submit_lookup(pattern).result())
 
     def fetch_cursor(self, cursor_id: str, max_rows: int) -> Tuple:
         """Return ``(next page, exhausted)`` and refresh the cursor's TTL.
@@ -659,7 +658,7 @@ class QueryService:
         with self._close_lock:
             self._check_open()
             self._queue.put(request)
-        return request.future
+        return request
 
     def _check_open(self) -> None:
         # Called under _close_lock (enqueue) or _stats_lock (the cursor
@@ -697,8 +696,8 @@ class QueryService:
                 failure = QueryError(f"dispatch failed: {exc!r}")
                 failure.__cause__ = exc
                 for request in batch:
-                    if not request.future.done():
-                        _resolve(request.future, exception=failure)
+                    if not request.done():
+                        _resolve(request, exception=failure)
             if shutdown:
                 return
 
@@ -710,7 +709,9 @@ class QueryService:
             self._evict_expired_cursors()
         by_kind: Dict[str, List[_Request]] = {}
         writes: List[_Request] = []
+        picked = time.perf_counter_ns()
         for request in batch:
+            request.picked = picked
             if request.kind in _WRITE_KINDS:
                 writes.append(request)
             else:
@@ -779,13 +780,13 @@ class QueryService:
             except Exception as exc:
                 if request.kind != _COMPACT:
                     written = None
-                _resolve(request.future, exception=exc)
+                _resolve(request, exception=exc)
                 continue
             if request.kind != _COMPACT:
                 with self._stats_lock:
                     self.mutation_epoch += 1
                     self.write_batches += 1
-            _resolve(request.future, result)
+            _resolve(request, result)
         if mutated and self._cache is not None:
             with self._stats_lock:
                 if written is None:
@@ -812,8 +813,7 @@ class QueryService:
             if cursor is None:
                 rest.append((request, query))
             else:
-                _resolve(request.future,
-                         self._maybe_cache_result(request, cursor))
+                _resolve(request, self._maybe_cache_result(request, cursor))
         try:
             # The fast path: the whole batch validates in one call.
             plans = plan_queries([query for _request, query in rest])
@@ -827,7 +827,7 @@ class QueryService:
                     plans.append(plan_queries([query])[0])
                     planned.append(request)
                 except Exception as exc:
-                    _resolve(request.future, exception=exc)
+                    _resolve(request, exception=exc)
         if not planned:
             return
         try:
@@ -837,11 +837,10 @@ class QueryService:
             # endpoint): every planned request gets the typed error;
             # nothing is retried one by one.
             for request in planned:
-                _resolve(request.future, exception=exc)
+                _resolve(request, exception=exc)
             return
         for request, cursor in zip(planned, cursors):
-            _resolve(request.future,
-                     self._maybe_cache_result(request, cursor))
+            _resolve(request, self._maybe_cache_result(request, cursor))
 
     @staticmethod
     def _plannable_query(request: _Request) -> PatternQuery:
@@ -876,7 +875,7 @@ class QueryService:
         try:
             validate_limit(query.limit)
         except Exception as exc:
-            _resolve(request.future, exception=exc)
+            _resolve(request, exception=exc)
             return True
         request.cache_key = key
         with self._stats_lock:
@@ -885,7 +884,7 @@ class QueryService:
             return False
         if query.limit is not None:
             block = block[:query.limit]
-        _resolve(request.future, block)
+        _resolve(request, block)
         return True
 
     def _maybe_cache_result(self, request: _Request,
@@ -928,10 +927,10 @@ class QueryService:
                                 for ids in resolved]
         except Exception as exc:
             for request in requests:
-                _resolve(request.future, exception=exc)
+                _resolve(request, exception=exc)
             return
         for request, rows in zip(requests, rows_per_request):
-            _resolve(request.future, IdBlock.over(
+            _resolve(request, IdBlock.over(
                 backend, (), ("e", "r", "e"), rows, triples=True))
 
     def _serve_counts(self, requests: List[_Request]) -> None:
@@ -943,15 +942,16 @@ class QueryService:
             # (ShardUnavailableError): the batch was ONE count_many, so
             # each request gets it once and none is re-attempted.
             for request in requests:
-                _resolve(request.future, exception=exc)
+                _resolve(request, exception=exc)
             return
         for request, result in zip(requests, results):
-            _resolve(request.future, int(result))
+            _resolve(request, int(result))
 
     # ------------------------------------------------------------------ #
     # cursor table (every step O(1) and under _stats_lock)
     # ------------------------------------------------------------------ #
-    def _register_cursor(self, block: IdBlock) -> str:
+    def register_cursor(self, block: IdBlock) -> str:
+        """Park an answered block as a cursor; returns its id."""
         cursor_id = f"cur-{secrets.token_hex(8)}"
         with self._stats_lock:
             self._check_open()
@@ -1010,7 +1010,7 @@ class QueryService:
             except queue.Empty:
                 break
             if leftover is not _SHUTDOWN:
-                _resolve(leftover.future,
+                _resolve(leftover,
                          exception=QueryError("QueryService is closed"))
         with self._stats_lock:
             for cursor, _deadline in self._cursors.values():

@@ -43,6 +43,8 @@ import socket
 import struct
 import threading
 import time
+import weakref
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,7 @@ from repro.kg.protocol import (
     TAG_BINARY,
     TAG_JSON,
     BinaryResponseDecoder,
+    BinaryResponseEncoder,
     DecodedBlock,
     decode_json_body,
     decode_wire_query,
@@ -78,9 +81,10 @@ from repro.kg.protocol import (
     send_frame,
 )
 from repro.kg.query import PatternQuery, QueryEngine
-from repro.kg.server import KGServer as _KGServer
+from repro.kg.server import KGServer as _KGServer, _Pending
 from repro.kg.service import DEFAULT_CACHE_BYTES, QueryService
 from repro.kg.sharded_backend import ShardedBackend
+from repro.kg.spans import Spans
 from repro.kg.store import TripleStore
 from repro.kg.triple import triples_from_tuples
 
@@ -1130,9 +1134,10 @@ def test_rows_ops_are_refused_without_hello_before_anything_runs(
         return {"op": name, "id": request_id,
                 **{field: _WELL_FORMED[field] for field in OPS[name].fields}}
 
-    # A fresh stats answer differs only in what the asking itself moved.
+    # A fresh stats answer differs only in what the asking itself moved
+    # (the stage histograms count every request).
     volatile = {"requests_served", "batches_dispatched", "largest_batch",
-                "polls", "epoch"}
+                "polls", "epoch", "spans"}
 
     def steady(result):
         if not isinstance(result, dict):
@@ -1615,3 +1620,157 @@ def test_readonly_snapshot_server_raises_typed_storage_error(
             # The connection is not poisoned and reads still work.
             assert remote.count(None, "brandIs", None) == NUM_PRODUCTS
         _assert_serviceable(running)
+
+
+# --------------------------------------------------------------------------- #
+# one hand-off per request: the thread that answers a request sends it
+# --------------------------------------------------------------------------- #
+def _read_answer(sock: socket.socket, decoder: BinaryResponseDecoder) -> dict:
+    """One response on a connection that said ``hello``, binary or not."""
+    body = read_frame_bytes(sock, MAX_FRAME_BYTES)
+    assert body is not None
+    return decoder.decode(body) if body[0] == TAG_BINARY \
+        else decode_json_body(body[1:])
+
+
+def test_pipelined_frames_answer_in_request_order(server):
+    """Thirty frames in one ``sendall``, mixing ops answered inline on
+    the I/O thread, by the dispatcher and by the control thread: the
+    responses come back in request order, each with its own answer."""
+    patterns = [["product:0001", None, None], [None, "brandIs", "brand:1"]]
+    requests = [
+        {"op": "ping"}, {"op": "len"},
+        {"op": "count", "pattern": [None, "brandIs", None]},
+        {"op": "count_many", "patterns": patterns},
+        {"op": "match_many", "patterns": patterns}, {"op": "stats"},
+    ] * 5
+    local = server.service.store
+    expected = {"ping": "pong", "len": len(local),
+                "count": local.count(None, "brandIs", None),
+                "count_many": [local.count(*pattern) for pattern in patterns]}
+    decoder = BinaryResponseDecoder()
+    with _raw_connection(server, "auto") as sock:
+        sock.sendall(b"".join(
+            encode_tagged_json({**request, "id": index}, MAX_FRAME_BYTES)
+            for index, request in enumerate(requests)))
+        for index, request in enumerate(requests):
+            answer = _read_answer(sock, decoder)
+            assert answer["id"] == index and answer["ok"] is True, answer
+            op, result = request["op"], answer["result"]
+            if op == "match_many":
+                assert [len(block.to_triples()) for block in result] == \
+                    [local.count(*pattern) for pattern in patterns]
+            elif op == "stats":
+                assert result["store"]["triples"] == len(local)
+            else:
+                assert result == expected[op], op
+
+
+def test_response_larger_than_the_send_buffer_arrives_whole(store):
+    """A response the socket cannot take in one ``send`` goes out in
+    part on the answering thread and the rest from the I/O loop: a
+    client that reads late gets it whole, then the next response."""
+    rows = [(f"big:{index}", "sizeOf", f"value:{index}")
+            for index in range(20_000)]
+    decoder = BinaryResponseDecoder()
+    with KGServer(TripleStore(triples_from_tuples(rows)),
+                  port=0).start() as running, \
+            _raw_connection(running, "auto") as sock:
+        (conn,) = running._connections
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sock.sendall(encode_tagged_json(
+            {"op": "match", "id": 1, "pattern": [None, "sizeOf", None]},
+            MAX_FRAME_BYTES) + encode_tagged_json({"op": "ping", "id": 2},
+                                                  MAX_FRAME_BYTES))
+        time.sleep(0.5)             # let the server fill its buffer
+        answer = _read_answer(sock, decoder)
+        assert answer["id"] == 1
+        assert sorted(answer["result"].to_triples()) == \
+            sorted(triples_from_tuples(rows))
+        assert _read_answer(sock, decoder) == \
+            {"id": 2, "ok": True, "result": "pong"}
+        spans = running.handle_message({"op": "stats", "id": 3})[
+            "result"]["spans"]
+        assert spans["loop_flushes"] >= 1
+        assert spans["ops"]["match"]["send"]["count"] == 1
+
+
+def test_each_op_runs_on_its_one_thread(server, monkeypatch):
+    """A served ``match_many`` is touched by the I/O thread and the
+    dispatcher only (parse and submit on one, serve, encode and send on
+    the other), ``stats`` runs on the control thread, and the server
+    has no worker pool."""
+    touched = {}
+
+    def recording(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            touched.setdefault(key, set()).add(
+                threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    recording(_KGServer, "handle_message", "match_many")
+    recording(QueryService, "submit_lookup", "match_many")
+    recording(QueryService, "_serve", "match_many")
+    recording(BinaryResponseEncoder, "encode", "match_many")
+    recording(_KGServer, "_send", "match_many")
+    recording(Spans, "snapshot", "stats")           # what stats reads
+    with RemoteClient(server.url) as client:
+        assert len(client.call("match_many", patterns=[
+            ["product:0001", None, None]])) == 1
+        touched_by_match = touched.pop("match_many")
+        client.stats()
+    assert touched_by_match == {"kg-server-io", "kg-query-service"}
+    assert touched["stats"] == {"kg-server-control"}
+    assert not [thread for thread in threading.enumerate()
+                if thread.name.startswith("kg-server-worker")]
+
+
+def test_encoder_failure_in_the_completion_callback_closes(store,
+                                                           monkeypatch):
+    """An encoder that raises on the dispatcher, inside the completion
+    callback, yields an error frame and a close — never a hung
+    connection — and the server keeps serving others."""
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("encoder exploded")
+
+    with KGServer(store, port=0).start() as running, \
+            _raw_connection(running, "auto") as sock:
+        monkeypatch.setattr(BinaryResponseEncoder, "encode", broken)
+        sock.sendall(encode_tagged_json(
+            {"op": "match_many", "id": 1,
+             "patterns": [["product:0001", None, None]]}, MAX_FRAME_BYTES))
+        error = _read_error(sock, "auto")
+        assert "encoder exploded" in error["message"]
+        assert sock.recv(1) == b""
+        monkeypatch.undo()
+        _assert_serviceable(running)
+
+
+def test_await_answers_in_order_and_lets_go_of_its_futures():
+    """The completion of a handed-off request: one reply, results in
+    request order whatever order the futures resolve in, and afterwards
+    nothing keeps the futures (and their blocks) alive — a future holds
+    its completion callback, so a callback that held the futures would
+    leave every answer to the cycle collector."""
+    futures = [Future(), Future()]
+    for future in futures:
+        future.picked = 5
+    replies = []
+    _KGServer._await(_Pending(list(futures)), 7,
+                     lambda *reply: replies.append(reply), 3)
+    futures[1].set_result("second")
+    assert replies == []
+    futures[0].set_result("first")
+    assert replies == [({"id": 7, "ok": True,
+                         "result": ["first", "second"]}, 3, 5)]
+    alive = [weakref.ref(future) for future in futures]
+    gc.disable()
+    try:
+        del futures, future
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
