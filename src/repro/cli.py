@@ -149,13 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "sanity-checked by coordinators)")
     serve.add_argument("--follow", default=None, metavar="HOST:PORT",
                        help="run as a read-only replica of the given "
-                            "leader, continuously replaying its WAL via "
-                            "the wal_tail op; a missing or empty "
+                            "leader, continuously copying and replaying "
+                            "its WAL bytes (snapshot_ship chunks of "
+                            "wal-G.log); a missing or empty "
                             "--store-dir is bootstrapped from the leader "
                             "over the wire (snapshot_ship) before serving")
     serve.add_argument("--follow-poll-interval", type=float, default=0.05,
-                       help="seconds a replica sleeps between wal_tail "
-                            "polls of its leader (default 0.05; must be "
+                       help="seconds a caught-up replica sleeps between "
+                            "WAL polls of its leader (default 0.05; must be "
                             "a finite positive number)")
 
     split = subparsers.add_parser(

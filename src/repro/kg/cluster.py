@@ -38,8 +38,8 @@ that path.
 
 Failure story
 -------------
-Each shard has one leader and optional replicas (followers replaying the
-leader's WAL via the ``wal_tail`` op).  Reads round-robin across
+Each shard has one leader and optional replicas (followers copying the
+leader's WAL bytes through ``snapshot_ship`` chunks and replaying them).  Reads round-robin across
 leader + replicas; a transport failure drops the broken connection,
 counts a reroute and moves to the next endpoint (the underlying
 :class:`~repro.kg.client.RemoteClient` already retries idempotent reads

@@ -26,8 +26,10 @@ Two planes share that framing:
 
 * **control plane — JSON.**  Every request, error, scalar or small
   structured answer (``ping``, ``stats``, counts, write acks, ``role``,
-  ``wal_tail``, ``snapshot_ship``, cursor ids).  A connection that
-  never says ``hello`` speaks nothing else.
+  ``wal_tail``'s position report, cursor ids) and the base64 chunks of
+  ``snapshot_ship``, which carry a snapshot's files and the leader's
+  WAL bytes to a replica.  A connection that never says ``hello``
+  speaks nothing else.
 * **row plane — the id-block frame, the one row encoder.**  One
   ``hello`` exchange switches a connection to tagged frames: the body
   starts with :data:`TAG_JSON` (requests, errors, control results) or
@@ -345,12 +347,12 @@ OPS: Dict[str, Op] = {
     "len": Op(retry_safe=True),
     "role": Op(retry_safe=True),
     "replication_status": Op(retry_safe=True),
-    "wal_tail": Op({"after_seq": Field(_COUNT),
-                    "max_batches": Field(_wire_scalar(
-                        int, "an integer >= 1", minimum=1), 256)},
-                   retry_safe=True),
+    # The leader's WAL position, ``{generation, next_seq}``; replicas
+    # copy the log itself through ``snapshot_ship``.
+    "wal_tail": Op({"after_seq": Field(_COUNT)}, retry_safe=True),
     # No ``path`` asks for the manifest; with one it is a chunk request
-    # and ``generation`` must be the manifest's.
+    # of a snapshot member or of the generation's ``wal-G.log``, and
+    # ``generation`` must be the current one.
     "snapshot_ship": Op({"path": Field(_STR, None),
                          "offset": Field(_COUNT, 0),
                          "generation": Field(_INT, None)},
@@ -461,10 +463,17 @@ def send_frame(sock: socket.socket, payload: dict,
     sock.sendall(encode_frame(payload, max_bytes=max_bytes))
 
 
-#: Raw bytes per ``snapshot_ship`` chunk.  The chunk rides inside a JSON
-#: frame as base64 (4/3 expansion), so 8 MiB of file bytes stays well
-#: under the :data:`MAX_FRAME_BYTES` cap with headroom for the envelope.
+#: Most raw bytes per ``snapshot_ship`` chunk.
 SNAPSHOT_CHUNK_BYTES = 8 * 1024 * 1024
+
+
+def snapshot_chunk_bytes(max_frame_bytes: int) -> int:
+    """Raw bytes per ``snapshot_ship`` chunk from a server whose frame
+    cap is ``max_frame_bytes``: the chunk rides in a JSON frame as
+    base64 (4/3 growth), and 512 bytes are left for the envelope (id,
+    member path, numbers and flags)."""
+    return max(3, min(SNAPSHOT_CHUNK_BYTES,
+                      (max_frame_bytes - 512) // 4 * 3))
 
 
 _MANIFEST = {

@@ -70,7 +70,7 @@ from collections import deque
 from concurrent.futures import Future
 from operator import itemgetter
 from pathlib import Path
-from typing import (Callable, Deque, List, NamedTuple, Optional, Sequence,
+from typing import (Callable, Deque, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 from repro.errors import ProtocolError
@@ -86,7 +86,6 @@ from repro.kg.protocol import (
     SHAPE_LIST,
     SHAPE_PAGE,
     SHAPE_SINGLE,
-    SNAPSHOT_CHUNK_BYTES,
     TAG_BINARY,
     TAG_JSON,
     BinaryResponseEncoder,
@@ -98,14 +97,16 @@ from repro.kg.protocol import (
     encode_snapshot_chunk,
     encode_tagged_json,
     error_to_wire,
+    snapshot_chunk_bytes,
 )
 from repro.kg.service import (DEFAULT_CACHE_BYTES, DEFAULT_CURSOR_TTL,
                               QueryService)
 from repro.kg.spans import Spans
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
-from repro.kg.wal import (OP_ADD, WriteAheadLog, list_snapshot_files,
-                          scan_wal, snapshot_dir_name, wal_file_name,
+from repro.kg.wal import (HEADER_BYTES, OP_ADD, WriteAheadLog,
+                          list_snapshot_files, scan_records,
+                          snapshot_dir_name, wal_file_name,
                           write_live_pointer)
 
 #: Default port of the CLI ``serve`` command (0 = ephemeral, for tests).
@@ -113,14 +114,6 @@ DEFAULT_PORT = 7468
 
 #: How often a replica polls its leader's WAL when caught up, seconds.
 DEFAULT_FOLLOW_POLL_INTERVAL = 0.05
-
-#: Soft cap on triples shipped per ``wal_tail`` response (at least one
-#: batch always goes out): the follower catches up over several polls
-#: instead of one response blowing the frame cap.
-_WAL_TAIL_TRIPLE_BUDGET = 50_000
-
-#: Hard cap on batches per ``wal_tail`` response.
-_WAL_TAIL_MAX_BATCHES = 4096
 
 
 class _Pending(NamedTuple):
@@ -337,6 +330,7 @@ class KGServer:
                 f"interval would busy-spin the follower against its "
                 f"leader)")
         self.max_frame_bytes = int(max_frame_bytes)
+        self._chunk_bytes = snapshot_chunk_bytes(self.max_frame_bytes)
         self.closing = False
         self.role = "replica" if follow is not None else "leader"
         self.shard_index = shard_index
@@ -939,47 +933,27 @@ class KGServer:
         info["writable"] = store.writable
         return info
 
-    def _op_wal_tail(self, after_seq: int, max_batches: int) -> dict:
-        """Ship WAL batches past ``after_seq`` to a polling follower.
-
-        ``wal.ends`` (durable record end offsets) bounds the scan to the
-        records it ships: a caught-up poll opens no file, a record still
-        in fsync never ships.  Batches and triples are capped so a
-        far-behind follower catches up over several polls.
-        """
+    def _op_wal_tail(self, after_seq: int) -> dict:
+        """The leader's WAL generation and next seq (``after_seq`` is
+        unused: replicas copy the log through ``snapshot_ship``)."""
         wal = self.service.store.wal
         if wal is None:
             raise ProtocolError(
                 "wal_tail requires a live store (this server was opened "
                 "from a plain snapshot or in-memory data)")
-        n = len(wal.ends)
-        batches: List[list] = []
-        if after_seq < n:
-            last = min(n, after_seq + min(max_batches, _WAL_TAIL_MAX_BATCHES))
-            scan = scan_wal(wal.path,
-                            start=wal.ends[after_seq - 1] if after_seq else 0,
-                            first_seq=after_seq + 1, stop=wal.ends[last - 1])
-            budget = _WAL_TAIL_TRIPLE_BUDGET
-            for batch in scan.batches:
-                if batches and budget <= 0:
-                    break
-                batches.append([batch.seq, batch.op,
-                                [list(triple) for triple in batch.triples]])
-                budget -= len(batch.triples)
-        return {"generation": wal.generation, "next_seq": wal.next_seq,
-                "batches": batches}
+        return {"generation": wal.generation, "next_seq": wal.next_seq}
 
     def _op_snapshot_ship(self, path: Optional[str], offset: int,
                           generation: Optional[int]) -> dict:
-        """Stream the current snapshot generation to a bootstrapping peer.
-
-        Without ``path``: the **manifest** — generation, ``base_seq``
+        """Stream the current generation to a bootstrapping or following
+        peer.  Without ``path``: the **manifest** — generation, ``base_seq``
         (always 0: a compaction starts its WAL at seq 1) and each member
         file's path and size.  With ``path`` / ``offset`` /
-        ``generation``: one CRC-checked base64 **chunk** of
-        :data:`~repro.kg.protocol.SNAPSHOT_CHUNK_BYTES`.  A chunk of a
-        generation no longer current fails typed, so the fetcher
-        restarts instead of stitching two generations together.
+        ``generation``: one CRC-checked base64 **chunk**, sized to fit
+        this server's frame cap, of a snapshot member or of the
+        generation's ``wal-G.log`` up to its last fsync'd record.  A
+        chunk of a generation no longer current fails typed, so the
+        fetcher restarts instead of stitching two generations together.
         """
         store = self.service.store
         directory = store.live_directory
@@ -993,19 +967,25 @@ class KGServer:
             files = [{"path": member, "size": size}
                      for member, size in list_snapshot_files(snapshot)]
             return {"generation": current, "base_seq": 0,
-                    "chunk_bytes": SNAPSHOT_CHUNK_BYTES, "files": files}
-        if generation != current:      # a chunk request must name one
+                    "chunk_bytes": self._chunk_bytes, "files": files}
+        wal = store.wal     # compact() swaps it before the generation
+        if generation != current or wal.generation != current:
             raise ProtocolError(
                 f"snapshot generation changed under the transfer (chunk "
                 f"asked for generation {generation}, this server now "
                 f"serves {current}) — restart the fetch from a fresh "
                 f"manifest")
-        target = _resolve_snapshot_member(snapshot, path)
+        data = b""
         try:
-            with open(target, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read(SNAPSHOT_CHUNK_BYTES)
-                size = os.fstat(handle.fileno()).st_size
+            if path == wal_file_name(current):
+                target, size = wal.path, wal.end
+            else:
+                target = _resolve_snapshot_member(snapshot, path)
+                size = target.stat().st_size
+            if offset < size:
+                with target.open("rb") as handle:
+                    handle.seek(offset)
+                    data = handle.read(min(self._chunk_bytes, size - offset))
         except OSError as exc:
             raise ProtocolError(
                 f"cannot read snapshot member {path!r}: {exc} (a "
@@ -1103,13 +1083,16 @@ class KGServer:
     # replication (follower mode)
     # ------------------------------------------------------------------ #
     def _replicate(self) -> None:
-        """Follower loop: poll the leader's WAL tail and apply it.
+        """Follower loop: copy the leader's WAL bytes and apply them.
 
-        Each leader batch applies as ONE ``service.add_many`` /
-        ``remove_many``, so a replica's WAL seqs stay in lockstep with
-        its leader's and ``applied_seq`` survives a restart.  Leaders
-        are retried forever; a *generation* change (the leader
-        compacted) makes a live-directory replica re-bootstrap
+        Each poll asks ``snapshot_ship`` for the leader's ``wal-G.log``
+        from this replica's position: its own WAL's end (the header
+        size in memory).  A record cut by the chunk's end waits for the
+        next one; each complete record is checked (CRC, then ``seq ==
+        applied_seq + 1``) and applied as ONE ``service.add_many`` /
+        ``remove_many``, which re-logs it byte for byte.  Leaders are
+        retried forever; a *generation* change (the leader compacted)
+        makes a live-directory replica re-bootstrap
         (:meth:`_rebootstrap`) and an in-memory one stop.  Status moves
         under the stats lock, per batch, so ``stats`` never reads a
         torn block.
@@ -1118,105 +1101,91 @@ class KGServer:
 
         rep = self._replication
         client: Optional[RemoteClient] = None
-        # Last leader generation observed, for followers with no local
-        # generation (in-memory): they cannot adopt a snapshot, but they
-        # must still notice a compaction instead of misreading the new
-        # log's restarted sequence numbers as a continuation.
-        leader_generation: Optional[int] = None
+        # The leader generation whose WAL this loop copies: None until
+        # a manifest names it, and again after any failed poll.
+        generation: Optional[int] = None
+        # An in-memory follower cannot adopt a snapshot, but it must
+        # notice a compaction rather than read the new log as more.
+        followed: Optional[int] = None
+        position = HEADER_BYTES     # an in-memory follower's own count
+        pending = b""       # leader bytes past ``position``: a cut record
 
         def drop_client() -> None:
             nonlocal client
             if client is not None:
-                try:
-                    client.close()
-                except Exception:  # pragma: no cover - best-effort
-                    pass
+                client.close()      # idempotent, never raises
                 client = None
+
+        def note(error: Optional[str]) -> None:
+            with self._stats_lock:
+                rep["last_error"] = error
 
         try:
             while not self._stop_replication.is_set():
-                with self._stats_lock:
-                    applied_seq = rep["applied_seq"]
                 try:
                     if client is None:
                         client = RemoteClient(self._follow, codec=CODEC_JSON,
                                               timeout=10.0)
-                    result = client.call("wal_tail", after_seq=applied_seq)
+                    if generation is None:
+                        generation = decode_snapshot_manifest(
+                            client.call("snapshot_ship"))["generation"]
+                        local = self.service.store.live_generation
+                        if local not in (None, generation):
+                            self._rebootstrap(client)
+                        if local is not None:   # the position on disk
+                            position = self.service.store.wal.end
+                            pending = b""
+                        elif followed not in (None, generation):
+                            note(f"leader moved to generation {generation}; "
+                                 f"an in-memory follower cannot adopt a "
+                                 f"shipped snapshot — restart this replica "
+                                 f"over a live store directory to follow "
+                                 f"across compactions")
+                            return
+                        followed = generation
+                    data = decode_snapshot_chunk(client.call(
+                        "snapshot_ship", path=wal_file_name(generation),
+                        offset=position + len(pending),
+                        generation=generation))
                 except Exception as exc:
-                    with self._stats_lock:
-                        rep["last_error"] = f"leader poll failed: {exc}"
+                    note(f"leader poll failed: {exc}")
                     drop_client()
+                    generation = None
                     self._stop_replication.wait(self._follow_poll_interval)
                     continue
-                generation = result.get("generation")
-                # Re-read the local generation every iteration: a
-                # re-bootstrap moves it, and comparing against a value
-                # captured at loop start would mis-fire forever after.
-                local_generation = self.service.store.live_generation
                 with self._stats_lock:
                     rep["polls"] += 1
                     rep["generation"] = generation
-                if local_generation is not None \
-                        and generation != local_generation:
+                    rep["last_error"] = None
+                    applied_seq = rep["applied_seq"]
+                pending += data
+                batches, consumed, corrupt = scan_records(
+                    pending, position, applied_seq + 1)
+                for batch in batches:
+                    triples = [Triple.unchecked(*row) for row in batch.triples]
                     try:
-                        self._rebootstrap(client)
-                    except Exception as exc:
-                        with self._stats_lock:
-                            rep["last_error"] = (
-                                f"re-bootstrap after leader generation "
-                                f"change ({local_generation} -> "
-                                f"{generation}) failed: {exc}; retrying")
-                        drop_client()
-                        self._stop_replication.wait(
-                            self._follow_poll_interval)
-                    continue
-                if local_generation is None \
-                        and leader_generation is not None \
-                        and generation != leader_generation:
-                    with self._stats_lock:
-                        rep["last_error"] = (
-                            f"leader moved to generation {generation}; an "
-                            f"in-memory follower cannot adopt a shipped "
-                            f"snapshot — restart this replica over a live "
-                            f"store directory to follow across "
-                            f"compactions")
-                    return
-                leader_generation = generation
-                applied_any = False
-                abort = None
-                for seq, op, rows in result.get("batches") or []:
-                    if seq <= applied_seq:
-                        continue
-                    if seq != applied_seq + 1:
-                        abort = (f"gap in the leader WAL: expected seq "
-                                 f"{applied_seq + 1}, got {seq} — "
-                                 f"re-bootstrap this replica")
-                        break
-                    triples = [Triple.unchecked(h, r, t) for h, r, t in rows]
-                    try:
-                        if op == OP_ADD:
+                        if batch.op == OP_ADD:
                             self.service.add_many(triples)
                         else:
                             self.service.remove_many(triples)
                     except Exception as exc:
-                        abort = f"replay failed: {exc}"
-                        break
-                    applied_seq = seq
+                        note(f"replay failed: {exc}")
+                        return
                     # One lock acquisition per applied batch: seq,
                     # batch and triple counters move together or not at
                     # all as far as any stats reader can observe.
                     with self._stats_lock:
-                        rep["applied_seq"] = seq
+                        rep["applied_seq"] = batch.seq
                         rep["batches_applied"] += 1
                         rep["triples_applied"] += len(triples)
-                    applied_any = True
-                if abort is not None:
-                    with self._stats_lock:
-                        rep["last_error"] = abort
+                if corrupt:
+                    note(f"leader WAL record at offset {position + consumed} "
+                         f"failed its CRC or seq check (expected seq "
+                         f"{applied_seq + len(batches) + 1}) — re-bootstrap "
+                         f"this replica")
                     return
-                with self._stats_lock:
-                    rep["last_error"] = None
-                if not applied_any:
+                position, pending = position + consumed, pending[consumed:]
+                if not data:
                     self._stop_replication.wait(self._follow_poll_interval)
         finally:
             with self._stats_lock:
@@ -1228,7 +1197,7 @@ class KGServer:
         (:func:`fetch_snapshot`), swap the opened store in through the
         dispatcher (readers never see half a state), close the old one,
         sweep stale generations and drop every client connection; the
-        loop then tails the new WAL from the shipped ``base_seq``.
+        loop then copies the new WAL from its header on.
         """
         store = self.service.store
         directory = store.live_directory

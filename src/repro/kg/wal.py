@@ -20,14 +20,16 @@ On-disk record format (all little-endian)::
 stops at the first record whose length, checksum or sequence number does
 not hold, so replay recovers **exactly the prefix of durably-acked
 batches**.  The open log keeps the end offset of every *durable* record
-(:attr:`WriteAheadLog.ends`, pushed once its fsync returns), so a
-follower's poll reads only the byte range it ships and never a record
-still in fsync.  If ``append``'s write, flush or fsync raises, the
-record's bytes may stay in the file under the seq the next batch would
-reuse, so the log refuses appends until it is reopened; the failed
-batch's outcome is unknown, not lost (recovery may replay it).  Replay
-is *not* idempotent (``add x`` then ``remove x`` in later batches cannot
-be re-applied out of order), which is why the live layout below never
+(:attr:`WriteAheadLog.ends`, pushed once its fsync returns); a follower
+copies the bytes up to :attr:`WriteAheadLog.end`, never a record still
+in fsync, and re-logs each record :func:`scan_records` checks: the
+encoding is deterministic, so its log is a byte prefix of its leader's.
+If ``append``'s write, flush or fsync raises, the record's bytes may
+stay in the file under the seq the next batch would reuse, so the log
+refuses appends until it is reopened; the failed batch's outcome is
+unknown, not lost (recovery may replay it).  Replay is *not*
+idempotent (``add x`` then ``remove x`` in later batches cannot be
+re-applied out of order), which is why the live layout below never
 lets a WAL outlive the snapshot it was logged against.
 
 Live store layout (one directory)::
@@ -65,6 +67,9 @@ WAL_VERSION = 1
 _HEADER = struct.Struct("<8sIQ")   # magic, version, generation
 _RECORD = struct.Struct("<II")     # payload length, crc32(payload)
 _BATCH = struct.Struct("<QBI")     # seq, op, triple count
+
+#: Bytes of the file header: the first record starts here.
+HEADER_BYTES = _HEADER.size
 
 #: Mutation opcodes carried in each record.
 OP_ADD = 1
@@ -170,7 +175,7 @@ class WalBatch:
 
 @dataclass(frozen=True)
 class WalScan:
-    """Result of scanning a WAL file (or a record range of one)."""
+    """Result of scanning a WAL file."""
 
     generation: int
     batches: List[WalBatch]
@@ -181,33 +186,26 @@ class WalScan:
     damaged: bool
 
 
-def scan_wal(path: "Union[str, Path]", start: int = 0, first_seq: int = 1,
-             stop: "int | None" = None) -> WalScan:
+def scan_wal(path: "Union[str, Path]") -> WalScan:
     """Scan a WAL file, recovering the longest intact record prefix.
 
     A truncated or corrupted *record* ends the scan (prefix recovery);
     a truncated or corrupted *file header* raises
     :class:`~repro.errors.StorageError` — a live pointer naming a WAL
     whose header never made it to disk is real corruption, not a torn
-    append.  ``start`` (an offset of a record boundary; ``0`` means
-    just past the header) and ``first_seq`` resume the scan mid-log,
-    and ``stop`` ends it at that offset instead of end-of-file: only
-    the header and ``[start, stop)`` are read, and every record in
-    that range is checked exactly as in a full scan.
+    append.
     """
     path = Path(path)
     try:
         with path.open("rb") as file:
-            header = file.read(_HEADER.size)
-            start = max(start, _HEADER.size)
-            file.seek(start)
-            data = file.read(-1 if stop is None else stop - start)
+            header = file.read(HEADER_BYTES)
+            data = file.read()
     except OSError as exc:
         raise StorageError(f"cannot read WAL {path}: {exc}") from exc
-    if len(header) < _HEADER.size:
+    if len(header) < HEADER_BYTES:
         raise StorageError(
             f"WAL {path} is {len(header)} bytes, shorter than its "
-            f"{_HEADER.size}-byte header")
+            f"{HEADER_BYTES}-byte header")
     magic, version, generation = _HEADER.unpack(header)
     if magic != WAL_MAGIC:
         raise StorageError(f"{path} is not a WAL file (magic {magic!r})")
@@ -215,26 +213,37 @@ def scan_wal(path: "Union[str, Path]", start: int = 0, first_seq: int = 1,
         raise StorageError(
             f"WAL {path} has format version {version}, this build reads "
             f"version {WAL_VERSION}")
+    batches, consumed, _corrupt = scan_records(data, HEADER_BYTES, 1)
+    return WalScan(generation=generation, batches=batches,
+                   valid_bytes=HEADER_BYTES + consumed,
+                   damaged=consumed < len(data))
+
+
+def scan_records(data: bytes, start: int,
+                 first_seq: int) -> Tuple[List[WalBatch], int, bool]:
+    """Decode the intact records at the front of ``data`` (the log
+    from record boundary ``start``, the first carrying ``first_seq``):
+    the batches, the bytes they span, and whether the scan stopped at a
+    *complete* record that failed its length, checksum or seq check
+    rather than at one cut short by the end of ``data``."""
     batches: List[WalBatch] = []
     offset = 0
-    next_seq = first_seq
     while offset + _RECORD.size <= len(data):
         length, checksum = _RECORD.unpack_from(data, offset)
-        begin = offset + _RECORD.size
-        end = begin + length
-        if length > MAX_RECORD_BYTES or end > len(data):
+        end = offset + _RECORD.size + length
+        if length > MAX_RECORD_BYTES:
+            return batches, offset, True
+        if end > len(data):
             break
-        payload = data[begin:end]
-        if zlib.crc32(payload) != checksum:
-            break
-        batch = _decode_payload(payload, next_seq, start + end)
+        payload = data[offset + _RECORD.size:end]
+        batch = _decode_payload(payload, first_seq + len(batches),
+                                start + end) \
+            if zlib.crc32(payload) == checksum else None
         if batch is None:
-            break
+            return batches, offset, True
         batches.append(batch)
-        next_seq += 1
         offset = end
-    return WalScan(generation=generation, batches=batches,
-                   valid_bytes=start + offset, damaged=offset < len(data))
+    return batches, offset, False
 
 
 def coalesced_ops(
@@ -340,7 +349,7 @@ class WriteAheadLog:
                 f"WAL {self.path} refuses appends after a failed append "
                 f"({self._failure}); reopen it to recover")
         record = encode_batch(self.next_seq, op, triples)
-        end = (self.ends[-1] if self.ends else _HEADER.size) + len(record)
+        end = self.end + len(record)
         try:
             self._file.write(record)
             self._file.flush()
@@ -351,6 +360,12 @@ class WriteAheadLog:
             raise
         self.ends.append(end)
         return len(self.ends)
+
+    @property
+    def end(self) -> int:
+        """Offset just past the last durable record: what a follower
+        may copy."""
+        return self.ends[-1] if self.ends else HEADER_BYTES
 
     @property
     def next_seq(self) -> int:

@@ -18,7 +18,8 @@ Covers the distributed deployment of the sharded store:
 - the failure story: reads reroute to replicas with zero failures while
   a shard leader is down, and fail with a typed, shard-naming
   :class:`~repro.errors.ShardUnavailableError` when no replica exists;
-- WAL-replaying replicas (the ``wal_tail`` op and the follower loop);
+- WAL-copying replicas (``snapshot_ship`` chunks of the leader's
+  ``wal-G.log``, the ``wal_tail`` position report and the follower loop);
 - cluster self-management: over-the-wire replica bootstrap
   (``snapshot_ship``), automatic follower re-bootstrap across leader
   compactions, automatic leader promotion on a dead leader, the
@@ -59,7 +60,8 @@ from repro.kg.executor import IdBlock
 from repro.kg.planner import co_partitioned
 from repro.kg.protocol import (SHAPE_SINGLE, BinaryResponseDecoder,
                                BinaryResponseEncoder, DecodedBlock,
-                               encode_wire_query, rekey_blocks)
+                               decode_snapshot_chunk, encode_wire_query,
+                               rekey_blocks)
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.routing import shard_of_id
 from repro.kg.server import KGServer, bootstrap_replica
@@ -67,6 +69,9 @@ from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
+from repro.kg.wal import (HEADER_BYTES, OP_ADD, list_snapshot_files,
+                          scan_records, scan_wal, snapshot_dir_name,
+                          wal_file_name)
 
 from test_kg_backends import (
     test_backend_parity_batched_queries,
@@ -1060,7 +1065,7 @@ def test_client_reconnects_across_server_restart(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# replication: wal_tail + the follower loop
+# replication: WAL chunks, the wal_tail position report, the follower loop
 # --------------------------------------------------------------------- #
 def _wait_until(predicate, timeout=5.0, interval=0.02):
     deadline = time.monotonic() + timeout
@@ -1072,24 +1077,47 @@ def _wait_until(predicate, timeout=5.0, interval=0.02):
 
 
 def test_wal_tail_streams_batches(tmp_path):
+    """``wal_tail`` reports the leader's WAL position; the log itself
+    streams as ``snapshot_ship`` chunks of ``wal-G.log``, each poll the
+    records past the follower's byte offset."""
     TripleStore.create_live(tmp_path / "live",
                             [Triple("a", "r", "b")])
     store = TripleStore.open(tmp_path / "live")
     with KGServer(store, port=0).start() as server, \
             connect(server.url) as client:
+
+        def tail(offset: int, first_seq: int):
+            chunk = client.call("snapshot_ship", path=wal_file_name(0),
+                                offset=offset, generation=0)
+            batches, consumed, corrupt = scan_records(
+                decode_snapshot_chunk(chunk), offset, first_seq)
+            assert not corrupt and chunk["eof"]
+            assert chunk["size"] == offset + consumed
+            return ([(batch.seq, batch.op, batch.triples)
+                     for batch in batches], offset + consumed)
+
         assert client.call("wal_tail", after_seq=0) \
-            == {"generation": 0, "next_seq": 1, "batches": []}
+            == {"generation": 0, "next_seq": 1}
+        assert tail(HEADER_BYTES, 1) == ([], HEADER_BYTES)
         client.call("add_many", triples=[["a2", "r", "b2"]])
-        tail = client.call("wal_tail", after_seq=0)
-        assert tail["generation"] == 0
-        assert [batch[0] for batch in tail["batches"]] == [1]
+        assert client.call("wal_tail", after_seq=0) \
+            == {"generation": 0, "next_seq": 2}
+        shipped, end = tail(HEADER_BYTES, 1)
+        assert shipped == [(1, OP_ADD, (("a2", "r", "b2"),))]
         client.call("add_many", triples=[["c", "r", "d"]])
-        tail = client.call("wal_tail", after_seq=1)
-        assert [batch[0] for batch in tail["batches"]] == [2]
-        assert tail["batches"][0][2] == [["c", "r", "d"]]
-        assert client.call("wal_tail", after_seq=99)["batches"] == []
+        shipped, end = tail(end, 2)
+        assert shipped == [(2, OP_ADD, (("c", "r", "d"),))]
+        assert tail(end, 3) == ([], end)
+        assert client.call("wal_tail", after_seq=99) \
+            == {"generation": 0, "next_seq": 3}
         with pytest.raises(ProtocolError):
             client.call("wal_tail", after_seq=-1)
+        with pytest.raises(ProtocolError):
+            client.call("snapshot_ship", path=wal_file_name(0), offset=-1,
+                        generation=0)
+        with pytest.raises(ProtocolError, match="generation"):
+            client.call("snapshot_ship", path=wal_file_name(1),
+                        offset=HEADER_BYTES, generation=1)
 
 
 def test_wal_tail_requires_live_store():
@@ -1097,6 +1125,85 @@ def test_wal_tail_requires_live_store():
             as server, connect(server.url) as client:
         with pytest.raises(ProtocolError, match="live store"):
             client.call("wal_tail", after_seq=0)
+        with pytest.raises(ProtocolError, match="live store"):
+            client.call("snapshot_ship", path=wal_file_name(0),
+                        offset=HEADER_BYTES, generation=0)
+
+
+def test_replica_follows_a_tail_larger_than_a_frame(tmp_path):
+    """Batches acked while the replica was down add up to more than one
+    frame, and one record is larger than a chunk: the replica copies
+    the log in chunks that fit its leader's 2 KiB frame cap, keeps a
+    cut record until its end arrives, converges with no error, and its
+    WAL equals its leader's byte for byte."""
+    TripleStore.create_live(tmp_path / "leader", _sample_triples(10))
+    shutil.copytree(tmp_path / "leader", tmp_path / "replica")
+    with KGServer.open(tmp_path / "leader", port=0,
+                       max_frame_bytes=2048).start() as leader:
+        with connect(leader.url) as writer:
+            for batch in range(4):      # each request fits the cap
+                writer.call("add_many", triples=[
+                    [f"big:{batch}:{i}", "inBatch", f"batch:{batch}"]
+                    for i in range(20)])
+        # Acked in-process: its request would not fit the cap either.
+        leader.service.add_many([Triple(f"huge:{i}", "inBatch", "batch:huge")
+                                 for i in range(100)])
+        wal = leader.service.store.wal
+        starts = [HEADER_BYTES] + list(wal.ends)
+        assert wal.end - HEADER_BYTES > leader.max_frame_bytes
+        assert max(b - a for a, b in zip(starts, starts[1:])) \
+            > leader._chunk_bytes
+        replica = KGServer.open(tmp_path / "replica", port=0,
+                                follow=leader.url,
+                                follow_poll_interval=0.01).start()
+        try:
+            assert _wait_until(lambda: replica._replication_snapshot()[
+                "applied_seq"] == 5)
+            assert replica._replication_snapshot()["last_error"] is None
+            assert replica.service.store.triples() \
+                == leader.service.store.triples()
+            assert replica.service.store.wal.path.read_bytes() \
+                == wal.path.read_bytes()
+        finally:
+            replica.close()
+
+
+def test_a_replica_written_by_the_parent_commit_follows_from_its_offset(
+        tmp_path):
+    """``tests/data/replica-written-by-pr36`` holds a leader and a
+    replica live directory written by the commit before replicas copied
+    WAL bytes: the replica was bootstrapped over the wire, applied the
+    leader's first three batches through ``wal_tail`` and stopped; the
+    leader then logged two more.  Opened here, the replica follows from
+    its own WAL's end and its log stays a byte prefix of its leader's."""
+    fixture = Path(__file__).parent / "data" / "replica-written-by-pr36"
+    shutil.copytree(fixture, tmp_path / "fixture")
+    leader_dir = tmp_path / "fixture" / "leader"
+    replica_dir = tmp_path / "fixture" / "replica"
+    leader_log = (leader_dir / wal_file_name(0)).read_bytes()
+    replica_log = (replica_dir / wal_file_name(0)).read_bytes()
+    assert leader_log.startswith(replica_log)
+    assert [len(scan_wal(directory / wal_file_name(0)).batches)
+            for directory in (leader_dir, replica_dir)] == [5, 3]
+    with KGServer.open(leader_dir, port=0).start() as leader:
+        replica = KGServer.open(replica_dir, port=0, follow=leader.url,
+                                follow_poll_interval=0.01).start()
+        try:
+            def applied():
+                return replica._replication_snapshot()["applied_seq"]
+
+            assert _wait_until(lambda: applied() == 5)
+            with connect(leader.url) as writer:
+                writer.call("add_many",
+                            triples=[["product:77", "brandIs", "brand:7"]])
+            assert _wait_until(lambda: applied() == 6)
+            assert replica._replication_snapshot()["last_error"] is None
+            assert replica.service.store.wal.path.read_bytes() \
+                == leader.service.store.wal.path.read_bytes()
+            assert replica.service.store.triples() \
+                == leader.service.store.triples()
+        finally:
+            replica.close()
 
 
 def test_follower_replays_leader_wal(tmp_path):
@@ -1243,6 +1350,28 @@ def test_bootstrap_replica_from_scratch(tmp_path):
             replica.close()
     finally:
         leader.close()
+
+
+def test_bootstrap_replica_under_a_small_frame_cap(tmp_path):
+    """Snapshot chunks are sized from the answering server's frame cap:
+    a leader capped at 2 KiB still bootstraps a replica whose snapshot
+    files span many frames, byte for byte."""
+    TripleStore.create_live(tmp_path / "leader", _sample_triples(400))
+    snapshot = tmp_path / "leader" / snapshot_dir_name(0)
+    members = list_snapshot_files(snapshot)
+    assert max(size for _member, size in members) > 2048
+    with KGServer.open(tmp_path / "leader", port=0,
+                       max_frame_bytes=2048).start() as leader:
+        assert bootstrap_replica(tmp_path / "replica", leader.url) == 0
+    copy = tmp_path / "replica" / snapshot_dir_name(0)
+    for member, _size in members:
+        assert (copy / member).read_bytes() \
+            == (snapshot / member).read_bytes(), member
+    replica = TripleStore.open(tmp_path / "replica")
+    try:
+        assert replica.triples() == sorted(set(_sample_triples(400)))
+    finally:
+        replica.close()
 
 
 def test_promoted_ex_leader_rejoins_as_follower(tmp_path):

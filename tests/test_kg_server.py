@@ -72,6 +72,7 @@ from repro.kg.protocol import (
     BinaryResponseEncoder,
     DecodedBlock,
     decode_json_body,
+    decode_snapshot_chunk,
     decode_wire_query,
     encode_frame,
     encode_tagged_json,
@@ -79,6 +80,7 @@ from repro.kg.protocol import (
     read_frame,
     read_frame_bytes,
     send_frame,
+    snapshot_chunk_bytes,
 )
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.server import KGServer as _KGServer, _Pending
@@ -87,6 +89,7 @@ from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.spans import Spans
 from repro.kg.store import TripleStore
 from repro.kg.triple import triples_from_tuples
+from repro.kg.wal import HEADER_BYTES, wal_file_name
 
 NUM_PRODUCTS = 48
 DATA_DIR = Path(__file__).parent / "data"
@@ -473,7 +476,6 @@ _WELL_FORMED = {
     "cursor": "x",
     "max_rows": 1,
     "after_seq": 0,
-    "max_batches": 1,
     "path": "x",
     "offset": 0,
     "generation": 0,
@@ -533,7 +535,7 @@ def test_every_declared_field_rejects_missing_and_wrong_types(server,
                 broken = dict(well_formed)
                 del broken[field]
                 cases.append((field, {"op": name, **broken}))
-    assert len(cases) > 130
+    assert len(cases) >= 128
     with _raw_connection(server, server_codec) as sock:
         for request_id, (field, message) in enumerate(cases):
             response = _exchange(sock, {**message, "id": request_id},
@@ -641,7 +643,8 @@ def test_oversized_response_suggests_cursor_and_keeps_serving(tmp_path,
     """A result too big for the frame cap is a typed error, not a dead
     connection, on either plane — and the cursor path streams the same
     rows fine, which also proves an oversized frame never commits the
-    interner delta (the later pages still decode)."""
+    interner delta (the later pages still decode).  WAL chunks fit the
+    cap by construction."""
     directory = tmp_path / "live"
     TripleStore.create_live(directory, triples_from_tuples(_rows())).close()
     with KGServer.open(directory, port=0, max_frame_bytes=2048) as small:
@@ -651,10 +654,26 @@ def test_oversized_response_suggests_cursor_and_keeps_serving(tmp_path,
                 remote.add_many(triples_from_tuples(
                     [(f"big:{batch}:{i}", "inBatch", f"batch:{batch}")
                      for i in range(20)]))
+            # A control-plane answer over the cap (a refusal echoing a
+            # long member path) is the same typed error.
             with pytest.raises(ProtocolError, match="cursor"):
-                remote.client.call("wal_tail", after_seq=0)
-            assert len(remote.client.call(
-                "wal_tail", after_seq=0, max_batches=1)["batches"]) == 1
+                remote.client.call("snapshot_ship", path="x" * 1800,
+                                   offset=0, generation=0)
+            # The log these writes grew spans frames, yet every WAL
+            # chunk is sized to fit the cap: a follower copies it whole.
+            wal = small.service.store.wal
+            assert wal.end - HEADER_BYTES > small.max_frame_bytes
+            copied = b""
+            while True:
+                chunk = remote.client.call(
+                    "snapshot_ship", path=wal_file_name(0),
+                    offset=HEADER_BYTES + len(copied), generation=0)
+                data = decode_snapshot_chunk(chunk)
+                assert 0 < len(data) <= snapshot_chunk_bytes(2048)
+                copied += data
+                if chunk["eof"]:
+                    break
+            assert copied == wal.path.read_bytes()[HEADER_BYTES:]
             if server_codec == "auto":
                 query = PatternQuery.from_patterns([("?p", "?r", "?t")])
                 local = QueryEngine(small.service.store).execute(query)

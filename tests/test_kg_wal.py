@@ -23,7 +23,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,12 +34,15 @@ from repro.errors import StorageError
 from repro.kg import Triple, TripleStore
 from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
+from repro.kg.protocol import decode_snapshot_chunk
 from repro.kg.wal import (
+    HEADER_BYTES,
     OP_ADD,
     OP_REMOVE,
     WriteAheadLog,
     encode_batch,
     is_live_store,
+    scan_records,
     scan_wal,
     wal_file_name,
 )
@@ -460,13 +463,32 @@ def test_service_reads_never_see_half_a_batch(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# torn WAL tails over the wire: wal_tail serves exactly the acked prefix
+# torn WAL tails over the wire: the WAL chunks ship exactly the acked prefix
 # --------------------------------------------------------------------- #
+def _wal_chunk(client, offset: int, generation: int = 0) -> dict:
+    """One ``snapshot_ship`` chunk of the leader's ``wal-G.log``."""
+    return client.call("snapshot_ship", path=wal_file_name(generation),
+                       offset=offset, generation=generation)
+
+
+def _copy_wal(client, offset: int = HEADER_BYTES) -> bytes:
+    """The leader's WAL bytes from ``offset`` to its durable end, copied
+    chunk by chunk as a follower does."""
+    copied = b""
+    while True:
+        chunk = _wal_chunk(client, offset + len(copied))
+        copied += decode_snapshot_chunk(chunk)
+        if chunk["eof"]:
+            assert chunk["size"] == offset + len(copied)
+            return copied
+
+
 def test_wal_tail_over_torn_leader_wal_serves_exact_prefix(tmp_path):
     """Kill-and-restart a leader over a torn or truncated WAL: the
-    reopened server's ``wal_tail`` hands followers exactly the recovered
-    acked prefix — contiguous seqs from 1, nothing from the damaged
-    suffix — at every interesting kill offset of the byte sweep."""
+    reopened server's WAL chunks hand followers exactly the recovered
+    acked prefix's bytes — contiguous seqs from 1, nothing from the
+    damaged suffix — at every interesting kill offset of the byte
+    sweep, and ``wal_tail`` reports that position."""
     from repro.kg.client import connect
     from repro.kg.server import KGServer
 
@@ -478,22 +500,28 @@ def test_wal_tail_over_torn_leader_wal_serves_exact_prefix(tmp_path):
     directory = _build_live(tmp_path / "store", "columnar", script)
     wal_path = directory / wal_file_name(0)
     full = wal_path.read_bytes()
+    ends = [HEADER_BYTES] + [batch.end_offset
+                             for batch in scan_wal(wal_path).batches]
     for offset, recovered_batches in _interesting_offsets(wal_path):
         wal_path.write_bytes(full[:offset])
         with KGServer.open(directory, port=0).start() as server, \
                 connect(server.url) as client:
-            tail = client.call("wal_tail", after_seq=0)
-            assert tail["generation"] == 0
-            assert [batch[0] for batch in tail["batches"]] \
+            assert client.call("wal_tail", after_seq=0) \
+                == {"generation": 0, "next_seq": recovered_batches + 1}
+            shipped = _copy_wal(client)
+            assert shipped == full[HEADER_BYTES:ends[recovered_batches]]
+            batches, consumed, corrupt = scan_records(shipped,
+                                                      HEADER_BYTES, 1)
+            assert (consumed, corrupt) == (len(shipped), False)
+            assert [batch.seq for batch in batches] \
                 == list(range(1, recovered_batches + 1))
-            assert tail["next_seq"] == recovered_batches + 1
-            # The served rows ARE the acked prefix, not approximately so.
+            # The shipped rows ARE the acked prefix, not approximately so.
             replayed = {tuple(row) for row in SEED_ROWS}
-            for _seq, op, rows in tail["batches"]:
-                if op == OP_ADD:
-                    replayed.update(tuple(row) for row in rows)
+            for batch in batches:
+                if batch.op == OP_ADD:
+                    replayed.update(batch.triples)
                 else:
-                    replayed.difference_update(tuple(row) for row in rows)
+                    replayed.difference_update(batch.triples)
             assert sorted(Triple(*row) for row in replayed) \
                 == _oracle(script[:recovered_batches])
 
@@ -575,9 +603,9 @@ def test_failed_append_refuses_later_appends_until_reopened(tmp_path,
 
 def test_wal_tail_never_ships_a_record_before_its_fsync(tmp_path,
                                                         monkeypatch):
-    """A record flushed but still inside fsync is not durable: a poll
-    racing it ships only the records before it, the next poll after
-    the fsync returns ships it."""
+    """A record flushed but still inside fsync is not durable: a WAL
+    chunk racing it ships only the records before it, the next poll
+    after the fsync returns ships it."""
     from repro.kg.client import connect
     from repro.kg.server import KGServer
 
@@ -598,17 +626,26 @@ def test_wal_tail_never_ships_a_record_before_its_fsync(tmp_path,
             writer = threading.Thread(target=server.service.add_many,
                                       args=([Triple("e2", "r0", "e3")],))
             writer.start()
+            first_end = store.wal.end
             try:
                 assert entered.wait(5)
-                tail = client.call("wal_tail", after_seq=0)
-                assert [batch[0] for batch in tail["batches"]] == [1]
-                assert tail["next_seq"] == 2
+                # Record 2 is in the file, still inside its fsync.
+                assert store.wal.path.stat().st_size > first_end
+                shipped = _copy_wal(client)
+                assert len(shipped) == first_end - HEADER_BYTES
+                assert [batch.seq for batch in scan_records(
+                    shipped, HEADER_BYTES, 1)[0]] == [1]
+                assert client.call("wal_tail", after_seq=0)["next_seq"] == 2
             finally:
                 release.set()
                 writer.join(10)
             assert not writer.is_alive()
-            tail = client.call("wal_tail", after_seq=1)
-            assert tail["batches"] == [[2, OP_ADD, [["e2", "r0", "e3"]]]]
+            batches, consumed, _ = scan_records(
+                _copy_wal(client, first_end), first_end, 2)
+            assert [(batch.seq, batch.op, batch.triples)
+                    for batch in batches] \
+                == [(2, OP_ADD, (("e2", "r0", "e3"),))]
+            assert first_end + consumed == store.wal.end
     finally:
         store.close()
 
@@ -635,9 +672,10 @@ class _CountingFile:
 
 
 def test_wal_tail_reads_only_the_records_it_ships(tmp_path, monkeypatch):
-    """Work bound, counted in bytes read: a poll for the last batch, or
-    one capped at the first, reads the header and that record; a
-    caught-up poll reads nothing."""
+    """Work bound, counted in bytes read: a poll reads at most the new
+    bytes and at most one chunk — the last record alone when the
+    follower holds the rest, one chunk of a log longer than that — and
+    a caught-up poll (or one past the end) opens no file."""
     from repro.kg.client import connect
     from repro.kg.server import KGServer
 
@@ -647,43 +685,40 @@ def test_wal_tail_reads_only_the_records_it_ships(tmp_path, monkeypatch):
     directory = _build_live(tmp_path / "store", "columnar", script)
     wal_path = directory / wal_file_name(0)
     ends = [batch.end_offset for batch in scan_wal(wal_path).batches]
-    bound = _header_size(wal_path) + ends[-1] - ends[-2]
+    log = wal_path.read_bytes()
     tally: List[int] = []
+    opened: List[Path] = []
     real_open = Path.open
 
     def counting_open(self, *args, **kwargs):
+        opened.append(self)
         handle = real_open(self, *args, **kwargs)
         return _CountingFile(handle, tally) if self == wal_path else handle
 
-    with KGServer.open(directory, port=0).start() as server, \
+    with KGServer.open(directory, port=0,
+                       max_frame_bytes=2048).start() as server, \
             connect(server.url) as client:
+        chunk_bytes = server._chunk_bytes
+        assert ends[-1] - ends[-2] < chunk_bytes < ends[-1] - HEADER_BYTES
         monkeypatch.setattr(Path, "open", counting_open)
-        tail = client.call("wal_tail", after_seq=batches - 1)
-        assert [batch[0] for batch in tail["batches"]] == [batches]
-        assert 0 < sum(tally) <= bound
+        data = decode_snapshot_chunk(_wal_chunk(client, ends[-2]))
+        assert data == log[ends[-2]:]
+        assert tally == [ends[-1] - ends[-2]]
         tally.clear()
-        tail = client.call("wal_tail", after_seq=0, max_batches=1)
-        assert [batch[0] for batch in tail["batches"]] == [1]
-        assert 0 < sum(tally) <= ends[0]
+        chunk = _wal_chunk(client, HEADER_BYTES)
+        assert len(decode_snapshot_chunk(chunk)) == chunk_bytes
+        assert not chunk["eof"]
+        assert tally == [chunk_bytes]
         tally.clear()
-        for after_seq in (batches, 1 << 62):
-            tail = client.call("wal_tail", after_seq=after_seq)
-            assert tail == {"generation": 0, "next_seq": batches + 1,
-                            "batches": []}
-        assert tally == []
+        opened.clear()
+        for offset in (ends[-1], 1 << 62):
+            chunk = _wal_chunk(client, offset)
+            assert decode_snapshot_chunk(chunk) == b""
+            assert (chunk["size"], chunk["eof"]) == (ends[-1], True)
+        assert client.call("wal_tail", after_seq=1 << 62) \
+            == {"generation": 0, "next_seq": batches + 1}
+        assert tally == [] and opened == []
         server.service.store.close()
-
-
-def _shipped(batches: Sequence, max_batches: int, budget: int) -> list:
-    """The ``wal_tail`` answer cap over a batch list, stated directly."""
-    shipped: list = []
-    for batch in batches:
-        if shipped and (len(shipped) >= max_batches or budget <= 0):
-            break
-        shipped.append([batch.seq, batch.op,
-                        [list(triple) for triple in batch.triples]])
-        budget -= len(batch.triples)
-    return shipped
 
 
 _term = st.builds(lambda name, pad: name + "x" * pad,
@@ -697,17 +732,18 @@ _sized_batch = st.tuples(st.sampled_from([OP_ADD, OP_REMOVE]),
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(script=st.lists(_sized_batch, min_size=1, max_size=7),
        after_reopen=st.lists(_sized_batch, max_size=3),
-       tear=st.integers(0, 5), max_batches=st.integers(1, 4))
-def test_incremental_wal_tail_equals_full_scan(monkeypatch, script,
-                                               after_reopen, tear,
-                                               max_batches):
-    """For every follower position ``k``, the offset-bounded poll ships
-    the capped prefix of a full scan's ``batches[k:]``, over torn tails
-    and a reopen; the open log's ``ends`` are the scan's offsets."""
-    from repro.kg import server as server_module
+       tear=st.integers(0, 5),
+       max_frame_bytes=st.sampled_from([1024, 2048, 1 << 20]))
+def test_incremental_wal_tail_equals_full_scan(script, after_reopen, tear,
+                                               max_frame_bytes):
+    """For every follower position (each record boundary), one chunk
+    is exactly the log's next bytes up to the chunk size, and the
+    chunks from there decode to a full scan's ``batches[k:]``, over
+    torn tails, a reopen and records larger than a chunk; the open
+    log's ``ends`` are the scan's offsets."""
     from repro.kg.client import connect
+    from repro.kg.server import KGServer
 
-    monkeypatch.setattr(server_module, "_WAL_TAIL_TRIPLE_BUDGET", 10)
     root = Path(tempfile.mkdtemp())
     try:
         directory = _build_live(root / "store", "columnar", script)
@@ -720,14 +756,21 @@ def test_incremental_wal_tail_equals_full_scan(monkeypatch, script,
             full = scan_wal(wal_path)
             assert list(store.wal.ends) \
                 == [batch.end_offset for batch in full.batches]
-            with server_module.KGServer(store, port=0).start() as server, \
+            log = wal_path.read_bytes()
+            with KGServer(store, port=0,
+                          max_frame_bytes=max_frame_bytes).start() as server, \
                     connect(server.url) as client:
-                for k in range(len(full.batches) + 2):
-                    tail = client.call("wal_tail", after_seq=k,
-                                       max_batches=max_batches)
-                    assert tail["batches"] == _shipped(
-                        full.batches[k:], max_batches, 10)
-                    assert tail["next_seq"] == len(full.batches) + 1
+                chunk_bytes = server._chunk_bytes
+                starts = [HEADER_BYTES] + list(store.wal.ends)
+                for k, start in enumerate(starts):
+                    assert decode_snapshot_chunk(_wal_chunk(client, start)) \
+                        == log[start:min(start + chunk_bytes, len(log))]
+                    batches, consumed, corrupt = scan_records(
+                        _copy_wal(client, start), start, k + 1)
+                    assert batches == full.batches[k:]
+                    assert (start + consumed, corrupt) == (len(log), False)
+                    assert client.call("wal_tail", after_seq=k)["next_seq"] \
+                        == len(full.batches) + 1
         finally:
             store.close()
         reopened, scan = WriteAheadLog.open(wal_path, fsync=False)
@@ -740,26 +783,31 @@ def test_incremental_wal_tail_equals_full_scan(monkeypatch, script,
 
 
 def test_wal_tail_pollers_racing_appends_ship_every_batch_once(tmp_path):
-    """Stress: followers polling over the wire while the dispatcher
-    appends, with a shortened switch interval, each rebuild the full
-    log — every batch once, in seq order, bit-identical to the scan."""
+    """Stress: followers copying WAL chunks over the wire while the
+    dispatcher appends, with a shortened switch interval, each rebuild
+    the full log — every byte once, in order, bit-identical to the
+    file, every batch once in seq order."""
     from repro.kg.client import connect
     from repro.kg.server import KGServer
 
     store = TripleStore.create_live(tmp_path / "store", [], wal_fsync=False)
-    shipped: List[list] = [[] for _ in range(3)]
+    shipped: List[bytearray] = [bytearray() for _ in range(3)]
     writes = 150
+    written = threading.Event()
 
-    def follow(into: list) -> None:
+    def follow(into: bytearray) -> None:
         with connect(server.url) as client:
-            while len(into) < writes:
-                into.extend(client.call("wal_tail", after_seq=len(into),
-                                        max_batches=4)["batches"])
+            while True:
+                last = written.is_set()
+                chunk = _wal_chunk(client, HEADER_BYTES + len(into))
+                into += decode_snapshot_chunk(chunk)
+                if last and chunk["eof"]:
+                    return
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with KGServer(store, port=0).start() as server:
+        with KGServer(store, port=0, max_frame_bytes=4096).start() as server:
             pollers = [threading.Thread(target=follow, args=(into,))
                        for into in shipped]
             for thread in pollers:
@@ -767,15 +815,19 @@ def test_wal_tail_pollers_racing_appends_ship_every_batch_once(tmp_path):
             for index in range(writes):
                 server.service.add_many(
                     [Triple(f"p{index}", "r0", f"e{i}") for i in range(3)])
+            written.set()
             for thread in pollers:
                 thread.join(30)
             assert not any(thread.is_alive() for thread in pollers)
     finally:
         sys.setswitchinterval(interval)
         store.close()
-    expected = _shipped(scan_wal(store.wal.path).batches, writes, writes * 3)
-    assert len(expected) == writes
-    assert shipped == [expected] * 3
+    log = store.wal.path.read_bytes()
+    assert [bytes(into) for into in shipped] == [log[HEADER_BYTES:]] * 3
+    batches, consumed, corrupt = scan_records(log[HEADER_BYTES:],
+                                              HEADER_BYTES, 1)
+    assert [batch.seq for batch in batches] == list(range(1, writes + 1))
+    assert (HEADER_BYTES + consumed, corrupt) == (len(log), False)
 
 
 # --------------------------------------------------------------------- #
@@ -846,3 +898,97 @@ def test_small_acked_batches_never_rebuild_the_serving_store(base, tmp_path):
             replica.close()
     finally:
         leader.close()
+
+
+def _leader(directory: Path):
+    """A leader server over ``directory`` capped at 1 KiB frames, so
+    its WAL chunks are a few hundred bytes and records span them."""
+    from repro.kg.server import KGServer
+
+    return KGServer(TripleStore.open(directory, wal_fsync=False), port=0,
+                    max_frame_bytes=1024).start()
+
+
+def _follower(directory: Path, leader):
+    from repro.kg.server import KGServer
+
+    return KGServer(TripleStore.open(directory, wal_fsync=False), port=0,
+                    follow=leader.url, follow_poll_interval=0.005).start()
+
+
+def _close(server) -> None:
+    server.close()
+    server.service.store.close()
+
+
+@settings(max_examples=8, deadline=None)
+@given(first=st.lists(_sized_batch, max_size=4),
+       second=st.lists(_sized_batch, min_size=1, max_size=4),
+       third=st.lists(_sized_batch, max_size=4), cut=st.integers(1, 60))
+def test_replica_wal_is_a_byte_prefix_of_its_leaders_after_every_poll(
+        first, second, third, cut):
+    """Checked as each poll starts (the ones before it applied): the
+    replica's WAL file is a byte prefix of its leader's, through
+    add/remove scripts, a replica restart mid-stream and a leader
+    reopened over a torn tail (a record cut by a crash mid-append),
+    and at convergence the two logs are equal."""
+    from unittest import mock
+
+    from repro.kg import server as server_module
+    from repro.kg.server import bootstrap_replica
+
+    root = Path(tempfile.mkdtemp())
+    leader_log = root / "leader" / wal_file_name(0)
+    replica_log = root / "replica" / wal_file_name(0)
+    diverged: List[int] = []
+    real_decode = server_module.decode_snapshot_chunk
+
+    def checked_decode(chunk):
+        if replica_log.exists():
+            copied = replica_log.read_bytes()
+            if not leader_log.read_bytes().startswith(copied):
+                diverged.append(len(copied))
+        return real_decode(chunk)
+
+    def converged() -> bool:
+        return _wait_until(
+            lambda: follower._replication_snapshot()["applied_seq"]
+            == leader.service.store.wal.next_seq - 1)
+
+    leader = follower = None
+    try:
+        TripleStore.create_live(root / "leader",
+                                [Triple(*row) for row in SEED_ROWS],
+                                wal_fsync=False).close()
+        with mock.patch.object(server_module, "decode_snapshot_chunk",
+                               checked_decode):
+            leader = _leader(root / "leader")
+            bootstrap_replica(root / "replica", leader.url, fsync=False)
+            follower = _follower(root / "replica", leader)
+            _apply_script(leader.service, first)
+            assert converged()
+            _apply_script(leader.service, second[:1])
+            _close(follower)                    # restart mid-stream
+            _apply_script(leader.service, second[1:])
+            follower = _follower(root / "replica", leader)
+            assert converged()
+            next_seq = leader.service.store.wal.next_seq
+            _close(leader)
+            record = encode_batch(next_seq, OP_ADD, [("torn", "r0", "tail")])
+            with open(leader_log, "ab") as handle:
+                handle.write(record[:min(cut, len(record) - 1)])
+            _close(follower)
+            leader = _leader(root / "leader")
+            follower = _follower(root / "replica", leader)
+            _apply_script(leader.service, third)
+            assert converged()
+            assert follower._replication_snapshot()["last_error"] is None
+            assert replica_log.read_bytes() == leader_log.read_bytes()
+            assert follower.service.store.triples() \
+                == leader.service.store.triples()
+        assert diverged == []
+    finally:
+        for server in (follower, leader):
+            if server is not None:
+                _close(server)
+        shutil.rmtree(root, ignore_errors=True)
