@@ -15,11 +15,12 @@ one hand-off per request:
   ``fetch`` and ``close_cursor`` are answered right there;
 * read and write ops go to the :class:`QueryService`, whose single
   dispatcher coalesces N remote clients into batched backend rounds
-  (``QueryService.stats`` shows it).  The thread that resolves a
-  request's last future encodes the response and sends it with one
-  non-blocking ``send``; only a partial send, a send error or a close
-  goes back to the I/O loop.  Ops that may wait on a file, a peer or a
-  compaction run on the **control thread**;
+  (``QueryService.stats`` shows it); a result-cache hit resolves in
+  ``submit``, so the I/O thread answers it inline.  The thread that
+  resolves a request's last future encodes the response and sends it
+  with one non-blocking ``send``; only a partial send, a send error or
+  a close goes back to the I/O loop.  Ops that may wait on a file, a
+  peer or a compaction run on the **control thread**;
 * a connection has one request in flight (frame order = response
   order; its codec state stays single-writer), and huge results page
   through a server-side cursor (``open_cursor`` / ``fetch`` /
@@ -837,7 +838,9 @@ class KGServer:
     @staticmethod
     def _await(pending: _Pending, request_id, reply, submitted) -> None:
         """Reply once every future of ``pending`` resolved, on the thread
-        that resolved the last (the first was the first picked up)."""
+        that resolved the last: inline when every one was a cache hit,
+        resolved at submit.  ``picked`` is the earliest pick-up, None
+        when no thread queued any."""
         futures, unresolved = pending.futures, iter(pending.futures)
 
         def step(_resolved=None) -> None:
@@ -845,7 +848,8 @@ class KGServer:
                 if not future.done():
                     future.add_done_callback(step)
                     return
-            picked = futures[0].picked if futures else None
+            picked = min((future.picked for future in futures
+                          if future.picked is not None), default=None)
             try:
                 response = _success(request_id, pending.finish(
                     [future.result() for future in futures]))
@@ -1093,9 +1097,10 @@ class KGServer:
         ``remove_many``, which re-logs it byte for byte.  Leaders are
         retried forever; a *generation* change (the leader compacted)
         makes a live-directory replica re-bootstrap
-        (:meth:`_rebootstrap`) and an in-memory one stop.  Status moves
-        under the stats lock, per batch, so ``stats`` never reads a
-        torn block.
+        (:meth:`_rebootstrap`) and an in-memory one stop.  Either stops
+        when the leader's WAL ends before its position (the leader lost
+        acked records).  Status moves under the stats lock, per batch,
+        so ``stats`` never reads a torn block.
         """
         from repro.kg.client import RemoteClient
 
@@ -1143,16 +1148,22 @@ class KGServer:
                                  f"across compactions")
                             return
                         followed = generation
-                    data = decode_snapshot_chunk(client.call(
+                    offset = position + len(pending)
+                    chunk = client.call(
                         "snapshot_ship", path=wal_file_name(generation),
-                        offset=position + len(pending),
-                        generation=generation))
+                        offset=offset, generation=generation)
+                    data = decode_snapshot_chunk(chunk)
                 except Exception as exc:
                     note(f"leader poll failed: {exc}")
                     drop_client()
                     generation = None
                     self._stop_replication.wait(self._follow_poll_interval)
                     continue
+                if chunk["size"] < offset:
+                    note(f"leader WAL ends at byte {chunk['size']}, before "
+                         f"this replica's {offset}: the leader lost acked "
+                         f"records — re-bootstrap this replica")
+                    return
                 with self._stats_lock:
                     rep["polls"] += 1
                     rep["generation"] = generation

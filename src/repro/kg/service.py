@@ -25,8 +25,9 @@ round-trip per request.
   caller's thread, :class:`~repro.kg.server.KGServer` where it encodes
   the response.  The served store must therefore have an id-capable
   backend;
-* because only the dispatcher touches the backend, the service is safe
-  over backends whose lazy attach/consolidate steps are not thread-safe,
+* because only the dispatcher touches the backend (a cache probe reads
+  nothing but its interners' symbol maps), the service is safe over
+  backends whose lazy attach/consolidate steps are not thread-safe,
   while the sharded backend still parallelizes *inside* each batched
   call across its shard pool;
 * huge results stream instead of materializing: :meth:`open_cursor` /
@@ -53,19 +54,22 @@ from a plain snapshot directory raise a typed
 paging the snapshot they materialized — a write never splices
 mixed-epoch rows into an existing cursor.
 
-Hot queries short-circuit all of the above: the dispatcher consults a
-**result cache** before a pattern query joins a batch round — key =
-:func:`repro.kg.planner.cache_key` (interned pattern ids + select,
-limit-independent), value = the full deduplicated
+Hot queries short-circuit all of the above: :meth:`QueryService.submit`
+probes a **result cache** on the caller's thread before a pattern query
+is queued, and a hit comes back resolved, never touching the queue or
+the dispatcher — key = :func:`repro.kg.planner.cache_key` (interned
+pattern ids + select, limit-independent), value = the full deduplicated
 :class:`~repro.kg.executor.IdBlock` (strings still materialize per
 request/page, so the binary codec ships cached blocks without
-re-stringifying), LRU-evicted under a byte budget.  A write drops
-exactly the entries with a pattern one of its triples matches,
-variables read as wildcards — no other entry's answer can change — and
-a store swap or a failed apply drops them all.  Check, fill and
-invalidation all happen on the one dispatcher thread, after the
-round's writes, so a read served after an acked write reflects it;
-``compact()`` changes no triple, so compaction keeps the cache warm.
+re-stringifying), LRU-evicted under a byte budget.  A miss carries its
+key to the dispatcher, which fills the entry.  A write drops exactly
+the entries with a pattern one of its triples matches, variables read
+as wildcards — no other entry's answer can change — and a store swap or
+a failed apply drops them all; ``compact()`` changes no triple, so
+compaction keeps the cache warm.  Three invariants make a hit as good
+as a served read (docs/architecture.md, "Result cache"): a write's
+entries go *before* its ack, the store and the cache swap in one
+critical section, and every hit and miss is counted once.
 
 Construction warms the backend up (attaches memmaps, folds any pending
 overlay) so steady-state dispatch never pays a consolidation.  The
@@ -193,8 +197,10 @@ class _Request(Future):
         self.kind = kind
         self.payload = payload
         self.picked: Optional[int] = None
-        # Set by the dispatcher: the plan cache key a missed result fills.
+        # Set by a missed probe: the plan cache key the result fills,
+        # and the store whose ids it names.
         self.cache_key: Optional[Tuple] = None
+        self.keyed: Optional[TripleStore] = None
 
 
 def _slot(mask: int, terms: Sequence) -> Tuple:
@@ -224,10 +230,12 @@ class _ResultCache:
     matches with one probe per mask.  An entry enters the index on
     :meth:`put` and leaves it when evicted or dropped.
 
-    Structure is touched exclusively by the dispatcher thread; the
-    service wraps every counter-mutating call in its stats lock so
-    :attr:`QueryService.stats` reads one consistent snapshot.  Cached
-    blocks are immutable — a hit serves zero-copy slices of the stored
+    Every call runs under the service's stats lock: :meth:`get` on any
+    submitting thread, everything else on the dispatcher, so
+    :attr:`QueryService.stats` reads one consistent snapshot.  ``misses``
+    and ``invalidations`` are counted by the service (once per served
+    miss, once per dispatch round with writes).  Cached blocks are
+    immutable — a hit serves zero-copy slices of the stored
     array, and invalidation merely drops references, so views handed to
     still-open cursors survive a drop unchanged.  An entry bigger than
     the whole budget is never admitted (it could only thrash).
@@ -259,7 +267,6 @@ class _ResultCache:
     def get(self, key: Tuple) -> Optional[IdBlock]:
         entry = self._table.get(key)
         if entry is None:
-            self.misses += 1
             return None
         self._table.move_to_end(key)
         self.hits += 1
@@ -296,7 +303,6 @@ class _ResultCache:
         """Drop every entry with a pattern one of ``triples`` (in
         :func:`~repro.kg.planner.key_triple` form) matches, variables
         read as wildcards; nothing else can change its answer."""
-        self.invalidations += 1
         doomed = set()
         for triple in triples:
             for mask in range(8):
@@ -307,7 +313,6 @@ class _ResultCache:
         self.entries = len(self._table)
 
     def clear(self) -> None:
-        self.invalidations += 1
         self._table.clear()
         self._index.clear()
         self.bytes = 0
@@ -318,7 +323,8 @@ class QueryService:
     """Multiplexes concurrent pattern queries into backend batch calls.
 
     The dispatcher thread owns the backend and serves nothing else; the
-    cursor table is served on the caller's thread under the stats lock.
+    cursor table and result-cache hits are served on the caller's
+    thread under the stats lock.
 
     Parameters
     ----------
@@ -331,14 +337,14 @@ class QueryService:
         the default is plenty to saturate the batched backend APIs.
     cache_bytes:
         Byte budget of the hot-query result cache (``0`` disables it).
-        The dispatcher checks the cache before a pattern query joins a
-        batch round; entries are the full limit-stripped id-row blocks
-        keyed by :func:`~repro.kg.planner.cache_key`, LRU-evicted under
-        this budget.  A write drops the entries with a pattern one of
-        its triples matches (a swap or a failed apply drops all;
-        ``compact()`` drops none).  Because the same single dispatcher
-        checks, fills and invalidates, a stale hit after a write is
-        impossible by construction.
+        :meth:`submit` probes it on the calling thread and answers a
+        hit there; a miss is queued with its key and the dispatcher
+        fills the entry.  Entries are the full limit-stripped id-row
+        blocks keyed by :func:`~repro.kg.planner.cache_key`,
+        LRU-evicted under this budget.  A write drops the entries with
+        a pattern one of its triples matches (a swap or a failed apply
+        drops all; ``compact()`` drops none) *before* its ack, so no
+        read sent after an ack can hit a stale entry.
 
     Use as a context manager or call :meth:`close` — the dispatcher is
     a daemon thread, but closing deterministically drains in-flight
@@ -407,7 +413,7 @@ class QueryService:
         ``batches_dispatched < requests_served`` is the signature of
         coalescing actually happening (the first request of a burst can
         only ever dispatch solo).  Taken under the same lock every
-        dispatcher-side counter bump holds, so the fields cohere —
+        counter bump holds (a hit's included), so the fields cohere —
         e.g. ``cache_hits + cache_misses`` never transiently exceeds
         the pattern queries served.
         """
@@ -437,7 +443,13 @@ class QueryService:
     def _apply_swap(self, new_store: TripleStore) -> TripleStore:
         """Dispatcher-side half of :meth:`swap_store`."""
         new_store.backend.count_ids()
-        old_store, self.store = self.store, new_store
+        # Invariant 2: the store and the cache change in ONE critical
+        # section, the one a probe keys and looks up in — no key of the
+        # new store's ids ever meets an entry of the old one.
+        with self._stats_lock:
+            old_store, self.store = self.store, new_store
+            if self._cache is not None:
+                self._cache.clear()
         return old_store
 
     # ------------------------------------------------------------------ #
@@ -445,8 +457,12 @@ class QueryService:
     # ------------------------------------------------------------------ #
     def submit(self, query: PatternQuery) -> "Future":
         """Enqueue one query; returns a future yielding its bindings as
-        an :class:`~repro.kg.executor.IdBlock`."""
-        return self._enqueue(_Request(_QUERY, query))
+        an :class:`~repro.kg.executor.IdBlock`.  A result-cache hit
+        returns it already resolved, answered on this thread."""
+        request = _Request(_QUERY, query)
+        if self._cache is None or not self._probe(request):
+            self._enqueue(request)
+        return request
 
     def submit_lookup(self, pattern: Pattern) -> "Future":
         """Enqueue one point lookup; future yields a triples
@@ -591,13 +607,13 @@ class QueryService:
         as a fresh :class:`TripleStore` and swaps it in here.  The swap
         is serialized through the dispatcher like any write, so no read
         ever observes half-old, half-new state; the result cache is
-        dropped (the new store interns from scratch, so cached id blocks
-        are meaningless against it).  Closing the returned old store is
-        the caller's job — blocks and open cursors resolved before the
-        swap carry the old store's symbol tables and keep stringifying
-        against them.  The new store must be id-capable too
-        (:class:`~repro.errors.QueryError`, raised here, before anything
-        is enqueued).
+        dropped in the same critical section (the new store has its own
+        interners, so cached id blocks are meaningless against it).
+        Closing the returned old store is the caller's job — blocks and
+        open cursors resolved before the swap carry the old store's
+        symbol tables and keep stringifying against them.  The new store
+        must be id-capable too (:class:`~repro.errors.QueryError`, raised
+        here, before anything is enqueued).
         """
         id_backend(new_store)
         return self._enqueue(_Request(_SWAP, new_store)).result()
@@ -660,6 +676,37 @@ class QueryService:
             self._queue.put(request)
         return request
 
+    def _probe(self, request: _Request) -> bool:
+        """Answer a pattern query from the result cache, on the caller's
+        thread: True for a hit, resolved here.
+
+        The key is computed and looked up under ONE ``_stats_lock``
+        hold, the lock :meth:`_apply_swap` swaps under.  A miss keeps
+        its key for the dispatcher to fill; a query whose key or limit
+        is malformed is left to the planner, which raises its typed
+        error.
+        """
+        query = request.payload
+        try:
+            validate_limit(query.limit)
+        except QueryError:
+            return False
+        with self._stats_lock:
+            self._check_open()
+            try:
+                key = plan_cache_key(self.store.backend, query)
+            except Exception:
+                return False
+            block = self._cache.get(key)
+            if block is None:
+                request.cache_key, request.keyed = key, self.store
+                return False
+            # Invariant 3: a hit is served here, counted with its hit.
+            self.requests_served += 1
+        _resolve(request, block if query.limit is None
+                 else block[:query.limit])
+        return True
+
     def _check_open(self) -> None:
         # Called under _close_lock (enqueue) or _stats_lock (the cursor
         # table, which close() releases under it after setting the flag).
@@ -706,6 +753,10 @@ class QueryService:
             self.batches_dispatched += 1
             self.largest_batch = max(self.largest_batch, len(batch))
             self.requests_served += len(batch)
+            if self._cache is not None:
+                # Invariant 3: a miss counts once, when it is served.
+                self._cache.misses += sum(request.cache_key is not None
+                                          for request in batch)
             self._evict_expired_cursors()
         by_kind: Dict[str, List[_Request]] = {}
         writes: List[_Request] = []
@@ -744,30 +795,28 @@ class QueryService:
         is recoverable, a batch whose ack never arrived may or may not
         be.
 
-        Before this round's reads are served, the result cache drops
-        exactly the entries with a pattern some ADD/REMOVE triple of the
-        round matches (variables read as wildcards): no other write can
-        change a conjunctive answer.  An ADD/REMOVE whose apply *failed*
-        drops the whole cache, and so does a store SWAP (the adopted
-        store's interners share nothing with the cached id blocks).
-        COMPACT keeps it: compaction changes the on-disk generation, not
-        the triple set or the interners.
+        Each write drops, before its ack, exactly the result-cache
+        entries with a pattern one of its ADD/REMOVE triples matches
+        (variables read as wildcards): no other write can change a
+        conjunctive answer.  An ADD/REMOVE whose apply *failed* drops
+        the whole cache, and so does a store SWAP (the adopted store's
+        interners share nothing with the cached id blocks).  COMPACT
+        keeps it: compaction changes the on-disk generation, not the
+        triple set or the interners.  ``cache_invalidations`` counts
+        the rounds that dropped.
         """
-        mutated = False
-        # The round's written triples in cache-key form; None: drop all.
-        written: Optional[List[Tuple]] = \
-            [] if self._cache is not None else None
+        invalidated = False
         for request in requests:
             # Re-read self.store per request: a SWAP earlier in this
             # round must route the rest of the round to the new store.
             store = self.store
-            if request.kind != _COMPACT:
-                mutated = True
-                if request.kind == _SWAP:
-                    written = None
-                elif written is not None:
-                    written.extend(key_triple(store.backend, triple)
-                                   for triple in request.payload)
+            # The written triples in cache-key form, keyed before the
+            # apply interns them; None: drop the whole cache.
+            written = None
+            if self._cache is not None and request.kind in (_ADD, _REMOVE):
+                written = [key_triple(store.backend, triple)
+                           for triple in request.payload]
+            result = failure = None
             try:
                 if request.kind == _ADD:
                     result = store.add_many(request.payload)
@@ -778,29 +827,26 @@ class QueryService:
                 else:
                     result = store.compact(crash_hook=request.payload)
             except Exception as exc:
-                if request.kind != _COMPACT:
-                    written = None
-                _resolve(request, exception=exc)
-                continue
+                failure, written = exc, None
             if request.kind != _COMPACT:
                 with self._stats_lock:
-                    self.mutation_epoch += 1
-                    self.write_batches += 1
-            _resolve(request, result)
-        if mutated and self._cache is not None:
-            with self._stats_lock:
-                if written is None:
-                    self._cache.clear()
-                else:
-                    self._cache.drop_matching(written)
+                    if failure is None:
+                        self.mutation_epoch += 1
+                        self.write_batches += 1
+                    # Invariant 1: invalidate, then ack.  Resolving runs
+                    # the ack (a server reply, a done-callback) at once,
+                    # and the next read probes on the reader's thread.
+                    if self._cache is not None:
+                        if written is None:
+                            self._cache.clear()
+                        else:
+                            self._cache.drop_matching(written)
+                        if not invalidated:
+                            self._cache.invalidations += 1
+                            invalidated = True
+            _resolve(request, result, failure)
 
     def _serve_queries(self, requests: List[_Request]) -> None:
-        # Cache check first: hot queries never join the planning batch.
-        if self._cache is not None:
-            requests = [request for request in requests
-                        if not self._serve_query_from_cache(request)]
-            if not requests:
-                return
         queries = [self._plannable_query(request) for request in requests]
         # Star queries a cluster backend answers whole skip planning; if
         # that round fails, the planned path lands the error per request.
@@ -850,42 +896,12 @@ class QueryService:
         ever applies a limit as the final projection slice, so the full
         block costs the same fetch/join work and every limit variant of
         the query can be served from the one cached entry.  The
-        original limit was already validated on the cache-check path.
+        original limit was already validated by the probe.
         """
         query = request.payload
         if request.cache_key is not None and query.limit is not None:
             return dataclass_replace(query, limit=None)
         return query
-
-    def _serve_query_from_cache(self, request: _Request) -> bool:
-        """Try to answer a pattern query from the result cache.
-
-        True means the request was fully resolved (a hit, or a
-        limit-validation error).  On a miss the computed key stays on
-        the request so :meth:`_maybe_cache_result` can insert the
-        executed block under it.
-        """
-        query = request.payload
-        try:
-            key = plan_cache_key(self.store.backend, query)
-        except Exception:
-            # A malformed query: fall through and let the planning path
-            # raise the real, typed error.
-            return False
-        try:
-            validate_limit(query.limit)
-        except Exception as exc:
-            _resolve(request, exception=exc)
-            return True
-        request.cache_key = key
-        with self._stats_lock:
-            block = self._cache.get(key)
-        if block is None:
-            return False
-        if query.limit is not None:
-            block = block[:query.limit]
-        _resolve(request, block)
-        return True
 
     def _maybe_cache_result(self, request: _Request,
                             cursor: ResultCursor) -> IdBlock:
@@ -901,7 +917,10 @@ class QueryService:
         if key is None:
             return block
         with self._stats_lock:
-            self._cache.put(key, block)
+            # The key names ids of the store it was probed against: a
+            # swap served since (this round's included) keeps it out.
+            if request.keyed is self.store:
+                self._cache.put(key, block)
         limit = request.payload.limit
         return block if limit is None else block[:limit]
 

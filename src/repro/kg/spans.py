@@ -7,7 +7,8 @@ stages, each a ``perf_counter_ns`` difference:
 * ``parse`` — frame in hand → request handed on (JSON body and field
   decode, the submit itself);
 * ``queue_wait`` — handed on → picked up by the dispatcher or the
-  control thread; not recorded for an op answered inline;
+  control thread; not recorded for an op answered inline, nor for a
+  result-cache hit (resolved at submit, on the I/O thread);
 * ``serve`` — picked up (or handed on, inline) → answer ready;
 * ``encode`` — answer → response frame;
 * ``send`` — frame → written to the socket, or queued for the I/O loop

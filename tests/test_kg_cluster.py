@@ -1206,6 +1206,40 @@ def test_a_replica_written_by_the_parent_commit_follows_from_its_offset(
             replica.close()
 
 
+def test_a_replica_ahead_of_its_leader_stops_for_a_rebootstrap(tmp_path):
+    """The leader lost acked records — its WAL cut to 3 of its 5, as a
+    power loss under ``wal_fsync=False`` leaves it — while a replica
+    had applied all 5.  Every chunk past the leader's end comes back
+    empty, so the replica must not take that for "caught up": it stops
+    with the re-bootstrap error instead of polling forever."""
+    TripleStore.create_live(tmp_path / "leader", _sample_triples(10))
+    with KGServer.open(tmp_path / "leader", port=0).start() as leader:
+        with connect(leader.url) as writer:
+            for index in range(5):
+                writer.call("add_many",
+                            triples=[[f"lost:{index}", "r", "e0"]])
+    shutil.copytree(tmp_path / "leader", tmp_path / "replica")
+    log = tmp_path / "leader" / wal_file_name(0)
+    batches = scan_wal(log).batches
+    assert len(batches) == 5
+    with log.open("r+b") as handle:
+        handle.truncate(batches[2].end_offset)
+    with KGServer.open(tmp_path / "leader", port=0).start() as leader:
+        assert leader.service.store.wal.next_seq == 4
+        replica = KGServer.open(tmp_path / "replica", port=0,
+                                follow=leader.url,
+                                follow_poll_interval=0.01).start()
+        try:
+            assert _wait_until(
+                lambda: not replica._replication_snapshot()["running"])
+            status = replica._replication_snapshot()
+            assert status["applied_seq"] == 5
+            assert "lost acked records" in status["last_error"]
+            assert "re-bootstrap this replica" in status["last_error"]
+        finally:
+            replica.close()
+
+
 def test_follower_replays_leader_wal(tmp_path):
     """A replica bootstrapped from a copy of the leader directory
     converges on every leader write, advertises its lag through stats,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import inspect
 import json
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -293,6 +295,43 @@ def _spy_backend(monkeypatch, store):
     return calls
 
 
+def _in_one_round(service, run):
+    """``run`` (a batch call on ``service``) with every request it
+    submits drained into ONE dispatch round: the dispatcher is parked
+    in a swap to the store it already serves until all of them are
+    queued — otherwise it may pick up the first before the rest."""
+    def parked_run(queries):
+        parked, release = threading.Event(), threading.Event()
+        apply_swap = service._apply_swap
+
+        def parked_swap(store):
+            parked.set()
+            release.wait(10)
+            return apply_swap(store)
+
+        def release_when_queued():
+            deadline = time.monotonic() + 10
+            while service._queue.qsize() < len(queries) \
+                    and not release.is_set() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            release.set()
+
+        service._apply_swap = parked_swap
+        swap = threading.Thread(target=service.swap_store,
+                                args=(service.store,))
+        swap.start()
+        try:
+            assert parked.wait(10)
+            threading.Thread(target=release_when_queued).start()
+            return run(queries)
+        finally:
+            release.set()
+            swap.join()
+            del service._apply_swap
+
+    return parked_run
+
+
 @pytest.fixture
 def rounds(monkeypatch):
     """How often the two batch executors ran, through the binding
@@ -327,7 +366,8 @@ def test_plan_many_batches_counts(monkeypatch, rounds):
     calls = _spy_backend(monkeypatch, store)
     engine = QueryEngine(store)
     with QueryService(store, cache_bytes=0) as service:
-        for run in (engine.execute_many, service.execute_batch):
+        for run in (engine.execute_many,
+                    _in_one_round(service, service.execute_batch)):
             calls["match_ids_many"].clear()
             rounds.clear()
             results = run(queries)

@@ -2,10 +2,12 @@
 
 The cache's one safety claim: a service with the cache enabled is
 OBSERVATIONALLY IDENTICAL to one without it — same rows, same order,
-same errors — under any interleaving of queries and writes, because
-check, fill and invalidation all happen on the single dispatcher thread
-that serializes writes.  Invalidation is per pattern: a write drops
-exactly the entries with a pattern one of its triples matches
+same errors — under any interleaving of queries and writes.  A hit is
+answered on the submitting thread, off the dispatcher, so the claim
+rests on three invariants: a write's entries are dropped before its
+ack, the store and the cache swap in one critical section, and every
+hit and miss is counted once.  Invalidation is per pattern: a write
+drops exactly the entries with a pattern one of its triples matches
 (variables as wildcards); a SWAP or a failed apply drops them all.
 These suites attack that claim:
 
@@ -27,6 +29,10 @@ These suites attack that claim:
   must never be answered by a stale entry); both are rows scenarios,
   so from a connection that never said ``hello`` they end in the typed
   refusal;
+* **off the dispatcher** — a hit resolves while the dispatcher is
+  parked inside a write and a miss does not, a read sent from a
+  write's ack sees that write, and hits racing store swaps never answer
+  with an entry of the other store;
 * **mechanics** — limit variants sharing one entry, key canonicality,
   LRU eviction under the byte budget, cursor snapshots surviving
   invalidation, ``RemoteCursor`` release draining the server table with
@@ -562,6 +568,132 @@ def test_acked_remote_writes_never_served_stale(server_codec):
             stop.set()
             thread.join(timeout=10)
         assert not hammer_errors
+
+
+# --------------------------------------------------------------------------- #
+# off the dispatcher: a hit is answered at submit, on the caller's thread
+# --------------------------------------------------------------------------- #
+def _parked_in_add_many(monkeypatch, store):
+    """Make ``store.add_many`` wait inside the dispatcher: returns the
+    (parked, release) events."""
+    parked, release = threading.Event(), threading.Event()
+    add_many = store.add_many
+
+    def parked_add_many(triples):
+        parked.set()
+        release.wait(10)
+        return add_many(triples)
+
+    monkeypatch.setattr(store, "add_many", parked_add_many)
+    return parked, release
+
+
+def test_a_hit_resolves_while_the_dispatcher_is_inside_a_write(monkeypatch):
+    """With the dispatcher parked inside a write's apply, a cached query
+    comes back from ``submit`` already answered; an uncached one waits
+    for the write and is served after it."""
+    store = _guide_store()
+    with QueryService(store) as service:
+        answer = service.execute(_GUIDE)
+        parked, release = _parked_in_add_many(monkeypatch, store)
+        write = service.submit_add(_VIEWED)
+        try:
+            assert parked.wait(10)
+            hit = service.submit(_GUIDE)
+            miss = service.submit(_OTHER_GUIDE)
+            assert hit.done() and hit.result().materialize() == answer
+            assert not miss.done()
+        finally:
+            release.set()
+        assert write.result() == 1
+        assert miss.result().materialize() == service.execute(_OTHER_GUIDE)
+        stats = service.stats
+        assert (stats["cache_hits"], stats["cache_misses"]) == (2, 2)
+        assert stats["requests_served"] == 5
+
+
+def test_a_read_sent_from_a_writes_ack_sees_that_write(monkeypatch):
+    """Invalidate, then ack: resolving a write runs its done-callbacks
+    on the dispatcher at once, and a query submitted there probes the
+    cache before the dispatcher moves on.  The write's matching entry
+    must already be gone, or the callback reads the pre-write answer."""
+    store = _guide_store()
+    guide = dataclass_replace(_GUIDE, limit=None)
+    typed = Triple("product:005", "rdf:type", "category:0")
+    with QueryService(store) as service:
+        assert {"?p": "product:005"} not in service.execute(guide)
+        parked, release = _parked_in_add_many(monkeypatch, store)
+        write = service.submit_add([typed])
+        reads = []
+        assert parked.wait(10)
+        write.add_done_callback(
+            lambda _write: reads.append((threading.current_thread(),
+                                         service.submit(guide))))
+        release.set()
+        assert write.result() == 1
+        (thread, read), = reads
+        assert thread is service._dispatcher
+        assert {"?p": "product:005"} in read.result().materialize()
+
+
+def test_hits_racing_store_swaps_never_answer_from_the_other_store():
+    """The store and the cache swap in one critical section.  The two
+    stores hold the same triples interned in opposite orders, so one
+    query's key in one store is another query's key in the other: a
+    probe keying against the new store that met an entry of the old one
+    would answer the wrong query.  Readers hammer the hot set while
+    swaps flip the stores; every answer is right, and after each swap
+    the next answer is a block of the new store."""
+    rows = _base_rows()
+    stores = [TripleStore(triples_from_tuples(rows)),
+              TripleStore(triples_from_tuples(rows[::-1]))]
+    hot = ([PatternQuery.from_patterns([("?p", "brandIs", f"brand:{index}")],
+                                       select=("?p",)) for index in range(4)]
+           + [PatternQuery.from_patterns([("?p", "rdf:type",
+                                           f"category:{index}")],
+                                         select=("?p",)) for index in range(3)])
+    keys = [{cache_key(store.backend, query): query for query in hot}
+            for store in stores]
+    assert any(keys[0][key] != query for key, query in keys[1].items()
+               if key in keys[0]), "no key names two queries: no teeth"
+    def answer(block):      # row order follows the ids: compare as sets
+        return sorted(row["?p"] for row in block.materialize())
+
+    with QueryService(stores[0], cache_bytes=0) as plain:
+        expected = [answer(plain.submit(query).result()) for query in hot]
+    stop, errors = threading.Event(), []
+
+    def reader(offset):
+        try:
+            while not stop.is_set():
+                for index in range(len(hot)):
+                    index = (index + offset) % len(hot)
+                    block = service.submit(hot[index]).result()
+                    assert answer(block) == expected[index], hot[index]
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+            stop.set()
+
+    with QueryService(stores[0]) as service:
+        readers = [threading.Thread(target=reader, args=(offset,))
+                   for offset in range(3)]
+        for thread in readers:
+            thread.start()
+        try:
+            for swap in range(300):
+                if stop.is_set():
+                    break
+                new = stores[(swap + 1) % 2]
+                service.swap_store(new)
+                block = service.submit(hot[swap % len(hot)]).result()
+                assert block.entities is \
+                    new.backend.entity_interner.symbol_table()
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=10)
+        assert not errors, errors[0]
+        assert service.stats["cache_hits"] > 0
 
 
 # --------------------------------------------------------------------------- #
