@@ -1,13 +1,16 @@
 """Persist benchmark results as ``benchmarks/out/BENCH_*.json`` artifacts.
 
-Every bench module records its measured numbers — workload description,
-backend, codec, timings and speedups — so a CI bench job can upload the
-artifacts and a reviewer can diff perf across commits without re-running
-anything.  One artifact per bench family::
+The benches that still time something record their measured numbers —
+workload description, backend, codec, timings and speedups — so a CI
+bench job can upload the artifacts without re-running anything.  One
+artifact per bench family::
 
     BENCH_store.json    backend micro-benchmarks (test_bench_store_backends)
-    BENCH_query.json    query-engine benchmarks  (test_bench_query_engine)
-    BENCH_server.json   network-path benchmarks  (test_bench_server)
+    BENCH_cluster.json  shard-process scaling    (test_bench_cluster, on
+                        >= 4 cores only)
+
+The other per-layer benches assert work counts, not wall clocks, and
+write nothing; ``bench/`` prices those layers end to end.
 
 Sections merge: a test updates only its own section and leaves sections
 written by other tests intact, so running a single bench never clobbers

@@ -1,4 +1,4 @@
-"""Micro-benchmark — symbol backtracking vs ID-space query execution.
+"""Query-engine work counts — per-binding backtracking vs ID-space execution.
 
 Three workloads over one synthetic product graph:
 
@@ -6,40 +6,39 @@ Three workloads over one synthetic product graph:
   membership + origin filters, 2-hop brand→headquarters joins, category
   fan-outs) evaluated per query; the legacy symbol-level backtracking
   executor (one ``iter_match`` store round-trip per binding per
-  pattern, ``Triple`` objects and strings all the way) against the
-  ID-space executor (constants interned once, pattern blocks fetched
-  from the CSR indexes, frontier carried as numpy id columns through
-  vectorized hash joins, strings only at projection).  Run on the
-  columnar and sharded backends.
+  pattern) against the ID-space executor (constants interned once,
+  pattern blocks fetched from the CSR indexes, frontier carried as
+  numpy id columns through vectorized hash joins, strings only at
+  projection).  Run on the columnar and sharded backends.
 * **batched execution** — the same queries through
   ``QueryEngine.execute_many``: no count probe, ONE ``match_ids_many``
   fetching every distinct pattern of the whole batch, each plan's
   blocks joined fewest rows first.
-* **service throughput** — 8 client threads pushing the workload
+* **service concurrency** — 8 client threads pushing the workload
   through a :class:`~repro.kg.service.QueryService`, which coalesces
-  concurrent requests into the same batched calls; results are
-  asserted identical to serial execution.
+  concurrent requests into the same batched calls.
 
-Acceptance bars (assertion messages embed the full timing table so a
-CI failure report prints the numbers, not just the comparison):
+Acceptance bars, **counted, not timed** (``bench/``'s
+``uniform_join_read`` prices the executor and the service end to end):
 
-* ID-space executor ≥ 5× faster than backtracking on the join workload
-  (the PR acceptance bar), with bit-identical binding sets on every
-  backend;
+* every strategy returns bit-identical binding sets on every backend;
+* the ID-space executor's work is one backend fetch per query — one
+  ``match_ids_many`` each, and one for the whole batch through
+  ``execute_many`` — where backtracking makes at least one
+  ``iter_match`` per result row;
 * the concurrent service returns results identical to serial execution
-  (its throughput line is advisory — thread scheduling on shared CI
-  runners is too noisy for a hard bar).
+  and serves every request.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
+from collections import Counter
 from pathlib import Path
+from types import GeneratorType
 from typing import Callable, List, Tuple
 
-from _artifacts import update_artifact
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
@@ -54,7 +53,6 @@ NUM_BRANDS = 16
 NUM_PLACES = 23
 NUM_CATEGORIES = 111
 NUM_COUNTRIES = 4
-REPEATS = 3
 SERVICE_THREADS = 8
 
 
@@ -107,13 +105,51 @@ def _workload_queries() -> List[PatternQuery]:
     return queries
 
 
-def _best_of(repeats: int, workload: Callable[[], object]) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        workload()
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Backend entry points a query strategy can fetch rows through.
+FETCHES = ("match_ids_many", "match_ids", "count_ids", "count_many",
+           "iter_match", "match", "match_many", "count", "tails",
+           "tails_many", "degree_many")
+
+
+def _count_fetches(backend, workload: Callable[[], object]
+                   ) -> Tuple[object, Counter]:
+    """Run ``workload``; count the backend fetches it makes from outside
+    (a fetch the backend makes to serve another one, or while a returned
+    generator runs, is not counted)."""
+    calls: Counter = Counter()
+    depth = [0]
+
+    def inside(generator):
+        while True:
+            depth[0] += 1
+            try:
+                item = next(generator)
+            except StopIteration:
+                return
+            finally:
+                depth[0] -= 1
+            yield item
+
+    def spy(name, method):
+        def counted(*args, **kwargs):
+            if not depth[0]:
+                calls[name] += 1
+            depth[0] += 1
+            try:
+                result = method(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            return inside(result) if isinstance(result, GeneratorType) \
+                else result
+        return counted
+
+    for name in FETCHES:
+        setattr(backend, name, spy(name, getattr(backend, name)))
+    try:
+        return workload(), calls
+    finally:
+        for name in FETCHES:
+            delattr(backend, name)
 
 
 def _canonical(results: List[List[dict]]) -> List[List[Tuple[Tuple[str, str], ...]]]:
@@ -125,30 +161,36 @@ def test_id_space_executor_vs_backtracking():
     rows = triples_from_tuples(_workload_rows())
     queries = _workload_queries()
     table: List[str] = [
-        f"{'backend':<12} {'strategy':<16} {'seconds':>9} {'rows':>7}"]
-    timings = {}
+        f"{'backend':<12} {'strategy':<14} {'fetch calls':<42} {'rows':>7}"]
     canonical = {}
     for backend_name, backend in (("columnar", "columnar"),
                                   ("sharded-4", ShardedBackend(n_shards=4))):
         store = TripleStore(rows, backend=backend)
         engine = QueryEngine(store)
-        for strategy in ("backtracking", "id", "batched-id"):
-            if strategy == "batched-id":
-                def workload(engine=engine):
-                    return engine.execute_many(queries)
-            elif strategy == "id":
-                def workload(engine=engine):
-                    return [engine.execute(query) for query in queries]
-            else:
-                def workload(store=store):
-                    return [backtrack(store, query) for query in queries]
-            results = workload()
-            elapsed = _best_of(REPEATS, workload)
-            timings[(backend_name, strategy)] = elapsed
+        strategies = {
+            "backtracking": lambda: [backtrack(store, query)
+                                     for query in queries],
+            "id": lambda: [engine.execute(query) for query in queries],
+            "batched-id": lambda: engine.execute_many(queries),
+        }
+        for strategy, workload in strategies.items():
+            results, calls = _count_fetches(store.backend, workload)
             canonical[(backend_name, strategy)] = _canonical(results)
             total_rows = sum(len(result) for result in results)
-            table.append(f"{backend_name:<12} {strategy:<16} "
-                         f"{elapsed:>9.4f} {total_rows:>7d}")
+            table.append(f"{backend_name:<12} {strategy:<14} "
+                         f"{str(dict(calls)):<42} {total_rows:>7d}")
+            report = "\n".join(table)
+            if strategy == "backtracking":
+                # The oracle's one ordering probe per query, then one
+                # ``iter_match`` per binding per pattern.
+                assert calls["count_many"] == len(queries) \
+                    and set(calls) == {"count_many", "iter_match"} \
+                    and calls["iter_match"] >= total_rows, report
+            else:
+                fetches = 1 if strategy == "batched-id" else len(queries)
+                assert calls == {"match_ids_many": fetches}, (
+                    f"ID-space executor bar missed on {backend_name}: "
+                    f"{strategy} must fetch once per call\n{report}")
     report = "\n".join(table)
     print(f"\nquery-engine join workload ({len(queries)} queries, "
           f"{len(rows)} triples)\n{report}")
@@ -156,25 +198,6 @@ def test_id_space_executor_vs_backtracking():
     for key, result in canonical.items():
         assert result == reference, \
             f"binding sets diverge for {key}\n{report}"
-    update_artifact("query", "id_space_vs_backtracking", {
-        "workload": f"{len(queries)} join queries over {len(rows)} triples",
-        "backend": "columnar and sharded-4",
-        "codec": "in-process",
-        "timings_seconds": {f"{backend}/{strategy}": elapsed
-                            for (backend, strategy), elapsed
-                            in timings.items()},
-        "speedups": {backend: timings[(backend, "backtracking")]
-                     / timings[(backend, "id")]
-                     for backend in ("columnar", "sharded-4")},
-        "bar": "id-space executor >= 5x backtracking",
-    })
-    for backend_name in ("columnar", "sharded-4"):
-        legacy = timings[(backend_name, "backtracking")]
-        fast = timings[(backend_name, "id")]
-        speedup = legacy / fast
-        assert speedup >= 5.0, (
-            f"ID-space executor bar missed on {backend_name}: "
-            f"{speedup:.1f}x < 5x\n{report}")
 
 
 def test_query_service_concurrent_throughput():
@@ -183,45 +206,27 @@ def test_query_service_concurrent_throughput():
     queries = _workload_queries()
     engine = QueryEngine(store)
     serial_results = _canonical([engine.execute(query) for query in queries])
-    serial_time = _best_of(REPEATS,
-                           lambda: [engine.execute(query) for query in queries])
 
     outputs: List[object] = [None] * SERVICE_THREADS
     with QueryService(store) as service:
-        def run_clients() -> None:
-            barrier = threading.Barrier(SERVICE_THREADS)
+        barrier = threading.Barrier(SERVICE_THREADS)
 
-            def client(slot: int) -> None:
-                barrier.wait(timeout=60)
-                outputs[slot] = service.execute_batch(queries)
+        def client(slot: int) -> None:
+            barrier.wait(timeout=60)
+            outputs[slot] = service.execute_batch(queries)
 
-            threads = [threading.Thread(target=client, args=(slot,))
-                       for slot in range(SERVICE_THREADS)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-
-        elapsed = _best_of(1, run_clients)
+        threads = [threading.Thread(target=client, args=(slot,))
+                   for slot in range(SERVICE_THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
         total = SERVICE_THREADS * len(queries)
         report = (
-            f"service: {total} queries over {SERVICE_THREADS} threads in "
-            f"{elapsed:.4f}s ({total / elapsed:,.0f} q/s; serial single-client "
-            f"{len(queries) / serial_time:,.0f} q/s; "
+            f"service: {total} queries over {SERVICE_THREADS} threads; "
             f"{service.batches_dispatched} dispatch batches, largest "
-            f"{service.largest_batch})")
+            f"{service.largest_batch}")
         print(f"\n{report}")
-        update_artifact("query", "service_concurrency", {
-            "workload": f"{total} queries over {SERVICE_THREADS} threads",
-            "backend": "sharded-4",
-            "codec": "in-process",
-            "timings_seconds": {"concurrent_batch": elapsed,
-                                "serial_single_client": serial_time},
-            "throughput_qps": {"concurrent": total / elapsed,
-                               "serial": len(queries) / serial_time},
-            "batching": {"dispatched": service.batches_dispatched,
-                         "largest": service.largest_batch},
-        })
         for slot in range(SERVICE_THREADS):
             assert outputs[slot] is not None, \
                 f"client {slot} never finished\n{report}"

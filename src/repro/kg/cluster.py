@@ -39,12 +39,12 @@ that path.
 Failure story
 -------------
 Each shard has one leader and optional replicas (followers copying the
-leader's WAL bytes through ``snapshot_ship`` chunks and replaying them).  Reads round-robin across
-leader + replicas; a transport failure drops the broken connection,
-counts a reroute and moves to the next endpoint (the underlying
-:class:`~repro.kg.client.RemoteClient` already retries idempotent reads
-on a fresh connection with backoff).  Only when the leader AND every
-replica are unreachable does a read fail — with a typed
+leader's WAL bytes through ``snapshot_ship`` chunks and replaying them).
+Reads round-robin across leader + replicas; a transport failure drops
+the connection, counts a reroute and tries the next endpoint, one more
+sweep after a backoff; session clients never reconnect themselves, so
+every new shard connection passes the generation gate.  Only when the
+leader AND every replica are unreachable does a read fail — with a typed
 :class:`~repro.errors.ShardUnavailableError` naming the shard.  Writes
 go to the leader only and are NEVER silently retried once they may have
 reached the wire: a lost response does not mean a lost write.  A leader
@@ -262,7 +262,7 @@ class _ShardSession:
         client = self._clients[endpoint]
         if client is None:
             client = RemoteClient(self.addresses[endpoint],
-                                  timeout=self.timeout)
+                                  timeout=self.timeout, reconnect_attempts=0)
             self._clients[endpoint] = client
             self._check_generation(endpoint, client)
         return client

@@ -1479,6 +1479,32 @@ def test_stale_ex_leader_connection_refused(tmp_path):
         stale.close()
 
 
+def test_stale_ex_leader_refused_when_a_read_reconnects(tmp_path):
+    """A retry-safe read whose live socket dies reconnects through the
+    session, so the new connection passes the generation gate too: the
+    pre-promotion server refuses it instead of answering the read."""
+    import socket
+
+    from repro.kg.cluster import _ShardSession
+
+    TripleStore.create_live(tmp_path / "stale", _sample_triples(5))
+    stale = KGServer.open(tmp_path / "stale", port=0).start()
+    try:
+        session = _ShardSession(0, stale.url, (), retry_backoff=0.0)
+        try:
+            assert session.read_call("len") == 5  # no floor yet
+            session.min_generation = 1
+            session._clients[0]._sock.shutdown(socket.SHUT_RDWR)
+            with pytest.raises(ShardUnavailableError,
+                               match="stale ex-leader"):
+                session.read_call("len")
+            assert session._clients[0] is None
+        finally:
+            session.close()
+    finally:
+        stale.close()
+
+
 def test_replication_stats_never_torn_under_concurrent_polls(tmp_path):
     """Regression: the follower loop used to bump ``applied_seq`` /
     ``batches_applied`` / ``triples_applied`` without the stats lock, so
