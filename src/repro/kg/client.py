@@ -163,10 +163,18 @@ class RemoteClient:
         self._decoder = BinaryResponseDecoder()
 
     def _connect(self) -> None:
-        """Open a fresh negotiated connection (caller holds the lock);
-        ``OSError`` when the server is unreachable."""
-        sock = socket.create_connection(self._address, timeout=self._timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        """Open a fresh negotiated connection (caller holds the lock):
+        the only code that opens a socket, at construction and on a
+        retry.  :class:`~repro.errors.ProtocolError` when the server is
+        unreachable."""
+        try:
+            sock = socket.create_connection(self._address,
+                                            timeout=self._timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as exc:
+            raise ProtocolError(
+                f"connect to {self._address[0]}:{self._address[1]} "
+                f"failed: {exc}") from exc
         self._sock = sock
         self._closed = False
         # A connection starts on JSON with an empty symbol cache; hello
@@ -175,16 +183,6 @@ class RemoteClient:
         self._decoder: Optional[BinaryResponseDecoder] = None
         if self._requested_codec != CODEC_JSON:
             self._negotiate()
-
-    def _reconnect(self) -> None:
-        """Replace a dead socket (caller holds the lock).  Raises
-        ProtocolError when the server is unreachable."""
-        try:
-            self._connect()
-        except OSError as exc:
-            raise ProtocolError(
-                f"reconnect to {self._address[0]}:{self._address[1]} "
-                f"failed: {exc}") from exc
 
     def call(self, op: str, **fields):
         """One request/response round-trip; returns the ``result`` field.
@@ -215,7 +213,7 @@ class RemoteClient:
                             raise ProtocolError(
                                 "client connection is closed")
                         budget -= 1
-                        self._reconnect()
+                        self._connect()
                     response = self._roundtrip(dict(message))
                     break
                 except ProtocolError:

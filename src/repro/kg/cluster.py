@@ -42,9 +42,8 @@ Each shard has one leader and optional replicas (followers copying the
 leader's WAL bytes through ``snapshot_ship`` chunks and replaying them).
 Reads round-robin across leader + replicas; a transport failure drops
 the connection, counts a reroute and tries the next endpoint, one more
-sweep after a backoff; session clients never reconnect themselves, so
-every new shard connection passes the generation gate.  Only when the
-leader AND every replica are unreachable does a read fail — with a typed
+sweep after a backoff.  Only when the leader AND every replica are
+unreachable does a read fail — with a typed
 :class:`~repro.errors.ShardUnavailableError` naming the shard.  Writes
 go to the leader only and are NEVER silently retried once they may have
 reached the wire: a lost response does not mean a lost write.  A leader
@@ -53,10 +52,13 @@ backoff) triggers **automatic promotion**: the most-caught-up replica —
 highest replayed WAL seq via ``replication_status`` — receives a
 ``promote`` op (stop following, compact into a new generation, reopen
 writable), the shard's endpoint list is repointed so it is endpoint 0,
-and the promoted generation becomes the split-brain floor: a demoted
-ex-leader that comes back serving an older generation is refused at
-connection time until it rejoins as a follower (``--follow`` against
-the new leader re-bootstraps it onto the promoted lineage).
+and the promoted generation becomes the split-brain floor: an endpoint
+serving an older generation — a demoted ex-leader come back, or a
+replica still following it — is refused at connection time until it
+rejoins as a follower (``--follow`` against the new leader
+re-bootstraps it onto the promoted lineage).  Every connection a
+session opens, pooled or a ballot / leader / ``stats`` probe, passes
+that gate, and its client never reconnects on its own.
 
 Consistency caveats (documented, by design): replication is
 asynchronous, so a replica read may trail the leader by the poll
@@ -257,47 +259,48 @@ class _ShardSession:
         with self._counter_lock:
             self.counters[key] += amount
 
-    def _ensure_client(self, endpoint: int) -> RemoteClient:
-        """The endpoint's connection, created (and gated) on demand."""
-        client = self._clients[endpoint]
-        if client is None:
-            client = RemoteClient(self.addresses[endpoint],
-                                  timeout=self.timeout, reconnect_attempts=0)
-            self._clients[endpoint] = client
-            self._check_generation(endpoint, client)
-        return client
+    def _open(self, address: str, codec: str = "auto") -> RemoteClient:
+        """Open a connection and apply the generation gate: the one way
+        this session connects (pooled by :meth:`_ensure_client`,
+        short-lived by :meth:`_probe`).  The client never reconnects on
+        its own, so every retry comes back through here.
 
-    def _check_generation(self, endpoint: int, client: RemoteClient) -> None:
-        """Refuse fresh connections to pre-promotion stale ex-leaders.
-
-        Split-brain rejection rule: after a promotion recorded
-        ``min_generation`` = G, an endpoint serving generation < G is
-        the dead ex-leader come back (or a replica that has not
-        re-bootstrapped yet) — serving reads from it could resurrect
-        pre-promotion state, and routing writes to it would fork the
-        shard.  Probing only at connection time keeps the per-call hot
-        path untouched: a *live* connection was either established
-        before the promotion (to a then-healthy endpoint) or already
-        passed the gate.
+        After a promotion recorded ``min_generation`` = G, an endpoint
+        serving generation < G is a stale ex-leader or a replica still
+        following one: reading from it could resurrect pre-promotion
+        state, writing to it would fork the shard, and promoting it
+        would compact it past the floor without the writes acked since.
+        A live connection passed the gate when it opened, so the
+        per-call hot path never probes.
         """
+        client = RemoteClient(address, codec=codec, timeout=self.timeout,
+                              reconnect_attempts=0)
         floor = self.min_generation
         if floor is None:
-            return
+            return client
         try:
             info = client.call("role")
-        except (ProtocolError, OSError):
-            self._drop(endpoint)
+            generation = info.get("generation") \
+                if isinstance(info, dict) else None
+            if not isinstance(generation, int) or generation < floor:
+                raise ProtocolError(
+                    f"shard {self.index} endpoint {address} serves "
+                    f"generation {generation!r}, older than the promotion "
+                    f"generation {floor} — a stale ex-leader must rejoin "
+                    f"as a follower (restart it with --follow pointing at "
+                    f"the current leader) before it serves again")
+        except ProtocolError:
+            client.close()
             raise
-        generation = info.get("generation") if isinstance(info, dict) \
-            else None
-        if not isinstance(generation, int) or generation < floor:
-            self._drop(endpoint)
-            raise ProtocolError(
-                f"shard {self.index} endpoint {self.addresses[endpoint]} "
-                f"serves generation {generation!r}, older than the "
-                f"promotion generation {floor} — a stale ex-leader must "
-                f"rejoin as a follower (restart it with --follow pointing "
-                f"at the current leader) before it serves again")
+        return client
+
+    def _ensure_client(self, endpoint: int) -> RemoteClient:
+        """The endpoint's pooled connection, opened on demand."""
+        client = self._clients[endpoint]
+        if client is None:
+            client = self._clients[endpoint] = \
+                self._open(self.addresses[endpoint])
+        return client
 
     def _call(self, endpoint: int, op: str, fields: dict):
         return self._ensure_client(endpoint).call(op, **fields)
@@ -326,7 +329,7 @@ class _ShardSession:
                 endpoint = (start + step) % n
                 try:
                     result = self._call(endpoint, op, fields)
-                except (ProtocolError, OSError) as exc:
+                except ProtocolError as exc:
                     last_error = exc
                     self._drop(endpoint)
                     self._count("reroutes")
@@ -352,12 +355,11 @@ class _ShardSession:
         """
         try:
             client = self._ensure_client(0)
-        except (ProtocolError, OSError) as exc:
-            self._drop(0)
+        except ProtocolError as exc:
             return ("undelivered", exc)
         try:
             return ("ok", client.call(op, **fields))
-        except (ProtocolError, OSError) as exc:
+        except ProtocolError as exc:
             self._drop(0)
             return ("unknown", exc)
 
@@ -365,13 +367,13 @@ class _ShardSession:
         """One ``op`` on a dedicated short-lived JSON connection.
 
         Deliberately outside the failover machinery: no counter moves
-        and no pooled socket is shared.  ``None`` on a transport error.
+        and no pooled socket is shared, but the gate of :meth:`_open`
+        applies.  ``None`` on a transport error or a refusal.
         """
         try:
-            with RemoteClient(address, codec="json",
-                              timeout=self.timeout) as probe:
+            with self._open(address, codec="json") as probe:
                 return probe.call(op)
-        except (ProtocolError, OSError):
+        except ProtocolError:
             return None
 
     def _leader_alive(self) -> bool:
@@ -424,7 +426,7 @@ class _ShardSession:
                 if self._promote_replica():
                     try:
                         return self._call(0, op, fields)
-                    except (ProtocolError, OSError) as exc:
+                    except ProtocolError as exc:
                         self._drop(0)
                         self._fail_write(op, exc, promoted=True)
                 self._fail_write(op, payload, promoted=False)
@@ -444,12 +446,14 @@ class _ShardSession:
 
         Candidates are ranked by replayed WAL seq (``replication_status``
         → ``applied_seq``), ties broken toward the lowest endpoint
-        index; the winner gets a ``promote`` call and becomes endpoint 0
-        via :meth:`_repoint`.  Serialized under ``_promote_lock`` so
-        concurrent failing writes elect exactly once: a loser of the
-        lock race re-checks whether a promotion already happened and the
-        new leader answers before starting its own election.  Returns
-        True when endpoint 0 is a freshly (or already) promoted leader.
+        index; a replica still on a pre-promotion generation fails the
+        probes' gate and is no candidate.  The winner gets a ``promote``
+        call and becomes endpoint 0 via :meth:`_repoint`.  Serialized
+        under ``_promote_lock`` so concurrent failing writes elect
+        exactly once: a loser of the lock race re-checks whether a
+        promotion already happened and the new leader answers before
+        starting its own election.  Returns True when endpoint 0 is a
+        freshly (or already) promoted leader.
         """
         with self._promote_lock:
             if self.min_generation is not None and self._leader_alive():

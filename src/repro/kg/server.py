@@ -105,9 +105,8 @@ from repro.kg.service import (DEFAULT_CACHE_BYTES, DEFAULT_CURSOR_TTL,
 from repro.kg.spans import Spans
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
-from repro.kg.wal import (HEADER_BYTES, OP_ADD, WriteAheadLog,
-                          list_snapshot_files, scan_records,
-                          snapshot_dir_name, wal_file_name,
+from repro.kg.wal import (OP_ADD, WriteAheadLog, list_snapshot_files,
+                          scan_records, snapshot_dir_name, wal_file_name,
                           write_live_pointer)
 
 #: Default port of the CLI ``serve`` command (0 = ephemeral, for tests).
@@ -234,7 +233,9 @@ def bootstrap_replica(directory: Union[str, Path], leader: str, *,
     directory and a leader URL and it produces a live store directory
     at the leader's current generation, ready to open with
     ``KGServer.open(directory, follow=leader)`` — no hand-copied files.
-    Returns the bootstrapped generation.
+    Returns the bootstrapped generation.  Called once, with no loop of
+    its own, so its client keeps the default reconnect for retry-safe
+    ``snapshot_ship`` chunks.
     """
     from repro.kg.client import RemoteClient
 
@@ -318,11 +319,11 @@ class KGServer:
             raise ValueError(
                 f"shard_index must be in 0..{n_shards - 1}, got "
                 f"{shard_index}")
-        if follow is not None and not store.writable:
+        if follow is not None and store.wal is None:
             raise ValueError(
-                "a replica must be able to apply its leader's WAL "
-                "batches — open a live store (or an in-memory one), not "
-                "a read-only snapshot")
+                "a replica re-logs its leader's WAL records and adopts its "
+                "snapshots — open a live store directory, not a read-only "
+                "snapshot or in-memory data")
         interval = float(follow_poll_interval)
         if not math.isfinite(interval) or interval <= 0:
             raise ValueError(
@@ -1012,11 +1013,6 @@ class KGServer:
         if self.role == "leader":
             return {"promoted": False, "role": self.role,
                     "generation": self.service.store.live_generation}
-        if self.service.store.live_generation is None:
-            raise ProtocolError(
-                "promotion requires a live store directory: an "
-                "in-memory follower has no durable generation to bump "
-                "and cannot take over the shard's write path")
         self._stop_replication.set()
         thread = self._replication_thread
         if thread is not None:
@@ -1090,14 +1086,14 @@ class KGServer:
         """Follower loop: copy the leader's WAL bytes and apply them.
 
         Each poll asks ``snapshot_ship`` for the leader's ``wal-G.log``
-        from this replica's position: its own WAL's end (the header
-        size in memory).  A record cut by the chunk's end waits for the
-        next one; each complete record is checked (CRC, then ``seq ==
-        applied_seq + 1``) and applied as ONE ``service.add_many`` /
-        ``remove_many``, which re-logs it byte for byte.  Leaders are
-        retried forever; a *generation* change (the leader compacted)
-        makes a live-directory replica re-bootstrap
-        (:meth:`_rebootstrap`) and an in-memory one stop.  Either stops
+        from this replica's position: its own WAL's end.  A record cut
+        by the chunk's end waits for the next one; each complete record
+        is checked (CRC, then ``seq == applied_seq + 1``) and applied as
+        ONE ``service.add_many`` / ``remove_many``, which re-logs it
+        byte for byte.  The poll loop is the one retry: the leader
+        connection never reconnects on its own, and a failed poll drops
+        it and waits one interval.  A *generation* change (the leader
+        compacted) re-bootstraps (:meth:`_rebootstrap`); the loop stops
         when the leader's WAL ends before its position (the leader lost
         acked records).  Status moves under the stats lock, per batch,
         so ``stats`` never reads a torn block.
@@ -1109,10 +1105,7 @@ class KGServer:
         # The leader generation whose WAL this loop copies: None until
         # a manifest names it, and again after any failed poll.
         generation: Optional[int] = None
-        # An in-memory follower cannot adopt a snapshot, but it must
-        # notice a compaction rather than read the new log as more.
-        followed: Optional[int] = None
-        position = HEADER_BYTES     # an in-memory follower's own count
+        position = 0        # this replica's WAL end, read with each manifest
         pending = b""       # leader bytes past ``position``: a cut record
 
         def drop_client() -> None:
@@ -1130,24 +1123,14 @@ class KGServer:
                 try:
                     if client is None:
                         client = RemoteClient(self._follow, codec=CODEC_JSON,
-                                              timeout=10.0)
+                                              timeout=10.0,
+                                              reconnect_attempts=0)
                     if generation is None:
                         generation = decode_snapshot_manifest(
                             client.call("snapshot_ship"))["generation"]
-                        local = self.service.store.live_generation
-                        if local not in (None, generation):
+                        if self.service.store.live_generation != generation:
                             self._rebootstrap(client)
-                        if local is not None:   # the position on disk
-                            position = self.service.store.wal.end
-                            pending = b""
-                        elif followed not in (None, generation):
-                            note(f"leader moved to generation {generation}; "
-                                 f"an in-memory follower cannot adopt a "
-                                 f"shipped snapshot — restart this replica "
-                                 f"over a live store directory to follow "
-                                 f"across compactions")
-                            return
-                        followed = generation
+                        position, pending = self.service.store.wal.end, b""
                     offset = position + len(pending)
                     chunk = client.call(
                         "snapshot_ship", path=wal_file_name(generation),
@@ -1212,10 +1195,7 @@ class KGServer:
         """
         store = self.service.store
         directory = store.live_directory
-        if directory is None:
-            raise ProtocolError(
-                "re-bootstrap requires a live store directory")
-        wal_fsync = store.wal.fsync if store.wal is not None else True
+        wal_fsync = store.wal.fsync
         manifest = fetch_snapshot(client, directory, fsync=wal_fsync,
                                   should_abort=self._stop_replication.is_set)
         new_store = TripleStore.open(directory, wal_fsync=wal_fsync)

@@ -727,7 +727,7 @@ def test_cluster_open_validates_shard_count(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 3: a coordinator places and resolves a head by the id "
+    "ROADMAP item 4: a coordinator places and resolves a head by the id "
     "its own in-memory interner gave it, so a head another coordinator "
     "wrote is invisible and a re-add lands it on a second shard"))
 @pytest.mark.parametrize("overlap", [False, True],
@@ -1324,36 +1324,18 @@ def test_follower_rebootstraps_on_leader_compaction(tmp_path):
 
 
 def test_in_memory_follower_stops_on_generation_change(tmp_path):
-    """A follower with no live directory cannot adopt a shipped
-    snapshot: on leader compaction it must STOP with a typed error —
-    silently replaying the restarted WAL seqs would corrupt it."""
+    """A follower re-logs its leader's WAL records and adopts shipped
+    snapshots across compactions, so it needs a live store directory:
+    an in-memory store is refused before anything follows."""
     TripleStore.create_live(tmp_path / "leader", _sample_triples(6))
     leader = KGServer.open(tmp_path / "leader", port=0).start()
     twin = TripleStore(_sample_triples(6), backend=ShardedBackend(1))
-    replica = KGServer(twin, port=0, follow=leader.url,
-                       follow_poll_interval=0.01).start()
     try:
-        with connect(leader.url) as writer:
-            writer.call("add_many", triples=[["y1", "r", "y2"]])
-        with connect(replica.url) as reader:
-            assert _wait_until(
-                lambda: reader.call("count", pattern=["y1", "r", "y2"]) == 1)
-        with connect(leader.url) as writer:
-            writer.call("compact")
-            writer.call("add_many", triples=[["y3", "r", "y4"]])
-
-        def stopped():
-            rep = replica._replication_snapshot()
-            return rep["last_error"] is not None and not rep["running"]
-
-        assert _wait_until(stopped)
-        assert "in-memory follower" \
-            in replica._replication_snapshot()["last_error"]
-        # ... and the poisoned batch was never applied.
-        with connect(replica.url) as reader:
-            assert reader.call("count", pattern=["y3", "r", "y4"]) == 0
+        assert twin.writable
+        with pytest.raises(ValueError, match="replica.*live store"):
+            KGServer(twin, port=0, follow=leader.url,
+                     follow_poll_interval=0.01)
     finally:
-        replica.close()
         leader.close()
 
 
@@ -1503,6 +1485,103 @@ def test_stale_ex_leader_refused_when_a_read_reconnects(tmp_path):
             session.close()
     finally:
         stale.close()
+
+
+def _count_on(url: str, pattern) -> int:
+    with connect(url) as reader:
+        return reader.call("count", pattern=pattern)
+
+
+def test_a_replica_on_a_pre_promotion_generation_is_never_promoted(tmp_path):
+    """Leader L with replicas r1 and r2: L dies and r1 is promoted to
+    generation 1, ``w2`` is acked on r1, then r1 dies too.  r2 still
+    follows L at generation 0, so the ballot probe must refuse it the
+    way a pooled connection would: promoting it would compact it to
+    generation 1 as well, pass the floor, and answer reads without the
+    acked ``w2``."""
+    TripleStore.create_live(tmp_path / "leader", _sample_triples(8))
+    leader = KGServer.open(tmp_path / "leader", port=0).start()
+    replicas = []
+    for name in ("r1", "r2"):
+        bootstrap_replica(tmp_path / name, leader.url)
+        replicas.append(KGServer.open(tmp_path / name, port=0,
+                                      follow=leader.url,
+                                      follow_poll_interval=0.01).start())
+    r1, r2 = replicas
+    backend = ClusterBackend([leader.url], replicas={0: [r1.url, r2.url]},
+                             retry_backoff=0.01)
+    try:
+        backend.add_many([Triple("w1", "r", "both")])
+        for replica in replicas:
+            assert _wait_until(
+                lambda: _count_on(replica.url, ["w1", "r", "both"]) == 1)
+        leader.close()
+        with pytest.raises(ShardUnavailableError):
+            backend.add_many([Triple("lost", "r", "unknown-outcome")])
+        assert r1.role == "leader"
+        backend.add_many([Triple("w2", "r", "acked")])
+        r1.close()
+        with pytest.raises(ShardUnavailableError):
+            backend.add_many([Triple("w3", "r", "no-leader")])
+        assert backend.cluster_stats()["totals"]["promotions"] == 1
+        assert r2.role == "replica"
+        with pytest.raises(ShardUnavailableError):
+            backend.match("w2", "r", None)
+    finally:
+        backend.close()
+        for server in (r2, r1, leader):
+            server.close()
+
+
+def test_a_stale_server_on_the_old_leader_address_never_answers_a_read(
+        tmp_path):
+    """The full topology: a 1-shard leader and its replica, a promotion,
+    then a generation-0 server restarted on the old leader's address
+    while every coordinator socket is shut down.  Each retry-safe read
+    reconnects through the session: the stale endpoint is refused typed
+    and the read is answered by the new leader, never by the stale
+    server (which lacks the post-promotion write)."""
+    import socket
+
+    TripleStore.create_live(tmp_path / "leader", _sample_triples(8))
+    leader = KGServer.open(tmp_path / "leader", port=0).start()
+    host, port = leader.address
+    bootstrap_replica(tmp_path / "replica", leader.url)
+    replica = KGServer.open(tmp_path / "replica", port=0, follow=leader.url,
+                            follow_poll_interval=0.01).start()
+    backend = ClusterBackend([leader.url], replicas={0: [replica.url]},
+                             retry_backoff=0.01)
+    stale = None
+    try:
+        backend.add_many([Triple("pre", "r", "promotion")])
+        assert _wait_until(
+            lambda: _count_on(replica.url, ["pre", "r", "promotion"]) == 1)
+        leader.close()
+        with pytest.raises(ShardUnavailableError):
+            backend.add_many([Triple("lost", "r", "unknown-outcome")])
+        backend.add_many([Triple("post", "r", "promotion")])
+        assert replica.role == "leader"
+        stale = KGServer.open(tmp_path / "leader", host=host,
+                              port=port).start()
+        assert _count_on(stale.url, ["post", "r", "promotion"]) == 0
+        served = stale.service.stats["requests_served"]
+        session = backend._sessions[0]
+        assert session.addresses == [replica.url, stale.url]
+        for _ in range(4):
+            for client in session._clients:
+                if client is not None:
+                    client._sock.shutdown(socket.SHUT_RDWR)
+            assert backend.match("post", "r", None) \
+                == [Triple("post", "r", "promotion")]
+        assert session.counters["reroutes"] >= 1
+        with pytest.raises(ProtocolError, match="stale ex-leader"):
+            session._call(1, "ping", {})
+        assert stale.service.stats["requests_served"] == served
+    finally:
+        backend.close()
+        for server in (stale, replica, leader):
+            if server is not None:
+                server.close()
 
 
 def test_replication_stats_never_torn_under_concurrent_polls(tmp_path):

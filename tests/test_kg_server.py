@@ -41,6 +41,7 @@ import json
 import os
 import socket
 import struct
+import tempfile
 import threading
 import time
 import weakref
@@ -552,11 +553,14 @@ def test_every_declared_field_rejects_missing_and_wrong_types(server,
     _assert_serviceable(server)
 
 
-def test_every_write_op_is_refused_on_a_replica(server, server_codec):
+def test_every_write_op_is_refused_on_a_replica(server, server_codec,
+                                               tmp_path):
     """The replica gate reads ``Op.write`` — and runs before field
     decoding, so even a field-less write gets the redirect."""
     writes = [name for name, op in OPS.items() if op.write]
-    follower = TripleStore(triples_from_tuples(_rows()[:3]))
+    follower = TripleStore.create_live(
+        tmp_path / "replica", triples_from_tuples(_rows()[:3]),
+        wal_fsync=False)
     with KGServer(follower, port=0, follow=server.url).start() as replica:
         with _raw_connection(replica, server_codec) as sock:
             for request_id, name in enumerate(writes):
@@ -1113,8 +1117,11 @@ def _plain_server():
 @contextlib.contextmanager
 def _replica_server():
     rows = triples_from_tuples(_rows())
-    with _plain_server() as leader, KGServer(
-            TripleStore(rows), port=0, follow=leader.url).start() as running:
+    with tempfile.TemporaryDirectory() as directory, \
+            _plain_server() as leader, KGServer(
+                TripleStore.create_live(Path(directory), rows,
+                                        wal_fsync=False),
+                port=0, follow=leader.url).start() as running:
         yield running
 
 
