@@ -206,7 +206,7 @@ def test_cluster_scaling_1_vs_2_vs_4_shard_processes(tmp_path):
                     f"ClusterBackend over 1/2/4 `repro serve` "
                     f"subprocesses (shard-split stores, binary codec, "
                     f"loopback)",
-        "backend": "cluster over sharded-1 shard servers",
+        "backend": "cluster over columnar shard servers",
         "codec": "binary",
         "cores": cores,
         "timings_seconds": {

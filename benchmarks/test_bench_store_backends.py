@@ -52,6 +52,7 @@ from _artifacts import update_artifact
 from repro.kg.backend import ColumnarBackend, make_backend
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.sharded_backend import ShardedBackend
+from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -310,13 +311,13 @@ def _time_columnar_pipeline(triples: List[Triple], store_dir) -> float:
 
 def _time_sharded_pipeline(n_shards: int, max_workers: int,
                            triples: List[Triple], store_dir) -> float:
-    """Bulk add_many → parallel save → parallel open → batched queries."""
+    """Bulk add_many → save → reopen (the one columnar format, through
+    ``TripleStore``) → batched queries."""
     def workload() -> None:
         backend = ShardedBackend(n_shards, max_workers=max_workers)
         assert backend.add_many(triples) == len(triples)
-        backend.save(store_dir)
-        _sharded_batched_queries(
-            ShardedBackend.open(store_dir, max_workers=max_workers))
+        TripleStore(backend=backend).save(store_dir)
+        _sharded_batched_queries(TripleStore.open(store_dir).backend)
     return _best_of(REPEATS, workload)
 
 

@@ -13,8 +13,8 @@ Four workloads over a live store directory:
 * **recovery after compaction** — the same content reopened after
   ``compact()`` folded the log into a fresh snapshot.
 * **small acked write vs base size** — ``add16``, ``remove16`` and the
-  first ``match_ids_many`` after each, on live sharded-1 stores of 20 k
-  and 200 k rows.  A small write goes through the delta overlay and the
+  first ``match_ids_many`` after each, on live columnar stores (what a
+  ``shard_split`` shard serves) of 20 k and 200 k rows.  A small write goes through the delta overlay and the
   read after it merges the overlay, so none of the three may touch the
   base.
 
@@ -37,7 +37,6 @@ from pathlib import Path
 
 import repro.kg.store
 from repro.kg.mmap_backend import BASE_FILES
-from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
 
@@ -135,10 +134,8 @@ def _small_writes_keep_the_base(directory: Path, rows: int) -> int:
     longer the one the first read attached."""
     base = [Triple(f"entity:{index // 4}", f"relation:{index % 4}",
                    f"sensor:{index % 64}") for index in range(rows)]
-    store = TripleStore.create_live(directory, base,
-                                    backend=ShardedBackend(1), wal_fsync=False)
-    backend = store.backend
-    shard = backend._shards[0]
+    store = TripleStore.create_live(directory, base, wal_fsync=False)
+    backend = shard = store.backend
     heads = rows // 4
     probed = {f"entity:{head}" for head in range(0, heads, heads // 64)}
     probes = [(backend.entity_interner.lookup(head), None, None)

@@ -32,7 +32,7 @@ serves a coordinator that fans queries out to running shard servers
 (reads round-robin leader+replicas with failover, writes go to
 leaders), ``query`` evaluates a conjunctive
 triple-pattern query — against a local store directory (``--store-dir``,
-columnar or sharded layout, no rebuild) or a running server (``--url``,
+no rebuild) or a running server (``--url``,
 results streamed in pages through a server-side cursor) — printing
 bindings as TSV, and ``compact`` folds a live store's write-ahead log
 into a fresh snapshot generation (and truncates the log).
@@ -62,7 +62,7 @@ from repro.embedding import (
 from repro.embedding.evaluation import format_results_table
 from repro.kg.backend import BACKENDS, DEFAULT_BACKEND
 from repro.kg.serialization import write_tsv
-from repro.kg.sharded_backend import DEFAULT_SHARDS, ShardedBackend
+from repro.kg.sharded_backend import DEFAULT_SHARDS
 
 MODEL_REGISTRY = {
     "TransE": TransE,
@@ -104,16 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--backend", choices=sorted(BACKENDS), default=DEFAULT_BACKEND,
                         help="triple-store backend (columnar: interned-id numpy "
-                             "arrays, memory-mapped when reopened from disk; "
-                             "sharded: hash-partitioned columnar shards with "
-                             "parallel bulk loads and saves)")
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
-                        help="shard count for --backend sharded "
-                             f"(default {DEFAULT_SHARDS}; ignored otherwise)")
+                             "arrays, memory-mapped when reopened from disk)")
     parser.add_argument("--store-dir", type=Path, default=None,
                         help="persist the built triple store to this directory as "
-                             "memory-mapped column files (sharded builds write a "
-                             "sharded layout; reopen with TripleStore.open)")
+                             "memory-mapped column files (reopen with "
+                             "TripleStore.open)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     build = subparsers.add_parser("build", help="construct the synthetic OpenBG")
@@ -139,9 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a saved store directory over the TCP query protocol")
     serve.add_argument("--store-dir", type=Path, dest="store_dir",
                        default=argparse.SUPPRESS,
-                       help="store directory written by build --store-dir or "
-                            "TripleStore.save (columnar or sharded layout; "
-                            "auto-detected)")
+                       help="store directory written by build --store-dir, "
+                            "TripleStore.save or shard-split")
     _add_serving_flags(serve)
     serve.add_argument("--shard-of", default=None, metavar="K/N",
                        help="label this server shard K of an N-shard "
@@ -165,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
              "directories (plus coordinator metadata)")
     split.add_argument("--store-dir", type=Path, dest="store_dir",
                        default=argparse.SUPPRESS,
-                       help="source store directory (columnar or sharded "
-                            "layout, or a live store)")
-    split.add_argument("--shards", type=int, default=argparse.SUPPRESS,
+                       help="source store directory (a snapshot or a live "
+                            "store)")
+    split.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
                        help="number of shard directories to produce "
                             f"(default {DEFAULT_SHARDS})")
     split.add_argument("--out", type=Path, required=True,
@@ -215,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     # subparser default; presence is validated in _command_query.
     query.add_argument("--store-dir", type=Path, dest="store_dir",
                        default=argparse.SUPPRESS,
-                       help="store directory written by build --store-dir or "
-                            "TripleStore.save (columnar or sharded layout; "
-                            "auto-detected)")
+                       help="store directory written by build --store-dir, "
+                            "TripleStore.save or shard-split")
     query.add_argument("--url", default=None, metavar="HOST:PORT",
                        help="query a running `repro serve` instance instead "
                             "of opening a local store directory (mutually "
@@ -240,12 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _construct(products: int, seed: int, backend: str = DEFAULT_BACKEND,
-               store_dir: Optional[Path] = None,
-               shards: int = DEFAULT_SHARDS) -> ConstructionResult:
+               store_dir: Optional[Path] = None) -> ConstructionResult:
     config = SyntheticCatalogConfig(num_products=products, seed=seed)
-    built_backend = ShardedBackend(n_shards=shards) \
-        if backend == ShardedBackend.name else backend
-    return OpenBGBuilder(config, seed=seed, backend=built_backend,
+    return OpenBGBuilder(config, seed=seed, backend=backend,
                          store_dir=store_dir).build()
 
 
@@ -578,8 +568,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_query(args)
     if args.command == "compact":
         return _command_compact(args)
-    result = _construct(args.products, args.seed, args.backend, args.store_dir,
-                        args.shards)
+    result = _construct(args.products, args.seed, args.backend, args.store_dir)
     if result.store_dir is not None:
         print(f"persisted {args.backend}-built triple store to {result.store_dir}")
     if args.command == "build":

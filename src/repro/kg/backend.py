@@ -36,12 +36,12 @@ pending overlay back into the base first.
 
 :meth:`ColumnarBackend.open` attaches the base block from a saved
 directory instead — read-only memory maps of the files
-:mod:`repro.kg.mmap_backend` writes.  :class:`~repro.kg.sharded_backend.ShardedBackend`
-(``repro.kg.sharded_backend``, registered as ``"sharded"``) hash-
-partitions triples on the head-entity id across several columnar-family
-shards that share one global interner pair, parallelizing bulk loads,
-saves/opens and batched queries across cores; it routes the id surface
-over global ids and inherits the same string surface.
+:mod:`repro.kg.mmap_backend` writes, the one on-disk store format.
+:class:`~repro.kg.sharded_backend.ShardedBackend` is an in-memory
+composite that hash-partitions triples on the head-entity id across
+columnar shards sharing one global interner pair; it routes the id
+surface over global ids and inherits the same string surface, and
+``TripleStore.save`` writes it as one columnar directory.
 """
 
 from __future__ import annotations
@@ -550,18 +550,16 @@ class ColumnarBackend(_IdSurfaceMixin):
         self._header: Optional[dict] = None
 
     @classmethod
-    def open(cls, directory: "str | Path", *, delta_threshold: int = 1024,
-             interners: Optional[Tuple[Interner, Interner]] = None
-             ) -> "ColumnarBackend":
+    def open(cls, directory: "str | Path", *,
+             delta_threshold: int = 1024) -> "ColumnarBackend":
         """Open a store directory written by :meth:`save`: the header and
-        interner tables (``interners``: a sharded store's shared pair, for
-        its shard directories) load now, the base maps on first use."""
-        from repro.kg.mmap_backend import load_header, open_interners
+        interner tables load now, the base maps on first use."""
+        from repro.kg.mmap_backend import load_header, read_interner_pair
         backend = cls(delta_threshold=delta_threshold)
         backend._directory = Path(directory)
         backend._header = load_header(backend._directory)
-        backend.entity_interner, backend.relation_interner = open_interners(
-            backend._directory, backend._header, interners)
+        backend.entity_interner, backend.relation_interner = \
+            read_interner_pair(backend._directory, backend._header)
         return backend
 
     @property
@@ -1029,7 +1027,7 @@ def make_backend(name: str, **options) -> GraphBackend:
     """Instantiate a registered backend by name.
 
     Keyword options are forwarded to the backend constructor (e.g.
-    ``make_backend("sharded", n_shards=8)``).
+    ``make_backend("columnar", delta_threshold=0)``).
     """
     try:
         backend_class = BACKENDS[name]

@@ -15,8 +15,10 @@ decision is made on.  ``plan_query`` / ``execute_plans_cursors`` /
 Deployment shape
 ----------------
 :func:`shard_split` cuts one saved store into N per-shard **live** store
-directories (reusing the hash partitioner), each carrying the FULL
-global interner tables, and leaves those tables at the top level for
+directories (reusing the hash partitioner).  Each shard's snapshot is a
+plain columnar store carrying the FULL global interner tables inline, so
+a shard server serves a :class:`~repro.kg.backend.ColumnarBackend`
+directly.  The split also leaves those tables at the top level for
 :meth:`ClusterBackend.open`: the coordinator's interners route.
 
 One id path
@@ -49,7 +51,8 @@ go to the leader only and are NEVER silently retried once they may have
 reached the wire: a lost response does not mean a lost write.  A leader
 that stays unreachable (the write provably never left, twice across a
 backoff) triggers **automatic promotion**: the most-caught-up replica —
-highest replayed WAL seq via ``replication_status`` — receives a
+highest generation, then replayed WAL seq, via ``replication_status`` —
+receives a
 ``promote`` op (stop following, compact into a new generation, reopen
 writable), the shard's endpoint list is repointed so it is endpoint 0,
 and the promoted generation becomes the split-brain floor: an endpoint
@@ -80,13 +83,13 @@ import numpy as np
 
 from repro.errors import ProtocolError, ShardUnavailableError, StorageError
 from repro.kg.backend import (
+    ColumnarBackend,
     GraphBackend,
     IdPattern,
     Interner,
     Pattern,
     _IdSurfaceMixin,
     intern_id_rows,
-    supports_id_queries,
 )
 from repro.kg.client import RemoteClient
 from repro.kg.mmap_backend import (
@@ -94,6 +97,7 @@ from repro.kg.mmap_backend import (
     read_header,
     read_interner_pair,
     write_header,
+    write_id_store,
     write_interner_pair,
 )
 from repro.kg.protocol import (DecodedBlock, encode_wire_patterns,
@@ -107,7 +111,6 @@ from repro.kg.routing import (
     shard_of_id,
     shard_of_ids,
 )
-from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.triple import Triple
 
 #: Identifies a :func:`shard_split` output directory's top-level header.
@@ -137,19 +140,19 @@ __all__ = [
 # shard-split: one saved store -> N per-shard live store directories
 # --------------------------------------------------------------------- #
 def shard_split(store_dir: Union[str, Path], n_shards: int,
-                out_dir: Union[str, Path], *,
-                delta_threshold: int = 1024) -> List[Path]:
+                out_dir: Union[str, Path]) -> List[Path]:
     """Split a saved store into ``n_shards`` per-shard live directories.
 
     Partitioning reuses :func:`~repro.kg.routing.shard_of_ids` — the
     same rule every sharded backend routes with — over the source's
     global head ids.  Each ``out/shard-K/`` is a generation-0 **live**
-    store (snapshot + empty WAL + pointer) whose snapshot is a 1-shard
-    sharded layout carrying the FULL global interner tables.  The
-    top level gains a ``cluster.json`` header plus the global interner
-    files so :meth:`ClusterBackend.open` can load its interners without
-    touching any shard.  Returns the per-shard directories in shard
-    order.
+    store (snapshot + empty WAL + pointer) whose snapshot is a plain
+    columnar store (:func:`~repro.kg.mmap_backend.write_id_store`)
+    carrying the FULL global interner tables, so every shard numbers
+    every symbol as the source does.  The top level gains a
+    ``cluster.json`` header plus the global interner files so
+    :meth:`ClusterBackend.open` can load its interners without touching
+    any shard.  Returns the per-shard directories in shard order.
     """
     from repro.kg.store import TripleStore
     from repro.kg.wal import (WriteAheadLog, snapshot_dir_name,
@@ -161,10 +164,6 @@ def shard_split(store_dir: Union[str, Path], n_shards: int,
     source = TripleStore.open(store_dir)
     try:
         backend = source.backend
-        if not supports_id_queries(backend):
-            raise StorageError(
-                f"shard-split needs an id-capable source store, got "
-                f"backend {source.backend_name!r}")
         entity_interner = backend.entity_interner
         relation_interner = backend.relation_interner
         rows = backend.match_ids(None, None, None)
@@ -174,15 +173,9 @@ def shard_split(store_dir: Union[str, Path], n_shards: int,
             else np.zeros(0, dtype=np.int64)
         shard_dirs: List[Path] = []
         for index in range(n_shards):
-            part = ShardedBackend(1, delta_threshold=delta_threshold)
-            part.entity_interner = entity_interner
-            part.relation_interner = relation_interner
-            part._shards = [part._new_shard()]
-            block = rows[owners == index]
-            if len(block):
-                part._shards[0].bulk_load_ids(block)
             shard_dir = out / f"shard-{index}"
-            part.save(shard_dir / snapshot_dir_name(0))
+            write_id_store(shard_dir / snapshot_dir_name(0), entity_interner,
+                           relation_interner, rows[owners == index])
             WriteAheadLog.create(shard_dir / wal_file_name(0),
                                  generation=0).close()
             write_live_pointer(shard_dir, 0)
@@ -444,11 +437,15 @@ class _ShardSession:
     def _promote_replica(self) -> bool:
         """Elect and promote the most-caught-up replica to shard leader.
 
-        Candidates are ranked by replayed WAL seq (``replication_status``
-        → ``applied_seq``), ties broken toward the lowest endpoint
-        index; a replica still on a pre-promotion generation fails the
-        probes' gate and is no candidate.  The winner gets a ``promote``
-        call and becomes endpoint 0 via :meth:`_repoint`.  Serialized
+        Candidates are ranked by ``replication_status``: generation
+        first (``local_generation``: a promotion compacts into a new
+        one, and a seq counts records within one generation only), then
+        a leader over its followers, then ``applied_seq``; ties go to
+        the lowest endpoint index.  A replica still on a pre-promotion
+        generation fails the probes' gate and is no candidate.  The
+        winner gets a ``promote`` call (a no-op on a leader another
+        coordinator already promoted) and becomes endpoint 0 via
+        :meth:`_repoint`.  Serialized
         under ``_promote_lock`` so concurrent failing writes elect
         exactly once: a loser of the lock race re-checks whether a
         promotion already happened and the new leader answers before
@@ -467,8 +464,11 @@ class _ShardSession:
                 applied = status.get("applied_seq")
                 if not isinstance(applied, int):
                     continue
-                candidates.append((applied, -endpoint))
-            for applied, neg_endpoint in sorted(candidates, reverse=True):
+                generation = status.get("local_generation")
+                candidates.append((
+                    generation if isinstance(generation, int) else -1,
+                    status.get("role") == "leader", applied, -endpoint))
+            for *_, neg_endpoint in sorted(candidates, reverse=True):
                 endpoint = -neg_endpoint
                 result = self._probe(self.addresses[endpoint], "promote")
                 if result is None:
@@ -674,12 +674,12 @@ class ClusterBackend(_IdSurfaceMixin):
         return sum(result["removed"] for result in results)
 
     def clone_empty(self) -> "GraphBackend":
-        """An empty IN-PROCESS equivalent (same shard count).
+        """An empty in-process columnar store.
 
         A copy of a distributed store materializes locally — cloning N
         empty remote servers is not this layer's call to make.
         """
-        return ShardedBackend(self.n_shards)
+        return ColumnarBackend()
 
     # ------------------------------------------------------------------ #
     # reads — constants out as symbols, id blocks back re-keyed

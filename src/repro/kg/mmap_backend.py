@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ MAGIC = "repro-kg-columnar"
 
 #: Bump when the file layout changes; :func:`load_header` rejects mismatches.
 #: Version 2 replaced the JSON interner tables with the binary
-#: offsets + blob layout and added the ``interners`` header field.
+#: offsets + blob layout.
 FORMAT_VERSION = 2
 
 HEADER_FILE = "header.json"
@@ -61,12 +61,6 @@ ENTITY_OFFSETS_FILE = "entities.offsets.i64"
 ENTITY_BLOB_FILE = "entities.blob.utf8"
 RELATION_OFFSETS_FILE = "relations.offsets.i64"
 RELATION_BLOB_FILE = "relations.blob.utf8"
-
-#: ``interners`` header values: tables live next to the arrays, or are
-#: provided by the enclosing store (the sharded layout keeps one global
-#: pair instead of duplicating them into every shard directory).
-INTERNERS_INLINE = "inline"
-INTERNERS_EXTERNAL = "external"
 
 _INT64 = np.dtype(np.int64)
 
@@ -91,8 +85,7 @@ def _array_shapes(header: dict) -> Dict[str, Tuple[int, ...]]:
             "rel_offsets.i64": (header["num_relations"] + 1,)}
 
 
-#: The count fields of a header that sits over a shard set (a sharded
-#: store's ``header.json``, a split's ``cluster.json``): name -> minimum.
+#: The count fields of a split's ``cluster.json`` header: name -> minimum.
 SHARD_SET_COUNTS = {"n_shards": 1, "num_entities": 0, "num_relations": 0,
                     "entity_blob_bytes": 0, "relation_blob_bytes": 0}
 
@@ -109,7 +102,7 @@ def check_header_counts(directory: Path, header: dict,
 def read_header(directory: str | Path, file_name: str, *, magic: str,
                 version: int, counts: Mapping[str, int], kind: str) -> dict:
     """Read and validate one directory header — the single reader behind
-    :func:`load_header`, ``load_sharded_header`` and ``load_cluster_header``.
+    :func:`load_header` and ``load_cluster_header``.
 
     File → JSON object → ``magic`` → ``version`` → ``counts`` (see
     :func:`check_header_counts`), each failure a
@@ -221,16 +214,13 @@ def read_interner_files(directory: Path, offsets_name: str, blob_name: str,
     return interner
 
 
-def write_backend_dir(backend: ColumnarBackend, directory: str | Path, *,
-                      interners: str = INTERNERS_INLINE) -> Path:
-    """Persist a columnar-family backend as a memory-mappable directory.
+def write_backend_dir(backend: ColumnarBackend, directory: str | Path) -> Path:
+    """Persist a :class:`ColumnarBackend` as a memory-mappable directory.
 
     Consolidates any pending overlay first, then writes the interner
-    tables (unless ``interners=INTERNERS_EXTERNAL`` — the sharded layout
-    stores one global pair outside the shard directories), the column
-    block, the sort permutations and the CSR offsets.  The header is
-    written last so a crash mid-save leaves no directory that
-    :func:`load_header` would accept.
+    tables, the column block, the sort permutations and the CSR offsets.
+    The header is written last so a crash mid-save leaves no directory
+    that :func:`load_header` would accept.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -238,9 +228,8 @@ def write_backend_dir(backend: ColumnarBackend, directory: str | Path, *,
     if len(backend._head_offsets) != len(backend.entity_interner) + 1 \
             or len(backend._rel_offsets) != len(backend.relation_interner) + 1:
         # The interner grew without leaving an overlay behind (symbols
-        # interned then discarded, or a *shared* interner grown by a
-        # sibling shard): the CSR offset arrays are sized for the old
-        # symbol counts.  Queries tolerate that via bounds checks, but
+        # interned then discarded): the CSR offset arrays are sized for
+        # the old symbol counts.  Queries tolerate that via bounds checks, but
         # the on-disk header sizes files by the interner — rebuild so
         # arrays and header agree.
         backend._rebuild()
@@ -254,13 +243,9 @@ def write_backend_dir(backend: ColumnarBackend, directory: str | Path, *,
         "version": FORMAT_VERSION,
         "dtype": _INT64.str,
         "num_triples": len(backend._cols),
-        "num_entities": len(backend.entity_interner),
-        "num_relations": len(backend.relation_interner),
-        "interners": interners,
+        **write_interner_pair(directory, backend.entity_interner,
+                              backend.relation_interner),
     }
-    if interners == INTERNERS_INLINE:
-        header.update(write_interner_pair(
-            directory, backend.entity_interner, backend.relation_interner))
     for name, attr in BASE_FILES.items():
         # Empty arrays (a zero-triple store) write zero-byte files; the
         # open side special-cases them instead of memory-mapping.
@@ -268,6 +253,23 @@ def write_backend_dir(backend: ColumnarBackend, directory: str | Path, *,
                              dtype=np.int64).tofile(directory / name)
     write_header(directory, HEADER_FILE, header)
     return directory
+
+
+def write_id_store(directory: str | Path, entity_interner: Interner,
+                   relation_interner: Interner, rows: np.ndarray) -> Path:
+    """Write ``rows`` — a (k, 3) block of ids into the given interner
+    pair — as a columnar store directory with that pair inline.
+
+    The one writer for a store that is not already a single
+    :class:`ColumnarBackend`: ``TripleStore.save`` of any other backend
+    and every ``shard_split`` shard.  Nothing is re-interned, so every
+    symbol keeps its id, and with it the row order of every answer.
+    """
+    backend = ColumnarBackend()
+    backend.entity_interner = entity_interner
+    backend.relation_interner = relation_interner
+    backend.bulk_load_ids(rows)
+    return write_backend_dir(backend, directory)
 
 
 def load_header(directory: str | Path) -> dict:
@@ -279,6 +281,13 @@ def load_header(directory: str | Path) -> dict:
     instead of as garbage query results later.
     """
     directory = Path(directory)
+    if peek_store_magic(directory) == "repro-kg-sharded":
+        # The second layout older builds wrote (``TripleStore.save`` of a
+        # sharded store, every ``shard_split`` snapshot).  No reader is kept.
+        raise StorageError(
+            f"{directory}: a sharded store directory, a layout this build "
+            f"no longer reads — re-run shard-split from the source store, "
+            f"or open it with the build that wrote it and save it again")
     header = read_header(
         directory, HEADER_FILE, magic=MAGIC, version=FORMAT_VERSION,
         counts={"num_triples": 0, "num_entities": 0, "num_relations": 0},
@@ -287,16 +296,12 @@ def load_header(directory: str | Path) -> dict:
         raise StorageError(
             f"{directory}: dtype mismatch — store has {header.get('dtype')!r}, "
             f"this platform reads {_INT64.str!r}")
-    interners = header.get("interners", INTERNERS_INLINE)
-    if interners not in (INTERNERS_INLINE, INTERNERS_EXTERNAL):
-        raise StorageError(f"{directory}: header field 'interners' is invalid")
+    # The tables themselves are checked against these when they load
+    # (read_interner_pair), like the tables of a split's header.
+    check_header_counts(directory, header,
+                        {"entity_blob_bytes": 0, "relation_blob_bytes": 0})
     sizes = {name: int(np.prod(shape)) * _INT64.itemsize
              for name, shape in _array_shapes(header).items()}
-    if interners == INTERNERS_INLINE:
-        # The tables themselves are checked against these when they load
-        # (read_interner_pair), like the tables of the other header kinds.
-        check_header_counts(directory, header,
-                            {"entity_blob_bytes": 0, "relation_blob_bytes": 0})
     for name, expected in sizes.items():
         path = directory / name
         if not path.is_file():
@@ -310,44 +315,15 @@ def load_header(directory: str | Path) -> dict:
 
 
 def peek_store_magic(directory: str | Path) -> "str | None":
-    """The ``magic`` string of a store directory's header, if readable.
-
-    Returns ``None`` when there is no parseable header at all — callers
-    fall through to a format-specific ``open`` whose error messages are
-    more precise than anything this sniffer could raise.
-    """
+    """The ``magic`` string of a store directory's header, or ``None``
+    when there is no parseable header (:func:`read_header` then says
+    precisely what is wrong)."""
     header_path = Path(directory) / HEADER_FILE
     try:
         header = json.loads(header_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError):
         return None
     return header.get("magic") if isinstance(header, dict) else None
-
-
-def open_interners(directory: Path, header: dict,
-                   interners: Optional[Tuple[Interner, Interner]]
-                   ) -> Tuple[Interner, Interner]:
-    """The interner pair to open a store directory with: its own tables
-    when ``header`` says they are inline, the enclosing sharded store's
-    ``interners`` when external — never the other way round."""
-    if header.get("interners") != INTERNERS_EXTERNAL:
-        if interners is not None:
-            raise StorageError(
-                f"{directory}: store has inline interner tables; opening it "
-                f"with externally supplied interners would desynchronize "
-                f"symbol ids")
-        return read_interner_pair(directory, header)
-    if interners is None:
-        raise StorageError(
-            f"{directory}: store was written with external interner tables "
-            f"(a shard of a sharded store) — open the enclosing sharded "
-            f"directory instead")
-    if [len(interner) for interner in interners] \
-            != [header["num_entities"], header["num_relations"]]:
-        raise StorageError(
-            f"{directory}: shard header disagrees with the shared interner "
-            f"tables — corrupt or mixed-up shard")
-    return interners
 
 
 def map_base(directory: Path, header: dict) -> Dict[str, np.ndarray]:

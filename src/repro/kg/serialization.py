@@ -168,11 +168,9 @@ def write_store_dir(triples: "Iterable[Triple] | TripleStore",
 def read_store_dir(directory: str | Path) -> "TripleStore":
     """Open a store directory as a disk-backed :class:`TripleStore`.
 
-    Dispatches on the header magic: single-store directories reopen as a
-    columnar store with a mapped base, sharded ones as a sharded store.
-    Raises :class:`~repro.errors.StorageError` when the directory is
-    missing, truncated, corrupt, or written by an incompatible format
-    version.
+    The store reopens as a columnar store with a mapped base.  Raises
+    :class:`~repro.errors.StorageError` when the directory is missing,
+    truncated, corrupt, or written by an incompatible format version.
     """
     from repro.kg.store import TripleStore
 

@@ -407,8 +407,9 @@ class KGServer:
         """Open a saved store directory and serve it.
 
         Live directories (``live.json`` pointer) come up writable with
-        their WAL replayed; plain columnar/sharded snapshots come up
-        read-only for the write ops.
+        their WAL replayed; plain snapshots come up read-only for the
+        write ops.  Either way the store is a columnar one with its base
+        mapped — a ``shard_split`` shard included.
         """
         return cls(TripleStore.open(directory), **kwargs)
 
@@ -929,10 +930,14 @@ class KGServer:
 
     def _op_replication_status(self) -> dict:
         """How caught-up this server is: the promotion ballot (the
-        highest ``applied_seq`` wins).  A leader answers too, so a second
-        coordinator repoints instead of re-promoting."""
+        highest ``local_generation``, then ``applied_seq``, wins).  A
+        leader answers too, so a second coordinator repoints instead of
+        re-promoting; its ``applied_seq`` is its durable seq in its
+        current generation, read live from its WAL."""
         store = self.service.store
         info = self._replication_snapshot()
+        if self.role == "leader" and store.wal is not None:
+            info["applied_seq"] = len(store.wal.ends)
         info["role"] = self.role
         info["local_generation"] = store.live_generation
         info["writable"] = store.writable

@@ -28,8 +28,8 @@ round-trip per request.
 * because only the dispatcher touches the backend (a cache probe reads
   nothing but its interners' symbol maps), the service is safe over
   backends whose lazy attach/consolidate steps are not thread-safe,
-  while the sharded backend still parallelizes *inside* each batched
-  call across its shard pool;
+  while an in-memory sharded backend still parallelizes *inside* each
+  batched call across its shard pool;
 * huge results stream instead of materializing: :meth:`open_cursor` /
   :meth:`open_match_cursor` park the block :meth:`submit` /
   :meth:`submit_lookup` answered as a
@@ -76,7 +76,7 @@ overlay) so steady-state dispatch never pays a consolidation.  The
 store must not be mutated *around* a running service — all mutations go
 through the service's write surface.
 
-For multi-process deployments, every process opens the same (sharded)
+For multi-process deployments, every process opens the same columnar
 store directory via :func:`QueryService.open` — ``TripleStore.open``
 memory-maps the column files read-only, so the OS page cache is shared
 and each process runs its own dispatcher.
@@ -396,13 +396,8 @@ class QueryService:
     def open(cls, directory: Union[str, Path], *, max_batch: int = 256,
              cursor_ttl: float = DEFAULT_CURSOR_TTL,
              cache_bytes: int = DEFAULT_CACHE_BYTES) -> "QueryService":
-        """Open a saved store directory (any layout) and serve it.
-
-        Dispatches on the header magic exactly like
-        :meth:`TripleStore.open` — sharded directories come back as a
-        shard-routed backend, single-store directories as memory-mapped
-        columns.
-        """
+        """Open a saved store directory (a snapshot or a live store) and
+        serve it: :meth:`TripleStore.open` maps its columns."""
         return cls(TripleStore.open(directory), max_batch=max_batch,
                    cursor_ttl=cursor_ttl, cache_bytes=cache_bytes)
 

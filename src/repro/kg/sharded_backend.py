@@ -33,40 +33,26 @@ count each edge once.
 
 Parallelism
 -----------
-Bulk operations — :meth:`ShardedBackend.add_many`, :meth:`save`,
-:meth:`open` and the batched query surface — fan per-shard work out over
-a ``concurrent.futures`` thread pool.  The per-shard units are dominated
-by numpy sorting/searching and file I/O, which release the GIL, so
-threads scale with cores without any pickling.  Single-pattern queries
-and small ``add_many`` batches (applied through the shards' overlays,
-GIL-bound Python) stay serial: thread dispatch would cost more than the
-work it hides.
+Bulk operations — :meth:`ShardedBackend.add_many` and the batched query
+surface — fan per-shard work out over a ``concurrent.futures`` thread
+pool.  The per-shard units are dominated by numpy sorting and searching,
+which release the GIL, so threads scale with cores without any
+pickling.  Single-pattern queries and small ``add_many`` batches
+(applied through the shards' overlays, GIL-bound Python) stay serial:
+thread dispatch would cost more than the work it hides.
 
-Persistence layout
-------------------
-``save`` writes a sharded store directory::
-
-    store/
-      header.json            (magic "repro-kg-sharded", version, n_shards)
-      entities.offsets.i64   + entities.blob.utf8     (global interner)
-      relations.offsets.i64  + relations.blob.utf8
-      shard-0/ ... shard-K/  (columnar store dirs, interners external)
-
-Each ``shard-K/`` is a normal :mod:`repro.kg.mmap_backend` directory,
-opened with ``ColumnarBackend.open``, whose header declares
-``interners: external`` — the shard arrays are
-validated per shard, while the symbol tables live once at the top level
-in the binary offsets + blob layout.  The global header is written last
-(temp + rename) so an interrupted save never leaves an openable but
-inconsistent directory.  ``TripleStore.open`` sniffs the header magic
-and dispatches here automatically.
+Persistence
+-----------
+There is no sharded on-disk layout.  ``TripleStore.save`` writes this
+backend's own interners and id rows as one columnar directory
+(:func:`~repro.kg.mmap_backend.write_id_store`), which reopens as a
+:class:`~repro.kg.backend.ColumnarBackend` with every symbol id intact.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -81,9 +67,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import StorageError
 from repro.kg.backend import (
-    BACKENDS,
     ColumnarBackend,
     GraphBackend,
     IdPattern,
@@ -92,18 +76,6 @@ from repro.kg.backend import (
     _IdSurfaceMixin,
     empty_id_block,
     intern_id_rows,
-)
-from repro.kg.mmap_backend import (
-    HEADER_FILE,
-    INTERNERS_EXTERNAL,
-    MAGIC as COLUMNAR_MAGIC,
-    SHARD_SET_COUNTS,
-    peek_store_magic,
-    read_header,
-    read_interner_pair,
-    write_backend_dir,
-    write_header,
-    write_interner_pair,
 )
 from repro.kg.routing import (
     BROADCAST as _BROADCAST,
@@ -116,39 +88,21 @@ from repro.kg.routing import (
 )
 from repro.kg.triple import Triple
 
-#: Identifies the sharded directory layout.
-SHARDED_MAGIC = "repro-kg-sharded"
-
-#: Bump when the sharded layout changes; :func:`load_sharded_header`
-#: rejects mismatches.
-SHARDED_FORMAT_VERSION = 1
-
-#: Shard count used when callers just say ``--backend sharded``.
+#: Shard count of ``ShardedBackend()`` and of ``repro shard-split``
+#: without ``--shards``.
 DEFAULT_SHARDS = 4
 
 _T = TypeVar("_T")
 
-__all__ = ["SHARDED_MAGIC", "SHARDED_FORMAT_VERSION", "DEFAULT_SHARDS",
-           "ShardedBackend", "load_sharded_header", "shard_of_ids"]
-
-
-def load_sharded_header(directory: str | Path) -> dict:
-    """Read and validate a sharded store directory's global header."""
-    if peek_store_magic(directory) == COLUMNAR_MAGIC:
-        raise StorageError(
-            f"{directory}: single-store directory — open it with "
-            f"ColumnarBackend.open, not ShardedBackend.open")
-    return read_header(directory, HEADER_FILE, magic=SHARDED_MAGIC,
-                       version=SHARDED_FORMAT_VERSION,
-                       counts=SHARD_SET_COUNTS, kind="sharded store")
+__all__ = ["DEFAULT_SHARDS", "ShardedBackend", "shard_of_ids"]
 
 
 class ShardedBackend(_IdSurfaceMixin):
     """Hash-partitioned composite over ``n_shards`` columnar-family shards.
 
-    The inner shards are :class:`~repro.kg.backend.ColumnarBackend`
-    instances (in-memory, or opened from a saved shard directory with
-    their base mapped); the per-shard bulk-load unit
+    The inner shards are in-memory
+    :class:`~repro.kg.backend.ColumnarBackend` instances; the per-shard
+    bulk-load unit
     (:meth:`ColumnarBackend.bulk_load_ids
     <repro.kg.backend.ColumnarBackend.bulk_load_ids>`) is pure numpy and
     parallelizes across threads.  All shards alias the two interners
@@ -409,54 +363,3 @@ class ShardedBackend(_IdSurfaceMixin):
             broadcast_call=lambda shard, group: shard.match_many(group,
                                                                  sort=False),
             merge=lambda parts: merge_triple_lists(parts, sort=sort))
-
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-    def save(self, directory: str | Path) -> Path:
-        """Persist as a sharded store directory; shards write in parallel."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        # Invalidate any existing global header first: a crash mid-save
-        # must never leave an openable-but-inconsistent directory.
-        (directory / HEADER_FILE).unlink(missing_ok=True)
-        interner_fields = write_interner_pair(
-            directory, self.entity_interner, self.relation_interner)
-        thunks = [
-            (lambda shard=shard, path=directory / f"shard-{index}":
-             write_backend_dir(shard, path, interners=INTERNERS_EXTERNAL))
-            for index, shard in enumerate(self._shards)
-        ]
-        self._parallel(thunks)
-        write_header(directory, HEADER_FILE, {
-            "magic": SHARDED_MAGIC, "version": SHARDED_FORMAT_VERSION,
-            "n_shards": self.n_shards, **interner_fields})
-        return directory
-
-    @classmethod
-    def open(cls, directory: str | Path, *, delta_threshold: int = 1024,
-             max_workers: Optional[int] = None) -> "ShardedBackend":
-        """Open a sharded store directory written by :meth:`save`.
-
-        The global interner tables load eagerly (every symbol lookup
-        needs them); the per-shard column files attach lazily as
-        read-only memmaps on first query.  Shard headers are validated
-        in parallel.
-        """
-        directory = Path(directory)
-        header = load_sharded_header(directory)
-        backend = cls(header["n_shards"], delta_threshold=delta_threshold,
-                      max_workers=max_workers)
-        interners = read_interner_pair(directory, header)
-        backend.entity_interner, backend.relation_interner = interners
-        thunks = [
-            (lambda path=directory / f"shard-{index}":
-             ColumnarBackend.open(path, delta_threshold=delta_threshold,
-                                  interners=interners))
-            for index in range(header["n_shards"])
-        ]
-        backend._shards = backend._parallel(thunks)
-        return backend
-
-
-BACKENDS[ShardedBackend.name] = ShardedBackend

@@ -10,7 +10,9 @@ identifiers to contiguous int ids and answers pattern queries from numpy
 CSR adjacency slices — from in-heap arrays, or from memory-mapped files
 when :meth:`ColumnarBackend.open <repro.kg.backend.ColumnarBackend.open>`
 opens a saved directory; :class:`~repro.kg.sharded_backend.ShardedBackend`
-partitions that class by head.
+partitions that class by head in memory.  A saved store has one format,
+the columnar directory :mod:`repro.kg.mmap_backend` writes, whatever
+backend it was saved from.
 
 ``match`` returns results in backend-defined (deterministic per process)
 order; pass ``sort=True`` when a deterministic sorted order is required.
@@ -36,11 +38,13 @@ from repro.kg.backend import (
     DEFAULT_BACKEND,
     ColumnarBackend,
     GraphBackend,
+    Interner,
     Pattern,
+    intern_id_rows,
     make_backend,
+    supports_id_queries,
 )
-from repro.kg.mmap_backend import peek_store_magic
-from repro.kg.sharded_backend import SHARDED_MAGIC, ShardedBackend
+from repro.kg.mmap_backend import write_id_store
 from repro.kg.triple import Triple
 from repro.kg.wal import (OP_ADD, OP_REMOVE, WriteAheadLog, coalesced_ops,
                           is_live_store, read_live_pointer, snapshot_dir_name,
@@ -97,8 +101,7 @@ class TripleStore:
     def add_many(self, triples: Iterable[Triple]) -> int:
         """Add many triples; return the count of newly inserted ones.
 
-        Delegates to the backend's bulk path — the sharded backend
-        partitions the batch and loads shards in parallel.  On a live
+        Delegates to the backend's bulk path.  On a live
         store the whole batch is one durable WAL record, logged before
         any of it is applied: the batch is acked atomically or not at
         all.
@@ -225,19 +228,26 @@ class TripleStore:
     # persistence
     # ------------------------------------------------------------------ #
     def save(self, directory: "str | Path") -> "Path":
-        """Persist the store as an on-disk, memory-mappable directory.
+        """Persist the store as a columnar, memory-mappable directory.
 
-        Backends of the columnar family write their own consolidated
-        state; other backends (e.g. ``set``) are first copied through an
-        in-memory :class:`~repro.kg.backend.ColumnarBackend`.  Reopen
-        with :meth:`TripleStore.open`.
+        A :class:`~repro.kg.backend.ColumnarBackend` writes its own
+        consolidated state.  Any other id-capable backend (a
+        :class:`~repro.kg.sharded_backend.ShardedBackend`) writes its own
+        interners and id rows through
+        :func:`~repro.kg.mmap_backend.write_id_store`, so every symbol
+        keeps its id; other backends are interned first.  Reopen with
+        :meth:`TripleStore.open`.
         """
         backend = self._backend
-        if not hasattr(backend, "save"):
-            columnar = ColumnarBackend()
-            columnar.add_many(backend.iter_triples())
-            backend = columnar
-        return backend.save(directory)
+        if isinstance(backend, ColumnarBackend):
+            return backend.save(directory)
+        if supports_id_queries(backend):
+            interners = (backend.entity_interner, backend.relation_interner)
+            rows = backend.match_ids(None, None, None)
+        else:
+            interners = (Interner(), Interner())
+            rows = intern_id_rows(backend.iter_triples(), *interners)
+        return write_id_store(directory, *interners, rows)
 
     @classmethod
     def open(cls, directory: "str | Path", *,
@@ -249,26 +259,19 @@ class TripleStore:
         the WAL's intact record prefix is replayed over it, recovering
         exactly the durably-acked batches; a torn tail from a crash is
         truncated.  Plain snapshot directories open read-only through
-        the service write path (:attr:`writable` is False) and dispatch
-        on the header magic: sharded directories reopen as a
-        :class:`~repro.kg.sharded_backend.ShardedBackend`, single-store
-        directories as a :class:`~repro.kg.backend.ColumnarBackend` with a
-        mapped base.
+        the service write path (:attr:`writable` is False).  Either way
+        the snapshot reopens as a
+        :class:`~repro.kg.backend.ColumnarBackend` with a mapped base; a
+        sharded directory an older build wrote is refused with a
+        :class:`~repro.errors.StorageError` naming the fix.
         ``wal_fsync=False`` trades the per-ack fsync away (benchmarks).
         """
         directory = Path(directory)
         if is_live_store(directory):
             return cls._open_live(directory, wal_fsync=wal_fsync)
-        store = cls(backend=cls._open_backend(directory))
+        store = cls(backend=ColumnarBackend.open(directory))
         store._opened_snapshot = True
         return store
-
-    @staticmethod
-    def _open_backend(directory: "str | Path") -> GraphBackend:
-        """Open one snapshot directory, dispatching on its header magic."""
-        if peek_store_magic(directory) == SHARDED_MAGIC:
-            return ShardedBackend.open(directory)
-        return ColumnarBackend.open(directory)
 
     @classmethod
     def _open_live(cls, directory: Path, *,
@@ -280,7 +283,7 @@ class TripleStore:
             raise StorageError(
                 f"live store {directory} points at generation {generation} "
                 f"but {snapshot.name}/ is missing")
-        backend = cls._open_backend(snapshot)
+        backend = ColumnarBackend.open(snapshot)
         wal, scan = WriteAheadLog.open(directory / wal_file_name(generation),
                                        fsync=wal_fsync)
         if scan.generation != generation:

@@ -36,7 +36,7 @@ Live store layout (one directory)::
 
     store/
       live.json        atomic pointer: {"magic", "version", "generation"}
-      snap-000007/     store-format-v2 snapshot (columnar or sharded layout)
+      snap-000007/     store-format-v2 columnar snapshot
       wal-000007.log   the WAL logged on top of exactly that snapshot
 
 ``live.json`` is rewritten via temp-file + ``os.replace`` so exactly one
@@ -391,9 +391,8 @@ def list_snapshot_files(
         snapshot_dir: "Union[str, Path]") -> List[Tuple[str, int]]:
     """Enumerate a snapshot directory for shipping: ``(path, size)``.
 
-    Paths are ``/``-separated and relative to ``snapshot_dir`` (sharded
-    snapshots nest one subdirectory per shard), sorted so a manifest is
-    deterministic.  This is the unit the ``snapshot_ship`` wire op pages
+    Paths are ``/``-separated and relative to ``snapshot_dir``, sorted
+    so a manifest is deterministic.  This is the unit the ``snapshot_ship`` wire op pages
     over; only regular files are shipped — a snapshot layout contains
     nothing else.
     """

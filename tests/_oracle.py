@@ -16,6 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.kg.backend import ColumnarBackend, _BatchedQueriesMixin
 from repro.kg.planner import PatternQuery, QueryPlan, is_variable, plan_query
+from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
 
@@ -37,9 +38,13 @@ def multiset(rows: List[Binding]) -> List[tuple]:
 def backend_named(name: str):
     """What ``TripleStore(backend=...)`` takes for a parametrize id:
     ``"set"`` is the reference store here, ``"mmap"`` an empty
-    :func:`mapped_backend`, any other a registered name."""
+    :func:`mapped_backend`, ``"sharded"`` an in-memory
+    :class:`ShardedBackend` (not a registered name), any other a
+    registered name."""
     if name == "set":
         return SetBackend()
+    if name == "sharded":
+        return ShardedBackend()
     return mapped_backend() if name == "mmap" else name
 
 

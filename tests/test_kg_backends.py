@@ -131,13 +131,19 @@ def test_interner_assigns_dense_stable_ids():
 
 
 def test_make_backend_registry():
-    # The dict-of-set reference is the test oracle's, not a backend.
-    assert sorted(BACKENDS) == ["columnar", "sharded"]
+    # The dict-of-set reference is the test oracle's, not a backend, and
+    # a sharded store is built in memory from the class, never by name.
+    assert sorted(BACKENDS) == ["columnar"]
     with pytest.raises(ValueError, match="unknown graph backend 'set'"):
         make_backend("set")
     assert isinstance(make_backend("columnar"), ColumnarBackend)
-    assert isinstance(make_backend("sharded"), ShardedBackend)
-    assert make_backend("sharded", n_shards=8).n_shards == 8
+    for refuse in (lambda: make_backend("sharded"),
+                   lambda: make_backend("sharded", n_shards=8),
+                   lambda: TripleStore(backend="sharded")):
+        with pytest.raises(ValueError, match=r"unknown graph backend "
+                                             r"'sharded' \(known: columnar\)"):
+            refuse()
+    assert ShardedBackend(n_shards=8).n_shards == 8
     with pytest.raises(ValueError):
         make_backend("no-such-backend")
 

@@ -726,6 +726,56 @@ def test_cluster_open_validates_shard_count(tmp_path):
         ClusterBackend.open(tmp_path / "split", ["127.0.0.1:1"])
 
 
+def test_shard_split_writes_plain_columnar_shards(tmp_path):
+    """Every shard snapshot is the one store format: a columnar header
+    with the full global interner tables inline, no nested shard
+    directory, and a shard server serves it as a ``columnar`` backend
+    numbering every symbol as the source does."""
+    from repro.kg.mmap_backend import MAGIC, load_header
+
+    store = TripleStore(_sample_triples(40), backend=ShardedBackend(2))
+    store.save(tmp_path / "source")
+    shard_dirs = shard_split(tmp_path / "source", 2, tmp_path / "split")
+    for index, shard_dir in enumerate(shard_dirs):
+        snapshot = shard_dir / snapshot_dir_name(0)
+        header = load_header(snapshot)
+        assert header["magic"] == MAGIC
+        assert header["num_entities"] == len(store.backend.entity_interner)
+        assert (snapshot / "entities.blob.utf8").is_file()
+        assert not any(path.is_dir() for path in snapshot.iterdir())
+        with KGServer.open(shard_dir, port=0, shard_index=index,
+                           n_shards=2).start() as server:
+            assert server.service.store.backend.entity_interner.symbols() \
+                == store.backend.entity_interner.symbols()
+            with connect(server.url) as client:
+                assert client.call("stats")["store"]["backend"] \
+                    == "columnar"
+                assert client.call("role")["backend"] == "columnar"
+
+
+def test_a_split_written_by_the_parent_commit_is_refused(tmp_path):
+    """``tests/data/split-written-by-pr41`` is a ``shard_split`` output
+    of the build before the one store format: each shard snapshot is a
+    1-shard ``repro-kg-sharded`` layout.  Its live shard directory and
+    its snapshot are refused with a typed error naming the fix, before
+    any file is touched."""
+    from repro.errors import StorageError
+
+    fixture = Path(__file__).parent / "data" / "split-written-by-pr41"
+    shutil.copytree(fixture, tmp_path / "split")
+    shard = tmp_path / "split" / "shard-0"
+    for directory in (shard, shard / snapshot_dir_name(0)):
+        with pytest.raises(StorageError, match="re-run shard-split from the "
+                                               "source store"):
+            TripleStore.open(directory)
+        with pytest.raises(StorageError, match="sharded store directory"):
+            KGServer.open(directory, port=0)
+    assert (shard / wal_file_name(0)).read_bytes() \
+        == (fixture / "shard-0" / wal_file_name(0)).read_bytes()
+    # The coordinator's half of the split never changed format.
+    assert load_cluster_header(tmp_path / "split")["n_shards"] == 2
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 4: a coordinator places and resolves a head by the id "
     "its own in-memory interner gave it, so a head another coordinator "
@@ -1118,6 +1168,24 @@ def test_wal_tail_streams_batches(tmp_path):
         with pytest.raises(ProtocolError, match="generation"):
             client.call("snapshot_ship", path=wal_file_name(1),
                         offset=HEADER_BYTES, generation=1)
+
+
+def test_a_leaders_replication_status_reports_its_durable_seq(tmp_path):
+    """A leader's ``applied_seq`` is its durable seq read live from its
+    WAL (``len(wal.ends)``), not the value it had when it opened: three
+    acked batches give 3."""
+    TripleStore.create_live(tmp_path / "live", [Triple("a", "r", "b")],
+                            wal_fsync=False)
+    store = TripleStore.open(tmp_path / "live", wal_fsync=False)
+    with KGServer(store, port=0).start() as server, \
+            connect(server.url) as client:
+        assert client.call("replication_status")["applied_seq"] == 0
+        for index in range(3):
+            client.call("add_many", triples=[[f"a{index}", "r", "b"]])
+        status = client.call("replication_status")
+        assert status["role"] == "leader"
+        assert status["applied_seq"] == 3 == len(store.wal.ends)
+        assert status["local_generation"] == 0
 
 
 def test_wal_tail_requires_live_store():
@@ -1529,6 +1597,64 @@ def test_a_replica_on_a_pre_promotion_generation_is_never_promoted(tmp_path):
             backend.match("w2", "r", None)
     finally:
         backend.close()
+        for server in (r2, r1, leader):
+            server.close()
+
+
+def test_a_second_coordinator_repoints_to_a_replica_another_promoted(
+        tmp_path):
+    """Leader L with replicas r1 and r2, three batches replicated to
+    both.  L dies; coordinator A promotes r1 (generation 1) and acks
+    one write there, so r1 reports seq 1 against r2's frozen 3.  A
+    fresh coordinator B, built from the original addresses with r2
+    listed first, then writes: its ballot must rank r1's newer
+    generation above r2's higher seq and repoint to r1, never promote
+    r2 into a second leader that lacks the write acked on r1."""
+    TripleStore.create_live(tmp_path / "leader", _sample_triples(8))
+    leader = KGServer.open(tmp_path / "leader", port=0).start()
+    leader_url = leader.url
+    replicas = []
+    for name in ("r1", "r2"):
+        bootstrap_replica(tmp_path / name, leader.url)
+        replicas.append(KGServer.open(tmp_path / name, port=0,
+                                      follow=leader.url,
+                                      follow_poll_interval=0.01).start())
+    r1, r2 = replicas
+    first = ClusterBackend([leader_url], replicas={0: [r1.url, r2.url]},
+                           retry_backoff=0.01)
+    second = None
+    try:
+        for index in range(3):
+            first.add_many([Triple(f"w{index}", "r", "both")])
+        for replica in replicas:
+            assert _wait_until(
+                lambda: _count_on(replica.url, ["w2", "r", "both"]) == 1)
+        leader.close()
+        with pytest.raises(ShardUnavailableError):
+            first.add_many([Triple("lost", "r", "unknown-outcome")])
+        assert r1.role == "leader"
+        first.add_many([Triple("acked", "r", "on-r1")])
+        with connect(r1.url) as client:
+            assert client.call("replication_status")["applied_seq"] == 1
+        with connect(r2.url) as client:
+            assert client.call("replication_status")["applied_seq"] == 3
+        second = ClusterBackend([leader_url],
+                                replicas={0: [r2.url, r1.url]},
+                                retry_backoff=0.01)
+        second.add_many([Triple("from", "r", "second")])
+        assert second._sessions[0].leader == r1.url
+        assert r2.role == "replica"
+        assert r1.service.store.live_generation == 1
+        # Read through B: the gate refuses r2, so the rows are r1's.
+        assert set(second.match(None, "r", None)) == {
+            Triple("w0", "r", "both"), Triple("w1", "r", "both"),
+            Triple("w2", "r", "both"), Triple("acked", "r", "on-r1"),
+            Triple("from", "r", "second")}
+        assert _count_on(r1.url, ["from", "r", "second"]) == 1
+    finally:
+        for backend in (second, first):
+            if backend is not None:
+                backend.close()
         for server in (r2, r1, leader):
             server.close()
 

@@ -334,10 +334,11 @@ def _columnar_dir(tmp_path):
 
 
 def _sharded_dir(tmp_path):
+    """A ``ShardedBackend``-built store: saved in the one columnar format."""
     backend = ShardedBackend(2)
     for index in range(8):
         backend.add(f"h{index}", "r", f"t{index}")
-    return backend.save(tmp_path / "store")
+    return TripleStore(backend=backend).save(tmp_path / "store")
 
 
 def _split_dir(tmp_path):
@@ -349,8 +350,8 @@ def _split_dir(tmp_path):
 HEADER_KINDS = {
     "columnar": (_columnar_dir, HEADER_FILE, ColumnarBackend.open,
                  ("num_triples",) + _INTERNER_COUNTS),
-    "sharded": (_sharded_dir, HEADER_FILE, ShardedBackend.open,
-                ("n_shards",) + _INTERNER_COUNTS),
+    "sharded": (_sharded_dir, HEADER_FILE, TripleStore.open,
+                ("num_triples",) + _INTERNER_COUNTS),
     "shard-split": (_split_dir, CLUSTER_HEADER_FILE, load_cluster_interners,
                     ("n_shards",) + _INTERNER_COUNTS),
 }

@@ -160,7 +160,8 @@ def sharded_server(sharded_store):
 
 @pytest.fixture(scope="module")
 def reopened_server(tmp_path_factory, sharded_store):
-    """A save→reopen→serve cycle over the sharded layout."""
+    """A save→reopen→serve cycle of a sharded store (saved in the one
+    columnar format)."""
     directory = sharded_store.save(tmp_path_factory.mktemp("served") / "kg")
     with KGServer.open(directory, port=0) as running:
         running.start()

@@ -2,15 +2,18 @@
 
 The hash-partitioned :class:`~repro.kg.sharded_backend.ShardedBackend`
 must be observably identical to the in-memory columnar backend for every
-query shape, **bit-identical across shard counts**, and must round-trip
-through its sharded on-disk layout (global binary interner tables +
-per-shard columnar directories).  Corrupt shards and mixed-up directories
-must surface as :class:`~repro.errors.StorageError` at open time.
+query shape and **bit-identical across shard counts**.  It has no
+on-disk layout of its own: ``TripleStore.save`` writes it as the one
+columnar directory format with its own interners, so every symbol keeps
+its id.  Corrupt directories, and sharded directories an older build
+wrote, surface as :class:`~repro.errors.StorageError` at open time.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,19 +22,18 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.kg.backend import ColumnarBackend, make_backend
-from repro.kg.mmap_backend import HEADER_FILE
+from repro.kg.mmap_backend import FORMAT_VERSION, HEADER_FILE, MAGIC, load_header
 from repro.kg.routing import BROADCAST, scatter_gather
-from repro.kg.sharded_backend import (
-    SHARDED_FORMAT_VERSION,
-    ShardedBackend,
-    load_sharded_header,
-    shard_of_ids,
-)
+from repro.kg.sharded_backend import ShardedBackend, shard_of_ids
 from repro.kg.serialization import read_store_dir, write_store_dir
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple, triples_from_tuples
 
 SHARD_COUNTS = (1, 2, 8)
+
+#: A ``shard_split`` output written by the build before the one store
+#: format: every shard snapshot is a 1-shard sharded layout.
+OLD_SPLIT = Path(__file__).parent / "data" / "split-written-by-pr41"
 
 _symbol = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")),
@@ -289,21 +291,24 @@ def test_a_mixed_id_batch_drives_each_shard_once(monkeypatch):
 def test_match_many_mixed_batch_on_fresh_open_is_thread_safe(tmp_path):
     """Regression: a batch mixing head-bound (routed) and unbound
     (broadcast) patterns must drive each shard from exactly one pool
-    thread — two threads racing a freshly opened shard's lazy attach
+    thread — two threads racing a fresh shard's lazy consolidation
     used to crash with ``TypeError: object of type NoneType has no
-    len()`` (and could corrupt results mid-rebuild)."""
-    directory = tmp_path / "store"
-    source = ShardedBackend(4)
+    len()`` (and could corrupt results mid-rebuild).  Every shard of an
+    ``add``-built backend consolidates on its first query."""
     rows = [(f"h{index}", f"r{index % 3}", f"t{index % 7}") for index in range(64)]
-    for row in rows:
-        source.add(*row)
-    source.save(directory)
+
+    def fresh():
+        backend = ShardedBackend(4, max_workers=4)
+        for row in rows:
+            backend.add(*row)
+        return backend
+
+    directory = TripleStore(backend=fresh()).save(tmp_path / "store")
     patterns = [(f"h{index}", None, None) for index in range(32)] \
         + [(None, "r1", None), (None, None, "t3"), (None, None, None)]
-    expected = source.match_many(patterns, sort=True)
+    expected = TripleStore.open(directory).match_many(patterns, sort=True)
     for _attempt in range(10):
-        reopened = ShardedBackend.open(directory, max_workers=4)
-        assert reopened.match_many(patterns, sort=True) == expected
+        assert fresh().match_many(patterns, sort=True) == expected
     backend = ShardedBackend(5, delta_threshold=7)
     clone = backend.clone_empty()
     assert isinstance(clone, ShardedBackend)
@@ -320,16 +325,18 @@ def test_sharded_store_copy_stays_sharded(tmp_path):
     assert clone.backend.n_shards == 3
     clone.add(Triple("e", "r", "f"))
     assert len(store) == 2 and len(clone) == 3
-    # The copy of an on-disk sharded store is detached from its files.
+    # A saved sharded store reopens columnar, mapped from its files; its
+    # copy is detached from them.
     opened = TripleStore.open(store.save(tmp_path / "store"))
-    assert all(shard.directory is not None for shard in opened.backend._shards)
+    assert type(opened.backend) is ColumnarBackend
+    assert opened.backend.directory == tmp_path / "store"
     detached = opened.copy()
     assert detached.triples() == store.triples()
-    assert all(shard.directory is None for shard in detached.backend._shards)
+    assert detached.backend.directory is None
 
 
 # --------------------------------------------------------------------------- #
-# persistence: save → reopen bit-identical
+# persistence: save → reopen as the one columnar format, every id kept
 # --------------------------------------------------------------------------- #
 @settings(max_examples=15, deadline=None)
 @given(rows=st.lists(_triple_tuple, min_size=1, max_size=25))
@@ -338,30 +345,57 @@ def test_sharded_save_reopen_bit_identical(tmp_path_factory, rows):
     source = ShardedBackend(3)
     for head, relation, tail in rows:
         source.add(head, relation, tail)
-    source.save(directory)
-    reopened = ShardedBackend.open(directory)
-    assert reopened.n_shards == 3
+    TripleStore(backend=source).save(directory)
+    reopened = TripleStore.open(directory).backend
+    assert type(reopened) is ColumnarBackend
+    assert reopened.entity_interner.symbols() == source.entity_interner.symbols()
     _assert_query_parity(source, reopened, rows)
 
 
+def test_saving_a_sharded_store_keeps_every_symbol_id_and_match_ids_row(tmp_path):
+    """``TripleStore.save`` of a ``ShardedBackend(3)`` writes its own
+    interners: the reopened store numbers every symbol as the source
+    did (including one no triple uses any more), and every id pattern
+    answers the same rows — in the same order for a head-bound one,
+    which is what a shard answers."""
+    source = ShardedBackend(3)
+    source.add_many(triples_from_tuples(
+        [(f"h{index % 11}", f"r{index % 3}", f"t{index % 7}")
+         for index in range(60)] + [("gone", "r0", "t0")]))
+    assert source.discard("gone", "r0", "t0")
+    reopened = TripleStore.open(
+        TripleStore(backend=source).save(tmp_path / "store")).backend
+    assert reopened.entity_interner.symbols() == source.entity_interner.symbols()
+    assert reopened.relation_interner.symbols() \
+        == source.relation_interner.symbols()
+    for head_id in range(len(source.entity_interner)):
+        for relation_id in (None, 1):
+            np.testing.assert_array_equal(
+                reopened.match_ids(head_id, relation_id, None),
+                source.match_ids(head_id, relation_id, None))
+    for pattern in [(None, None, None), (None, 2, None), (None, None, 3)]:
+        assert sorted(reopened.match_ids(*pattern).tolist()) \
+            == sorted(source.match_ids(*pattern).tolist())
+
+
 def test_sharded_layout_on_disk(tmp_path):
-    directory = tmp_path / "store"
+    """There is no sharded layout: a sharded store saves as one columnar
+    directory with its interner tables inline and no shard directories —
+    byte for byte what a columnar store of the same triples writes."""
+    rows = triples_from_tuples(
+        [(f"h{index}", "r", f"t{index}") for index in range(20)])
     backend = ShardedBackend(2, max_workers=4)
-    backend.add_many(triples_from_tuples(
-        [(f"h{index}", "r", f"t{index}") for index in range(20)]))
-    backend.save(directory)
-    header = load_sharded_header(directory)
-    assert header["n_shards"] == 2
-    assert header["version"] == SHARDED_FORMAT_VERSION
+    backend.add_many(rows)
+    directory = TripleStore(backend=backend).save(tmp_path / "store")
+    header = load_header(directory)
+    assert header["magic"] == MAGIC and header["version"] == FORMAT_VERSION
+    assert header["num_triples"] == 20
     assert (directory / "entities.blob.utf8").is_file()
     assert (directory / "relations.offsets.i64").is_file()
-    for index in range(2):
-        shard_dir = directory / f"shard-{index}"
-        assert (shard_dir / HEADER_FILE).is_file()
-        shard_header = json.loads((shard_dir / HEADER_FILE).read_text())
-        assert shard_header["interners"] == "external"
-        # Shards do not duplicate the global symbol tables.
-        assert not (shard_dir / "entities.blob.utf8").exists()
+    assert not any(path.is_dir() for path in directory.iterdir())
+    columnar = TripleStore(rows).save(tmp_path / "columnar")
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} \
+        == {path.name: path.read_bytes() for path in columnar.iterdir()}
 
 
 def test_store_facade_dispatches_sharded_directories(tmp_path):
@@ -369,13 +403,13 @@ def test_store_facade_dispatches_sharded_directories(tmp_path):
     directory = tmp_path / "store"
     TripleStore(triples, backend=ShardedBackend(2)).save(directory)
     reopened = TripleStore.open(directory)
-    assert reopened.backend_name == "sharded"
+    assert reopened.backend_name == "columnar"
     assert reopened.triples() == sorted(triples)
     assert read_store_dir(directory).triples() == sorted(triples)
-    # write_store_dir through a sharded store preserves the layout.
+    # write_store_dir through a sharded store writes the one format too.
     write_store_dir(TripleStore(triples, backend=ShardedBackend(2)),
                     tmp_path / "again")
-    assert load_sharded_header(tmp_path / "again")["n_shards"] == 2
+    assert load_header(tmp_path / "again")["num_triples"] == 2
 
 
 def test_sharded_mutate_after_open_then_resave(tmp_path):
@@ -384,23 +418,23 @@ def test_sharded_mutate_after_open_then_resave(tmp_path):
     rows = [(f"h{index}", "r", f"t{index}") for index in range(15)]
     for row in rows:
         source.add(*row)
-    source.save(directory)
-    opened = ShardedBackend.open(directory, max_workers=4)
-    assert opened.add("brand-new", "r", "x")
-    assert opened.discard(*rows[0])
-    opened.save(directory)  # resave over its own shard files
-    reloaded = ShardedBackend.open(directory)
-    assert sorted(reloaded.iter_triples()) == sorted(opened.iter_triples())
-    assert reloaded.contains("brand-new", "r", "x")
-    assert not reloaded.contains(*rows[0])
+    TripleStore(backend=source).save(directory)
+    opened = TripleStore.open(directory)
+    assert opened.add(Triple("brand-new", "r", "x"))
+    assert opened.discard(Triple(*rows[0]))
+    opened.save(directory)  # resave over its own mapped files
+    reloaded = TripleStore.open(directory)
+    assert reloaded.triples() == opened.triples()
+    assert Triple("brand-new", "r", "x") in reloaded
+    assert Triple(*rows[0]) not in reloaded
 
 
 def test_zero_triple_sharded_store_roundtrip(tmp_path):
-    """Regression: zero triples → zero-byte shard files must still open."""
+    """Regression: zero triples → zero-byte array files must still open."""
     directory = tmp_path / "empty"
     TripleStore(backend=ShardedBackend(4)).save(directory)
     reopened = TripleStore.open(directory)
-    assert reopened.backend_name == "sharded"
+    assert reopened.backend_name == "columnar"
     assert len(reopened) == 0 and reopened.match() == []
     assert reopened.add(Triple("a", "r", "b"))
 
@@ -410,66 +444,69 @@ def test_zero_triple_sharded_store_roundtrip(tmp_path):
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
 def saved_sharded(tmp_path):
-    directory = tmp_path / "store"
     backend = ShardedBackend(3)
     for index in range(24):
         backend.add(f"h{index}", "r", f"t{index}")
-    backend.save(directory)
-    return directory
+    return TripleStore(backend=backend).save(tmp_path / "store")
 
 
 def test_open_missing_sharded_directory_raises(tmp_path):
     with pytest.raises(StorageError, match="missing header.json"):
-        ShardedBackend.open(tmp_path / "nowhere")
+        TripleStore.open(tmp_path / "nowhere")
 
 
 def test_open_corrupt_shard_raises(saved_sharded):
-    path = saved_sharded / "shard-1" / "triples.i64"
+    path = saved_sharded / "triples.i64"
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(StorageError, match="truncated or corrupt"):
-        ShardedBackend.open(saved_sharded)
+        TripleStore.open(saved_sharded)
 
 
 def test_open_missing_shard_directory_raises(saved_sharded):
-    import shutil
-
-    shutil.rmtree(saved_sharded / "shard-2")
-    with pytest.raises(StorageError, match="shard-2"):
-        ShardedBackend.open(saved_sharded)
+    (saved_sharded / "perm_spo.i64").unlink()
+    with pytest.raises(StorageError, match="missing array file perm_spo"):
+        TripleStore.open(saved_sharded)
 
 
 def test_open_sharded_version_mismatch_raises(saved_sharded):
     header = json.loads((saved_sharded / HEADER_FILE).read_text())
-    header["version"] = SHARDED_FORMAT_VERSION + 1
+    header["version"] = FORMAT_VERSION + 1
     (saved_sharded / HEADER_FILE).write_text(json.dumps(header))
     with pytest.raises(StorageError, match="version mismatch"):
-        ShardedBackend.open(saved_sharded)
+        TripleStore.open(saved_sharded)
 
 
-def test_open_single_store_as_sharded_raises(tmp_path):
-    directory = tmp_path / "single"
-    TripleStore(triples_from_tuples([("a", "r", "b")])).save(directory)
-    with pytest.raises(StorageError, match="single-store directory"):
-        ShardedBackend.open(directory)
+def test_open_single_store_as_sharded_raises(saved_sharded):
+    """A directory whose header says ``repro-kg-sharded`` is refused on
+    every open path, and the error names the fix."""
+    header = json.loads((saved_sharded / HEADER_FILE).read_text())
+    header["magic"] = "repro-kg-sharded"
+    (saved_sharded / HEADER_FILE).write_text(json.dumps(header))
+    for opener in (TripleStore.open, ColumnarBackend.open, read_store_dir):
+        with pytest.raises(StorageError, match="re-run shard-split"):
+            opener(saved_sharded)
 
 
-def test_open_shard_directly_raises(saved_sharded):
-    """A shard dir has no interner tables — opening it alone must fail."""
-    with pytest.raises(StorageError, match="external"):
-        ColumnarBackend.open(saved_sharded / "shard-0")
+def test_open_shard_directly_raises(tmp_path):
+    """A shard directory inside an old sharded snapshot has no interner
+    tables of its own — opening it alone must fail."""
+    shutil.copytree(OLD_SPLIT, tmp_path / "split")
+    with pytest.raises(StorageError, match="entity_blob_bytes"):
+        ColumnarBackend.open(tmp_path / "split" / "shard-0" / "snap-000000"
+                             / "shard-0")
 
 
 def test_interrupted_sharded_save_leaves_no_valid_header(saved_sharded, monkeypatch):
-    opened = ShardedBackend.open(saved_sharded)
-    opened.add("extra", "r", "x")
+    backend = ShardedBackend(3)
+    backend.add("extra", "r", "x")
 
-    import repro.kg.sharded_backend as module
+    import repro.kg.mmap_backend as module
 
     def crash(*args, **kwargs):
         raise RuntimeError("simulated crash mid-save")
 
-    monkeypatch.setattr(module, "write_backend_dir", crash)
+    monkeypatch.setattr(module, "write_interner_pair", crash)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        opened.save(saved_sharded)
+        TripleStore(backend=backend).save(saved_sharded)
     with pytest.raises(StorageError, match="missing header.json"):
-        ShardedBackend.open(saved_sharded)
+        TripleStore.open(saved_sharded)

@@ -9,8 +9,9 @@ recovery is checked against an oracle that replays the same acked-batch
 prefix on a plain in-memory store.
 
 The ``base`` fixture runs the sweeps across all three snapshot bases
-(columnar, a columnar store reopened with its base mapped, sharded); CI's WAL fault-injection matrix keys off
-its ``*-base`` ids.
+(columnar, a columnar store reopened with its base mapped, and a
+``ShardedBackend``-built store saved in the one columnar format); CI's
+WAL fault-injection matrix keys off its ``*-base`` ids.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 from _oracle import mapped_backend
 from repro.errors import StorageError
 from repro.kg import Triple, TripleStore
+from repro.kg.backend import ColumnarBackend
 from repro.kg.service import QueryService
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.protocol import decode_snapshot_chunk
@@ -99,10 +101,13 @@ def _apply_script(store: TripleStore, script: Script) -> None:
 
 
 def _build_live(directory: Path, base: str, script: Script) -> Path:
-    """A live store with SEED_ROWS in the snapshot and ``script`` WAL'd."""
+    """A live store with SEED_ROWS in the snapshot and ``script`` WAL'd.
+    Whatever the base was built on, the snapshot is the one columnar
+    format."""
     store = TripleStore.create_live(
         directory, [Triple(*row) for row in SEED_ROWS],
         backend=_make_backend(base), wal_fsync=False)
+    assert type(store.backend) is ColumnarBackend
     try:
         _apply_script(store, script)
     finally:
