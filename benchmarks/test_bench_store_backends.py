@@ -8,7 +8,9 @@ Four workloads mirror what the upper layers actually hot-loop over:
   per-head matches, (head, relation) tail lists, count fast paths and
   batched degrees;
 * **neighbourhood** — 2-hop undirected BFS from product nodes, the
-  Figure 3 snapshot access pattern;
+  Figure 3 snapshot access pattern: ``KnowledgeGraph.neighbourhood`` on
+  the columnar store; on the set store, which the graph facade refuses,
+  the oracle's string-level walk (``_oracle.neighbourhood``);
 * **interleaved** — the dedup-stage pattern: add one triple, then issue
   tails/count queries, repeatedly.  Counted, not timed: the delta
   overlay must serve every cycle without one index rebuild.
@@ -45,6 +47,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, List, Tuple
 
@@ -56,7 +59,7 @@ from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from _oracle import SetBackend  # noqa: E402
+from _oracle import SetBackend, neighbourhood  # noqa: E402
 
 #: Synthetic scale: enough rows for stable timings, small enough for CI.
 NUM_PRODUCTS = 5000
@@ -128,13 +131,13 @@ def _time_pattern_match(backend) -> float:
     return _best_of(REPEATS, workload)
 
 
-def _time_neighbourhood(graph: KnowledgeGraph) -> float:
+def _time_neighbourhood(walk: Callable[..., List[Triple]]) -> float:
     seeds = [f"product:{index:06d}" for index in range(0, NUM_PRODUCTS, 250)]
 
     def workload() -> None:
         collected = 0
         for seed in seeds:
-            collected += len(graph.neighbourhood(seed, hops=2))
+            collected += len(walk(seed, hops=2))
         assert collected > 0
     return _best_of(REPEATS, workload)
 
@@ -175,7 +178,9 @@ def test_bench_store_backends(tmp_path):
         graph = KnowledgeGraph(name="bench",
                                backend=_make_backend(backend_name))
         graph.add_many(Triple(*row) for row in rows)
-        hood_seconds = _time_neighbourhood(graph)
+        hood_seconds = _time_neighbourhood(
+            partial(neighbourhood, graph.store) if backend_name == "set"
+            else graph.neighbourhood)
 
         results[backend_name] = {
             "bulk-load": load_seconds,

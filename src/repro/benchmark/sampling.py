@@ -19,12 +19,12 @@ the stage-by-stage reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
 from repro.errors import BenchmarkError
-from repro.kg.backend import ColumnarBackend
+from repro.kg.executor import id_backend
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.namespaces import MetaProperty
 from repro.kg.triple import Triple
@@ -146,10 +146,9 @@ class ThreeStageSampler:
                              stages: SamplingStages) -> Set[str]:
         """Sample head entities with rate α_h for head-relations, α_l for tail-relations.
 
-        On the columnar backend the whole stage runs on interned-id arrays;
-        the string path below is the parity fallback.  Both produce the
-        same sampled set for the same seed: ids are ordered by lexicographic
-        symbol rank before ``rng.choice``, matching the string sort.
+        The whole stage runs on interned-id arrays.  The sample depends on
+        the symbols only, never on id assignment: ids are ordered by
+        lexicographic symbol rank before ``rng.choice``.
         """
         frequencies = self.graph.relation_frequencies()
         ordered = sorted(relations, key=lambda rel: (-frequencies.get(rel, 0), rel))
@@ -157,62 +156,37 @@ class ThreeStageSampler:
         head_relations = set(ordered[:num_head])
         rng = derive_rng(config.seed, "head-sampling", config.name)
 
-        backend = self.graph.store.backend
-        if isinstance(backend, ColumnarBackend):
-            head_groups: List[np.ndarray] = []
-            tail_groups: List[np.ndarray] = []
-            for relation in relations:
-                relation_id = backend.relation_interner.lookup(relation)
-                if relation_id is None:
-                    continue
-                heads = backend.match_ids(relation_id=relation_id)[:, 0]
-                (head_groups if relation in head_relations else tail_groups).append(heads)
-            head_ids = np.unique(np.concatenate(head_groups)) if head_groups \
-                else np.zeros(0, dtype=np.int64)
-            tail_ids = np.unique(np.concatenate(tail_groups)) if tail_groups \
-                else np.zeros(0, dtype=np.int64)
-            stages.candidate_head_entities = int(
-                len(np.union1d(head_ids, tail_ids)))
-            rank = backend.entity_sort_rank()
-            sampled_ids = self._sample_ids(head_ids, config.head_sampling_rate,
-                                           rng, rank)
-            sampled_ids = np.union1d(
-                sampled_ids,
-                self._sample_ids(np.setdiff1d(tail_ids, head_ids),
-                                 config.tail_sampling_rate, rng, rank))
-            symbol = backend.entity_interner.symbol_of
-            sampled = {symbol(int(entity_id)) for entity_id in sampled_ids}
-        else:
-            head_entities: Set[str] = set()
-            tail_entities: Set[str] = set()
-            for relation in relations:
-                for triple in self.graph.store.iter_match(relation=relation):
-                    if relation in head_relations:
-                        head_entities.add(triple.head)
-                    else:
-                        tail_entities.add(triple.head)
-            stages.candidate_head_entities = len(head_entities | tail_entities)
-            sampled = self._sample_set(head_entities, config.head_sampling_rate, rng)
-            sampled |= self._sample_set(tail_entities - head_entities,
-                                        config.tail_sampling_rate, rng)
+        backend = id_backend(self.graph.store)
+        head_groups: List[np.ndarray] = []
+        tail_groups: List[np.ndarray] = []
+        for relation in relations:
+            relation_id = backend.relation_interner.lookup(relation)
+            if relation_id is None:
+                continue
+            heads = backend.match_ids(relation_id=relation_id)[:, 0]
+            (head_groups if relation in head_relations else tail_groups).append(heads)
+        head_ids = np.unique(np.concatenate(head_groups)) if head_groups \
+            else np.zeros(0, dtype=np.int64)
+        tail_ids = np.unique(np.concatenate(tail_groups)) if tail_groups \
+            else np.zeros(0, dtype=np.int64)
+        stages.candidate_head_entities = int(len(np.union1d(head_ids, tail_ids)))
+        rank = backend.entity_interner.sort_rank()
+        sampled_ids = self._sample_ids(head_ids, config.head_sampling_rate, rng, rank)
+        sampled_ids = np.union1d(
+            sampled_ids,
+            self._sample_ids(np.setdiff1d(tail_ids, head_ids),
+                             config.tail_sampling_rate, rng, rank))
+        symbol = backend.entity_interner.symbol_of
+        sampled = {symbol(int(entity_id)) for entity_id in sampled_ids}
         stages.sampled_head_entities = len(sampled)
         stages.head_entities = sampled
         return sampled
 
     @staticmethod
-    def _sample_set(items: Set[str], rate: float,
-                    rng: np.random.Generator) -> Set[str]:
-        if not items:
-            return set()
-        ordered = sorted(items)
-        count = max(1, int(round(len(ordered) * rate)))
-        chosen = rng.choice(len(ordered), size=min(count, len(ordered)), replace=False)
-        return {ordered[int(index)] for index in chosen}
-
-    @staticmethod
     def _sample_ids(ids: np.ndarray, rate: float, rng: np.random.Generator,
                     rank: np.ndarray) -> np.ndarray:
-        """ID-array twin of :meth:`_sample_set` with identical rng draws."""
+        """Draw ``round(len(ids) * rate)`` ids (at least one) without
+        replacement from ``ids`` in symbol-rank order."""
         if ids.size == 0:
             return ids
         ordered = ids[np.argsort(rank[ids])]
@@ -227,43 +201,13 @@ class ThreeStageSampler:
                        config: SamplingConfig, stages: SamplingStages) -> List[Triple]:
         """Keep triples with surviving heads and relations, sample at α_N.
 
-        On the columnar backend candidate collection, head filtering, the
-        image requirement and the final deterministic sort all run on id
-        arrays; strings are materialized once, for the returned sample.
+        Candidate collection, head filtering, the image requirement and
+        the final deterministic sort all run on id arrays; strings are
+        materialized once, for the returned sample.
         """
-        backend = self.graph.store.backend
-        if isinstance(backend, ColumnarBackend):
-            return self._sample_triples_ids(backend, relations, head_entities,
-                                            config, stages)
-        candidates: List[Triple] = []
-        for relation in relations:
-            for triple in self.graph.match(relation=relation, sort=True):
-                if triple.head in head_entities:
-                    if config.require_images and triple.head not in self.graph.images \
-                            and triple.tail not in self.graph.images:
-                        continue
-                    candidates.append(triple)
-        stages.candidate_triples = len(candidates)
-        if not candidates:
-            raise BenchmarkError(
-                f"benchmark {config.name!r}: no candidate triples after head filtering")
-        rng = derive_rng(config.seed, "triple-sampling", config.name)
-        count = max(config.min_split_size * 3,
-                    int(round(len(candidates) * config.triple_sampling_rate)))
-        count = min(count, len(candidates))
-        chosen = rng.choice(len(candidates), size=count, replace=False)
-        sampled = sorted(candidates[int(index)] for index in chosen)
-        stages.sampled_triples = len(sampled)
-        stages.triples = sampled
-        return sampled
-
-    def _sample_triples_ids(self, backend: ColumnarBackend,
-                            relations: Sequence[str], head_entities: Set[str],
-                            config: SamplingConfig,
-                            stages: SamplingStages) -> List[Triple]:
-        """ID-array third stage, bit-identical to the string fallback."""
-        entity_rank = backend.entity_sort_rank()
-        relation_rank = backend.relation_sort_rank()
+        backend = id_backend(self.graph.store)
+        entity_rank = backend.entity_interner.sort_rank()
+        relation_rank = backend.relation_interner.sort_rank()
         head_id_list = [backend.entity_interner.lookup(head) for head in head_entities]
         head_id_array = np.asarray(
             sorted(head_id for head_id in head_id_list if head_id is not None),

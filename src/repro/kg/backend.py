@@ -30,9 +30,10 @@ and two per-id count vectors, and inherits every string-level query from
 :class:`_IdSurfaceMixin`, which resolves a pattern's constants once
 against the interners and takes the id route.  Queries — string *and*
 id — merge the overlay and never consolidate below ``delta_threshold``;
-only the flat surface (``id_triples``, ``match_id_rows``, the sort
-ranks, ``save``) describes one consolidated column block and folds a
-pending overlay back into the base first.
+only ``id_triples`` and ``save`` describe one consolidated column block
+and fold a pending overlay back into the base first.  Readers above the
+store (the graph facade, the benchmark sampler) read ``match_ids`` /
+``match_ids_many`` and order rows with :meth:`Interner.sort_rank`.
 
 :meth:`ColumnarBackend.open` attaches the base block from a saved
 directory instead — read-only memory maps of the files
@@ -75,17 +76,17 @@ IdPattern = Tuple[Optional[int], Optional[int], Optional[int]]
 class Interner:
     """An append-only string ↔ contiguous int-id table.
 
-    The same structure as :class:`~repro.kg.vocab.Vocabulary` but kept
-    separate so the storage layer has no dependency on the embedding
-    vocabulary semantics (and can later grow backend-specific features
-    such as shard-local id spaces).
+    Kept apart from :class:`~repro.kg.vocab.Vocabulary` so the storage
+    layer does not depend on the embedding vocabulary; :meth:`sort_rank`
+    orders ids the way ``sorted()`` orders their symbols.
     """
 
-    __slots__ = ("_symbol_to_id", "_id_to_symbol")
+    __slots__ = ("_symbol_to_id", "_id_to_symbol", "_rank")
 
     def __init__(self, symbols: Iterable[str] = ()) -> None:
         self._symbol_to_id: Dict[str, int] = {}
         self._id_to_symbol: List[str] = []
+        self._rank: Optional[np.ndarray] = None
         for symbol in symbols:
             self.intern(symbol)
 
@@ -119,6 +120,20 @@ class Interner:
         method call per id.
         """
         return self._id_to_symbol
+
+    def sort_rank(self) -> np.ndarray:
+        """``rank[id]`` = position of the id's symbol in ``sorted(symbols)``
+        (Python's ``sorted``, not numpy's code-point order).  Cached until
+        the append-only table grows; a new rank is built whole, then
+        published in one assignment.  Treat it as read-only."""
+        rank = self._rank
+        if rank is None or len(rank) != len(self._id_to_symbol):
+            symbols = list(self._id_to_symbol)
+            order = sorted(range(len(symbols)), key=symbols.__getitem__)
+            rank = np.empty(len(symbols), dtype=np.int64)
+            rank[np.asarray(order, dtype=np.int64)] = np.arange(len(symbols))
+            self._rank = rank
+        return rank
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._symbol_to_id
@@ -235,15 +250,6 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
     return rows[keep]
-
-
-def _sort_rank(interner: Interner) -> np.ndarray:
-    """``rank[id]`` = position of the id's symbol in ``sorted(symbols)``."""
-    symbols = interner.symbols()
-    order = sorted(range(len(symbols)), key=symbols.__getitem__)
-    rank = np.empty(len(symbols), dtype=np.int64)
-    rank[np.asarray(order, dtype=np.int64)] = np.arange(len(symbols), dtype=np.int64)
-    return rank
 
 
 def intern_id_rows(triples: Iterable[Triple], entity_interner: Interner,
@@ -508,16 +514,15 @@ class ColumnarBackend(_IdSurfaceMixin):
     bits in a deleted-row mask over the base, and every query merges
     base slices (minus deleted rows) with a vectorized scan of the
     delta.  A full rebuild only happens when the overlay (added +
-    deleted rows) exceeds ``delta_threshold``, or when a caller touches
-    the flat id surface (:meth:`id_triples`, :meth:`match_id_rows`, the
-    sort ranks), which by contract describes a single consolidated
-    column block.  An **empty base** is never searched and never served
-    through the overlay: adds onto it are plain dict inserts, however
-    many, and the first query consolidates them — the bulk-build path of
-    a per-triple ``add`` loop.  :attr:`rebuild_count` counts full
-    rebuilds so tests and benchmarks can assert the deferral actually
-    happens; ``delta_threshold=0`` consolidates every pending mutation
-    burst at the next query.
+    deleted rows) exceeds ``delta_threshold``, or when a caller asks for
+    :meth:`id_triples` or :meth:`save`, which by contract describe a
+    single consolidated column block.  An **empty base** is never
+    searched and never served through the overlay: adds onto it are
+    plain dict inserts, however many, and the first query consolidates
+    them — the bulk-build path of a per-triple ``add`` loop.
+    :attr:`rebuild_count` counts full rebuilds so tests and benchmarks
+    can assert the deferral actually happens; ``delta_threshold=0``
+    consolidates every pending mutation burst at the next query.
     """
 
     name = "columnar"
@@ -536,8 +541,6 @@ class ColumnarBackend(_IdSurfaceMixin):
         self._head_offsets: Optional[np.ndarray] = None
         self._rel_offsets: Optional[np.ndarray] = None
         self._tail_offsets: Optional[np.ndarray] = None
-        self._entity_rank: Optional[np.ndarray] = None
-        self._relation_rank: Optional[np.ndarray] = None
         # Delta overlay over the base block: rows added since the last
         # rebuild (insertion-ordered dict + lazily sorted block) and a
         # deleted-row mask over the base columns.
@@ -695,8 +698,6 @@ class ColumnarBackend(_IdSurfaceMixin):
         self._head_offsets = np.searchsorted(heads[perm_spo], entity_ids)
         self._rel_offsets = np.searchsorted(rels[perm_pos], relation_ids)
         self._tail_offsets = np.searchsorted(tails[perm_osp], entity_ids)
-        self._entity_rank = None
-        self._relation_rank = None
         self._delta_add.clear()
         self._delta_block = None
         self._deleted_mask = None
@@ -727,12 +728,8 @@ class ColumnarBackend(_IdSurfaceMixin):
             self._rebuild()
 
     def _ensure_index(self) -> None:
-        """Fully consolidate: fold any pending overlay into the base block.
-
-        The flat id surface (:meth:`id_triples`, :meth:`match_id_rows`,
-        the sort ranks) describes exactly one column block, so it calls
-        this instead of :meth:`_ensure_base`.
-        """
+        """Fold any pending overlay into the base block: :meth:`id_triples`
+        and :meth:`save` describe exactly one column block."""
         self._ensure_attached()
         if self._delta_add or self._num_deleted:
             self._rebuild()
@@ -844,13 +841,6 @@ class ColumnarBackend(_IdSurfaceMixin):
         lo = bisect_left(rows, value, key=key)
         return rows[lo:bisect_right(rows, value, lo, key=key)]
 
-    def match_id_rows(self, head_id: Optional[int] = None,
-                      relation_id: Optional[int] = None,
-                      tail_id: Optional[int] = None) -> np.ndarray:
-        """Row indices into :meth:`id_triples` matching an id pattern."""
-        self._ensure_index()
-        return self._base_match_rows(head_id, relation_id, tail_id)
-
     def _base_match_rows(self, head_id: Optional[int] = None,
                          relation_id: Optional[int] = None,
                          tail_id: Optional[int] = None) -> np.ndarray:
@@ -902,28 +892,6 @@ class ColumnarBackend(_IdSurfaceMixin):
         if self._delta_add:
             count += len(self._delta_match(head_id, relation_id, tail_id))
         return int(count)
-
-    def entity_sort_rank(self) -> np.ndarray:
-        """Rank of each entity id in lexicographic symbol order.
-
-        ``rank[id]`` is the position the entity's symbol would take in
-        ``sorted(symbols)``; used by the sampling layer to reproduce
-        string-sorted orderings without materializing strings per triple.
-        Python's own ``sorted`` is used (not numpy's code-point unicode
-        sort) so the ordering matches ``sorted()`` everywhere else.
-        """
-        self._ensure_index()
-        if self._entity_rank is None or len(self._entity_rank) != len(self.entity_interner):
-            self._entity_rank = _sort_rank(self.entity_interner)
-        return self._entity_rank
-
-    def relation_sort_rank(self) -> np.ndarray:
-        """Rank of each relation id in lexicographic symbol order."""
-        self._ensure_index()
-        if self._relation_rank is None \
-                or len(self._relation_rank) != len(self.relation_interner):
-            self._relation_rank = _sort_rank(self.relation_interner)
-        return self._relation_rank
 
     # ------------------------------------------------------------------ #
     # membership, iteration and the per-id count vectors — the string

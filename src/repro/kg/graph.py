@@ -13,14 +13,15 @@ adds the semantics OpenBG needs on top of raw triples:
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
 from repro.errors import OntologyError
-from repro.kg.backend import DEFAULT_BACKEND, ColumnarBackend, GraphBackend
+from repro.kg.backend import DEFAULT_BACKEND, GraphBackend, unique_rows
+from repro.kg.executor import id_backend
 from repro.kg.namespaces import MetaProperty, TAXONOMY_PROPERTIES
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple
@@ -290,59 +291,36 @@ class KnowledgeGraph:
     # neighbourhoods & export
     # ------------------------------------------------------------------ #
     def neighbourhood(self, node: str, hops: int = 1) -> List[Triple]:
-        """All triples within ``hops`` undirected hops of ``node`` (Figure 3)."""
+        """All triples within ``hops`` undirected hops of ``node`` (Figure 3),
+        in sorted (head, relation, tail) order.
+
+        A breadth-first walk over interned ids: each hop fetches the out-
+        and in-edges of the whole frontier in ONE ``match_ids_many`` (one
+        round on a remote backend); strings appear only in the result.
+        """
         if hops < 1:
             raise OntologyError("neighbourhood requires hops >= 1")
-        backend = self.store.backend
-        if isinstance(backend, ColumnarBackend):
-            return self._neighbourhood_columnar(backend, node, hops)
-        frontier: Set[str] = {node}
-        seen_nodes: Set[str] = {node}
-        collected: Set[Triple] = set()
-        for _ in range(hops):
-            next_frontier: Set[str] = set()
-            for current in frontier:
-                for triple in self.store.iter_match(head=current):
-                    collected.add(triple)
-                    next_frontier.add(triple.tail)
-                for triple in self.store.iter_match(tail=current):
-                    collected.add(triple)
-                    next_frontier.add(triple.head)
-            frontier = next_frontier - seen_nodes
-            seen_nodes.update(next_frontier)
-        return sorted(collected)
-
-    def _neighbourhood_columnar(self, backend: ColumnarBackend, node: str,
-                                hops: int) -> List[Triple]:
-        """BFS over interned ids; strings appear only in the final result."""
+        backend = id_backend(self.store)
         node_id = backend.entity_interner.lookup(node)
         if node_id is None:
             return []
-        ids = backend.id_triples()
-        frontier = {int(node_id)}
-        seen_nodes = {int(node_id)}
-        collected_rows: Set[int] = set()
+        frontier = [node_id]
+        seen = {node_id}
+        blocks: List[np.ndarray] = []
         for _ in range(hops):
-            next_frontier: Set[int] = set()
-            for current in frontier:
-                out_rows = backend.match_id_rows(head_id=current)
-                in_rows = backend.match_id_rows(tail_id=current)
-                collected_rows.update(out_rows.tolist())
-                collected_rows.update(in_rows.tolist())
-                next_frontier.update(ids[out_rows, 2].tolist())
-                next_frontier.update(ids[in_rows, 0].tolist())
-            frontier = next_frontier - seen_nodes
-            seen_nodes.update(next_frontier)
-        if not collected_rows:
-            return []
-        # Deterministic order via symbol ranks — no Triple-object sort.
-        rows = np.fromiter(collected_rows, dtype=np.int64, count=len(collected_rows))
-        sub = ids[rows]
-        entity_rank = backend.entity_sort_rank()
-        relation_rank = backend.relation_sort_rank()
-        order = np.lexsort((entity_rank[sub[:, 2]], relation_rank[sub[:, 1]],
-                            entity_rank[sub[:, 0]]))
-        return backend._materialize(sub[order])
+            if not frontier:
+                break
+            fetched = backend.match_ids_many(
+                [(current, None, None) for current in frontier]
+                + [(None, None, current) for current in frontier])
+            blocks.extend(fetched)
+            reached = set(np.concatenate(
+                [block[:, 2] for block in fetched[:len(frontier)]]
+                + [block[:, 0] for block in fetched[len(frontier):]]).tolist())
+            frontier = list(reached - seen)
+            seen |= reached
+        return backend._materialize(
+            _symbol_sorted(backend, unique_rows(np.concatenate(blocks))))
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export to a ``networkx.MultiDiGraph`` with relation edge keys."""
@@ -368,37 +346,18 @@ class KnowledgeGraph:
         the same vocabularies regardless of storage backend or insertion
         order.
         """
-        backend = self.store.backend
-        if isinstance(backend, ColumnarBackend):
-            ids = backend.id_triples()
-            if relations is not None:
-                allowed_ids = [backend.relation_interner.lookup(rel)
-                               for rel in relations]
-                allowed_ids = [rel_id for rel_id in allowed_ids if rel_id is not None]
-                ids = ids[np.isin(ids[:, 1], np.asarray(allowed_ids, dtype=np.int64))]
-            # Vocab ids are assigned in sorted-symbol order so the mapping
-            # is identical whichever backend built the graph.
-            entity_rank = backend.entity_sort_rank()
-            relation_rank = backend.relation_sort_rank()
-            entity_ids = np.unique(ids[:, [0, 2]].ravel())
-            entity_ids = entity_ids[np.argsort(entity_rank[entity_ids])]
-            relation_ids = np.unique(ids[:, 1])
-            relation_ids = relation_ids[np.argsort(relation_rank[relation_ids])]
-            entity_symbol = backend.entity_interner.symbol_of
-            relation_symbol = backend.relation_interner.symbol_of
-            entity_vocab = Vocabulary(entity_symbol(int(i)) for i in entity_ids)
-            relation_vocab = Vocabulary(relation_symbol(int(i)) for i in relation_ids)
-            return entity_vocab, relation_vocab
-        allowed = set(relations) if relations is not None else None
-        entity_symbols: set = set()
-        relation_symbols: set = set()
-        for triple in self.store.iter_match():
-            if allowed is not None and triple.relation not in allowed:
-                continue
-            entity_symbols.add(triple.head)
-            entity_symbols.add(triple.tail)
-            relation_symbols.add(triple.relation)
-        return Vocabulary(sorted(entity_symbols)), Vocabulary(sorted(relation_symbols))
+        backend = id_backend(self.store)
+        ids = backend.match_ids()
+        if relations is not None:
+            allowed_ids = [backend.relation_interner.lookup(rel) for rel in relations]
+            allowed_ids = [rel_id for rel_id in allowed_ids if rel_id is not None]
+            ids = ids[np.isin(ids[:, 1], np.asarray(allowed_ids, dtype=np.int64))]
+        entity_symbols = backend.entity_interner.symbol_table()
+        relation_symbols = backend.relation_interner.symbol_table()
+        return (Vocabulary(sorted(entity_symbols[entity_id] for entity_id
+                                  in np.unique(ids[:, [0, 2]]).tolist())),
+                Vocabulary(sorted(relation_symbols[relation_id] for relation_id
+                                  in np.unique(ids[:, 1]).tolist())))
 
     def to_id_array(
         self,
@@ -411,17 +370,11 @@ class KnowledgeGraph:
         Triples whose symbols are missing from the vocabularies are skipped,
         mirroring the standard practice of dropping unseen-entity test triples.
         """
-        backend = self.store.backend
-        if triples is None and isinstance(backend, ColumnarBackend):
+        if triples is None:
             # Translate the backend's interned ids to vocab ids in bulk:
             # one lookup per *unique* symbol instead of three per triple.
-            # Rows come out in sorted-triple order, matching the fallback
-            # path (and the set backend) exactly.
-            ids = backend.id_triples()
-            entity_rank = backend.entity_sort_rank()
-            relation_rank = backend.relation_sort_rank()
-            ids = ids[np.lexsort((entity_rank[ids[:, 2]], relation_rank[ids[:, 1]],
-                                  entity_rank[ids[:, 0]]))]
+            backend = id_backend(self.store)
+            ids = _symbol_sorted(backend, backend.match_ids())
             entity_map = np.full(len(backend.entity_interner), -1, dtype=np.int64)
             for interned_id, symbol in enumerate(backend.entity_interner):
                 vocab_id = entity_vocab.get(symbol)
@@ -437,8 +390,7 @@ class KnowledgeGraph:
                                        entity_map[ids[:, 2]]))
             return encoded[(encoded >= 0).all(axis=1)]
         rows: List[Tuple[int, int, int]] = []
-        source = self.store.triples() if triples is None else triples
-        for triple in source:
+        for triple in triples:
             head_id = entity_vocab.get(triple.head)
             rel_id = relation_vocab.get(triple.relation)
             tail_id = entity_vocab.get(triple.tail)
@@ -471,3 +423,12 @@ class KnowledgeGraph:
             "triples": len(self.store),
             "multimodal_entities": len(self.images),
         }
+
+
+def _symbol_sorted(backend, rows: np.ndarray) -> np.ndarray:
+    """``rows`` (a (k, 3) id block) in sorted (head, relation, tail)
+    symbol order, through the interners' cached sort ranks."""
+    entity_rank = backend.entity_interner.sort_rank()
+    relation_rank = backend.relation_interner.sort_rank()
+    return rows[np.lexsort((entity_rank[rows[:, 2]], relation_rank[rows[:, 1]],
+                            entity_rank[rows[:, 0]]))]

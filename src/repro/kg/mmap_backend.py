@@ -29,10 +29,10 @@ the header and interner tables load eagerly, the array files lazily on
 first use as read-only views of their memory maps (:func:`map_base`).
 Membership, mutation through the in-memory delta overlay (so an opened
 store stays fully mutable) and queries are the class's code, unchanged.
-When the overlay outgrows ``delta_threshold`` — or a caller touches the
-flat surface (``id_triples``, ``match_id_rows``, the sort ranks,
-``save``) — the live base rows and the overlay are consolidated into
-in-heap arrays; ``save`` writes that consolidated state back to disk.
+When the overlay outgrows ``delta_threshold`` — or a caller asks for
+``id_triples`` or ``save`` — the live base rows and the overlay are
+consolidated into in-heap arrays; ``save`` writes that consolidated
+state back to disk.
 Build → ``save`` → ``ColumnarBackend.open`` is the bulk-load-once,
 query-from-disk lifecycle.
 """

@@ -5,6 +5,8 @@ engine shipped (one ``iter_match`` round-trip per binding per pattern)
 and :class:`SetBackend` the dict-of-set store it ran on; neither is in
 the package.  Production answers every query with the id executor over
 the columnar family, and the suites check it against these two.
+:func:`neighbourhood` is the string-level walk the store bench times on
+:class:`SetBackend`, which ``KnowledgeGraph.neighbourhood`` refuses.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import tempfile
 import weakref
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.kg.backend import ColumnarBackend, _BatchedQueriesMixin
 from repro.kg.planner import PatternQuery, QueryPlan, is_variable, plan_query
@@ -59,6 +61,26 @@ def mapped_backend(triples: Iterable[Triple] = (),
     backend = ColumnarBackend.open(source.save(holder.name), **options)
     weakref.finalize(backend, holder.cleanup)
     return backend
+
+
+def neighbourhood(store, node: str, hops: int = 1) -> List[Triple]:
+    """All triples within ``hops`` undirected hops of ``node``, sorted: a
+    breadth-first walk over any store's ``iter_match``, node by node."""
+    frontier: Set[str] = {node}
+    seen_nodes: Set[str] = {node}
+    collected: Set[Triple] = set()
+    for _ in range(hops):
+        next_frontier: Set[str] = set()
+        for current in frontier:
+            for triple in store.iter_match(head=current):
+                collected.add(triple)
+                next_frontier.add(triple.tail)
+            for triple in store.iter_match(tail=current):
+                collected.add(triple)
+                next_frontier.add(triple.head)
+        frontier = next_frontier - seen_nodes
+        seen_nodes.update(next_frontier)
+    return sorted(collected)
 
 
 def execute_backtracking(store: TripleStore, plan: QueryPlan) -> List[Binding]:

@@ -371,7 +371,7 @@ def test_columnar_id_surface_consistent():
     assert len(rows) == 2
     head_symbols = {backend.entity_interner.symbol_of(int(h)) for h in rows[:, 0]}
     assert head_symbols == {"a", "d"}
-    rank = backend.entity_sort_rank()
+    rank = backend.entity_interner.sort_rank()
     symbols = backend.entity_interner.symbols()
     assert [symbols[i] for i in np.argsort(rank)] == sorted(symbols)
 
@@ -707,21 +707,28 @@ def test_store_facade_roundtrip(backend_name):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_triple_tuple, min_size=1, max_size=25))
 def test_vocabularies_and_id_arrays_backend_independent(rows):
-    """The same graph yields identical vocab ids and id arrays on both backends."""
+    """The same graph yields the same vocab ids and id arrays on every
+    backend: the sorted symbols of the rows, and the sorted triples
+    mapped through those vocabularies."""
     from repro.kg.graph import KnowledgeGraph
 
-    graphs = {}
-    for backend_name in ("set", "columnar"):
+    triples = sorted(set(triples_from_tuples(rows)))
+    entities = sorted({triple.head for triple in triples}
+                      | {triple.tail for triple in triples})
+    relations = sorted({triple.relation for triple in triples})
+    entity_id = {symbol: index for index, symbol in enumerate(entities)}
+    relation_id = {symbol: index for index, symbol in enumerate(relations)}
+    expected = np.asarray([(entity_id[triple.head], relation_id[triple.relation],
+                            entity_id[triple.tail]) for triple in triples],
+                          dtype=np.int64)
+    for backend_name in ("columnar", "sharded"):
         graph = KnowledgeGraph(backend=backend_named(backend_name))
         graph.add_many(triples_from_tuples(rows))
-        graphs[backend_name] = graph
-    vocab_set = graphs["set"].build_vocabularies()
-    vocab_columnar = graphs["columnar"].build_vocabularies()
-    assert vocab_set[0].symbols() == vocab_columnar[0].symbols()
-    assert vocab_set[1].symbols() == vocab_columnar[1].symbols()
-    array_set = graphs["set"].to_id_array(*vocab_set)
-    array_columnar = graphs["columnar"].to_id_array(*vocab_columnar)
-    np.testing.assert_array_equal(array_set, array_columnar)
+        entity_vocab, relation_vocab = graph.build_vocabularies()
+        assert entity_vocab.symbols() == entities
+        assert relation_vocab.symbols() == relations
+        np.testing.assert_array_equal(
+            graph.to_id_array(entity_vocab, relation_vocab), expected)
 
 
 @settings(max_examples=25, deadline=None)

@@ -104,7 +104,8 @@ def _shard_parts(local: ShardedBackend):
 
 @contextmanager
 def _cluster_over(local: ShardedBackend, *,
-                  replicate_shard: int | None = None):
+                  replicate_shard: int | None = None,
+                  retry_backoff: float = 0.01):
     """Serve every shard of ``local`` and connect a coordinator.
 
     Yields ``(backend, servers, replica_server)``; with
@@ -134,7 +135,7 @@ def _cluster_over(local: ShardedBackend, *,
             [server.url for server in servers], replicas=replicas,
             entity_interner=local.entity_interner,
             relation_interner=local.relation_interner,
-            retry_backoff=0.01)
+            retry_backoff=retry_backoff)
         stack.enter_context(closing(backend))
         yield backend, servers, replica_server
 
@@ -868,6 +869,59 @@ def test_reads_fail_typed_and_named_without_replica():
         assert backend.match(head1, None, None, sort=True) \
             == local.match(head1, None, None, sort=True)
         assert backend.cluster_stats()["totals"]["failures"] > 0
+
+
+#: The backoff the dead-shard control test runs with: long enough that
+#: the one sleep between the two endpoint sweeps shows in the timing.
+_CONTROL_BACKOFF = 0.25
+#: What two sweeps of refused loopback connects may add on top of it.
+_SWEEP_SLACK = 1.0
+
+
+def test_a_dead_shard_holds_the_coordinators_control_thread_boundedly():
+    """A coordinator serves ``len`` and ``stats`` on one control thread.
+    With shard 1's server closed (connections refused), ``len`` fails
+    typed after two endpoint sweeps and one ``retry_backoff``: within
+    ``_CONTROL_BACKOFF + _SWEEP_SLACK``, and not before the backoff.  A
+    ``stats`` sent right after it on another connection is answered
+    within twice that (it queues behind the ``len``) — with the same
+    typed error, since its triple count asks every shard.  Not bounded
+    here: a shard that accepts and never answers holds the control
+    thread for the session ``timeout``."""
+    local = ShardedBackend(2)
+    local.add_many(_sample_triples())
+    with _cluster_over(local, retry_backoff=_CONTROL_BACKOFF) \
+            as (backend, servers, _replica), \
+            KGServer(TripleStore(backend=backend), port=0).start() \
+            as coordinator, \
+            RemoteClient(coordinator.url) as first, \
+            RemoteClient(coordinator.url) as second:
+        assert first.call("len") == len(local)
+        servers[1].close()
+        answers = {}
+
+        def ask(name, call):
+            start = time.monotonic()
+            try:
+                call()
+            except ShardUnavailableError as exc:
+                answers[name] = (str(exc), time.monotonic() - start)
+
+        asking_len = threading.Thread(
+            target=ask, args=("len", lambda: first.call("len")))
+        asking_len.start()
+        time.sleep(0.05)
+        ask("stats", second.stats)
+        asking_len.join(timeout=10)
+        bound = _CONTROL_BACKOFF + _SWEEP_SLACK
+        message, elapsed = answers["len"]
+        assert "shard 1" in message
+        assert _CONTROL_BACKOFF <= elapsed < bound
+        message, elapsed = answers["stats"]
+        assert "shard 1" in message
+        assert elapsed < 2 * bound
+        shard = backend.cluster_stats(probe_shards=False)["shards"][1]
+        assert shard["failures"] == 2 and shard["retries"] == 2
 
 
 def test_a_dead_shard_fails_each_planned_request_once(monkeypatch):

@@ -5,10 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import OntologyError
+from _oracle import SetBackend, mapped_backend, neighbourhood
+from repro.benchmark.sampling import SamplingConfig, ThreeStageSampler
+from repro.errors import OntologyError, QueryError
+from repro.kg.backend import ColumnarBackend
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.namespaces import MetaProperty
+from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.triple import Triple
+from repro.kg.vocab import Vocabulary
 
 
 def _taxonomy_graph() -> KnowledgeGraph:
@@ -119,3 +124,109 @@ def test_constructed_graph_counts(construction_result):
     assert summary["entities"] > 0
     assert summary["classes"] > 0
     assert summary["multimodal_entities"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# one id path: every package backend answers the graph and sampler reads alike
+# --------------------------------------------------------------------------- #
+#: An edge of its own: a walk from ``island:a`` runs out of frontier
+#: after two hops.
+_ISLAND = Triple("island:a", "islandOf", "island:b")
+
+_SAMPLER_CONFIGS = (
+    SamplingConfig(name="img", num_relations=10, require_images=True, seed=3),
+    SamplingConfig(name="wide", num_relations=25, triple_sampling_rate=0.6,
+                   seed=5),
+)
+
+
+def _copy_graph(source: KnowledgeGraph, backend) -> KnowledgeGraph:
+    graph = KnowledgeGraph(backend=backend)
+    graph.add_many(source.triples() + [_ISLAND])
+    graph.images = source.images
+    return graph
+
+
+def _graph_reads(graph: KnowledgeGraph, nodes):
+    """Every id-path read of ``graph``, as plain comparable values."""
+    reads = {}
+    for hops in (1, 2, 3):
+        reads[f"neighbourhood-{hops}"] = [graph.neighbourhood(node, hops)
+                                          for node in nodes]
+    relations = sorted(graph.relation_frequencies())[::3]
+    for label, subset in (("all", None), ("subset", relations)):
+        entity_vocab, relation_vocab = graph.build_vocabularies(subset)
+        reads[f"vocabularies-{label}"] = (entity_vocab.symbols(),
+                                          relation_vocab.symbols())
+        reads[f"id-array-{label}"] = graph.to_id_array(
+            entity_vocab, relation_vocab).tolist()
+    for config in _SAMPLER_CONFIGS:
+        stages = ThreeStageSampler(graph).run(config)
+        reads[f"sampler-{config.name}"] = (
+            stages.triples, sorted(stages.head_entities),
+            stages.reduction_table())
+    return reads
+
+
+def test_graph_and_sampler_reads_agree_on_every_backend(graph):
+    nodes = sorted(graph.store.entities())[::40] + ["island:a", "no-such-node"]
+    graphs = {name: _copy_graph(graph, backend)
+              for name, backend in (("columnar", ColumnarBackend()),
+                                    ("mapped", mapped_backend()),
+                                    ("sharded-3", ShardedBackend(3)))}
+    reads = {name: _graph_reads(copy, nodes) for name, copy in graphs.items()}
+    columnar = reads["columnar"]
+    assert columnar["neighbourhood-3"][-1] == []
+    assert columnar["neighbourhood-1"][-2] == columnar["neighbourhood-3"][-2] \
+        == [_ISLAND]
+    assert all(columnar["neighbourhood-2"][:-2])
+    for hops in (1, 2, 3):
+        assert columnar[f"neighbourhood-{hops}"] == [
+            neighbourhood(graphs["columnar"].store, node, hops)
+            for node in nodes]
+    assert len(columnar["vocabularies-subset"][1]) \
+        < len(columnar["vocabularies-all"][1])
+    for name in ("mapped", "sharded-3"):
+        for key, value in columnar.items():
+            assert reads[name][key] == value, (name, key)
+
+
+def test_graph_reads_refuse_a_string_only_backend():
+    graph = KnowledgeGraph(backend=SetBackend())
+    graph.add_many([_ISLAND, Triple("island:a", MetaProperty.TYPE.value, "c")])
+    refused = "SetBackend.*id-level"
+    with pytest.raises(QueryError, match=refused):
+        graph.neighbourhood("island:a")
+    with pytest.raises(QueryError, match=refused):
+        graph.build_vocabularies()
+    with pytest.raises(QueryError, match=refused):
+        graph.to_id_array(Vocabulary(), Vocabulary())
+    with pytest.raises(QueryError, match=refused):
+        ThreeStageSampler(graph).run(SamplingConfig(name="t", num_relations=2))
+
+
+def _overlay_dirty_graph(source: KnowledgeGraph) -> KnowledgeGraph:
+    """A columnar graph built in one bulk load, plus one add left pending
+    in the delta overlay (far below ``delta_threshold``)."""
+    graph = _copy_graph(source, ColumnarBackend())
+    assert graph.store.backend.rebuild_count == 1
+    graph.add(Triple("product:pending", "brandIs", "brand:pending"))
+    return graph
+
+
+@pytest.mark.parametrize("read", ["neighbourhood", "vocabularies", "sampler"])
+def test_graph_reads_do_not_consolidate_the_overlay(graph, read):
+    dirty = _overlay_dirty_graph(graph)
+    backend = dirty.store.backend
+    if read == "neighbourhood":
+        assert dirty.neighbourhood("brand:pending", hops=2) == [
+            Triple("product:pending", "brandIs", "brand:pending")]
+    elif read == "vocabularies":
+        entity_vocab, relation_vocab = dirty.build_vocabularies()
+        assert "product:pending" in entity_vocab
+        assert len(dirty.to_id_array(entity_vocab, relation_vocab)) == len(dirty)
+    else:
+        for config in _SAMPLER_CONFIGS:
+            assert ThreeStageSampler(dirty).run(config).triples
+    assert backend.rebuild_count == 1
+    assert backend._overlay_size() == 1
