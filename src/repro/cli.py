@@ -43,35 +43,19 @@ from __future__ import annotations
 import argparse
 import math
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.benchmark.builders import BenchmarkBuilder
-from repro.construction.pipeline import ConstructionResult, OpenBGBuilder
-from repro.datagen.catalog import SyntheticCatalogConfig
-from repro.embedding import (
-    ComplEx,
-    DistMult,
-    KGETrainer,
-    LinkPredictionEvaluator,
-    TrainingConfig,
-    TransD,
-    TransE,
-    TransH,
-    TuckER,
-)
-from repro.embedding.evaluation import format_results_table
 from repro.kg.backend import BACKENDS, DEFAULT_BACKEND
-from repro.kg.serialization import write_tsv
 from repro.kg.sharded_backend import DEFAULT_SHARDS
 
-MODEL_REGISTRY = {
-    "TransE": TransE,
-    "TransH": TransH,
-    "TransD": TransD,
-    "DistMult": DistMult,
-    "ComplEx": ComplEx,
-    "TuckER": TuckER,
-}
+if TYPE_CHECKING:
+    from repro.construction.pipeline import ConstructionResult
+
+# The ``linkpred`` models, by their class names in ``repro.embedding``.
+# The build, benchmark and embedding stacks load inside the commands
+# that use them, so a ``serve`` or ``cluster`` process imports only the
+# serving stack.
+MODEL_REGISTRY = ("TransE", "TransH", "TransD", "DistMult", "ComplEx", "TuckER")
 
 
 def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
@@ -234,6 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _construct(products: int, seed: int, backend: str = DEFAULT_BACKEND,
                store_dir: Optional[Path] = None) -> ConstructionResult:
+    from repro.construction.pipeline import OpenBGBuilder
+    from repro.datagen.catalog import SyntheticCatalogConfig
+
     config = SyntheticCatalogConfig(num_products=products, seed=seed)
     return OpenBGBuilder(config, seed=seed, backend=backend,
                          store_dir=store_dir).build()
@@ -244,6 +231,8 @@ def _command_build(result: ConstructionResult, out: Optional[Path]) -> int:
     for key, value in result.summary().items():
         print(f"  {key:<22} {value}")
     if out is not None:
+        from repro.kg.serialization import write_tsv
+
         out.mkdir(parents=True, exist_ok=True)
         path = out / "openbg.tsv"
         count = write_tsv(result.graph.triples(), path)
@@ -258,6 +247,8 @@ def _command_stats(result: ConstructionResult) -> int:
 
 def _command_benchmark(result: ConstructionResult, out: Optional[Path],
                        seed: int) -> int:
+    from repro.benchmark.builders import BenchmarkBuilder
+
     suite = BenchmarkBuilder(result.graph, seed=seed).build_suite()
     print("Benchmark suite (Table II analogue):")
     for summary in suite.summaries():
@@ -271,10 +262,15 @@ def _command_benchmark(result: ConstructionResult, out: Optional[Path],
 
 def _command_linkpred(result: ConstructionResult, seed: int, model_name: str,
                       epochs: int, dim: int, learning_rate: float) -> int:
+    from repro import embedding
+    from repro.benchmark.builders import BenchmarkBuilder
+    from repro.embedding import KGETrainer, LinkPredictionEvaluator, TrainingConfig
+    from repro.embedding.evaluation import format_results_table
+
     suite = BenchmarkBuilder(result.graph, seed=seed).build_suite()
     dataset = suite["OpenBG500"]
     encoded = dataset.encoded_splits()
-    model_class = MODEL_REGISTRY[model_name]
+    model_class = getattr(embedding, model_name)
     model = model_class(len(dataset.entity_vocab), len(dataset.relation_vocab),
                         dim=dim, seed=seed)
     config = TrainingConfig(epochs=epochs, batch_size=256, learning_rate=learning_rate,

@@ -252,6 +252,12 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """Whether a (n, 3) id block is (h, r, t)-sorted without duplicates:
+    the first non-zero step between neighbouring rows is positive."""
+    return bool(np.all(np.sign(rows[1:] - rows[:-1]) @ np.array([4, 2, 1]) > 0))
+
+
 def intern_id_rows(triples: Iterable[Triple], entity_interner: Interner,
                    relation_interner: Interner) -> np.ndarray:
     """Intern a batch of triples into a (k, 3) int64 id block.
@@ -602,14 +608,16 @@ class ColumnarBackend(_IdSurfaceMixin):
         the overlay, O(k · log n).  Any other block — and every block
         onto an empty base: initial build, ``shard_split`` — is one
         consolidation: the live base rows, any overlay adds and the new
-        block are concatenated, sorted and deduplicated with pure numpy
+        block are concatenated, sorted (unless already in (h, r, t)
+        order: a ``shard_split`` shard) and deduplicated with pure numpy
         (all of which release the GIL — this is the per-shard unit of
         work the sharded backend fans out over a thread pool), then
         installed as the new base.  Returns the number of rows that were
         actually new.  Ids must come from this backend's interners;
         callers (``ShardedBackend.add_many``) intern before partitioning.
         """
-        rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 3)
+        # A copy: a sorted block is installed as it is, never aliased.
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
         if not len(rows):
             return 0
         if self.fits_overlay(len(rows)):
@@ -617,7 +625,8 @@ class ColumnarBackend(_IdSurfaceMixin):
         before = len(self)
         existing = self._rebuild_source()
         combined = np.concatenate((existing, rows)) if len(existing) else rows
-        self._install_cols(unique_rows(combined))
+        self._install_cols(combined if _strictly_increasing(combined)
+                           else unique_rows(combined))
         return len(self) - before
 
     def fits_overlay(self, num_rows: int) -> bool:
@@ -678,7 +687,8 @@ class ColumnarBackend(_IdSurfaceMixin):
                 setattr(self, attr, np.array(value, dtype=np.int64))
 
     def _install_cols(self, cols: np.ndarray) -> None:
-        """Install ``cols`` as the base block and (re)build all indexes.
+        """Install ``cols`` (unique, (h, r, t)-sorted rows) as the base
+        block and (re)build all indexes: ``perm_spo`` is the identity.
 
         Also resets the delta overlay: after installation the base block
         alone describes the store.
@@ -688,7 +698,7 @@ class ColumnarBackend(_IdSurfaceMixin):
         heads, rels, tails = cols[:, 0], cols[:, 1], cols[:, 2]
         entity_ids = np.arange(num_entities + 1, dtype=np.int64)
         relation_ids = np.arange(num_relations + 1, dtype=np.int64)
-        perm_spo = np.lexsort((tails, rels, heads))
+        perm_spo = np.arange(len(cols), dtype=np.int64)
         perm_pos = np.lexsort((heads, tails, rels))
         perm_osp = np.lexsort((rels, heads, tails))
         self._cols = cols
@@ -714,7 +724,7 @@ class ColumnarBackend(_IdSurfaceMixin):
         return np.concatenate((base, self._delta_cols()))
 
     def _rebuild(self) -> None:
-        self._install_cols(self._rebuild_source())
+        self._install_cols(unique_rows(self._rebuild_source()))
 
     def _overlay_size(self) -> int:
         return len(self._delta_add) + self._num_deleted

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import OntologyError
@@ -322,8 +321,9 @@ class KnowledgeGraph:
         return backend._materialize(
             _symbol_sorted(backend, unique_rows(np.concatenate(blocks))))
 
-    def to_networkx(self) -> nx.MultiDiGraph:
+    def to_networkx(self) -> "nx.MultiDiGraph":
         """Export to a ``networkx.MultiDiGraph`` with relation edge keys."""
+        import networkx as nx  # here only: a serving process never loads it
         graph = nx.MultiDiGraph(name=self.name)
         for triple in self.store:
             graph.add_edge(triple.head, triple.tail, key=triple.relation,

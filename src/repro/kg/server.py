@@ -74,7 +74,7 @@ from pathlib import Path
 from typing import (Callable, Deque, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ShardUnavailableError
 from repro.kg.executor import IdBlock
 from repro.kg.protocol import (
     BINARY_PROTOCOL_VERSION,
@@ -890,8 +890,12 @@ class KGServer:
         if self.shard_index is not None:
             server_info["shard_index"] = self.shard_index
             server_info["n_shards"] = self.n_shards
+        try:
+            triples = len(self.service.store)
+        except ShardUnavailableError:  # keep the "cluster" counters
+            triples = None
         stats = {"service": self.service.stats,
-                 "store": {"triples": len(self.service.store),
+                 "store": {"triples": triples,
                            "backend": self.service.store.backend_name},
                  "server": server_info,
                  "spans": self.spans.snapshot()}

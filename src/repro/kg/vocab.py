@@ -59,7 +59,3 @@ class Vocabulary:
     def symbols(self) -> List[str]:
         """Return all symbols in id order (a copy)."""
         return list(self._id_to_symbol)
-
-    def to_dict(self) -> Dict[str, int]:
-        """Return a copy of the symbol → id mapping."""
-        return dict(self._symbol_to_id)

@@ -742,3 +742,70 @@ def test_serialization_roundtrip_through_columnar_backend(tmp_path_factory, rows
     assert reloaded.triples() == store.triples()
     assert reloaded.relation_frequencies() == store.relation_frequencies()
     assert reloaded.entities() == store.entities()
+
+
+# --------------------------------------------------------------------- #
+# sort once: the base block is installed (h, r, t)-sorted
+# --------------------------------------------------------------------- #
+_ENTITIES, _RELATIONS = 7, 4
+_id_row = st.tuples(st.integers(0, _ENTITIES - 1), st.integers(0, _RELATIONS - 1),
+                    st.integers(0, _ENTITIES - 1))
+
+
+def _three_lexsort_build(rows):
+    """The seven base arrays as a build that sorts each permutation on
+    its own lays them out: rows deduplicated and (h, r, t)-ordered (by
+    ``np.unique``, not the backend's helper), then one lexsort per order."""
+    cols = np.unique(np.asarray(rows, dtype=np.int64).reshape(-1, 3), axis=0)
+    heads, rels, tails = cols[:, 0], cols[:, 1], cols[:, 2]
+    perm_spo = np.lexsort((tails, rels, heads))
+    perm_pos = np.lexsort((heads, tails, rels))
+    perm_osp = np.lexsort((rels, heads, tails))
+    entity_ids = np.arange(_ENTITIES + 1)
+    return {"_cols": cols, "_perm_spo": perm_spo, "_perm_pos": perm_pos,
+            "_perm_osp": perm_osp,
+            "_head_offsets": np.searchsorted(heads[perm_spo], entity_ids),
+            "_rel_offsets": np.searchsorted(rels[perm_pos],
+                                            np.arange(_RELATIONS + 1)),
+            "_tail_offsets": np.searchsorted(tails[perm_osp], entity_ids)}
+
+
+def _assert_base_is(backend, rows):
+    for attr, expected in _three_lexsort_build(rows).items():
+        actual = getattr(backend, attr)
+        assert actual.dtype == np.int64, attr
+        assert np.array_equal(actual, expected), attr
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.lists(_id_row, min_size=1, max_size=60), presorted=st.booleans(),
+       added=st.lists(_id_row, max_size=20), removed=st.lists(_id_row, max_size=20))
+def test_bulk_load_and_rebuild_lay_out_the_base_like_three_lexsorts(
+        block, presorted, added, removed):
+    """``bulk_load_ids`` (an unsorted block, or a sorted unique one whose
+    sort it skips) and ``_rebuild`` of base + overlay install the same
+    seven arrays as the build that lexsorts every order."""
+    rows = np.array(block, dtype=np.int64)
+    if presorted:
+        rows = np.unique(rows, axis=0)
+    backend = ColumnarBackend(delta_threshold=1_000_000)
+    for index in range(_ENTITIES):
+        backend.entity_interner.intern(f"e{index}")
+    for index in range(_RELATIONS):
+        backend.relation_interner.intern(f"r{index}")
+    assert backend.bulk_load_ids(rows) == len(set(block))
+    _assert_base_is(backend, block)
+    live = set(block)
+    for (head, relation, tail), add in [(row, True) for row in added] \
+            + [(row, False) for row in removed]:
+        symbols = (f"e{head}", f"r{relation}", f"e{tail}")
+        if add:
+            backend.add(*symbols)
+            live.add((head, relation, tail))
+        else:
+            backend.discard(*symbols)
+            live.discard((head, relation, tail))
+    rebuilds = backend.rebuild_count
+    backend._rebuild()
+    assert backend.rebuild_count == rebuilds + 1
+    _assert_base_is(backend, sorted(live))

@@ -754,6 +754,30 @@ def test_shard_split_writes_plain_columnar_shards(tmp_path):
                 assert client.call("role")["backend"] == "columnar"
 
 
+def test_shard_split_sorts_each_shard_once(tmp_path, monkeypatch):
+    """A shard's block is masked from the saved source's (h, r, t)-sorted
+    rows, so it is already sorted and unique: its load skips the
+    de-duplicating sort, and the index build sorts only the (r, t, h) and
+    (t, h, r) orders — two lexsorts per shard."""
+    store = TripleStore(_sample_triples(40), backend=ShardedBackend(2))
+    store.save(tmp_path / "source")
+    calls = []
+    lexsort = np.lexsort
+
+    def counting(keys, *args, **kwargs):
+        calls.append(len(keys))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    shard_dirs = shard_split(tmp_path / "source", 2, tmp_path / "split")
+    monkeypatch.undo()
+    assert len(calls) == 2 * len(shard_dirs)
+    for shard_dir in shard_dirs:
+        part = TripleStore.open(shard_dir)
+        assert len(part)  # every shard holds rows: none skipped its build
+        part.close()
+
+
 def test_a_split_written_by_the_parent_commit_is_refused(tmp_path):
     """``tests/data/split-written-by-pr41`` is a ``shard_split`` output
     of the build before the one store format: each shard snapshot is a
@@ -884,8 +908,9 @@ def test_a_dead_shard_holds_the_coordinators_control_thread_boundedly():
     typed after two endpoint sweeps and one ``retry_backoff``: within
     ``_CONTROL_BACKOFF + _SWEEP_SLACK``, and not before the backoff.  A
     ``stats`` sent right after it on another connection is answered
-    within twice that (it queues behind the ``len``) — with the same
-    typed error, since its triple count asks every shard.  Not bounded
+    within twice that (it queues behind the ``len``): an unknown triple
+    count (``None``) beside the ``"cluster"`` block, whose counters show
+    shard 1's failures.  Not bounded
     here: a shard that accepts and never answers holds the control
     thread for the session ``timeout``."""
     local = ShardedBackend(2)
@@ -903,9 +928,10 @@ def test_a_dead_shard_holds_the_coordinators_control_thread_boundedly():
         def ask(name, call):
             start = time.monotonic()
             try:
-                call()
+                answer = call()
             except ShardUnavailableError as exc:
-                answers[name] = (str(exc), time.monotonic() - start)
+                answer = str(exc)
+            answers[name] = (answer, time.monotonic() - start)
 
         asking_len = threading.Thread(
             target=ask, args=("len", lambda: first.call("len")))
@@ -917,9 +943,10 @@ def test_a_dead_shard_holds_the_coordinators_control_thread_boundedly():
         message, elapsed = answers["len"]
         assert "shard 1" in message
         assert _CONTROL_BACKOFF <= elapsed < bound
-        message, elapsed = answers["stats"]
-        assert "shard 1" in message
+        stats, elapsed = answers["stats"]
         assert elapsed < 2 * bound
+        assert stats["store"]["triples"] is None
+        assert stats["cluster"]["shards"][1]["failures"] >= 1
         shard = backend.cluster_stats(probe_shards=False)["shards"][1]
         assert shard["failures"] == 2 and shard["retries"] == 2
 
